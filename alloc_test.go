@@ -14,6 +14,7 @@ import (
 	"acdc/internal/audit"
 	"acdc/internal/benchkit"
 	"acdc/internal/faults"
+	"acdc/internal/netsim"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
 	"acdc/internal/tcpstack"
@@ -191,6 +192,54 @@ func TestStreamDatapathZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, roundRB); n != 0 {
 		t.Errorf("receiver stream batch: %v allocs/op, want 0", n)
+	}
+}
+
+// TestConnCycleZeroAlloc pins the guest stack's connection cycle: two stacks
+// back to back (no switch, no vSwitch), dial → one MSS → close both ends →
+// TIME_WAIT → teardown. Once each stack has a closed Conn parked, the next
+// connection takes the record back with its timers and congestion-control
+// state, the SYN options and burst buffer come from the stack's scratch, and
+// the whole life of a connection allocates nothing.
+func TestConnCycleZeroAlloc(t *testing.T) {
+	s := sim.New(1)
+	pool := packet.NewPool()
+	addrA, addrB := packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2)
+	ha, hb := netsim.NewHost(s, "a", addrA), netsim.NewHost(s, "b", addrB)
+	ha.Pool, hb.Pool = pool, pool
+	ha.NIC = netsim.NewLink(s, "a>b", 10e9, 5*sim.Microsecond, hb)
+	hb.NIC = netsim.NewLink(s, "b>a", 10e9, 5*sim.Microsecond, ha)
+	ha.NIC.Pool, hb.NIC.Pool = pool, pool
+	cfg := tcpstack.DefaultConfig()
+	cfg.MTU = 1500
+	a, b := tcpstack.NewStack(s, ha, cfg), tcpstack.NewStack(s, hb, cfg)
+
+	var srv *tcpstack.Conn
+	closed := 0
+	onClosed := func() { closed++ }
+	b.Listen(5001, func(c *tcpstack.Conn) { srv = c })
+	cycle := func() {
+		cli := a.Dial(addrB, 5001)
+		cli.OnClosed = onClosed
+		cli.Send(int64(cfg.MSS()))
+		s.RunFor(sim.Millisecond)
+		cli.Close()
+		srv.Close()
+		s.RunFor(100 * sim.Millisecond)
+	}
+	const warm, runs = 10, 100
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+		t.Errorf("connection cycle: %v allocs/op, want 0", n)
+	}
+	// AllocsPerRun calls cycle once more than it measures.
+	if want := warm + runs + 1; closed != want || a.NumConns() != 0 || b.NumConns() != 0 {
+		t.Errorf("%d of %d connections closed, %d and %d still open", closed, want, a.NumConns(), b.NumConns())
+	}
+	if out := pool.Gets - pool.Puts; out != 0 {
+		t.Errorf("%d packets not returned to the pool", out)
 	}
 }
 

@@ -28,8 +28,28 @@ type Ctx struct {
 	// CwndClamp caps Cwnd in MSS units when > 0 (snd_cwnd_clamp).
 	CwndClamp float64
 
-	// priv holds algorithm-private state.
+	// priv holds algorithm-private state: a pointer Init installs, and resets
+	// in place when it already has the algorithm's type (see Recycle).
 	priv any
+}
+
+// Recycle returns c with the algorithm-private state of old, a context whose
+// connection has ended. Init on the result then resets that state in place
+// instead of allocating it, provided the algorithm is the same kind as
+// before; any other algorithm replaces it.
+func (c Ctx) Recycle(old *Ctx) Ctx {
+	c.priv = old.priv
+	return c
+}
+
+// initPriv points c.priv at a T holding v, reusing the T already there.
+func initPriv[T any](c *Ctx, v T) {
+	s, ok := c.priv.(*T)
+	if !ok {
+		s = new(T)
+		c.priv = s
+	}
+	*s = v
 }
 
 // InSlowStart reports whether the connection is in slow start.
@@ -73,8 +93,9 @@ type Algorithm interface {
 // Base provides no-op implementations of the optional hooks.
 type Base struct{}
 
-// Init implements Algorithm.
-func (Base) Init(*Ctx) {}
+// Init implements Algorithm: no private state, and none kept from a recycled
+// context's previous algorithm.
+func (Base) Init(c *Ctx) { c.priv = nil }
 
 // PktsAcked implements Algorithm.
 func (Base) PktsAcked(*Ctx, int64) {}

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -412,5 +413,69 @@ func TestUndoCwnd(t *testing.T) {
 	c.Cwnd, c.Ssthresh = 5, 10
 	if got := a.UndoCwnd(c); got != 20 {
 		t.Fatalf("undo = %v, want 20", got)
+	}
+}
+
+// TestInitResetsRecycledStateInPlace: for every algorithm, Init on a context
+// whose private state a previous connection dirtied leaves exactly what Init
+// on a new context does — DCTCP's initial α and the Illinois/Vegas "no RTT
+// yet" sentinels included — and reuses that state's allocation. A context
+// recycled from a different algorithm gets the right state type.
+func TestInitResetsRecycledStateInPlace(t *testing.T) {
+	dirty := func(a Algorithm, c *Ctx) {
+		for i := 0; i < 50; i++ {
+			c.Now += 100_000
+			a.PktsAcked(c, int64(80_000+1000*i))
+			a.AckedWithECN(c, 1500, i%3 == 0)
+			a.CongAvoid(c, 1500)
+			if b, ok := a.(interface{ WindowBoundary(*Ctx) }); ok && i%10 == 9 {
+				b.WindowBoundary(c)
+			}
+		}
+		c.Ssthresh = a.SsthreshOnLoss(c)
+		c.Cwnd = c.Ssthresh
+		for i := 0; i < 20; i++ {
+			c.Now += 100_000
+			a.CongAvoid(c, 1500)
+		}
+		a.OnRTO(c)
+	}
+	next := Ctx{MSS: 1460, Cwnd: 10, Ssthresh: 1 << 30, Now: 5}
+	names := append(Names(), "newreno")
+	for i, name := range names {
+		a := New(name)
+		want := next
+		a.Init(&want)
+
+		old := newCtx(1500)
+		a.Init(old)
+		dirty(a, old)
+		if want.priv != nil && reflect.DeepEqual(old.priv, want.priv) {
+			t.Errorf("%s: private state still pristine after the dirtying run", name)
+		}
+		got := next.Recycle(old)
+		if allocs := testing.AllocsPerRun(10, func() {
+			got = next.Recycle(old)
+			a.Init(&got)
+		}); allocs != 0 {
+			t.Errorf("%s: Init on a recycled context: %v allocs, want 0", name, allocs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recycled context %+v (priv %+v), new context %+v (priv %+v)",
+				name, got, got.priv, want, want.priv)
+		}
+		if want.priv != nil && got.priv != old.priv {
+			t.Errorf("%s: Init replaced the private state instead of resetting it", name)
+		}
+
+		// The same record passes to the next algorithm in the list.
+		b := New(names[(i+1)%len(names)])
+		wantB, gotB := next, next.Recycle(old)
+		b.Init(&wantB)
+		b.Init(&gotB)
+		if !reflect.DeepEqual(gotB, wantB) {
+			t.Errorf("%s after %s: context %+v (priv %+v), want %+v (priv %+v)",
+				b.Name(), name, gotB, gotB.priv, wantB, wantB.priv)
+		}
 	}
 }

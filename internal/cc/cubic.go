@@ -27,13 +27,13 @@ const (
 func (*Cubic) Name() string { return "cubic" }
 
 // Init implements Algorithm.
-func (*Cubic) Init(c *Ctx) { c.priv = &cubicState{} }
+func (*Cubic) Init(c *Ctx) { initPriv(c, cubicState{}) }
 
 func (cb *Cubic) state(c *Ctx) *cubicState {
 	s, ok := c.priv.(*cubicState)
-	if !ok {
-		s = &cubicState{}
-		c.priv = s
+	if !ok { // Init never ran on c
+		cb.Init(c)
+		s = c.priv.(*cubicState)
 	}
 	return s
 }

@@ -26,15 +26,13 @@ const DefaultDCTCPAlpha = 1.0
 func (*DCTCP) Name() string { return "dctcp" }
 
 // Init implements Algorithm.
-func (d *DCTCP) Init(c *Ctx) {
-	c.priv = &dctcpState{alpha: DefaultDCTCPAlpha}
-}
+func (d *DCTCP) Init(c *Ctx) { initPriv(c, dctcpState{alpha: DefaultDCTCPAlpha}) }
 
 func (d *DCTCP) state(c *Ctx) *dctcpState {
 	s, ok := c.priv.(*dctcpState)
-	if !ok {
-		s = &dctcpState{alpha: DefaultDCTCPAlpha}
-		c.priv = s
+	if !ok { // Init never ran on c
+		d.Init(c)
+		s = c.priv.(*dctcpState)
 	}
 	return s
 }

@@ -30,14 +30,14 @@ func (*Illinois) Name() string { return "illinois" }
 
 // Init implements Algorithm.
 func (*Illinois) Init(c *Ctx) {
-	c.priv = &illinoisState{baseRTT: 1 << 62, alpha: illAlphaMax, beta: illBetaMin}
+	initPriv(c, illinoisState{baseRTT: 1 << 62, alpha: illAlphaMax, beta: illBetaMin})
 }
 
 func (il *Illinois) state(c *Ctx) *illinoisState {
 	s, ok := c.priv.(*illinoisState)
-	if !ok {
-		s = &illinoisState{baseRTT: 1 << 62, alpha: illAlphaMax, beta: illBetaMin}
-		c.priv = s
+	if !ok { // Init never ran on c
+		il.Init(c)
+		s = c.priv.(*illinoisState)
 	}
 	return s
 }

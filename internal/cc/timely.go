@@ -36,13 +36,13 @@ const (
 func (*Timely) Name() string { return "timely" }
 
 // Init implements Algorithm.
-func (t *Timely) Init(c *Ctx) { c.priv = &timelyState{} }
+func (t *Timely) Init(c *Ctx) { initPriv(c, timelyState{}) }
 
 func (t *Timely) state(c *Ctx) *timelyState {
 	s, ok := c.priv.(*timelyState)
-	if !ok {
-		s = &timelyState{}
-		c.priv = s
+	if !ok { // Init never ran on c
+		t.Init(c)
+		s = c.priv.(*timelyState)
 	}
 	return s
 }

@@ -21,15 +21,13 @@ const (
 func (*Vegas) Name() string { return "vegas" }
 
 // Init implements Algorithm.
-func (*Vegas) Init(c *Ctx) {
-	c.priv = &vegasState{baseRTT: 1 << 62, minRTT: 1 << 62}
-}
+func (*Vegas) Init(c *Ctx) { initPriv(c, vegasState{baseRTT: 1 << 62, minRTT: 1 << 62}) }
 
 func (v *Vegas) state(c *Ctx) *vegasState {
 	s, ok := c.priv.(*vegasState)
-	if !ok {
-		s = &vegasState{baseRTT: 1 << 62, minRTT: 1 << 62}
-		c.priv = s
+	if !ok { // Init never ran on c
+		v.Init(c)
+		s = c.priv.(*vegasState)
 	}
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
@@ -569,5 +570,13 @@ func TestDetachRestoresPassthrough(t *testing.T) {
 	}
 	if b.acdc[0].Stats().EgressSegs != 0 {
 		t.Fatal("detached vSwitch still processing")
+	}
+}
+
+// TestFlowSizeClass keeps Flow inside the 384-byte malloc size class it fills
+// exactly today: one more word and every tracked flow costs 416 bytes.
+func TestFlowSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Flow{}); n > 384 {
+		t.Fatalf("Flow is %d bytes, over the 384-byte size class", n)
 	}
 }

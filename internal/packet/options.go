@@ -159,20 +159,21 @@ func ParseSynOptions(opts []byte) SynOptions {
 	return so
 }
 
-// BuildSynOptions encodes handshake options (MSS, window scale, SACK
-// permitted) in the layout Linux uses.
+// AppendSynOptions appends the handshake options (MSS, window scale, SACK
+// permitted) to dst in the layout Linux uses and returns the extended slice:
+// MSS(4) + NOP + WScale(3), then NOP + NOP + SACKPerm(2), 12 bytes at most.
+func AppendSynOptions(dst []byte, mss uint16, wscale uint8, sackPerm bool) []byte {
+	dst = append(dst, OptMSS, 4, byte(mss>>8), byte(mss))
+	dst = append(dst, OptNOP, OptWScale, 3, wscale)
+	if sackPerm {
+		dst = append(dst, OptNOP, OptNOP, OptSACKPerm, 2)
+	}
+	return dst
+}
+
+// BuildSynOptions is AppendSynOptions into a new slice.
 func BuildSynOptions(mss uint16, wscale uint8, sackPerm bool) []byte {
-	n := 8 // MSS(4) + NOP + WScale(3)
-	if sackPerm {
-		n += 4 // NOP + NOP + SACKPerm(2)
-	}
-	b := make([]byte, 0, n)
-	b = append(b, OptMSS, 4, byte(mss>>8), byte(mss))
-	b = append(b, OptNOP, OptWScale, 3, wscale)
-	if sackPerm {
-		b = append(b, OptNOP, OptNOP, OptSACKPerm, 2)
-	}
-	return b
+	return AppendSynOptions(make([]byte, 0, 12), mss, wscale, sackPerm)
 }
 
 // PACKInfo is the congestion feedback carried in a PACK/FACK: running totals

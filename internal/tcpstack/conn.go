@@ -37,11 +37,16 @@ type seqRange struct{ start, end int64 }
 // Conn is one TCP connection endpoint. Absolute offsets count from the ISS:
 // offset 0 is the SYN, data bytes occupy [1, 1+appEnd), and the FIN (when
 // queued) sits at 1+appEnd.
+//
+// A *Conn is valid until OnClosed has returned and the event that closed the
+// connection has ended: after that the stack reuses the record for a later
+// connection (see newConn), so drop the pointer in OnClosed at the latest.
 type Conn struct {
 	stack  *Stack
 	key    connKey
 	cfg    Config
 	server bool
+	parked bool // torn down; on (or about to join) the stack's free list
 	state  State
 
 	alg cc.Algorithm
@@ -88,13 +93,13 @@ type Conn struct {
 	inOutput    bool
 	outputAgain bool
 
-	// tx batching: while bursting, transmit collects segments into txBurst
-	// instead of handing them to Host.Output one at a time; output flushes
-	// the burst through Host.OutputBatch so the vSwitch egress path amortizes
-	// flow lookups and lock acquisitions across the window's worth of
-	// segments. Capped at txBurstCap to bound latency and scratch size.
+	// tx batching: while bursting, transmit collects segments into the
+	// stack's burst buffer instead of handing them to Host.Output one at a
+	// time; output flushes the burst through Host.OutputBatch so the vSwitch
+	// egress path amortizes flow lookups and lock acquisitions across the
+	// window's worth of segments. Capped at txBurstCap to bound latency and
+	// scratch size.
 	bursting bool
-	txBurst  []*packet.Packet
 
 	// --- receiver ---
 	rcvNxt   int64
@@ -106,12 +111,6 @@ type Conn struct {
 	lastOOO  seqRange // most recently received island (first SACK block)
 	delAcked int      // full segments since last ACK
 
-	// Per-connection scratch for SACK encoding, so loss-recovery ACKs do not
-	// allocate. Both are consumed synchronously by transmit (EncodeTCP copies
-	// options into the packet buffer) before the next use.
-	sackScratch [packet.MaxSACKBlocks]packet.SACKBlock
-	optScratch  [2 + 8*packet.MaxSACKBlocks]byte
-
 	// --- app interface ---
 	// OnRecv is called with each chunk of newly in-order-delivered payload.
 	OnRecv func(n int)
@@ -119,12 +118,17 @@ type Conn struct {
 	OnEstablished func()
 	// OnPeerClose fires when the peer's FIN is delivered in order (EOF).
 	OnPeerClose func()
-	// OnClosed fires when the connection is fully closed and removed.
+	// OnClosed fires when the connection is fully closed and removed. It is
+	// the last point at which the *Conn may be used.
 	OnClosed func()
 	// OnRTTSample receives raw sender RTT samples in ns.
 	OnRTTSample func(ns int64)
 	// FlowTag labels packets this connection sends (workload bookkeeping).
 	FlowTag uint32
+	// parkedAt is Sim.Processed, truncated, when the record was parked. It
+	// sits in the padding after FlowTag: the struct must not grow into the
+	// next malloc size class (TestConnSizeClass).
+	parkedAt uint32
 
 	// Delivered counts in-order payload bytes handed to the app.
 	Delivered int64
@@ -135,24 +139,56 @@ type Conn struct {
 	SentSegs, RecvSegs, RetransSegs, Timeouts, FastRecoveries int64
 }
 
+// newConn returns a connection in StateClosed, in a record taken back from
+// the stack's free list when one is available. What a record keeps from its
+// previous life is only what costs an allocation and carries no state: the
+// four timers (stopped), the algorithm value when cfg names the same one, the
+// algorithm's private state (Init resets it in place) and the capacity of the
+// SACK scoreboard and reassembly lists.
 func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
-	c := &Conn{
-		stack:   st,
-		key:     key,
-		cfg:     cfg,
-		server:  server,
-		state:   StateClosed,
-		alg:     cc.New(cfg.CC),
-		finRcvd: -1,
+	c := st.unpark()
+	if c == nil {
+		c = &Conn{}
+		c.rtoTimer = sim.NewTimer(st.Sim, c.onRTO)
+		c.delackTimer = sim.NewTimer(st.Sim, c.onDelAck)
+		c.persistTimer = sim.NewTimer(st.Sim, c.onPersist)
+		c.twTimer = sim.NewTimer(st.Sim, c.onTimeWaitDone)
+	}
+	// teardown stopped them, but the frames it returned into could have armed
+	// one again; it must not fire on this connection.
+	c.rtoTimer.Stop()
+	c.delackTimer.Stop()
+	c.persistTimer.Stop()
+	c.twTimer.Stop()
+	alg := c.alg
+	if alg == nil || alg.Name() != cfg.CC { // an alias ("newreno") is just built again
+		alg = cc.New(cfg.CC)
+	}
+	// Overwrite the whole record, so that a field added later starts at its
+	// zero value without having to be listed here.
+	*c = Conn{
+		stack:  st,
+		key:    key,
+		cfg:    cfg,
+		server: server,
+		state:  StateClosed,
+		alg:    alg,
+		ctx: cc.Ctx{
+			MSS:       cfg.MSS(),
+			Cwnd:      cfg.InitCwnd,
+			Ssthresh:  1 << 30,
+			CwndClamp: cfg.CwndClamp,
+			Now:       int64(st.Sim.Now()),
+		}.Recycle(&c.ctx),
+		finRcvd:      -1,
+		sacked:       c.sacked[:0],
+		ooo:          c.ooo[:0],
+		rtoTimer:     c.rtoTimer,
+		delackTimer:  c.delackTimer,
+		persistTimer: c.persistTimer,
+		twTimer:      c.twTimer,
 	}
 	c.iss = uint32(st.Sim.Rand().Int63()) | 1
-	c.ctx = cc.Ctx{
-		MSS:       cfg.MSS(),
-		Cwnd:      cfg.InitCwnd,
-		Ssthresh:  1 << 30,
-		CwndClamp: cfg.CwndClamp,
-		Now:       int64(st.Sim.Now()),
-	}
 	c.alg.Init(&c.ctx)
 	c.peerMSS = cfg.MSS()
 	switch {
@@ -163,10 +199,6 @@ func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
 	default:
 		c.tsqLimit = 1 << 60
 	}
-	c.rtoTimer = sim.NewTimer(st.Sim, c.onRTO)
-	c.delackTimer = sim.NewTimer(st.Sim, c.onDelAck)
-	c.persistTimer = sim.NewTimer(st.Sim, c.onPersist)
-	c.twTimer = sim.NewTimer(st.Sim, c.onTimeWaitDone)
 	return c
 }
 
@@ -278,9 +310,15 @@ func (c *Conn) sendSYN() {
 	c.transmit(packet.TCPFields{
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.iss, Flags: flags, Window: 65535,
-		Options: packet.BuildSynOptions(uint16(c.cfg.MSS()), c.cfg.WScale, c.cfg.SACK),
+		Options: c.synOptions(c.cfg.SACK),
 	}, 0, packet.NotECT)
 	c.rtoTimer.Reset(c.cfg.RTOInit)
+}
+
+// synOptions encodes the handshake options into the stack's scratch;
+// transmit copies them into the packet before the scratch is used again.
+func (c *Conn) synOptions(sackPerm bool) []byte {
+	return packet.AppendSynOptions(c.stack.optScratch[:0], uint16(c.cfg.MSS()), c.cfg.WScale, sackPerm)
 }
 
 func (c *Conn) handleSYN(p *packet.Packet, t packet.TCP) {
@@ -306,7 +344,7 @@ func (c *Conn) handleSYN(p *packet.Packet, t packet.TCP) {
 	c.transmit(packet.TCPFields{
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.iss, Ack: c.wireAck(c.rcvNxt), Flags: flags, Window: 65535,
-		Options: packet.BuildSynOptions(uint16(c.cfg.MSS()), c.cfg.WScale, c.sackOK),
+		Options: c.synOptions(c.sackOK),
 	}, 0, packet.NotECT)
 	c.rtoTimer.Reset(c.cfg.RTOInit)
 }
@@ -386,9 +424,12 @@ func (c *Conn) receive(p *packet.Packet) {
 		}
 		return
 	case StateTimeWait:
-		// Retransmitted FIN from the peer: re-ACK it.
+		// Retransmitted FIN from the peer: our ACK of it was lost. Re-ACK it
+		// and restart the 2 MSL wait (RFC 793 §3.9), so the connection
+		// outlives the retransmissions the new ACK may still cross.
 		if t.HasFlags(packet.FlagFIN) {
 			c.sendAck()
+			c.twTimer.Reset(c.timeWait())
 		}
 		return
 	default:
@@ -431,15 +472,23 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.rtoTimer.Stop()
 	c.persistTimer.Stop()
-	c.twTimer.Reset(4 * c.cfg.RTOMin)
+	c.twTimer.Reset(c.timeWait())
 }
+
+// timeWait is the TIME_WAIT duration (2 MSL).
+func (c *Conn) timeWait() sim.Duration { return 4 * c.cfg.RTOMin }
 
 func (c *Conn) onTimeWaitDone() { c.teardown() }
 
+// teardown ends the connection: it leaves the demux table, OnClosed runs, and
+// the record is parked for reuse. A connection is torn down once; a second
+// call would park the record twice and hand it to two connections, so it
+// panics, as packet.Pool does on a double Put.
 func (c *Conn) teardown() {
-	if c.state == StateClosed && !c.server {
-		// Never-established client being closed.
+	if c.parked {
+		panic("tcpstack: teardown of a connection already torn down")
 	}
+	c.parked = true
 	c.state = StateClosed
 	c.rtoTimer.Stop()
 	c.delackTimer.Stop()
@@ -449,4 +498,5 @@ func (c *Conn) teardown() {
 	if c.OnClosed != nil {
 		c.OnClosed()
 	}
+	c.stack.park(c)
 }

@@ -37,7 +37,8 @@ func TestZeroWindowPersist(t *testing.T) {
 }
 
 func TestTimeWaitReAcksRetransmittedFIN(t *testing.T) {
-	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
+	cfg := smallCfg()
+	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
 	var srv *Conn
 	b.stacks[1].Listen(5001, func(c *Conn) {
 		srv = c
@@ -48,23 +49,38 @@ func TestTimeWaitReAcksRetransmittedFIN(t *testing.T) {
 	b.s.Schedule(10*sim.Millisecond, cli.Close)
 	// Drop the client's final ACK of the server FIN exactly once so the
 	// server retransmits its FIN into the client's TIME_WAIT.
-	dropped := false
+	var droppedAt, refinAt, closedAt sim.Time
 	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		tc := p.TCP()
-		if !dropped && tc.HasFlags(packet.FlagACK) && !tc.HasFlags(packet.FlagFIN) &&
+		if droppedAt == 0 && tc.HasFlags(packet.FlagACK) && !tc.HasFlags(packet.FlagFIN) &&
 			p.PayloadLen() == 0 && cli.State() == StateTimeWait {
-			dropped = true
+			droppedAt = b.s.Now()
 			return nil, nil
 		}
 		return p, nil
 	}
+	b.hosts[1].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
+		if droppedAt != 0 && p.TCP().HasFlags(packet.FlagFIN) {
+			refinAt = b.s.Now()
+		}
+		return p, nil
+	}
+	cli.OnClosed = func() { closedAt = b.s.Now() }
 	b.s.RunFor(3 * sim.Second)
-	_ = srv
-	if !dropped {
-		t.Skip("timing never produced the TIME_WAIT ACK drop")
+	if droppedAt == 0 || refinAt == 0 {
+		t.Fatalf("no TIME_WAIT ACK drop (%v) or no retransmitted FIN (%v)", droppedAt, refinAt)
 	}
 	if b.stacks[1].NumConns() != 0 {
 		t.Fatalf("server conn stuck in %v", srv.State())
+	}
+	// RFC 793 §3.9: the retransmitted FIN restarts the 2 MSL wait, so the
+	// client lingers a full TIME_WAIT past it and not only past the first FIN.
+	if refinAt <= droppedAt || closedAt < refinAt+4*cfg.RTOMin {
+		t.Fatalf("TIME_WAIT entered %v, FIN retransmitted %v, closed %v: want a full %v after the retransmission",
+			droppedAt, refinAt, closedAt, 4*cfg.RTOMin)
+	}
+	if n := b.checkParked(t); n != 2 {
+		t.Fatalf("%d records parked, want both ends", n)
 	}
 }
 
@@ -81,6 +97,9 @@ func TestSimultaneousClose(t *testing.T) {
 	b.s.RunFor(3 * sim.Second)
 	if b.stacks[0].NumConns() != 0 || b.stacks[1].NumConns() != 0 {
 		t.Fatalf("simultaneous close leaked conns: cli=%v srv=%v", cli.State(), srv.State())
+	}
+	if n := b.checkParked(t); n != 2 {
+		t.Fatalf("%d records parked, want both ends", n)
 	}
 }
 

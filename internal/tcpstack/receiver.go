@@ -174,7 +174,7 @@ func (c *Conn) sendAck() {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.wireSeq(c.sndNxt), Ack: c.wireAck(c.rcvNxt),
 		Flags: flags, Window: c.advWindow(),
-		Options: packet.EncodeSACK(c.optScratch[:0], c.sackBlocks()),
+		Options: packet.EncodeSACK(c.stack.optScratch[:0], c.sackBlocks()),
 	}, 0, packet.NotECT)
 	c.ackSent()
 }

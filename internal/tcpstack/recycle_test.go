@@ -1,0 +1,426 @@
+package tcpstack
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"acdc/internal/netsim"
+	"acdc/internal/packet"
+	"acdc/internal/sim"
+)
+
+// churn is a closed-loop connection-churn driver: every client opens a
+// connection to a random other host, sends one message, closes, and opens the
+// next. Even clients close both ends from a fresh event once the message has
+// arrived (the shape of the benchmark's mice-churn workload); odd clients
+// queue the FIN behind the data, the server closes in response, and the next
+// request is dialed from inside the client's OnClosed.
+type churn struct {
+	b         *bench
+	rng       *rand.Rand
+	want      map[connKey]func(srv *Conn)
+	opened    int
+	delivered int64
+	retrans   int64 // client RetransSegs, summed as each connection closes
+	stopped   bool
+}
+
+func newChurn(t *testing.T) *churn {
+	cfg := smallCfg()
+	cfg.RTOMin = 2 * sim.Millisecond // TIME_WAIT = 8 ms: many generations per run
+	ch := &churn{
+		b:    newBench(t, 4, cfg, netsim.REDConfig{}, 10e9),
+		rng:  rand.New(rand.NewSource(11)),
+		want: make(map[connKey]func(*Conn)),
+	}
+	for i, st := range ch.b.stacks {
+		st.Listen(5001, func(c *Conn) {
+			attach := ch.want[c.key]
+			delete(ch.want, c.key)
+			attach(c)
+		})
+		// Every 61st data segment a host sends is lost, so recycled records
+		// have been through SACK recovery and the occasional RTO.
+		n := i
+		ch.b.hosts[i].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
+			if p.PayloadLen() > 0 {
+				if n++; n%61 == 0 {
+					return nil, nil
+				}
+			}
+			return p, nil
+		}
+	}
+	return ch
+}
+
+func (ch *churn) request(cli int) {
+	if ch.stopped {
+		return
+	}
+	from := cli % len(ch.b.stacks)
+	to := ch.rng.Intn(len(ch.b.stacks) - 1)
+	if to >= from {
+		to++
+	}
+	size := int64(1 + ch.rng.Intn(30_000))
+	c := ch.b.stacks[from].Dial(ch.b.hosts[to].Addr, 5001)
+	ch.opened++
+	srvKey := connKey{5001, ch.b.hosts[from].Addr, c.LocalPort()}
+	if cli%2 == 0 {
+		ch.want[srvKey] = func(srv *Conn) {
+			// Close from a fresh event once the client has seen everything
+			// acknowledged: a FIN behind a retransmission still in flight can
+			// arrive twice, and what TIME_WAIT does with the second one is
+			// not what this run is about.
+			var closeBoth func()
+			closeBoth = func() {
+				if c.BytesQueued() > 0 {
+					ch.b.s.Schedule(20*sim.Microsecond, closeBoth)
+					return
+				}
+				ch.retrans += c.RetransSegs
+				c.Close()
+				srv.Close()
+				ch.request(cli)
+			}
+			srv.OnRecv = func(n int) {
+				ch.delivered += int64(n)
+				if srv.Delivered == size {
+					ch.b.s.Schedule(0, closeBoth)
+				}
+			}
+		}
+		c.Send(size)
+		return
+	}
+	ch.want[srvKey] = func(srv *Conn) {
+		srv.OnRecv = func(n int) { ch.delivered += int64(n) }
+		srv.OnPeerClose = srv.Close
+	}
+	c.OnClosed = func() {
+		ch.retrans += c.RetransSegs
+		ch.request(cli)
+	}
+	c.Send(size)
+	c.Close()
+}
+
+// TestChurnPinsParentCommit pins a lossy 64-client churn run to the event
+// count, delivered bytes and connection count measured on the commit before
+// Conn recycling existed: a recycler that adds, drops or reorders an event,
+// a timer arm or an RNG draw — or hands out a record with state left over
+// from its previous life — changes at least one of them.
+func TestChurnPinsParentCommit(t *testing.T) {
+	ch := newChurn(t)
+	for cli := 0; cli < 64; cli++ {
+		ch.request(cli)
+	}
+	ch.b.s.RunFor(100 * sim.Millisecond)
+	ch.stopped = true
+	ch.b.s.RunFor(100 * sim.Millisecond)
+	const (
+		wantProcessed = 783054
+		wantDelivered = 102476392
+		wantOpened    = 6863
+		wantRetrans   = 892
+	)
+	if ch.b.s.Processed != wantProcessed || ch.delivered != wantDelivered ||
+		ch.opened != wantOpened || ch.retrans != wantRetrans {
+		t.Fatalf("churn run: processed=%d delivered=%d opened=%d retrans=%d, parent commit gave %d/%d/%d/%d",
+			ch.b.s.Processed, ch.delivered, ch.opened, ch.retrans,
+			wantProcessed, wantDelivered, wantOpened, wantRetrans)
+	}
+	for i, st := range ch.b.stacks {
+		if st.NumConns() != 0 {
+			t.Fatalf("stack %d: %d connections left after the drain", i, st.NumConns())
+		}
+	}
+}
+
+// inEvent runs fn inside a simulator event of its own. A record parked by the
+// last event that ran is not reusable until another one has started.
+func (b *bench) inEvent(fn func()) {
+	b.s.Schedule(0, fn)
+	b.s.RunFor(0)
+}
+
+// checkParked asserts that every record on the stacks' free lists is closed,
+// is off the demux table and has none of its four timers armed — a stray arm
+// would fire on the record's next connection — and returns how many there are.
+func (b *bench) checkParked(t *testing.T) int {
+	t.Helper()
+	n := 0
+	for i, st := range b.stacks {
+		for _, c := range st.parked {
+			n++
+			if !c.parked || c.state != StateClosed || st.conns[c.key] == c {
+				t.Errorf("stack %d: parked %v: parked=%v, in demux table=%v", i, c, c.parked, st.conns[c.key] == c)
+			}
+			for name, tm := range map[string]*sim.Timer{"rto": c.rtoTimer, "delack": c.delackTimer,
+				"persist": c.persistTimer, "timewait": c.twTimer} {
+				if tm.Pending() {
+					t.Errorf("stack %d: parked %v has its %s timer armed", i, c, name)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// field returns a readable view of a struct field, exported or not.
+func field(v reflect.Value, i int) reflect.Value {
+	f := v.Field(i)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// diffConns reports every field in which got differs from want. The stack
+// differs by construction, timers are compared by being idle (identity and the
+// stale deadline of a stopped timer mean nothing), and slices by content, not
+// capacity; everything else, the algorithm and its private state included,
+// must be deeply equal.
+func diffConns(t *testing.T, got, want *Conn) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		name := gv.Type().Field(i).Name
+		g, w := field(gv, i), field(wv, i)
+		if name == "stack" {
+			continue
+		}
+		if tm, ok := g.Interface().(*sim.Timer); ok {
+			if tm == nil || tm.Pending() || w.Interface().(*sim.Timer).Pending() {
+				t.Errorf("%s: timer missing or armed", name)
+			}
+			continue
+		}
+		if g.Kind() == reflect.Slice && g.Len() == 0 && w.Len() == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(g.Interface(), w.Interface()) {
+			t.Errorf("%s: recycled %+v, fresh %+v", name, g.Interface(), w.Interface())
+		}
+	}
+}
+
+// TestRecycledConnEqualsFresh drives a connection through fast recovery, an
+// RTO and a full close, so that both ends' records are as dirty as they get,
+// and checks that newConn on each hands out the same thing it builds from
+// nothing.
+func TestRecycledConnEqualsFresh(t *testing.T) {
+	cfg := smallCfg()
+	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
+	const total = 300_000
+	count, dropNext := 0, 0
+	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
+		if p.PayloadLen() > 0 {
+			// Two mid-stream segments (SACK recovery); later, a whole
+			// two-segment message (no dupacks: RTO).
+			if count++; count == 20 || count == 60 || dropNext > 0 {
+				dropNext--
+				return nil, nil
+			}
+		}
+		return p, nil
+	}
+	called := 0
+	dirty := func(c *Conn) {
+		c.OnRecv = func(int) { called++ }
+		c.OnEstablished = func() { called++ }
+		c.OnPeerClose = func() { called++ }
+		c.OnClosed = func() { called++ }
+		c.OnRTTSample = func(int64) { called++ }
+		c.FlowTag = 99
+	}
+	var srv *Conn
+	b.stacks[1].Listen(5001, func(c *Conn) { srv = c; dirty(c) })
+	cli := b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+	dirty(cli)
+	cli.Send(total - 2000)
+	b.s.RunFor(100 * sim.Millisecond)
+	dropNext = 2
+	cli.Send(2000)
+	b.s.RunFor(500 * sim.Millisecond)
+	if srv.Delivered != total || cli.FastRecoveries == 0 || cli.Timeouts == 0 || cli.RetransSegs == 0 ||
+		cap(cli.sacked) == 0 || cap(srv.ooo) == 0 || called == 0 {
+		t.Fatalf("connection not dirty enough: delivered=%d fr=%d rto=%d retrans=%d cap(sacked)=%d cap(ooo)=%d callbacks=%d",
+			srv.Delivered, cli.FastRecoveries, cli.Timeouts, cli.RetransSegs, cap(cli.sacked), cap(srv.ooo), called)
+	}
+	cli.Close()
+	srv.Close()
+	b.s.RunFor(500 * sim.Millisecond)
+	if b.checkParked(t) != 2 {
+		t.Fatalf("want both ends parked, have %d and %d", len(b.stacks[0].parked), len(b.stacks[1].parked))
+	}
+	// What the run happened to leave clean, and what only a parked record has.
+	for _, c := range []*Conn{cli, srv} {
+		c.inRecovery, c.inCWR, c.sendCWR, c.retransSinceProbe = true, true, true, true
+		c.backoff, c.dupAcks, c.delAcked, c.probeEnd = 3, 2, 1, 77
+		c.sacked = append(c.sacked[:0], seqRange{5, 9})
+		c.ooo = append(c.ooo[:0], seqRange{5, 9})
+		c.lastOOO = seqRange{5, 9}
+	}
+
+	empty := NewStack(b.s, netsim.NewHost(b.s, "fresh", packet.MakeAddr(10, 0, 9, 9)), cfg)
+	for i, old := range []*Conn{cli, srv} {
+		key := connKey{uint16(1000 + i), packet.MakeAddr(10, 0, 0, 77), 5001}
+		b.inEvent(func() {
+			got := newConn(b.stacks[i], key, cfg, i == 1)
+			if got != old {
+				t.Fatalf("stack %d: newConn did not take the parked record back", i)
+			}
+			want := newConn(empty, key, cfg, i == 1)
+			want.iss = got.iss
+			diffConns(t, got, want)
+		})
+	}
+	if called == 0 {
+		t.Fatal("callbacks never ran")
+	}
+}
+
+// TestOnClosedDialsFreshRecord: a dial from inside OnClosed — the frames
+// under teardown still hold the closing record — must get another one, and
+// the closed record comes back once the event is over.
+func TestOnClosedDialsFreshRecord(t *testing.T) {
+	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
+	var srvs []*Conn
+	b.stacks[1].Listen(5001, func(c *Conn) {
+		srvs = append(srvs, c)
+		c.OnPeerClose = c.Close
+	})
+	cli := b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+	var next *Conn
+	cli.OnClosed = func() {
+		next = b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+		next.Send(5000)
+	}
+	cli.Send(1000)
+	cli.Close()
+	b.s.RunFor(500 * sim.Millisecond)
+	if next == nil || next == cli {
+		t.Fatalf("dial inside OnClosed returned %p, closing record %p", next, cli)
+	}
+	if len(srvs) != 2 || srvs[1].Delivered != 5000 || next.State() != StateEstablished {
+		t.Fatalf("second connection: %d accepted, state %v", len(srvs), next.State())
+	}
+	if srvs[1] != srvs[0] {
+		t.Errorf("server stack did not reuse the record of the first connection for the second")
+	}
+	var third *Conn
+	b.inEvent(func() { third = b.stacks[0].Dial(b.hosts[1].Addr, 5001) })
+	if third != cli {
+		t.Errorf("a dial in a later event did not reuse the closed record")
+	}
+	if third.OnClosed != nil {
+		t.Errorf("recycled record kept the previous connection's OnClosed")
+	}
+
+	// Nor is a record handed out later in the event it was parked in: the
+	// frames teardown returned into may still be using it.
+	st := b.stacks[1]
+	var dead *Conn
+	b.inEvent(func() {
+		dead = newConn(st, connKey{7, b.hosts[0].Addr, 7}, st.Cfg, false)
+		dead.Close() // never opened: torn down and parked on the spot
+		if len(st.parked) != 1 || st.parked[0] != dead {
+			t.Fatalf("closed record not parked: %d on the list", len(st.parked))
+		}
+		if st.Dial(b.hosts[0].Addr, 5001) == dead {
+			t.Errorf("record reused inside the event it was parked in")
+		}
+	})
+	b.inEvent(func() {
+		if st.Dial(b.hosts[0].Addr, 5001) != dead {
+			t.Errorf("record still not reused one event later")
+		}
+	})
+}
+
+// TestRecycledRecordTakesConfiguredCC: the algorithm and its private state
+// are kept only when the new connection asks for the same algorithm.
+func TestRecycledRecordTakesConfiguredCC(t *testing.T) {
+	cfg := smallCfg()
+	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
+	b.stacks[1].Listen(5001, func(c *Conn) { c.OnPeerClose = c.Close })
+	dctcp := cfg
+	dctcp.CC, dctcp.ECN = "dctcp", ECNDCTCP
+	type alphaer interface{ Alpha(*ccCtx) float64 }
+
+	var rec *Conn
+	var prevAlg any
+	for i, step := range []struct {
+		cfg     Config
+		keepAlg bool
+	}{{cfg, false}, {dctcp, false}, {dctcp, true}, {cfg, false}} {
+		var c *Conn
+		b.inEvent(func() { c = b.stacks[0].DialCfg(b.hosts[1].Addr, 5001, step.cfg) })
+		if i == 0 {
+			rec = c
+		}
+		if c != rec {
+			t.Fatalf("step %d: record not recycled", i)
+		}
+		if got := c.Algorithm().Name(); got != step.cfg.CC {
+			t.Fatalf("step %d: algorithm %q, configured %q", i, got, step.cfg.CC)
+		}
+		if a, ok := c.Algorithm().(alphaer); ok {
+			if got := a.Alpha(&c.ctx); got != 1 {
+				t.Fatalf("step %d: recycled DCTCP starts at alpha %v, want 1", i, got)
+			}
+		}
+		if kept := c.Algorithm() == prevAlg; kept != step.keepAlg {
+			t.Fatalf("step %d: algorithm value kept = %v, want %v", i, kept, step.keepAlg)
+		}
+		prevAlg = c.Algorithm()
+		c.Send(200_000)
+		b.s.RunFor(20 * sim.Millisecond)
+		if c.AckedBytes != 200_000 {
+			t.Fatalf("step %d: acked %d", i, c.AckedBytes)
+		}
+		c.Close()
+		b.s.RunFor(500 * sim.Millisecond)
+		if b.stacks[0].NumConns() != 0 {
+			t.Fatalf("step %d: connection did not close", i)
+		}
+	}
+}
+
+// TestTeardownIsNotRepeatable: Close on a closed connection stays a no-op,
+// and a second teardown — which would put the record on the free list twice
+// and hand it to two connections — panics.
+func TestTeardownIsNotRepeatable(t *testing.T) {
+	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
+	b.stacks[1].Listen(5001, func(c *Conn) { c.OnPeerClose = c.Close })
+	cli := b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+	closed := 0
+	cli.OnClosed = func() { closed++ }
+	cli.Close()
+	b.s.RunFor(500 * sim.Millisecond)
+	if closed != 1 || b.checkParked(t) != 2 {
+		t.Fatalf("OnClosed ran %d times, %d records parked", closed, b.checkParked(t))
+	}
+	cli.Close()
+	if closed != 1 || len(b.stacks[0].parked) != 1 {
+		t.Fatalf("Close after close: OnClosed ran %d times, %d records parked", closed, len(b.stacks[0].parked))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second teardown did not panic")
+		}
+		if closed != 1 || len(b.stacks[0].parked) != 1 {
+			t.Fatalf("second teardown: OnClosed ran %d times, %d records parked", closed, len(b.stacks[0].parked))
+		}
+	}()
+	cli.teardown()
+}
+
+// TestConnSizeClass keeps Conn inside the 704-byte malloc size class: the
+// next one is 768, and a free list of them is live heap.
+func TestConnSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Conn{}); n > 704 {
+		t.Fatalf("Conn is %d bytes, over the 704-byte size class", n)
+	}
+}

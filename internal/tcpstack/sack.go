@@ -62,7 +62,7 @@ func (c *Conn) sackBlocks() []packet.SACKBlock {
 	if !c.sackOK || len(c.ooo) == 0 {
 		return nil
 	}
-	blocks := c.sackScratch[:0]
+	blocks := c.stack.sackScratch[:0]
 	toWire := func(r seqRange) packet.SACKBlock {
 		return packet.SACKBlock{Start: c.irs + uint32(r.start), End: c.irs + uint32(r.end)}
 	}

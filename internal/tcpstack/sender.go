@@ -228,7 +228,7 @@ func (c *Conn) onRTO() {
 	c.inRecovery = false
 	c.inCWR = false
 	c.dupAcks = 0
-	c.sacked = nil
+	c.sacked = c.sacked[:0]
 	c.rtxNext = 0
 	// Go-back-N: rewind and retransmit from snd_una.
 	c.sndNxt = c.sndUna
@@ -247,7 +247,7 @@ func (c *Conn) sendSYNRetrans() {
 	c.transmit(packet.TCPFields{
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.iss, Flags: flags, Window: 65535,
-		Options: packet.BuildSynOptions(uint16(c.cfg.MSS()), c.cfg.WScale, c.cfg.SACK),
+		Options: c.synOptions(c.cfg.SACK),
 	}, 0, packet.NotECT)
 	c.rtoTimer.Reset(c.currentRTO())
 }
@@ -261,7 +261,7 @@ func (c *Conn) resendSynAck() {
 	c.transmit(packet.TCPFields{
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.iss, Ack: c.wireAck(c.rcvNxt), Flags: flags, Window: 65535,
-		Options: packet.BuildSynOptions(uint16(c.cfg.MSS()), c.cfg.WScale, c.sackOK),
+		Options: c.synOptions(c.sackOK),
 	}, 0, packet.NotECT)
 	c.rtoTimer.Reset(c.currentRTO())
 }
@@ -289,13 +289,21 @@ func (c *Conn) output() {
 		return
 	}
 	c.inOutput = true
-	defer func() { c.inOutput = false }()
+	st := c.stack
+	if st.burstDepth == len(st.bursts) {
+		st.bursts = append(st.bursts, make([]*packet.Packet, 0, txBurstCap))
+	}
+	st.burstDepth++ // this call's segments collect in st.bursts[st.burstDepth-1]
+	defer func() {
+		st.burstDepth--
+		c.inOutput = false
+	}()
 	for {
 		c.outputAgain = false
 		c.bursting = true
 		c.outputLoop()
 		c.bursting = false
-		c.flushBurst()
+		st.flushBurst()
 		if !c.outputAgain {
 			return
 		}
@@ -307,17 +315,21 @@ func (c *Conn) output() {
 // while keeping the burst buffer small.
 const txBurstCap = 64
 
-// flushBurst hands the accumulated segments to the host in one batch. Any
-// re-entrant output triggered by the dispatch (synchronous egress drop or
-// NIC rejection crediting TSQ) is flattened into the caller's loop by the
-// inOutput guard, so txBurst is never appended to while it is being flushed.
-func (c *Conn) flushBurst() {
-	if len(c.txBurst) == 0 {
+// flushBurst hands the segments accumulated by the innermost output call to
+// the host in one batch. Re-entrant output triggered by the dispatch
+// (synchronous egress drop or NIC rejection crediting TSQ) is flattened into
+// the caller's loop by the inOutput guard when it is the same connection's,
+// and collects one level deeper in st.bursts when it is another's, so a
+// burst is never appended to while it is being flushed.
+func (st *Stack) flushBurst() {
+	d := st.burstDepth - 1
+	if len(st.bursts[d]) == 0 {
 		return
 	}
-	c.stack.Host.OutputBatch(c.txBurst)
-	clear(c.txBurst)
-	c.txBurst = c.txBurst[:0]
+	st.Host.OutputBatch(st.bursts[d])
+	// A nested output may have grown st.bursts: index again, hold no pointer.
+	clear(st.bursts[d])
+	st.bursts[d] = st.bursts[d][:0]
 }
 
 func (c *Conn) outputLoop() {
@@ -415,7 +427,7 @@ func (c *Conn) sendSegment(abs, segLen int64, fin bool) {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.wireSeq(abs), Ack: c.wireAck(c.rcvNxt),
 		Flags: flags, Window: c.advWindow(),
-		Options: packet.EncodeSACK(c.optScratch[:0], c.sackBlocks()),
+		Options: packet.EncodeSACK(c.stack.optScratch[:0], c.sackBlocks()),
 	}, int(segLen), ecn)
 	c.ackSent()
 
@@ -443,14 +455,14 @@ func (c *Conn) transmit(f packet.TCPFields, payloadLen int, ecn packet.ECN) {
 	c.SentSegs++
 	c.nicQueued += int64(p.IPLen())
 	if c.bursting {
-		c.txBurst = append(c.txBurst, p)
-		if len(c.txBurst) >= txBurstCap {
-			// Mid-loop flush: bursting stays set; transmit is never reached
-			// re-entrantly (the inOutput guard flattens nested output calls),
-			// so the buffer is safe to drain and reuse here.
-			c.stack.Host.OutputBatch(c.txBurst)
-			clear(c.txBurst)
-			c.txBurst = c.txBurst[:0]
+		st := c.stack
+		d := st.burstDepth - 1
+		st.bursts[d] = append(st.bursts[d], p)
+		if len(st.bursts[d]) >= txBurstCap {
+			// Mid-loop flush: bursting stays set; this connection's transmit
+			// is never reached re-entrantly (the inOutput guard flattens
+			// nested output calls), so the buffer is safe to drain and reuse.
+			st.flushBurst()
 		}
 		return
 	}

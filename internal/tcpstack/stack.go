@@ -26,6 +26,21 @@ type Stack struct {
 	listeners map[uint16]func(*Conn)
 	nextPort  uint16
 
+	// parked holds torn-down Conns for newConn to take back; see park.
+	parked []*Conn
+
+	// Scratch shared by every Conn of the stack. Each is filled and consumed
+	// inside one transmit call (BuildIn copies options into the packet buffer)
+	// or one output call, so no connection needs a copy of its own.
+	sackScratch [packet.MaxSACKBlocks]packet.SACKBlock
+	optScratch  [2 + 8*packet.MaxSACKBlocks]byte // also fits the 12 bytes of SYN options
+	// bursts[d] collects the segments of the output call at nesting depth d:
+	// while one connection flushes, txFree → txCompleted → output can start
+	// another connection's burst, which must not append to the slice being
+	// dispatched. burstDepth is the number of output calls in progress.
+	bursts     [][]*packet.Packet
+	burstDepth int
+
 	// Counters.
 	DeliveredSegs int64
 	DroppedSegs   int64 // segments with no matching connection
@@ -150,6 +165,36 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 // remove deletes a closed connection from the demux table.
 func (st *Stack) remove(c *Conn) {
 	delete(st.conns, c.key)
+}
+
+// park puts a torn-down Conn on the free list, stamped with the event it died
+// in. teardown is reached from deep inside receive, whose frames go on
+// reading c after it returns, and OnClosed may dial at once: the record must
+// not be handed out again before that event has ended. Sim.Processed is
+// unique per event, so the stamp costs no event and no timer of its own.
+func (st *Stack) park(c *Conn) {
+	c.parkedAt = uint32(st.Sim.Processed)
+	// A parked record must not keep the application's objects alive.
+	c.OnRecv, c.OnEstablished, c.OnPeerClose, c.OnClosed, c.OnRTTSample = nil, nil, nil, nil, nil
+	st.parked = append(st.parked, c)
+}
+
+// unpark takes the most recently parked Conn that died in an earlier event
+// than the current one, or returns nil. Records of the current event sit on
+// top of the list; an older one whose truncated stamp happens to collide is
+// skipped too, which is merely conservative.
+func (st *Stack) unpark() *Conn {
+	now := uint32(st.Sim.Processed)
+	for i := len(st.parked) - 1; i >= 0; i-- {
+		if c := st.parked[i]; c.parkedAt != now {
+			last := len(st.parked) - 1
+			st.parked[i] = st.parked[last]
+			st.parked[last] = nil
+			st.parked = st.parked[:last]
+			return c
+		}
+	}
+	return nil
 }
 
 // NumConns returns the number of live connections (for tests).

@@ -362,15 +362,15 @@ func TestIgnoreRwndStack(t *testing.T) {
 
 func TestCloseHandshake(t *testing.T) {
 	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
-	var srv *Conn
 	srvClosed, cliClosed, peerEOF := false, false, false
+	var delivered int64
 	b.stacks[1].Listen(5001, func(c *Conn) {
-		srv = c
 		c.OnPeerClose = func() {
 			peerEOF = true
 			c.Close() // close in response
 		}
-		c.OnClosed = func() { srvClosed = true }
+		// The record is the stack's again once OnClosed returns: read here.
+		c.OnClosed = func() { srvClosed, delivered = true, c.Delivered }
 	})
 	cli := b.stacks[0].Dial(b.hosts[1].Addr, 5001)
 	cli.OnClosed = func() { cliClosed = true }
@@ -380,14 +380,17 @@ func TestCloseHandshake(t *testing.T) {
 	if !peerEOF {
 		t.Fatal("peer never saw EOF")
 	}
-	if srv.Delivered != 10_000 {
-		t.Fatalf("delivered %d before close", srv.Delivered)
+	if delivered != 10_000 {
+		t.Fatalf("delivered %d before close", delivered)
 	}
 	if !srvClosed || !cliClosed {
 		t.Fatalf("teardown incomplete: srv=%v cli=%v", srvClosed, cliClosed)
 	}
 	if b.stacks[0].NumConns() != 0 || b.stacks[1].NumConns() != 0 {
 		t.Fatalf("conns leaked: %d %d", b.stacks[0].NumConns(), b.stacks[1].NumConns())
+	}
+	if n := b.checkParked(t); n != 2 {
+		t.Fatalf("%d records parked, want both ends", n)
 	}
 }
 
