@@ -9,8 +9,9 @@
 //
 // Package overview, bottom layer first:
 //
-//   - internal/sim — the discrete-event core: ns clock, binary-heap
-//     scheduler, cancellable timers, deterministic seeded RNG.
+//   - internal/sim — the discrete-event core: ns clock, event scheduler
+//     (near-future wheel ahead of a heap), cancellable timers,
+//     deterministic seeded RNG.
 //   - internal/packet — wire-format IPv4/TCP/UDP headers, TCP options
 //     (MSS, WScale, SACK, the AC/DC PACK/FACK options), full and
 //     incremental checksums, ECN codepoints.

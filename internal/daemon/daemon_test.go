@@ -348,8 +348,11 @@ func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 		t.Fatalf("ParseDomains: %v", err)
 	}
 	d, c := startDaemon(t, Config{Workload: true, Fabric: doms})
-	waitFor(t, "flap to fire", func() bool {
-		return d.StatusNow().FabricLinkDowns >= 2
+	// Both counters: the second up trails the second down by wall-paced
+	// simulated time, so waiting for the downs alone races it.
+	waitFor(t, "both flaps to finish", func() bool {
+		st := d.StatusNow()
+		return st.FabricLinkDowns >= 2 && st.FabricLinkUps >= 2
 	})
 	st, err := c.Status()
 	if err != nil {

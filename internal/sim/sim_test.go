@@ -281,21 +281,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	s := New(1)
-	fired := 0
-	ev := s.Schedule(10, func() { fired++ })
-	s.Schedule(5, func() { s.Reschedule(ev, 100) })
-	s.Run(50)
-	if fired != 0 {
-		t.Fatal("rescheduled event fired at original time")
-	}
-	s.Run(200)
-	if fired != 1 {
-		t.Fatalf("fired=%d, want 1", fired)
-	}
-}
-
 func BenchmarkScheduleRun(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

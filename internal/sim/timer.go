@@ -45,11 +45,11 @@ func (t *Timer) ResetAt(at Time) {
 	if t.ev != nil {
 		if t.ev.when <= at {
 			// The pending event fires no later than the new deadline; fire
-			// will notice the deadline moved and re-arm. Deferring the heap
+			// will notice the deadline moved and re-arm. Deferring the queue
 			// update to then is what makes the per-packet rearm O(1).
 			return
 		}
-		// Moving earlier: the pending event is too late, sift it in place.
+		// Moving earlier: the pending event is too late, queue it afresh.
 		t.sim.moveTo(t.ev, at)
 		return
 	}

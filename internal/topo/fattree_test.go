@@ -2,11 +2,14 @@ package topo
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"acdc/internal/faults"
+	"acdc/internal/netsim"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
+	"acdc/internal/tcpstack"
 )
 
 type sink struct{ got []*packet.Packet }
@@ -294,5 +297,47 @@ func TestFabricSnapshotQuietOnSinglePath(t *testing.T) {
 	net2 := Dumbbell(2, Options{Fabric: domains})
 	if !net2.HasFabric() {
 		t.Fatal("dumbbell with armed domains does not report HasFabric")
+	}
+}
+
+// TestFatTreeStridePinsParentCommit pins a seeded k=4 stride run (native
+// DCTCP, four bulk flows per host, 5 ms) to the event count, the bytes each
+// host received and the CE marks measured on the commit before the event
+// queue gained its near-future wheel: a queue that fires one event out of
+// (when, seq) order, twice, or not at all changes at least one of them.
+func TestFatTreeStridePinsParentCommit(t *testing.T) {
+	g := tcpstack.DefaultConfig()
+	g.MTU, g.CC, g.ECN = 9000, "dctcp", tcpstack.ECNDCTCP
+	cfg := FatTreeConfig{K: 4}
+	net := FatTree(cfg, Options{Guest: g, Seed: 7,
+		RED: netsim.REDConfig{MarkThresholdBytes: DefaultMarkThreshold}})
+	const port = 5001
+	for _, st := range net.Stacks {
+		st.Listen(port, func(*tcpstack.Conn) {})
+	}
+	n := cfg.Hosts()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		for j := 1; j <= 4; j++ {
+			c := net.Stacks[i].Dial(net.Addr((i+j)%n), port)
+			net.Sim.Schedule(sim.Duration(rng.Int63n(int64(100*sim.Microsecond))), func() { c.Send(64 << 20) })
+		}
+	}
+	net.Sim.RunFor(5 * sim.Millisecond)
+
+	const wantProcessed, wantMarks = 158746, 2433
+	wantRecv := [16]int64{4864363, 5490487, 4641322, 5817728, 4957910, 5765355, 5215296, 5781268,
+		4518524, 5699900, 4354478, 5482407, 5139491, 5205941, 4881803, 5754732}
+	var marks int64
+	for _, l := range net.Links {
+		marks += l.Stats.Marks
+	}
+	var recv [16]int64
+	for i, h := range net.Hosts {
+		recv[i] = h.RecvBytes
+	}
+	if net.Sim.Processed != wantProcessed || marks != wantMarks || recv != wantRecv {
+		t.Fatalf("stride run: processed=%d marks=%d recv=%v, parent commit gave %d/%d/%v",
+			net.Sim.Processed, marks, recv, wantProcessed, wantMarks, wantRecv)
 	}
 }
