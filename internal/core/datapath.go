@@ -116,13 +116,29 @@ func (v *VSwitch) egressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 	return v.egressRun(p, &m, nil, nil, 0, nil)
 }
 
+// lookup resolves the flow for k on the datapath. A batch hint wins while the
+// table generation still equals gen; otherwise, when the caller already holds
+// other, the flow for k's reverse direction, the answer comes through its
+// link (Table.reverseOf) instead of a second probe of the sharded map; with
+// neither, the table is probed. All three give what Table.Get(k) would.
+func (v *VSwitch) lookup(hint *Flow, gen uint64, other *Flow, k FlowKey) *Flow {
+	if hint != nil && !v.Table.genChanged(gen) {
+		return hint
+	}
+	if other != nil {
+		return v.Table.reverseOf(other)
+	}
+	return v.Table.Get(k)
+}
+
 // egressRun is the egress datapath body shared by the per-packet wrapper and
 // EgressBatch. hfwd/hrev are batch-prefetched flow pointers for m.key and its
 // reverse; a non-nil hint is used only while the table generation still
 // equals gen (no deletion since the prefetch — eviction and GC both bump it),
 // and a nil hint always falls back to a live lookup (the flow may have been
 // created by an earlier packet of the same burst). With nil hints this is
-// byte-for-byte the sequential path.
+// byte-for-byte the sequential path: one table probe for m.key, the reverse
+// direction through that flow's link (lookup).
 func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet) {
 	// Byte accounting for every class but bad-IP; in a batch (bd non-nil) the
 	// whole burst's bytes were already summed into one Add by classifyBatch.
@@ -168,13 +184,7 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen 
 	// --- receiver module: piggyback feedback on ACKs of the reverse flow ---
 	var extra *packet.Packet
 	if m.ack && !m.syn {
-		var rev *Flow
-		if hrev != nil && !v.Table.genChanged(gen) {
-			rev = hrev
-		} else {
-			rev = v.Table.Get(m.key.Reverse())
-		}
-		if rev != nil {
+		if rev := v.lookup(hrev, gen, fwd, m.key.Reverse()); rev != nil {
 			out, extra = v.attachFeedback(rev, out)
 		}
 	}
@@ -401,14 +411,15 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 	}
 
 	// --- sender module: ACKs for our data direction ---
+	// own is our data direction's flow once this has looked it up; the
+	// receiver module below reaches the peer's direction through its link.
+	var own *Flow
 	if m.ack && !m.syn {
+		own = v.lookup(hrev, gen, nil, revKey)
+		f := own
 		if fb := packet.FindOption(t.Options(), OptFACK); fb != nil && len(fb) >= 8 {
 			// Dedicated FACK: consume feedback, drop the packet.
 			info := packet.PACKInfo{TotalBytes: getU32(fb[0:4]), MarkedBytes: getU32(fb[4:8])}
-			f := hrev
-			if f == nil || v.Table.genChanged(gen) {
-				f = v.Table.Get(revKey)
-			}
 			if f != nil {
 				if f.isUDP {
 					v.processUDPFeedback(f, info)
@@ -419,10 +430,6 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 			v.Metrics.FacksConsumed.Inc()
 			// Consumed: the caller (Host.HandlePacket) recycles the packet.
 			return nil, nil
-		}
-		f := hrev
-		if f == nil || v.Table.genChanged(gen) {
-			f = v.Table.Get(revKey)
 		}
 		if f != nil {
 			var info packet.PACKInfo
@@ -452,10 +459,7 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 
 	// --- receiver module: count and strip for the peer's data direction ---
 	if m.plen > 0 || m.fin || m.syn {
-		f := hfwd
-		if f == nil || v.Table.genChanged(gen) {
-			f = v.Table.Get(m.key)
-		}
+		f := v.lookup(hfwd, gen, own, m.key)
 		if f == nil && (m.plen > 0 || m.fin) {
 			f = v.flowFor(m.key)
 		}
@@ -464,11 +468,7 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 		}
 	} else if v.Cfg.StripECN {
 		// Pure ACKs: remove the ECT we (or the peer's AC/DC) set.
-		f := hfwd
-		if f == nil || v.Table.genChanged(gen) {
-			f = v.Table.Get(m.key)
-		}
-		v.stripECN(p, f)
+		v.stripECN(p, v.lookup(hfwd, gen, own, m.key))
 	}
 
 	return p, nil
@@ -531,14 +531,26 @@ func (v *VSwitch) receiverIngress(f *Flow, p *packet.Packet, t packet.TCP, plen 
 			v.Metrics.CEBytes.Add(plen)
 		}
 	}
-	if t.HasFlags(packet.FlagFIN) {
+	fin := t.HasFlags(packet.FlagFIN)
+	if fin {
 		f.finFwd = true
-		if rev := v.Table.Get(f.Key.Reverse()); rev != nil {
-			rev.finRev = true
-		}
 	}
 	guestECN := f.GuestECN
 	f.mu.Unlock()
+	if fin {
+		// The other direction learns of the FIN under its own lock, taken
+		// only after f.mu is released: SaveSnapshot reads finRev under
+		// rev.mu, and Table.Range takes shard lock before flow lock, so
+		// neither a table probe nor a second flow lock belongs inside f.mu.
+		// A probe, not f's link: f outlives rev in the table (rev is now
+		// closed both ways and goes after GCInterval, f only after
+		// IdleTimeout), and a link would keep the swept record reachable.
+		if rev := v.Table.Get(f.Key.Reverse()); rev != nil {
+			rev.mu.Lock()
+			rev.finRev = true
+			rev.mu.Unlock()
+		}
+	}
 
 	if v.Cfg.StripECN {
 		ip := p.IP()

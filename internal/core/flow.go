@@ -112,88 +112,104 @@ func (p Policy) sanitize() Policy {
 // Flow is one direction's connection-tracking entry (~the paper's 320-byte
 // flow state). The same struct serves as sender-module state on the host
 // that sources the data and receiver-module state on the host that sinks it.
+//
+// Fields are ordered by how often the datapath touches them, not by module,
+// because at 10k+ flows every cache line of a record is a miss: what every
+// packet reads sits in the first 64 bytes, what the sender module writes per
+// data segment and per ACK in the next 128, the read-mostly policy after
+// that, and per-RTT, per-cut and cold state last. The struct fills the
+// 384-byte malloc size class (TestFlowSizeClass, TestFlowHotFieldsLayout);
+// a new field has to fit the padding that is left (8 bytes at the end).
 type Flow struct {
+	// --- line 0: every packet (lookup, lock, liveness, receiver module) ---
 	mu  sync.Mutex
 	Key FlowKey
-
-	Policy Policy
-	vcc    VirtualCC
-	// be is the enforcement backend (backend.go), resolved at flow setup
-	// from Policy.Backend/Cfg.Backend and swapped in place by live policy
-	// installs and snapshot restore; bes is its lazily-allocated per-flow
-	// state (nil for the default dctcp-cut backend, which carries none).
-	be  Backend
-	bes *backendState
-	// Per-algorithm CWND/α distribution handles, resolved at flow setup
-	// and sampled once per RTT at each α update (nil when metrics are off).
-	mCwnd, mAlpha *metrics.Histogram
-
-	// --- handshake-learned ---
-	// PeerWScale is the window scale applied to the RWND field of ACKs
-	// flowing back to the data sender (announced by the data receiver).
-	PeerWScale  uint8
-	WScaleKnown bool
+	iss uint32 // guest's initial sequence number; valid once issValid
+	// peer caches the record tracking Key.Reverse(), valid while peerGen
+	// equals the table's deletion generation (Table.reverseOf). Both belong
+	// to the datapath goroutine alone: never touched under mu, by snapshot
+	// save/restore, policy installs or Range callbacks, and not part of the
+	// snapshot codec — a restored or re-created flow starts unlinked.
+	peer       *Flow
+	peerGen    uint64
+	lastActive sim.Time
+	// receiver module (§3.2)
+	TotalBytes  uint32 // cumulative payload bytes received
+	MarkedBytes uint32 // cumulative CE-marked payload bytes
 	// GuestECN records whether the guests negotiated ECN end to end; the
 	// receiver module uses it to restore the original ECN semantics.
-	GuestECN            bool
-	synSeen, synAckSeen bool
-	MSS                 int
+	GuestECN bool
+	issValid bool
+	// resync is the conservative-mode state machine for flows adopted
+	// without a handshake (mid-stream pickup, snapshot restore); while it
+	// is not resyncNone, RWND enforcement and policing are suspended
+	// (resync.go).
+	resync      resyncState
+	finFwd      bool // FIN seen in the data direction
+	finRev      bool // FIN seen in the reverse direction
+	isUDP       bool // UDP tunnel flow (future-work extension; see tunnel.go)
+	WScaleKnown bool
+	// PeerWScale is the window scale applied to the RWND field of ACKs
+	// flowing back to the data sender (announced by the data receiver).
+	PeerWScale uint8
 
-	// --- sender module: connection tracking (§3.1) ---
-	iss           uint32
-	issValid      bool
-	SndUna        int64 // absolute offsets, SYN at 0
-	SndNxt        int64
-	DupAcks       int
-	CwndBytes     float64
-	SsthreshBytes float64
-	Alpha         float64
+	// --- lines 1–2: sender module, per data segment and per ACK (§3.1) ---
+	SndUna      int64 // absolute offsets, SYN at 0
+	SndNxt      int64
+	maxInflight int64 // peak SndNxt−SndUna since the last ACK
+	inactivity  *sim.Timer
+	// be is the enforcement backend (backend.go), resolved at flow setup
+	// from Policy.Backend/Cfg.Backend and swapped in place by live policy
+	// installs and snapshot restore.
+	be Backend
 	// feedback accounting between α updates
 	lastTotal, lastMarked     uint32
 	windowTotal, windowMarked uint32
-	alphaSeq                  int64   // next α-update boundary (abs)
-	cutSeq                    int64   // window-cut guard (abs)
-	prevCwndBytes             float64 // cwnd before last cut (policing slack)
-	maxInflight               int64   // peak SndNxt−SndUna since the last ACK
-	inactivity                *sim.Timer
-	lastAckWire               uint32 // last ACK's seq field (dupack synthesis)
-	// Last ACK's raw (pre-rewrite) window field: a duplicate ACK requires an
-	// unchanged window, so pure window updates never count toward the
-	// triple-dupack loss inference.
-	lastWndRaw  uint16
-	lastWndSeen bool
-	VTimeouts   int64
-	LossEvents  int64
+
+	CwndBytes     float64
+	SsthreshBytes float64
+	MSS           int
+	DupAcks       int
+	alphaSeq      int64 // next α-update boundary (abs)
 	// Feedback-staleness tracking: when PACK/FACK feedback had been flowing
 	// but stops (stripped by a middlebox, lost in the fabric), the sender
 	// module freezes virtual-window growth rather than growing blind.
 	lastFeedbackAt sim.Time // 0 until the first PACK/FACK arrives
 	fbStaleMark    sim.Time // last time the stale condition was counted
+	lastAckWire    uint32   // last ACK's seq field (dupack synthesis)
+	// Last ACK's raw (pre-rewrite) window field: a duplicate ACK requires an
+	// unchanged window, so pure window updates never count toward the
+	// triple-dupack loss inference.
+	lastWndRaw  uint16
+	lastWndSeen bool
+	synSeen     bool
 
-	// --- receiver module (§3.2) ---
-	TotalBytes  uint32 // cumulative payload bytes received
-	MarkedBytes uint32 // cumulative CE-marked payload bytes
+	// --- line 3: read per ACK, written by installs and per RTT ---
+	Policy Policy
+	Alpha  float64
 
-	// --- UDP tunnel (future-work extension; see tunnel.go) ---
-	isUDP       bool
+	// --- the growth law, then per RTT, per cut, cold ---
+	vcc VirtualCC
+	// Per-algorithm CWND/α distribution handles, resolved at flow setup
+	// and sampled once per RTT at each α update (nil when metrics are off).
+	mCwnd, mAlpha *metrics.Histogram
+	cutSeq        int64   // window-cut guard (abs)
+	prevCwndBytes float64 // cwnd before last cut (policing slack)
+	// resyncSeq is the absolute sequence one clean feedback round must
+	// cover before enforcement resumes.
+	resyncSeq int64
+	// bes is the backend's lazily-allocated per-flow state (nil for the
+	// default dctcp-cut backend, which carries none).
+	bes        *backendState
+	VTimeouts  int64
+	LossEvents int64
+
+	// --- UDP tunnel (tunnel.go) ---
 	tq          []*packet.Packet // sender-side tunnel queue
 	tqBytes     int
 	fbLastTotal uint32 // receiver side: TotalBytes at last feedback
 	fbLastCE    bool
-
-	// --- mid-flow resynchronization (resync.go) ---
-	// resync is the conservative-mode state machine for flows adopted
-	// without a handshake (mid-stream pickup, snapshot restore); while it
-	// is not resyncNone, RWND enforcement and policing are suspended.
-	resync resyncState
-	// resyncSeq is the absolute sequence one clean feedback round must
-	// cover before enforcement resumes.
-	resyncSeq int64
-
-	// --- lifecycle ---
-	lastActive sim.Time
-	finFwd     bool // FIN seen in the data direction
-	finRev     bool // FIN seen in the reverse direction
+	synAckSeen  bool
 }
 
 // Snapshot is a consistent copy of the enforcement-relevant state, used by

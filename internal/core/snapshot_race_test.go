@@ -90,3 +90,58 @@ func TestSnapshotConcurrentWithDatapath(t *testing.T) {
 		t.Fatalf("controller did not exercise all paths: %+v", st)
 	}
 }
+
+// TestFinRevSetUnderItsOwnLock is the regression for a FIN arriving from the
+// network: the receiver module marks the reverse record's finRev, and
+// SaveSnapshot reads that field under the reverse record's own mutex on a
+// control-plane goroutine — so it must be written under that mutex, not under
+// the lock of the record the FIN was counted on. Run with -race.
+func TestFinRevSetUnderItsOwnLock(t *testing.T) {
+	v, host, s := loneVSwitch(t, DefaultConfig())
+	peer := packet.MakeAddr(10, 0, 0, 2)
+	fin := func(sp, dp uint16, ack uint32) *packet.Packet {
+		return packet.Build(peer, host.Addr, packet.NotECT, packet.TCPFields{
+			SrcPort: dp, DstPort: sp, Seq: 1, Ack: ack,
+			Flags: packet.FlagACK | packet.FlagFIN, Window: 65535}, 0)
+	}
+
+	const rounds = 2000
+	var stop atomic.Bool
+	n := 0
+	var tick func()
+	tick = func() {
+		sp, dp := uint16(100+n%8), uint16(200+n%8)
+		v.Egress(dataPkt(host.Addr, peer, sp, dp, 1, 100))
+		v.Ingress(fin(sp, dp, 101))
+		if n++; n < rounds {
+			s.ScheduleFunc(100, tick)
+		} else {
+			stop.Store(true)
+		}
+	}
+	s.ScheduleFunc(0, tick)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			v.SaveSnapshot()
+		}
+	}()
+	s.RunAll()
+	wg.Wait()
+
+	for i := 0; i < 8; i++ {
+		f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: uint16(200 + i)})
+		if f == nil {
+			t.Fatalf("flow %d not tracked", i)
+		}
+		f.mu.Lock()
+		finRev := f.finRev
+		f.mu.Unlock()
+		if !finRev {
+			t.Fatalf("flow %d: the peer's FIN did not reach the data direction's record", i)
+		}
+	}
+}

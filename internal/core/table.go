@@ -27,9 +27,10 @@ type Table struct {
 	size atomic.Int64
 
 	// gen increments on every operation that removes entries (Delete, Sweep*,
-	// Clear). The batch datapath prefetches flow pointers before processing a
-	// burst; a prefetched pointer is only trusted while gen is unchanged, so
-	// an eviction or GC sweep mid-burst invalidates all outstanding hints.
+	// Clear). A flow pointer held outside a shard lock — a batch-prefetched
+	// hint, a Flow's link to its reverse direction (reverseOf) — is only
+	// trusted while gen is unchanged since it was taken, so an eviction or GC
+	// sweep invalidates every outstanding one at once.
 	gen atomic.Uint64
 }
 
@@ -79,6 +80,26 @@ func (t *Table) Get(k FlowKey) *Flow {
 	f := s.flows[k]
 	s.mu.RUnlock()
 	return f
+}
+
+// reverseOf returns the flow tracking the opposite direction of f, exactly
+// what Get(f.Key.Reverse()) would return, through the link f carries: every
+// TCP packet consults both directions of its connection, and the second one
+// is always the reverse of the flow just found, so the link saves that probe.
+// The link is valid while its stamp equals gen: an entry can only leave the
+// table, or be replaced under its key, through a removal, and every removal
+// bumps gen. gen is loaded before the probe and stored after it, so a removal
+// racing the probe leaves a stamp that is too old (one more probe next time),
+// never one that is too new. A nil peer is never trusted — the reverse flow
+// may be created by the next packet — so a miss only drops the stale record.
+// Datapath goroutine only: it owns f.peer and f.peerGen.
+func (t *Table) reverseOf(f *Flow) *Flow {
+	g := t.gen.Load()
+	if f.peer != nil && f.peerGen == g {
+		return f.peer
+	}
+	f.peer, f.peerGen = t.Get(f.Key.Reverse()), g
+	return f.peer
 }
 
 // lookupScratch is the reusable state for GetBatch's shard grouping; one per
@@ -240,8 +261,12 @@ func (t *Table) Range(fn func(*Flow)) {
 // Clear empties every shard in place and returns how many flows were
 // removed. Unlike swapping in a fresh Table, clearing in place is safe while
 // another goroutine reads the table through the same pointer (warm restart
-// under live traffic): each shard is emptied under its write lock.
+// under live traffic): each shard is emptied under its write lock. gen is
+// bumped before the first shard as well as after the last: Clear is the one
+// remover that may run off the datapath goroutine, and a reverse link or
+// hint stamped before the reset began must not stay valid while it runs.
 func (t *Table) Clear() int {
+	t.gen.Add(1)
 	removed := 0
 	for i := range t.shards {
 		s := &t.shards[i]

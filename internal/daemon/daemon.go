@@ -402,10 +402,35 @@ func (d *Daemon) MetricsSnapshot() metrics.Snapshot {
 			snaps = append(snaps, v.Metrics.Snapshot())
 		}
 	}
-	if d.net.HasFabric() {
-		snaps = append(snaps, d.net.FabricSnapshot())
+	if fab, ok := d.fabricSnapshot(); ok {
+		snaps = append(snaps, fab)
 	}
 	return metrics.Merge(snaps...)
+}
+
+// fabricSnapshot reads the fabric's link and switch counters. Unlike the
+// vSwitch registries they are plain fields the simulation goroutine writes
+// (netsim.Link.Stats, Switch.Stats), so a running daemon reads them on the
+// sim loop through Exec. Without a loop — never started (the caller drives
+// the simulator itself) or already stopped — there is no concurrent writer
+// and the read is direct. ok is false for a fabric-free topology and for a
+// loop too busy to take the command: that report goes without the fabric.
+func (d *Daemon) fabricSnapshot() (snap metrics.Snapshot, ok bool) {
+	if !d.net.HasFabric() {
+		return snap, false
+	}
+	read := func() { snap = d.net.FabricSnapshot() }
+	if d.started.IsZero() {
+		read()
+		return snap, true
+	}
+	if err := d.Exec(read); errors.Is(err, ErrStopped) {
+		<-d.done
+		read()
+	} else if err != nil {
+		return snap, false
+	}
+	return snap, true
 }
 
 // FlowInfo is one tracked flow as the admin API reports it.
@@ -480,10 +505,11 @@ type Status struct {
 	Degraded         string `json:"degraded,omitempty"`
 }
 
-// StatusNow assembles the current status. Everything it reads is
-// goroutine-safe (atomic sim clock, sharded table, atomic counters). As a
-// side effect it republishes each host's table-shape gauges, so a /status
-// poll keeps the Prometheus view fresh too.
+// StatusNow assembles the current status. What it reads directly is
+// goroutine-safe (atomic sim clock, sharded table, atomic counters); the
+// fabric counters, which are not, come through fabricSnapshot. As a side
+// effect it republishes each host's table-shape gauges, so a /status poll
+// keeps the Prometheus view fresh too.
 func (d *Daemon) StatusNow() Status {
 	now := d.net.Sim.Now()
 	flows := 0
@@ -522,8 +548,7 @@ func (d *Daemon) StatusNow() Status {
 		PressureSweeps:         sweeps,
 		Degraded:               d.DegradedReason(),
 	}
-	if d.net.HasFabric() {
-		snap := d.net.FabricSnapshot()
+	if snap, ok := d.fabricSnapshot(); ok {
 		st.FabricLinkDowns = snap.Counter("fabric_link_downs_total")
 		st.FabricLinkUps = snap.Counter("fabric_link_ups_total")
 		st.FabricFailovers = snap.Counter("ecmp_failovers_total")

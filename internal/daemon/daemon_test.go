@@ -340,6 +340,31 @@ func TestLoopbackAddr(t *testing.T) {
 	}
 }
 
+// TestFabricCountersWithoutALoop covers the two states in which the fabric
+// counters cannot be read on the sim loop because there is none: a daemon
+// that was never started (its caller drives the simulator, as the benchmark's
+// admin-plane probes do) and one that has been stopped (acdcd's final status
+// line). Neither may hang, and both must still report.
+func TestFabricCountersWithoutALoop(t *testing.T) {
+	doms, err := faults.ParseDomains("flap@1ms,link=h0.up,down=500us,up=1ms,count=1")
+	if err != nil {
+		t.Fatalf("ParseDomains: %v", err)
+	}
+	d := New(Config{Hosts: 2, Scale: 1.0, Tick: time.Millisecond, Workload: true, Fabric: doms})
+	d.Net().Sim.RunFor(5 * sim.Millisecond)
+	if st := d.StatusNow(); st.FabricLinkDowns != 1 || st.FabricLinkUps != 1 {
+		t.Fatalf("unstarted daemon: downs %d ups %d, want 1 each", st.FabricLinkDowns, st.FabricLinkUps)
+	}
+	d.Start()
+	d.Stop()
+	if st := d.StatusNow(); st.FabricLinkDowns != 1 {
+		t.Fatalf("stopped daemon: downs %d, want 1", st.FabricLinkDowns)
+	}
+	if !strings.Contains(d.MetricsSnapshot().Text(), "fabric_link_downs_total") {
+		t.Fatal("stopped daemon: metrics scrape lost the fabric counters")
+	}
+}
+
 func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 	// Arm a finite flap on h0's uplink: the status report and the metrics
 	// scrape must grow fabric counters, which a fabric-free daemon omits.
