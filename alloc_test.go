@@ -13,6 +13,7 @@ import (
 
 	"acdc/internal/audit"
 	"acdc/internal/benchkit"
+	"acdc/internal/core"
 	"acdc/internal/faults"
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
@@ -309,5 +310,84 @@ func TestFabricFlapLeakFree(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("no traffic delivered under flaps")
+	}
+}
+
+// TestFlowCycleZeroAlloc pins the vSwitch's flow lifecycle: one vSwitch, one
+// connection at a time opened, used, closed both ways and collected by the
+// timer GC beside a long-lived flow, then the next one opened. Once the
+// vSwitch has swept records parked, a new flow takes one back together with
+// its inactivity timer, nothing is allocated to look it up or to create it,
+// and the whole life of a flow allocates nothing.
+func TestFlowCycleZeroAlloc(t *testing.T) {
+	s := sim.New(1)
+	pool := packet.NewPool()
+	local, peer := packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2)
+	host := netsim.NewHost(s, "h", local)
+	host.Pool = pool
+	cfg := core.DefaultConfig()
+	cfg.MTU = 1500
+	cfg.GCInterval = 50 * sim.Microsecond
+	cfg.IdleTimeout = 100 * sim.Microsecond
+	cfg.SweepInterval = 80 * sim.Microsecond
+	v := core.Attach(s, host, cfg)
+
+	send := func(out bool, sp uint16, ecn packet.ECN, f packet.TCPFields, payload int) {
+		src, dst := local, peer
+		f.SrcPort, f.DstPort, f.Window = sp, 5001, 65535
+		hook := v.EgressPath
+		if !out {
+			src, dst = peer, local
+			f.SrcPort, f.DstPort = 5001, sp
+			hook = v.IngressPath
+		}
+		res, extra := hook(packet.BuildIn(pool, src, dst, ecn, f, payload))
+		pool.Put(res)
+		pool.Put(extra)
+	}
+	syn := packet.BuildSynOptions(1460, 7, true)
+	var pack [packet.PACKOptionLen]byte
+	packet.EncodePACK(pack[:], packet.PACKInfo{TotalBytes: 1000, MarkedBytes: 250})
+	const ack, psh, fin = packet.FlagACK, packet.FlagPSH, packet.FlagFIN
+	bulk := uint32(1)
+	sp := uint16(0)
+	cycle := func() {
+		// Sixteen ports in turn: the table's map sees the same keys again.
+		p := 1000 + sp%16
+		sp++
+		send(true, p, packet.NotECT, packet.TCPFields{Flags: packet.FlagSYN, Options: syn}, 0)
+		send(false, p, packet.NotECT, packet.TCPFields{Ack: 1, Flags: packet.FlagSYN | ack, Options: syn}, 0)
+		send(true, p, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 1, Flags: ack | psh}, 1000)
+		send(false, p, packet.CE, packet.TCPFields{Seq: 1, Ack: 1001, Flags: ack | psh, Options: pack[:]}, 500)
+		send(true, p, packet.NotECT, packet.TCPFields{Seq: 1001, Ack: 501, Flags: ack | fin}, 0)
+		send(false, p, packet.NotECT, packet.TCPFields{Seq: 501, Ack: 1002, Flags: ack | fin}, 0)
+		// The long-lived flow keeps the table, and with it the sweep timer
+		// and the free list, from going idle between connections.
+		send(true, 900, packet.NotECT, packet.TCPFields{Seq: bulk, Ack: 1, Flags: ack | psh}, 1000)
+		bulk += 1000
+		send(false, 900, packet.ECT0, packet.TCPFields{Seq: 1, Ack: bulk, Flags: ack}, 0)
+		s.RunFor(40 * sim.Microsecond) // two connections per pass of the timer GC
+	}
+	const warm, runs = 40, 200
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	created := v.Stats().FlowsCreated
+	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+		t.Errorf("flow cycle: %v allocs/op, want 0", n)
+	}
+	// AllocsPerRun calls cycle once more than it measures. Every cycle made
+	// two records and the GC took them again; only the long-lived pair stays.
+	st := v.Stats()
+	if got, want := st.FlowsCreated-created, int64(2*(runs+1)); got != want {
+		t.Errorf("%d flows created in %d cycles, want %d", got, runs+1, want)
+	}
+	s.RunFor(sim.Millisecond)
+	if st = v.Stats(); st.FlowsCreated-st.FlowsRemoved != 0 || v.Table.Len() != 0 || v.ParkedFlows() != 0 {
+		t.Errorf("after the drain: %d flows not removed, %d in the table, %d parked",
+			st.FlowsCreated-st.FlowsRemoved, v.Table.Len(), v.ParkedFlows())
+	}
+	if out := pool.Gets - pool.Puts; out != 0 {
+		t.Errorf("%d packets not returned to the pool", out)
 	}
 }

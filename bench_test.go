@@ -406,12 +406,18 @@ func BenchmarkAblationFlowTable(b *testing.B) {
 		keys[i] = core.FlowKey{Src: packet.Addr(i), Dst: packet.Addr(i + 1),
 			SPort: uint16(i), DPort: 80}
 	}
+	// Key is a promoted field of Flow, so it cannot be set in a literal.
+	flow := func(k core.FlowKey) *core.Flow {
+		f := new(core.Flow)
+		f.Key = k
+		return f
+	}
 	b.Run("sharded", func(b *testing.B) {
 		b.SetParallelism(16) // OVS serves many NIC queues; oversubscribe cores
 		tb := core.NewTable()
 		for _, k := range keys {
 			k := k
-			tb.GetOrCreate(k, func() *core.Flow { return &core.Flow{Key: k} })
+			tb.GetOrCreate(k, func() *core.Flow { return flow(k) })
 		}
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
@@ -426,7 +432,7 @@ func BenchmarkAblationFlowTable(b *testing.B) {
 		var mu sync.Mutex
 		mp := make(map[core.FlowKey]*core.Flow, len(keys))
 		for _, k := range keys {
-			mp[k] = &core.Flow{Key: k}
+			mp[k] = flow(k)
 		}
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0

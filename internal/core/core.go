@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"acdc/internal/metrics"
@@ -141,6 +142,14 @@ type VSwitch struct {
 	// which flowFor fails open immediately instead of re-scanning.
 	evictCursor  int
 	evictRetryAt sim.Time
+
+	// parked is the free list of flow records, owned by the simulation
+	// goroutine: the GC predicates put what they remove on it (retire) and
+	// newFlow takes it back. created counts newFlow calls since the last
+	// sweep; every sweep trims the list to it (trimParked), so demand bounds
+	// what is held, not the high-water mark. ARCHITECTURE.md "Flow records".
+	parked  []*Flow
+	created int
 
 	// batch is the reusable scratch for EgressBatch/IngressBatch (batch.go);
 	// inBatch guards it against re-entrant batch calls, which fall back to
@@ -341,13 +350,8 @@ func (v *VSwitch) evictForPressure() {
 	keep := func(f *Flow) bool {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if f.finFwd && f.finRev {
-			f.stopTimer()
-			return false
-		}
-		if now-f.lastActive > v.Cfg.GCInterval {
-			f.stopTimer()
-			return false
+		if (f.finFwd && f.finRev) || now-f.lastActive > v.Cfg.GCInterval {
+			return v.retire(f)
 		}
 		return true
 	}
@@ -374,9 +378,24 @@ func (v *VSwitch) evictForPressure() {
 }
 
 // newFlow creates a tracked flow from the datapath (simulation goroutine):
-// it may arm the sweep timer directly.
+// it may arm the sweep timer directly, and it reuses a parked record when
+// there is one. The newest record parked before the current packet is taken;
+// the ones parked while handling it (a suffix, since the tick only grows) are
+// skipped, because egressRun/ingressRun may hold the record they evicted.
 func (v *VSwitch) newFlow(k FlowKey) *Flow {
-	f := v.buildFlow(k)
+	v.created++
+	i := len(v.parked) - 1
+	for i >= 0 && v.parked[i].parkedAt == uint32(v.sweepTick) {
+		i--
+	}
+	var f *Flow
+	if i >= 0 {
+		f = v.parked[i]
+		v.parked = slices.Delete(v.parked, i, i+1)
+	} else {
+		f = new(Flow)
+	}
+	v.buildFlow(f, k)
 	if v.sweepTimer != nil {
 		v.sweepTimer.ArmIfIdle(v.Cfg.SweepInterval)
 	}
@@ -387,7 +406,7 @@ func (v *VSwitch) newFlow(k FlowKey) *Flow {
 // on a control-plane goroutine while traffic flows: timer arming is deferred
 // to the datapath via the sweepArm flag instead of touching the simulator.
 func (v *VSwitch) newFlowRestored(k FlowKey) *Flow {
-	f := v.buildFlow(k)
+	f := v.buildFlow(new(Flow), k)
 	if v.sweepTimer != nil {
 		v.sweepArm.Store(true)
 	}
@@ -396,16 +415,22 @@ func (v *VSwitch) newFlowRestored(k FlowKey) *Flow {
 
 // buildFlow is the shared flow construction: policy resolution, virtual-CC
 // setup, initial window. Everything it touches is goroutine-safe (atomic
-// policy overrides, striped counters, the metrics histogram mutex).
-func (v *VSwitch) buildFlow(k FlowKey) *Flow {
+// policy overrides, striped counters, the metrics histogram mutex). f is new
+// or recycled: all of it but the mutex and the stopped inactivity timer is
+// overwritten, under f.mu because a policy install that found the record
+// under its previous key may be waiting on it.
+func (v *VSwitch) buildFlow(f *Flow, k FlowKey) *Flow {
 	v.Metrics.FlowsCreated.Inc()
 	v.Metrics.FlowTableSize.Add(1)
 	pol := v.policy(k)
-	f := &Flow{
-		Key:    k,
-		Policy: pol,
-		MSS:    v.Cfg.MTU - 40,
-		Alpha:  v.Cfg.InitAlpha,
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flowState = flowState{
+		Key:        k,
+		Policy:     pol,
+		MSS:        v.Cfg.MTU - 40,
+		Alpha:      v.Cfg.InitAlpha,
+		inactivity: f.inactivity,
 	}
 	f.vcc = NewVCC(firstNonEmpty(pol.VCC, v.Cfg.VCC))
 	// Both the policy and the config backend fields are sanitized before
@@ -476,17 +501,40 @@ func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 	return func(f *Flow) bool {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if f.finFwd && f.finRev && now-f.lastActive > v.Cfg.GCInterval {
-			f.stopTimer()
-			return false
-		}
-		if now-f.lastActive > v.Cfg.IdleTimeout {
-			f.stopTimer()
-			return false
+		if idle := now - f.lastActive; (f.finFwd && f.finRev && idle > v.Cfg.GCInterval) || idle > v.Cfg.IdleTimeout {
+			return v.retire(f)
 		}
 		return true
 	}
 }
+
+// retire is a GC predicate's verdict on a record it removes (shard write lock
+// and f.mu held, simulation goroutine): stop the timer, park the record
+// stamped with the current packet, answer "do not keep". Only plain records
+// are parked — a pace shaper's callbacks and a tunnel queue can outlive the
+// table entry — and unlinked, so that they keep no removed partner reachable.
+func (v *VSwitch) retire(f *Flow) bool {
+	f.stopTimer()
+	if f.bes == nil && f.tun == nil && !f.isUDP {
+		f.peer, f.parkedAt = nil, uint32(v.sweepTick)
+		v.parked = append(v.parked, f)
+	}
+	return false
+}
+
+// trimParked cuts the free list to keep records. Every sweep keeps as many as
+// flows were created since the previous one; a vSwitch that stops sweeping
+// (timer GC on an empty table, restart) keeps none.
+func (v *VSwitch) trimParked(keep int) {
+	v.created = 0
+	if len(v.parked) > keep {
+		clear(v.parked[keep:])
+		v.parked = v.parked[:keep]
+	}
+}
+
+// ParkedFlows is the length of the free list. Simulation goroutine only.
+func (v *VSwitch) ParkedFlows() int { return len(v.parked) }
 
 // sweepNow removes closed and idle flows across the whole table (the lazy
 // packet-driven sweep, already rate-limited to once per GCInterval).
@@ -494,6 +542,7 @@ func (v *VSwitch) sweepNow(now sim.Time) {
 	removed := v.Table.Sweep(v.gcKeep(now))
 	v.Metrics.FlowsRemoved.Add(int64(removed))
 	v.Metrics.FlowTableSize.Add(-int64(removed))
+	v.trimParked(v.created)
 }
 
 // sweepGroups divides the timer GC: each tick sweeps numShards/sweepGroups
@@ -514,12 +563,17 @@ func (v *VSwitch) onSweepTick() {
 	removed := v.Table.SweepRange(g*per, (g+1)*per, v.gcKeep(now))
 	v.Metrics.FlowsRemoved.Add(int64(removed))
 	v.Metrics.FlowTableSize.Add(-int64(removed))
+	if v.sweepGroup == 0 { // a whole pass over the table is one sweep
+		v.trimParked(v.created)
+	}
 	if v.Table.Len() > 0 {
 		tick := v.Cfg.SweepInterval / sweepGroups
 		if tick <= 0 {
 			tick = v.Cfg.SweepInterval
 		}
 		v.sweepTimer.Reset(tick)
+	} else {
+		v.trimParked(0)
 	}
 }
 

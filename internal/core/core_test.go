@@ -427,7 +427,7 @@ func TestTableShardingAndSweep(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		k := mk(i)
-		f, created := tb.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
+		f, created := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
 		if !created || f == nil {
 			t.Fatal("create failed")
 		}
@@ -462,7 +462,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				k := FlowKey{Src: packet.Addr(i % 97), Dst: packet.Addr(g), SPort: uint16(i), DPort: 80}
-				tb.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
+				tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
 				tb.Get(k)
 				if i%100 == 0 {
 					tb.Sweep(func(f *Flow) bool { return f.Key.SPort%7 != 0 })
@@ -475,7 +475,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 
 func TestEquationOneCutFactor(t *testing.T) {
 	v := &VDCTCP{}
-	f := &Flow{Alpha: 0.5, Policy: Policy{Beta: 1}}
+	f := &Flow{flowState: flowState{Alpha: 0.5, Policy: Policy{Beta: 1}}}
 	if got := v.CutFactor(f, false); got != 0.75 {
 		t.Fatalf("β=1 α=0.5: factor %v, want 0.75 (DCTCP)", got)
 	}
@@ -573,10 +573,10 @@ func TestDetachRestoresPassthrough(t *testing.T) {
 	}
 }
 
-// TestFlowSizeClass keeps Flow inside the 384-byte malloc size class it fills
-// exactly today: one more word and every tracked flow costs 416 bytes.
+// TestFlowSizeClass keeps Flow inside the 352-byte malloc size class it fills
+// exactly today: one more word and every tracked flow costs 384 bytes.
 func TestFlowSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Flow{}); n > 384 {
-		t.Fatalf("Flow is %d bytes, over the 384-byte size class", n)
+	if n := unsafe.Sizeof(Flow{}); n > 352 {
+		t.Fatalf("Flow is %d bytes, over the 352-byte size class", n)
 	}
 }

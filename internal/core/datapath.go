@@ -297,11 +297,23 @@ func (v *VSwitch) noteSegmentLocked(f *Flow, segEnd int64) {
 		f.maxInflight = infl
 	}
 	// Arm the inactivity timer while data is outstanding.
+	v.inactivityTimer(f).Reset(v.Cfg.VTimeout)
+}
+
+// inactivityTimer returns f's timer, creating it on first use. The callback
+// picks the timeout when it fires: the timer outlives the flow on a recycled
+// record, and the next flow may be of the other kind.
+func (v *VSwitch) inactivityTimer(f *Flow) *sim.Timer {
 	if f.inactivity == nil {
-		ff := f
-		f.inactivity = sim.NewTimer(v.Sim, func() { v.onVTimeout(ff) })
+		f.inactivity = sim.NewTimer(v.Sim, func() {
+			if f.isUDP {
+				v.onUDPTimeout(f)
+			} else {
+				v.onVTimeout(f)
+			}
+		})
 	}
-	f.inactivity.Reset(v.Cfg.VTimeout)
+	return f.inactivity
 }
 
 // attachFeedback implements the receiver module's PACK/FACK emission: the

@@ -298,7 +298,7 @@ func TestIngressStripsCEForECNGuest(t *testing.T) {
 
 func TestVRenoVirtualCC(t *testing.T) {
 	v := NewVCC("reno")
-	f := &Flow{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40, Policy: DefaultPolicy()}
+	f := &Flow{flowState: flowState{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40, Policy: DefaultPolicy()}}
 	if v.CutFactor(f, false) != 0.5 || v.CutFactor(f, true) != 0.5 {
 		t.Fatal("vReno must halve")
 	}
@@ -350,7 +350,7 @@ func TestFlowKeyReverse(t *testing.T) {
 }
 
 func TestEnforcedWindowClampAndFloor(t *testing.T) {
-	f := &Flow{CwndBytes: 100_000, Policy: Policy{Beta: 1, RwndClampBytes: 50_000}}
+	f := &Flow{flowState: flowState{CwndBytes: 100_000, Policy: Policy{Beta: 1, RwndClampBytes: 50_000}}}
 	if got := f.enforcedWindow(9000); got != 50_000 {
 		t.Fatalf("clamp: %d", got)
 	}

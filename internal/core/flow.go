@@ -118,18 +118,25 @@ func (p Policy) sanitize() Policy {
 // packet reads sits in the first 64 bytes, what the sender module writes per
 // data segment and per ACK in the next 128, the read-mostly policy after
 // that, and per-RTT, per-cut and cold state last. The struct fills the
-// 384-byte malloc size class (TestFlowSizeClass, TestFlowHotFieldsLayout);
-// a new field has to fit the padding that is left (8 bytes at the end).
+// 352-byte malloc size class exactly (TestFlowSizeClass): a new field costs
+// every flow 32 bytes unless it goes behind a pointer, as tunnel state does.
 type Flow struct {
 	// --- line 0: every packet (lookup, lock, liveness, receiver module) ---
-	mu  sync.Mutex
+	mu sync.Mutex
+	flowState
+}
+
+// flowState is every field of a Flow but its mutex: a recycled record is
+// re-initialised by one flowState assignment under mu (VSwitch.buildFlow), so
+// a field added here cannot be left holding the previous flow's value.
+type flowState struct {
 	Key FlowKey
 	iss uint32 // guest's initial sequence number; valid once issValid
 	// peer caches the record tracking Key.Reverse(), valid while peerGen
 	// equals the table's deletion generation (Table.reverseOf). Both belong
-	// to the datapath goroutine alone: never touched under mu, by snapshot
-	// save/restore, policy installs or Range callbacks, and not part of the
-	// snapshot codec — a restored or re-created flow starts unlinked.
+	// to the datapath goroutine alone: mu does not guard them, snapshot, policy
+	// install and Range code never touches them, and the snapshot codec skips
+	// them — a restored, re-created or recycled flow starts unlinked.
 	peer       *Flow
 	peerGen    uint64
 	lastActive sim.Time
@@ -204,12 +211,12 @@ type Flow struct {
 	VTimeouts  int64
 	LossEvents int64
 
-	// --- UDP tunnel (tunnel.go) ---
-	tq          []*packet.Packet // sender-side tunnel queue
-	tqBytes     int
-	fbLastTotal uint32 // receiver side: TotalBytes at last feedback
-	fbLastCE    bool
-	synAckSeen  bool
+	tun *tunnelState // UDP-tunnel state (tunnel.go); nil for every TCP flow
+	// parkedAt is v.sweepTick, the per-packet epoch, when the record went on
+	// the free list: newFlow refuses one parked by the datapath call it runs
+	// in, whose caller may still hold the pointer.
+	parkedAt   uint32
+	synAckSeen bool
 }
 
 // Snapshot is a consistent copy of the enforcement-relevant state, used by

@@ -125,7 +125,7 @@ func TestConcurrentGetDeleteDuringSweep(t *testing.T) {
 	for i := range keys {
 		keys[i] = FlowKey{Src: packet.MakeAddr(10, 0, 0, 1),
 			Dst: packet.MakeAddr(10, 0, 0, 2), SPort: uint16(i), DPort: 80}
-		tb.GetOrCreate(keys[i], func() *Flow { return &Flow{Key: keys[i]} })
+		tb.GetOrCreate(keys[i], func() *Flow { return &Flow{flowState: flowState{Key: keys[i]}} })
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -141,7 +141,7 @@ func TestConcurrentGetDeleteDuringSweep(t *testing.T) {
 				case 1:
 					tb.Delete(k)
 				case 2:
-					tb.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
+					tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
 				}
 			}
 		}()

@@ -102,13 +102,19 @@ func (v *VSwitch) PolicyOverrides() map[FlowKey]Policy {
 // applyToLive pushes a resolved policy into an already-tracked flow under
 // its mutex, swapping the virtual-CC law if the algorithm changed (the same
 // mid-flight swap snapshot restore performs). Untracked keys are a no-op:
-// the override map catches the flow at setup.
+// the override map catches the flow at setup. So is a record that stopped
+// being k's between the probe and the lock: the GC may have removed it and
+// the datapath recycled it into another flow, which must not get k's policy.
 func (v *VSwitch) applyToLive(k FlowKey, p Policy) {
 	f := v.Table.Get(k)
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.Key != k {
+		return
+	}
 	f.Policy = p
 	if name := firstNonEmpty(p.VCC, v.Cfg.VCC); name != f.vcc.Name() {
 		f.vcc = newVCCOrDefault(name)
@@ -121,5 +127,4 @@ func (v *VSwitch) applyToLive(k FlowKey, p Policy) {
 	if be := newBackend(firstNonEmpty(p.Backend, v.Cfg.Backend)); be != f.be {
 		f.be = be
 	}
-	f.mu.Unlock()
 }

@@ -180,3 +180,66 @@ func TestPolicyOverridesSnapshotIsCopy(t *testing.T) {
 		t.Fatalf("live override changed through the listing copy: β=%v", p.Beta)
 	}
 }
+
+// TestInstallPolicyNeverLandsOnRecycledRecord: applyToLive probes the table,
+// then locks the record it found; in between the GC can remove that record and
+// the datapath recycle it into another flow. A controller goroutine streams
+// installs for one key while the simulation goroutine keeps closing, sweeping
+// and reopening that connection and others: only the addressed flow may ever
+// hold the installed β. Run with -race.
+func TestInstallPolicyNeverLandsOnRecycledRecord(t *testing.T) {
+	b := newRecycleBench(t, DefaultConfig())
+	const target, beta = 100, 0.125
+	want := Policy{Beta: beta}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := b.v.InstallPolicy(b.key(target), want); err != nil {
+				t.Errorf("InstallPolicy: %v", err)
+				return
+			}
+		}
+	}()
+
+	reused := 0
+	for round := 0; round < 3000; round++ {
+		// The addressed connection lives, closes and is swept: its two
+		// records are parked while an install may be holding one of them.
+		b.cycle(target)
+		rec := b.v.Table.Get(b.key(target))
+		b.sweep()
+		// Other connections take the parked records straight back.
+		for sp := uint16(200); sp < 203; sp++ {
+			b.out(sp, packet.TCPFields{Flags: packet.FlagSYN}, 0)
+			if b.v.Table.Get(b.key(sp)) == rec {
+				reused++
+			}
+		}
+		// Checked after the creates, not between them: an install that was
+		// waiting on a recycled record has had time to go through.
+		for sp := uint16(200); sp < 203; sp++ {
+			f := b.v.Table.Get(b.key(sp))
+			f.mu.Lock()
+			got := f.Policy
+			f.mu.Unlock()
+			if got != DefaultPolicy() {
+				t.Fatalf("round %d: flow %v holds %+v, installed for %v", round, f.Key, got, b.key(target))
+			}
+			b.v.Table.Delete(f.Key)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if reused == 0 {
+		t.Fatal("the addressed flow's record was never recycled: the race was not exercised")
+	}
+}

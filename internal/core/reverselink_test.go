@@ -88,18 +88,19 @@ type linkDriver struct {
 	snap  []byte
 	// rows records what each packet call returned, for the differential.
 	rows [][]byte
-	// unlinked drops every link before each call: the reference behaviour.
-	unlinked bool
+	// before, when set, runs ahead of each call: it takes from the reference
+	// vSwitch what the mechanism under test would have kept for it.
+	before func(*VSwitch)
 }
 
-func newLinkDriver(t *testing.T, unlinked bool) *linkDriver {
+func newLinkDriver(t *testing.T, before func(*VSwitch)) *linkDriver {
 	cfg := DefaultConfig()
 	cfg.MTU = 1500
 	cfg.MaxFlows = 20 // 16 connections are 32 records
 	cfg.GCInterval = 50 * sim.Microsecond
 	cfg.IdleTimeout = 400 * sim.Microsecond
 	v, host, s := loneVSwitch(t, cfg)
-	d := &linkDriver{t: t, v: v, s: s, local: host.Addr, unlinked: unlinked}
+	d := &linkDriver{t: t, v: v, s: s, local: host.Addr, before: before}
 	for i := range d.seq {
 		d.seq[i] = 1
 	}
@@ -146,8 +147,8 @@ func feedbackOpt(kind byte, total, marked uint32) []byte {
 }
 
 func (d *linkDriver) step(kind, c int) {
-	if d.unlinked {
-		unlinkAll(d.v.Table)
+	if d.before != nil {
+		d.before(d.v)
 	}
 	syn := packet.BuildSynOptions(1460, 7, true)
 	const ack, psh = packet.FlagACK, packet.FlagPSH
@@ -220,31 +221,40 @@ var linkOpNames = [linkOpKinds]string{"syn-out", "synack-in", "syn-in", "synack-
 	"pack-in", "fack-in", "data-in", "ack-out", "fin-out", "fin-in", "sweep-closed", "sweep-idle",
 	"delete", "save", "restore", "restore-corrupt", "detach-toggle", "advance"}
 
-// playLinkScript runs script on a linked vSwitch, checking the invariant after
-// every call, and on a reference vSwitch whose links are dropped before every
-// call; the two must be indistinguishable from outside.
+// playLinkScript runs script on a linked vSwitch and on a reference vSwitch
+// whose links are dropped before every call.
 func playLinkScript(t *testing.T, script []byte) {
 	t.Helper()
-	linked, ref := newLinkDriver(t, false), newLinkDriver(t, true)
+	playScript(t, script, "links", func(v *VSwitch) { unlinkAll(v.Table) })
+}
+
+// playScript runs script on a vSwitch left alone, checking the link and the
+// free-list invariants after every call, and on a reference vSwitch that
+// without is applied to before every call; the two must be indistinguishable
+// from outside.
+func playScript(t *testing.T, script []byte, what string, without func(*VSwitch)) {
+	t.Helper()
+	full, ref := newLinkDriver(t, nil), newLinkDriver(t, without)
 	for i := 0; i+1 < len(script); i += 2 {
 		kind, c := int(script[i])%linkOpKinds, int(script[i+1])%linkConns
-		linked.step(kind, c)
-		checkReverseLinks(t, linked.v.Table, linkOpNames[kind])
+		full.step(kind, c)
+		checkReverseLinks(t, full.v.Table, linkOpNames[kind])
+		checkParkedRecords(t, full.v, linkOpNames[kind])
 		ref.step(kind, c)
 	}
-	if len(linked.rows) != len(ref.rows) {
-		t.Fatalf("%d output rows with links, %d without", len(linked.rows), len(ref.rows))
+	if len(full.rows) != len(ref.rows) {
+		t.Fatalf("%d output rows with %s, %d without", len(full.rows), what, len(ref.rows))
 	}
-	for i := range linked.rows {
-		if !bytes.Equal(linked.rows[i], ref.rows[i]) {
-			t.Fatalf("output %d differs:\nlinked   %x\nunlinked %x", i, linked.rows[i], ref.rows[i])
+	for i := range full.rows {
+		if !bytes.Equal(full.rows[i], ref.rows[i]) {
+			t.Fatalf("output %d differs:\nwith %s    %x\nwithout %x", i, what, full.rows[i], ref.rows[i])
 		}
 	}
-	if a, b := linked.v.Stats(), ref.v.Stats(); a != b {
-		t.Fatalf("stats differ:\nlinked   %+v\nunlinked %+v", a, b)
+	if a, b := full.v.Stats(), ref.v.Stats(); a != b {
+		t.Fatalf("stats differ:\nwith %s    %+v\nwithout %+v", what, a, b)
 	}
-	if a, b := linked.v.SaveSnapshot(), ref.v.SaveSnapshot(); !bytes.Equal(a, b) {
-		t.Fatal("final tables serialize differently with and without links")
+	if a, b := full.v.SaveSnapshot(), ref.v.SaveSnapshot(); !bytes.Equal(a, b) {
+		t.Fatalf("final tables serialize differently with and without %s", what)
 	}
 }
 
@@ -286,7 +296,7 @@ func TestReverseLinkCases(t *testing.T) {
 	ka := FlowKey{Src: packet.MakeAddr(10, 0, 0, 1), Dst: packet.MakeAddr(10, 0, 0, 2), SPort: 100, DPort: 200}
 	kb := ka.Reverse()
 	mk := func(tb *Table, k FlowKey) *Flow {
-		f, _ := tb.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
+		f, _ := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
 		return f
 	}
 

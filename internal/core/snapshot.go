@@ -547,6 +547,10 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 			continue
 		}
 		f.mu.Lock()
+		if f.Key != r.Key { // swept and recycled since the probe (applyToLive)
+			f.mu.Unlock()
+			continue
+		}
 		f.PeerWScale = r.PeerWScale
 		f.WScaleKnown = r.WScaleKnown
 		f.GuestECN = r.GuestECN
@@ -639,6 +643,7 @@ func (v *VSwitch) resetTable() {
 // and RestoreSnapshot, by contrast, are safe from any goroutine.)
 func (v *VSwitch) Restart(snapshot []byte) {
 	v.resetTable()
+	v.trimParked(0) // the process died: its free list goes with the table
 	if v.sweepTimer != nil {
 		v.sweepTimer.Stop()
 	}

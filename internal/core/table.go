@@ -245,8 +245,10 @@ func (t *Table) ShardStats() (total, maxShard int) {
 	return total, maxShard
 }
 
-// Range calls fn for every flow; fn must not mutate the table. Iteration
-// holds one shard read-lock at a time.
+// Range calls fn for every flow; fn must not mutate the table, and must not
+// keep f past its return: once the shard lock is released the record can be
+// removed and recycled into another flow. Iteration holds one shard
+// read-lock at a time.
 func (t *Table) Range(fn func(*Flow)) {
 	for i := range t.shards {
 		s := &t.shards[i]

@@ -20,7 +20,7 @@ func tbTable(n int) *Table {
 	tab := NewTable()
 	for i := 0; i < n; i++ {
 		k := tbKey(i)
-		tab.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
+		tab.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
 	}
 	return tab
 }
@@ -96,7 +96,7 @@ func TestLenMatchesShardStats(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		k := tbKey(i)
-		tab.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
+		tab.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
 	}
 	check("insert")
 	for i := 0; i < 500; i += 3 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"acdc/internal/packet"
-	"acdc/internal/sim"
-)
+import "acdc/internal/packet"
 
 // DCTCP-friendly UDP tunnels — the future work §3.3 sketches ("we believe
 // it can be extended to handle UDP similar to prior schemes"). UDP has no
@@ -28,6 +25,23 @@ const udpFeedbackBytes = 18_000
 
 // udpTunnelQueueCap bounds the sender-side tunnel queue.
 const udpTunnelQueueCap = 256 << 10
+
+// tunnelState is what only a tunnel flow carries, kept off the Flow record
+// so that TCP flows do not pay for it.
+type tunnelState struct {
+	tq          []*packet.Packet // sender-side tunnel queue
+	tqBytes     int
+	fbLastTotal uint32 // receiver side: TotalBytes at last feedback
+	fbLastCE    bool
+}
+
+// tunnel returns f's tunnel state, made on first use. Caller holds f.mu.
+func (f *Flow) tunnel() *tunnelState {
+	if f.tun == nil {
+		f.tun = &tunnelState{}
+	}
+	return f.tun
+}
 
 // udpEgress is the sender-module path for guest datagrams.
 func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
@@ -56,14 +70,11 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 	}
 	f.lastActive = v.Sim.Now()
 	size := int64(p.IPLen())
+	tn := f.tunnel()
 
-	if f.inactivity == nil {
-		ff := f
-		f.inactivity = sim.NewTimer(v.Sim, func() { v.onUDPTimeout(ff) })
-	}
-	f.inactivity.ArmIfIdle(v.Cfg.VTimeout)
+	v.inactivityTimer(f).ArmIfIdle(v.Cfg.VTimeout)
 
-	if len(f.tq) == 0 && f.SndNxt-f.SndUna+size <= int64(f.CwndBytes) {
+	if len(tn.tq) == 0 && f.SndNxt-f.SndUna+size <= int64(f.CwndBytes) {
 		f.SndNxt += size
 		if infl := f.SndNxt - f.SndUna; infl > f.maxInflight {
 			f.maxInflight = infl
@@ -73,11 +84,11 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		}
 		return p, nil
 	}
-	if f.tqBytes+int(size) <= udpTunnelQueueCap {
+	if tn.tqBytes+int(size) <= udpTunnelQueueCap {
 		// Retained: the flow owns the datagram until the window opens (the
 		// egress-hook contract lets a consumed packet be kept).
-		f.tq = append(f.tq, p)
-		f.tqBytes += int(size)
+		tn.tq = append(tn.tq, p)
+		tn.tqBytes += int(size)
 		return nil, nil
 	}
 	v.Metrics.PolicingDrops.Inc()
@@ -111,12 +122,13 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 		f.MarkedBytes += uint32(p.IPLen())
 		v.Metrics.CEBytes.Add(int64(p.IPLen()))
 	}
-	needFb := f.TotalBytes-f.fbLastTotal >= udpFeedbackBytes ||
-		(ip.ECN() == packet.CE) != f.fbLastCE
+	tn := f.tunnel()
+	needFb := f.TotalBytes-tn.fbLastTotal >= udpFeedbackBytes ||
+		(ip.ECN() == packet.CE) != tn.fbLastCE
 	var fb *packet.Packet
 	if needFb {
-		f.fbLastTotal = f.TotalBytes
-		f.fbLastCE = ip.ECN() == packet.CE
+		tn.fbLastTotal = f.TotalBytes
+		tn.fbLastCE = ip.ECN() == packet.CE
 		fb = v.buildUDPFeedbackLocked(f)
 		v.Metrics.FacksSent.Inc()
 	}
@@ -205,14 +217,15 @@ func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
 // drainTunnelLocked releases queued datagrams into the opened window.
 func (v *VSwitch) drainTunnelLocked(f *Flow) []*packet.Packet {
 	var out []*packet.Packet
-	for len(f.tq) > 0 {
-		p := f.tq[0]
+	tn := f.tunnel()
+	for len(tn.tq) > 0 {
+		p := tn.tq[0]
 		size := int64(p.IPLen())
 		if f.SndNxt-f.SndUna+size > int64(f.CwndBytes) {
 			break
 		}
-		f.tq = f.tq[1:]
-		f.tqBytes -= int(size)
+		tn.tq = tn.tq[1:]
+		tn.tqBytes -= int(size)
 		f.SndNxt += size
 		if infl := f.SndNxt - f.SndUna; infl > f.maxInflight {
 			f.maxInflight = infl
@@ -229,7 +242,7 @@ func (v *VSwitch) drainTunnelLocked(f *Flow) []*packet.Packet {
 // lost (or the receiver vanished), collapse the window, restart.
 func (v *VSwitch) onUDPTimeout(f *Flow) {
 	f.mu.Lock()
-	if f.SndUna >= f.SndNxt && len(f.tq) == 0 {
+	if f.SndUna >= f.SndNxt && len(f.tunnel().tq) == 0 {
 		f.mu.Unlock()
 		return
 	}

@@ -10,7 +10,10 @@
 //   - Flow-table leak: after the workloads stop and the simulation drains
 //     past the idle timeout, every vSwitch flow table must be empty. An
 //     entry that survives the drain has no connection behind it — state that
-//     would pin memory for the lifetime of a real hypervisor.
+//     would pin memory for the lifetime of a real hypervisor. The same goes
+//     for the vSwitches' free lists of flow records: every sweep trims them
+//     to the flows created since the one before, so after a drain without
+//     arrivals a record still parked is held by nothing but a broken trim.
 //   - Monotone-counter drift: datapath counters only count up. A sampler
 //     scrapes the merged metrics during the run; any counter that regresses
 //     between samples is corruption (double accounting, a racy reset).
@@ -63,6 +66,13 @@ const (
 	// the window (Eq. 1 factor > 1) and the always-on state-transition
 	// audit catches it. Models an unsanitized policy install path.
 	DefectHostileBeta Defect = "hostile-beta"
+	// DefectPhantomDemand keeps opening and closing a synthetic connection
+	// through host 0's datapath, drain included, so every sweep sees flows
+	// created and the trim keeps records parked to the end. Models a free
+	// list that is no longer trimmed; core has no switch that skips the trim
+	// (and gets none for a self-test), so the defect feeds it instead, and
+	// its connections trip the flow-table gate as well.
+	DefectPhantomDemand Defect = "phantom-demand"
 )
 
 // Config parameterizes a soak run. The zero value is a sensible short soak;
@@ -168,6 +178,7 @@ type Report struct {
 	Arrivals, Departs int // tenant churn events
 	FlowsHighWater    int
 	LeakedFlows       int
+	ParkedRecords     int   // flow records still on vSwitch free lists after the drain
 	AllocatedWarm     int64 // sim.Allocated() after warm-up
 	AllocatedEnd      int64
 	GoroutineBase     int
@@ -189,8 +200,8 @@ func (r *Report) String() string {
 		r.Updates, r.Rejects, r.HostileAttempts, r.FailOpenAttempts, r.Restarts, r.FaultFlips)
 	fmt.Fprintf(&b, "  churn: %d arrivals, %d departures, flow high-water %d\n",
 		r.Arrivals, r.Departs, r.FlowsHighWater)
-	fmt.Fprintf(&b, "  gates: leaked-flows=%d drift=%d alloc=%d->%d goroutines=%d->%d audit=%d\n",
-		r.LeakedFlows, len(r.Drift), r.AllocatedWarm, r.AllocatedEnd,
+	fmt.Fprintf(&b, "  gates: leaked-flows=%d parked-records=%d drift=%d alloc=%d->%d goroutines=%d->%d audit=%d\n",
+		r.LeakedFlows, r.ParkedRecords, len(r.Drift), r.AllocatedWarm, r.AllocatedEnd,
 		r.GoroutineBase, r.GoroutineEnd, r.AuditViolations)
 	if !r.Failed() {
 		b.WriteString("  PASS: no leaks, no drift, no violations\n")
@@ -258,8 +269,11 @@ func Run(cfg Config) *Report {
 		Hot:     0,
 	})
 	crowd.Start()
-	if cfg.Inject == DefectUndeadFlow {
+	switch cfg.Inject {
+	case DefectUndeadFlow:
 		injectUndeadFlow(d.Net().ACDC[0], d.Net().Sim)
+	case DefectPhantomDemand:
+		injectPhantomDemand(d.Net().ACDC[0], d.Net().Sim)
 	}
 
 	d.Start()
@@ -271,7 +285,13 @@ func Run(cfg Config) *Report {
 	if err := d.Exec(func() { churn.Stop(); crowd.Stop() }); err != nil {
 		r.failf("stopping workloads: %v", err)
 	}
-	if err := d.Exec(func() { d.Net().Sim.RunFor(600 * sim.Millisecond) }); err != nil {
+	// The free lists belong to the simulation goroutine: read them there.
+	if err := d.Exec(func() {
+		d.Net().Sim.RunFor(600 * sim.Millisecond)
+		for _, v := range d.Net().ACDC {
+			r.ParkedRecords += v.ParkedFlows()
+		}
+	}); err != nil {
 		r.failf("drain: %v", err)
 	}
 
@@ -307,6 +327,9 @@ func Run(cfg Config) *Report {
 func gate(cfg Config, r *Report) {
 	if r.LeakedFlows > 0 {
 		r.failf("flow-table leak: %d entries survived the post-workload drain", r.LeakedFlows)
+	}
+	if r.ParkedRecords > 0 {
+		r.failf("flow-record leak: %d records still parked on vSwitch free lists after the drain", r.ParkedRecords)
 	}
 	for _, dr := range r.Drift {
 		r.failf("counter drift: %s", dr)
@@ -483,6 +506,31 @@ func injectUndeadFlow(v *core.VSwitch, s *sim.Simulator) {
 		s.ScheduleFunc(50*sim.Millisecond, keepalive)
 	}
 	s.ScheduleFunc(0, keepalive)
+}
+
+// injectPhantomDemand opens and closes one synthetic connection through host
+// 0's datapath every 5ms of virtual time, forever: SYN out, FIN out, FIN in —
+// two records, closed, with nothing behind them. Each sweep collects the ones
+// old enough and, having seen new ones created, keeps records parked for the
+// next. Scheduled like injectUndeadFlow.
+func injectPhantomDemand(v *core.VSwitch, s *sim.Simulator) {
+	src := packet.MakeAddr(10, 99, 99, 1)
+	dst := packet.MakeAddr(10, 99, 99, 2)
+	port := uint16(0)
+	var cycle func()
+	cycle = func() {
+		port++
+		sp := 20000 + port%20000
+		const ack, fin = packet.FlagACK, packet.FlagFIN
+		v.Egress(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
+			SrcPort: sp, DstPort: 49998, Seq: 1000, Flags: packet.FlagSYN, Window: 65535}, 0))
+		v.Egress(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
+			SrcPort: sp, DstPort: 49998, Seq: 1001, Ack: 1, Flags: ack | fin, Window: 65535}, 0))
+		v.Ingress(packet.Build(dst, src, packet.NotECT, packet.TCPFields{
+			SrcPort: 49998, DstPort: sp, Seq: 1, Ack: 1002, Flags: ack | fin, Window: 65535}, 0))
+		s.ScheduleFunc(5*sim.Millisecond, cycle)
+	}
+	s.ScheduleFunc(0, cycle)
 }
 
 // injectMidRun applies the wall-clock-timed defects from the controller

@@ -91,3 +91,13 @@ func TestSoakCatchesHostileBeta(t *testing.T) {
 		t.Fatalf("audit failure without a violation count:\n%s", r)
 	}
 }
+
+func TestSoakCatchesParkedRecords(t *testing.T) {
+	r := Run(Config{Duration: dur(t, 2*time.Second), Inject: DefectPhantomDemand, Log: t.Logf})
+	if !hasFailure(r, "flow-record leak") {
+		t.Fatalf("records parked after the drain not detected:\n%s", r)
+	}
+	if r.ParkedRecords == 0 {
+		t.Fatalf("leak reported without a parked-record count:\n%s", r)
+	}
+}

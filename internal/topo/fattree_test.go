@@ -1,10 +1,14 @@
 package topo
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"acdc/internal/core"
 	"acdc/internal/faults"
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
@@ -339,5 +343,100 @@ func TestFatTreeStridePinsParentCommit(t *testing.T) {
 	if net.Sim.Processed != wantProcessed || marks != wantMarks || recv != wantRecv {
 		t.Fatalf("stride run: processed=%d marks=%d recv=%v, parent commit gave %d/%d/%v",
 			net.Sim.Processed, marks, recv, wantProcessed, wantMarks, wantRecv)
+	}
+}
+
+// TestACDCChurnPinsParentCommit pins a closed-loop connection-churn run
+// through AC/DC vSwitches (17-host star, CUBIC guests, 68 clients that dial,
+// send one message, close both ends and dial again for 60 ms; GCInterval 5 ms,
+// IdleTimeout 20 ms, and a MaxFlows the table reaches, so the lazy sweep and
+// pressure eviction both run) to the event count, the sum of every vSwitch's
+// counters and the bytes of host 0's checkpoint, all measured on the commit
+// before flow records were recycled: a record that comes back with state from
+// its previous flow, or a flow created, swept or evicted at a different
+// packet, changes at least one of them.
+func TestACDCChurnPinsParentCommit(t *testing.T) {
+	const hosts, perHost, port, maxFlows = 17, 4, 5001, 1500
+	ac := core.DefaultConfig()
+	ac.MTU = 1500
+	ac.IdleTimeout = 20 * sim.Millisecond
+	ac.GCInterval = 5 * sim.Millisecond
+	ac.MaxFlows = maxFlows
+	g := tcpstack.DefaultConfig()
+	g.MTU, g.CC, g.ECN = 1500, "cubic", tcpstack.ECNOff
+	net := Star(hosts, Options{Guest: g, ACDC: &ac,
+		RED: netsim.REDConfig{MarkThresholdBytes: DefaultMarkThreshold}})
+
+	type cliKey struct {
+		addr packet.Addr
+		port uint16
+	}
+	rng := rand.New(rand.NewSource(3))
+	want := make(map[cliKey]func(*tcpstack.Conn))
+	for _, st := range net.Stacks {
+		st.Listen(port, func(srv *tcpstack.Conn) {
+			a, p := srv.RemoteAddr()
+			attach := want[cliKey{a, p}]
+			delete(want, cliKey{a, p})
+			attach(srv)
+		})
+	}
+	stopped := false
+	var request func(host int)
+	request = func(host int) {
+		if stopped {
+			return
+		}
+		to := rng.Intn(hosts - 1)
+		if to >= host {
+			to++
+		}
+		size := int64(1 + rng.Intn(40_000))
+		c := net.Stacks[host].Dial(net.Addr(to), port)
+		want[cliKey{net.Addr(host), c.LocalPort()}] = func(srv *tcpstack.Conn) {
+			srv.OnRecv = func(int) {
+				if srv.Delivered != size {
+					return
+				}
+				// Close from a fresh event, not from inside the receive path.
+				net.Sim.Schedule(0, func() {
+					c.Close()
+					srv.Close()
+					request(host)
+				})
+			}
+		}
+		c.Send(size)
+	}
+	for c := 0; c < hosts*perHost; c++ {
+		request(c % hosts)
+	}
+	net.Sim.RunFor(60 * sim.Millisecond)
+	stopped = true
+
+	// core.Stats is all int64 counters; summing field by field keeps the pin
+	// one struct literal.
+	var sum core.Stats
+	sv := reflect.ValueOf(&sum).Elem()
+	for _, v := range net.ACDC {
+		st := reflect.ValueOf(v.Stats())
+		for i := 0; i < sv.NumField(); i++ {
+			sv.Field(i).SetInt(sv.Field(i).Int() + st.Field(i).Int())
+		}
+	}
+	snap := sha256.Sum256(net.ACDC[0].SaveSnapshot())
+	sum.SnapshotSaves = 0 // the save above, not the run
+
+	const wantProcessed = 4197626
+	wantStats := core.Stats{FlowsCreated: 142743, FlowsRemoved: 118946, PacksAttached: 327140,
+		PacksConsumed: 326980, RwndRewrites: 962974, UntrackedSegs: 71, EgressSegs: 1034831,
+		IngressSegs: 1034401, FlowsEvicted: 80867, PressureSweeps: 2896}
+	const wantSnap = "08291e4b81b4ac25cb44fc36481dba77bd0f17e6221c99d6a585004a071a2187"
+	if got := hex.EncodeToString(snap[:]); net.Sim.Processed != wantProcessed || sum != wantStats || got != wantSnap {
+		t.Fatalf("AC/DC churn run: processed=%d\nstats=%+v\nsnapshot sha256=%s\nparent commit gave %d\n%+v\n%s",
+			net.Sim.Processed, sum, got, wantProcessed, wantStats, wantSnap)
+	}
+	if sum.FlowsEvicted == 0 || sum.FlowsRemoved <= sum.FlowsEvicted {
+		t.Fatalf("the run must exercise both pressure eviction and the lazy sweep: %+v", sum)
 	}
 }
