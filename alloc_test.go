@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"acdc/internal/audit"
-	"acdc/internal/benchkit"
 	"acdc/internal/core"
 	"acdc/internal/faults"
 	"acdc/internal/netsim"
@@ -23,120 +22,146 @@ import (
 	"acdc/internal/workload"
 )
 
-// TestSenderDatapathZeroAlloc drives the Figure 11 sender-side loop
-// (egress data + ingress PACK-carrying ACK) through an established flow.
-// The fixture attaches no auditor, so this also pins that the nil-auditor
-// branch in EgressPath/IngressPath costs zero allocations.
-func TestSenderDatapathZeroAlloc(t *testing.T) {
-	ob := newOverheadBench(64)
-	f := 0
-	// Warm the pool and the flow state once before measuring.
-	round := func() {
-		benchkit.BumpSeq(ob.Data[f], 1460)
-		ob.V.EgressPath(ob.Data[f])
-		benchkit.BumpSeq(ob.Acks[f], 0)
-		ob.CloneIngress(ob.Acks[f])
-		f = (f + 1) % 64
-	}
-	for i := 0; i < 128; i++ {
-		round() // touch every flow so first-packet state is all built
-	}
-	if n := testing.AllocsPerRun(200, round); n != 0 {
-		t.Errorf("sender steady-state datapath: %v allocs/op, want 0", n)
-	}
+// dpFlows is the connection count of the datapath fixture: a round-robin
+// over 64 flows touches more than one hot record, and sets up in microseconds.
+const dpFlows = 64
+
+// datapathFixture is dpFlows established connections through one
+// core.Attach'ed host, driven like TestFlowCycleZeroAlloc: every packet comes
+// from the host's pool, takes EgressPath or IngressPath, and whatever comes
+// out goes back to the pool. The local end of each connection sends (sender
+// module: data out, PACK-carrying ACK in) and receives (receiver module: data
+// in, ACK out with the PACK attached in place).
+type datapathFixture struct {
+	v           *core.VSwitch
+	pool        *packet.Pool
+	local, peer packet.Addr
+	sent, rcvd  [dpFlows]uint32 // payload bytes each direction has carried
+	pack        [packet.PACKOptionLen]byte
+	next        int // flow of the next round
 }
 
-// TestReceiverDatapathZeroAlloc drives the Figure 12 receiver-side loop
-// (ingress data + egress ACK with in-place PACK attach).
-func TestReceiverDatapathZeroAlloc(t *testing.T) {
-	ob := newOverheadBench(64)
-	f := 0
-	round := func() {
-		benchkit.BumpSeq(ob.InData[f], 1460)
-		ob.V.IngressPath(ob.InData[f])
-		ob.CloneEgress(ob.OutAck[f])
-		f = (f + 1) % 64
+// dpMSS is the fixture's segment payload at its 1500-byte MTU, the paper's
+// worst case (the most packets per byte).
+const dpMSS = 1460
+
+func newDatapathFixture() *datapathFixture {
+	s := sim.New(1)
+	d := &datapathFixture{local: packet.MakeAddr(10, 0, 0, 1), peer: packet.MakeAddr(10, 0, 0, 2)}
+	host := netsim.NewHost(s, "h", d.local)
+	host.Pool = packet.NewPool()
+	cfg := core.DefaultConfig()
+	cfg.MTU = 1500
+	d.v, d.pool = core.Attach(s, host, cfg), host.Pool
+	syn := packet.BuildSynOptions(dpMSS, 7, true)
+	for f := range dpFlows {
+		d.send(true, f, packet.NotECT, packet.TCPFields{Flags: packet.FlagSYN, Options: syn}, 0)
+		d.send(false, f, packet.NotECT, packet.TCPFields{Ack: 1, Flags: packet.FlagSYN | packet.FlagACK, Options: syn}, 0)
 	}
-	for i := 0; i < 128; i++ {
+	return d
+}
+
+// send builds one segment of flow f, outbound (local → peer, EgressPath) or
+// inbound (IngressPath), and puts what the datapath hands on back in the
+// pool — the segment itself when it was consumed, as Host.HandlePacket does.
+func (d *datapathFixture) send(out bool, f int, ecn packet.ECN, tf packet.TCPFields, payload int) {
+	src, dst := d.local, d.peer
+	tf.SrcPort, tf.DstPort, tf.Window = uint16(30000+f), 5001, 65535
+	hook := d.v.EgressPath
+	if !out {
+		src, dst = d.peer, d.local
+		tf.SrcPort, tf.DstPort = 5001, uint16(30000+f)
+		hook = d.v.IngressPath
+	}
+	p := packet.BuildIn(d.pool, src, dst, ecn, tf, payload)
+	res, extra := hook(p)
+	if res == nil && extra == nil {
+		res = p
+	}
+	d.pool.Put(res)
+	d.pool.Put(extra)
+}
+
+// senderRound is one Figure 11 round on the next flow: a data segment out,
+// then the peer's ACK of it carrying the PACK totals its vSwitch would have
+// counted, a quarter of the bytes CE-marked.
+func (d *datapathFixture) senderRound() {
+	f := d.next
+	d.next = (f + 1) % dpFlows
+	const ack = packet.FlagACK
+	d.send(true, f, packet.NotECT, packet.TCPFields{Seq: 1 + d.sent[f], Ack: 1, Flags: ack | packet.FlagPSH}, dpMSS)
+	d.sent[f] += dpMSS
+	packet.EncodePACK(d.pack[:], packet.PACKInfo{TotalBytes: d.sent[f], MarkedBytes: d.sent[f] / 4})
+	d.send(false, f, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 1 + d.sent[f], Flags: ack, Options: d.pack[:]}, 0)
+}
+
+// receiverRound is one Figure 12 round on the next flow: a data segment in,
+// every fourth one CE-marked, then the guest's ACK of it out, which leaves
+// with the running totals attached as a PACK.
+func (d *datapathFixture) receiverRound() {
+	f := d.next
+	d.next = (f + 1) % dpFlows
+	const ack = packet.FlagACK
+	ecn := packet.ECT0
+	if d.rcvd[f]%(4*dpMSS) == 0 {
+		ecn = packet.CE
+	}
+	d.send(false, f, ecn, packet.TCPFields{Seq: 1 + d.rcvd[f], Ack: 1, Flags: ack | packet.FlagPSH}, dpMSS)
+	d.rcvd[f] += dpMSS
+	d.send(true, f, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 1 + d.rcvd[f], Flags: ack}, 0)
+}
+
+// pinZeroAlloc warms round over every flow twice, so first-packet state is
+// built, then requires the steady state to allocate nothing. It also requires
+// the rounds to have done the datapath's work, so a fixture that silently
+// fails open cannot pass.
+func pinZeroAlloc(t *testing.T, d *datapathFixture, what string, round func()) {
+	t.Helper()
+	for range 2 * dpFlows {
 		round()
 	}
 	if n := testing.AllocsPerRun(200, round); n != 0 {
-		t.Errorf("receiver steady-state datapath: %v allocs/op, want 0", n)
+		t.Errorf("%s: %v allocs/op, want 0", what, n)
+	}
+	st := d.v.Stats()
+	if st.FailOpen != 0 || st.UntrackedSegs != 0 || st.FlowsCreated != 2*dpFlows {
+		t.Errorf("%s: %d failed open, %d untracked, %d flows created (want %d)",
+			what, st.FailOpen, st.UntrackedSegs, st.FlowsCreated, 2*dpFlows)
+	}
+	if out := d.pool.Gets - d.pool.Puts; out != 0 {
+		t.Errorf("%s: %d packets not returned to the pool", what, out)
+	}
+}
+
+// TestSenderDatapathZeroAlloc drives the Figure 11 sender-side rounds. The
+// fixture attaches no auditor, so this also pins that the nil-auditor branch
+// in EgressPath/IngressPath costs zero allocations.
+func TestSenderDatapathZeroAlloc(t *testing.T) {
+	d := newDatapathFixture()
+	pinZeroAlloc(t, d, "sender steady-state datapath", d.senderRound)
+	if st := d.v.Stats(); st.PacksConsumed == 0 || st.RwndRewrites == 0 {
+		t.Errorf("sender rounds consumed %d PACKs and rewrote %d windows; want both > 0", st.PacksConsumed, st.RwndRewrites)
+	}
+}
+
+// TestReceiverDatapathZeroAlloc drives the Figure 12 receiver-side rounds
+// (ingress data, egress ACK with in-place PACK attach).
+func TestReceiverDatapathZeroAlloc(t *testing.T) {
+	d := newDatapathFixture()
+	pinZeroAlloc(t, d, "receiver steady-state datapath", d.receiverRound)
+	if st := d.v.Stats(); st.PacksAttached == 0 || st.FacksSent != 0 {
+		t.Errorf("receiver rounds attached %d PACKs and sent %d FACKs; want PACKs only", st.PacksAttached, st.FacksSent)
 	}
 }
 
 // TestAuditedDatapathZeroAlloc attaches the invariant auditor and drives the
-// same sender loop: a violation-free audit must also be allocation-free —
-// event structs are populated on the stack and passed by value, and the lazy
+// sender rounds: a violation-free audit must also be allocation-free — event
+// structs are populated on the stack and passed by value, and the lazy
 // violation counters are never touched on the clean path.
 func TestAuditedDatapathZeroAlloc(t *testing.T) {
-	ob := newOverheadBench(64)
-	audit.Attach(ob.V, audit.Config{Panic: true}) // any violation fails loudly
-	f := 0
-	round := func() {
-		ob.SenderRound(f)
-		f = (f + 1) % 64
-	}
-	for i := 0; i < 128; i++ {
-		round()
-	}
-	if n := testing.AllocsPerRun(200, round); n != 0 {
-		t.Errorf("audited steady-state datapath: %v allocs/op, want 0", n)
-	}
-}
-
-// TestSenderBatchDatapathZeroAlloc pins the batch entry points: a 32-packet
-// burst through EgressBatch + IngressBatch must be allocation-free once the
-// vSwitch batch scratch (meta/keys/flows/pair slices) has grown to burst
-// size. The per-packet pins above stay as the batch-of-1 fallback guard.
-func TestSenderBatchDatapathZeroAlloc(t *testing.T) {
-	ob := newOverheadBench(64)
-	f := 0
-	round := func() {
-		ob.SenderRoundBatch(f, 32)
-		f = (f + 32) % 64
-	}
-	for i := 0; i < 128; i++ {
-		round()
-	}
-	if n := testing.AllocsPerRun(200, round); n != 0 {
-		t.Errorf("sender batch datapath: %v allocs/op, want 0", n)
-	}
-}
-
-// TestReceiverBatchDatapathZeroAlloc is the receiver-side batch pin.
-func TestReceiverBatchDatapathZeroAlloc(t *testing.T) {
-	ob := newOverheadBench(64)
-	f := 0
-	round := func() {
-		ob.ReceiverRoundBatch(f, 32)
-		f = (f + 32) % 64
-	}
-	for i := 0; i < 128; i++ {
-		round()
-	}
-	if n := testing.AllocsPerRun(200, round); n != 0 {
-		t.Errorf("receiver batch datapath: %v allocs/op, want 0", n)
-	}
-}
-
-// TestAuditedBatchDatapathZeroAlloc: the audited batch path brackets every
-// burst element with CapturePre/PacketEvent exactly like the per-packet path,
-// and a clean audit must stay allocation-free there too.
-func TestAuditedBatchDatapathZeroAlloc(t *testing.T) {
-	ob := newOverheadBench(64)
-	audit.Attach(ob.V, audit.Config{Panic: true})
-	f := 0
-	round := func() {
-		ob.SenderRoundBatch(f, 32)
-		f = (f + 32) % 64
-	}
-	for i := 0; i < 128; i++ {
-		round()
-	}
-	if n := testing.AllocsPerRun(200, round); n != 0 {
-		t.Errorf("audited batch datapath: %v allocs/op, want 0", n)
-	}
+	d := newDatapathFixture()
+	audit.Attach(d.v, audit.Config{Panic: true}) // any violation fails loudly
+	pinZeroAlloc(t, d, "audited steady-state datapath", d.senderRound)
 }
 
 // TestPoolCloneReleaseZeroAlloc pins the pool round trip itself.
@@ -154,45 +179,6 @@ func TestPoolCloneReleaseZeroAlloc(t *testing.T) {
 	}
 	if pool.News > 1 {
 		t.Errorf("pool allocated %d fresh packets for a 1-deep working set", pool.News)
-	}
-}
-
-// TestStreamDatapathZeroAlloc pins the train-stream fixtures behind the batch
-// scaling curve (the headline perpacket-vs-batch comparison): both consumers
-// of the shared stream must be allocation-free in steady state.
-func TestStreamDatapathZeroAlloc(t *testing.T) {
-	obP := benchkit.NewOverheadBenchTrains(64, 8)
-	for i := 0; i < 64*8*2; i++ {
-		obP.SenderStreamRound() // visit every flow/train slot once
-	}
-	if n := testing.AllocsPerRun(200, obP.SenderStreamRound); n != 0 {
-		t.Errorf("sender stream per-packet: %v allocs/op, want 0", n)
-	}
-
-	obB := benchkit.NewOverheadBenchTrains(64, 8)
-	roundB := func() { obB.SenderStreamBatch(32) }
-	for i := 0; i < 64; i++ {
-		roundB()
-	}
-	if n := testing.AllocsPerRun(200, roundB); n != 0 {
-		t.Errorf("sender stream batch: %v allocs/op, want 0", n)
-	}
-
-	obR := benchkit.NewOverheadBenchTrains(64, 8)
-	for i := 0; i < 64*8*2; i++ {
-		obR.ReceiverStreamRound()
-	}
-	if n := testing.AllocsPerRun(200, obR.ReceiverStreamRound); n != 0 {
-		t.Errorf("receiver stream per-packet: %v allocs/op, want 0", n)
-	}
-
-	obRB := benchkit.NewOverheadBenchTrains(64, 8)
-	roundRB := func() { obRB.ReceiverStreamBatch(32) }
-	for i := 0; i < 64; i++ {
-		roundRB()
-	}
-	if n := testing.AllocsPerRun(200, roundRB); n != 0 {
-		t.Errorf("receiver stream batch: %v allocs/op, want 0", n)
 	}
 }
 

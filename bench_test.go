@@ -1,11 +1,12 @@
 package acdc
 
 // One benchmark per table and figure in the paper's evaluation (§5), plus
-// the Figure 11/12 datapath-overhead microbenchmarks and the ablation
-// benches called out in DESIGN.md §5. Simulation benches run a shortened
-// version of the corresponding experiment per iteration and report the
-// headline quantity via b.ReportMetric, so `go test -bench=.` regenerates
-// the whole evaluation; `cmd/acdcsim` produces the full tables.
+// the ablation benches called out in DESIGN.md §5. Simulation benches run a
+// shortened version of the corresponding experiment per iteration and report
+// the headline quantity via b.ReportMetric, so `go test -bench=.` regenerates
+// the whole evaluation; `cmd/acdcsim` produces the full tables. The Figure
+// 11/12 per-packet datapath cost is measured by bench/'s core.*_ns_per_pkt
+// probes.
 
 import (
 	"encoding/binary"
@@ -13,13 +14,11 @@ import (
 	"sync"
 	"testing"
 
-	"acdc/internal/benchkit"
 	"acdc/internal/core"
 	"acdc/internal/experiments"
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
-	"acdc/internal/stats"
 	"acdc/internal/tcpstack"
 	"acdc/internal/topo"
 	"acdc/internal/udp"
@@ -112,198 +111,6 @@ func BenchmarkFig23Traces(b *testing.B) {
 func BenchmarkTable1Variants(b *testing.B) {
 	quickExperiment(b, "table1",
 		"cubics_mtu9000_rtt_p50_us", "dctcps_mtu9000_rtt_p50_us", "cubic_mtu9000_rtt_p50_us")
-}
-
-// --- Figures 11 & 12: datapath computational overhead ---
-//
-// The paper measures whole-system CPU with sar and reports < 1 percentage
-// point of overhead. Here we measure the per-segment cost of the AC/DC
-// datapath directly, against a baseline that parses headers the way any
-// vSwitch must, across flow-table populations from 100 to 10,000. The
-// fixture lives in internal/benchkit so cmd/acdcbench reports exactly the
-// same loops.
-
-func newOverheadBench(nFlows int) *benchkit.OverheadBench {
-	return benchkit.NewOverheadBench(nFlows)
-}
-
-var overheadSizes = []int{100, 500, 1000, 5000, 10000}
-
-func BenchmarkFig11SenderOverhead(b *testing.B) {
-	for _, n := range overheadSizes {
-		ob := newOverheadBench(n)
-		b.Run(fmt.Sprintf("acdc/flows=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := i % n
-				benchkit.BumpSeq(ob.Data[f], 1460)
-				ob.V.EgressPath(ob.Data[f])
-				benchkit.BumpSeq(ob.Acks[f], 0)
-				ob.CloneIngress(ob.Acks[f])
-			}
-		})
-		b.Run(fmt.Sprintf("baseline/flows=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := i % n
-				benchkit.BumpSeq(ob.Data[f], 1460)
-				benchkit.BaselineForward(ob.Data[f])
-				q := ob.Pool.Clone(ob.Acks[f])
-				benchkit.BaselineForward(q)
-				ob.Pool.Put(q)
-			}
-		})
-	}
-}
-
-func BenchmarkFig12ReceiverOverhead(b *testing.B) {
-	for _, n := range overheadSizes {
-		ob := newOverheadBench(n)
-		b.Run(fmt.Sprintf("acdc/flows=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := i % n
-				benchkit.BumpSeq(ob.InData[f], 1460)
-				ob.V.IngressPath(ob.InData[f])
-				ob.CloneEgress(ob.OutAck[f])
-			}
-		})
-		b.Run(fmt.Sprintf("baseline/flows=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f := i % n
-				benchkit.BumpSeq(ob.InData[f], 1460)
-				benchkit.BaselineForward(ob.InData[f])
-				q := ob.Pool.Clone(ob.OutAck[f])
-				benchkit.BaselineForward(q)
-				ob.Pool.Put(q)
-			}
-		})
-	}
-}
-
-// batchSizes is the batch-size scaling curve: batch=1 exercises the
-// per-packet fallback inside the batch entry points; 8/32/128 show how much
-// of the per-packet cost (lookups, shard locks, metric increments) the batch
-// path amortizes.
-var batchSizes = []int{1, 8, 32, 128}
-
-// batchTrain is the per-flow train length of the batch benchmark stream: a
-// burst handed to the datapath is consecutive segments of the same flow in
-// trains of 8 (the shape a ring drain of a sender's cwnd burst or a
-// GRO-coalesced receive produces), cycling through all 10k flows. The
-// perpacket subbenchmark consumes the identical stream one packet at a time,
-// so the two differ only in the processing API.
-const batchTrain = 8
-
-// BenchmarkFig11SenderBatch is the Figure 11 sender-side loop through
-// EgressBatch/IngressBatch at 10k flows, across the batch-size curve. Each
-// batch=k iteration processes 2·k packets (k data segments out, k
-// PACK-carrying ACKs in); divide ns/op by 2·k for ns/packet and compare
-// against the perpacket subbenchmark (2 packets per iteration).
-func BenchmarkFig11SenderBatch(b *testing.B) {
-	const n = 10000
-	ob := benchkit.NewOverheadBenchTrains(n, batchTrain)
-	b.Run(fmt.Sprintf("perpacket/flows=%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ob.SenderStreamRound()
-		}
-	})
-	for _, k := range batchSizes {
-		b.Run(fmt.Sprintf("batch=%d/flows=%d", k, n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ob.SenderStreamBatch(k)
-			}
-		})
-	}
-}
-
-// BenchmarkFig12ReceiverBatch is the receiver-side counterpart.
-func BenchmarkFig12ReceiverBatch(b *testing.B) {
-	const n = 10000
-	ob := benchkit.NewOverheadBenchTrains(n, batchTrain)
-	b.Run(fmt.Sprintf("perpacket/flows=%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ob.ReceiverStreamRound()
-		}
-	})
-	for _, k := range batchSizes {
-		b.Run(fmt.Sprintf("batch=%d/flows=%d", k, n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ob.ReceiverStreamBatch(k)
-			}
-		})
-	}
-}
-
-// BenchmarkTier100kBatch is the 100k-flow tier: sender-side rounds through a
-// table holding 200k entries (two directions per flow), per-packet vs
-// batch=32. The 1M tier lives in cmd/acdcbench (too slow to set up per `go
-// test` run); this one doubles as the CI batching-regression smoke.
-func BenchmarkTier100kBatch(b *testing.B) {
-	const n = 100_000
-	ob := benchkit.NewTierBench(n)
-	b.Run("perpacket", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ob.SenderRound(i % n)
-		}
-	})
-	b.Run("batch=32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ob.SenderRoundBatch((i*32)%n, 32)
-		}
-	})
-}
-
-// BenchmarkDatapathWithMetrics isolates the cost of the observability layer:
-// the Figure 11 sender-side loop with the metrics registry enabled (the
-// default) versus DisableMetrics (every instrument nil, updates compile to a
-// predicted branch). The enabled/disabled delta is the metrics overhead and
-// must stay under 5% of the per-segment datapath cost.
-func BenchmarkDatapathWithMetrics(b *testing.B) {
-	for _, n := range []int{100, 10000} {
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"enabled", false}, {"disabled", true}} {
-			ob := benchkit.NewOverheadBenchCfg(n, func(c *core.Config) { c.DisableMetrics = mode.disable })
-			b.Run(fmt.Sprintf("%s/flows=%d", mode.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					f := i % n
-					benchkit.BumpSeq(ob.Data[f], 1460)
-					ob.V.EgressPath(ob.Data[f])
-					benchkit.BumpSeq(ob.Acks[f], 0)
-					ob.CloneIngress(ob.Acks[f])
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig11Concurrent drives the sender-side datapath from multiple
-// goroutines, the way OVS processes multiple NIC queues, exercising the
-// sharded flow table.
-func BenchmarkFig11Concurrent(b *testing.B) {
-	ob := newOverheadBench(10000)
-	// The packet pool is single-threaded by design; detach it so concurrent
-	// clones fall back to plain (thread-safe) allocation.
-	ob.V.Host.Pool = nil
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			i++
-			f := (i * 7) % 10000
-			ob.V.IngressPath(ob.Acks[f].Clone())
-		}
-	})
 }
 
 // --- Ablations (DESIGN.md §5) ---
@@ -475,24 +282,6 @@ func BenchmarkAblationRwndFloor(b *testing.B) {
 			b.ReportMetric(rtt, "rtt_p50_ms")
 		})
 	}
-}
-
-// Sanity: the overhead bench fixture produces live state.
-func TestOverheadBenchFixture(t *testing.T) {
-	ob := newOverheadBench(100)
-	if ob.V.Table.Len() < 200 { // two directions per flow
-		t.Fatalf("fixture table has %d entries", ob.V.Table.Len())
-	}
-	out := ob.V.Ingress(ob.Acks[0].Clone())
-	if len(out) != 1 {
-		t.Fatal("ACK consumed unexpectedly")
-	}
-	if ob.V.Stats().PacksConsumed == 0 {
-		t.Fatal("PACK not consumed")
-	}
-	var sm stats.Sample
-	sm.Add(1)
-	_ = sm
 }
 
 // BenchmarkExtensionUDPTunnel measures the future-work UDP tunnel: a

@@ -74,14 +74,11 @@ func main() {
 		fmt.Printf("%10v  h%d %s  %v%s\n", net.Sim.Now(), host, dir, after, notes)
 	}
 
-	// Interpose around the (possibly AC/DC) hooks on both hosts. The batch
-	// hooks are nilled so every packet — bursts included — funnels through
-	// the per-packet wrappers below and gets traced.
+	// Interpose around the (possibly AC/DC) hooks on both hosts.
 	for i := range net.Hosts {
 		i := i
 		h := net.Hosts[i]
 		innerE, innerI := h.Egress, h.Ingress
-		h.EgressBatch, h.IngressBatch = nil, nil
 		h.Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 			before := p.Clone()
 			out, extra := p, (*packet.Packet)(nil)

@@ -46,5 +46,7 @@
 // See README.md for a tour, ARCHITECTURE.md for the package map and packet
 // lifecycle, DESIGN.md for the system inventory and substitutions, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each experiment (go test -bench=. -benchmem).
+// bench_test.go regenerate each experiment and ablation (go test -bench=.);
+// the bench/ module measures the simulator end to end and per layer,
+// including the Figure 11/12 per-packet datapath cost.
 package acdc

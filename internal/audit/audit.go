@@ -99,8 +99,7 @@ type Auditor struct {
 	cfg Config
 
 	// Per-rule violation counts: lazy registry counters for telemetry plus
-	// plain atomics so tests (and DisableMetrics configs) can still read
-	// exact counts.
+	// plain atomics so tests can read exact counts.
 	lazy  map[Rule]*metrics.LazyCounter
 	local map[Rule]*atomic.Int64
 	total atomic.Int64

@@ -67,11 +67,6 @@ type Config struct {
 	// FlowPolicy assigns per-flow differentiation (β, clamps, algorithm);
 	// nil means DefaultPolicy for everything.
 	FlowPolicy func(FlowKey) Policy
-	// DisableMetrics skips creating the datapath metrics registry; every
-	// instrument update compiles to a nil-check branch. Exists for the
-	// overhead ablation (BenchmarkDatapathWithMetrics) — production
-	// deployments keep metrics on, which is the default.
-	DisableMetrics bool
 	// GCInterval/IdleTimeout drive the coarse-grained flow garbage
 	// collector (swept lazily from the datapath, §4).
 	GCInterval  sim.Duration
@@ -117,7 +112,7 @@ type VSwitch struct {
 	// Metrics is the datapath observability layer: lock-free counters,
 	// gauges, and per-algorithm CWND/α histograms updated from the hot
 	// path. Read it via Metrics.Snapshot() or the Stats() convenience
-	// method. Nil instruments (Cfg.DisableMetrics) are no-ops.
+	// method.
 	Metrics *DatapathMetrics
 
 	// OnRwndComputed, when set, observes every computed enforcement window
@@ -151,12 +146,6 @@ type VSwitch struct {
 	parked  []*Flow
 	created int
 
-	// batch is the reusable scratch for EgressBatch/IngressBatch (batch.go);
-	// inBatch guards it against re-entrant batch calls, which fall back to
-	// the per-packet path. Both are touched only on the datapath goroutine.
-	batch   batchScratch
-	inBatch bool
-
 	// attached gates the datapath hooks. Attach installs stable wrapper
 	// funcs on the host exactly once and never swaps them again; Detach and
 	// Reattach flip this flag instead, so a control-plane goroutine can
@@ -168,7 +157,7 @@ type VSwitch struct {
 	// InstallPolicy (the daemon's policy stream). It is copy-on-write: the
 	// datapath reads the current map with one atomic load at flow setup,
 	// and installs swap in a fresh map, so a policy push never blocks or
-	// races an in-flight Egress/Ingress batch.
+	// races an in-flight packet.
 	overrides atomic.Pointer[map[FlowKey]Policy]
 
 	// sweepArm requests a sweep-timer arm from a goroutine that must not
@@ -200,12 +189,8 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 10 * sim.Second
 	}
-	reg := metrics.NewRegistry()
-	if cfg.DisableMetrics {
-		reg = nil
-	}
 	v := &VSwitch{Sim: s, Host: host, Cfg: cfg, Table: NewTable(),
-		Metrics: NewDatapathMetrics(reg)}
+		Metrics: NewDatapathMetrics(metrics.NewRegistry())}
 	if !backendKnown(v.Cfg.Backend) {
 		// Unknown backend in the config: fail open to the default mechanism
 		// (counted once here, not per flow) rather than refusing to attach.
@@ -218,8 +203,6 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 	v.attached.Store(true)
 	host.Egress = v.egressHook
 	host.Ingress = v.ingressHook
-	host.EgressBatch = v.egressBatchHook
-	host.IngressBatch = v.ingressBatchHook
 	return v
 }
 
@@ -462,26 +445,13 @@ func (v *VSwitch) minRwnd(f *Flow) int64 {
 
 // maybeSweep runs the coarse-grained GC from the datapath (no timers, so
 // drained simulations terminate). It also consumes deferred sweep-timer arm
-// requests left by goroutines that cannot touch the simulator themselves.
-// The batch path calls the two halves itself: consumeSweepArm once per burst
-// (the flag is asynchronous anyway) and tickSweep once per packet, so the GC
-// cadence matches the sequential path exactly.
+// requests left by goroutines that cannot touch the simulator themselves
+// (snapshot restore on a control-plane goroutine). The lazy sweep runs every
+// 4096 packets once GCInterval has elapsed.
 func (v *VSwitch) maybeSweep() {
-	v.consumeSweepArm()
-	v.tickSweep()
-}
-
-// consumeSweepArm services deferred sweep-timer arm requests (snapshot
-// restore on a control-plane goroutine cannot touch the simulator itself).
-func (v *VSwitch) consumeSweepArm() {
 	if v.sweepTimer != nil && v.sweepArm.Load() && v.sweepArm.CompareAndSwap(true, false) {
 		v.sweepTimer.ArmIfIdle(v.Cfg.SweepInterval)
 	}
-}
-
-// tickSweep advances the per-packet GC clock and runs the lazy sweep every
-// 4096 packets once GCInterval has elapsed.
-func (v *VSwitch) tickSweep() {
 	v.sweepTick++
 	if v.sweepTick&0xfff != 0 {
 		return

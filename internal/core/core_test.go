@@ -369,7 +369,6 @@ func TestVTimeoutCollapsesWindow(t *testing.T) {
 		hookOld(p)      // vSwitch accounting runs (snd_nxt advances)…
 		return nil, nil // …but nothing reaches the wire, so ACKs stop
 	}
-	b.hosts[0].EgressBatch = nil // bursts must hit the override too
 	b.s.RunFor(20 * sim.Millisecond)
 	if b.acdc[0].Stats().VTimeouts == 0 {
 		t.Fatal("inactivity timer never fired")

@@ -46,9 +46,9 @@ const (
 	classTCP                     // full TCP processing
 )
 
-// pktMeta is the per-packet parse result shared by the per-packet and batch
-// entry points: headers are validated and the flow key extracted exactly
-// once, then egressRun/ingressRun branch on the class without re-parsing.
+// pktMeta is the per-packet parse result: headers are validated and the flow
+// key extracted exactly once, then egressRun/ingressRun branch on the class
+// without re-parsing.
 type pktMeta struct {
 	class         pktClass
 	syn, ack, fin bool
@@ -58,8 +58,7 @@ type pktMeta struct {
 }
 
 // classify parses p once into m. It is side-effect free: the class-specific
-// metric increments stay in egressRun/ingressRun so the per-packet and batch
-// paths account identically.
+// metric increments stay in egressRun/ingressRun.
 func classify(p *packet.Packet, udpTunnel bool, m *pktMeta) {
 	ip := p.IP()
 	if !ip.Valid() {
@@ -113,36 +112,25 @@ func (v *VSwitch) egressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 	v.maybeSweep()
 	var m pktMeta
 	classify(p, v.Cfg.UDPTunnel, &m)
-	return v.egressRun(p, &m, nil, nil, 0, nil)
+	return v.egressRun(p, &m)
 }
 
-// lookup resolves the flow for k on the datapath. A batch hint wins while the
-// table generation still equals gen; otherwise, when the caller already holds
-// other, the flow for k's reverse direction, the answer comes through its
-// link (Table.reverseOf) instead of a second probe of the sharded map; with
-// neither, the table is probed. All three give what Table.Get(k) would.
-func (v *VSwitch) lookup(hint *Flow, gen uint64, other *Flow, k FlowKey) *Flow {
-	if hint != nil && !v.Table.genChanged(gen) {
-		return hint
-	}
+// lookup resolves the flow for k on the datapath. When the caller already
+// holds other, the flow for k's reverse direction, the answer comes through
+// its link (Table.reverseOf) instead of a second probe of the sharded map;
+// otherwise the table is probed. Both give what Table.Get(k) would.
+func (v *VSwitch) lookup(other *Flow, k FlowKey) *Flow {
 	if other != nil {
 		return v.Table.reverseOf(other)
 	}
 	return v.Table.Get(k)
 }
 
-// egressRun is the egress datapath body shared by the per-packet wrapper and
-// EgressBatch. hfwd/hrev are batch-prefetched flow pointers for m.key and its
-// reverse; a non-nil hint is used only while the table generation still
-// equals gen (no deletion since the prefetch — eviction and GC both bump it),
-// and a nil hint always falls back to a live lookup (the flow may have been
-// created by an earlier packet of the same burst). With nil hints this is
-// byte-for-byte the sequential path: one table probe for m.key, the reverse
-// direction through that flow's link (lookup).
-func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet) {
-	// Byte accounting for every class but bad-IP; in a batch (bd non-nil) the
-	// whole burst's bytes were already summed into one Add by classifyBatch.
-	if bd == nil && m.class != classBadIP {
+// egressRun is the egress datapath body: one table probe for m.key, the
+// reverse direction through that flow's link (lookup).
+func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *packet.Packet) {
+	// Byte accounting for every class but bad-IP.
+	if m.class != classBadIP {
 		v.Metrics.EgressBytes.Add(m.iplen)
 	}
 	switch m.class {
@@ -168,9 +156,7 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen 
 
 	// --- sender module: track our data direction ---
 	var fwd *Flow
-	if hfwd != nil && !v.Table.genChanged(gen) {
-		fwd = hfwd
-	} else if m.syn || m.plen > 0 || m.fin {
+	if m.syn || m.plen > 0 || m.fin {
 		fwd = v.flowFor(m.key)
 	} else {
 		fwd = v.Table.Get(m.key)
@@ -184,7 +170,7 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen 
 	// --- receiver module: piggyback feedback on ACKs of the reverse flow ---
 	var extra *packet.Packet
 	if m.ack && !m.syn {
-		if rev := v.lookup(hrev, gen, fwd, m.key.Reverse()); rev != nil {
+		if rev := v.lookup(fwd, m.key.Reverse()); rev != nil {
 			out, extra = v.attachFeedback(rev, out)
 		}
 	}
@@ -194,22 +180,14 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen 
 		oip := out.IP()
 		if oip.ECN() == packet.NotECT {
 			oip.SetECN(packet.ECT0)
-			if bd != nil {
-				bd.ectMarks++
-			} else {
-				v.Metrics.ECTMarks.Inc()
-			}
+			v.Metrics.ECTMarks.Inc()
 		}
 	}
 	if extra != nil && v.Cfg.MarkECT {
 		eip := extra.IP()
 		if eip.ECN() == packet.NotECT {
 			eip.SetECN(packet.ECT0)
-			if bd != nil {
-				bd.ectMarks++
-			} else {
-				v.Metrics.ECTMarks.Inc()
-			}
+			v.Metrics.ECTMarks.Inc()
 		}
 	}
 	return out, extra
@@ -385,16 +363,13 @@ func (v *VSwitch) ingressPath(p *packet.Packet) (*packet.Packet, *packet.Packet)
 	v.maybeSweep()
 	var m pktMeta
 	classify(p, v.Cfg.UDPTunnel, &m)
-	return v.ingressRun(p, &m, nil, nil, 0, nil)
+	return v.ingressRun(p, &m)
 }
 
-// ingressRun is the ingress datapath body shared by the per-packet wrapper
-// and IngressBatch; the hint contract matches egressRun (hfwd for m.key, the
-// peer's data direction; hrev for the reverse, ours).
-func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet) {
-	// Byte accounting mirrors egressRun: folded into classifyBatch's one Add
-	// when processing a burst.
-	if bd == nil && m.class != classBadIP {
+// ingressRun is the ingress datapath body; lookups mirror egressRun.
+func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *packet.Packet) {
+	// Byte accounting mirrors egressRun.
+	if m.class != classBadIP {
 		v.Metrics.IngressBytes.Add(m.iplen)
 	}
 	switch m.class {
@@ -427,7 +402,7 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 	// receiver module below reaches the peer's direction through its link.
 	var own *Flow
 	if m.ack && !m.syn {
-		own = v.lookup(hrev, gen, nil, revKey)
+		own = v.Table.Get(revKey)
 		f := own
 		if fb := packet.FindOption(t.Options(), OptFACK); fb != nil && len(fb) >= 8 {
 			// Dedicated FACK: consume feedback, drop the packet.
@@ -450,11 +425,7 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 				if pi, ok := packet.ParsePACK(d); ok {
 					info = pi
 					havePack = true
-					if bd != nil {
-						bd.packs++
-					} else {
-						v.Metrics.PacksConsumed.Inc()
-					}
+					v.Metrics.PacksConsumed.Inc()
 				}
 			}
 			v.processFeedbackAndAck(f, p, t, info, havePack)
@@ -471,7 +442,7 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 
 	// --- receiver module: count and strip for the peer's data direction ---
 	if m.plen > 0 || m.fin || m.syn {
-		f := v.lookup(hfwd, gen, own, m.key)
+		f := v.lookup(own, m.key)
 		if f == nil && (m.plen > 0 || m.fin) {
 			f = v.flowFor(m.key)
 		}
@@ -480,7 +451,7 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen
 		}
 	} else if v.Cfg.StripECN {
 		// Pure ACKs: remove the ECT we (or the peer's AC/DC) set.
-		v.stripECN(p, v.lookup(hfwd, gen, own, m.key))
+		v.stripECN(p, v.lookup(own, m.key))
 	}
 
 	return p, nil

@@ -115,8 +115,7 @@ var cwndBounds = metrics.ExponentialBounds(2048, 2, 14) // 2KB .. 16MB
 // alphaBounds covers DCTCP's α ∈ [0,1] in 0.1 steps.
 var alphaBounds = metrics.LinearBounds(0.1, 0.1, 10)
 
-// NewDatapathMetrics resolves every instrument in reg. A nil reg yields
-// all-nil instruments, i.e. a datapath with metrics compiled to no-ops.
+// NewDatapathMetrics resolves every instrument in reg.
 func NewDatapathMetrics(reg *metrics.Registry) *DatapathMetrics {
 	return &DatapathMetrics{
 		reg:              reg,
@@ -167,7 +166,7 @@ func NewDatapathMetrics(reg *metrics.Registry) *DatapathMetrics {
 	}
 }
 
-// Registry exposes the backing registry (nil when metrics are disabled).
+// Registry exposes the backing registry.
 func (m *DatapathMetrics) Registry() *metrics.Registry { return m.reg }
 
 // Snapshot returns a point-in-time copy of every datapath metric.
@@ -176,9 +175,6 @@ func (m *DatapathMetrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() 
 // flowHists resolves the per-algorithm CWND/α histograms for a new flow.
 // Called from newFlow (flow setup, not per packet).
 func (m *DatapathMetrics) flowHists(alg string) (cwnd, alpha *metrics.Histogram) {
-	if m.reg == nil {
-		return nil, nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cwnd = m.cwndHists[alg]
@@ -195,11 +191,7 @@ func (m *DatapathMetrics) flowHists(alg string) (cwnd, alpha *metrics.Histogram)
 }
 
 // tableGauges lazily registers and returns the flow-table shape gauges.
-// Nil registry (metrics disabled) yields nil gauges, whose Set is a no-op.
 func (m *DatapathMetrics) tableGauges() (occ, max, imb *metrics.Gauge) {
-	if m.reg == nil {
-		return nil, nil, nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.tableOcc == nil {

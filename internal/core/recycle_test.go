@@ -43,7 +43,7 @@ func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 		}
 	}
 	for _, f := range tableFlows(v.Table) {
-		if parked[f.peer] && f.peerGen == v.Table.genNow() {
+		if parked[f.peer] && f.peerGen == v.Table.gen.Load() {
 			t.Fatalf("after %s: %v holds a valid link to a parked record", after, f.Key)
 		}
 	}

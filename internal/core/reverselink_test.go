@@ -33,7 +33,7 @@ func checkReverseLinks(t *testing.T, tb *Table, after string) {
 	t.Helper()
 	for _, f := range tableFlows(tb) {
 		want := tb.Get(f.Key.Reverse())
-		if f.peer != nil && f.peerGen == tb.genNow() && f.peer != want {
+		if f.peer != nil && f.peerGen == tb.gen.Load() && f.peer != want {
 			t.Fatalf("after %s: %v holds a valid link to %p, table has %p", after, f.Key, f.peer, want)
 		}
 		if got := tb.reverseOf(f); got != want {
@@ -335,8 +335,8 @@ func TestReverseLinkCases(t *testing.T) {
 
 	t.Run("Clear invalidates from its start, even on an empty table", func(t *testing.T) {
 		tb := NewTable()
-		g := tb.genNow()
-		if tb.Clear() != 0 || !tb.genChanged(g) {
+		g := tb.gen.Load()
+		if tb.Clear() != 0 || tb.gen.Load() == g {
 			t.Fatal("Clear of an empty table left the generation alone")
 		}
 	})

@@ -69,7 +69,6 @@ func TestEndToEndSACKUnderACDC(t *testing.T) {
 
 	count, dropped := 0, 0
 	inner := b.hosts[0].Egress
-	b.hosts[0].EgressBatch = nil // bursts must hit the override too
 	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		out, extra := inner(p)
 		if p.PayloadLen() > 0 {

@@ -27,10 +27,10 @@ type Table struct {
 	size atomic.Int64
 
 	// gen increments on every operation that removes entries (Delete, Sweep*,
-	// Clear). A flow pointer held outside a shard lock — a batch-prefetched
-	// hint, a Flow's link to its reverse direction (reverseOf) — is only
-	// trusted while gen is unchanged since it was taken, so an eviction or GC
-	// sweep invalidates every outstanding one at once.
+	// Clear). A flow pointer held outside a shard lock — a Flow's link to its
+	// reverse direction (reverseOf) — is only trusted while gen is unchanged
+	// since it was taken, so an eviction or GC sweep invalidates every
+	// outstanding one at once.
 	gen atomic.Uint64
 }
 
@@ -67,12 +67,6 @@ func (t *Table) shard(k FlowKey) *tableShard {
 	return &t.shards[shardIndex(k)]
 }
 
-// genNow snapshots the deletion generation for later genChanged checks.
-func (t *Table) genNow() uint64 { return t.gen.Load() }
-
-// genChanged reports whether any entry was removed since the g snapshot.
-func (t *Table) genChanged(g uint64) bool { return t.gen.Load() != g }
-
 // Get returns the flow for k, or nil.
 func (t *Table) Get(k FlowKey) *Flow {
 	s := t.shard(k)
@@ -100,94 +94,6 @@ func (t *Table) reverseOf(f *Flow) *Flow {
 	}
 	f.peer, f.peerGen = t.Get(f.Key.Reverse()), g
 	return f.peer
-}
-
-// lookupScratch is the reusable state for GetBatch's shard grouping; one per
-// batching call site (the VSwitch owns one), never shared across goroutines.
-type lookupScratch struct {
-	count [numShards]int32
-	start [numShards]int32
-	shard []uint8
-	order []int32
-}
-
-// dupStride is the alias distance GetBatch checks for repeated keys. The
-// batch datapath lays keys out as [fwd0, rev0, fwd1, rev1, ...], so a train
-// of back-to-back segments from one flow — the shape a ring drain of a
-// sender's cwnd burst or a GRO-coalesced receive produces — repeats each key
-// at distance 2.
-const dupStride = 2
-
-// dupShard marks a key slot as an alias of the slot dupStride earlier; it
-// must not collide with a real shard number (numShards < 255).
-const dupShard = 0xff
-
-// GetBatch looks up keys[i] into dst[i] (nil when absent), grouping the
-// lookups by shard so each touched shard's read lock is taken once per batch
-// instead of once per key, and the map probes for one shard run back-to-back
-// (better cache behavior than interleaving lookups with packet processing).
-// A key equal to the key dupStride slots earlier reuses that slot's result
-// instead of re-probing, so per-flow packet trains cost one probe per
-// direction for the whole run. dst must be at least len(keys) long; sc is
-// caller-owned scratch.
-func (t *Table) GetBatch(keys []FlowKey, dst []*Flow, sc *lookupScratch) {
-	n := len(keys)
-	if cap(sc.shard) < n {
-		sc.shard = make([]uint8, n)
-		sc.order = make([]int32, n)
-	}
-	sc.shard = sc.shard[:n]
-	sc.order = sc.order[:n]
-	for i := range sc.count {
-		sc.count[i] = 0
-	}
-	dups := false
-	for i, k := range keys {
-		if i >= dupStride && k == keys[i-dupStride] {
-			sc.shard[i] = dupShard
-			dups = true
-			continue
-		}
-		s := shardIndex(k)
-		sc.shard[i] = uint8(s)
-		sc.count[s]++
-	}
-	// Counting sort: sc.order lists key indices grouped by shard.
-	var sum int32
-	for s := range sc.start {
-		sc.start[s] = sum
-		sum += sc.count[s]
-	}
-	for i := range keys {
-		s := sc.shard[i]
-		if s == dupShard {
-			continue
-		}
-		sc.order[sc.start[s]] = int32(i)
-		sc.start[s]++
-	}
-	pos := 0
-	for s := range t.shards {
-		cnt := int(sc.count[s])
-		if cnt == 0 {
-			continue
-		}
-		sh := &t.shards[s]
-		sh.mu.RLock()
-		for _, i := range sc.order[pos : pos+cnt] {
-			dst[i] = sh.flows[keys[i]]
-		}
-		sh.mu.RUnlock()
-		pos += cnt
-	}
-	if dups {
-		// Ascending order propagates a probed result down a whole train.
-		for i := dupStride; i < n; i++ {
-			if sc.shard[i] == dupShard {
-				dst[i] = dst[i-dupStride]
-			}
-		}
-	}
 }
 
 // GetOrCreate returns the flow for k, creating it with init if absent.
@@ -265,8 +171,8 @@ func (t *Table) Range(fn func(*Flow)) {
 // another goroutine reads the table through the same pointer (warm restart
 // under live traffic): each shard is emptied under its write lock. gen is
 // bumped before the first shard as well as after the last: Clear is the one
-// remover that may run off the datapath goroutine, and a reverse link or
-// hint stamped before the reset began must not stay valid while it runs.
+// remover that may run off the datapath goroutine, and a reverse link
+// stamped before the reset began must not stay valid while it runs.
 func (t *Table) Clear() int {
 	t.gen.Add(1)
 	removed := 0

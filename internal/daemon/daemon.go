@@ -14,7 +14,7 @@
 //
 //   - Race-safe calls (InstallPolicy, SaveSnapshot, RestoreSnapshot, Detach,
 //     Reattach, metrics/flow reads) go direct: the core layer makes these
-//     safe against in-flight datapath batches.
+//     safe against in-flight datapath packets.
 //   - Everything that manipulates simulator timers (Restart) is marshaled
 //     onto the sim loop through the command queue. A full queue is a
 //     transient apply failure: enqueue retries with bounded backoff and only

@@ -30,12 +30,11 @@ type Telemetry struct {
 // plus the fault injector's counters when a chaos profile is active and the
 // fabric's link-lifecycle/ECMP counters when the topology has one, so
 // injected degradation shows up next to the datapath reaction it caused.
-// ok is false when the net has no AC/DC modules (the CUBIC/DCTCP baselines)
-// or metrics are disabled on all of them.
+// ok is false when the net has no AC/DC modules (the CUBIC/DCTCP baselines).
 func fleetSnapshot(net *topo.Net) (snap metrics.Snapshot, ok bool) {
 	var snaps []metrics.Snapshot
 	for _, v := range net.ACDC {
-		if v != nil && v.Metrics.Registry() != nil {
+		if v != nil {
 			snaps = append(snaps, v.Metrics.Snapshot())
 		}
 	}

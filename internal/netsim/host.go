@@ -21,19 +21,6 @@ import (
 // leaves the packet to its new owner or the GC).
 type PathHook func(p *packet.Packet) (out, extra *packet.Packet)
 
-// BatchPathHook is the burst form of PathHook: it processes every packet of
-// ps and appends one (out, extra) pair per input to pairs — pairs[2i] and
-// pairs[2i+1] belong to ps[i] — returning the extended slice. Semantics and
-// ownership are exactly a loop of PathHook calls in slice order; the batch
-// form exists so the hook can amortize lookups and lock acquisitions across
-// the burst (internal/core's EgressBatch/IngressBatch).
-//
-// Invariant: a Host's batch hook, when non-nil, must agree with its
-// per-packet hook. Code that replaces Egress/Ingress at runtime (tests,
-// tracing wrappers) must also replace or nil the corresponding batch hook,
-// otherwise bursts bypass the override.
-type BatchPathHook func(ps, pairs []*packet.Packet) []*packet.Packet
-
 // Host is a server: a guest stack above a vSwitch above a NIC. The guest
 // TCP endpoints (internal/tcpstack) register as the Demux; the AC/DC module
 // (internal/core) installs Egress/Ingress hooks exactly where OVS sits —
@@ -50,12 +37,6 @@ type Host struct {
 	// NIC; Ingress processes packets arriving from the NIC before the stack.
 	Egress  PathHook
 	Ingress PathHook
-
-	// EgressBatch/IngressBatch are the burst forms used by OutputBatch and
-	// HandleBatch; nil falls back to the per-packet hooks. See BatchPathHook
-	// for the consistency invariant with Egress/Ingress.
-	EgressBatch  BatchPathHook
-	IngressBatch BatchPathHook
 
 	// Demux delivers packets to the guest transport layer.
 	Demux Handler
@@ -74,13 +55,6 @@ type Host struct {
 	SentPackets, RecvPackets      int64
 	SentBytes, RecvBytes          int64
 	EgressDropped, IngressDropped int64
-
-	// pairScratch recycles the (out, extra) pair buffers OutputBatch and
-	// HandleBatch hand to the batch hooks. It is a stack, not a single
-	// buffer, because dispatching a batch can re-enter batch dispatch: a
-	// NIC-rejected packet's OnTxFree credit can resume the guest stack,
-	// which may flush a fresh burst for another connection mid-loop.
-	pairScratch [][]*packet.Packet
 }
 
 // NewHost creates a host with the given address. Attach the NIC afterwards.
@@ -175,79 +149,4 @@ func applyHook(hook PathHook, p *packet.Packet) (out, extra *packet.Packet) {
 		return p, nil
 	}
 	return hook(p)
-}
-
-// OutputBatch sends a burst of guest-stack packets through the egress batch
-// hook and onto the NIC. Per-packet accounting (EgressDropped, OnTxFree, TSQ
-// credit) is identical to calling Output on each packet in order; only the
-// hook traversal is batched.
-func (h *Host) OutputBatch(ps []*packet.Packet) {
-	if len(ps) == 0 {
-		return
-	}
-	if h.EgressBatch == nil || len(ps) == 1 {
-		for _, p := range ps {
-			h.Output(p)
-		}
-		return
-	}
-	pairs := h.EgressBatch(ps, h.getPairs())
-	for i, p := range ps {
-		out, extra := pairs[2*i], pairs[2*i+1]
-		if out == nil && extra == nil {
-			// Same contract as Output: credit TSQ, do not recycle (the
-			// egress hook may have retained the packet).
-			h.EgressDropped++
-			if h.OnTxFree != nil {
-				h.OnTxFree(p)
-			}
-			continue
-		}
-		h.sendOne(out)
-		h.sendOne(extra)
-	}
-	h.putPairs(pairs)
-}
-
-// HandleBatch implements BatchHandler: a burst arriving from the network
-// passes the ingress batch hook once, then each surviving packet is
-// delivered to the guest stack. Per-packet accounting matches HandlePacket.
-func (h *Host) HandleBatch(ps []*packet.Packet) {
-	if len(ps) == 0 {
-		return
-	}
-	if h.IngressBatch == nil || len(ps) == 1 {
-		for _, p := range ps {
-			h.HandlePacket(p)
-		}
-		return
-	}
-	pairs := h.IngressBatch(ps, h.getPairs())
-	for i, p := range ps {
-		out, extra := pairs[2*i], pairs[2*i+1]
-		if out == nil && extra == nil {
-			// Consumed by the hook; per the PathHook contract it did not
-			// retain the packet, so recycle.
-			h.IngressDropped++
-			h.Pool.Put(p)
-			continue
-		}
-		h.deliverOne(out)
-		h.deliverOne(extra)
-	}
-	h.putPairs(pairs)
-}
-
-func (h *Host) getPairs() []*packet.Packet {
-	if n := len(h.pairScratch); n > 0 {
-		s := h.pairScratch[n-1]
-		h.pairScratch = h.pairScratch[:n-1]
-		return s
-	}
-	return nil
-}
-
-func (h *Host) putPairs(s []*packet.Packet) {
-	clear(s) // drop packet references; the buffer outlives the batch
-	h.pairScratch = append(h.pairScratch, s[:0])
 }

@@ -26,13 +26,6 @@ type HandlerFunc func(p *packet.Packet)
 // HandlePacket implements Handler.
 func (f HandlerFunc) HandlePacket(p *packet.Packet) { f(p) }
 
-// BatchHandler is implemented by destinations (hosts) that accept a burst of
-// packets in one call, letting the receiver's vSwitch amortize per-packet
-// costs. Semantics must equal calling HandlePacket on each packet in order.
-type BatchHandler interface {
-	HandleBatch(ps []*packet.Packet)
-}
-
 // FaultHook intercepts a packet after it finishes serialization and before
 // propagation. deliver hands a packet to the link's destination after the
 // propagation delay plus extra; the hook may call it zero times (loss), once
@@ -117,12 +110,6 @@ type Link struct {
 	txDoneF   func()
 	deliverF  func()
 	faultDelF func(q *packet.Packet, extra sim.Duration)
-
-	// dstBatch is Dst's batch interface, asserted once at construction; when
-	// non-nil, deliverHead drains every due in-flight packet into batchBuf
-	// and delivers the burst in one HandleBatch call.
-	dstBatch BatchHandler
-	batchBuf []*packet.Packet
 }
 
 // NewLink creates a link with the given rate (bits/sec) and one-way
@@ -132,7 +119,6 @@ func NewLink(s *sim.Simulator, name string, rate int64, delay sim.Duration, dst 
 	l.txDoneF = l.txDone
 	l.deliverF = l.deliverHead
 	l.faultDelF = l.faultDeliver
-	l.dstBatch, _ = dst.(BatchHandler)
 	return l
 }
 
@@ -246,29 +232,11 @@ func (l *Link) txDone() {
 	l.startNext()
 }
 
-// deliverHead hands due in-flight packets to the destination. For a plain
-// Handler it pops exactly one packet per firing (the callback is scheduled
-// once per packet). For a BatchHandler destination it drains every packet
-// whose propagation completed by now into one burst — packets serialize at
-// distinct times on a finite-rate link, so bursts >1 only form when TxTime
-// rounds to zero or a fault path compresses timing; the later firings for
-// drained packets then find them already delivered and no-op. Either way
-// each packet is delivered exactly once, at exactly SentAt+Delay.
+// deliverHead hands the oldest in-flight packet to the destination: the
+// callback is scheduled once per packet, so each firing delivers exactly one,
+// at exactly SentAt+Delay, even when several share that instant.
 func (l *Link) deliverHead() {
-	if l.dstBatch == nil {
-		l.Dst.HandlePacket(l.flight.pop())
-		return
-	}
-	now := int64(l.Sim.Now())
-	if l.flight.len() == 0 || l.flight.peek().SentAt+int64(l.Delay) > now {
-		return // already delivered by an earlier firing's drain
-	}
-	l.batchBuf = l.batchBuf[:0]
-	for l.flight.len() > 0 && l.flight.peek().SentAt+int64(l.Delay) <= now {
-		l.batchBuf = append(l.batchBuf, l.flight.pop())
-	}
-	l.dstBatch.HandleBatch(l.batchBuf)
-	clear(l.batchBuf)
+	l.Dst.HandlePacket(l.flight.pop())
 }
 
 // IsDown reports whether the link is administratively down.

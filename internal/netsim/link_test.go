@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"acdc/internal/packet"
@@ -164,5 +165,56 @@ func TestLinkFlapPoolBalance(t *testing.T) {
 	}
 	if l.Stats.DropsDown == 0 {
 		t.Fatal("flap cycles never caught a queued packet — test lost its teeth")
+	}
+}
+
+// TestLinkDeliversOnePacketPerEvent pins deliverHead's contract on the one
+// case where two packets share a delivery instant: a link so fast that TxTime
+// rounds to zero. Each packet must arrive in send order, at SentAt+Delay, by
+// its own event — so an event scheduled between their transmissions runs
+// between their deliveries, not after a drain of both.
+func TestLinkDeliversOnePacketPerEvent(t *testing.T) {
+	s := sim.New(1)
+	const delay = 10 * sim.Microsecond
+	var log []string
+	var pending []int
+	c := &collector{s: s}
+	c.onPkt = func() {
+		log = append(log, fmt.Sprintf("pkt%d", len(c.pkts)))
+		pending = append(pending, s.Pending())
+	}
+	l := NewLink(s, "t", 1e15, delay, c)
+	if tx := l.TxTime(mkPkt(1000).WireLen()); tx != 0 {
+		t.Fatalf("TxTime = %v, want 0: the test needs simultaneous deliveries", tx)
+	}
+	// The second packet's tx completion comes after the first one's delivery
+	// is scheduled and before its own: an event it schedules for the same
+	// instant sits between the two deliveries.
+	txDone := 0
+	l.OnTxDone = func(*packet.Packet) {
+		if txDone++; txDone == 2 {
+			s.ScheduleFunc(delay, func() { log = append(log, "between") })
+		}
+	}
+	a, b := mkPkt(1000), mkPkt(1000)
+	l.Send(a)
+	l.Send(b)
+	s.RunAll()
+
+	if got := fmt.Sprint(log); got != "[pkt1 between pkt2]" {
+		t.Fatalf("delivery order %s, want [pkt1 between pkt2]", got)
+	}
+	if c.pkts[0] != a || c.pkts[1] != b {
+		t.Fatal("packets delivered out of send order")
+	}
+	for i, p := range c.pkts {
+		if want := sim.Time(p.SentAt) + sim.Time(delay); c.times[i] != want || p.SentAt != 0 {
+			t.Fatalf("packet %d sent at %d, delivered at %v, want %v", i+1, p.SentAt, c.times[i], want)
+		}
+	}
+	// Still queued when the first packet arrives: the marker and the second
+	// delivery. A drain would have handed over both packets in one event.
+	if fmt.Sprint(pending) != "[2 0]" {
+		t.Fatalf("pending events at each delivery %v, want [2 0]", pending)
 	}
 }

@@ -580,7 +580,7 @@ func merge(dst, src *stats.Sample) {
 func fleetSnapshot(net *topo.Net) (metrics.Snapshot, bool) {
 	var snaps []metrics.Snapshot
 	for _, v := range net.ACDC {
-		if v != nil && v.Metrics.Registry() != nil {
+		if v != nil {
 			snaps = append(snaps, v.Metrics.Snapshot())
 		}
 	}

@@ -93,12 +93,14 @@ type Conn struct {
 	inOutput    bool
 	outputAgain bool
 
-	// tx batching: while bursting, transmit collects segments into the
-	// stack's burst buffer instead of handing them to Host.Output one at a
-	// time; output flushes the burst through Host.OutputBatch so the vSwitch
-	// egress path amortizes flow lookups and lock acquisitions across the
-	// window's worth of segments. Capped at txBurstCap to bound latency and
-	// scratch size.
+	// tx burst buffer: while bursting, transmit collects segments into the
+	// stack's burst buffer instead of handing them to Host.Output; output
+	// flushes them, in order, once the whole window is built (at most
+	// txBurstCap at a time). It stays for ordering, not speed: the vSwitch
+	// and NIC see a window only after every segment of it has been built,
+	// so what they schedule follows the stack's own timer arms. Sending each
+	// segment as it is built moved feedback-blackout/acdc's fairness by 0.30
+	// (EXPERIMENTS.md "Batch datapath removed").
 	bursting bool
 
 	// --- receiver ---

@@ -297,3 +297,41 @@ func TestUnlimitedTSQ(t *testing.T) {
 		t.Fatalf("delivered %d with unlimited TSQ", srv.Delivered)
 	}
 }
+
+// TestOutputBuildsWindowBeforeEgress pins what the tx burst buffer is for:
+// one output call builds its whole window — every segment counted in
+// SentSegs — before the first segment reaches the host's egress path (the
+// vSwitch, then the NIC). A stack that handed each segment to Host.Output as
+// it was built would interleave the vSwitch's and NIC's work with its own;
+// that variant moved the feedback-blackout/acdc scenario's fairness from
+// 0.667 to 0.369 (EXPERIMENTS.md "Batch datapath removed").
+func TestOutputBuildsWindowBeforeEgress(t *testing.T) {
+	cfg := smallCfg()
+	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
+	b.stacks[1].Listen(5001, func(*Conn) {})
+	cli := b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+	b.s.RunFor(sim.Millisecond)
+	if cli.State() != StateEstablished {
+		t.Fatalf("client state %v after the handshake", cli.State())
+	}
+
+	var seen []int64 // cli.SentSegs as each data segment reaches egress
+	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
+		if p.PayloadLen() > 0 {
+			seen = append(seen, cli.SentSegs)
+		}
+		return p, nil
+	}
+	before := cli.SentSegs
+	cli.Send(8 * int64(cfg.MSS())) // one call, inside the initial window
+	built := cli.SentSegs - before
+	if built != 8 || int64(len(seen)) != built {
+		t.Fatalf("one output call built %d segments and sent %d to egress; want 8 and 8", built, len(seen))
+	}
+	for i, n := range seen {
+		if n != cli.SentSegs {
+			t.Fatalf("segment %d reached egress with %d segments built, want all %d: the window must be built before any of it leaves",
+				i+1, n-before, built)
+		}
+	}
+}

@@ -310,23 +310,22 @@ func (c *Conn) output() {
 	}
 }
 
-// txBurstCap bounds how many segments accumulate before a flush: one batch
-// hook traversal per 64 segments captures nearly all of the amortization
-// while keeping the burst buffer small.
+// txBurstCap bounds how many segments accumulate before a flush, and so how
+// far the stack builds ahead of its vSwitch and NIC. It is part of the
+// ordering the burst buffer fixes (Conn.bursting): changing it is a re-bless.
 const txBurstCap = 64
 
 // flushBurst hands the segments accumulated by the innermost output call to
-// the host in one batch. Re-entrant output triggered by the dispatch
-// (synchronous egress drop or NIC rejection crediting TSQ) is flattened into
-// the caller's loop by the inOutput guard when it is the same connection's,
-// and collects one level deeper in st.bursts when it is another's, so a
-// burst is never appended to while it is being flushed.
+// the host's egress path one at a time, in order. Re-entrant output triggered
+// by a send (synchronous egress drop or NIC rejection crediting TSQ) is
+// flattened into the caller's loop by the inOutput guard when it is the same
+// connection's, and collects one level deeper in st.bursts when it is
+// another's, so a burst is never appended to while it is being flushed.
 func (st *Stack) flushBurst() {
 	d := st.burstDepth - 1
-	if len(st.bursts[d]) == 0 {
-		return
+	for _, p := range st.bursts[d] {
+		st.Host.Output(p)
 	}
-	st.Host.OutputBatch(st.bursts[d])
 	// A nested output may have grown st.bursts: index again, hold no pointer.
 	clear(st.bursts[d])
 	st.bursts[d] = st.bursts[d][:0]

@@ -34,10 +34,11 @@ type Stack struct {
 	// or one output call, so no connection needs a copy of its own.
 	sackScratch [packet.MaxSACKBlocks]packet.SACKBlock
 	optScratch  [2 + 8*packet.MaxSACKBlocks]byte // also fits the 12 bytes of SYN options
-	// bursts[d] collects the segments of the output call at nesting depth d:
-	// while one connection flushes, txFree → txCompleted → output can start
-	// another connection's burst, which must not append to the slice being
-	// dispatched. burstDepth is the number of output calls in progress.
+	// bursts[d] is the tx burst buffer (Conn.bursting) of the output call at
+	// nesting depth d: while one connection flushes, txFree → txCompleted →
+	// output can start another connection's burst, which must not append to
+	// the slice being flushed. burstDepth is the number of output calls in
+	// progress.
 	bursts     [][]*packet.Packet
 	burstDepth int
 
