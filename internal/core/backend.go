@@ -32,7 +32,7 @@ package core
 // Every Backend method runs under f.mu on the simulation goroutine, at the
 // exact points the hardcoded enforcement used to occupy; backends are
 // stateless singletons, with per-flow state in the lazily-allocated
-// Flow.bes (so the default backend's zero-alloc profile is untouched).
+// Flow.cold (so the default backend's zero-alloc profile is untouched).
 //
 // Unknown backend names never error mid-stream: Policy.Sanitized clamps them
 // to the default and backend_unknown_total counts the clamp (see
@@ -136,21 +136,19 @@ type backendState struct {
 	hasRestored bool
 }
 
-// beState returns the flow's backend state, allocating on first use. Caller
-// holds f.mu.
-func (f *Flow) beState() *backendState {
-	if f.bes == nil {
-		f.bes = &backendState{}
-	}
-	return f.bes
-}
+// beState returns the flow's backend state, allocating the cold state on
+// first use. Caller holds f.mu.
+func (f *Flow) beState() *backendState { return &f.coldState().bes }
 
-// The backend registry: stateless singletons, resolved by name.
-var (
-	backendDctcpCut  Backend = dctcpCutBackend{}
-	backendPace      Backend = paceBackend{}
-	backendAdaptiveK Backend = adaptiveKBackend{}
-)
+// backends is the registry: stateless singletons, named per flow by index
+// (Flow.be). The zero index is the default mechanism.
+var backends = [...]Backend{dctcpCutBackend{}, paceBackend{}, adaptiveKBackend{}}
+
+// backendID indexes backends.
+type backendID uint8
+
+// backend returns the flow's enforcement backend.
+func (f *Flow) backend() Backend { return backends[f.be] }
 
 // BackendNames lists the selectable enforcement backends (stable order).
 func BackendNames() []string { return []string{DefaultBackend, "pace", "adaptive-k"} }
@@ -162,37 +160,8 @@ const DefaultBackend = "dctcp-cut"
 // backendKnown reports whether name resolves to a backend in this build
 // ("" means the default dctcp-cut mechanism and is always known).
 func backendKnown(name string) bool {
-	switch name {
-	case "", "dctcp-cut", "pace", "adaptive-k":
-		return true
-	}
-	return false
-}
-
-// newBackend resolves a known backend name ("" = dctcp-cut). Callers must
-// have sanitized the name first (backendFor is the counting fail-open path).
-func newBackend(name string) Backend {
-	switch name {
-	case "", "dctcp-cut":
-		return backendDctcpCut
-	case "pace":
-		return backendPace
-	case "adaptive-k":
-		return backendAdaptiveK
-	default:
-		panic(fmt.Sprintf("core: unknown enforcement backend %q", name))
-	}
-}
-
-// backendFor resolves a backend name from a runtime surface (config, policy,
-// snapshot). Unknown names fail open to the default mechanism — never an
-// error mid-stream — and backend_unknown_total counts the clamp.
-func (v *VSwitch) backendFor(name string) Backend {
-	if !backendKnown(name) {
-		v.Metrics.BackendUnknown.Inc()
-		return backendDctcpCut
-	}
-	return newBackend(name)
+	_, ok := lookup(backends[:], name)
+	return ok
 }
 
 // ParseBackend validates a backend name from a parse surface (a CLI -backend
@@ -393,7 +362,7 @@ type paceSink struct {
 func (s paceSink) HandlePacket(p *packet.Packet) {
 	s.v.Metrics.PaceReleased.Inc()
 	s.f.mu.Lock()
-	if bes := s.f.bes; bes != nil && bes.probeEnd == 0 {
+	if c := s.f.cold; c != nil && c.bes.probeEnd == 0 {
 		t := p.TCP()
 		end := s.f.absSeq(t.Seq(), s.f.SndNxt) + int64(p.PayloadLen())
 		paceArmProbeLocked(s.v, s.f, end)
@@ -436,8 +405,8 @@ func paceInitLocked(v *VSwitch, f *Flow) *backendState {
 			}
 			bes.hasRestored = false
 		}
-		bes.sh = netsim.NewShaper(v.Sim, rate, paceBurstMSS*f.MSS, paceSink{v, f})
-		bes.sh.MaxQueueBytes = paceQueueCap(rate, f.MSS)
+		bes.sh = netsim.NewShaper(v.Sim, rate, paceBurstMSS*int(f.MSS), paceSink{v, f})
+		bes.sh.MaxQueueBytes = paceQueueCap(rate, int(f.MSS))
 	}
 	return bes
 }
@@ -523,7 +492,7 @@ func (paceBackend) OnAck(v *VSwitch, f *Flow, t packet.TCP, enforced int64, fbSt
 		// stale IW-derived window would be exactly the unclocked blast the
 		// re-seed exists to prevent.
 		bes.sh.Rate = paceRate(f.enforcedWindow(v.minRwnd(f)), bes.srtt, v.minRwnd(f))
-		bes.sh.MaxQueueBytes = paceQueueCap(bes.sh.Rate, f.MSS)
+		bes.sh.MaxQueueBytes = paceQueueCap(bes.sh.Rate, int(f.MSS))
 	}
 	return false
 }
@@ -637,8 +606,8 @@ func (paceBackend) LossIsFabric(v *VSwitch, f *Flow) bool {
 
 // SaveState implements Backend: checkpoint the pacing rate (bit/s).
 func (paceBackend) SaveState(f *Flow) float64 {
-	if f.bes != nil && f.bes.sh != nil {
-		return float64(f.bes.sh.Rate)
+	if f.cold != nil && f.cold.bes.sh != nil {
+		return float64(f.cold.bes.sh.Rate)
 	}
 	return 0
 }
@@ -724,8 +693,8 @@ func (adaptiveKBackend) Congested(v *VSwitch, f *Flow, totalDelta, markedDelta u
 
 // SaveState implements Backend: checkpoint the current threshold K.
 func (adaptiveKBackend) SaveState(f *Flow) float64 {
-	if f.bes != nil && f.bes.kBytes > 0 {
-		return float64(f.bes.kBytes)
+	if f.cold != nil && f.cold.bes.kBytes > 0 {
+		return float64(f.cold.bes.kBytes)
 	}
 	return 0
 }

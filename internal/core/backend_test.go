@@ -40,9 +40,9 @@ func TestUnknownBackendFailsOpen(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Backend = "warp-speed"
 		v, host, _ := loneVSwitch(t, cfg)
-		v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+		egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 		f := v.Table.Get(key(host))
-		if f == nil || f.be.Name() != DefaultBackend {
+		if f == nil || f.backend().Name() != DefaultBackend {
 			t.Fatalf("flow backend %v, want fail-open to %s", f, DefaultBackend)
 		}
 		if n := v.Stats().BackendUnknown; n != 1 {
@@ -54,9 +54,9 @@ func TestUnknownBackendFailsOpen(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.FlowPolicy = func(FlowKey) Policy { return Policy{Beta: 1, Backend: "warp-speed"} }
 		v, host, _ := loneVSwitch(t, cfg)
-		v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+		egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 		f := v.Table.Get(key(host))
-		if f == nil || f.be.Name() != DefaultBackend {
+		if f == nil || f.backend().Name() != DefaultBackend {
 			t.Fatalf("flow backend %v, want fail-open to %s", f, DefaultBackend)
 		}
 		if f.Policy.Backend != "" {
@@ -89,9 +89,9 @@ func TestPolicyBackendOverridesConfig(t *testing.T) {
 	cfg.FlowPolicy = func(FlowKey) Policy { return Policy{Beta: 1, Backend: "pace"} }
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+	egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
-	if f == nil || f.be.Name() != "pace" {
+	if f == nil || f.backend().Name() != "pace" {
 		t.Fatalf("flow backend %v, want pace from Policy.Backend", f)
 	}
 }
@@ -135,11 +135,11 @@ func TestPaceFbStaleFreezesRate(t *testing.T) {
 	ack := feedbackAck(f, 5_000, 65535)
 	v.processFeedbackAndAck(f, ack, ack.TCP(), packet.PACKInfo{TotalBytes: 10_000}, true)
 	f.mu.Lock()
-	if f.bes == nil || f.bes.sh == nil {
+	if f.cold == nil || f.cold.bes.sh == nil {
 		f.mu.Unlock()
 		t.Fatal("pace backend never built its token bucket")
 	}
-	rate0 := f.bes.sh.Rate
+	rate0 := f.cold.bes.sh.Rate
 	// Double the virtual window: a live refresh would raise the rate.
 	f.CwndBytes *= 2
 	f.mu.Unlock()
@@ -148,7 +148,7 @@ func TestPaceFbStaleFreezesRate(t *testing.T) {
 	ack = feedbackAck(f, 6_000, 65535)
 	v.processFeedbackAndAck(f, ack, ack.TCP(), packet.PACKInfo{TotalBytes: 10_000}, true)
 	f.mu.Lock()
-	rate1 := f.bes.sh.Rate
+	rate1 := f.cold.bes.sh.Rate
 	f.mu.Unlock()
 	if rate1 <= rate0 {
 		t.Fatalf("live refresh did not track the doubled window: %d → %d bit/s", rate0, rate1)
@@ -163,7 +163,7 @@ func TestPaceFbStaleFreezesRate(t *testing.T) {
 	ack = feedbackAck(f, 7_000, 65535)
 	v.processFeedbackAndAck(f, ack, ack.TCP(), packet.PACKInfo{}, false)
 	f.mu.Lock()
-	rate2 := f.bes.sh.Rate
+	rate2 := f.cold.bes.sh.Rate
 	f.mu.Unlock()
 	if rate2 != rate1 {
 		t.Fatalf("stale-feedback ACK refreshed the pacer rate: %d → %d bit/s", rate1, rate2)
@@ -215,7 +215,7 @@ func TestDctcpCutWindowLimitedOvershootGate(t *testing.T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.CwndBytes = 50_000
-	be := f.be
+	be := f.backend()
 	if !be.WindowLimited(v, f, true, 50_000) {
 		t.Error("inflight at the window must count as limited")
 	}
@@ -241,10 +241,10 @@ func TestPaceWindowLimitedThrottleFlag(t *testing.T) {
 	defer f.mu.Unlock()
 	bes := f.beState()
 	bes.throttled = true
-	if !f.be.WindowLimited(v, f, true, 0) {
+	if !f.backend().WindowLimited(v, f, true, 0) {
 		t.Error("a throttled interval must earn growth")
 	}
-	if f.be.WindowLimited(v, f, true, 0) {
+	if f.backend().WindowLimited(v, f, true, 0) {
 		t.Error("the throttled flag must reset after one reading")
 	}
 }
@@ -262,12 +262,12 @@ func TestPaceRoundAnchorBounded(t *testing.T) {
 	f.CwndBytes = 20_000
 	f.SndUna, f.SndNxt = 100_000, 900_000 // 800 KB of guest inflight
 	w := f.enforcedWindow(v.minRwnd(f))
-	if got := f.be.RoundAnchor(v, f, 100_000); got != 100_000+w {
+	if got := f.backend().RoundAnchor(v, f, 100_000); got != 100_000+w {
 		t.Errorf("pace anchor %d, want ack+window = %d", got, 100_000+w)
 	}
 	// Never beyond what was actually sent.
 	f.SndNxt = 100_000 + w/2
-	if got := f.be.RoundAnchor(v, f, 100_000); got != f.SndNxt {
+	if got := f.backend().RoundAnchor(v, f, 100_000); got != f.SndNxt {
 		t.Errorf("pace anchor %d beyond snd_nxt %d", got, f.SndNxt)
 	}
 	// dctcp-cut keeps the paper's anchor byte-identically.
@@ -294,15 +294,15 @@ func TestPaceLossAttributionHorizon(t *testing.T) {
 	defer f.mu.Unlock()
 	bes := f.beState()
 	bes.srtt = 100 * sim.Microsecond
-	if !f.be.LossIsFabric(v, f) {
+	if !f.backend().LossIsFabric(v, f) {
 		t.Error("with no pacer drops ever, loss must be attributed to the fabric")
 	}
 	bes.lastDropAt = s.Now()
-	if f.be.LossIsFabric(v, f) {
+	if f.backend().LossIsFabric(v, f) {
 		t.Error("loss right after a pacer drop must be attributed to the pacer")
 	}
 	bes.lastDropAt = s.Now() - sim.Time(20*sim.Millisecond)
-	if !f.be.LossIsFabric(v, f) {
+	if !f.backend().LossIsFabric(v, f) {
 		t.Error("loss far outside the drop horizon must be attributed to the fabric")
 	}
 }
@@ -316,7 +316,7 @@ func TestAdaptiveKThreshold(t *testing.T) {
 	f := syntheticFlow(v, host)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	be := f.be
+	be := f.backend()
 	mss := int64(f.MSS)
 
 	if be.Congested(v, f, 10_000, uint32(mss/4)) {
@@ -325,20 +325,20 @@ func TestAdaptiveKThreshold(t *testing.T) {
 	if !be.Congested(v, f, 10_000, uint32(mss)) {
 		t.Error("accumulated marked bytes at K must count as congestion")
 	}
-	k0 := f.bes.kBytes
+	k0 := f.cold.bes.kBytes
 	// High measured load across an α-round boundary halves K...
 	f.Alpha = 0.9
 	f.alphaSeq++
 	be.Congested(v, f, 1000, 0)
-	if f.bes.kBytes >= k0 {
-		t.Errorf("K did not shrink under α=0.9: %d → %d", k0, f.bes.kBytes)
+	if f.cold.bes.kBytes >= k0 {
+		t.Errorf("K did not shrink under α=0.9: %d → %d", k0, f.cold.bes.kBytes)
 	}
 	// ...and a quiet fabric grows it back.
-	low := f.bes.kBytes
+	low := f.cold.bes.kBytes
 	f.Alpha = 0.01
 	f.alphaSeq++
 	be.Congested(v, f, 1000, 0)
-	if f.bes.kBytes <= low {
-		t.Errorf("K did not recover under α=0.01: %d → %d", low, f.bes.kBytes)
+	if f.cold.bes.kBytes <= low {
+		t.Errorf("K did not recover under α=0.01: %d → %d", low, f.cold.bes.kBytes)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"acdc/internal/metrics"
@@ -158,7 +160,11 @@ type VSwitch struct {
 	// datapath reads the current map with one atomic load at flow setup,
 	// and installs swap in a fresh map, so a policy push never blocks or
 	// races an in-flight packet.
-	overrides atomic.Pointer[map[FlowKey]Policy]
+	overrides atomic.Pointer[map[FlowKey]*Policy]
+
+	// interned holds the policies flows share (intern).
+	internMu sync.Mutex
+	interned map[Policy]*Policy
 
 	// sweepArm requests a sweep-timer arm from a goroutine that must not
 	// touch the simulator (snapshot restore under live traffic). The
@@ -190,7 +196,7 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 		cfg.IdleTimeout = 10 * sim.Second
 	}
 	v := &VSwitch{Sim: s, Host: host, Cfg: cfg, Table: NewTable(),
-		Metrics: NewDatapathMetrics(metrics.NewRegistry())}
+		Metrics: NewDatapathMetrics(metrics.NewRegistry()), interned: map[Policy]*Policy{}}
 	if !backendKnown(v.Cfg.Backend) {
 		// Unknown backend in the config: fail open to the default mechanism
 		// (counted once here, not per flow) rather than refusing to attach.
@@ -252,14 +258,14 @@ func (v *VSwitch) Attached() bool { return v.attached.Load() }
 // Equation (1)'s cut factor exceed 1 — the window would GROW on congestion —
 // and a negative clamp would silently disable capping. Snapshot restore
 // sanitizes through the same choke point (flowRecord.sanitize).
-func (v *VSwitch) policy(k FlowKey) Policy {
+func (v *VSwitch) policy(k FlowKey) *Policy {
 	if m := v.overrides.Load(); m != nil {
 		if p, ok := (*m)[k]; ok {
 			return p // already sanitized by InstallPolicy
 		}
 	}
 	if v.Cfg.FlowPolicy == nil {
-		return DefaultPolicy()
+		return &defaultPolicy
 	}
 	p := v.Cfg.FlowPolicy(k)
 	if !backendKnown(p.Backend) {
@@ -267,7 +273,28 @@ func (v *VSwitch) policy(k FlowKey) Policy {
 		// the only trace the operator gets, so count before the clamp.
 		v.Metrics.BackendUnknown.Inc()
 	}
-	return p.sanitize()
+	return v.intern(p.sanitize())
+}
+
+// intern returns the vSwitch's shared copy of the sanitized policy p, so that
+// flows set up under one FlowPolicy answer, or restored with one policy,
+// share one value and set-up allocates nothing. Goroutine-safe: restore may
+// run off the datapath. Past 1024 values, or where == would fold a −0 β into
+// +0 (the snapshot codec tells them apart), p gets a private copy.
+func (v *VSwitch) intern(p Policy) *Policy {
+	if p == defaultPolicy {
+		return &defaultPolicy
+	}
+	v.internMu.Lock()
+	defer v.internMu.Unlock()
+	ip := v.interned[p]
+	if ip == nil || math.Signbit(ip.Beta) != math.Signbit(p.Beta) {
+		ip = &p
+		if len(v.interned) < 1024 {
+			v.interned[p] = ip
+		}
+	}
+	return ip
 }
 
 // flowFor is the capacity-aware GetOrCreate every datapath create site goes
@@ -411,21 +438,25 @@ func (v *VSwitch) buildFlow(f *Flow, k FlowKey) *Flow {
 	f.flowState = flowState{
 		Key:        k,
 		Policy:     pol,
-		MSS:        v.Cfg.MTU - 40,
+		MSS:        int32(v.Cfg.MTU - 40),
 		Alpha:      v.Cfg.InitAlpha,
 		inactivity: f.inactivity,
 	}
-	f.vcc = NewVCC(firstNonEmpty(pol.VCC, v.Cfg.VCC))
-	// Both the policy and the config backend fields are sanitized before
-	// they reach here (Sanitized choke point / Attach), so this resolution
-	// cannot panic; backendFor would double-count the clamp.
-	f.be = newBackend(firstNonEmpty(pol.Backend, v.Cfg.Backend))
-	f.mCwnd, f.mAlpha = v.Metrics.flowHists(f.vcc.Name())
+	v.setLaws(f)
 	f.CwndBytes = v.Cfg.InitCwndPkts * float64(f.MSS)
 	f.SsthreshBytes = 1 << 40
-	f.vcc.Init(f)
+	f.law().Init(f)
 	f.lastActive = v.Sim.Now()
 	return f
+}
+
+// setLaws resolves f's growth law and backend from its policy over the
+// config; both names are sanitized before they get here. Caller holds f.mu.
+func (v *VSwitch) setLaws(f *Flow) {
+	vcc, _ := lookup(vccLaws[:], firstNonEmpty(f.Policy.VCC, v.Cfg.VCC))
+	be, _ := lookup(backends[:], firstNonEmpty(f.Policy.Backend, v.Cfg.Backend))
+	f.vcc, f.be = vccID(vcc), backendID(be)
+	v.Metrics.registerVCC(f.vcc)
 }
 
 func firstNonEmpty(a, b string) string {
@@ -485,7 +516,7 @@ func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 // table entry — and unlinked, so that they keep no removed partner reachable.
 func (v *VSwitch) retire(f *Flow) bool {
 	f.stopTimer()
-	if f.bes == nil && f.tun == nil && !f.isUDP {
+	if f.cold == nil && !f.isUDP {
 		f.peer, f.parkedAt = nil, uint32(v.sweepTick)
 		v.parked = append(v.parked, f)
 	}
@@ -509,7 +540,7 @@ func (v *VSwitch) ParkedFlows() int { return len(v.parked) }
 // sweepNow removes closed and idle flows across the whole table (the lazy
 // packet-driven sweep, already rate-limited to once per GCInterval).
 func (v *VSwitch) sweepNow(now sim.Time) {
-	removed := v.Table.Sweep(v.gcKeep(now))
+	removed := v.Table.SweepRange(0, numShards, v.gcKeep(now))
 	v.Metrics.FlowsRemoved.Add(int64(removed))
 	v.Metrics.FlowTableSize.Add(-int64(removed))
 	v.trimParked(v.created)

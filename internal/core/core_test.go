@@ -442,7 +442,7 @@ func TestTableShardingAndSweep(t *testing.T) {
 	if n != 1000 {
 		t.Fatalf("Range visited %d", n)
 	}
-	removed := tb.Sweep(func(f *Flow) bool { return f.Key.SPort%2 == 0 })
+	removed := tb.SweepRange(0, numShards, func(f *Flow) bool { return f.Key.SPort%2 == 0 })
 	if removed != 500 || tb.Len() != 500 {
 		t.Fatalf("sweep removed %d, len %d", removed, tb.Len())
 	}
@@ -464,7 +464,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 				tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
 				tb.Get(k)
 				if i%100 == 0 {
-					tb.Sweep(func(f *Flow) bool { return f.Key.SPort%7 != 0 })
+					tb.SweepRange(0, numShards, func(f *Flow) bool { return f.Key.SPort%7 != 0 })
 				}
 			}
 		}(g)
@@ -474,11 +474,11 @@ func TestTableConcurrentAccess(t *testing.T) {
 
 func TestEquationOneCutFactor(t *testing.T) {
 	v := &VDCTCP{}
-	f := &Flow{flowState: flowState{Alpha: 0.5, Policy: Policy{Beta: 1}}}
+	f := &Flow{flowState: flowState{Alpha: 0.5, Policy: &Policy{Beta: 1}}}
 	if got := v.CutFactor(f, false); got != 0.75 {
 		t.Fatalf("β=1 α=0.5: factor %v, want 0.75 (DCTCP)", got)
 	}
-	f.Policy.Beta = 0
+	f.Policy = &Policy{Beta: 0}
 	if got := v.CutFactor(f, false); got != 0.5 {
 		t.Fatalf("β=0 α=0.5: factor %v, want 0.5 (full α back-off)", got)
 	}
@@ -486,11 +486,11 @@ func TestEquationOneCutFactor(t *testing.T) {
 	if got := v.CutFactor(f, false); got != 0 {
 		t.Fatalf("β=0 α=1: factor %v, want 0", got)
 	}
-	f.Policy.Beta = 1
+	f.Policy = &Policy{Beta: 1}
 	if got := v.CutFactor(f, false); got != 0.5 {
 		t.Fatalf("β=1 α=1: factor %v, want 0.5", got)
 	}
-	f.Policy.Beta = 0.5
+	f.Policy = &Policy{Beta: 0.5}
 	// 1 − (1 − 1·0.5/2) = 0.25
 	if got := v.CutFactor(f, false); got != 0.25 {
 		t.Fatalf("β=0.5 α=1: factor %v, want 0.25", got)
@@ -572,10 +572,11 @@ func TestDetachRestoresPassthrough(t *testing.T) {
 	}
 }
 
-// TestFlowSizeClass keeps Flow inside the 352-byte malloc size class it fills
-// exactly today: one more word and every tracked flow costs 384 bytes.
+// TestFlowSizeClass keeps Flow at four cache lines: the 256-byte malloc size
+// class, whose objects start on line boundaries. One more word and every
+// tracked flow costs 288 bytes and straddles five lines.
 func TestFlowSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Flow{}); n > 352 {
-		t.Fatalf("Flow is %d bytes, over the 352-byte size class", n)
+	if n := unsafe.Sizeof(Flow{}); n > 256 {
+		t.Fatalf("Flow is %d bytes, over the 256-byte size class", n)
 	}
 }

@@ -10,30 +10,6 @@ import (
 // sender module after the feedback is extracted.
 const OptFACK = 254
 
-// Egress adapts EgressPath to a slice return for tests and tools; the
-// datapath itself is wired with EgressPath (no slice allocation).
-func (v *VSwitch) Egress(p *packet.Packet) []*packet.Packet {
-	return pairToSlice(v.EgressPath(p))
-}
-
-// Ingress adapts IngressPath to a slice return for tests and tools.
-func (v *VSwitch) Ingress(p *packet.Packet) []*packet.Packet {
-	return pairToSlice(v.IngressPath(p))
-}
-
-func pairToSlice(out, extra *packet.Packet) []*packet.Packet {
-	switch {
-	case out == nil && extra == nil:
-		return nil
-	case extra == nil:
-		return []*packet.Packet{out}
-	case out == nil:
-		return []*packet.Packet{extra}
-	default:
-		return []*packet.Packet{out, extra}
-	}
-}
-
 // pktClass is the fast-path disposition decided by one header parse.
 type pktClass uint8
 
@@ -207,8 +183,8 @@ func (v *VSwitch) senderEgress(f *Flow, p *packet.Packet, t packet.TCP, syn bool
 		f.alphaSeq, f.cutSeq = 1, 0
 		f.synSeen = true
 		so := packet.ParseSynOptions(t.Options())
-		if so.MSS > 0 && int(so.MSS) < f.MSS {
-			f.MSS = int(so.MSS)
+		if so.MSS > 0 && int32(so.MSS) < f.MSS {
+			f.MSS = int32(so.MSS)
 			f.CwndBytes = v.Cfg.InitCwndPkts * float64(f.MSS)
 		}
 		ecnIntent := t.Flags()&(packet.FlagECE|packet.FlagCWR) != 0
@@ -252,7 +228,7 @@ func (v *VSwitch) senderEgress(f *Flow, p *packet.Packet, t packet.TCP, syn bool
 		// acting on its beyond-window segments would be exactly the harm it
 		// opted out of — every backend sits behind this gate.
 		if f.resync == resyncNone && !f.Policy.Disable {
-			if f.be.OnEgress(v, f, p, segEnd, plen) {
+			if f.backend().OnEgress(v, f, p, segEnd, plen) {
 				return true
 			}
 		}
@@ -472,8 +448,8 @@ func (v *VSwitch) ingressHandshake(p *packet.Packet, t packet.TCP, fwdKey, revKe
 		rev.PeerWScale = so.WScale
 		rev.WScaleKnown = true
 	}
-	if so.MSS > 0 && int(so.MSS) < rev.MSS {
-		rev.MSS = int(so.MSS)
+	if so.MSS > 0 && int32(so.MSS) < rev.MSS {
+		rev.MSS = int32(so.MSS)
 		if rev.SndNxt <= 1 { // before data: rescale IW
 			rev.CwndBytes = v.Cfg.InitCwndPkts * float64(rev.MSS)
 		}

@@ -19,6 +19,21 @@ func loneVSwitch(t *testing.T, cfg Config) (*VSwitch, *netsim.Host, *sim.Simulat
 	return Attach(s, host, cfg), host, s
 }
 
+// egress and ingress run p through one datapath hook and collect what came
+// out, for tests that feed packets by hand.
+func egress(v *VSwitch, p *packet.Packet) []*packet.Packet  { return outputs(v.EgressPath(p)) }
+func ingress(v *VSwitch, p *packet.Packet) []*packet.Packet { return outputs(v.IngressPath(p)) }
+
+func outputs(ps ...*packet.Packet) []*packet.Packet {
+	var out []*packet.Packet
+	for _, p := range ps {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func dataPkt(src, dst packet.Addr, sp, dp uint16, seq uint32, n int) *packet.Packet {
 	return packet.Build(src, dst, packet.NotECT, packet.TCPFields{
 		SrcPort: sp, DstPort: dp, Seq: seq, Ack: 1,
@@ -71,7 +86,7 @@ func TestMidstreamAdoptionResync(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, host, _ := loneVSwitch(t, DefaultConfig())
 			peer := packet.MakeAddr(10, 0, 0, 2)
-			v.Egress(dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
+			egress(v, dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
 			f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
 			if f == nil {
 				t.Fatal("no flow created mid-stream")
@@ -85,16 +100,16 @@ func TestMidstreamAdoptionResync(t *testing.T) {
 			if got := v.Stats().FlowsAdoptedMidstream; got != 1 {
 				t.Fatalf("FlowsAdoptedMidstream = %d", got)
 			}
-			v.Egress(dataPkt(host.Addr, peer, 100, 200, 778_000, 1000))
+			egress(v, dataPkt(host.Addr, peer, 100, 200, 778_000, 1000))
 			if s := f.Snapshot(); s.SndNxt != 2000 {
 				t.Fatalf("SndNxt = %d after second segment", s.SndNxt)
 			}
 			for i, total := range tc.feedback {
 				ackAbs := uint32(778_000 + 1000) // covers both segments
 				if total == nil {
-					v.Ingress(ackPkt(peer, host.Addr, 200, 100, ackAbs, 65535))
+					ingress(v, ackPkt(peer, host.Addr, 200, 100, ackAbs, 65535))
 				} else {
-					v.Ingress(packAck(peer, host.Addr, 200, 100, ackAbs, 65535, *total, *total))
+					ingress(v, packAck(peer, host.Addr, 200, 100, ackAbs, 65535, *total, *total))
 				}
 				// The conservative invariant, checked at every step: an
 				// unsynced flow must never have its RWND rewritten.
@@ -126,10 +141,10 @@ func TestPolicingSuspendedDuringResync(t *testing.T) {
 	cfg.Police = true
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 777_000, 8960))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 777_000, 8960))
 	// A burst far beyond IW+slack: would be dropped on an enforced flow
 	// (TestPolicingSlackAllowsInFlightAfterCut), must pass on a resyncing one.
-	if out := v.Egress(dataPkt(host.Addr, peer, 1, 2, 777_000+500_000, 8960)); len(out) != 1 {
+	if out := egress(v, dataPkt(host.Addr, peer, 1, 2, 777_000+500_000, 8960)); len(out) != 1 {
 		t.Fatal("resyncing flow was policed")
 	}
 	if v.Stats().PolicingDrops != 0 {
@@ -140,7 +155,7 @@ func TestPolicingSuspendedDuringResync(t *testing.T) {
 func TestIngressAckWithoutFlowCountsUntracked(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 9)
-	out := v.Ingress(ackPkt(peer, host.Addr, 9, 9, 42, 100))
+	out := ingress(v, ackPkt(peer, host.Addr, 9, 9, 42, 100))
 	if len(out) != 1 {
 		t.Fatal("untracked ACK should pass through")
 	}
@@ -155,15 +170,15 @@ func TestNonTCPPacketsPassThrough(t *testing.T) {
 	p := dataPkt(packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2), 1, 2, 0, 10)
 	p.Buf[9] = 17
 	packet.IPv4(p.Buf).ComputeChecksum()
-	if out := v.Egress(p); len(out) != 1 || out[0] != p {
+	if out := egress(v, p); len(out) != 1 || out[0] != p {
 		t.Fatal("non-TCP egress packet not passed through")
 	}
-	if out := v.Ingress(p); len(out) != 1 {
+	if out := ingress(v, p); len(out) != 1 {
 		t.Fatal("non-TCP ingress packet not passed through")
 	}
 	// Garbage buffers must not panic.
 	junk := &packet.Packet{Buf: []byte{1, 2, 3}}
-	if out := v.Egress(junk); len(out) != 1 {
+	if out := egress(v, junk); len(out) != 1 {
 		t.Fatal("junk egress not passed through")
 	}
 }
@@ -175,7 +190,7 @@ func TestFACKFallbackWhenOptionsFull(t *testing.T) {
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	// Receiver-module state with counted bytes (peer → host data direction).
 	dk := FlowKey{Src: peer, Dst: host.Addr, SPort: 200, DPort: 100}
-	v.Ingress(dataPkt(peer, host.Addr, 200, 100, 5000, 1500))
+	ingress(v, dataPkt(peer, host.Addr, 200, 100, 5000, 1500))
 	if v.Table.Get(dk) == nil {
 		t.Fatal("receiver flow not created")
 	}
@@ -188,7 +203,7 @@ func TestFACKFallbackWhenOptionsFull(t *testing.T) {
 		SrcPort: 100, DstPort: 200, Seq: 1, Ack: 6500,
 		Flags: packet.FlagACK, Window: 65535, Options: full,
 	}, 0)
-	out := v.Egress(ack)
+	out := egress(v, ack)
 	if len(out) != 2 {
 		t.Fatalf("expected real ACK + FACK, got %d packets", len(out))
 	}
@@ -208,7 +223,7 @@ func TestLazyGCSweepsIdleFlows(t *testing.T) {
 	cfg.IdleTimeout = 2 * sim.Millisecond
 	v, host, s := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 100, 100))
 	if v.Table.Len() != 1 {
 		t.Fatalf("table len %d", v.Table.Len())
 	}
@@ -219,7 +234,7 @@ func TestLazyGCSweepsIdleFlows(t *testing.T) {
 	s.RunFor(10 * sim.Millisecond)
 	other := packet.MakeAddr(10, 0, 0, 3)
 	for i := 0; i < 5000; i++ {
-		v.Egress(dataPkt(host.Addr, other, 7, 8, uint32(1000+i*100), 100))
+		egress(v, dataPkt(host.Addr, other, 7, 8, uint32(1000+i*100), 100))
 	}
 	if v.Stats().FlowsRemoved == 0 {
 		t.Fatal("idle flow never swept")
@@ -237,14 +252,14 @@ func TestPolicingSlackAllowsInFlightAfterCut(t *testing.T) {
 		SrcPort: 1, DstPort: 2, Seq: 999, Flags: packet.FlagSYN, Window: 65535,
 		Options: packet.BuildSynOptions(8960, 7, true),
 	}, 0)
-	v.Egress(syn)
+	egress(v, syn)
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2})
 	// Data within IW+slack passes.
-	if out := v.Egress(dataPkt(host.Addr, peer, 1, 2, 1000, 8960)); len(out) != 1 {
+	if out := egress(v, dataPkt(host.Addr, peer, 1, 2, 1000, 8960)); len(out) != 1 {
 		t.Fatal("conforming data dropped")
 	}
 	// Far beyond the window: dropped.
-	if out := v.Egress(dataPkt(host.Addr, peer, 1, 2, 1000+500_000, 8960)); out != nil {
+	if out := egress(v, dataPkt(host.Addr, peer, 1, 2, 1000+500_000, 8960)); out != nil {
 		t.Fatal("excess data not policed")
 	}
 	if v.Stats().PolicingDrops != 1 {
@@ -260,7 +275,7 @@ func TestEgressMarksEverythingECT(t *testing.T) {
 		dataPkt(host.Addr, peer, 1, 2, 100, 100),
 		ackPkt(host.Addr, peer, 1, 2, 50, 10),
 	} {
-		out := v.Egress(p)
+		out := egress(v, p)
 		if out[0].IP().ECN() != packet.ECT0 {
 			t.Fatalf("egress packet not ECT: %v", out[0].IP().ECN())
 		}
@@ -280,12 +295,12 @@ func TestIngressStripsCEForECNGuest(t *testing.T) {
 		Flags: packet.FlagSYN | packet.FlagECE | packet.FlagCWR, Window: 65535,
 		Options: packet.BuildSynOptions(8960, 7, true),
 	}, 0)
-	v.Ingress(syn)
+	ingress(v, syn)
 	ce := packet.Build(peer, host.Addr, packet.CE, packet.TCPFields{
 		SrcPort: 2, DstPort: 1, Seq: 1, Ack: 1,
 		Flags: packet.FlagACK | packet.FlagPSH, Window: 65535,
 	}, 1000)
-	out := v.Ingress(ce)
+	out := ingress(v, ce)
 	if got := out[0].IP().ECN(); got != packet.ECT0 {
 		t.Fatalf("CE toward ECN guest should become ECT(0), got %v", got)
 	}
@@ -298,7 +313,7 @@ func TestIngressStripsCEForECNGuest(t *testing.T) {
 
 func TestVRenoVirtualCC(t *testing.T) {
 	v := NewVCC("reno")
-	f := &Flow{flowState: flowState{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40, Policy: DefaultPolicy()}}
+	f := &Flow{flowState: flowState{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40, Policy: &defaultPolicy}}
 	if v.CutFactor(f, false) != 0.5 || v.CutFactor(f, true) != 0.5 {
 		t.Fatal("vReno must halve")
 	}
@@ -329,12 +344,12 @@ func TestPerFlowVCCOverride(t *testing.T) {
 	}
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 443, 100, 100))
-	v.Egress(dataPkt(host.Addr, peer, 1, 80, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 443, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 80, 100, 100))
 	wan := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 443})
 	dc := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 80})
-	if wan.vcc.Name() != "reno" || dc.vcc.Name() != "dctcp" {
-		t.Fatalf("per-flow vCC: wan=%s dc=%s", wan.vcc.Name(), dc.vcc.Name())
+	if wan.law().Name() != "reno" || dc.law().Name() != "dctcp" {
+		t.Fatalf("per-flow vCC: wan=%s dc=%s", wan.law().Name(), dc.law().Name())
 	}
 }
 
@@ -350,7 +365,7 @@ func TestFlowKeyReverse(t *testing.T) {
 }
 
 func TestEnforcedWindowClampAndFloor(t *testing.T) {
-	f := &Flow{flowState: flowState{CwndBytes: 100_000, Policy: Policy{Beta: 1, RwndClampBytes: 50_000}}}
+	f := &Flow{flowState: flowState{CwndBytes: 100_000, Policy: &Policy{Beta: 1, RwndClampBytes: 50_000}}}
 	if got := f.enforcedWindow(9000); got != 50_000 {
 		t.Fatalf("clamp: %d", got)
 	}
@@ -374,12 +389,12 @@ func TestDupAckSynthesisTemplate(t *testing.T) {
 		SrcPort: 1, DstPort: 2, Seq: 0, Flags: packet.FlagSYN, Window: 65535,
 		Options: packet.BuildSynOptions(8960, 7, true),
 	}, 0)
-	v.Egress(syn)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 1, 8960))
+	egress(v, syn)
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 1, 8960))
 	// Feed one real ACK so the template fields are known.
-	v.Ingress(ackPkt(peer, host.Addr, 2, 1, 1+8960, 512))
+	ingress(v, ackPkt(peer, host.Addr, 2, 1, 1+8960, 512))
 	// More unacked data, then let the inactivity timer fire.
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 1+8960, 8960))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 1+8960, 8960))
 	s.RunFor(5 * sim.Millisecond)
 
 	if v.Stats().VTimeouts == 0 {

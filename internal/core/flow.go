@@ -13,7 +13,6 @@ import (
 	"math"
 	"sync"
 
-	"acdc/internal/metrics"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
 )
@@ -52,6 +51,10 @@ type Policy struct {
 
 // DefaultPolicy is plain DCTCP enforcement.
 func DefaultPolicy() Policy { return Policy{Beta: 1} }
+
+// defaultPolicy is what every flow without an override or a FlowPolicy points
+// at.
+var defaultPolicy = DefaultPolicy()
 
 // Sanitized is the policy choke point: every path that installs a policy
 // into a flow — the live FlowPolicy callback (VSwitch.policy), runtime
@@ -115,13 +118,13 @@ func (p Policy) sanitize() Policy {
 //
 // Fields are ordered by how often the datapath touches them, not by module,
 // because at 10k+ flows every cache line of a record is a miss: what every
-// packet reads sits in the first 64 bytes, what the sender module writes per
-// data segment and per ACK in the next 128, the read-mostly policy after
-// that, and per-RTT, per-cut and cold state last. The struct fills the
-// 352-byte malloc size class exactly (TestFlowSizeClass): a new field costs
-// every flow 32 bytes unless it goes behind a pointer, as tunnel state does.
+// packet reads sits in the first 64 bytes, all the sender module touches per
+// data segment and per ACK in the next 128, the rest in the last line. The
+// struct fills the 256-byte malloc size class, so a record is four aligned
+// lines (TestFlowSizeClass, TestFlowHotFieldsLayout); a new field goes behind
+// the cold pointer, or every flow pays for it.
 type Flow struct {
-	// --- line 0: every packet (lookup, lock, liveness, receiver module) ---
+	// --- line 0: every packet (lock, link, liveness, receiver module) ---
 	mu sync.Mutex
 	flowState
 }
@@ -130,8 +133,8 @@ type Flow struct {
 // re-initialised by one flowState assignment under mu (VSwitch.buildFlow), so
 // a field added here cannot be left holding the previous flow's value.
 type flowState struct {
-	Key FlowKey
-	iss uint32 // guest's initial sequence number; valid once issValid
+	iss         uint32 // guest's initial sequence number; valid once issValid
+	lastAckWire uint32 // last ACK's seq field (dupack synthesis)
 	// peer caches the record tracking Key.Reverse(), valid while peerGen
 	// equals the table's deletion generation (Table.reverseOf). Both belong
 	// to the datapath goroutine alone: mu does not guard them, snapshot, policy
@@ -143,6 +146,9 @@ type flowState struct {
 	// receiver module (§3.2)
 	TotalBytes  uint32 // cumulative payload bytes received
 	MarkedBytes uint32 // cumulative CE-marked payload bytes
+	// sender module, per ACK, in this line's spare words
+	MSS     int32
+	DupAcks int32
 	// GuestECN records whether the guests negotiated ECN end to end; the
 	// receiver module uses it to restore the original ECN semantics.
 	GuestECN bool
@@ -165,58 +171,65 @@ type flowState struct {
 	SndNxt      int64
 	maxInflight int64 // peak SndNxt−SndUna since the last ACK
 	inactivity  *sim.Timer
-	// be is the enforcement backend (backend.go), resolved at flow setup
-	// from Policy.Backend/Cfg.Backend and swapped in place by live policy
-	// installs and snapshot restore.
-	be Backend
 	// feedback accounting between α updates
 	lastTotal, lastMarked     uint32
 	windowTotal, windowMarked uint32
 
 	CwndBytes     float64
 	SsthreshBytes float64
-	MSS           int
-	DupAcks       int
-	alphaSeq      int64 // next α-update boundary (abs)
+	Alpha         float64
+	alphaSeq      int64   // next α-update boundary (abs)
+	cutSeq        int64   // window-cut guard (abs)
+	prevCwndBytes float64 // cwnd before last cut (policing slack)
 	// Feedback-staleness tracking: when PACK/FACK feedback had been flowing
 	// but stops (stripped by a middlebox, lost in the fabric), the sender
 	// module freezes virtual-window growth rather than growing blind.
 	lastFeedbackAt sim.Time // 0 until the first PACK/FACK arrives
 	fbStaleMark    sim.Time // last time the stale condition was counted
-	lastAckWire    uint32   // last ACK's seq field (dupack synthesis)
+	// Policy points at a sanitized value other flows may share (the default,
+	// an interned FlowPolicy answer, an override): replace, never write it.
+	Policy *Policy
 	// Last ACK's raw (pre-rewrite) window field: a duplicate ACK requires an
 	// unchanged window, so pure window updates never count toward the
 	// triple-dupack loss inference.
 	lastWndRaw  uint16
 	lastWndSeen bool
-	synSeen     bool
+	// vcc and be index the growth law and the enforcement backend, resolved
+	// from the policy and the config (VSwitch.setLaws).
+	vcc        vccID
+	be         backendID
+	synSeen    bool
+	synAckSeen bool
 
-	// --- line 3: read per ACK, written by installs and per RTT ---
-	Policy Policy
-	Alpha  float64
-
-	// --- the growth law, then per RTT, per cut, cold ---
-	vcc VirtualCC
-	// Per-algorithm CWND/α distribution handles, resolved at flow setup
-	// and sampled once per RTT at each α update (nil when metrics are off).
-	mCwnd, mAlpha *metrics.Histogram
-	cutSeq        int64   // window-cut guard (abs)
-	prevCwndBytes float64 // cwnd before last cut (policing slack)
-	// resyncSeq is the absolute sequence one clean feedback round must
-	// cover before enforcement resumes.
-	resyncSeq int64
-	// bes is the backend's lazily-allocated per-flow state (nil for the
-	// default dctcp-cut backend, which carries none).
-	bes        *backendState
-	VTimeouts  int64
-	LossEvents int64
-
-	tun *tunnelState // UDP-tunnel state (tunnel.go); nil for every TCP flow
+	// --- line 3: per cut, per loss, cold ---
+	Key FlowKey
 	// parkedAt is v.sweepTick, the per-packet epoch, when the record went on
 	// the free list: newFlow refuses one parked by the datapath call it runs
 	// in, whose caller may still hold the pointer.
-	parkedAt   uint32
-	synAckSeen bool
+	parkedAt uint32
+	// resyncSeq is the absolute sequence one clean feedback round must
+	// cover before enforcement resumes.
+	resyncSeq  int64
+	VTimeouts  int64
+	LossEvents int64
+	// cold is what only some flows carry, nil on plain TCP flows; a record
+	// with it is never recycled (VSwitch.retire).
+	cold *flowCold
+	_    [16]byte // to the 256-byte size class: records start on a line
+}
+
+// flowCold is the state behind Flow.cold.
+type flowCold struct {
+	bes backendState // backend.go
+	tun tunnelState  // tunnel.go
+}
+
+// coldState returns f's cold state, made on first use. Caller holds f.mu.
+func (f *Flow) coldState() *flowCold {
+	if f.cold == nil {
+		f.cold = &flowCold{}
+	}
+	return f.cold
 }
 
 // Snapshot is a consistent copy of the enforcement-relevant state, used by

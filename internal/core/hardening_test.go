@@ -20,7 +20,7 @@ func TestSweepTimerRunsWithoutTraffic(t *testing.T) {
 	cfg.IdleTimeout = 2 * sim.Millisecond
 	v, host, s := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 100, 100))
 	if v.Table.Len() != 1 {
 		t.Fatalf("table len %d, want 1", v.Table.Len())
 	}
@@ -44,9 +44,9 @@ func TestSweepTimerRearmsOnNewFlow(t *testing.T) {
 	cfg.IdleTimeout = 2 * sim.Millisecond
 	v, host, s := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 100, 100))
 	s.RunFor(20 * sim.Millisecond) // first generation swept, timer idle
-	v.Egress(dataPkt(host.Addr, peer, 3, 4, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 3, 4, 100, 100))
 	if !v.sweepTimer.Pending() {
 		t.Fatal("sweep timer not re-armed by the new flow")
 	}
@@ -97,14 +97,14 @@ func TestFlowForFailsOpenAtHardCapacity(t *testing.T) {
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	// Two live (recently active, not closed) flows: nothing is evictable.
-	v.Egress(dataPkt(host.Addr, peer, 100, 200, 100, 100))
-	v.Egress(dataPkt(host.Addr, peer, 101, 200, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 100, 200, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 101, 200, 100, 100))
 	if v.Table.Len() != 2 {
 		t.Fatalf("table len %d, want 2", v.Table.Len())
 	}
 	// The third flow's traffic must still pass, untracked.
 	p := dataPkt(host.Addr, peer, 102, 200, 100, 100)
-	out := v.Egress(p)
+	out := egress(v, p)
 	if len(out) != 1 || out[0] != p {
 		t.Fatal("at-capacity egress did not pass the packet through")
 	}
@@ -150,7 +150,7 @@ func TestConcurrentGetDeleteDuringSweep(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for iter := 0; iter < 200; iter++ {
-			tb.Sweep(func(f *Flow) bool { return f.Key.SPort%2 == 0 })
+			tb.SweepRange(0, numShards, func(f *Flow) bool { return f.Key.SPort%2 == 0 })
 		}
 	}()
 	wg.Wait()
@@ -170,14 +170,14 @@ func TestMalformedOptionsFailOpen(t *testing.T) {
 		SrcPort: 1, DstPort: 2, Seq: 100, Ack: 1,
 		Flags: packet.FlagACK | packet.FlagPSH, Window: 65535, Options: bad,
 	}, 100)
-	out := v.Egress(p)
+	out := egress(v, p)
 	if len(out) != 1 || out[0] != p {
 		t.Fatal("malformed-options packet was not passed through")
 	}
 	if v.Table.Len() != 0 {
 		t.Fatal("vSwitch tracked state parsed from a damaged option block")
 	}
-	out = v.Ingress(p)
+	out = ingress(v, p)
 	if len(out) != 1 || out[0] != p {
 		t.Fatal("malformed-options ingress packet was not passed through")
 	}

@@ -28,23 +28,8 @@ func (v *VSwitch) InstallPolicy(k FlowKey, p Policy) (Policy, error) {
 		v.Metrics.BackendUnknown.Inc()
 	}
 	p = p.Sanitized()
-	for {
-		old := v.overrides.Load()
-		var next map[FlowKey]Policy
-		if old == nil {
-			next = make(map[FlowKey]Policy, 1)
-		} else {
-			next = make(map[FlowKey]Policy, len(*old)+1)
-			for ok, op := range *old {
-				next[ok] = op
-			}
-		}
-		next[k] = p
-		if v.overrides.CompareAndSwap(old, &next) {
-			break
-		}
-	}
-	v.applyToLive(k, p)
+	v.swapOverride(k, &p)
+	v.applyToLive(k, &p)
 	v.Metrics.PolicyInstalls.Inc()
 	return p, nil
 }
@@ -53,23 +38,8 @@ func (v *VSwitch) InstallPolicy(k FlowKey, p Policy) (Policy, error) {
 // configured FlowPolicy callback (or DefaultPolicy). It reports whether an
 // override existed.
 func (v *VSwitch) ClearPolicy(k FlowKey) bool {
-	for {
-		old := v.overrides.Load()
-		if old == nil {
-			return false
-		}
-		if _, ok := (*old)[k]; !ok {
-			return false
-		}
-		next := make(map[FlowKey]Policy, len(*old)-1)
-		for ok, op := range *old {
-			if ok != k {
-				next[ok] = op
-			}
-		}
-		if v.overrides.CompareAndSwap(old, &next) {
-			break
-		}
+	if !v.swapOverride(k, nil) {
+		return false
 	}
 	// Re-resolve through the normal chain so a tracked flow reverts now
 	// rather than on its next table miss.
@@ -77,11 +47,40 @@ func (v *VSwitch) ClearPolicy(k FlowKey) bool {
 	return true
 }
 
+// swapOverride sets k's override to p, or removes it when p is nil, by
+// swapping in an updated copy of the override map, and reports whether k had
+// one. Removing an absent override swaps nothing.
+func (v *VSwitch) swapOverride(k FlowKey, p *Policy) (had bool) {
+	for {
+		old := v.overrides.Load()
+		var cur map[FlowKey]*Policy
+		if old != nil {
+			cur = *old
+		}
+		if _, had = cur[k]; p == nil && !had {
+			return false
+		}
+		next := make(map[FlowKey]*Policy, len(cur)+1)
+		for ok, op := range cur {
+			if ok != k {
+				next[ok] = op
+			}
+		}
+		if p != nil {
+			next[k] = p
+		}
+		if v.overrides.CompareAndSwap(old, &next) {
+			return had
+		}
+	}
+}
+
 // PolicyOverride returns the live override for k, if any.
 func (v *VSwitch) PolicyOverride(k FlowKey) (Policy, bool) {
 	if m := v.overrides.Load(); m != nil {
-		p, ok := (*m)[k]
-		return p, ok
+		if p, ok := (*m)[k]; ok {
+			return *p, true
+		}
 	}
 	return Policy{}, false
 }
@@ -94,18 +93,21 @@ func (v *VSwitch) PolicyOverrides() map[FlowKey]Policy {
 	}
 	out := make(map[FlowKey]Policy, len(*m))
 	for k, p := range *m {
-		out[k] = p
+		out[k] = *p
 	}
 	return out
 }
 
 // applyToLive pushes a resolved policy into an already-tracked flow under
-// its mutex, swapping the virtual-CC law if the algorithm changed (the same
-// mid-flight swap snapshot restore performs). Untracked keys are a no-op:
+// its mutex, swapping the virtual-CC law and the backend if they changed (the
+// same mid-flight swap snapshot restore performs). No backend teardown is
+// needed: a pace flow's shaper keeps draining already-admitted segments on
+// the simulation goroutine (this path may run on a control-plane goroutine
+// and must not touch it), then idles for the GC. Untracked keys are a no-op:
 // the override map catches the flow at setup. So is a record that stopped
 // being k's between the probe and the lock: the GC may have removed it and
 // the datapath recycled it into another flow, which must not get k's policy.
-func (v *VSwitch) applyToLive(k FlowKey, p Policy) {
+func (v *VSwitch) applyToLive(k FlowKey, p *Policy) {
 	f := v.Table.Get(k)
 	if f == nil {
 		return
@@ -116,15 +118,5 @@ func (v *VSwitch) applyToLive(k FlowKey, p Policy) {
 		return
 	}
 	f.Policy = p
-	if name := firstNonEmpty(p.VCC, v.Cfg.VCC); name != f.vcc.Name() {
-		f.vcc = newVCCOrDefault(name)
-		f.mCwnd, f.mAlpha = v.Metrics.flowHists(f.vcc.Name())
-	}
-	// Swap the enforcement backend the same way. No teardown is needed: a
-	// pace flow's shaper keeps draining already-admitted segments on the
-	// simulation goroutine (this path may run on a control-plane goroutine
-	// and must not touch it), then idles for the GC.
-	if be := newBackend(firstNonEmpty(p.Backend, v.Cfg.Backend)); be != f.be {
-		f.be = be
-	}
+	v.setLaws(f)
 }

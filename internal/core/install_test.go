@@ -42,7 +42,7 @@ func TestInstallPolicyAppliesToNewAndLiveFlows(t *testing.T) {
 	kLive := FlowKey{Src: host.Addr, Dst: peer, SPort: 11, DPort: 21}
 
 	// A flow that exists before the install must pick up the policy in place.
-	v.Egress(dataPkt(host.Addr, peer, kLive.SPort, kLive.DPort, 1, 100))
+	egress(v, dataPkt(host.Addr, peer, kLive.SPort, kLive.DPort, 1, 100))
 	if v.Table.Get(kLive) == nil {
 		t.Fatal("live flow not tracked")
 	}
@@ -56,12 +56,12 @@ func TestInstallPolicyAppliesToNewAndLiveFlows(t *testing.T) {
 			t.Fatalf("installed %+v, want %+v", got, want)
 		}
 	}
-	if f := v.Table.Get(kLive); f.Policy != want {
+	if f := v.Table.Get(kLive); *f.Policy != want {
 		t.Fatalf("live flow policy = %+v, want %+v", f.Policy, want)
 	}
 	// A flow created after the install resolves the override at setup.
-	v.Egress(dataPkt(host.Addr, peer, kNew.SPort, kNew.DPort, 1, 100))
-	if f := v.Table.Get(kNew); f.Policy != want {
+	egress(v, dataPkt(host.Addr, peer, kNew.SPort, kNew.DPort, 1, 100))
+	if f := v.Table.Get(kNew); *f.Policy != want {
 		t.Fatalf("new flow policy = %+v, want %+v", f.Policy, want)
 	}
 	if got := v.Stats().PolicyInstalls; got != 2 {
@@ -73,16 +73,16 @@ func TestInstallPolicySwapsVirtualCC(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig()) // default vcc: dctcp
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	k := FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2}
-	v.Egress(dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
+	egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
 	f := v.Table.Get(k)
-	if f.vcc.Name() != "dctcp" {
-		t.Fatalf("default vcc = %q", f.vcc.Name())
+	if f.law().Name() != "dctcp" {
+		t.Fatalf("default vcc = %q", f.law().Name())
 	}
 	if _, err := v.InstallPolicy(k, Policy{Beta: 1, VCC: "reno"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.vcc.Name() != "reno" {
-		t.Fatalf("vcc after install = %q, want reno", f.vcc.Name())
+	if f.law().Name() != "reno" {
+		t.Fatalf("vcc after install = %q, want reno", f.law().Name())
 	}
 }
 
@@ -93,7 +93,7 @@ func TestClearPolicyRevertsToConfiguredChain(t *testing.T) {
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	k := FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2}
-	v.Egress(dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
+	egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
 
 	if _, err := v.InstallPolicy(k, Policy{Beta: 0.1}); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestClearPolicyRevertsToConfiguredChain(t *testing.T) {
 	if v.ClearPolicy(k) {
 		t.Fatal("second ClearPolicy reported an override")
 	}
-	if f := v.Table.Get(k); f.Policy != base {
+	if f := v.Table.Get(k); *f.Policy != base {
 		t.Fatalf("flow policy after clear = %+v, want FlowPolicy's %+v", f.Policy, base)
 	}
 	if _, ok := v.PolicyOverride(k); ok {
@@ -130,9 +130,9 @@ func TestInstallPolicyConcurrentWithDatapath(t *testing.T) {
 	var tick func()
 	n := 0
 	tick = func() {
-		v.Egress(dataPkt(host.Addr, peer, k.SPort, k.DPort, seq, 100))
+		egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, seq, 100))
 		seq += 100
-		v.Ingress(ackPkt(peer, host.Addr, k.DPort, k.SPort, seq, 65535))
+		ingress(v, ackPkt(peer, host.Addr, k.DPort, k.SPort, seq, 65535))
 		if n++; n < minPackets || !ctrlDone.Load() {
 			s.ScheduleFunc(100, tick)
 		}
@@ -229,7 +229,7 @@ func TestInstallPolicyNeverLandsOnRecycledRecord(t *testing.T) {
 		for sp := uint16(200); sp < 203; sp++ {
 			f := b.v.Table.Get(b.key(sp))
 			f.mu.Lock()
-			got := f.Policy
+			got := *f.Policy
 			f.mu.Unlock()
 			if got != DefaultPolicy() {
 				t.Fatalf("round %d: flow %v holds %+v, installed for %v", round, f.Key, got, b.key(target))

@@ -95,10 +95,10 @@ type DatapathMetrics struct {
 	AdaptiveKAdjusts *metrics.LazyCounter // adaptive_k_adjusts_total: per-flow threshold K moves (either direction)
 
 	// Per-algorithm CWND/α distributions, sampled once per RTT at each α
-	// update. Lazily created per virtual-CC name (not hot path: flow setup).
-	mu         sync.Mutex
-	cwndHists  map[string]*metrics.Histogram
-	alphaHists map[string]*metrics.Histogram
+	// update, indexed by vccID. Registered with each law's first flow
+	// (registerVCC), so a run's metric set names only the laws it ran.
+	mu    sync.Mutex
+	hists [len(vccLaws)]*lawHists
 
 	// Flow-table shape gauges, registered lazily on the first
 	// UpdateTableGauges call (daemon /status and /metrics handlers) so runs
@@ -160,9 +160,6 @@ func NewDatapathMetrics(reg *metrics.Registry) *DatapathMetrics {
 		PaceReleased:          reg.Lazy("pace_released_total"),
 		PaceDrops:             reg.Lazy("pace_drops_total"),
 		AdaptiveKAdjusts:      reg.Lazy("adaptive_k_adjusts_total"),
-
-		cwndHists:  map[string]*metrics.Histogram{},
-		alphaHists: map[string]*metrics.Histogram{},
 	}
 }
 
@@ -172,22 +169,20 @@ func (m *DatapathMetrics) Registry() *metrics.Registry { return m.reg }
 // Snapshot returns a point-in-time copy of every datapath metric.
 func (m *DatapathMetrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() }
 
-// flowHists resolves the per-algorithm CWND/α histograms for a new flow.
-// Called from newFlow (flow setup, not per packet).
-func (m *DatapathMetrics) flowHists(alg string) (cwnd, alpha *metrics.Histogram) {
+// lawHists is one virtual CC's CWND and α distributions.
+type lawHists struct{ cwnd, alpha *metrics.Histogram }
+
+// registerVCC registers law id's histograms if no flow has run it yet. Flow
+// setup and law swaps call it under the flow's lock, which orders it before
+// that flow's per-RTT reads of hists.
+func (m *DatapathMetrics) registerVCC(id vccID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cwnd = m.cwndHists[alg]
-	if cwnd == nil {
-		cwnd = m.reg.Histogram("vcc_cwnd_bytes{alg="+alg+"}", cwndBounds)
-		m.cwndHists[alg] = cwnd
+	if m.hists[id] == nil {
+		alg := vccLaws[id].Name()
+		m.hists[id] = &lawHists{m.reg.Histogram("vcc_cwnd_bytes{alg="+alg+"}", cwndBounds),
+			m.reg.Histogram("vcc_alpha{alg="+alg+"}", alphaBounds)}
 	}
-	alpha = m.alphaHists[alg]
-	if alpha == nil {
-		alpha = m.reg.Histogram("vcc_alpha{alg="+alg+"}", alphaBounds)
-		m.alphaHists[alg] = alpha
-	}
-	return cwnd, alpha
 }
 
 // tableGauges lazily registers and returns the flow-table shape gauges.

@@ -39,13 +39,13 @@ func TestFlowPolicySanitized(t *testing.T) {
 			v, host, _ := loneVSwitch(t, cfg)
 			peer := packet.MakeAddr(10, 0, 0, 2)
 			// Flow setup must not panic even for unknown VCC names.
-			v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+			egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 			f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
 			if f == nil {
 				t.Fatal("no flow created")
 			}
-			if f.Policy != tc.want {
-				t.Fatalf("installed policy %+v, want %+v", f.Policy, tc.want)
+			if *f.Policy != tc.want {
+				t.Fatalf("installed policy %+v, want %+v", *f.Policy, tc.want)
 			}
 		})
 	}
@@ -59,7 +59,7 @@ func TestHostileBetaNeverGrowsWindowOnCut(t *testing.T) {
 	cfg.FlowPolicy = func(FlowKey) Policy { return Policy{Beta: 3} }
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+	egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
 	before := f.Snapshot().CwndBytes
 	v.cutWindow(f, 0, false) // α = InitAlpha = 1: an unclamped β=3 gives factor 1.5
@@ -76,7 +76,7 @@ func TestHostileBetaNeverGrowsWindowOnCut(t *testing.T) {
 func TestWindowUpdateStormNoFakeLoss(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
+	egress(v, dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
 	if f == nil {
 		t.Fatal("no flow created")
@@ -85,7 +85,7 @@ func TestWindowUpdateStormNoFakeLoss(t *testing.T) {
 	// Four ACKs for the same (un-advanced) snd_una, each opening the receive
 	// buffer a little further: a classic window-update storm.
 	for i, wnd := range []uint16{1000, 2000, 3000, 4000} {
-		v.Ingress(ackPkt(peer, host.Addr, 200, 100, 777_000, wnd))
+		ingress(v, ackPkt(peer, host.Addr, 200, 100, 777_000, wnd))
 		f.mu.Lock()
 		dups, losses := f.DupAcks, f.LossEvents
 		f.mu.Unlock()
@@ -106,12 +106,12 @@ func TestWindowUpdateStormNoFakeLoss(t *testing.T) {
 func TestGenuineTripleDupackStillDetected(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
+	egress(v, dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
 	// First ACK establishes the window baseline; the next three are true
 	// duplicates (same ack, same window) and must trip the loss inference.
 	for i := 0; i < 4; i++ {
-		v.Ingress(ackPkt(peer, host.Addr, 200, 100, 777_000, 65535))
+		ingress(v, ackPkt(peer, host.Addr, 200, 100, 777_000, 65535))
 	}
 	f.mu.Lock()
 	dups, losses := f.DupAcks, f.LossEvents

@@ -38,7 +38,7 @@ func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 			t.Fatalf("after %s: parked record %v: link %p, timer armed %v", after, p.Key, p.peer,
 				p.inactivity != nil && p.inactivity.Pending())
 		}
-		if p.bes != nil || p.tun != nil || p.isUDP {
+		if p.cold != nil || p.isUDP {
 			t.Fatalf("after %s: parked record %v carries backend or tunnel state", after, p.Key)
 		}
 	}
@@ -213,7 +213,7 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	b.in(sp, packet.CE, packet.TCPFields{Seq: 1, Ack: seq, Flags: ack | psh}, 700)
 	b.out(sp, packet.TCPFields{Seq: seq, Ack: 701, Flags: ack | packet.FlagFIN}, 0)
 	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 701, Ack: seq + 1, Flags: ack | packet.FlagFIN}, 0)
-	if old.LossEvents == 0 || old.VTimeouts == 0 || old.Alpha == cfg.InitAlpha || old.vcc.Name() != "reno" ||
+	if old.LossEvents == 0 || old.VTimeouts == 0 || old.Alpha == cfg.InitAlpha || old.law().Name() != "reno" ||
 		old.peer == nil || old.inactivity == nil || !old.finFwd || !old.finRev {
 		t.Fatalf("the record did not live through what the test is about: %+v", &old.flowState)
 	}

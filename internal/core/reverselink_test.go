@@ -321,7 +321,7 @@ func TestReverseLinkCases(t *testing.T) {
 		if tb.reverseOf(a) != b {
 			t.Fatal("link not established")
 		}
-		if n := tb.Sweep(func(f *Flow) bool { return f != b }); n != 1 {
+		if n := tb.SweepRange(0, numShards, func(f *Flow) bool { return f != b }); n != 1 {
 			t.Fatalf("swept %d", n)
 		}
 		if got := tb.reverseOf(a); got != nil {
@@ -345,8 +345,8 @@ func TestReverseLinkCases(t *testing.T) {
 		v, host, _ := loneVSwitch(t, DefaultConfig())
 		remote := packet.MakeAddr(10, 0, 0, 2)
 		k := FlowKey{Src: host.Addr, Dst: remote, SPort: 100, DPort: 200}
-		v.Ingress(dataPkt(remote, host.Addr, 200, 100, 1, 500)) // creates the reverse record
-		v.Egress(dataPkt(host.Addr, remote, 100, 200, 1, 1000)) // creates and links the forward one
+		ingress(v, dataPkt(remote, host.Addr, 200, 100, 1, 500)) // creates the reverse record
+		egress(v, dataPkt(host.Addr, remote, 100, 200, 1, 1000)) // creates and links the forward one
 		oldA, oldB := v.Table.Get(k), v.Table.Get(k.Reverse())
 		if oldA == nil || oldB == nil || oldA.peer != oldB {
 			t.Fatalf("not linked before Clear: a=%p b=%p a.peer=%p", oldA, oldB, oldA.peer)
@@ -357,8 +357,8 @@ func TestReverseLinkCases(t *testing.T) {
 		if out == nil || extra != nil || packet.FindOption(out.TCP().Options(), packet.OptPACK) != nil {
 			t.Fatal("ACK after Clear carried feedback from a record that is gone")
 		}
-		v.Egress(dataPkt(host.Addr, remote, 100, 200, 1001, 1000))
-		v.Ingress(dataPkt(remote, host.Addr, 200, 100, 501, 500))
+		egress(v, dataPkt(host.Addr, remote, 100, 200, 1001, 1000))
+		ingress(v, dataPkt(remote, host.Addr, 200, 100, 501, 500))
 		a, b := v.Table.Get(k), v.Table.Get(k.Reverse())
 		if a == nil || b == nil || a == oldA || b == oldB {
 			t.Fatalf("records not re-created: a=%p (old %p) b=%p (old %p)", a, oldA, b, oldB)
@@ -379,11 +379,11 @@ func TestReverseLinkCases(t *testing.T) {
 		v, host, _ := loneVSwitch(t, DefaultConfig())
 		remote := packet.MakeAddr(10, 0, 0, 2)
 		k := FlowKey{Src: host.Addr, Dst: remote, SPort: 100, DPort: 200}
-		v.Egress(dataPkt(host.Addr, remote, 100, 200, 1, 1000))
+		egress(v, dataPkt(host.Addr, remote, 100, 200, 1, 1000))
 		fin := packet.Build(remote, host.Addr, packet.NotECT, packet.TCPFields{
 			SrcPort: 200, DstPort: 100, Seq: 1, Ack: 1001,
 			Flags: packet.FlagACK | packet.FlagFIN, Window: 65535}, 0)
-		v.Ingress(fin)
+		ingress(v, fin)
 		a, b := v.Table.Get(k), v.Table.Get(k.Reverse())
 		if a == nil || b == nil {
 			t.Fatalf("records missing: a=%p b=%p", a, b)
@@ -408,53 +408,71 @@ func TestReverseLinkCases(t *testing.T) {
 
 // TestFlowHotFieldsLayout pins the packing the per-packet cost rests on: with
 // 10k+ flows every line of a record is a miss, so what every packet touches
-// ends inside the first cache line and what the sender module touches per
-// data segment and per ACK inside the first three; Policy, read but not
-// written per ACK, fills the fourth. TestFlowSizeClass pins the total.
+// ends inside the first cache line, and everything the sender module touches
+// per data segment and per ACK inside the first three. TestFlowSizeClass pins
+// the total, which puts every record on a line boundary.
 func TestFlowHotFieldsLayout(t *testing.T) {
 	var f Flow
-	within := func(limit uintptr, name string, off, size uintptr) {
-		if off+size > limit {
-			t.Errorf("%s ends at byte %d, outside the first %d", name, off+size, limit)
+	type field struct {
+		name      string
+		off, size uintptr
+	}
+	for _, lim := range []struct {
+		bytes  uintptr
+		fields []field
+	}{
+		// Every packet: lock, link, liveness, the receiver module, the flags.
+		{64, []field{
+			{"mu", unsafe.Offsetof(f.mu), unsafe.Sizeof(f.mu)},
+			{"iss", unsafe.Offsetof(f.iss), unsafe.Sizeof(f.iss)},
+			{"peer", unsafe.Offsetof(f.peer), unsafe.Sizeof(f.peer)},
+			{"peerGen", unsafe.Offsetof(f.peerGen), unsafe.Sizeof(f.peerGen)},
+			{"lastActive", unsafe.Offsetof(f.lastActive), unsafe.Sizeof(f.lastActive)},
+			{"TotalBytes", unsafe.Offsetof(f.TotalBytes), unsafe.Sizeof(f.TotalBytes)},
+			{"MarkedBytes", unsafe.Offsetof(f.MarkedBytes), unsafe.Sizeof(f.MarkedBytes)},
+			{"GuestECN", unsafe.Offsetof(f.GuestECN), unsafe.Sizeof(f.GuestECN)},
+			{"issValid", unsafe.Offsetof(f.issValid), unsafe.Sizeof(f.issValid)},
+			{"resync", unsafe.Offsetof(f.resync), unsafe.Sizeof(f.resync)},
+			{"finFwd", unsafe.Offsetof(f.finFwd), unsafe.Sizeof(f.finFwd)},
+			{"finRev", unsafe.Offsetof(f.finRev), unsafe.Sizeof(f.finRev)},
+			{"isUDP", unsafe.Offsetof(f.isUDP), unsafe.Sizeof(f.isUDP)},
+			{"WScaleKnown", unsafe.Offsetof(f.WScaleKnown), unsafe.Sizeof(f.WScaleKnown)},
+			{"PeerWScale", unsafe.Offsetof(f.PeerWScale), unsafe.Sizeof(f.PeerWScale)},
+		}},
+		// Per data segment and per ACK (processAckLocked, cutWindow, the
+		// backends' OnAck and OnEgress): tracking, feedback, the window, α,
+		// the policy, the law and the backend.
+		{192, []field{
+			{"lastAckWire", unsafe.Offsetof(f.lastAckWire), unsafe.Sizeof(f.lastAckWire)},
+			{"MSS", unsafe.Offsetof(f.MSS), unsafe.Sizeof(f.MSS)},
+			{"DupAcks", unsafe.Offsetof(f.DupAcks), unsafe.Sizeof(f.DupAcks)},
+			{"SndUna", unsafe.Offsetof(f.SndUna), unsafe.Sizeof(f.SndUna)},
+			{"SndNxt", unsafe.Offsetof(f.SndNxt), unsafe.Sizeof(f.SndNxt)},
+			{"maxInflight", unsafe.Offsetof(f.maxInflight), unsafe.Sizeof(f.maxInflight)},
+			{"inactivity", unsafe.Offsetof(f.inactivity), unsafe.Sizeof(f.inactivity)},
+			{"lastTotal", unsafe.Offsetof(f.lastTotal), unsafe.Sizeof(f.lastTotal)},
+			{"lastMarked", unsafe.Offsetof(f.lastMarked), unsafe.Sizeof(f.lastMarked)},
+			{"windowTotal", unsafe.Offsetof(f.windowTotal), unsafe.Sizeof(f.windowTotal)},
+			{"windowMarked", unsafe.Offsetof(f.windowMarked), unsafe.Sizeof(f.windowMarked)},
+			{"CwndBytes", unsafe.Offsetof(f.CwndBytes), unsafe.Sizeof(f.CwndBytes)},
+			{"SsthreshBytes", unsafe.Offsetof(f.SsthreshBytes), unsafe.Sizeof(f.SsthreshBytes)},
+			{"Alpha", unsafe.Offsetof(f.Alpha), unsafe.Sizeof(f.Alpha)},
+			{"alphaSeq", unsafe.Offsetof(f.alphaSeq), unsafe.Sizeof(f.alphaSeq)},
+			{"cutSeq", unsafe.Offsetof(f.cutSeq), unsafe.Sizeof(f.cutSeq)},
+			{"prevCwndBytes", unsafe.Offsetof(f.prevCwndBytes), unsafe.Sizeof(f.prevCwndBytes)},
+			{"lastFeedbackAt", unsafe.Offsetof(f.lastFeedbackAt), unsafe.Sizeof(f.lastFeedbackAt)},
+			{"fbStaleMark", unsafe.Offsetof(f.fbStaleMark), unsafe.Sizeof(f.fbStaleMark)},
+			{"Policy", unsafe.Offsetof(f.Policy), unsafe.Sizeof(f.Policy)},
+			{"lastWndRaw", unsafe.Offsetof(f.lastWndRaw), unsafe.Sizeof(f.lastWndRaw)},
+			{"lastWndSeen", unsafe.Offsetof(f.lastWndSeen), unsafe.Sizeof(f.lastWndSeen)},
+			{"vcc", unsafe.Offsetof(f.vcc), unsafe.Sizeof(f.vcc)},
+			{"be", unsafe.Offsetof(f.be), unsafe.Sizeof(f.be)},
+		}},
+	} {
+		for _, fld := range lim.fields {
+			if end := fld.off + fld.size; end > lim.bytes {
+				t.Errorf("%s ends at byte %d, outside the first %d", fld.name, end, lim.bytes)
+			}
 		}
 	}
-	// Every packet: lock, key, link, liveness, the receiver module, the flags.
-	within(64, "mu", unsafe.Offsetof(f.mu), unsafe.Sizeof(f.mu))
-	within(64, "Key", unsafe.Offsetof(f.Key), unsafe.Sizeof(f.Key))
-	within(64, "iss", unsafe.Offsetof(f.iss), unsafe.Sizeof(f.iss))
-	within(64, "peer", unsafe.Offsetof(f.peer), unsafe.Sizeof(f.peer))
-	within(64, "peerGen", unsafe.Offsetof(f.peerGen), unsafe.Sizeof(f.peerGen))
-	within(64, "lastActive", unsafe.Offsetof(f.lastActive), unsafe.Sizeof(f.lastActive))
-	within(64, "TotalBytes", unsafe.Offsetof(f.TotalBytes), unsafe.Sizeof(f.TotalBytes))
-	within(64, "MarkedBytes", unsafe.Offsetof(f.MarkedBytes), unsafe.Sizeof(f.MarkedBytes))
-	within(64, "GuestECN", unsafe.Offsetof(f.GuestECN), unsafe.Sizeof(f.GuestECN))
-	within(64, "issValid", unsafe.Offsetof(f.issValid), unsafe.Sizeof(f.issValid))
-	within(64, "resync", unsafe.Offsetof(f.resync), unsafe.Sizeof(f.resync))
-	within(64, "finFwd", unsafe.Offsetof(f.finFwd), unsafe.Sizeof(f.finFwd))
-	within(64, "finRev", unsafe.Offsetof(f.finRev), unsafe.Sizeof(f.finRev))
-	within(64, "WScaleKnown", unsafe.Offsetof(f.WScaleKnown), unsafe.Sizeof(f.WScaleKnown))
-	within(64, "PeerWScale", unsafe.Offsetof(f.PeerWScale), unsafe.Sizeof(f.PeerWScale))
-	// Per data segment and per ACK: the sender module's tracking and window.
-	within(192, "SndUna", unsafe.Offsetof(f.SndUna), unsafe.Sizeof(f.SndUna))
-	within(192, "SndNxt", unsafe.Offsetof(f.SndNxt), unsafe.Sizeof(f.SndNxt))
-	within(192, "maxInflight", unsafe.Offsetof(f.maxInflight), unsafe.Sizeof(f.maxInflight))
-	within(192, "inactivity", unsafe.Offsetof(f.inactivity), unsafe.Sizeof(f.inactivity))
-	within(192, "be", unsafe.Offsetof(f.be), unsafe.Sizeof(f.be))
-	within(192, "lastTotal", unsafe.Offsetof(f.lastTotal), unsafe.Sizeof(f.lastTotal))
-	within(192, "lastMarked", unsafe.Offsetof(f.lastMarked), unsafe.Sizeof(f.lastMarked))
-	within(192, "windowTotal", unsafe.Offsetof(f.windowTotal), unsafe.Sizeof(f.windowTotal))
-	within(192, "windowMarked", unsafe.Offsetof(f.windowMarked), unsafe.Sizeof(f.windowMarked))
-	within(192, "CwndBytes", unsafe.Offsetof(f.CwndBytes), unsafe.Sizeof(f.CwndBytes))
-	within(192, "SsthreshBytes", unsafe.Offsetof(f.SsthreshBytes), unsafe.Sizeof(f.SsthreshBytes))
-	within(192, "MSS", unsafe.Offsetof(f.MSS), unsafe.Sizeof(f.MSS))
-	within(192, "DupAcks", unsafe.Offsetof(f.DupAcks), unsafe.Sizeof(f.DupAcks))
-	within(192, "alphaSeq", unsafe.Offsetof(f.alphaSeq), unsafe.Sizeof(f.alphaSeq))
-	within(192, "lastFeedbackAt", unsafe.Offsetof(f.lastFeedbackAt), unsafe.Sizeof(f.lastFeedbackAt))
-	within(192, "fbStaleMark", unsafe.Offsetof(f.fbStaleMark), unsafe.Sizeof(f.fbStaleMark))
-	within(192, "lastAckWire", unsafe.Offsetof(f.lastAckWire), unsafe.Sizeof(f.lastAckWire))
-	within(192, "lastWndRaw", unsafe.Offsetof(f.lastWndRaw), unsafe.Sizeof(f.lastWndRaw))
-	within(192, "lastWndSeen", unsafe.Offsetof(f.lastWndSeen), unsafe.Sizeof(f.lastWndSeen))
-	// Read per ACK, written by installs: the policy fills the fourth line.
-	within(256, "Policy", unsafe.Offsetof(f.Policy), unsafe.Sizeof(f.Policy))
-	within(256, "Alpha", unsafe.Offsetof(f.Alpha), unsafe.Sizeof(f.Alpha))
 }

@@ -19,7 +19,7 @@ func TestPACKCoexistsWithSACKOptions(t *testing.T) {
 	peer := packet.MakeAddr(10, 0, 0, 2)
 
 	// Receiver-module state with counted bytes.
-	v.Ingress(dataPkt(peer, host.Addr, 200, 100, 9000, 1500))
+	ingress(v, dataPkt(peer, host.Addr, 200, 100, 9000, 1500))
 
 	sack := packet.EncodeSACK(nil, []packet.SACKBlock{
 		{Start: 10_000, End: 11_000},
@@ -30,7 +30,7 @@ func TestPACKCoexistsWithSACKOptions(t *testing.T) {
 		SrcPort: 100, DstPort: 200, Seq: 1, Ack: 10_500,
 		Flags: packet.FlagACK, Window: 65535, Options: sack,
 	}, 0)
-	out := v.Egress(ack)
+	out := egress(v, ack)
 	if len(out) != 1 {
 		t.Fatalf("expected PACK piggyback (1 packet), got %d (FACK fallback?)", len(out))
 	}

@@ -137,11 +137,12 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 			ev.AlphaUpdated, ev.AlphaFrac = true, frac
 		}
 		f.windowTotal, f.windowMarked = 0, 0
-		f.alphaSeq = f.be.RoundAnchor(v, f, absAck)
+		f.alphaSeq = f.backend().RoundAnchor(v, f, absAck)
 		// Per-RTT distribution samples: the operator's view of where the
 		// fleet's virtual windows and congestion estimates sit.
-		f.mCwnd.Observe(f.CwndBytes)
-		f.mAlpha.Observe(f.Alpha)
+		h := v.Metrics.hists[f.vcc]
+		h.cwnd.Observe(f.CwndBytes)
+		h.alpha.Observe(f.Alpha)
 	}
 
 	// Cwnd validation: the backend judges whether the guest actually
@@ -155,14 +156,14 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 	// the guest is not bound by the virtual window, so the overshoot gate must
 	// not freeze growth (and the rewrite below is skipped entirely).
 	enforcing := v.Cfg.EnforceRwnd && !f.Policy.Disable
-	cwndLimited := f.be.WindowLimited(v, f, enforcing, f.maxInflight)
+	cwndLimited := f.backend().WindowLimited(v, f, enforcing, f.maxInflight)
 	f.maxInflight = f.SndNxt - f.SndUna
 
 	// The enforcement backend owns the congestion decision: dctcp-cut and
 	// pace react to any marked byte (Figure 5); adaptive-k gates the
 	// reaction behind its load-adaptive threshold K (backend.go).
-	congested := f.be.Congested(v, f, totalDelta, markedDelta)
-	if loss && !f.be.LossIsFabric(v, f) {
+	congested := f.backend().Congested(v, f, totalDelta, markedDelta)
+	if loss && !f.backend().LossIsFabric(v, f) {
 		// Dupacks provoked by the backend's own throttling (a pacer
 		// queue-bound drop): the guest's loss recovery is the response;
 		// the fabric said nothing, so the virtual window says nothing.
@@ -177,10 +178,10 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 		v.cutWindow(f, absAck, false)
 		if acked > 0 && cwndLimited {
 			// DCTCP still grows between cuts within the window guard.
-			f.vcc.OnAck(f, acked)
+			f.law().OnAck(f, acked)
 		}
 	case acked > 0 && cwndLimited && !fbStale:
-		f.vcc.OnAck(f, acked)
+		f.law().OnAck(f, acked)
 	}
 	v.clampFlow(f)
 
@@ -194,7 +195,7 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 		// The backend imposes the window its own way: dctcp-cut (and
 		// adaptive-k) rewrite the RWND field; pace refreshes its token-
 		// bucket rate and leaves the ACK untouched.
-		overwrote = f.be.OnAck(v, f, t, enforced, fbStale)
+		overwrote = f.backend().OnAck(v, f, t, enforced, fbStale)
 	}
 	if audit != nil {
 		ev.SndUna, ev.SndNxt = f.SndUna, f.SndNxt
@@ -220,13 +221,13 @@ func (v *VSwitch) cutWindow(f *Flow, absAck int64, loss bool) {
 		return // already cut in this window
 	}
 	f.prevCwndBytes = f.CwndBytes
-	factor := f.vcc.CutFactor(f, loss)
+	factor := f.law().CutFactor(f, loss)
 	f.CwndBytes *= factor
 	f.SsthreshBytes = f.CwndBytes
-	f.cutSeq = f.be.RoundAnchor(v, f, absAck)
+	f.cutSeq = f.backend().RoundAnchor(v, f, absAck)
 	v.clampFlow(f)
 	if a := v.Audit; a != nil {
-		a.CutEvent(v, CutEvent{Key: f.Key, Alg: f.vcc.Name(), Loss: loss,
+		a.CutEvent(v, CutEvent{Key: f.Key, Alg: f.law().Name(), Loss: loss,
 			Alpha: f.Alpha, Beta: f.Policy.Beta, Factor: factor,
 			PrevCwnd: f.prevCwndBytes, NewCwnd: f.CwndBytes})
 	}
@@ -274,7 +275,7 @@ func (v *VSwitch) onVTimeout(f *Flow) {
 	v.Metrics.VTimeouts.Inc()
 	f.VTimeouts++
 	f.Alpha = v.Cfg.MaxAlpha
-	f.vcc.OnTimeout(f)
+	f.law().OnTimeout(f)
 	v.clampFlow(f)
 	f.cutSeq = f.SndNxt
 	genDup := v.Cfg.GenDupAcks && f.issValid
@@ -311,7 +312,7 @@ func (v *VSwitch) buildDupAckLocked(f *Flow) *packet.Packet {
 	}
 	// The backend chooses the advertised window: rewrite backends use the
 	// enforced field; pace echoes the guest's own last window instead.
-	wnd := f.be.DupAckWindow(v, f, uint16(field))
+	wnd := f.backend().DupAckWindow(v, f, uint16(field))
 	return packet.BuildIn(v.pool(), f.Key.Dst, f.Key.Src, packet.NotECT, packet.TCPFields{
 		SrcPort: f.Key.DPort, DstPort: f.Key.SPort,
 		Seq: f.lastAckWire, Ack: f.iss + uint32(f.SndUna),

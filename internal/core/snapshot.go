@@ -135,7 +135,7 @@ func (f *Flow) recordLocked() flowRecord {
 		finFwd:      f.finFwd,
 		finRev:      f.finRev,
 
-		MSS:           f.MSS,
+		MSS:           int(f.MSS),
 		iss:           f.iss,
 		SndUna:        f.SndUna,
 		SndNxt:        f.SndNxt,
@@ -161,10 +161,10 @@ func (f *Flow) recordLocked() flowRecord {
 		RwndClamp:  f.Policy.RwndClampBytes,
 		PolDisable: f.Policy.Disable,
 		PolVCC:     f.Policy.VCC,
-		VCCName:    f.vcc.Name(),
+		VCCName:    f.law().Name(),
 
 		PolBackend: f.Policy.Backend,
-		BeState:    f.be.SaveState(f),
+		BeState:    f.backend().SaveState(f),
 	}
 }
 
@@ -559,7 +559,7 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 		f.issValid = r.issValid
 		f.finFwd = r.finFwd
 		f.finRev = r.finRev
-		f.MSS = r.MSS
+		f.MSS = int32(r.MSS)
 		f.iss = r.iss
 		f.SndUna = r.SndUna
 		f.SndNxt = r.SndNxt
@@ -577,19 +577,13 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 		f.MarkedBytes = r.MarkedBytes
 		f.VTimeouts = r.VTimeouts
 		f.LossEvents = r.LossEvents
-		f.Policy = Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
-			VCC: r.PolVCC, Backend: r.PolBackend, Disable: r.PolDisable}
-		if name := firstNonEmpty(r.PolVCC, v.Cfg.VCC); name != f.vcc.Name() {
-			f.vcc = newVCCOrDefault(name)
-			f.mCwnd, f.mAlpha = v.Metrics.flowHists(f.vcc.Name())
-		}
-		// Swap the enforcement backend like applyToLive does and hand it its
-		// checkpointed scalar (no-op for dctcp-cut). No simulator access:
-		// restore may run on a control-plane goroutine.
-		if be := newBackend(firstNonEmpty(r.PolBackend, v.Cfg.Backend)); be != f.be {
-			f.be = be
-		}
-		f.be.RestoreState(v, f, r.BeState)
+		f.Policy = v.intern(Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
+			VCC: r.PolVCC, Backend: r.PolBackend, Disable: r.PolDisable})
+		// Swap the growth law and the backend like applyToLive does, and hand
+		// the backend its checkpointed scalar (no-op for dctcp-cut). No
+		// simulator access: restore may run on a control-plane goroutine.
+		v.setLaws(f)
+		f.backend().RestoreState(v, f, r.BeState)
 		f.maxInflight = f.SndNxt - f.SndUna
 		f.lastActive = now
 		if f.issValid {
@@ -602,18 +596,6 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 	}
 	v.Metrics.SnapshotRestores.Inc()
 	return nil
-}
-
-// newVCCOrDefault resolves a virtual-CC name from a snapshot. Unknown names
-// (a profile from a newer build) degrade to the default DCTCP law instead of
-// panicking — the decoder must survive any input.
-func newVCCOrDefault(name string) VirtualCC {
-	switch name {
-	case "", "dctcp", "reno":
-		return NewVCC(name)
-	default:
-		return NewVCC("")
-	}
 }
 
 // resetTable empties the flow table in place, keeping the table-size gauge

@@ -34,9 +34,9 @@ func TestSnapshotConcurrentWithDatapath(t *testing.T) {
 	tick = func() {
 		i := n % flows
 		sp, dp := uint16(100+i), uint16(200+i)
-		v.Egress(dataPkt(host.Addr, peer, sp, dp, seqs[i], 100))
+		egress(v, dataPkt(host.Addr, peer, sp, dp, seqs[i], 100))
 		seqs[i] += 100
-		v.Ingress(ackPkt(peer, host.Addr, dp, sp, seqs[i], 65535))
+		ingress(v, ackPkt(peer, host.Addr, dp, sp, seqs[i], 65535))
 		if n++; n < minRounds || !ctrlDone.Load() {
 			s.ScheduleFunc(100, tick)
 		}
@@ -111,8 +111,8 @@ func TestFinRevSetUnderItsOwnLock(t *testing.T) {
 	var tick func()
 	tick = func() {
 		sp, dp := uint16(100+n%8), uint16(200+n%8)
-		v.Egress(dataPkt(host.Addr, peer, sp, dp, 1, 100))
-		v.Ingress(fin(sp, dp, 101))
+		egress(v, dataPkt(host.Addr, peer, sp, dp, 1, 100))
+		ingress(v, fin(sp, dp, 101))
 		if n++; n < rounds {
 			s.ScheduleFunc(100, tick)
 		} else {

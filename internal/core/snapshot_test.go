@@ -41,23 +41,23 @@ func populatedVSwitch(t *testing.T) (*VSwitch, packet.Addr, packet.Addr) {
 	// Flow 1: full handshake (iss=0 keeps wire seq == absolute offset), one
 	// data segment, PACK feedback with marked bytes (moves α, SndUna,
 	// lastTotal/lastMarked and triggers a window cut).
-	v.Egress(packet.Build(host.Addr, peer, packet.NotECT, packet.TCPFields{
+	egress(v, packet.Build(host.Addr, peer, packet.NotECT, packet.TCPFields{
 		SrcPort: 10, DstPort: 20, Seq: 0, Flags: packet.FlagSYN, Window: 65535,
 		Options: packet.BuildSynOptions(1400, 0, true),
 	}, 0))
-	v.Ingress(packet.Build(peer, host.Addr, packet.NotECT, packet.TCPFields{
+	ingress(v, packet.Build(peer, host.Addr, packet.NotECT, packet.TCPFields{
 		SrcPort: 20, DstPort: 10, Seq: 5000, Ack: 1,
 		Flags: packet.FlagSYN | packet.FlagACK | packet.FlagECE, Window: 65535,
 		Options: packet.BuildSynOptions(1400, 2, true),
 	}, 0))
-	v.Egress(dataPkt(host.Addr, peer, 10, 20, 1, 1400))
-	v.Ingress(packAck(peer, host.Addr, 20, 10, 1401, 65535, 1400, 1400))
+	egress(v, dataPkt(host.Addr, peer, 10, 20, 1, 1400))
+	ingress(v, packAck(peer, host.Addr, 20, 10, 1401, 65535, 1400, 1400))
 
 	// Flow 2: mid-stream adoption under the reno policy (no handshake seen).
-	v.Egress(dataPkt(host.Addr, peer, 30, 443, 777_000, 1000))
+	egress(v, dataPkt(host.Addr, peer, 30, 443, 777_000, 1000))
 
 	// Flow 3: receiver module counting CE-marked peer data.
-	v.Ingress(packet.Build(peer, host.Addr, packet.CE, packet.TCPFields{
+	ingress(v, packet.Build(peer, host.Addr, packet.CE, packet.TCPFields{
 		SrcPort: 50, DstPort: 60, Seq: 1, Ack: 1,
 		Flags: packet.FlagACK | packet.FlagPSH, Window: 65535,
 	}, 900))
@@ -142,7 +142,7 @@ func TestSnapshotCorruptFailsOpen(t *testing.T) {
 			// fresh table, not leave half-restored or stale state behind.
 			b, bhost, _ := loneVSwitch(t, DefaultConfig())
 			v := append([]byte(nil), snap...)
-			b.Egress(dataPkt(bhost.Addr, packet.MakeAddr(10, 9, 9, 9), 1, 2, 100, 100))
+			egress(b, dataPkt(bhost.Addr, packet.MakeAddr(10, 9, 9, 9), 1, 2, 100, 100))
 			if err := b.RestoreSnapshot(mut(v)); err == nil {
 				t.Fatal("corrupt snapshot restored without error")
 			}
@@ -229,7 +229,7 @@ func TestRestoreEntersResyncThenReenforces(t *testing.T) {
 	// Plain ACK during resync: enforcement suspended, neither rewrite nor
 	// noop counted, guest window untouched.
 	p := ackPkt(peer, ahost, 20, 10, 1401, 65535)
-	b.Ingress(p)
+	ingress(b, p)
 	if w := p.TCP().Window(); w != 65535 {
 		t.Fatalf("resyncing flow rewrote RWND to %d", w)
 	}
@@ -240,11 +240,11 @@ func TestRestoreEntersResyncThenReenforces(t *testing.T) {
 	// First feedback re-anchors (cumulative counters are unanchored across
 	// the restore); the next feedback ACK covering snd_nxt completes the
 	// round.
-	b.Ingress(packAck(peer, ahost, 20, 10, 1401, 65535, 1400, 1400))
+	ingress(b, packAck(peer, ahost, 20, 10, 1401, 65535, 1400, 1400))
 	if !f.Resyncing() {
 		t.Fatal("one feedback packet should not complete resync")
 	}
-	b.Ingress(packAck(peer, ahost, 20, 10, 1401, 65535, 1400, 1400))
+	ingress(b, packAck(peer, ahost, 20, 10, 1401, 65535, 1400, 1400))
 	if f.Resyncing() {
 		t.Fatalf("resync never completed (state %s)", f.ResyncState())
 	}
@@ -257,7 +257,7 @@ func TestRestoreEntersResyncThenReenforces(t *testing.T) {
 	// 64KB, so the next wide ACK must be rewritten down.
 	before := b.Stats().RwndRewrites
 	p = ackPkt(peer, ahost, 20, 10, 1401, 65535)
-	b.Ingress(p)
+	ingress(b, p)
 	if b.Stats().RwndRewrites != before+1 {
 		t.Fatalf("RwndRewrites %d → %d after resync", before, b.Stats().RwndRewrites)
 	}
@@ -278,7 +278,7 @@ func TestRestoreRebaselinesFeedbackWithoutAlphaCredit(t *testing.T) {
 	f := b.Table.Get(FlowKey{Src: ahost, Dst: peer, SPort: 10, DPort: 20})
 	// Feedback claiming 4GB-ish cumulative totals (a peer much further along
 	// than our restored baseline).
-	b.Ingress(packAck(peer, ahost, 20, 10, 1401, 65535, 3_000_000_000, 2_999_000_000))
+	ingress(b, packAck(peer, ahost, 20, 10, 1401, 65535, 3_000_000_000, 2_999_000_000))
 	f.mu.Lock()
 	wt, wm, lt := f.windowTotal, f.windowMarked, f.lastTotal
 	f.mu.Unlock()
@@ -310,7 +310,7 @@ func TestRestoreCapacityOverflowFailsOpen(t *testing.T) {
 func TestSnapshotSkipsUDPTunnelFlows(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 100, 100))
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2})
 	f.mu.Lock()
 	f.isUDP = true
@@ -368,7 +368,7 @@ func TestDetachReattachRoundTrip(t *testing.T) {
 	if !v.Attached() {
 		t.Fatal("Reattach did not re-enable the datapath")
 	}
-	v.Egress(dataPkt(host.Addr, packet.MakeAddr(10, 0, 0, 2), 1, 2, 200, 100))
+	egress(v, dataPkt(host.Addr, packet.MakeAddr(10, 0, 0, 2), 1, 2, 200, 100))
 	if v.Table.Len() != 1 {
 		t.Fatal("reattached vSwitch not tracking")
 	}
@@ -426,7 +426,7 @@ func TestRestoreUnknownVCCNameDegradesToDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := b.Table.Get(FlowKey{Src: ahost, Dst: peer, SPort: 10, DPort: 20})
-	if f == nil || f.vcc.Name() != "dctcp" {
+	if f == nil || f.law().Name() != "dctcp" {
 		t.Fatalf("unknown vCC did not degrade to default")
 	}
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -41,7 +45,7 @@ func TestLenMatchesShardStats(t *testing.T) {
 	tab.Delete(tbKey(9999)) // absent: must not drift the counter
 	check("delete")
 	n := 0
-	tab.Sweep(func(*Flow) bool { n++; return n%2 == 0 })
+	tab.SweepRange(0, numShards, func(*Flow) bool { n++; return n%2 == 0 })
 	check("sweep")
 	tab.SweepRange(10, 30, func(*Flow) bool { return false })
 	check("sweep-range")
@@ -219,4 +223,266 @@ func TestUpdateTableGauges(t *testing.T) {
 	if got := snap.Gauge("flow_table_shard_imbalance_permille"); got != shape.ImbalancePermille {
 		t.Fatalf("imbalance gauge %d, want %d", got, shape.ImbalancePermille)
 	}
+}
+
+// tableKeys is the key domain of the index scripts: 96 keys that share shard
+// 0, enough to grow its index from 8 slots to 128, and 32 in other shards.
+var tableKeys = func() []FlowKey {
+	var ks []FlowKey
+	for i := 0; len(ks) < 128; i++ {
+		k := tbKey(i)
+		if (shardIndex(k) == 0) == (len(ks) < 96) {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}()
+
+// checkIndex asserts what the lock-free readers rely on, shard by shard: the
+// live and used counts match the slots, at most three quarters of the array
+// is in use (so every probe meets an empty slot), and every record is found
+// from its key.
+func checkIndex(t *testing.T, tb *Table, after string) {
+	t.Helper()
+	for i := range tb.shards {
+		s := &tb.shards[i]
+		ix := s.ix.Load()
+		if ix == nil {
+			if s.live != 0 || s.used != 0 {
+				t.Fatalf("after %s: shard %d counts %d/%d with no index", after, i, s.live, s.used)
+			}
+			continue
+		}
+		live, tomb := 0, 0
+		for j := range ix.slots {
+			sl := &ix.slots[j]
+			switch {
+			case sl.f.Load() != nil:
+				live++
+				w0, w1 := sl.k0.Load(), sl.k1.Load()
+				if got := ix.find(w0, w1, hashWords(w0, w1)); got != j {
+					t.Fatalf("after %s: shard %d slot %d is found at %d", after, i, j, got)
+				}
+			case sl.k1.Load() == tombstone:
+				tomb++
+			}
+		}
+		if live != s.live || live+tomb != s.used || 4*s.used > 3*len(ix.slots) {
+			t.Fatalf("after %s: shard %d has %d records, %d tombstones in %d slots; counts %d live, %d used",
+				after, i, live, tomb, len(ix.slots), s.live, s.used)
+		}
+	}
+}
+
+// playTableScript runs a byte script of (op, key) pairs against a Table and a
+// map model, comparing the two after every step.
+func playTableScript(t *testing.T, script []byte) {
+	tb := NewTable()
+	model := map[FlowKey]*Flow{}
+	names := [...]string{"get", "get-or-create", "get-or-create", "delete", "sweep-shard", "clear", "range"}
+	for i := 0; i+1 < len(script); i += 2 {
+		op, arg := int(script[i])%len(names), script[i+1]
+		k := tableKeys[int(arg)%len(tableKeys)]
+		switch names[op] {
+		case "get":
+		case "get-or-create":
+			f, created := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
+			if want := model[k]; created != (want == nil) || (want != nil && f != want) {
+				t.Fatalf("step %d: GetOrCreate(%v) = %p, created %v; model has %p", i/2, k, f, created, want)
+			}
+			model[k] = f
+		case "delete":
+			tb.Delete(k)
+			delete(model, k)
+		case "sweep-shard":
+			keep := func(f *Flow) bool { return (f.Key.SPort+uint16(arg))%3 != 0 }
+			n := 0
+			for mk, f := range model {
+				if shardIndex(mk) == shardIndex(k) && !keep(f) {
+					delete(model, mk)
+					n++
+				}
+			}
+			if got := tb.SweepShard(shardIndex(k), keep); got != n {
+				t.Fatalf("step %d: SweepShard removed %d, model %d", i/2, got, n)
+			}
+		case "clear":
+			if got := tb.Clear(); got != len(model) {
+				t.Fatalf("step %d: Clear removed %d, model held %d", i/2, got, len(model))
+			}
+			clear(model)
+		case "range":
+			seen := map[*Flow]bool{}
+			tb.Range(func(f *Flow) {
+				if seen[f] || model[f.Key] != f {
+					t.Fatalf("step %d: Range visited %v (%p) twice or off the model", i/2, f.Key, f)
+				}
+				seen[f] = true
+			})
+			if len(seen) != len(model) {
+				t.Fatalf("step %d: Range visited %d, model holds %d", i/2, len(seen), len(model))
+			}
+		}
+		for _, k := range tableKeys {
+			if got := tb.Get(k); got != model[k] {
+				t.Fatalf("step %d (%s): Get(%v) = %p, model %p", i/2, names[op], k, got, model[k])
+			}
+		}
+		if total, _ := tb.ShardStats(); tb.Len() != len(model) || total != len(model) {
+			t.Fatalf("step %d (%s): Len %d, ShardStats %d, model %d", i/2, names[op], tb.Len(), total, len(model))
+		}
+		checkIndex(t, tb, names[op])
+	}
+}
+
+// tableScript draws a script that grows shard 0 through its doublings, then
+// churns it with deletes and sweeps until it is mostly tombstones.
+func tableScript(rng *rand.Rand, n int) []byte {
+	script := make([]byte, 0, 2*n)
+	for i := 0; i < n; i++ {
+		op := rng.Intn(7)
+		if i < n/2 && op != 5 {
+			op = 1 // mostly creates first: the grow path
+		} else if op == 5 && rng.Intn(8) != 0 {
+			op = 3 // Clear is rare, deletes are not: the tombstone path
+		}
+		script = append(script, byte(op), byte(rng.Intn(256)))
+	}
+	return script
+}
+
+// FuzzTableMatchesMap drives the index with a fuzzed script of Get,
+// GetOrCreate, Delete, SweepShard, Clear and Range against a map model.
+func FuzzTableMatchesMap(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(tableScript(rand.New(rand.NewSource(seed)), 400))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 1200 {
+			script = script[:1200]
+		}
+		playTableScript(t, script)
+	})
+}
+
+// TestTableGetTakesNoLock: a reader is never held up by a writer's lock.
+func TestTableGetTakesNoLock(t *testing.T) {
+	tb := NewTable()
+	k := tbKey(1)
+	f, _ := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
+	for i := range tb.shards {
+		tb.shards[i].mu.Lock()
+	}
+	got := make(chan *Flow)
+	go func() { got <- tb.Get(k) }()
+	select {
+	case g := <-got:
+		if g != f {
+			t.Fatalf("Get = %p, want %p", g, f)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get waited on a shard lock")
+	}
+	for i := range tb.shards {
+		tb.shards[i].mu.Unlock()
+	}
+}
+
+// TestFlowPolicyMayProbeTable: flow set-up runs the operator's FlowPolicy
+// while the new flow's shard is closed to writers; a callback that probes the
+// table, that shard included, must not wait on it.
+func TestFlowPolicyMayProbeTable(t *testing.T) {
+	cfg := DefaultConfig()
+	var v *VSwitch
+	probes := 0
+	cfg.FlowPolicy = func(k FlowKey) Policy {
+		if v.Table.Get(k) != nil {
+			t.Errorf("%v is in the table before its FlowPolicy returned", k)
+		}
+		v.Table.Get(k.Reverse())
+		probes++
+		return DefaultPolicy()
+	}
+	v, host, _ := loneVSwitch(t, cfg)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		egress(v, dataPkt(host.Addr, packet.MakeAddr(10, 0, 0, 2), 100, 200, 1, 100))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("flow set-up deadlocked: the FlowPolicy's probe of its own shard waited on the shard lock")
+	}
+	if probes != 1 || v.Table.Len() != 1 {
+		t.Fatalf("%d FlowPolicy calls, %d flows; want 1 and 1", probes, v.Table.Len())
+	}
+}
+
+// TestTableConcurrentReaders: a control-plane goroutine probes, ranges,
+// scans, clears and restores the table while the datapath creates flows, the
+// sweep timer removes them and new flows take their records back. Run with
+// -race; the seqlock reads must see whole records or retry.
+func TestTableConcurrentReaders(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SweepInterval = 80 * sim.Microsecond
+	b := newRecycleBench(t, cfg)
+	var ctrlDone atomic.Bool
+	rounds := 0
+	var tick func()
+	tick = func() {
+		b.cycle(uint16(1000 + rounds%300))
+		if rounds++; rounds < 3000 || !ctrlDone.Load() {
+			b.s.ScheduleFunc(5*sim.Microsecond, tick)
+		}
+	}
+	b.s.ScheduleFunc(0, tick)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer ctrlDone.Store(true)
+		var snap []byte
+		for i := 0; i < 400; i++ {
+			k := b.key(uint16(1000 + i%300))
+			if f := b.v.Table.Get(k); f != nil {
+				f.mu.Lock()
+				_ = f.Key
+				f.mu.Unlock()
+			}
+			b.v.Table.Get(k.Reverse())
+			b.v.Table.Range(func(f *Flow) {
+				f.mu.Lock()
+				_ = f.CwndBytes
+				f.mu.Unlock()
+			})
+			b.v.Table.ShardStats()
+			switch i % 50 {
+			case 10:
+				snap = b.v.SaveSnapshot()
+			case 20:
+				if err := b.v.RestoreSnapshot(snap); err != nil {
+					t.Errorf("restore: %v", err)
+				}
+			case 30:
+				b.v.Table.Clear()
+			}
+		}
+	}()
+	b.s.RunAll()
+	wg.Wait()
+	if b.v.ParkedFlows() == 0 && b.v.Stats().FlowsRemoved == 0 {
+		t.Fatal("the datapath never swept: nothing was recycled under the readers")
+	}
+	total, _ := b.v.Table.ShardStats()
+	if total != b.v.Table.Len() {
+		t.Fatalf("ShardStats %d, Len %d", total, b.v.Table.Len())
+	}
+	for _, f := range tableFlows(b.v.Table) {
+		if b.v.Table.Get(f.Key) != f {
+			t.Fatalf("%v is in the index but not found from its key", f.Key)
+		}
+	}
+	checkIndex(t, b.v.Table, "concurrent readers")
 }

@@ -26,8 +26,8 @@ const udpFeedbackBytes = 18_000
 // udpTunnelQueueCap bounds the sender-side tunnel queue.
 const udpTunnelQueueCap = 256 << 10
 
-// tunnelState is what only a tunnel flow carries, kept off the Flow record
-// so that TCP flows do not pay for it.
+// tunnelState is what only a tunnel flow carries, kept behind Flow.cold so
+// that TCP flows do not pay for it.
 type tunnelState struct {
 	tq          []*packet.Packet // sender-side tunnel queue
 	tqBytes     int
@@ -35,13 +35,9 @@ type tunnelState struct {
 	fbLastCE    bool
 }
 
-// tunnel returns f's tunnel state, made on first use. Caller holds f.mu.
-func (f *Flow) tunnel() *tunnelState {
-	if f.tun == nil {
-		f.tun = &tunnelState{}
-	}
-	return f.tun
-}
+// tunnel returns f's tunnel state, allocating the cold state on first use.
+// Caller holds f.mu.
+func (f *Flow) tunnel() *tunnelState { return &f.coldState().tun }
 
 // udpEgress is the sender-module path for guest datagrams.
 func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
@@ -64,7 +60,7 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		f.issValid = true
 		// Tunnel accounting is in IP-length bytes, so the "MSS" (window
 		// floor / growth quantum) is a full MTU-sized datagram.
-		f.MSS = v.Cfg.MTU
+		f.MSS = int32(v.Cfg.MTU)
 		f.CwndBytes = v.Cfg.InitCwndPkts * float64(f.MSS)
 		f.alphaSeq, f.cutSeq = 0, 0
 	}
@@ -192,8 +188,9 @@ func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
 		f.Alpha = (1-v.Cfg.G)*f.Alpha + v.Cfg.G*frac
 		f.windowTotal, f.windowMarked = 0, 0
 		f.alphaSeq = f.SndNxt
-		f.mCwnd.Observe(f.CwndBytes)
-		f.mAlpha.Observe(f.Alpha)
+		h := v.Metrics.hists[f.vcc]
+		h.cwnd.Observe(f.CwndBytes)
+		h.alpha.Observe(f.Alpha)
 	}
 
 	cwndLimited := float64(f.maxInflight) >= f.CwndBytes-float64(f.MSS)
@@ -201,10 +198,10 @@ func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
 	if markedDelta > 0 {
 		v.cutWindow(f, f.SndUna, false) // once per window (guarded)
 		if totalDelta > 0 && cwndLimited {
-			f.vcc.OnAck(f, int64(totalDelta)) // keep growing between cuts
+			f.law().OnAck(f, int64(totalDelta)) // keep growing between cuts
 		}
 	} else if totalDelta > 0 && cwndLimited {
-		f.vcc.OnAck(f, int64(totalDelta))
+		f.law().OnAck(f, int64(totalDelta))
 	}
 	v.clampFlow(f)
 	out := v.drainTunnelLocked(f)
@@ -249,7 +246,7 @@ func (v *VSwitch) onUDPTimeout(f *Flow) {
 	v.Metrics.VTimeouts.Inc()
 	f.VTimeouts++
 	f.Alpha = v.Cfg.MaxAlpha
-	f.vcc.OnTimeout(f)
+	f.law().OnTimeout(f)
 	v.clampFlow(f)
 	f.SndUna = f.SndNxt // write off outstanding bytes
 	out := v.drainTunnelLocked(f)

@@ -20,26 +20,41 @@ type VirtualCC interface {
 	OnTimeout(f *Flow)
 }
 
+// vccLaws are the virtual CCs of this build. The laws are stateless, so a
+// flow names its law by index (Flow.vcc) and every flow shares one value.
+var vccLaws = [...]VirtualCC{&VDCTCP{}, &VReno{}}
+
+// vccID indexes vccLaws; the zero value is DCTCP, the default law.
+type vccID uint8
+
+// law returns the flow's virtual CC.
+func (f *Flow) law() VirtualCC { return vccLaws[f.vcc] }
+
+// lookup resolves name in a registry of stateless implementations (vccLaws,
+// backends), whose first entry is the default that "" names.
+func lookup[T interface{ Name() string }](registry []T, name string) (uint8, bool) {
+	for i, x := range registry {
+		if name == "" || x.Name() == name {
+			return uint8(i), true
+		}
+	}
+	return 0, false
+}
+
 // vccKnown reports whether name resolves to a virtual CC in this build
 // ("" means the vSwitch default and is always known).
 func vccKnown(name string) bool {
-	switch name {
-	case "", "dctcp", "reno":
-		return true
-	}
-	return false
+	_, ok := lookup(vccLaws[:], name)
+	return ok
 }
 
-// NewVCC constructs a virtual CC by name ("dctcp" or "reno").
+// NewVCC returns a virtual CC by name ("dctcp" or "reno").
 func NewVCC(name string) VirtualCC {
-	switch name {
-	case "", "dctcp":
-		return &VDCTCP{}
-	case "reno":
-		return &VReno{}
-	default:
+	id, ok := lookup(vccLaws[:], name)
+	if !ok {
 		panic(fmt.Sprintf("core: unknown virtual congestion control %q", name))
 	}
+	return vccLaws[id]
 }
 
 // VDCTCP is the paper's vSwitch DCTCP (Figure 5) with the β priority

@@ -357,6 +357,14 @@ func (s Spec) Validate() error {
 	if len(s.Workloads) == 0 {
 		return fmt.Errorf("scenario %s: no workloads", s.Name)
 	}
+	if s.Trials < 1 || s.Warmup <= 0 || s.Measure <= 0 {
+		return fmt.Errorf("scenario %s: needs trials ≥ 1 and positive warmup and measure windows, have %d, %v, %v",
+			s.Name, s.Trials, s.Warmup, s.Measure)
+	}
+	if s.MTU < 68 || s.MTU > 65535 || s.MinRwndBytes < 0 {
+		return fmt.Errorf("scenario %s: mtu %d outside [68, 65535] or negative min_rwnd_bytes %d",
+			s.Name, s.MTU, s.MinRwndBytes)
+	}
 	for _, k := range s.Schemes {
 		if k != "cubic" && k != "dctcp" && k != "acdc" {
 			return fmt.Errorf("scenario %s: unknown scheme %q (have %s)",
@@ -455,7 +463,7 @@ func (w WorkloadSpec) validate(topoKind string, hosts int) error {
 		if w.Senders < 1 {
 			return fmt.Errorf("%s needs senders ≥ 1", w.Kind)
 		}
-		if w.Senders+1 > hosts {
+		if w.Senders >= hosts {
 			return fmt.Errorf("%s: %d senders + receiver exceed %d hosts", w.Kind, w.Senders, hosts)
 		}
 	case "prober":

@@ -502,7 +502,7 @@ func injectUndeadFlow(v *core.VSwitch, s *sim.Simulator) {
 			Window: 65535,
 		}, 1000)
 		seq += 1000
-		v.Egress(p) // midstream adoption creates (and refreshes) the entry
+		v.EgressPath(p) // midstream adoption creates (and refreshes) the entry
 		s.ScheduleFunc(50*sim.Millisecond, keepalive)
 	}
 	s.ScheduleFunc(0, keepalive)
@@ -522,11 +522,11 @@ func injectPhantomDemand(v *core.VSwitch, s *sim.Simulator) {
 		port++
 		sp := 20000 + port%20000
 		const ack, fin = packet.FlagACK, packet.FlagFIN
-		v.Egress(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
+		v.EgressPath(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
 			SrcPort: sp, DstPort: 49998, Seq: 1000, Flags: packet.FlagSYN, Window: 65535}, 0))
-		v.Egress(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
+		v.EgressPath(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
 			SrcPort: sp, DstPort: 49998, Seq: 1001, Ack: 1, Flags: ack | fin, Window: 65535}, 0))
-		v.Ingress(packet.Build(dst, src, packet.NotECT, packet.TCPFields{
+		v.IngressPath(packet.Build(dst, src, packet.NotECT, packet.TCPFields{
 			SrcPort: 49998, DstPort: sp, Seq: 1, Ack: 1002, Flags: ack | fin, Window: 65535}, 0))
 		s.ScheduleFunc(5*sim.Millisecond, cycle)
 	}
@@ -544,11 +544,22 @@ func injectMidRun(defect Defect, d *daemon.Daemon, r *Report) {
 	case DefectHostileBeta:
 		err = d.Exec(func() {
 			for _, v := range d.Net().ACDC {
-				v.Table.Range(func(f *core.Flow) { f.Policy.Beta = 3 })
+				poisonBeta(v)
 			}
 		})
 	}
 	if err != nil {
 		r.failf("defect injection %q: %v", defect, err)
 	}
+}
+
+// poisonBeta gives every flow v tracks β = 3, past the Sanitized choke point.
+// Flows share policy values, so each gets a private copy: writing through
+// Flow.Policy would poison the shared default, and every flow created after.
+func poisonBeta(v *core.VSwitch) {
+	v.Table.Range(func(f *core.Flow) {
+		p := *f.Policy
+		p.Beta = 3
+		f.Policy = &p
+	})
 }

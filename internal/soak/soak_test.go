@@ -4,6 +4,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"acdc/internal/core"
+	"acdc/internal/netsim"
+	"acdc/internal/packet"
+	"acdc/internal/sim"
 )
 
 // dur shrinks soak lengths under -short while keeping enough runway for the
@@ -99,5 +104,28 @@ func TestSoakCatchesParkedRecords(t *testing.T) {
 	}
 	if r.ParkedRecords == 0 {
 		t.Fatalf("leak reported without a parked-record count:\n%s", r)
+	}
+}
+
+// TestPoisonBetaWritesPrivateCopies: the hostile-β defect poisons the flows
+// it finds, never the policy value they share with flows created later.
+func TestPoisonBetaWritesPrivateCopies(t *testing.T) {
+	s := sim.New(1)
+	host := netsim.NewHost(s, "h", packet.MakeAddr(10, 0, 0, 1))
+	host.NIC = netsim.NewLink(s, "nic", 10e9, sim.Microsecond, netsim.HandlerFunc(func(*packet.Packet) {}))
+	v := core.Attach(s, host, core.DefaultConfig())
+	open := func(sport uint16) *core.Flow {
+		k := core.FlowKey{Src: host.Addr, Dst: packet.MakeAddr(10, 0, 0, 2), SPort: sport, DPort: 80}
+		v.EgressPath(packet.Build(k.Src, k.Dst, packet.NotECT, packet.TCPFields{
+			SrcPort: k.SPort, DstPort: k.DPort, Flags: packet.FlagSYN, Window: 65535}, 0))
+		return v.Table.Get(k)
+	}
+	poisoned := open(1)
+	poisonBeta(v)
+	if poisoned.Policy.Beta != 3 {
+		t.Fatalf("the defect left a tracked flow at β=%v", poisoned.Policy.Beta)
+	}
+	if fresh := open(2); fresh.Policy.Beta != 1 {
+		t.Fatalf("a flow created after the defect has β=%v: it wrote through the shared default", fresh.Policy.Beta)
 	}
 }
