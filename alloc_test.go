@@ -247,9 +247,9 @@ func TestFabricFlapLeakFree(t *testing.T) {
 		t.Fatalf("ParseDomains: %v", err)
 	}
 	net := topo.FatTree(topo.FatTreeConfig{K: 4}, topo.Options{
-		Guest:  tcpstack.DefaultConfig(),
-		Seed:   1,
-		Fabric: doms,
+		Guest: tcpstack.DefaultConfig(),
+		Seed:  1,
+		Env:   topo.Env{Fabric: doms},
 	})
 	m := workload.NewManager(net)
 	flows := make([]*workload.Messenger, 0, 8)

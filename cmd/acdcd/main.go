@@ -29,10 +29,9 @@ import (
 	"syscall"
 	"time"
 
-	"acdc/internal/core"
 	"acdc/internal/daemon"
-	"acdc/internal/faults"
 	"acdc/internal/sim"
+	"acdc/internal/topo"
 )
 
 func main() {
@@ -46,32 +45,21 @@ func main() {
 		tick        = flag.Duration("tick", 2*time.Millisecond, "wall interval between pacer advances")
 		auditSample = flag.Int("audit-sample", 64, "audit 1-in-N packet events (state transitions always checked; <0 disables)")
 		workload    = flag.Bool("workload", true, "drive continuous background bulk traffic")
-		fabricSpec  = flag.String("fabric", "", "fabric fault domains armed on the service links: kind[@time],key=val,...;... (`list` for syntax)")
-		backend     = flag.String("backend", "", "enforcement backend on every vSwitch (dctcp-cut, pace, adaptive-k; empty = dctcp-cut)")
+		envFlags    = topo.BindEnv(flag.CommandLine, "fabric", "backend")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "acdcd: unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
 	}
-
-	var fabric []faults.FaultDomain
-	if *fabricSpec != "" {
-		if *fabricSpec == "help" || *fabricSpec == "list" {
-			fmt.Print(faults.DomainHelp())
-			return
-		}
-		ds, err := faults.ParseDomains(*fabricSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcd: bad -fabric %q: %v\n", *fabricSpec, err)
-			os.Exit(2)
-		}
-		fabric = ds
-	}
-
-	if _, err := core.ParseBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "acdcd: bad -backend: %v\n", err)
+	env, help, err := envFlags.Env()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "acdcd: %v\n", err)
 		os.Exit(2)
+	}
+	if help != "" {
+		fmt.Print(help)
+		return
 	}
 
 	if *adminToken == "" && !daemon.LoopbackAddr(*listen) {
@@ -87,8 +75,8 @@ func main() {
 		Tick:        *tick,
 		AuditSample: *auditSample,
 		Workload:    *workload,
-		Fabric:      fabric,
-		Backend:     *backend,
+		Fabric:      env.Fabric,
+		Backend:     env.Backend,
 		AdminToken:  *adminToken,
 	})
 	d.Start()

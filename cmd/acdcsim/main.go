@@ -8,25 +8,22 @@
 //	acdcsim -long fig14        closer-to-paper durations (~10×)
 //	acdcsim -seed 7 fig1       change the simulation seed
 //	acdcsim -parallel 0 -all   run experiments on one worker per CPU
+//	acdcsim -report -all > results.md    the Markdown report (EXPERIMENTS.md's source)
+//	acdcsim -report -metrics -all        ...with each experiment's telemetry blocks
 //	acdcsim -faults loss fig8  inject a named fault profile (chaos run)
-//	acdcsim -faults drop=0.01,jitter=50us fig8
 //	acdcsim -restart warm@1ms fig8       restart every vSwitch mid-run
-//	acdcsim -restart stale@1ms,age=500us,down=50us fig8
 //	acdcsim -fabric link-down@5ms,link=left>right,for=1ms fig8
-//	acdcsim -audit fig8        check datapath invariants, log violations
-//	acdcsim -audit-panic fig8  ...or abort on the first violation
+//	acdcsim -backend pace fig8  run every AC/DC vSwitch on another backend
+//	acdcsim -audit fig8        check datapath invariants (-audit-panic aborts)
 //
 // -parallel N runs the selected experiments over N workers (0 = one per
 // CPU; the default 1 is the sequential path). Each experiment owns its own
 // simulator, so results and their printed order are identical to a
 // sequential run — only wall time changes.
 //
-// Run `acdcsim -faults list` to list the built-in profiles,
-// `acdcsim -restart list` to list the restart variants, and
-// `acdcsim -fabric list` for the fabric fault-domain syntax. Fabric plans
-// address links by topology-specific names (the dumbbell trunk is
-// "left>right"); a plan matching zero links aborts the run rather than
-// silently reporting a clean fabric.
+// `acdcsim -faults list` (and -restart, -fabric, -backend) prints each
+// option's syntax. A run under any of them opens with a header naming it,
+// so its output is self-describing and replayable.
 package main
 
 import (
@@ -36,10 +33,8 @@ import (
 	"strings"
 	"time"
 
-	"acdc/internal/audit"
-	"acdc/internal/core"
 	"acdc/internal/experiments"
-	"acdc/internal/faults"
+	"acdc/internal/topo"
 )
 
 func main() {
@@ -48,59 +43,19 @@ func main() {
 	long := flag.Bool("long", false, "run closer-to-paper durations (~10x)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 1, "experiment workers (0 = one per CPU, 1 = sequential)")
-	faultSpec := flag.String("faults", "", "fault profile: a built-in name or k=v list (`list` to enumerate)")
-	restartSpec := flag.String("restart", "", "vSwitch restart plan: mode[@time][,key=val...] (`list` to enumerate)")
-	fabricSpec := flag.String("fabric", "", "fabric fault domains: kind[@time],key=val,...;... (`list` for syntax)")
-	auditOn := flag.Bool("audit", false, "attach the datapath invariant auditor to every AC/DC vSwitch (violations logged to stderr)")
-	auditPanic := flag.Bool("audit-panic", false, "like -audit, but the first violation aborts the run")
-	backend := flag.String("backend", "", "enforcement backend on every AC/DC vSwitch (dctcp-cut, pace, adaptive-k; empty = dctcp-cut)")
+	report := flag.Bool("report", false, "print the Markdown report instead of plain text")
+	telemetry := flag.Bool("metrics", false, "with -report, include each experiment's datapath-metrics telemetry")
+	envFlags := topo.BindEnv(flag.CommandLine)
 	flag.Parse()
 
-	if _, err := core.ParseBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "acdcsim: bad -backend: %v\n", err)
+	env, help, err := envFlags.Env()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "acdcsim: %v\n", err)
 		os.Exit(2)
 	}
-
-	var prof *faults.Profile
-	if *faultSpec != "" {
-		if *faultSpec == "help" || *faultSpec == "list" {
-			fmt.Print(faults.ProfilesHelp())
-			return
-		}
-		p, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcsim: bad -faults %q: %v\n", *faultSpec, err)
-			os.Exit(2)
-		}
-		prof = &p
-	}
-
-	var restart *faults.RestartPlan
-	if *restartSpec != "" {
-		if *restartSpec == "help" || *restartSpec == "list" {
-			fmt.Print(faults.RestartHelp())
-			return
-		}
-		p, err := faults.ParseRestart(*restartSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcsim: bad -restart %q: %v\n", *restartSpec, err)
-			os.Exit(2)
-		}
-		restart = &p
-	}
-
-	var fabric []faults.FaultDomain
-	if *fabricSpec != "" {
-		if *fabricSpec == "help" || *fabricSpec == "list" {
-			fmt.Print(faults.DomainHelp())
-			return
-		}
-		ds, err := faults.ParseDomains(*fabricSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcsim: bad -fabric %q: %v\n", *fabricSpec, err)
-			os.Exit(2)
-		}
-		fabric = ds
+	if help != "" {
+		fmt.Print(help)
+		return
 	}
 
 	if *list {
@@ -118,45 +73,18 @@ func main() {
 		}
 	}
 	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: acdcsim [-long] [-seed N] [-faults P] [-restart R] [-fabric D] [-audit] (-list | -all | <experiment-id>...)")
+		fmt.Fprintln(os.Stderr, "usage: acdcsim [-long] [-seed N] [-parallel N] [-report [-metrics]] [-faults P] [-restart R] [-fabric D] [-backend B] [-audit] (-list | -all | <experiment-id>...)")
 		fmt.Fprintln(os.Stderr, "run `acdcsim -list` for available experiments")
 		os.Exit(2)
 	}
 
-	var auditCfg *audit.Config
-	if *auditOn || *auditPanic {
-		auditCfg = &audit.Config{Panic: *auditPanic}
-	}
-
-	cfg := experiments.RunConfig{Long: *long, Seed: *seed, Faults: prof, Restart: restart, Audit: auditCfg, Fabric: fabric, Backend: *backend}
-	if prof != nil && prof.Enabled() {
-		// Announce chaos runs up front (and only then, so fault-free output
-		// is byte-identical to a build without the flag).
-		fmt.Printf("fault injection: %s (seed %d) on %s\n\n",
-			prof.String(), *seed, strings.Join(ids, " "))
-	}
-	if restart != nil {
-		fmt.Printf("vSwitch restart: %s on %s\n\n", restart.String(), strings.Join(ids, " "))
-	}
-	if *backend != "" {
-		// Announced only when set, so default-backend output stays
-		// byte-identical to a build without the flag.
-		fmt.Printf("enforcement backend: %s on %s\n\n", *backend, strings.Join(ids, " "))
-	}
-	if len(fabric) > 0 {
-		plans := make([]string, len(fabric))
-		for i, d := range fabric {
-			plans[i] = d.String()
+	cfg := experiments.RunConfig{Long: *long, Seed: *seed, Env: env}
+	if *report {
+		fmt.Print(experiments.ReportHeader(cfg))
+	} else {
+		for _, line := range env.Describe(*seed) {
+			fmt.Printf("%s on %s\n\n", line, strings.Join(ids, " "))
 		}
-		fmt.Printf("fabric fault domains: %s (seed %d) on %s\n\n",
-			strings.Join(plans, ";"), *seed, strings.Join(ids, " "))
-	}
-	if auditCfg != nil {
-		mode := "log"
-		if auditCfg.Panic {
-			mode = "panic"
-		}
-		fmt.Printf("invariant audit: enabled (%s mode) on %s\n\n", mode, strings.Join(ids, " "))
 	}
 	exit := 0
 	var jobs []experiments.Job
@@ -183,8 +111,11 @@ func main() {
 		}
 	}
 	experiments.Sweep(jobs, *parallel, func(i int, res *experiments.Result) {
-		fmt.Print(res.String())
-		fmt.Printf("(wall time %.1fs)\n\n", durs[i].Seconds())
+		if *report {
+			fmt.Print(res.Markdown(durs[i], *telemetry))
+		} else {
+			fmt.Printf("%s(wall time %.1fs)\n\n", res.String(), durs[i].Seconds())
+		}
 	})
 	os.Exit(exit)
 }

@@ -11,9 +11,10 @@
 //	acdcsuite -config specs.json       run scenarios from a JSON spec file
 //	acdcsuite -baseline FILE           baseline file (default SUITE_baselines.json)
 //	acdcsuite -seed 1 -parallel 0      base seed / worker count
-//	acdcsuite -faults list             fault-profile syntax for spec Faults fields
-//	acdcsuite -restart list            restart-plan syntax for spec Restart fields
-//	acdcsuite -fabric list             fault-domain syntax for spec Fabric fields
+//	acdcsuite -backend pace -no-baseline   every scenario on another backend
+//
+// A spec's Faults, Restart and Fabric fields take the syntax that
+// `acdcsim -faults list` (and -restart, -fabric) prints.
 //
 // Exit status: 0 when every expected-invariant check passes and every metric
 // is inside its baseline tolerance band; 1 on any check failure, baseline
@@ -35,10 +36,9 @@ import (
 	"strings"
 	"time"
 
-	"acdc/internal/core"
-	"acdc/internal/faults"
 	"acdc/internal/scenario"
 	"acdc/internal/soak"
+	"acdc/internal/topo"
 )
 
 func main() {
@@ -51,45 +51,23 @@ func main() {
 	seed := flag.Int64("seed", 1, "base simulation seed (trial t runs at seed+t)")
 	parallel := flag.Int("parallel", 0, "scenario workers (0 = one per CPU, 1 = sequential)")
 	quiet := flag.Bool("quiet", false, "suppress progress and per-scenario metric lines (failures still print)")
-	faultSpec := flag.String("faults", "", "`list` shows the fault-profile syntax scenario specs use in their Faults field")
-	restartSpec := flag.String("restart", "", "`list` shows the restart-plan syntax scenario specs use in their Restart field")
-	fabricSpec := flag.String("fabric", "", "`list` shows the fault-domain syntax scenario specs use in their Fabric field")
 	soakMode := flag.Bool("soak", false, "run the service-mode soak (leak/drift gates) instead of the scenario catalog")
 	soakDuration := flag.Duration("soak-duration", 60*time.Second, "wall-clock soak length (with -soak)")
-	backend := flag.String("backend", "", "enforcement backend override for every scenario (dctcp-cut, pace, adaptive-k; empty = spec/default); pair non-default runs with -no-baseline")
+	envFlags := topo.BindEnv(flag.CommandLine, "backend")
 	flag.Parse()
 
-	if _, err := core.ParseBackend(*backend); err != nil {
-		fail(2, "acdcsuite: bad -backend: %v", err)
+	env, help, err := envFlags.Env()
+	if err != nil {
+		fail(2, "acdcsuite: %v", err)
+	}
+	if help != "" {
+		fmt.Print(help)
+		return
 	}
 
 	if *soakMode {
 		runSoak(*soakDuration, *seed, *quiet)
 		return
-	}
-
-	// Shared plan-style flag convention: `list` enumerates. Scenario fault and
-	// restart plans live inside the spec, so here the flags are help-only.
-	if *faultSpec != "" {
-		if *faultSpec == "help" || *faultSpec == "list" {
-			fmt.Print(faults.ProfilesHelp())
-			return
-		}
-		fail(2, "acdcsuite: fault plans belong in the scenario spec's Faults field (use -faults list for syntax)")
-	}
-	if *restartSpec != "" {
-		if *restartSpec == "help" || *restartSpec == "list" {
-			fmt.Print(faults.RestartHelp())
-			return
-		}
-		fail(2, "acdcsuite: restart plans belong in the scenario spec's Restart field (use -restart list for syntax)")
-	}
-	if *fabricSpec != "" {
-		if *fabricSpec == "help" || *fabricSpec == "list" {
-			fmt.Print(faults.DomainHelp())
-			return
-		}
-		fail(2, "acdcsuite: fabric plans belong in the scenario spec's Fabric field (use -fabric list for syntax)")
 	}
 
 	names := flag.Args()
@@ -111,7 +89,6 @@ func main() {
 	}
 
 	var specs []scenario.Spec
-	var err error
 	if *config != "" {
 		if len(names) > 0 {
 			fail(2, "acdcsuite: -config and scenario names are mutually exclusive")
@@ -127,16 +104,19 @@ func main() {
 	// gated set: the built-in catalog with no selection.
 	complete := *config == "" && len(names) == 0
 
-	cfg := scenario.SuiteConfig{Seed: *seed, Smoke: *smoke, Workers: *parallel, Backend: *backend}
+	cfg := scenario.SuiteConfig{Seed: *seed, Smoke: *smoke, Workers: *parallel}
 	if !*quiet {
 		cfg.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
 	fmt.Printf("acdcsuite: %d scenario(s), mode %s, seed %d\n", len(specs), cfg.Mode(), *seed)
-	if *backend != "" {
+	if env.Backend != "" {
+		for i := range specs {
+			specs[i].Backend = env.Backend
+		}
 		// Announced only when overridden, so default runs stay byte-identical.
-		fmt.Printf("enforcement backend: %s (baselines are blessed for the default; use -no-baseline)\n", *backend)
+		fmt.Printf("enforcement backend: %s (baselines are blessed for the default; use -no-baseline)\n", env.Backend)
 	}
 	start := time.Now()
 	results, err := scenario.Run(specs, cfg)

@@ -38,8 +38,8 @@
 //   - internal/experiments — one Experiment per table/figure, plus per-run
 //     datapath-metrics telemetry.
 //
-// Binaries: cmd/acdcsim (run experiments by ID), cmd/acdcreport (full
-// Markdown report, -metrics for telemetry), cmd/acdctrace (annotated
+// Binaries: cmd/acdcsim (run experiments by ID; -report for the full
+// Markdown report, -metrics for its telemetry), cmd/acdctrace (annotated
 // per-packet datapath trace). The examples/ directory holds five
 // self-contained demos, starting with examples/quickstart.
 //

@@ -166,12 +166,11 @@ func New(cfg Config) *Daemon {
 		cfg.Tune(&acdcCfg)
 	}
 	opts := topo.Options{
-		Guest:  scheme.Guest,
-		ACDC:   &acdcCfg,
-		RED:    scheme.RED,
-		Seed:   cfg.Seed,
-		Faults: cfg.Faults,
-		Fabric: cfg.Fabric,
+		Guest: scheme.Guest,
+		ACDC:  &acdcCfg,
+		RED:   scheme.RED,
+		Seed:  cfg.Seed,
+		Env:   topo.Env{Faults: cfg.Faults, Fabric: cfg.Fabric},
 	}
 	if cfg.AuditSample > 0 {
 		opts.Audit = &audit.Config{Sample: cfg.AuditSample}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"acdc/internal/audit"
+	"acdc/internal/topo"
 )
 
 // TestAuditCleanAndByteIdentical reruns representative experiments (the
@@ -27,7 +28,7 @@ func TestAuditCleanAndByteIdentical(t *testing.T) {
 				t.Fatalf("experiment %q not registered", id)
 			}
 			plain := e.Run(RunConfig{Seed: 1}).String()
-			audited := e.Run(RunConfig{Seed: 1, Audit: &audit.Config{Panic: true}}).String()
+			audited := e.Run(RunConfig{Seed: 1, Env: topo.Env{Audit: &audit.Config{Panic: true}}}).String()
 			if audited != plain {
 				t.Fatalf("%s: audited report differs from plain report\n--- plain ---\n%s\n--- audited ---\n%s",
 					id, plain, audited)

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"acdc/internal/topo"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite golden experiment reports")
@@ -65,7 +67,7 @@ func TestBackendDctcpCutGoldenIdentical(t *testing.T) {
 			if e == nil {
 				t.Fatalf("experiment %q not registered", id)
 			}
-			got := e.Run(RunConfig{Seed: 1, Backend: "dctcp-cut"}).String()
+			got := e.Run(RunConfig{Seed: 1, Env: topo.Env{Backend: "dctcp-cut"}}).String()
 			path := filepath.Join("testdata", id+"_seed1.golden")
 			want, err := os.ReadFile(path)
 			if err != nil {

@@ -199,7 +199,7 @@ func Fig6(cfg RunConfig) *Result {
 
 func fig6Tput(cfg RunConfig, mtu, clampMSS int, viaRwnd bool) float64 {
 	guest := guestCfg(mtu, "cubic", tcpstack.ECNOff)
-	o := topo.Options{Guest: guest, Seed: cfg.seed(), Audit: cfg.Audit}
+	o := topo.Options{Guest: guest, Seed: cfg.seed(), Env: cfg.Env}
 	if viaRwnd {
 		ac := core.DefaultConfig()
 		ac.MTU = mtu

@@ -38,12 +38,11 @@ func chaosOptions(prof *faults.Profile, seed int64) topo.Options {
 	ac.MaxFlows = 64
 	ac.SweepInterval = 10 * sim.Millisecond
 	return topo.Options{
-		Guest:  tcpstack.DefaultConfig(),
-		ACDC:   &ac,
-		RED:    netsim.REDConfig{MarkThresholdBytes: topo.DefaultMarkThreshold},
-		Seed:   seed,
-		Faults: prof,
-		Audit:  &audit.Config{Panic: true},
+		Guest: tcpstack.DefaultConfig(),
+		ACDC:  &ac,
+		RED:   netsim.REDConfig{MarkThresholdBytes: topo.DefaultMarkThreshold},
+		Seed:  seed,
+		Env:   topo.Env{Faults: prof, Audit: &audit.Config{Panic: true}},
 	}
 }
 

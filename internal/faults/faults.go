@@ -14,7 +14,7 @@
 //
 // Every injected fault increments a counter in the injector's metrics
 // registry (fault_*_total), which internal/experiments merges into the fleet
-// telemetry so `acdcreport -metrics` shows exactly what a chaos run did.
+// telemetry so `acdcsim -report -metrics` shows exactly what a chaos run did.
 package faults
 
 import (

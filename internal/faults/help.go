@@ -5,11 +5,9 @@ import (
 	"strings"
 )
 
-// ProfilesHelp renders the built-in fault profiles as the shared `-faults
-// list` output. Every binary with a plan-style -faults flag (acdcsim,
-// acdcreport) prints exactly this text, so discovery looks the same
-// everywhere; cmd/acdcsuite prints it too for the Faults field of scenario
-// specs.
+// ProfilesHelp renders the built-in fault profiles as the `-faults list`
+// output (topo.BindEnv), which is also the syntax of a scenario spec's
+// Faults field.
 func ProfilesHelp() string {
 	var b strings.Builder
 	b.WriteString("built-in fault profiles:\n")

@@ -384,5 +384,6 @@ func CatalogHelp() string {
 		fmt.Fprintf(&b, "  %-18s %s\n", s.Name, s.Title)
 		fmt.Fprintf(&b, "  %-18s   schemes=%s  paper: %s\n", "", strings.Join(s.withDefaults().Schemes, ","), s.Paper)
 	}
+	b.WriteString("spec plan syntax: acdcsim -faults list, acdcsim -restart list, acdcsim -fabric list\n")
 	return b.String()
 }

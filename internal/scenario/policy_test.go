@@ -103,22 +103,26 @@ func TestPolicySpecDisablesEnforcement(t *testing.T) {
 		Warmup:  Duration(2 * sim.Millisecond),
 		Measure: Duration(8 * sim.Millisecond),
 	}.withDefaults()
+	env, err := base.env()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	m, _ := runTrial(base, "acdc", 1)
+	m, _ := runTrial(base, env, "acdc", 1)
 	if m["ctr_rwnd_rewrites_total"] == 0 {
 		t.Fatal("baseline trial never rewrote a window; the comparison is vacuous")
 	}
 
 	off := base
 	off.Policies = []PolicySpec{{Disable: true}}
-	m, _ = runTrial(off, "acdc", 1)
+	m, _ = runTrial(off, env, "acdc", 1)
 	if got := m["ctr_rwnd_rewrites_total"]; got != 0 {
 		t.Errorf("Disable policy still rewrote %v windows", got)
 	}
 
 	hostile := base
 	hostile.Policies = []PolicySpec{{Beta: fp(3)}} // bypasses Validate
-	m, _ = runTrial(hostile, "acdc", 1)
+	m, _ = runTrial(hostile, env, "acdc", 1)
 	if got := m["audit_violations"]; got != 0 {
 		t.Errorf("hostile β through the spec path tripped %v audit violations", got)
 	}

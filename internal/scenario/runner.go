@@ -3,10 +3,8 @@ package scenario
 import (
 	"fmt"
 
-	"acdc/internal/audit"
 	"acdc/internal/core"
 	"acdc/internal/experiments"
-	"acdc/internal/faults"
 	"acdc/internal/metrics"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -24,11 +22,6 @@ type SuiteConfig struct {
 	Seed int64
 	// Smoke applies each spec's smoke overrides (reduced CI configuration).
 	Smoke bool
-	// Backend, when non-empty, overrides every spec's enforcement backend
-	// (core.BackendNames) so one catalog run compares mechanisms head to
-	// head. Baselines are blessed for the default backend only; non-default
-	// runs should skip the baseline diff and gate on Checks + audit instead.
-	Backend string
 	// Workers is the experiments.Sweep worker count (0 = one per CPU,
 	// 1 = sequential).
 	Workers int
@@ -95,11 +88,15 @@ func Run(specs []Spec, cfg SuiteConfig) ([]*Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if _, err := core.ParseBackend(cfg.Backend); err != nil {
-		return nil, fmt.Errorf("scenario: %v", err)
-	}
+	// Flatten the matrix into Sweep jobs. Each job runs one scheme×trial in
+	// its own simulator; per-job outputs land in index-addressed slices, so
+	// parallel runs aggregate identically to sequential ones.
 	effective := make([]Spec, 0, len(specs))
-	for _, s := range specs {
+	type key struct{ spec, scheme, trial int }
+	var keys []key
+	var jobs []experiments.Job
+	var snaps []metrics.Snapshot
+	for si, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
@@ -108,21 +105,11 @@ func Run(specs []Spec, cfg SuiteConfig) ([]*Result, error) {
 		} else {
 			s = s.withDefaults()
 		}
-		if cfg.Backend != "" {
-			s.Backend = cfg.Backend
+		env, err := s.env()
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: %v", s.Name, err)
 		}
 		effective = append(effective, s)
-	}
-
-	// Flatten the matrix into Sweep jobs. Each job runs one scheme×trial in
-	// its own simulator; per-job outputs land in index-addressed slices, so
-	// parallel runs aggregate identically to sequential ones.
-	type key struct{ spec, scheme, trial int }
-	var keys []key
-	var jobs []experiments.Job
-	var snaps []metrics.Snapshot
-	for si := range effective {
-		s := effective[si]
 		for pi, scheme := range s.Schemes {
 			for t := 0; t < s.Trials; t++ {
 				idx := len(jobs)
@@ -131,7 +118,7 @@ func Run(specs []Spec, cfg SuiteConfig) ([]*Result, error) {
 				jobs = append(jobs, experiments.Job{Exp: experiments.Experiment{
 					ID: fmt.Sprintf("%s/%s#%d", s.Name, scheme, t+1),
 					Run: func(experiments.RunConfig) *experiments.Result {
-						m, snap := runTrial(s, scheme, cfg.Seed+int64(t))
+						m, snap := runTrial(s, env, scheme, cfg.Seed+int64(t))
 						snaps[idx] = snap
 						return &experiments.Result{Metrics: m}
 					},
@@ -232,7 +219,7 @@ type trialState struct {
 
 // runTrial builds one net, drives the workload mix through warmup+measure,
 // and returns the trial's metrics plus the final fleet telemetry snapshot.
-func runTrial(s Spec, schemeKey string, seed int64) (map[string]float64, metrics.Snapshot) {
+func runTrial(s Spec, env topo.Env, schemeKey string, seed int64) (map[string]float64, metrics.Snapshot) {
 	scheme := schemeFor(schemeKey, s.MTU, s.MinRwndBytes)
 	opts := topo.Options{
 		LinkRate:    s.Topo.LinkRate,
@@ -242,21 +229,7 @@ func runTrial(s Spec, schemeKey string, seed int64) (map[string]float64, metrics
 		ACDC:        scheme.ACDC,
 		RED:         scheme.RED,
 		Seed:        seed,
-		Backend:     s.Backend,
-	}
-	if s.Faults != "" {
-		p, _ := faults.Parse(s.Faults) // validated upfront
-		opts.Faults = &p
-	}
-	if s.Restart != "" {
-		p, _ := faults.ParseRestart(s.Restart)
-		opts.Restart = &p
-	}
-	if s.Fabric != "" {
-		opts.Fabric, _ = faults.ParseDomains(s.Fabric) // validated upfront
-	}
-	if s.Audit {
-		opts.Audit = &audit.Config{MaxLog: 8}
+		Env:         env,
 	}
 
 	st := &trialState{}

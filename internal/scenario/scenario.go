@@ -7,8 +7,8 @@ import (
 	"strings"
 	"time"
 
+	"acdc/internal/audit"
 	"acdc/internal/core"
-	"acdc/internal/faults"
 	"acdc/internal/sim"
 	"acdc/internal/topo"
 )
@@ -251,8 +251,8 @@ type Spec struct {
 	// knob; 0 keeps core.DefaultConfig's floor).
 	MinRwndBytes int64 `json:"min_rwnd_bytes,omitempty"`
 	// Backend selects the enforcement backend on every AC/DC vSwitch
-	// ("" = dctcp-cut; see core.BackendNames). SuiteConfig.Backend overrides
-	// it suite-wide for head-to-head mechanism comparisons.
+	// ("" = dctcp-cut; see core.BackendNames). `acdcsuite -backend` sets it
+	// on every spec for head-to-head mechanism comparisons.
 	Backend string `json:"backend,omitempty"`
 
 	// Faults is a fault profile in faults.Parse syntax ("loss",
@@ -371,7 +371,7 @@ func (s Spec) Validate() error {
 				s.Name, k, strings.Join(SchemeKeys, ", "))
 		}
 	}
-	if _, err := core.ParseBackend(s.Backend); err != nil {
+	if _, err := s.env(); err != nil {
 		return fmt.Errorf("scenario %s: %v", s.Name, err)
 	}
 	for i, w := range s.Workloads {
@@ -382,21 +382,6 @@ func (s Spec) Validate() error {
 	for i, p := range s.Policies {
 		if err := p.validate(hosts); err != nil {
 			return fmt.Errorf("scenario %s: policy %d: %v", s.Name, i, err)
-		}
-	}
-	if s.Faults != "" {
-		if _, err := faults.Parse(s.Faults); err != nil {
-			return fmt.Errorf("scenario %s: %v", s.Name, err)
-		}
-	}
-	if s.Restart != "" {
-		if _, err := faults.ParseRestart(s.Restart); err != nil {
-			return fmt.Errorf("scenario %s: %v", s.Name, err)
-		}
-	}
-	if s.Fabric != "" {
-		if _, err := faults.ParseDomains(s.Fabric); err != nil {
-			return fmt.Errorf("scenario %s: %v", s.Name, err)
 		}
 	}
 	for _, c := range s.Checks {
@@ -421,6 +406,21 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// env parses the spec's run-environment fields: Validate checks a spec with
+// it, and Run builds every trial's topologies from its result.
+func (s Spec) env() (topo.Env, error) {
+	var env topo.Env
+	for _, o := range [][2]string{{"faults", s.Faults}, {"restart", s.Restart}, {"fabric", s.Fabric}, {"backend", s.Backend}} {
+		if err := env.Set(o[0], o[1]); err != nil {
+			return env, err
+		}
+	}
+	if s.Audit {
+		env.Audit = &audit.Config{MaxLog: 8}
+	}
+	return env, nil
 }
 
 // hostCount resolves the topology's addressable host count.

@@ -53,7 +53,11 @@ func TestBackendSmokeMatrix(t *testing.T) {
 	for _, b := range core.BackendNames() {
 		b := b
 		t.Run(b, func(t *testing.T) {
-			results, err := Run(Catalog(), SuiteConfig{Seed: 1, Smoke: true, Backend: b})
+			specs := Catalog()
+			for i := range specs {
+				specs[i].Backend = b
+			}
+			results, err := Run(specs, SuiteConfig{Seed: 1, Smoke: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,7 @@ package topo
 // Multi-path fabric builders: the k-ary fat-tree (Al-Fares et al.) and the
 // two-tier leaf-spine, both forwarding over seeded ECMP at every switch with
 // equal-cost uplinks. These are the topologies where the fabric fault
-// domains (Options.Fabric) become interesting: a downed uplink re-hashes
+// domains (Env.Fabric) become interesting: a downed uplink re-hashes
 // surviving flows onto live paths instead of severing the only route.
 
 import (
@@ -157,8 +157,7 @@ func FatTree(cfg FatTreeConfig, o Options) *Net {
 	}
 
 	net.seedEcmp()
-	net.scheduleRestart()
-	net.scheduleFabric()
+	net.armEnv()
 	return net
 }
 
@@ -213,8 +212,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, o Options) *Net {
 		}
 	}
 	net.seedEcmp()
-	net.scheduleRestart()
-	net.scheduleFabric()
+	net.armEnv()
 	return net
 }
 

@@ -241,7 +241,7 @@ func TestFatTreeToRFailureFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := FatTreeConfig{K: 4}
-	net := FatTree(cfg, Options{Fabric: domains})
+	net := FatTree(cfg, Options{Env: Env{Fabric: domains}})
 	sinks := make([]*sink, len(net.Hosts))
 	for i, h := range net.Hosts {
 		sinks[i] = &sink{}
@@ -298,7 +298,7 @@ func TestFabricSnapshotQuietOnSinglePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net2 := Dumbbell(2, Options{Fabric: domains})
+	net2 := Dumbbell(2, Options{Env: Env{Fabric: domains}})
 	if !net2.HasFabric() {
 		t.Fatal("dumbbell with armed domains does not report HasFabric")
 	}

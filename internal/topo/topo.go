@@ -45,33 +45,11 @@ type Options struct {
 	ACDCFor func(host int) *core.Config
 	// Seed seeds the simulation RNG (default 1).
 	Seed int64
-	// Faults, when non-nil and enabled, installs a deterministic fault
-	// injector on every link of the fabric (chaos runs). A nil or disabled
-	// profile leaves every link on the exact fault-free code path.
-	Faults *faults.Profile
-	// FaultSeed seeds the injector's PRNG (default: Seed), independent of
-	// the simulation RNG so the same chaos mix replays across workloads.
-	FaultSeed int64
-	// Restart, when non-nil, schedules a vSwitch restart (cold/warm/stale/
-	// corrupt) on the hosts the plan selects. Hosts without an AC/DC module
-	// are unaffected. Nil leaves the restart machinery entirely cold.
-	Restart *faults.RestartPlan
-	// Audit, when non-nil, attaches a datapath invariant auditor
-	// (internal/audit) to every AC/DC module. Nil keeps the hot path on the
-	// audit-free branch (zero overhead, byte-identical telemetry).
-	Audit *audit.Config
-	// Fabric, when non-empty, schedules fabric fault domains (link/switch
-	// outages, flaps, gray loss; see faults.ParseDomains) against the built
-	// topology's links by name. Empty leaves the lifecycle machinery cold.
-	Fabric []faults.FaultDomain
-	// FabricSeed seeds gray-loss randomness (default: Seed), independent of
-	// the simulation RNG so the same fabric chaos replays across workloads.
-	FabricSeed int64
-	// Backend, when non-empty, overrides the enforcement backend on every
-	// attached AC/DC module ("dctcp-cut", "pace", "adaptive-k") — the knob
-	// the head-to-head comparison runs turn. Empty leaves each config's own
-	// Backend field (usually "", the paper's RWND-rewrite mechanism).
-	Backend string
+	// ChaosSeed seeds the fault injector and gray-loss draws (default Seed),
+	// apart from the simulation RNG, so one chaos mix replays across
+	// topologies built with different Seeds.
+	ChaosSeed int64
+	Env
 }
 
 // Defaults fills zero fields with the paper's testbed values.
@@ -93,6 +71,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
+	}
+	if o.ChaosSeed == 0 {
+		o.ChaosSeed = o.Seed
 	}
 	return o
 }
@@ -163,11 +144,7 @@ func newNet(o Options) *Net {
 	o = o.withDefaults()
 	n := &Net{Sim: sim.New(o.Seed), Pool: packet.NewPool(), Opts: o}
 	if o.Faults != nil && o.Faults.Enabled() {
-		seed := o.FaultSeed
-		if seed == 0 {
-			seed = o.Seed
-		}
-		n.Faults = faults.NewInjector(*o.Faults, seed)
+		n.Faults = faults.NewInjector(*o.Faults, o.ChaosSeed)
 	}
 	return n
 }
@@ -248,8 +225,7 @@ func Star(n int, o Options) *Net {
 	for i := 0; i < n; i++ {
 		net.addHost(sw, hostAddr(i), fmt.Sprintf("h%d", i))
 	}
-	net.scheduleRestart()
-	net.scheduleFabric()
+	net.armEnv()
 	return net
 }
 
@@ -272,8 +248,7 @@ func Dumbbell(pairs int, o Options) *Net {
 	for i := 0; i < pairs; i++ {
 		right.AddRoute(net.Hosts[i].Addr, rl)
 	}
-	net.scheduleRestart()
-	net.scheduleFabric()
+	net.armEnv()
 	return net
 }
 
@@ -320,39 +295,27 @@ func ParkingLot(o Options) *Net {
 			sws[s].AddRoute(addr, trunks[s].fwd)
 		}
 	}
-	net.scheduleRestart()
-	net.scheduleFabric()
+	net.armEnv()
 	return net
 }
 
-// scheduleRestart arms Opts.Restart once every host (and its AC/DC module,
-// where attached) exists. Called at the end of each topology builder.
-func (n *Net) scheduleRestart() {
-	p := n.Opts.Restart
-	if p == nil {
-		return
-	}
-	var targets []faults.RestartTarget
-	for i, v := range n.ACDC {
-		if v != nil && p.AppliesTo(i) {
-			targets = append(targets, v)
+// armEnv schedules the restart plan and then the fabric fault domains, once
+// every host, AC/DC module and link exists. Called at the end of each
+// topology builder.
+func (n *Net) armEnv() {
+	if p := n.Opts.Restart; p != nil {
+		var targets []faults.RestartTarget
+		for i, v := range n.ACDC {
+			if v != nil && p.AppliesTo(i) {
+				targets = append(targets, v)
+			}
 		}
+		p.Schedule(n.Sim, targets)
 	}
-	p.Schedule(n.Sim, targets)
-}
-
-// scheduleFabric arms Opts.Fabric once every link exists. Called at the end
-// of each topology builder, after scheduleRestart.
-func (n *Net) scheduleFabric() {
-	if len(n.Opts.Fabric) == 0 {
-		return
+	if len(n.Opts.Fabric) > 0 {
+		n.Domains = faults.NewDomains(n.Opts.Fabric, n.Opts.ChaosSeed)
+		n.Domains.Schedule(n.Sim, n)
 	}
-	seed := n.Opts.FabricSeed
-	if seed == 0 {
-		seed = n.Opts.Seed
-	}
-	n.Domains = faults.NewDomains(n.Opts.Fabric, seed)
-	n.Domains.Schedule(n.Sim, n)
 }
 
 // LinksMatching implements faults.FabricView: links whose name matches
