@@ -230,6 +230,101 @@ func TestConnCycleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTimeWaitHoldsNoConn pins what TIME_WAIT costs a stack. Four closed-loop
+// clients on two stacks back to back dial, send one MSS, close both ends at
+// once and dial again, so both ends pass through TIME_WAIT, which outlasts a
+// connection's life over a thousand times. After 10 ms each stack holds about
+// 2 400 connections in TIME_WAIT, but the Conn records it keeps, open or parked,
+// stay bounded by the connections it has open: a connection gives its Conn
+// back when it enters TIME_WAIT and keeps only a small record.
+func TestTimeWaitHoldsNoConn(t *testing.T) {
+	s := sim.New(1)
+	pool := packet.NewPool()
+	addrA, addrB := packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2)
+	ha, hb := netsim.NewHost(s, "a", addrA), netsim.NewHost(s, "b", addrB)
+	ha.Pool, hb.Pool = pool, pool
+	ha.NIC = netsim.NewLink(s, "a>b", 10e9, 5*sim.Microsecond, hb)
+	hb.NIC = netsim.NewLink(s, "b>a", 10e9, 5*sim.Microsecond, ha)
+	ha.NIC.Pool, hb.NIC.Pool = pool, pool
+	cfg := tcpstack.DefaultConfig()
+	cfg.MTU = 1500
+	stacks := []*tcpstack.Stack{tcpstack.NewStack(s, ha, cfg), tcpstack.NewStack(s, hb, cfg)}
+	mss := int64(cfg.MSS())
+
+	// open[i] counts the connections stack i has dialed or accepted and not
+	// yet closed.
+	var open, peak [2]int
+	track := func(i, d int) {
+		open[i] += d
+		peak[i] = max(peak[i], open[i])
+	}
+	const clients = 4
+	stopped := false
+	clis := make(map[uint16]*tcpstack.Conn)
+	var request func()
+	request = func() {
+		if stopped {
+			return
+		}
+		cli := stacks[0].Dial(addrB, 5001)
+		clis[cli.LocalPort()] = cli
+		track(0, 1)
+		cli.Send(mss)
+	}
+	stacks[1].Listen(5001, func(srv *tcpstack.Conn) {
+		_, port := srv.RemoteAddr()
+		cli := clis[port]
+		delete(clis, port)
+		track(1, 1)
+		srv.OnRecv = func(int) {
+			if srv.Delivered < mss {
+				return
+			}
+			s.Schedule(0, func() {
+				cli.Close()
+				srv.Close()
+				track(0, -1)
+				track(1, -1)
+				request()
+			})
+		}
+	})
+	worst := [2]int{}
+	var sample func()
+	sample = func() {
+		for i, st := range stacks {
+			worst[i] = max(worst[i], st.ConnRecords())
+		}
+		if !stopped {
+			s.Schedule(10*sim.Microsecond, sample)
+		}
+	}
+	for range clients {
+		request()
+	}
+	s.Schedule(0, sample)
+	s.RunFor(10 * sim.Millisecond)
+	inTimeWait := [2]int{stacks[0].NumConns() - open[0], stacks[1].NumConns() - open[1]}
+	stopped = true
+	s.RunFor(100 * sim.Millisecond)
+	for i, st := range stacks {
+		bound := 2*peak[i] + 2
+		t.Logf("stack %d: at most %d open, %d Conn records; %d in TIME_WAIT", i, peak[i], worst[i], inTimeWait[i])
+		if worst[i] > bound {
+			t.Errorf("stack %d held up to %d Conn records with at most %d connections open (bound %d) and %d in TIME_WAIT",
+				i, worst[i], peak[i], bound, inTimeWait[i])
+		}
+		// The bound must be far below what keeping a Conn through TIME_WAIT
+		// would hold, or it pins nothing.
+		if inTimeWait[i] < 50*bound {
+			t.Errorf("stack %d: only %d connections in TIME_WAIT, want ≥ %d", i, inTimeWait[i], 50*bound)
+		}
+		if st.NumConns() != 0 || st.ConnRecords() > bound {
+			t.Errorf("stack %d after the drain: %d connections, %d Conn records", i, st.NumConns(), st.ConnRecords())
+		}
+	}
+}
+
 // TestFabricFlapLeakFree pins packet-pool and event ownership across link
 // lifecycle churn, end to end: a k=4 fat-tree carrying cross-pod bulk traffic
 // while an aggregation switch's spine uplinks flap continuously. Every drain

@@ -38,9 +38,12 @@ type seqRange struct{ start, end int64 }
 // offset 0 is the SYN, data bytes occupy [1, 1+appEnd), and the FIN (when
 // queued) sits at 1+appEnd.
 //
-// A *Conn is valid until OnClosed has returned and the event that closed the
-// connection has ended: after that the stack reuses the record for a later
-// connection (see newConn), so drop the pointer in OnClosed at the latest.
+// The stack reuses a closed connection's record for a later one (see
+// newConn). A *Conn that enters TIME_WAIT is the stack's again at the end of
+// that event; TIME_WAIT itself is kept by a small record, not the Conn (see
+// timeWait). Otherwise it is the stack's again once OnClosed has returned and
+// its event has ended. Read counters in OnPeerClose or before Close, and drop
+// the pointer by then.
 type Conn struct {
 	stack  *Stack
 	key    connKey
@@ -75,7 +78,10 @@ type Conn struct {
 	srtt, rttvar      int64
 	backoff           int
 
-	rtoTimer, delackTimer, persistTimer, twTimer *sim.Timer
+	rtoTimer, delackTimer, persistTimer *sim.Timer
+	// tw is the TIME_WAIT record from enterTimeWait until Stack.handOff, at
+	// the end of the same event, gives it the connection.
+	tw *timeWait
 
 	ecnOK   bool
 	sendCWR bool
@@ -120,8 +126,10 @@ type Conn struct {
 	OnEstablished func()
 	// OnPeerClose fires when the peer's FIN is delivered in order (EOF).
 	OnPeerClose func()
-	// OnClosed fires when the connection is fully closed and removed. It is
-	// the last point at which the *Conn may be used.
+	// OnClosed fires when the connection is fully closed and removed: when
+	// the last FIN is acknowledged, or when TIME_WAIT ends. In the second
+	// case the stack's TIME_WAIT record runs it, long after the *Conn was
+	// reused, so it must not touch the Conn.
 	OnClosed func()
 	// OnRTTSample receives raw sender RTT samples in ns.
 	OnRTTSample func(ns int64)
@@ -144,7 +152,7 @@ type Conn struct {
 // newConn returns a connection in StateClosed, in a record taken back from
 // the stack's free list when one is available. What a record keeps from its
 // previous life is only what costs an allocation and carries no state: the
-// four timers (stopped), the algorithm value when cfg names the same one, the
+// three timers (stopped), the algorithm value when cfg names the same one, the
 // algorithm's private state (Init resets it in place) and the capacity of the
 // SACK scoreboard and reassembly lists.
 func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
@@ -154,14 +162,12 @@ func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
 		c.rtoTimer = sim.NewTimer(st.Sim, c.onRTO)
 		c.delackTimer = sim.NewTimer(st.Sim, c.onDelAck)
 		c.persistTimer = sim.NewTimer(st.Sim, c.onPersist)
-		c.twTimer = sim.NewTimer(st.Sim, c.onTimeWaitDone)
 	}
 	// teardown stopped them, but the frames it returned into could have armed
 	// one again; it must not fire on this connection.
 	c.rtoTimer.Stop()
 	c.delackTimer.Stop()
 	c.persistTimer.Stop()
-	c.twTimer.Stop()
 	alg := c.alg
 	if alg == nil || alg.Name() != cfg.CC { // an alias ("newreno") is just built again
 		alg = cc.New(cfg.CC)
@@ -188,7 +194,6 @@ func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
 		rtoTimer:     c.rtoTimer,
 		delackTimer:  c.delackTimer,
 		persistTimer: c.persistTimer,
-		twTimer:      c.twTimer,
 	}
 	c.iss = uint32(st.Sim.Rand().Int63()) | 1
 	c.alg.Init(&c.ctx)
@@ -213,10 +218,10 @@ func (c *Conn) State() State { return c.state }
 func (c *Conn) Established() bool { return c.state >= StateEstablished && c.state != StateClosed }
 
 // LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
+func (c *Conn) LocalPort() uint16 { return c.key.localPort() }
 
 // RemoteAddr returns the peer address and port.
-func (c *Conn) RemoteAddr() (packet.Addr, uint16) { return c.key.remoteAddr, c.key.remotePort }
+func (c *Conn) RemoteAddr() (packet.Addr, uint16) { return c.key.remoteAddr(), c.key.remotePort() }
 
 // Cwnd returns the congestion window in MSS units (for instrumentation).
 func (c *Conn) Cwnd() float64 { return c.ctx.Cwnd }
@@ -281,7 +286,7 @@ func (c *Conn) Close() {
 
 func (c *Conn) String() string {
 	return fmt.Sprintf("conn(%s:%d>%v:%d %v una=%d nxt=%d cwnd=%.1f)",
-		c.stack.Host.Name, c.key.localPort, c.key.remoteAddr, c.key.remotePort,
+		c.stack.Host.Name, c.key.localPort(), c.key.remoteAddr(), c.key.remotePort(),
 		c.state, c.sndUna, c.sndNxt, c.ctx.Cwnd)
 }
 
@@ -310,7 +315,7 @@ func (c *Conn) sendSYN() {
 	}
 	c.sndNxt = 1
 	c.transmit(packet.TCPFields{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
+		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.iss, Flags: flags, Window: 65535,
 		Options: c.synOptions(c.cfg.SACK),
 	}, 0, packet.NotECT)
@@ -344,7 +349,7 @@ func (c *Conn) handleSYN(p *packet.Packet, t packet.TCP) {
 	}
 	c.sndNxt = 1
 	c.transmit(packet.TCPFields{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
+		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.iss, Ack: c.wireAck(c.rcvNxt), Flags: flags, Window: 65535,
 		Options: c.synOptions(c.sackOK),
 	}, 0, packet.NotECT)
@@ -425,15 +430,6 @@ func (c *Conn) receive(p *packet.Packet) {
 			}
 		}
 		return
-	case StateTimeWait:
-		// Retransmitted FIN from the peer: our ACK of it was lost. Re-ACK it
-		// and restart the 2 MSL wait (RFC 793 §3.9), so the connection
-		// outlives the retransmissions the new ACK may still cross.
-		if t.HasFlags(packet.FlagFIN) {
-			c.sendAck()
-			c.twTimer.Reset(c.timeWait())
-		}
-		return
 	default:
 		c.processSegment(p, t)
 	}
@@ -470,17 +466,19 @@ func (c *Conn) maybeAdvanceClose() {
 	}
 }
 
+// enterTimeWait arms the wait on a TIME_WAIT record; the stack hands the
+// connection to it once the segment that got here has been processed (the
+// FIN's ACK still goes out from the Conn).
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.rtoTimer.Stop()
 	c.persistTimer.Stop()
-	c.twTimer.Reset(c.timeWait())
+	c.tw = c.stack.newTimeWait()
+	c.tw.timer.Reset(c.timeWait())
 }
 
 // timeWait is the TIME_WAIT duration (2 MSL).
 func (c *Conn) timeWait() sim.Duration { return 4 * c.cfg.RTOMin }
-
-func (c *Conn) onTimeWaitDone() { c.teardown() }
 
 // teardown ends the connection: it leaves the demux table, OnClosed runs, and
 // the record is parked for reuse. A connection is torn down once; a second
@@ -495,7 +493,6 @@ func (c *Conn) teardown() {
 	c.rtoTimer.Stop()
 	c.delackTimer.Stop()
 	c.persistTimer.Stop()
-	c.twTimer.Stop()
 	c.stack.remove(c)
 	if c.OnClosed != nil {
 		c.OnClosed()

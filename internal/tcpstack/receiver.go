@@ -166,17 +166,24 @@ func (c *Conn) sendAck() {
 	if c.state == StateClosed || c.state == StateSynSent {
 		return
 	}
+	f := c.ackFields()
+	f.Options = packet.EncodeSACK(c.stack.optScratch[:0], c.sackBlocks())
+	c.transmit(f, 0, packet.NotECT)
+	c.ackSent()
+}
+
+// ackFields is the header of a pure ACK reflecting the receiver state, SACK
+// blocks aside. It is also the final ACK a TIME_WAIT record keeps.
+func (c *Conn) ackFields() packet.TCPFields {
 	flags := packet.FlagACK
 	if c.echoECE() {
 		flags |= packet.FlagECE
 	}
-	c.transmit(packet.TCPFields{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
+	return packet.TCPFields{
+		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.wireSeq(c.sndNxt), Ack: c.wireAck(c.rcvNxt),
 		Flags: flags, Window: c.advWindow(),
-		Options: packet.EncodeSACK(c.stack.optScratch[:0], c.sackBlocks()),
-	}, 0, packet.NotECT)
-	c.ackSent()
+	}
 }
 
 // ackSent resets delayed-ACK state after any segment carrying an ACK.

@@ -68,7 +68,7 @@ func (ch *churn) request(cli int) {
 	size := int64(1 + ch.rng.Intn(30_000))
 	c := ch.b.stacks[from].Dial(ch.b.hosts[to].Addr, 5001)
 	ch.opened++
-	srvKey := connKey{5001, ch.b.hosts[from].Addr, c.LocalPort()}
+	srvKey := makeKey(5001, ch.b.hosts[from].Addr, c.LocalPort())
 	if cli%2 == 0 {
 		ch.want[srvKey] = func(srv *Conn) {
 			// Close from a fresh event once the client has seen everything
@@ -100,10 +100,8 @@ func (ch *churn) request(cli int) {
 		srv.OnRecv = func(n int) { ch.delivered += int64(n) }
 		srv.OnPeerClose = srv.Close
 	}
-	c.OnClosed = func() {
-		ch.retrans += c.RetransSegs
-		ch.request(cli)
-	}
+	c.OnPeerClose = func() { ch.retrans += c.RetransSegs }
+	c.OnClosed = func() { ch.request(cli) }
 	c.Send(size)
 	c.Close()
 }
@@ -148,19 +146,22 @@ func (b *bench) inEvent(fn func()) {
 }
 
 // checkParked asserts that every record on the stacks' free lists is closed,
-// is off the demux table and has none of its four timers armed — a stray arm
-// would fire on the record's next connection — and returns how many there are.
+// is off the demux table, holds no TIME_WAIT record and has none of its three
+// timers armed — a stray arm would fire on the record's next connection, and a
+// Conn handed to a TIME_WAIT record must have left every timer behind — and
+// returns how many there are.
 func (b *bench) checkParked(t *testing.T) int {
 	t.Helper()
 	n := 0
 	for i, st := range b.stacks {
 		for _, c := range st.parked {
 			n++
-			if !c.parked || c.state != StateClosed || st.conns[c.key] == c {
-				t.Errorf("stack %d: parked %v: parked=%v, in demux table=%v", i, c, c.parked, st.conns[c.key] == c)
+			if !c.parked || c.state != StateClosed || st.conns[c.key] == c || c.tw != nil {
+				t.Errorf("stack %d: parked %v: parked=%v, in demux table=%v, TIME_WAIT record=%v",
+					i, c, c.parked, st.conns[c.key] == c, c.tw != nil)
 			}
 			for name, tm := range map[string]*sim.Timer{"rto": c.rtoTimer, "delack": c.delackTimer,
-				"persist": c.persistTimer, "timewait": c.twTimer} {
+				"persist": c.persistTimer} {
 				if tm.Pending() {
 					t.Errorf("stack %d: parked %v has its %s timer armed", i, c, name)
 				}
@@ -265,7 +266,7 @@ func TestRecycledConnEqualsFresh(t *testing.T) {
 
 	empty := NewStack(b.s, netsim.NewHost(b.s, "fresh", packet.MakeAddr(10, 0, 9, 9)), cfg)
 	for i, old := range []*Conn{cli, srv} {
-		key := connKey{uint16(1000 + i), packet.MakeAddr(10, 0, 0, 77), 5001}
+		key := makeKey(uint16(1000+i), packet.MakeAddr(10, 0, 0, 77), 5001)
 		b.inEvent(func() {
 			got := newConn(b.stacks[i], key, cfg, i == 1)
 			if got != old {
@@ -281,9 +282,11 @@ func TestRecycledConnEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestOnClosedDialsFreshRecord: a dial from inside OnClosed — the frames
-// under teardown still hold the closing record — must get another one, and
-// the closed record comes back once the event is over.
+// TestOnClosedDialsFreshRecord: a connection that enters TIME_WAIT gives its
+// Conn back in that event, so a dial later in the same event — the frames
+// that handled the segment may still hold the record — must get another one.
+// OnClosed runs when TIME_WAIT ends, events later, so a dial there may get
+// the closed record back, and it starts clean.
 func TestOnClosedDialsFreshRecord(t *testing.T) {
 	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
 	var srvs []*Conn
@@ -291,39 +294,51 @@ func TestOnClosedDialsFreshRecord(t *testing.T) {
 		srvs = append(srvs, c)
 		c.OnPeerClose = c.Close
 	})
-	cli := b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+	cs := b.stacks[0]
+	cli := cs.Dial(b.hosts[1].Addr, 5001)
+	// The client host's demux dials right after the stack has handled the
+	// segment that moved cli into TIME_WAIT: inside the event that parked it.
+	var inEntry *Conn
+	b.hosts[0].Demux = netsim.HandlerFunc(func(p *packet.Packet) {
+		cs.HandlePacket(p)
+		if inEntry == nil && cs.timeWaits[cli.key] != nil {
+			if !cli.parked {
+				t.Fatalf("cli in TIME_WAIT but its Conn not parked: %v", cli)
+			}
+			inEntry = cs.Dial(b.hosts[1].Addr, 5001)
+		}
+	})
 	var next *Conn
 	cli.OnClosed = func() {
-		next = b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+		next = cs.Dial(b.hosts[1].Addr, 5001)
 		next.Send(5000)
 	}
 	cli.Send(1000)
 	cli.Close()
 	b.s.RunFor(500 * sim.Millisecond)
-	if next == nil || next == cli {
-		t.Fatalf("dial inside OnClosed returned %p, closing record %p", next, cli)
+	if inEntry == nil || inEntry == cli {
+		t.Fatalf("dial in the event cli entered TIME_WAIT returned %p, cli's record %p", inEntry, cli)
 	}
-	if len(srvs) != 2 || srvs[1].Delivered != 5000 || next.State() != StateEstablished {
-		t.Fatalf("second connection: %d accepted, state %v", len(srvs), next.State())
+	if next != cli {
+		t.Errorf("dial in OnClosed, events after cli was parked, got %p, not cli's record %p", next, cli)
+	}
+	if next.OnClosed != nil {
+		t.Errorf("recycled record kept the previous connection's OnClosed")
+	}
+	if len(srvs) != 3 || srvs[2].Delivered != 5000 || next.State() != StateEstablished ||
+		inEntry.State() != StateEstablished {
+		t.Fatalf("later connections: %d accepted, states %v and %v", len(srvs), inEntry.State(), next.State())
 	}
 	if srvs[1] != srvs[0] {
 		t.Errorf("server stack did not reuse the record of the first connection for the second")
 	}
-	var third *Conn
-	b.inEvent(func() { third = b.stacks[0].Dial(b.hosts[1].Addr, 5001) })
-	if third != cli {
-		t.Errorf("a dial in a later event did not reuse the closed record")
-	}
-	if third.OnClosed != nil {
-		t.Errorf("recycled record kept the previous connection's OnClosed")
-	}
 
-	// Nor is a record handed out later in the event it was parked in: the
-	// frames teardown returned into may still be using it.
+	// Nor is a torn-down record handed out later in the event it was parked
+	// in: the frames teardown returned into may still be using it.
 	st := b.stacks[1]
 	var dead *Conn
 	b.inEvent(func() {
-		dead = newConn(st, connKey{7, b.hosts[0].Addr, 7}, st.Cfg, false)
+		dead = newConn(st, makeKey(7, b.hosts[0].Addr, 7), st.Cfg, false)
 		dead.Close() // never opened: torn down and parked on the spot
 		if len(st.parked) != 1 || st.parked[0] != dead {
 			t.Fatalf("closed record not parked: %d on the list", len(st.parked))

@@ -214,7 +214,7 @@ func (c *Conn) onRTO() {
 		c.Timeouts++
 		c.resendSynAck()
 		return
-	case StateClosed, StateTimeWait:
+	case StateClosed:
 		return
 	}
 	if c.sndUna >= c.sndNxt {
@@ -245,7 +245,7 @@ func (c *Conn) sendSYNRetrans() {
 	}
 	c.RetransSegs++
 	c.transmit(packet.TCPFields{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
+		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.iss, Flags: flags, Window: 65535,
 		Options: c.synOptions(c.cfg.SACK),
 	}, 0, packet.NotECT)
@@ -259,7 +259,7 @@ func (c *Conn) resendSynAck() {
 	}
 	c.RetransSegs++
 	c.transmit(packet.TCPFields{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
+		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.iss, Ack: c.wireAck(c.rcvNxt), Flags: flags, Window: 65535,
 		Options: c.synOptions(c.sackOK),
 	}, 0, packet.NotECT)
@@ -332,8 +332,7 @@ func (st *Stack) flushBurst() {
 }
 
 func (c *Conn) outputLoop() {
-	if c.state == StateClosed || c.state == StateSynSent || c.state == StateSynRcvd ||
-		c.state == StateTimeWait {
+	if c.state == StateClosed || c.state == StateSynSent || c.state == StateSynRcvd {
 		return
 	}
 	dataEnd := 1 + c.appEnd
@@ -423,7 +422,7 @@ func (c *Conn) sendSegment(abs, segLen int64, fin bool) {
 		ecn = packet.ECT0
 	}
 	c.transmit(packet.TCPFields{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
+		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.wireSeq(abs), Ack: c.wireAck(c.rcvNxt),
 		Flags: flags, Window: c.advWindow(),
 		Options: packet.EncodeSACK(c.stack.optScratch[:0], c.sackBlocks()),
@@ -442,14 +441,19 @@ func (c *Conn) sendSegment(abs, segLen int64, fin bool) {
 	c.rtoTimer.ArmIfIdle(c.currentRTO())
 }
 
+// wireECN is the codepoint a segment that asks for ecn leaves with. Linux's
+// DCTCP (tcp_ca_needs_ecn) marks every packet ECN-capable — SYNs and pure
+// ACKs included — so WRED marks them instead of dropping.
+func (c *Conn) wireECN(ecn packet.ECN) packet.ECN {
+	if c.cfg.ECN == ECNDCTCP {
+		return packet.ECT0
+	}
+	return ecn
+}
+
 // transmit finalizes a packet and hands it to the host's egress path.
 func (c *Conn) transmit(f packet.TCPFields, payloadLen int, ecn packet.ECN) {
-	// Linux's DCTCP (tcp_ca_needs_ecn) marks every packet ECN-capable —
-	// SYNs and pure ACKs included — so WRED marks them instead of dropping.
-	if c.cfg.ECN == ECNDCTCP {
-		ecn = packet.ECT0
-	}
-	p := packet.BuildIn(c.stack.Host.Pool, c.stack.Host.Addr, c.key.remoteAddr, ecn, f, payloadLen)
+	p := packet.BuildIn(c.stack.Host.Pool, c.stack.Host.Addr, c.key.remoteAddr(), c.wireECN(ecn), f, payloadLen)
 	p.FlowTag = c.FlowTag
 	c.SentSegs++
 	c.nicQueued += int64(p.IPLen())

@@ -8,12 +8,18 @@ import (
 	"acdc/internal/sim"
 )
 
-// connKey identifies a connection from the stack's point of view.
-type connKey struct {
-	localPort  uint16
-	remoteAddr packet.Addr
-	remotePort uint16
+// connKey identifies a connection from the stack's point of view: local port,
+// remote address and remote port packed into one word, so that the demux,
+// TSQ and port-allocation maps hash it on the runtime's 8-byte fast path.
+type connKey uint64
+
+func makeKey(localPort uint16, remoteAddr packet.Addr, remotePort uint16) connKey {
+	return connKey(localPort)<<48 | connKey(remoteAddr)<<16 | connKey(remotePort)
 }
+
+func (k connKey) localPort() uint16       { return uint16(k >> 48) }
+func (k connKey) remoteAddr() packet.Addr { return packet.Addr(k >> 16) }
+func (k connKey) remotePort() uint16      { return uint16(k) }
 
 // Stack is one host's transport layer. It registers as the host's Demux and
 // owns every Conn terminating at that host.
@@ -28,6 +34,10 @@ type Stack struct {
 
 	// parked holds torn-down Conns for newConn to take back; see park.
 	parked []*Conn
+	// timeWaits holds the connections in TIME_WAIT, which keep no Conn (see
+	// timeWait); twFree holds expired records for newTimeWait to take back.
+	timeWaits map[connKey]*timeWait
+	twFree    []*timeWait
 
 	// Scratch shared by every Conn of the stack. Each is filled and consumed
 	// inside one transmit call (BuildIn copies options into the packet buffer)
@@ -57,6 +67,7 @@ func NewStack(s *sim.Simulator, host *netsim.Host, cfg Config) *Stack {
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]func(*Conn)),
 		nextPort:  40000,
+		timeWaits: make(map[connKey]*timeWait),
 	}
 	host.Demux = st
 	// NIC tx-completion feedback for TSQ backpressure.
@@ -78,8 +89,7 @@ func (st *Stack) txFree(p *packet.Packet) {
 	if !t.Valid() {
 		return
 	}
-	key := connKey{t.SrcPort(), ip.Dst(), t.DstPort()}
-	if c, ok := st.conns[key]; ok {
+	if c, ok := st.conns[makeKey(t.SrcPort(), ip.Dst(), t.DstPort())]; ok {
 		c.txCompleted(int64(p.IPLen()))
 	}
 }
@@ -100,12 +110,14 @@ func (st *Stack) Dial(raddr packet.Addr, rport uint16) *Conn {
 // DialCfg creates a client connection with a per-connection config override.
 func (st *Stack) DialCfg(raddr packet.Addr, rport uint16, cfg Config) *Conn {
 	lport := st.allocPort(raddr, rport)
-	c := newConn(st, connKey{lport, raddr, rport}, cfg, false)
+	c := newConn(st, makeKey(lport, raddr, rport), cfg, false)
 	st.conns[c.key] = c
 	c.sendSYN()
 	return c
 }
 
+// allocPort returns the next ephemeral port that no connection to
+// raddr:rport holds, in TIME_WAIT included, and no listener owns.
 func (st *Stack) allocPort(raddr packet.Addr, rport uint16) uint16 {
 	for i := 0; i < 1<<16; i++ {
 		p := st.nextPort
@@ -113,17 +125,22 @@ func (st *Stack) allocPort(raddr packet.Addr, rport uint16) uint16 {
 		if st.nextPort < 40000 {
 			st.nextPort = 40000
 		}
-		if _, busy := st.conns[connKey{p, raddr, rport}]; !busy {
-			if _, listening := st.listeners[p]; !listening {
-				return p
-			}
+		key := makeKey(p, raddr, rport)
+		if _, busy := st.conns[key]; busy {
+			continue
+		}
+		if _, busy := st.timeWaits[key]; busy {
+			continue
+		}
+		if _, listening := st.listeners[p]; !listening {
+			return p
 		}
 	}
 	panic("tcpstack: out of ephemeral ports")
 }
 
-// HandlePacket implements netsim.Handler: demux to a connection, or create
-// one for a SYN to a listening port.
+// HandlePacket implements netsim.Handler: demux to a connection or a
+// TIME_WAIT record, or create a connection for a SYN to a listening port.
 func (st *Stack) HandlePacket(p *packet.Packet) {
 	// The stack terminates every segment handed to it: receive() copies what
 	// it needs (reassembly tracks byte ranges, not packets), so the packet is
@@ -140,9 +157,15 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 		st.Host.Pool.Put(p)
 		return
 	}
-	key := connKey{t.DstPort(), ip.Src(), t.SrcPort()}
+	key := makeKey(t.DstPort(), ip.Src(), t.SrcPort())
 	c, ok := st.conns[key]
 	if !ok {
+		if tw, ok := st.timeWaits[key]; ok {
+			st.DeliveredSegs++
+			tw.receive(t)
+			st.Host.Pool.Put(p)
+			return
+		}
 		if t.HasFlags(packet.FlagSYN) && !t.HasFlags(packet.FlagACK) {
 			if onAccept, listening := st.listeners[t.DstPort()]; listening {
 				c = newConn(st, key, st.Cfg, true)
@@ -160,6 +183,9 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 	}
 	st.DeliveredSegs++
 	c.receive(p)
+	if c.tw != nil {
+		st.handOff(c)
+	}
 	st.Host.Pool.Put(p)
 }
 
@@ -198,9 +224,98 @@ func (st *Stack) unpark() *Conn {
 	return nil
 }
 
-// NumConns returns the number of live connections (for tests).
-func (st *Stack) NumConns() int { return len(st.conns) }
+// timeWait is a connection in TIME_WAIT, as Linux keeps it after freeing the
+// socket (inet_timewait_sock): the key, the final ACK ready to be sent again,
+// the application's OnClosed and one timer. All a connection does in
+// TIME_WAIT is answer a retransmitted FIN, so it needs no Conn.
+type timeWait struct {
+	st       *Stack
+	key      connKey
+	seq, ack uint32 // of the final ACK
+	flowTag  uint32
+	window   uint16
+	flags    uint8
+	ecn      packet.ECN
+	dur      sim.Duration
+	onClosed func()
+	timer    *sim.Timer
+}
+
+// newTimeWait takes an expired record back, or makes one.
+func (st *Stack) newTimeWait() *timeWait {
+	if n := len(st.twFree); n > 0 {
+		tw := st.twFree[n-1]
+		st.twFree = st.twFree[:n-1]
+		return tw
+	}
+	tw := &timeWait{st: st}
+	tw.timer = sim.NewTimer(st.Sim, tw.expire)
+	return tw
+}
+
+// handOff moves a connection that entered TIME_WAIT during the segment just
+// received to the record enterTimeWait armed: the record copies the final ACK
+// and OnClosed and answers for the key from now on, and the Conn is torn down
+// and parked at once. OnClosed runs from the record when the wait ends.
+func (st *Stack) handOff(c *Conn) {
+	tw := c.tw
+	c.tw = nil
+	f := c.ackFields()
+	*tw = timeWait{
+		st:  st,
+		key: c.key,
+		seq: f.Seq, ack: f.Ack, flowTag: c.FlowTag,
+		window: f.Window, flags: f.Flags, ecn: c.wireECN(packet.NotECT),
+		dur:      c.timeWait(),
+		onClosed: c.OnClosed,
+		timer:    tw.timer,
+	}
+	c.OnClosed = nil
+	c.teardown()
+	st.timeWaits[tw.key] = tw
+}
+
+// receive answers a segment for a connection in TIME_WAIT. A FIN is the
+// peer's retransmission, sent because our final ACK was lost: send the ACK
+// again and restart the 2 MSL wait (RFC 793 §3.9), so the record outlives
+// the retransmissions the new ACK may still cross. Anything else, a SYN for
+// the key included, is ignored.
+func (tw *timeWait) receive(t packet.TCP) {
+	if !t.HasFlags(packet.FlagFIN) {
+		return
+	}
+	st := tw.st
+	p := packet.BuildIn(st.Host.Pool, st.Host.Addr, tw.key.remoteAddr(), tw.ecn, packet.TCPFields{
+		SrcPort: tw.key.localPort(), DstPort: tw.key.remotePort(),
+		Seq: tw.seq, Ack: tw.ack, Flags: tw.flags, Window: tw.window,
+	}, 0)
+	p.FlowTag = tw.flowTag
+	st.Host.Output(p)
+	tw.timer.Reset(tw.dur)
+}
+
+// expire ends TIME_WAIT: the key is free again, the record goes back on the
+// free list and OnClosed runs. Nothing here reads the record after OnClosed,
+// so OnClosed may itself start a TIME_WAIT that takes the record back.
+func (tw *timeWait) expire() {
+	st, onClosed := tw.st, tw.onClosed
+	delete(st.timeWaits, tw.key)
+	tw.onClosed = nil
+	st.twFree = append(st.twFree, tw)
+	if onClosed != nil {
+		onClosed()
+	}
+}
+
+// NumConns returns the number of live connections, TIME_WAIT included (for
+// tests).
+func (st *Stack) NumConns() int { return len(st.conns) + len(st.timeWaits) }
+
+// ConnRecords returns how many Conn records the stack holds: the open
+// connections' and those parked for reuse. A connection in TIME_WAIT holds
+// none (for tests).
+func (st *Stack) ConnRecords() int { return len(st.conns) + len(st.parked) }
 
 func (st *Stack) String() string {
-	return fmt.Sprintf("stack(%s conns=%d)", st.Host.Name, len(st.conns))
+	return fmt.Sprintf("stack(%s conns=%d)", st.Host.Name, st.NumConns())
 }

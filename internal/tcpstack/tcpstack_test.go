@@ -512,7 +512,7 @@ func TestLargeTransferCrossesSeqWrap(t *testing.T) {
 	// Build the client by hand so the ISS is pinned just below the 32-bit
 	// wrap before the SYN goes out.
 	st := b.stacks[0]
-	cli := newConn(st, connKey{40000, b.hosts[1].Addr, 5001}, st.Cfg, false)
+	cli := newConn(st, makeKey(40000, b.hosts[1].Addr, 5001), st.Cfg, false)
 	cli.iss = 0xffff_0000
 	st.conns[cli.key] = cli
 	cli.sendSYN()
