@@ -45,7 +45,7 @@ func main() {
 		tick        = flag.Duration("tick", 2*time.Millisecond, "wall interval between pacer advances")
 		auditSample = flag.Int("audit-sample", 64, "audit 1-in-N packet events (state transitions always checked; <0 disables)")
 		workload    = flag.Bool("workload", true, "drive continuous background bulk traffic")
-		envFlags    = topo.BindEnv(flag.CommandLine, "fabric", "backend")
+		envFlags    = topo.BindEnv(flag.CommandLine, "fabric")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -76,7 +76,6 @@ func main() {
 		AuditSample: *auditSample,
 		Workload:    *workload,
 		Fabric:      env.Fabric,
-		Backend:     env.Backend,
 		AdminToken:  *adminToken,
 	})
 	d.Start()

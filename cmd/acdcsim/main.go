@@ -13,7 +13,6 @@
 //	acdcsim -faults loss fig8  inject a named fault profile (chaos run)
 //	acdcsim -restart warm@1ms fig8       restart every vSwitch mid-run
 //	acdcsim -fabric link-down@5ms,link=left>right,for=1ms fig8
-//	acdcsim -backend pace fig8  run every AC/DC vSwitch on another backend
 //	acdcsim -audit fig8        check datapath invariants (-audit-panic aborts)
 //
 // -parallel N runs the selected experiments over N workers (0 = one per
@@ -21,7 +20,7 @@
 // simulator, so results and their printed order are identical to a
 // sequential run — only wall time changes.
 //
-// `acdcsim -faults list` (and -restart, -fabric, -backend) prints each
+// `acdcsim -faults list` (and -restart, -fabric) prints each
 // option's syntax. A run under any of them opens with a header naming it,
 // so its output is self-describing and replayable.
 package main
@@ -73,7 +72,7 @@ func main() {
 		}
 	}
 	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: acdcsim [-long] [-seed N] [-parallel N] [-report [-metrics]] [-faults P] [-restart R] [-fabric D] [-backend B] [-audit] (-list | -all | <experiment-id>...)")
+		fmt.Fprintln(os.Stderr, "usage: acdcsim [-long] [-seed N] [-parallel N] [-report [-metrics]] [-faults P] [-restart R] [-fabric D] [-audit] (-list | -all | <experiment-id>...)")
 		fmt.Fprintln(os.Stderr, "run `acdcsim -list` for available experiments")
 		os.Exit(2)
 	}

@@ -11,7 +11,6 @@
 //	acdcsuite -config specs.json       run scenarios from a JSON spec file
 //	acdcsuite -baseline FILE           baseline file (default SUITE_baselines.json)
 //	acdcsuite -seed 1 -parallel 0      base seed / worker count
-//	acdcsuite -backend pace -no-baseline   every scenario on another backend
 //
 // A spec's Faults, Restart and Fabric fields take the syntax that
 // `acdcsim -faults list` (and -restart, -fabric) prints.
@@ -38,7 +37,6 @@ import (
 
 	"acdc/internal/scenario"
 	"acdc/internal/soak"
-	"acdc/internal/topo"
 )
 
 func main() {
@@ -53,17 +51,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress and per-scenario metric lines (failures still print)")
 	soakMode := flag.Bool("soak", false, "run the service-mode soak (leak/drift gates) instead of the scenario catalog")
 	soakDuration := flag.Duration("soak-duration", 60*time.Second, "wall-clock soak length (with -soak)")
-	envFlags := topo.BindEnv(flag.CommandLine, "backend")
 	flag.Parse()
-
-	env, help, err := envFlags.Env()
-	if err != nil {
-		fail(2, "acdcsuite: %v", err)
-	}
-	if help != "" {
-		fmt.Print(help)
-		return
-	}
 
 	if *soakMode {
 		runSoak(*soakDuration, *seed, *quiet)
@@ -89,6 +77,7 @@ func main() {
 	}
 
 	var specs []scenario.Spec
+	var err error
 	if *config != "" {
 		if len(names) > 0 {
 			fail(2, "acdcsuite: -config and scenario names are mutually exclusive")
@@ -111,13 +100,6 @@ func main() {
 		}
 	}
 	fmt.Printf("acdcsuite: %d scenario(s), mode %s, seed %d\n", len(specs), cfg.Mode(), *seed)
-	if env.Backend != "" {
-		for i := range specs {
-			specs[i].Backend = env.Backend
-		}
-		// Announced only when overridden, so default runs stay byte-identical.
-		fmt.Printf("enforcement backend: %s (baselines are blessed for the default; use -no-baseline)\n", env.Backend)
-	}
 	start := time.Now()
 	results, err := scenario.Run(specs, cfg)
 	if err != nil {

@@ -16,11 +16,6 @@ import (
 type Config struct {
 	// VCC names the default virtual congestion control ("dctcp" or "reno").
 	VCC string
-	// Backend names the default enforcement backend ("dctcp-cut", "pace",
-	// or "adaptive-k"; "" = dctcp-cut, the paper's RWND-rewrite mechanism).
-	// Per-flow Policy.Backend overrides it. Unknown names fail open to the
-	// default and are counted in backend_unknown_total (backend.go).
-	Backend string
 	// MTU sets the default MSS (MTU − 40) used before a handshake MSS
 	// option is observed.
 	MTU int
@@ -197,12 +192,6 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 	}
 	v := &VSwitch{Sim: s, Host: host, Cfg: cfg, Table: NewTable(),
 		Metrics: NewDatapathMetrics(metrics.NewRegistry()), interned: map[Policy]*Policy{}}
-	if !backendKnown(v.Cfg.Backend) {
-		// Unknown backend in the config: fail open to the default mechanism
-		// (counted once here, not per flow) rather than refusing to attach.
-		v.Metrics.BackendUnknown.Inc()
-		v.Cfg.Backend = ""
-	}
 	if cfg.SweepInterval > 0 {
 		v.sweepTimer = sim.NewTimer(s, v.onSweepTick)
 	}
@@ -267,13 +256,7 @@ func (v *VSwitch) policy(k FlowKey) *Policy {
 	if v.Cfg.FlowPolicy == nil {
 		return &defaultPolicy
 	}
-	p := v.Cfg.FlowPolicy(k)
-	if !backendKnown(p.Backend) {
-		// sanitize clamps the name to the default backend; the counter is
-		// the only trace the operator gets, so count before the clamp.
-		v.Metrics.BackendUnknown.Inc()
-	}
-	return v.intern(p.sanitize())
+	return v.intern(v.Cfg.FlowPolicy(k).sanitize())
 }
 
 // intern returns the vSwitch's shared copy of the sanitized policy p, so that
@@ -442,7 +425,7 @@ func (v *VSwitch) buildFlow(f *Flow, k FlowKey) *Flow {
 		Alpha:      v.Cfg.InitAlpha,
 		inactivity: f.inactivity,
 	}
-	v.setLaws(f)
+	v.setLaw(f)
 	f.CwndBytes = v.Cfg.InitCwndPkts * float64(f.MSS)
 	f.SsthreshBytes = 1 << 40
 	f.law().Init(f)
@@ -450,20 +433,15 @@ func (v *VSwitch) buildFlow(f *Flow, k FlowKey) *Flow {
 	return f
 }
 
-// setLaws resolves f's growth law and backend from its policy over the
-// config; both names are sanitized before they get here. Caller holds f.mu.
-func (v *VSwitch) setLaws(f *Flow) {
-	vcc, _ := lookup(vccLaws[:], firstNonEmpty(f.Policy.VCC, v.Cfg.VCC))
-	be, _ := lookup(backends[:], firstNonEmpty(f.Policy.Backend, v.Cfg.Backend))
-	f.vcc, f.be = vccID(vcc), backendID(be)
-	v.Metrics.registerVCC(f.vcc)
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
+// setLaw resolves f's growth law from its policy over the config; the policy's
+// name is sanitized before it gets here. Caller holds f.mu.
+func (v *VSwitch) setLaw(f *Flow) {
+	name := f.Policy.VCC
+	if name == "" {
+		name = v.Cfg.VCC
 	}
-	return b
+	f.vcc, _ = lookupVCC(name)
+	v.Metrics.registerVCC(f.vcc)
 }
 
 // minRwnd returns the enforcement floor for a flow.
@@ -512,8 +490,8 @@ func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 // retire is a GC predicate's verdict on a record it removes (shard write lock
 // and f.mu held, simulation goroutine): stop the timer, park the record
 // stamped with the current packet, answer "do not keep". Only plain records
-// are parked — a pace shaper's callbacks and a tunnel queue can outlive the
-// table entry — and unlinked, so that they keep no removed partner reachable.
+// are parked — a tunnel queue can outlive the table entry — and unlinked, so
+// that they keep no removed partner reachable.
 func (v *VSwitch) retire(f *Flow) bool {
 	f.stopTimer()
 	if f.cold == nil && !f.isUDP {

@@ -138,7 +138,7 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *pack
 		fwd = v.Table.Get(m.key)
 	}
 	if fwd != nil {
-		if dropped := v.senderEgress(fwd, p, t, m.syn, m.plen); dropped {
+		if dropped := v.senderEgress(fwd, t, m.syn, m.plen); dropped {
 			return nil, nil
 		}
 	}
@@ -171,7 +171,7 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *pack
 
 // senderEgress updates connection-tracking state for outgoing segments and
 // applies policing. It reports whether the packet was dropped.
-func (v *VSwitch) senderEgress(f *Flow, p *packet.Packet, t packet.TCP, syn bool, plen int64) bool {
+func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.lastActive = v.Sim.Now()
@@ -221,37 +221,53 @@ func (v *VSwitch) senderEgress(f *Flow, p *packet.Packet, t packet.TCP, syn bool
 			f.finFwd = true
 		}
 
-		// Egress enforcement (policing for the rewrite backends, admission
-		// pacing for pace) trusts the tracked window; a resyncing flow's
-		// window is exactly what cannot be trusted yet, so enforcement waits
-		// with it. A Policy.Disable flow is exempt from enforcement, so
-		// acting on its beyond-window segments would be exactly the harm it
-		// opted out of — every backend sits behind this gate.
-		if f.resync == resyncNone && !f.Policy.Disable {
-			if f.backend().OnEgress(v, f, p, segEnd, plen) {
-				return true
-			}
+		// Policing trusts the tracked window; a resyncing flow's window is
+		// exactly what cannot be trusted yet, so policing waits with it. A
+		// Policy.Disable flow is exempt from enforcement, so dropping its
+		// beyond-window segments would be exactly the harm it opted out of.
+		if f.resync == resyncNone && !f.Policy.Disable && v.policeLocked(f, segEnd, plen) {
+			return true
 		}
 
-		v.noteSegmentLocked(f, segEnd)
+		if segEnd > f.SndNxt {
+			f.SndNxt = segEnd
+		}
+		if infl := f.SndNxt - f.SndUna; infl > f.maxInflight {
+			f.maxInflight = infl
+		}
+		// Arm the inactivity timer while data is outstanding.
+		v.inactivityTimer(f).Reset(v.Cfg.VTimeout)
 	}
 	return false
 }
 
-// noteSegmentLocked advances connection tracking for an admitted outgoing
-// data segment: snd_nxt, the per-ACK inflight peak, and the inactivity
-// timer. Caller holds f.mu on the simulation goroutine. A backend that
-// retains a segment in its own queue (pace) calls this itself — the segment
-// WILL reach the wire, so tracking must advance at admission time.
-func (v *VSwitch) noteSegmentLocked(f *Flow, segEnd int64) {
-	if segEnd > f.SndNxt {
-		f.SndNxt = segEnd
+// policeLocked is §3.3 policing: it reports whether a data segment ending at
+// segEnd lies beyond the allowed window plus slack and must be dropped. The
+// pre-cut window is still honored, so a guest draining its old window is not
+// punished for the cut. Caller holds f.mu.
+func (v *VSwitch) policeLocked(f *Flow, segEnd, plen int64) bool {
+	if !v.Cfg.Police || plen <= 0 {
+		return false
 	}
-	if infl := f.SndNxt - f.SndUna; infl > f.maxInflight {
-		f.maxInflight = infl
+	allowance := f.CwndBytes
+	if f.prevCwndBytes > allowance {
+		allowance = f.prevCwndBytes
 	}
-	// Arm the inactivity timer while data is outstanding.
-	v.inactivityTimer(f).Reset(v.Cfg.VTimeout)
+	slack := v.Cfg.PoliceSlackBytes
+	if slack == 0 {
+		slack = 2 * int64(f.MSS)
+	}
+	if segEnd-f.SndUna <= int64(allowance)+slack {
+		return false
+	}
+	v.Metrics.PolicingDrops.Inc()
+	if a := v.Audit; a != nil {
+		a.PoliceEvent(v, PoliceEvent{Key: f.Key,
+			SegEnd: segEnd, SndUna: f.SndUna,
+			Enforced: f.enforcedWindow(v.minRwnd(f)), Slack: slack,
+			Resyncing: f.resync != resyncNone, Dropped: true})
+	}
+	return true
 }
 
 // inactivityTimer returns f's timer, creating it on first use. The callback

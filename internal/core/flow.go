@@ -40,11 +40,6 @@ type Policy struct {
 	// VCC overrides the virtual congestion-control algorithm for this flow
 	// ("" = the vSwitch default).
 	VCC string
-	// Backend overrides the enforcement backend for this flow ("dctcp-cut",
-	// "pace", "adaptive-k"; "" = the vSwitch default). Unknown names are
-	// clamped to "" by sanitize — a backend name, unlike β, can never make
-	// enforcement unsafe, so no install path treats it as an error.
-	Backend string
 	// Disable exempts the flow from enforcement entirely.
 	Disable bool
 }
@@ -78,10 +73,6 @@ func (p Policy) Validate() error {
 	if !vccKnown(p.VCC) {
 		return fmt.Errorf("policy: unknown vcc %q (want dctcp, reno, or empty)", p.VCC)
 	}
-	// Backend is deliberately NOT validated here: an unknown backend name
-	// must fail open to the default mechanism mid-stream (sanitize clamps
-	// it; backend_unknown_total counts it), never bounce a policy install.
-	// Parse surfaces that can say no early use ParseBackend instead.
 	return nil
 }
 
@@ -106,9 +97,6 @@ func (p Policy) sanitize() Policy {
 	if !vccKnown(p.VCC) {
 		p.VCC = ""
 	}
-	if !backendKnown(p.Backend) {
-		p.Backend = ""
-	}
 	return p
 }
 
@@ -122,7 +110,7 @@ func (p Policy) sanitize() Policy {
 // data segment and per ACK in the next 128, the rest in the last line. The
 // struct fills the 256-byte malloc size class, so a record is four aligned
 // lines (TestFlowSizeClass, TestFlowHotFieldsLayout); a new field goes behind
-// the cold pointer, or every flow pays for it.
+// a pointer, like the tunnel's cold state, or every flow pays for it.
 type Flow struct {
 	// --- line 0: every packet (lock, link, liveness, receiver module) ---
 	mu sync.Mutex
@@ -194,10 +182,9 @@ type flowState struct {
 	// triple-dupack loss inference.
 	lastWndRaw  uint16
 	lastWndSeen bool
-	// vcc and be index the growth law and the enforcement backend, resolved
-	// from the policy and the config (VSwitch.setLaws).
+	// vcc indexes the growth law, resolved from the policy and the config
+	// (VSwitch.setLaw).
 	vcc        vccID
-	be         backendID
 	synSeen    bool
 	synAckSeen bool
 
@@ -212,24 +199,10 @@ type flowState struct {
 	resyncSeq  int64
 	VTimeouts  int64
 	LossEvents int64
-	// cold is what only some flows carry, nil on plain TCP flows; a record
+	// cold is the tunnel state (tunnel.go), nil on plain TCP flows; a record
 	// with it is never recycled (VSwitch.retire).
-	cold *flowCold
+	cold *tunnelState
 	_    [16]byte // to the 256-byte size class: records start on a line
-}
-
-// flowCold is the state behind Flow.cold.
-type flowCold struct {
-	bes backendState // backend.go
-	tun tunnelState  // tunnel.go
-}
-
-// coldState returns f's cold state, made on first use. Caller holds f.mu.
-func (f *Flow) coldState() *flowCold {
-	if f.cold == nil {
-		f.cold = &flowCold{}
-	}
-	return f.cold
 }
 
 // Snapshot is a consistent copy of the enforcement-relevant state, used by

@@ -21,12 +21,6 @@ func (v *VSwitch) InstallPolicy(k FlowKey, p Policy) (Policy, error) {
 	if err := p.Validate(); err != nil {
 		return Policy{}, err
 	}
-	if !backendKnown(p.Backend) {
-		// Unknown backend names are not an error on this surface (the
-		// daemon's stream must keep making forward progress mid-flight);
-		// Sanitized clamps to the default and the counter is the trace.
-		v.Metrics.BackendUnknown.Inc()
-	}
 	p = p.Sanitized()
 	v.swapOverride(k, &p)
 	v.applyToLive(k, &p)
@@ -99,14 +93,11 @@ func (v *VSwitch) PolicyOverrides() map[FlowKey]Policy {
 }
 
 // applyToLive pushes a resolved policy into an already-tracked flow under
-// its mutex, swapping the virtual-CC law and the backend if they changed (the
-// same mid-flight swap snapshot restore performs). No backend teardown is
-// needed: a pace flow's shaper keeps draining already-admitted segments on
-// the simulation goroutine (this path may run on a control-plane goroutine
-// and must not touch it), then idles for the GC. Untracked keys are a no-op:
-// the override map catches the flow at setup. So is a record that stopped
-// being k's between the probe and the lock: the GC may have removed it and
-// the datapath recycled it into another flow, which must not get k's policy.
+// its mutex, swapping the virtual-CC law if it changed (the same mid-flight
+// swap snapshot restore performs). Untracked keys are a no-op: the override
+// map catches the flow at setup. So is a record that stopped being k's
+// between the probe and the lock: the GC may have removed it and the datapath
+// recycled it into another flow, which must not get k's policy.
 func (v *VSwitch) applyToLive(k FlowKey, p *Policy) {
 	f := v.Table.Get(k)
 	if f == nil {
@@ -118,5 +109,5 @@ func (v *VSwitch) applyToLive(k FlowKey, p *Policy) {
 		return
 	}
 	f.Policy = p
-	v.setLaws(f)
+	v.setLaw(f)
 }

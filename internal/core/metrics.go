@@ -86,14 +86,6 @@ type DatapathMetrics struct {
 	// a policy update keeps its telemetry byte-identical to older builds.
 	PolicyInstalls *metrics.LazyCounter // policy_installs_total: live per-flow policy overrides accepted
 
-	// Enforcement backends (backend.go). Lazy: a run on the default
-	// dctcp-cut backend keeps telemetry byte-identical to older builds.
-	BackendUnknown   *metrics.LazyCounter // backend_unknown_total: unknown backend names clamped to the default (fail-open)
-	PaceQueued       *metrics.LazyCounter // pace_queued_total: segments retained by a pace token bucket
-	PaceReleased     *metrics.LazyCounter // pace_released_total: retained segments released onto the wire
-	PaceDrops        *metrics.LazyCounter // pace_drops_total: segments dropped at the pace backlog bound
-	AdaptiveKAdjusts *metrics.LazyCounter // adaptive_k_adjusts_total: per-flow threshold K moves (either direction)
-
 	// Per-algorithm CWND/α distributions, sampled once per RTT at each α
 	// update, indexed by vccID. Registered with each law's first flow
 	// (registerVCC), so a run's metric set names only the laws it ran.
@@ -155,11 +147,6 @@ func NewDatapathMetrics(reg *metrics.Registry) *DatapathMetrics {
 		FlowsAdoptedMidstream: reg.Lazy("flows_adopted_midstream_total"),
 		FeedbackResets:        reg.Lazy("feedback_resets_total"),
 		PolicyInstalls:        reg.Lazy("policy_installs_total"),
-		BackendUnknown:        reg.Lazy("backend_unknown_total"),
-		PaceQueued:            reg.Lazy("pace_queued_total"),
-		PaceReleased:          reg.Lazy("pace_released_total"),
-		PaceDrops:             reg.Lazy("pace_drops_total"),
-		AdaptiveKAdjusts:      reg.Lazy("adaptive_k_adjusts_total"),
 	}
 }
 
@@ -248,10 +235,12 @@ type Stats struct {
 	FlowsAdoptedMidstream        int64
 	FeedbackResets               int64
 	PolicyInstalls               int64
-	BackendUnknown               int64
-	PaceQueued, PaceReleased     int64
-	PaceDrops                    int64
-	AdaptiveKAdjusts             int64
+	// Retired1–Retired5 hold the places of five counters of the deleted
+	// enforcement backends and are always zero, so a Stats value prints
+	// ("{… 0 0 0 0 0}") and sums field by field as it always has: the
+	// benchmark's digest hashes its printed form, and BENCH_exact.json pins
+	// that digest.
+	Retired1, Retired2, Retired3, Retired4, Retired5 int64
 }
 
 // Stats reads the current counter values into a Stats snapshot.
@@ -287,10 +276,5 @@ func (v *VSwitch) Stats() Stats {
 		FlowsAdoptedMidstream: m.FlowsAdoptedMidstream.Value(),
 		FeedbackResets:        m.FeedbackResets.Value(),
 		PolicyInstalls:        m.PolicyInstalls.Value(),
-		BackendUnknown:        m.BackendUnknown.Value(),
-		PaceQueued:            m.PaceQueued.Value(),
-		PaceReleased:          m.PaceReleased.Value(),
-		PaceDrops:             m.PaceDrops.Value(),
-		AdaptiveKAdjusts:      m.AdaptiveKAdjusts.Value(),
 	}
 }

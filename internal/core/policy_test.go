@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"acdc/internal/packet"
+	"acdc/internal/sim"
 )
 
 // TestFlowPolicySanitized is the regression test for the unvalidated live
@@ -24,9 +25,6 @@ func TestFlowPolicySanitized(t *testing.T) {
 		{"beta negative", Policy{Beta: -0.5}, Policy{Beta: 1}},
 		{"negative clamp", Policy{Beta: 1, RwndClampBytes: -1}, Policy{Beta: 1}},
 		{"unknown vcc", Policy{Beta: 1, VCC: "bogus"}, Policy{Beta: 1}},
-		{"unknown backend", Policy{Beta: 1, Backend: "bogus"}, Policy{Beta: 1}},
-		{"legal pace backend kept", Policy{Beta: 1, Backend: "pace"},
-			Policy{Beta: 1, Backend: "pace"}},
 		{"legal zero beta kept", Policy{Beta: 0, RwndClampBytes: 5000},
 			Policy{Beta: 0, RwndClampBytes: 5000}},
 		{"legal reno kept", Policy{Beta: 0.5, VCC: "reno"},
@@ -118,5 +116,51 @@ func TestGenuineTripleDupackStillDetected(t *testing.T) {
 	f.mu.Unlock()
 	if dups != 3 || losses != 1 {
 		t.Fatalf("DupAcks=%d LossEvents=%d, want 3/1", dups, losses)
+	}
+}
+
+// TestPolicyDisableHonored: a Disable flow is observation-only — no RWND
+// rewrites, no policing drops — while traffic still flows.
+func TestPolicyDisableHonored(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FlowPolicy = func(FlowKey) Policy {
+		p := DefaultPolicy()
+		p.Disable = true
+		return p
+	}
+	b := newBench(t, 2, cubicGuest(), &cfg, redK(), 10e9)
+	_, srvp := b.longFlow(t, 0, 1)
+	b.s.RunFor(30 * sim.Millisecond)
+	if srv := *srvp; srv == nil || srv.Delivered == 0 {
+		t.Fatal("no data flowed for a Disable flow")
+	}
+	st := b.acdc[0].Stats()
+	if st.RwndRewrites != 0 {
+		t.Fatalf("%d RWND rewrites on a Disable flow", st.RwndRewrites)
+	}
+	if st.PolicingDrops != 0 {
+		t.Fatalf("%d policing drops on a Disable flow", st.PolicingDrops)
+	}
+}
+
+// TestDctcpCutWindowLimitedOvershootGate: growth is gated on peak inflight
+// pressing against — but not overshooting — the virtual window.
+func TestDctcpCutWindowLimitedOvershootGate(t *testing.T) {
+	v, host, _ := loneVSwitch(t, DefaultConfig())
+	f := v.newFlow(FlowKey{Src: host.Addr, Dst: packet.MakeAddr(10, 0, 0, 2), SPort: 1, DPort: 2})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.CwndBytes = 50_000
+	if !windowLimited(f, true, 50_000) {
+		t.Error("inflight at the window must count as limited")
+	}
+	if windowLimited(f, true, 50_000+2*int64(f.MSS)) {
+		t.Error("overshooting inflight must not earn growth while enforcing")
+	}
+	if !windowLimited(f, false, 50_000+2*int64(f.MSS)) {
+		t.Error("observation mode must not apply the overshoot gate")
+	}
+	if windowLimited(f, true, 1000) {
+		t.Error("an idle window must not earn growth")
 	}
 }

@@ -39,7 +39,7 @@ func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 				p.inactivity != nil && p.inactivity.Pending())
 		}
 		if p.cold != nil || p.isUDP {
-			t.Fatalf("after %s: parked record %v carries backend or tunnel state", after, p.Key)
+			t.Fatalf("after %s: parked record %v carries tunnel state", after, p.Key)
 		}
 	}
 	for _, f := range tableFlows(v.Table) {

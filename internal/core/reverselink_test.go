@@ -439,9 +439,9 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 			{"WScaleKnown", unsafe.Offsetof(f.WScaleKnown), unsafe.Sizeof(f.WScaleKnown)},
 			{"PeerWScale", unsafe.Offsetof(f.PeerWScale), unsafe.Sizeof(f.PeerWScale)},
 		}},
-		// Per data segment and per ACK (processAckLocked, cutWindow, the
-		// backends' OnAck and OnEgress): tracking, feedback, the window, α,
-		// the policy, the law and the backend.
+		// Per data segment and per ACK (processAckLocked, cutWindow,
+		// senderEgress): tracking, feedback, the window, α, the policy and
+		// the law.
 		{192, []field{
 			{"lastAckWire", unsafe.Offsetof(f.lastAckWire), unsafe.Sizeof(f.lastAckWire)},
 			{"MSS", unsafe.Offsetof(f.MSS), unsafe.Sizeof(f.MSS)},
@@ -466,7 +466,6 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 			{"lastWndRaw", unsafe.Offsetof(f.lastWndRaw), unsafe.Sizeof(f.lastWndRaw)},
 			{"lastWndSeen", unsafe.Offsetof(f.lastWndSeen), unsafe.Sizeof(f.lastWndSeen)},
 			{"vcc", unsafe.Offsetof(f.vcc), unsafe.Sizeof(f.vcc)},
-			{"be", unsafe.Offsetof(f.be), unsafe.Sizeof(f.be)},
 		}},
 	} {
 		for _, fld := range lim.fields {

@@ -137,7 +137,7 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 			ev.AlphaUpdated, ev.AlphaFrac = true, frac
 		}
 		f.windowTotal, f.windowMarked = 0, 0
-		f.alphaSeq = f.backend().RoundAnchor(v, f, absAck)
+		f.alphaSeq = f.SndNxt
 		// Per-RTT distribution samples: the operator's view of where the
 		// fleet's virtual windows and congestion estimates sit.
 		h := v.Metrics.hists[f.vcc]
@@ -145,36 +145,24 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 		h.alpha.Observe(f.Alpha)
 	}
 
-	// Cwnd validation: the backend judges whether the guest actually
-	// pressed against the enforcement since the previous ACK, so growth is
-	// earned rather than free (backend.go WindowLimited — the rewriting
-	// backends compare peak inflight against the virtual window, the pacer
-	// asks its token bucket). The peak inflight since the previous ACK is
-	// the gauge — the instantaneous value is zero whenever a delayed ACK
-	// covers everything outstanding.
+	// Cwnd validation: growth is earned only when the guest actually pressed
+	// against the enforced window since the previous ACK (windowLimited). The
+	// peak inflight since the previous ACK is the gauge — the instantaneous
+	// value is zero whenever a delayed ACK covers everything outstanding.
 	// A Policy.Disable flow is observation-mode regardless of Cfg.EnforceRwnd:
 	// the guest is not bound by the virtual window, so the overshoot gate must
 	// not freeze growth (and the rewrite below is skipped entirely).
 	enforcing := v.Cfg.EnforceRwnd && !f.Policy.Disable
-	cwndLimited := f.backend().WindowLimited(v, f, enforcing, f.maxInflight)
+	cwndLimited := windowLimited(f, enforcing, f.maxInflight)
 	f.maxInflight = f.SndNxt - f.SndUna
 
-	// The enforcement backend owns the congestion decision: dctcp-cut and
-	// pace react to any marked byte (Figure 5); adaptive-k gates the
-	// reaction behind its load-adaptive threshold K (backend.go).
-	congested := f.backend().Congested(v, f, totalDelta, markedDelta)
-	if loss && !f.backend().LossIsFabric(v, f) {
-		// Dupacks provoked by the backend's own throttling (a pacer
-		// queue-bound drop): the guest's loss recovery is the response;
-		// the fabric said nothing, so the virtual window says nothing.
-		loss = false
-	}
 	switch {
 	case loss:
 		// Figure 5: Loss? yes → α = max_alpha, then cut.
 		f.Alpha = v.Cfg.MaxAlpha
 		v.cutWindow(f, absAck, true)
-	case congested:
+	case markedDelta > 0:
+		// Figure 5's "ECN feedback?": any CE-marked byte is congestion.
 		v.cutWindow(f, absAck, false)
 		if acked > 0 && cwndLimited {
 			// DCTCP still grows between cuts within the window guard.
@@ -192,10 +180,15 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 	overwrote := false
 	origWnd := t.Window()
 	if enforcing && f.resync == resyncNone {
-		// The backend imposes the window its own way: dctcp-cut (and
-		// adaptive-k) rewrite the RWND field; pace refreshes its token-
-		// bucket rate and leaves the ACK untouched.
-		overwrote = f.backend().OnAck(v, f, t, enforced, fbStale)
+		// Overwrite the receive-window field with the enforced window under
+		// the peer's scale, never widening it.
+		if field := f.windowField(enforced); field < origWnd {
+			t.SetWindow(field)
+			v.Metrics.RwndRewrites.Inc()
+			overwrote = true
+		} else {
+			v.Metrics.RwndUnchanged.Inc()
+		}
 	}
 	if audit != nil {
 		ev.SndUna, ev.SndNxt = f.SndUna, f.SndNxt
@@ -224,13 +217,43 @@ func (v *VSwitch) cutWindow(f *Flow, absAck int64, loss bool) {
 	factor := f.law().CutFactor(f, loss)
 	f.CwndBytes *= factor
 	f.SsthreshBytes = f.CwndBytes
-	f.cutSeq = f.backend().RoundAnchor(v, f, absAck)
+	f.cutSeq = f.SndNxt
 	v.clampFlow(f)
 	if a := v.Audit; a != nil {
 		a.CutEvent(v, CutEvent{Key: f.Key, Alg: f.law().Name(), Loss: loss,
 			Alpha: f.Alpha, Beta: f.Policy.Beta, Factor: factor,
 			PrevCwnd: f.prevCwndBytes, NewCwnd: f.CwndBytes})
 	}
+}
+
+// windowLimited reports whether growth is earned: the guest actually used the
+// window (otherwise an uncongested or guest-limited flow would inflate the
+// virtual window arbitrarily, defeating both tracking and policing) and is
+// not overshooting it (right after a cut the guest still has the old window
+// in flight; crediting that as growth would lift the equilibrium above the
+// window the algorithm chose). The overshoot half only applies while
+// enforcement is on: in observation mode the guest is not bound by the
+// virtual window, and tracking requires growth to follow it upward.
+func windowLimited(f *Flow, enforcing bool, maxInflight int64) bool {
+	limited := float64(maxInflight) >= f.CwndBytes-float64(f.MSS)
+	if enforcing {
+		limited = limited && float64(maxInflight) <= f.CwndBytes+float64(f.MSS)
+	}
+	return limited
+}
+
+// windowField is the RWND field that advertises enforced bytes under the
+// peer's window scale, clamped to what the field can carry: rewritten ACKs
+// and vSwitch-synthesized ones advertise the same value.
+func (f *Flow) windowField(enforced int64) uint16 {
+	field := enforced >> f.PeerWScale
+	if field == 0 {
+		field = 1
+	}
+	if field > 65535 {
+		field = 65535
+	}
+	return uint16(field)
 }
 
 // clampFlow floors the virtual window (β=0 flows are bounded by one MSS to
@@ -302,21 +325,10 @@ func (v *VSwitch) onVTimeout(f *Flow) {
 // current snd_una, using header fields remembered from the last real ACK.
 // Caller holds f.mu.
 func (v *VSwitch) buildDupAckLocked(f *Flow) *packet.Packet {
-	enforced := f.enforcedWindow(v.minRwnd(f))
-	field := enforced >> f.PeerWScale
-	if field == 0 {
-		field = 1
-	}
-	if field > 65535 {
-		field = 65535
-	}
-	// The backend chooses the advertised window: rewrite backends use the
-	// enforced field; pace echoes the guest's own last window instead.
-	wnd := f.backend().DupAckWindow(v, f, uint16(field))
 	return packet.BuildIn(v.pool(), f.Key.Dst, f.Key.Src, packet.NotECT, packet.TCPFields{
 		SrcPort: f.Key.DPort, DstPort: f.Key.SPort,
 		Seq: f.lastAckWire, Ack: f.iss + uint32(f.SndUna),
-		Flags: packet.FlagACK, Window: wnd,
+		Flags: packet.FlagACK, Window: f.windowField(f.enforcedWindow(v.minRwnd(f))),
 	}, 0)
 }
 

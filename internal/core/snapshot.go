@@ -99,13 +99,6 @@ type flowRecord struct {
 	PolDisable bool
 	PolVCC     string
 	VCCName    string
-
-	// Appended after VCCName (PR 10): the policy's enforcement backend and
-	// the backend's one per-flow scalar (pace: rate bit/s; adaptive-k: K
-	// bytes). Old snapshots simply lack them — the record framing makes the
-	// addition invisible to old readers and optional for new ones.
-	PolBackend string
-	BeState    float64
 }
 
 // recordFixedLen is the length of the fixed-layout prefix of a record; the
@@ -162,9 +155,6 @@ func (f *Flow) recordLocked() flowRecord {
 		PolDisable: f.Policy.Disable,
 		PolVCC:     f.Policy.VCC,
 		VCCName:    f.law().Name(),
-
-		PolBackend: f.Policy.Backend,
-		BeState:    f.backend().SaveState(f),
 	}
 }
 
@@ -236,8 +226,11 @@ func (e *snapEncoder) record(r flowRecord) {
 	e.u8(boolBit(r.PolDisable, 0))
 	e.str(r.PolVCC)
 	e.str(r.VCCName)
-	e.str(r.PolBackend)
-	e.f64(r.BeState)
+	// The retired enforcement-backend tail: an empty backend name and a zero
+	// per-flow scalar, so the record layout (and every snapshot's bytes)
+	// stays what readers of the format expect.
+	e.str("")
+	e.f64(0)
 
 	n := len(e.buf) - start
 	e.buf[lenAt] = byte(n >> 8)
@@ -370,18 +363,20 @@ func (d *snapDecoder) record() flowRecord {
 	r.PolDisable = pflags&1 != 0
 	r.PolVCC = rd.str()
 	r.VCCName = rd.str()
-	// Backend fields appended by PR 10 writers: optional, so records from
-	// older snapshots (which end at VCCName) still decode.
+	// The enforcement-backend tail (a backend name and its per-flow scalar)
+	// is optional, so records that end at VCCName still decode. Its values
+	// name mechanisms this build no longer has: read, and ignored — every
+	// restored flow is enforced by the RWND rewrite.
 	if rd.err == nil && rd.off < len(rd.buf) {
-		r.PolBackend = rd.str()
+		rd.str()
 		if rd.err == nil && rd.off+8 <= len(rd.buf) {
-			r.BeState = rd.f64()
+			rd.f64()
 		}
 	}
 	if rd.err != nil {
 		d.fail("record too short (%d bytes)", n)
 	}
-	// Bytes past BeState belong to a newer writer: ignored by design.
+	// Bytes past the backend tail belong to a newer writer: ignored by design.
 	return r
 }
 
@@ -458,12 +453,8 @@ func (r *flowRecord) sanitize(cfg *Config) {
 	// path (VSwitch.policy), so a restored flow and a fresh one obey one
 	// contract: β ∈ [0,1], non-negative clamp, known vCC name.
 	pol := Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
-		VCC: r.PolVCC, Backend: r.PolBackend, Disable: r.PolDisable}.sanitize()
+		VCC: r.PolVCC, Disable: r.PolDisable}.sanitize()
 	r.Beta, r.RwndClamp, r.PolVCC = pol.Beta, pol.RwndClampBytes, pol.VCC
-	r.PolBackend = pol.Backend
-	if !(r.BeState >= 0) || math.IsInf(r.BeState, 0) {
-		r.BeState = 0 // NaN/negative/∞: the backend re-derives from scratch
-	}
 	if r.SndUna > r.SndNxt {
 		r.SndUna = r.SndNxt
 	}
@@ -533,12 +524,6 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 	now := v.Sim.Now()
 	for i := range recs {
 		r := &recs[i]
-		if !backendKnown(r.PolBackend) {
-			// A snapshot from a newer build naming a backend this one lacks:
-			// fail open to the default mechanism, counted like every other
-			// unknown-backend clamp (sanitize blanks the name below).
-			v.Metrics.BackendUnknown.Inc()
-		}
 		r.sanitize(&v.Cfg)
 		f := v.flowForRestore(r.Key)
 		if f == nil {
@@ -578,12 +563,10 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 		f.VTimeouts = r.VTimeouts
 		f.LossEvents = r.LossEvents
 		f.Policy = v.intern(Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
-			VCC: r.PolVCC, Backend: r.PolBackend, Disable: r.PolDisable})
-		// Swap the growth law and the backend like applyToLive does, and hand
-		// the backend its checkpointed scalar (no-op for dctcp-cut). No
-		// simulator access: restore may run on a control-plane goroutine.
-		v.setLaws(f)
-		f.backend().RestoreState(v, f, r.BeState)
+			VCC: r.PolVCC, Disable: r.PolDisable})
+		// Swap the growth law like applyToLive does. No simulator access:
+		// restore may run on a control-plane goroutine.
+		v.setLaw(f)
 		f.maxInflight = f.SndNxt - f.SndUna
 		f.lastActive = now
 		if f.issValid {

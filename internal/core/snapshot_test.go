@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"acdc/internal/packet"
@@ -428,5 +429,60 @@ func TestRestoreUnknownVCCNameDegradesToDefault(t *testing.T) {
 	f := b.Table.Get(FlowKey{Src: ahost, Dst: peer, SPort: 10, DPort: 20})
 	if f == nil || f.law().Name() != "dctcp" {
 		t.Fatalf("unknown vCC did not degrade to default")
+	}
+}
+
+// TestRestoreRetiredBackendSnapshot restores bytes written by a build that
+// still had the "pace" and "adaptive-k" enforcement backends: a pace flow
+// with a nonzero pacing rate (reno, β 0.25, a 200 KB clamp), an adaptive-k
+// flow (dctcp, β 0.5) and a default flow, each with its reverse direction.
+// The records' backend tail is read and ignored: the restore succeeds without
+// a corruption count, every policy comes back intact, and once resync
+// completes each flow is enforced by the RWND rewrite.
+func TestRestoreRetiredBackendSnapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot_backend_flows.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, host, _ := loneVSwitch(t, DefaultConfig())
+	if err := v.RestoreSnapshot(data); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if st := v.Stats(); st.SnapshotCorrupt != 0 || st.SnapshotRestores != 1 || v.Table.Len() != 6 {
+		t.Fatalf("restore: corrupt=%d restores=%d flows=%d, want 0/1/6",
+			st.SnapshotCorrupt, st.SnapshotRestores, v.Table.Len())
+	}
+	peer := packet.MakeAddr(10, 0, 0, 2)
+	for _, tc := range []struct {
+		sport uint16
+		want  Policy
+		law   string
+	}{
+		{10, Policy{Beta: 0.25, RwndClampBytes: 200_000, VCC: "reno"}, "reno"},
+		{30, Policy{Beta: 0.5, VCC: "dctcp"}, "dctcp"},
+		{50, DefaultPolicy(), "dctcp"},
+	} {
+		dport := tc.sport + 10
+		f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: tc.sport, DPort: dport})
+		if f == nil {
+			t.Fatalf("flow %d→%d missing after restore", tc.sport, dport)
+		}
+		if *f.Policy != tc.want || f.law().Name() != tc.law {
+			t.Fatalf("flow %d: policy %+v law %s, want %+v law %s", tc.sport, *f.Policy, f.law().Name(), tc.want, tc.law)
+		}
+		// Two feedback ACKs covering snd_nxt: the first re-anchors, the
+		// second completes the resync round.
+		ingress(v, packAck(peer, host.Addr, dport, tc.sport, 2801, 65535, 2800, 0))
+		ingress(v, packAck(peer, host.Addr, dport, tc.sport, 2801, 65535, 2800, 0))
+		if f.Resyncing() {
+			t.Fatalf("flow %d: resync never completed (state %s)", tc.sport, f.ResyncState())
+		}
+		before := v.Stats().RwndRewrites
+		p := ackPkt(peer, host.Addr, dport, tc.sport, 2801, 65535)
+		ingress(v, p)
+		if v.Stats().RwndRewrites != before+1 || p.TCP().Window() >= 65535 {
+			t.Fatalf("flow %d: ACK window %d, rewrites %d → %d: not enforced by RWND rewrite",
+				tc.sport, p.TCP().Window(), before, v.Stats().RwndRewrites)
+		}
 	}
 }

@@ -35,9 +35,13 @@ type tunnelState struct {
 	fbLastCE    bool
 }
 
-// tunnel returns f's tunnel state, allocating the cold state on first use.
-// Caller holds f.mu.
-func (f *Flow) tunnel() *tunnelState { return &f.coldState().tun }
+// tunnel returns f's tunnel state, made on first use. Caller holds f.mu.
+func (f *Flow) tunnel() *tunnelState {
+	if f.cold == nil {
+		f.cold = &tunnelState{}
+	}
+	return f.cold
+}
 
 // udpEgress is the sender-module path for guest datagrams.
 func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {

@@ -30,12 +30,12 @@ type vccID uint8
 // law returns the flow's virtual CC.
 func (f *Flow) law() VirtualCC { return vccLaws[f.vcc] }
 
-// lookup resolves name in a registry of stateless implementations (vccLaws,
-// backends), whose first entry is the default that "" names.
-func lookup[T interface{ Name() string }](registry []T, name string) (uint8, bool) {
-	for i, x := range registry {
+// lookupVCC resolves name in vccLaws, whose first entry is the default that
+// "" names.
+func lookupVCC(name string) (vccID, bool) {
+	for i, x := range vccLaws {
 		if name == "" || x.Name() == name {
-			return uint8(i), true
+			return vccID(i), true
 		}
 	}
 	return 0, false
@@ -44,13 +44,13 @@ func lookup[T interface{ Name() string }](registry []T, name string) (uint8, boo
 // vccKnown reports whether name resolves to a virtual CC in this build
 // ("" means the vSwitch default and is always known).
 func vccKnown(name string) bool {
-	_, ok := lookup(vccLaws[:], name)
+	_, ok := lookupVCC(name)
 	return ok
 }
 
 // NewVCC returns a virtual CC by name ("dctcp" or "reno").
 func NewVCC(name string) VirtualCC {
-	id, ok := lookup(vccLaws[:], name)
+	id, ok := lookupVCC(name)
 	if !ok {
 		panic(fmt.Sprintf("core: unknown virtual congestion control %q", name))
 	}

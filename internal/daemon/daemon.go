@@ -74,11 +74,6 @@ type Config struct {
 	// service has live flows without an external driver (default off; the
 	// binary turns it on).
 	Workload bool
-	// Backend selects the default enforcement backend on every vSwitch
-	// ("" = dctcp-cut; see core.BackendNames). The binary validates the name
-	// at startup with core.ParseBackend; an unknown name that slips through
-	// anyway fails open to the default at Attach.
-	Backend string
 	// Tune, when set, adjusts the AC/DC datapath config (a private copy)
 	// before the fabric is built — e.g. the soak harness shortens
 	// IdleTimeout so churned flows age out within the run.
@@ -161,7 +156,6 @@ func New(cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
 	scheme := experiments.SchemeACDC(tcpstack.DefaultConfig().MTU, "cubic", tcpstack.ECNOff)
 	acdcCfg := *scheme.ACDC
-	acdcCfg.Backend = cfg.Backend
 	if cfg.Tune != nil {
 		cfg.Tune(&acdcCfg)
 	}

@@ -22,9 +22,9 @@ func FuzzPolicyStream(f *testing.F) {
 	a, b := n.Addr(0).String(), n.Addr(1).String()
 	updates := []PolicyUpdate{
 		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 0.5},
-		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 0.2, RwndClampBytes: 64 << 10, VCC: "reno", Backend: "pace"},
-		{Host: 1, Src: b, Dst: a, SPort: 5001, DPort: 1000, Backend: "adaptive-k", Disable: true},
-		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 1, Backend: "no-such-backend"},
+		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 0.2, RwndClampBytes: 64 << 10, VCC: "reno"},
+		{Host: 1, Src: b, Dst: a, SPort: 5001, DPort: 1000, Disable: true},
+		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 0, RwndClampBytes: 1},
 		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 3},
 		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 1, VCC: "bbr"},
 		{Host: 0, Src: a, Dst: b, SPort: 1000, DPort: 5001, Beta: 1, RwndClampBytes: -1},

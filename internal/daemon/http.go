@@ -45,12 +45,7 @@ type PolicyUpdate struct {
 	Beta           float64 `json:"beta"`
 	RwndClampBytes int64   `json:"rwnd_clamp_bytes,omitempty"`
 	VCC            string  `json:"vcc,omitempty"`
-	// Backend selects the enforcement backend for matching flows
-	// ("" = vSwitch default). Unknown names are NOT a stream error: the
-	// vSwitch fails open to the default and counts backend_unknown_total,
-	// so one typo cannot wedge a controller's NDJSON stream mid-flight.
-	Backend string `json:"backend,omitempty"`
-	Disable bool   `json:"disable,omitempty"`
+	Disable        bool    `json:"disable,omitempty"`
 	// Clear removes the override instead of installing one.
 	Clear bool `json:"clear,omitempty"`
 }
@@ -98,7 +93,6 @@ func (u PolicyUpdate) policy() core.Policy {
 		Beta:           u.Beta,
 		RwndClampBytes: u.RwndClampBytes,
 		VCC:            u.VCC,
-		Backend:        u.Backend,
 		Disable:        u.Disable,
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"acdc/internal/topo"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite golden experiment reports")
@@ -47,35 +45,6 @@ func TestDumbbellFiguresGolden(t *testing.T) {
 			if got != string(want) {
 				t.Fatalf("%s report diverged from golden %s\n--- golden ---\n%s\n--- got ---\n%s",
 					id, path, want, got)
-			}
-		})
-	}
-}
-
-// TestBackendDctcpCutGoldenIdentical is the differential gate for the
-// enforcement-backend extraction: selecting "dctcp-cut" explicitly must
-// reproduce the default path byte-for-byte on the same golden files the
-// default run is pinned to. The refactor moved the congestion test, the
-// RWND overwrite, and the round/cut anchors behind the Backend interface;
-// this proves the indirection is free — any divergence means the extracted
-// backend no longer computes what the inlined code computed.
-func TestBackendDctcpCutGoldenIdentical(t *testing.T) {
-	for _, id := range []string{"fig8", "fig18", "fig20"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			e := ByID(id)
-			if e == nil {
-				t.Fatalf("experiment %q not registered", id)
-			}
-			got := e.Run(RunConfig{Seed: 1, Env: topo.Env{Backend: "dctcp-cut"}}).String()
-			path := filepath.Join("testdata", id+"_seed1.golden")
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run the default golden test with -update first): %v", err)
-			}
-			if got != string(want) {
-				t.Fatalf("explicit dctcp-cut diverged from the default-path golden %s\n--- golden ---\n%s\n--- got ---\n%s",
-					path, want, got)
 			}
 		})
 	}

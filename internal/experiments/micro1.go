@@ -148,6 +148,7 @@ func runDumbbellRTT(scheme Scheme, cfg RunConfig, warm, measure sim.Duration, sh
 			nic := net.Hosts[i].NIC
 			sh := netsim.NewShaper(net.Sim, 2e9, 64<<10, nic.Dst)
 			sh.MaxQueueBytes = 512 << 10
+			sh.Pool = net.Pool
 			nic.Dst = sh
 		}
 	}

@@ -40,8 +40,12 @@ func TestReportGolden(t *testing.T) {
 // TestReportHeaderNamesEnv: a report run under a non-clean environment says
 // so in its header.
 func TestReportHeaderNamesEnv(t *testing.T) {
-	h := ReportHeader(RunConfig{Seed: 1, Env: topo.Env{Backend: "pace"}})
-	if !strings.Contains(h, "**Run environment:** enforcement backend: pace —") {
+	plan, err := faults.ParseRestart("warm@1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ReportHeader(RunConfig{Seed: 1, Env: topo.Env{Restart: &plan}})
+	if !strings.Contains(h, "**Run environment:** vSwitch restart: warm@1.000ms —") {
 		t.Fatalf("header does not name the environment:\n%s", h)
 	}
 }

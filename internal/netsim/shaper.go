@@ -10,12 +10,8 @@ import (
 // RL=2Gbps") and the §2.3 discussion of VM-level bandwidth allocation.
 // Packets are released at Rate bits/sec with up to Burst bytes of credit;
 // excess packets queue (the limiter's own buffer — exactly where CUBIC's
-// RTT inflation comes from) up to MaxQueueBytes, then drop.
-//
-// The same bucket backs the per-flow "pace" enforcement backend
-// (internal/core), which drives it through TryConsume/CanQueue/Enqueue
-// instead of HandlePacket so the passing-vs-queued decision stays with the
-// caller. All methods must run on the simulation goroutine.
+// RTT inflation comes from) up to MaxQueueBytes, then drop. All methods must
+// run on the simulation goroutine.
 type Shaper struct {
 	Sim   *sim.Simulator
 	Rate  int64 // bits per second
@@ -24,6 +20,9 @@ type Shaper struct {
 
 	// MaxQueueBytes bounds the backlog; 0 = unlimited.
 	MaxQueueBytes int
+	// Pool receives ownership of packets dropped at MaxQueueBytes; nil
+	// leaves them to the garbage collector.
+	Pool *packet.Pool
 
 	// Stats.
 	Shaped  int64 // packets released
@@ -60,47 +59,26 @@ func (sh *Shaper) sendThreshold(need float64) float64 {
 	return need
 }
 
-// HandlePacket implements Handler.
+// HandlePacket implements Handler: p goes on at once when the backlog is
+// empty and credit covers it, queues behind the backlog otherwise, and is
+// dropped to Pool when the backlog would exceed MaxQueueBytes.
 func (sh *Shaper) HandlePacket(p *packet.Packet) {
-	if sh.TryConsume(p.WireLen()) {
+	sh.refill()
+	n := p.WireLen()
+	if len(sh.queue) == 0 && sh.tokens >= sh.sendThreshold(float64(n)) {
+		sh.tokens -= float64(n)
+		sh.Shaped++
 		sh.Dst.HandlePacket(p)
 		return
 	}
-	sh.Enqueue(p)
-}
-
-// TryConsume refills the bucket and, if the backlog is empty and credit
-// covers a packet of n bytes, spends it and reports true: the caller may
-// send the packet immediately. False means the packet must queue (Enqueue)
-// or be dropped — credit is untouched.
-func (sh *Shaper) TryConsume(n int) bool {
-	sh.refill()
-	need := float64(n)
-	if len(sh.queue) == 0 && sh.tokens >= sh.sendThreshold(need) {
-		sh.tokens -= need
-		sh.Shaped++
-		return true
-	}
-	return false
-}
-
-// CanQueue reports whether a packet of n bytes fits under MaxQueueBytes.
-func (sh *Shaper) CanQueue(n int) bool {
-	return sh.MaxQueueBytes <= 0 || sh.queueBytes+n <= sh.MaxQueueBytes
-}
-
-// Enqueue adds p to the backlog, scheduling a release when credit accrues.
-// It reports false (and counts a drop) when the backlog bound rejects p; the
-// caller owns a rejected packet.
-func (sh *Shaper) Enqueue(p *packet.Packet) bool {
-	if !sh.CanQueue(p.WireLen()) {
+	if sh.MaxQueueBytes > 0 && sh.queueBytes+n > sh.MaxQueueBytes {
 		sh.Dropped++
-		return false
+		sh.Pool.Put(p)
+		return
 	}
 	sh.queue = append(sh.queue, p)
-	sh.queueBytes += p.WireLen()
+	sh.queueBytes += n
 	sh.schedule()
-	return true
 }
 
 const nsPerSec = int64(sim.Second)

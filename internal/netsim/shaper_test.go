@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"acdc/internal/packet"
 	"acdc/internal/sim"
 )
 
@@ -145,16 +146,42 @@ func TestShaperLongHorizonRateConformance(t *testing.T) {
 func TestShaperIdleRefillClampedToBurst(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{s: s}
-	sh := NewShaper(s, 1e6, 5000, c) // 1 Mbps, 5 KB bucket
-	// Prime lastRefill, then idle for an hour of virtual time.
-	sh.TryConsume(0)
-	s.Run(sim.Duration(3600) * sim.Second)
-	passed := 0
-	for sh.TryConsume(1000) {
-		passed++
+	sh := NewShaper(s, 1e6, 5000, c)     // 1 Mbps, 5 KB bucket
+	payload := 1000 - mkPkt(0).WireLen() // 1000-byte frames
+	// Spend the bucket, then idle for an hour of virtual time.
+	for i := 0; i < 5; i++ {
+		sh.HandlePacket(mkPkt(payload))
 	}
-	if passed != 5 {
-		t.Fatalf("idle shaper passed %d KB instantly, want exactly the 5 KB burst", passed)
+	s.Run(sim.Duration(3600) * sim.Second)
+	before := len(c.pkts)
+	for i := 0; i < 10; i++ {
+		sh.HandlePacket(mkPkt(payload))
+	}
+	if passed := len(c.pkts) - before; before != 5 || passed != 5 {
+		t.Fatalf("idle shaper passed %d KB instantly (%d before the idle), want exactly the 5 KB burst", passed, before)
+	}
+}
+
+// TestShaperPooledOverflowReturnsPackets: a packet dropped at MaxQueueBytes
+// goes back to the pool, so once the backlog drains every packet taken from
+// the pool has been returned — by the sink or by the shaper.
+func TestShaperPooledOverflowReturnsPackets(t *testing.T) {
+	s := sim.New(1)
+	pool := packet.NewPool()
+	sh := NewShaper(s, 1e6, 1000, HandlerFunc(pool.Put))
+	sh.MaxQueueBytes = 3000
+	sh.Pool = pool
+	for i := 0; i < 20; i++ {
+		sh.HandlePacket(packet.BuildIn(pool, packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2),
+			packet.ECT0, packet.TCPFields{SrcPort: 1, DstPort: 2, Flags: packet.FlagACK}, 1000))
+	}
+	s.RunAll()
+	if sh.Dropped == 0 {
+		t.Fatal("no drops beyond queue limit: the overflow path was not exercised")
+	}
+	if pool.Gets != pool.Puts {
+		t.Fatalf("pool Gets %d, Puts %d: %d packets dropped at the queue bound were never returned",
+			pool.Gets, pool.Puts, pool.Gets-pool.Puts)
 	}
 }
 

@@ -45,8 +45,6 @@ func Catalog() []Spec {
 				// in a short window; ≥1 still proves the prober stayed alive.
 				{Metric: "rtt_n", Min: fp(1)},
 				{Scheme: "acdc", Metric: "audit_violations", Max: fp(0)},
-				// Healthy runs never hand the vSwitch an unknown backend name.
-				{Scheme: "acdc", Metric: "ctr_backend_unknown_total", Max: fp(0)},
 			},
 			Smoke: &Adjust{
 				Hosts: 2, Warmup: d(5 * sim.Millisecond), Measure: d(15 * sim.Millisecond),
@@ -73,13 +71,8 @@ func Catalog() []Spec {
 				{Metric: "rtt_n", Min: fp(1)},
 				{Scheme: "acdc", Metric: "fairness", Min: fp(0.9)},
 				{Scheme: "acdc", Metric: "audit_violations", Max: fp(0)},
-				// The RWND rewrite is the enforcement act only for the
-				// backends that enforce via the window; pace throttles at
-				// egress instead, so its enforcement trace is released
-				// (token-clocked) segments.
-				{Scheme: "acdc", Metric: "ctr_rwnd_rewrites_total", Min: fp(1), Backend: "dctcp-cut"},
-				{Scheme: "acdc", Metric: "ctr_rwnd_rewrites_total", Min: fp(1), Backend: "adaptive-k"},
-				{Scheme: "acdc", Metric: "ctr_pace_released_total", Min: fp(1), Backend: "pace"},
+				// The RWND rewrite is the enforcement act (§3.3).
+				{Scheme: "acdc", Metric: "ctr_rwnd_rewrites_total", Min: fp(1)},
 			},
 			Smoke: &Adjust{
 				Hosts: 6, Warmup: d(5 * sim.Millisecond), Measure: d(10 * sim.Millisecond),

@@ -166,15 +166,8 @@ func Run(specs []Spec, cfg SuiteConfig) ([]*Result, error) {
 // scheme's aggregated metrics.
 func evalChecks(s Spec, sr *SchemeResult) []string {
 	var fails []string
-	backend := s.Backend
-	if backend == "" {
-		backend = core.DefaultBackend
-	}
 	for _, c := range s.Checks {
 		if c.Scheme != "" && c.Scheme != sr.Scheme {
-			continue
-		}
-		if c.Backend != "" && c.Backend != backend {
 			continue
 		}
 		v, ok := sr.Metrics[c.Metric]
@@ -424,11 +417,6 @@ var headlineCounters = []string{
 	"fault_drops_total",
 	"fault_feedback_drops_total",
 	"fault_feedback_strips_total",
-	"backend_unknown_total",
-	"pace_queued_total",
-	"pace_released_total",
-	"pace_drops_total",
-	"adaptive_k_adjusts_total",
 }
 
 // fabricCounters map fabric_* metric keys onto FabricSnapshot counter names.

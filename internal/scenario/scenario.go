@@ -130,9 +130,6 @@ type PolicySpec struct {
 	RwndClampBytes int64 `json:"rwnd_clamp_bytes,omitempty"`
 	// VCC overrides the virtual CC algorithm ("" = vSwitch default).
 	VCC string `json:"vcc,omitempty"`
-	// Backend overrides the enforcement backend ("" = vSwitch default; see
-	// core.BackendNames).
-	Backend string `json:"backend,omitempty"`
 	// Disable exempts matching flows from enforcement entirely.
 	Disable bool `json:"disable,omitempty"`
 }
@@ -145,7 +142,6 @@ func (p PolicySpec) policy() core.Policy {
 	}
 	pol.RwndClampBytes = p.RwndClampBytes
 	pol.VCC = p.VCC
-	pol.Backend = p.Backend
 	pol.Disable = p.Disable
 	return pol
 }
@@ -161,12 +157,6 @@ func (p PolicySpec) validate(hosts int) error {
 			return fmt.Errorf("%s %d outside [0,%d)", h.name, *h.v, hosts)
 		}
 	}
-	// Policy.Validate deliberately skips the backend name (runtime surfaces
-	// must fail open mid-stream), but a config file is a surface that can say
-	// no, so reject typos with a suggestion here.
-	if _, err := core.ParseBackend(p.Backend); err != nil {
-		return err
-	}
 	return p.policy().Validate()
 }
 
@@ -179,12 +169,6 @@ type Check struct {
 	// Scheme restricts the check to one scheme key ("cubic", "dctcp",
 	// "acdc"); empty applies it to every scheme the scenario runs.
 	Scheme string `json:"scheme,omitempty"`
-	// Backend restricts the check to runs whose effective enforcement backend
-	// (suite override > spec > dctcp-cut default) matches; empty applies it
-	// under every backend. Mechanism-specific invariants (e.g. "the RWND
-	// rewrite counter moved") only hold for the mechanism that implements
-	// them, so they pin themselves here instead of failing the others.
-	Backend string `json:"backend,omitempty"`
 	// Metric is the metric key (see runner.go for the namespace).
 	Metric string   `json:"metric"`
 	Min    *float64 `json:"min,omitempty"`
@@ -250,10 +234,6 @@ type Spec struct {
 	// MinRwndBytes overrides AC/DC's RWND floor (the §5.2 byte-granularity
 	// knob; 0 keeps core.DefaultConfig's floor).
 	MinRwndBytes int64 `json:"min_rwnd_bytes,omitempty"`
-	// Backend selects the enforcement backend on every AC/DC vSwitch
-	// ("" = dctcp-cut; see core.BackendNames). `acdcsuite -backend` sets it
-	// on every spec for head-to-head mechanism comparisons.
-	Backend string `json:"backend,omitempty"`
 
 	// Faults is a fault profile in faults.Parse syntax ("loss",
 	// "drop=0.01,jitter=50us"); empty injects nothing.
@@ -391,9 +371,6 @@ func (s Spec) Validate() error {
 		if c.Scheme != "" && !contains(s.Schemes, c.Scheme) {
 			return fmt.Errorf("scenario %s: check on scheme %q the scenario does not run", s.Name, c.Scheme)
 		}
-		if _, err := core.ParseBackend(c.Backend); err != nil {
-			return fmt.Errorf("scenario %s: check %s: %v", s.Name, c.Metric, err)
-		}
 		if c.Min != nil && c.Max != nil && *c.Min > *c.Max {
 			return fmt.Errorf("scenario %s: check %s has min %g > max %g", s.Name, c.Metric, *c.Min, *c.Max)
 		}
@@ -412,7 +389,7 @@ func (s Spec) Validate() error {
 // it, and Run builds every trial's topologies from its result.
 func (s Spec) env() (topo.Env, error) {
 	var env topo.Env
-	for _, o := range [][2]string{{"faults", s.Faults}, {"restart", s.Restart}, {"fabric", s.Fabric}, {"backend", s.Backend}} {
+	for _, o := range [][2]string{{"faults", s.Faults}, {"restart", s.Restart}, {"fabric", s.Fabric}} {
 		if err := env.Set(o[0], o[1]); err != nil {
 			return env, err
 		}

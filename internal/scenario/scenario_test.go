@@ -172,6 +172,21 @@ func TestLoadSpecsFile(t *testing.T) {
 	if _, err := ParseSpecs([]byte(`"nope"`)); err == nil {
 		t.Fatal("ParseSpecs accepted a non-spec")
 	}
+	// The shallow-buffer sweep EXPERIMENTS.md reports is a spec file for
+	// `acdcsuite -config`, outside the gated catalog: 3 workloads × 5 buffer
+	// depths, 5 trials each, DCTCP against AC/DC.
+	sweep, err := LoadSpecs(filepath.Join("testdata", "shallow_buffer.json"))
+	if err != nil {
+		t.Fatalf("shallow-buffer sweep: %v", err)
+	}
+	if len(sweep) != 15 {
+		t.Fatalf("shallow-buffer sweep has %d specs, want 15", len(sweep))
+	}
+	for _, s := range sweep {
+		if s.Trials != 5 || !reflect.DeepEqual(s.Schemes, []string{"dctcp", "acdc"}) || s.Topo.BufferBytes == 0 {
+			t.Errorf("sweep spec %s: trials %d, schemes %v, buffer %d", s.Name, s.Trials, s.Schemes, s.Topo.BufferBytes)
+		}
+	}
 }
 
 func TestRunTinySuite(t *testing.T) {

@@ -172,7 +172,6 @@ type Report struct {
 
 	Updates, Rejects  int64 // accepted / rejected policy installs
 	HostileAttempts   int64 // malformed installs streamed on purpose (must reject)
-	FailOpenAttempts  int64 // unknown-backend installs streamed on purpose (must clamp, not reject)
 	Restarts          int64
 	FaultFlips        int64
 	Arrivals, Departs int // tenant churn events
@@ -196,8 +195,8 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "soak: %v wall, %v virtual (forgiven %v)\n",
 		r.WallDuration.Round(time.Millisecond), r.VirtualEnd, sim.Time(r.Forgiven))
-	fmt.Fprintf(&b, "  control plane: %d updates, %d rejects (%d hostile, %d fail-open streamed), %d restarts, %d fault flips\n",
-		r.Updates, r.Rejects, r.HostileAttempts, r.FailOpenAttempts, r.Restarts, r.FaultFlips)
+	fmt.Fprintf(&b, "  control plane: %d updates, %d rejects (%d hostile), %d restarts, %d fault flips\n",
+		r.Updates, r.Rejects, r.HostileAttempts, r.Restarts, r.FaultFlips)
 	fmt.Fprintf(&b, "  churn: %d arrivals, %d departures, flow high-water %d\n",
 		r.Arrivals, r.Departs, r.FlowsHighWater)
 	fmt.Fprintf(&b, "  gates: leaked-flows=%d parked-records=%d drift=%d alloc=%d->%d goroutines=%d->%d audit=%d\n",
@@ -432,19 +431,7 @@ func streamOne(d *daemon.Daemon, rng *rand.Rand, hosts int, r *Report) {
 		if _, err := d.InstallPolicy(host, k, p); err == nil {
 			r.failf("hostile policy (beta=%g) was accepted on host %d", p.Beta, host)
 		}
-	case roll < 0.15:
-		// An unknown backend name is the one hostile input that must NOT be
-		// rejected: the stream has to keep making forward progress, so the
-		// vSwitch clamps to the default and counts backend_unknown_total.
-		r.FailOpenAttempts++
-		p := core.Policy{Beta: rng.Float64(), Backend: "no-such-backend"}
-		installed, err := d.InstallPolicy(host, k, p)
-		if err != nil {
-			r.failf("unknown backend must fail open, got error: %v", err)
-		} else if installed.Backend != "" {
-			r.failf("unknown backend %q survived sanitization as %q", p.Backend, installed.Backend)
-		}
-	case roll < 0.25:
+	case roll < 0.2:
 		if _, err := d.ClearPolicy(host, k); err != nil {
 			r.failf("clear policy: %v", err)
 		}
@@ -455,12 +442,6 @@ func streamOne(d *daemon.Daemon, rng *rand.Rand, hosts int, r *Report) {
 		}
 		if rng.Float64() < 0.2 {
 			p.VCC = []string{"dctcp", "reno"}[rng.Intn(2)]
-		}
-		if rng.Float64() < 0.3 {
-			// Flip enforcement mechanisms mid-flight: the swap is a reference
-			// change under the flow lock, and any orphaned pace shaper just
-			// drains on the sim goroutine.
-			p.Backend = core.BackendNames()[rng.Intn(len(core.BackendNames()))]
 		}
 		if _, err := d.InstallPolicy(host, k, p); err != nil {
 			r.failf("benign policy rejected: %v", err)

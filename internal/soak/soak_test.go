@@ -44,12 +44,6 @@ func TestCleanSoakPasses(t *testing.T) {
 		t.Errorf("hostile attempts %d, rejects %d — the reject path was not exercised",
 			r.HostileAttempts, r.Rejects)
 	}
-	// Unknown-backend installs must have streamed AND been clamped rather
-	// than rejected: streamOne records a gate failure if one errors, so here
-	// it is enough that the path was exercised on a passing run.
-	if r.FailOpenAttempts == 0 {
-		t.Error("no unknown-backend installs streamed — the fail-open path was not exercised")
-	}
 	if r.Restarts == 0 {
 		t.Error("no restarts")
 	}

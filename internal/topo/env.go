@@ -7,13 +7,12 @@ import (
 	"strings"
 
 	"acdc/internal/audit"
-	"acdc/internal/core"
 	"acdc/internal/faults"
 )
 
-// Env is the run environment: the chaos, audit and mechanism options that
-// apply alike to every topology a run builds. The zero Env is a clean run,
-// byte-identical to a build without these options.
+// Env is the run environment: the chaos and audit options that apply alike
+// to every topology a run builds. The zero Env is a clean run, byte-identical
+// to a build without these options.
 type Env struct {
 	// Faults installs a deterministic fault injector on every link; nil or a
 	// disabled profile injects nothing.
@@ -26,14 +25,11 @@ type Env struct {
 	// "left>right"); a pattern matching no link panics rather than silently
 	// running a clean fabric.
 	Fabric []faults.FaultDomain
-	// Backend overrides the enforcement backend on every AC/DC vSwitch;
-	// empty keeps each config's own.
-	Backend string
 }
 
 // Set parses one option's text form into e. name is the flag name without
-// its dash: "faults", "restart", "fabric" or "backend". An empty value
-// leaves e unchanged.
+// its dash: "faults", "restart" or "fabric". An empty value leaves e
+// unchanged.
 func (e *Env) Set(name, value string) error {
 	if value == "" {
 		return nil
@@ -52,8 +48,6 @@ func (e *Env) Set(name, value string) error {
 		}
 	case "fabric":
 		e.Fabric, err = faults.ParseDomains(value)
-	case "backend":
-		e.Backend, err = core.ParseBackend(value)
 	default:
 		err = fmt.Errorf("unknown run-environment option %q", name)
 	}
@@ -69,9 +63,6 @@ func (e Env) Describe(seed int64) []string {
 	}
 	if e.Restart != nil {
 		out = append(out, "vSwitch restart: "+e.Restart.String())
-	}
-	if e.Backend != "" {
-		out = append(out, "enforcement backend: "+e.Backend)
 	}
 	if len(e.Fabric) > 0 {
 		plans := make([]string, len(e.Fabric))
@@ -99,9 +90,6 @@ var envFlags = []struct {
 	{"faults", "fault profile: a built-in name or k=v list (`list` to enumerate)", faults.ProfilesHelp},
 	{"restart", "vSwitch restart plan: mode[@time][,key=val...] (`list` to enumerate)", faults.RestartHelp},
 	{"fabric", "fabric fault domains: kind[@time],key=val,...;... (`list` for syntax)", faults.DomainHelp},
-	{"backend", "enforcement backend on every AC/DC vSwitch (empty = dctcp-cut; `list` to enumerate)", func() string {
-		return "enforcement backends: " + strings.Join(core.BackendNames(), ", ") + "\n"
-	}},
 	{"audit", "attach the datapath invariant auditor to every AC/DC vSwitch (violations logged to stderr)", nil},
 	{"audit-panic", "like -audit, but the first violation aborts the run", nil},
 }
@@ -113,7 +101,7 @@ type EnvFlags struct {
 }
 
 // BindEnv registers the named run-environment flags on fs — all of -faults,
-// -restart, -fabric, -backend, -audit and -audit-panic when names is empty —
+// -restart, -fabric, -audit and -audit-panic when names is empty —
 // and returns the binder to read them with after fs.Parse.
 func BindEnv(fs *flag.FlagSet, names ...string) *EnvFlags {
 	f := &EnvFlags{plans: map[string]*string{}}

@@ -29,9 +29,6 @@ func TestBindEnv(t *testing.T) {
 		{args: []string{"-fabric", "link-down@1ms,link=left>right"}, ok: func(e Env) bool { return len(e.Fabric) == 1 }, header: "fabric fault domains: "},
 		{args: []string{"-fabric", "meteor,link=x"}, fail: `bad -fabric "meteor,link=x"`},
 		{args: []string{"-fabric", "list"}, help: "fabric fault domains"},
-		{args: []string{"-backend", "pace"}, ok: func(e Env) bool { return e.Backend == "pace" }, header: "enforcement backend: pace"},
-		{args: []string{"-backend", "bogus"}, fail: `bad -backend "bogus"`},
-		{args: []string{"-backend", "list"}, help: "adaptive-k"},
 		{args: []string{"-audit"}, ok: func(e Env) bool { return e.Audit != nil && !e.Audit.Panic }, header: "(log mode)"},
 		{args: []string{"-audit=maybe"}, fail: "-audit"},
 		{args: []string{"-audit-panic"}, ok: func(e Env) bool { return e.Audit != nil && e.Audit.Panic }, header: "(panic mode)"},
@@ -76,7 +73,7 @@ func TestBindEnv(t *testing.T) {
 func TestBindEnvSubset(t *testing.T) {
 	fs := flag.NewFlagSet("acdcd", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := BindEnv(fs, "fabric", "backend")
+	f := BindEnv(fs, "fabric")
 	if fs.Lookup("faults") != nil || fs.Lookup("audit") != nil {
 		t.Fatal("unrequested flags were registered")
 	}

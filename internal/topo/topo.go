@@ -191,11 +191,7 @@ func (n *Net) addHost(sw *netsim.Switch, addr packet.Addr, name string) int {
 		acdcCfg = o.ACDCFor(idx)
 	}
 	if acdcCfg != nil {
-		cfg := *acdcCfg
-		if o.Backend != "" {
-			cfg.Backend = o.Backend
-		}
-		v := core.Attach(n.Sim, h, cfg)
+		v := core.Attach(n.Sim, h, *acdcCfg)
 		n.ACDC = append(n.ACDC, v)
 		if o.Audit != nil {
 			n.Audits = append(n.Audits, audit.Attach(v, *o.Audit))
