@@ -119,28 +119,31 @@ func TestGenuineTripleDupackStillDetected(t *testing.T) {
 	}
 }
 
-// TestPolicyDisableHonored: a Disable flow is observation-only — no RWND
-// rewrites, no policing drops — while traffic still flows.
-func TestPolicyDisableHonored(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FlowPolicy = func(FlowKey) Policy {
-		p := DefaultPolicy()
-		p.Disable = true
-		return p
-	}
-	b := newBench(t, 2, cubicGuest(), &cfg, redK(), 10e9)
-	_, srvp := b.longFlow(t, 0, 1)
-	b.s.RunFor(30 * sim.Millisecond)
-	if srv := *srvp; srv == nil || srv.Delivered == 0 {
-		t.Fatal("no data flowed for a Disable flow")
-	}
-	st := b.acdc[0].Stats()
-	if st.RwndRewrites != 0 {
-		t.Fatalf("%d RWND rewrites on a Disable flow", st.RwndRewrites)
-	}
-	if st.PolicingDrops != 0 {
-		t.Fatalf("%d policing drops on a Disable flow", st.PolicingDrops)
-	}
+// TestPolicyDisableHonoredByEveryBackend: a Disable flow is observation-only
+// — no RWND rewrites, no policing drops — while traffic still flows. The one
+// enforcement mechanism left is the DCTCP window cut, hence the one case.
+func TestPolicyDisableHonoredByEveryBackend(t *testing.T) {
+	t.Run("dctcp-cut", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.FlowPolicy = func(FlowKey) Policy {
+			p := DefaultPolicy()
+			p.Disable = true
+			return p
+		}
+		b := newBench(t, 2, cubicGuest(), &cfg, redK(), 10e9)
+		_, srvp := b.longFlow(t, 0, 1)
+		b.s.RunFor(30 * sim.Millisecond)
+		if srv := *srvp; srv == nil || srv.Delivered == 0 {
+			t.Fatal("no data flowed for a Disable flow")
+		}
+		st := b.acdc[0].Stats()
+		if st.RwndRewrites != 0 {
+			t.Fatalf("%d RWND rewrites on a Disable flow", st.RwndRewrites)
+		}
+		if st.PolicingDrops != 0 {
+			t.Fatalf("%d policing drops on a Disable flow", st.PolicingDrops)
+		}
+	})
 }
 
 // TestDctcpCutWindowLimitedOvershootGate: growth is gated on peak inflight
