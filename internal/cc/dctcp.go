@@ -15,7 +15,6 @@ type dctcpState struct {
 	alpha       float64
 	ackedBytes  int64
 	markedBytes int64
-	windowEnd   bool // set by stack boundary below via bytes heuristic
 }
 
 // DefaultDCTCPAlpha is the initial α (Linux starts at 1.0 so the first

@@ -7,14 +7,13 @@ package cc
 type Illinois struct{ Base }
 
 type illinoisState struct {
-	sumRTT   int64
-	cntRTT   int
-	baseRTT  int64
-	maxRTT   int64
-	alpha    float64
-	beta     float64
-	rttAbove bool
-	rttLow   int
+	sumRTT  int64
+	cntRTT  int
+	baseRTT int64
+	maxRTT  int64
+	alpha   float64
+	beta    float64
+	rttLow  int
 }
 
 const (

@@ -14,19 +14,9 @@ import (
 
 // Config parameterizes one host's AC/DC module.
 type Config struct {
-	// VCC names the default virtual congestion control ("dctcp" or "reno").
-	VCC string
 	// MTU sets the default MSS (MTU − 40) used before a handshake MSS
 	// option is observed.
 	MTU int
-	// G is DCTCP's α EWMA gain (default 1/16).
-	G float64
-	// MaxAlpha is the α assigned on loss (Figure 5's max_alpha; default 1).
-	MaxAlpha float64
-	// InitAlpha seeds α for new flows (default 1, as in Linux DCTCP).
-	InitAlpha float64
-	// InitCwndPkts is the virtual initial window in MSS units (default 10).
-	InitCwndPkts float64
 	// MinRwndBytes floors the enforced window. 0 means one MSS — the bound
 	// the paper applies at β=0 and the reason AC/DC beats host DCTCP's
 	// 2-packet floor in deep incast (§5.2).
@@ -52,11 +42,9 @@ type Config struct {
 	// without it every marked ACK multiplies the window down and flows
 	// collapse to the floor).
 	CutEveryAck bool
-	// Police drops egress segments beyond the allowed window (§3.3).
+	// Police drops egress segments more than 2 MSS beyond the allowed window
+	// (§3.3).
 	Police bool
-	// PoliceSlackBytes is the allowance above the window before policing
-	// drops (default 2 MSS).
-	PoliceSlackBytes int64
 	// GenDupAcks synthesizes three duplicate ACKs to the guest when the
 	// inactivity timer infers loss, triggering guest fast retransmit ahead
 	// of a long guest RTO (§3.3).
@@ -81,22 +69,18 @@ type Config struct {
 	SweepInterval sim.Duration
 }
 
-// DefaultConfig returns the paper's settings: DCTCP in the vSwitch, ECT
-// marking, ECN stripping, RWND enforcement, IW=10, α EWMA gain 1/16.
+// DefaultConfig returns the paper's settings: ECT marking, ECN stripping and
+// RWND enforcement. The virtual CC's own constants (DCTCP by default, IW=10,
+// α EWMA gain 1/16) are fixed in vcc.go.
 func DefaultConfig() Config {
 	return Config{
-		VCC:          "dctcp",
-		MTU:          9000,
-		G:            1.0 / 16,
-		MaxAlpha:     1,
-		InitAlpha:    1,
-		InitCwndPkts: 10,
-		VTimeout:     10 * sim.Millisecond,
-		EnforceRwnd:  true,
-		MarkECT:      true,
-		StripECN:     true,
-		GCInterval:   sim.Second,
-		IdleTimeout:  10 * sim.Second,
+		MTU:         9000,
+		VTimeout:    10 * sim.Millisecond,
+		EnforceRwnd: true,
+		MarkECT:     true,
+		StripECN:    true,
+		GCInterval:  sim.Second,
+		IdleTimeout: 10 * sim.Second,
 	}
 }
 
@@ -169,15 +153,6 @@ type VSwitch struct {
 
 // Attach creates an AC/DC module on host and installs its datapath hooks.
 func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
-	if cfg.G == 0 {
-		cfg.G = 1.0 / 16
-	}
-	if cfg.MaxAlpha == 0 {
-		cfg.MaxAlpha = 1
-	}
-	if cfg.InitCwndPkts == 0 {
-		cfg.InitCwndPkts = 10
-	}
 	if cfg.MTU == 0 {
 		cfg.MTU = 9000
 	}
@@ -422,25 +397,20 @@ func (v *VSwitch) buildFlow(f *Flow, k FlowKey) *Flow {
 		Key:        k,
 		Policy:     pol,
 		MSS:        int32(v.Cfg.MTU - 40),
-		Alpha:      v.Cfg.InitAlpha,
+		Alpha:      initAlpha,
 		inactivity: f.inactivity,
 	}
 	v.setLaw(f)
-	f.CwndBytes = v.Cfg.InitCwndPkts * float64(f.MSS)
+	f.CwndBytes = initCwndPkts * float64(f.MSS)
 	f.SsthreshBytes = 1 << 40
-	f.law().Init(f)
 	f.lastActive = v.Sim.Now()
 	return f
 }
 
-// setLaw resolves f's growth law from its policy over the config; the policy's
-// name is sanitized before it gets here. Caller holds f.mu.
+// setLaw resolves f's law from its policy; the policy's name is sanitized
+// before it gets here. Caller holds f.mu.
 func (v *VSwitch) setLaw(f *Flow) {
-	name := f.Policy.VCC
-	if name == "" {
-		name = v.Cfg.VCC
-	}
-	f.vcc, _ = lookupVCC(name)
+	f.vcc, _ = lookupVCC(f.Policy.VCC)
 	v.Metrics.registerVCC(f.vcc)
 }
 

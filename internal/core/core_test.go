@@ -473,26 +473,26 @@ func TestTableConcurrentAccess(t *testing.T) {
 }
 
 func TestEquationOneCutFactor(t *testing.T) {
-	v := &VDCTCP{}
+	v := vccDCTCP
 	f := &Flow{flowState: flowState{Alpha: 0.5, Policy: &Policy{Beta: 1}}}
-	if got := v.CutFactor(f, false); got != 0.75 {
+	if got := v.cut(f); got != 0.75 {
 		t.Fatalf("β=1 α=0.5: factor %v, want 0.75 (DCTCP)", got)
 	}
 	f.Policy = &Policy{Beta: 0}
-	if got := v.CutFactor(f, false); got != 0.5 {
+	if got := v.cut(f); got != 0.5 {
 		t.Fatalf("β=0 α=0.5: factor %v, want 0.5 (full α back-off)", got)
 	}
 	f.Alpha = 1
-	if got := v.CutFactor(f, false); got != 0 {
+	if got := v.cut(f); got != 0 {
 		t.Fatalf("β=0 α=1: factor %v, want 0", got)
 	}
 	f.Policy = &Policy{Beta: 1}
-	if got := v.CutFactor(f, false); got != 0.5 {
+	if got := v.cut(f); got != 0.5 {
 		t.Fatalf("β=1 α=1: factor %v, want 0.5", got)
 	}
 	f.Policy = &Policy{Beta: 0.5}
 	// 1 − (1 − 1·0.5/2) = 0.25
-	if got := v.CutFactor(f, false); got != 0.25 {
+	if got := v.cut(f); got != 0.25 {
 		t.Fatalf("β=0.5 α=1: factor %v, want 0.25", got)
 	}
 }

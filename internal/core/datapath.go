@@ -5,11 +5,6 @@ import (
 	"acdc/internal/sim"
 )
 
-// OptFACK marks a dedicated Fake ACK feedback packet; it carries the same
-// 8-byte payload as a PACK but the packet must be consumed (dropped) by the
-// sender module after the feedback is extracted.
-const OptFACK = 254
-
 // pktClass is the fast-path disposition decided by one header parse.
 type pktClass uint8
 
@@ -185,7 +180,7 @@ func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool
 		so := packet.ParseSynOptions(t.Options())
 		if so.MSS > 0 && int32(so.MSS) < f.MSS {
 			f.MSS = int32(so.MSS)
-			f.CwndBytes = v.Cfg.InitCwndPkts * float64(f.MSS)
+			f.CwndBytes = initCwndPkts * float64(f.MSS)
 		}
 		ecnIntent := t.Flags()&(packet.FlagECE|packet.FlagCWR) != 0
 		if t.HasFlags(packet.FlagACK) {
@@ -242,9 +237,9 @@ func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool
 }
 
 // policeLocked is §3.3 policing: it reports whether a data segment ending at
-// segEnd lies beyond the allowed window plus slack and must be dropped. The
-// pre-cut window is still honored, so a guest draining its old window is not
-// punished for the cut. Caller holds f.mu.
+// segEnd lies beyond the allowed window plus two MSS of slack and must be
+// dropped. The pre-cut window is still honored, so a guest draining its old
+// window is not punished for the cut. Caller holds f.mu.
 func (v *VSwitch) policeLocked(f *Flow, segEnd, plen int64) bool {
 	if !v.Cfg.Police || plen <= 0 {
 		return false
@@ -253,10 +248,7 @@ func (v *VSwitch) policeLocked(f *Flow, segEnd, plen int64) bool {
 	if f.prevCwndBytes > allowance {
 		allowance = f.prevCwndBytes
 	}
-	slack := v.Cfg.PoliceSlackBytes
-	if slack == 0 {
-		slack = 2 * int64(f.MSS)
-	}
+	slack := 2 * int64(f.MSS)
 	if segEnd-f.SndUna <= int64(allowance)+slack {
 		return false
 	}
@@ -312,30 +304,12 @@ func (v *VSwitch) attachFeedback(rev *Flow, ack *packet.Packet) (out, extra *pac
 	v.Metrics.FacksSent.Inc()
 	t := ack.TCP()
 	ip := ack.IP()
-	var fopt [packet.PACKOptionLen]byte
-	fopt[0] = OptFACK
-	fopt[1] = packet.PACKOptionLen
-	putU32(fopt[2:6], info.TotalBytes)
-	putU32(fopt[6:10], info.MarkedBytes)
-	fack := packet.BuildIn(v.pool(), ip.Src(), ip.Dst(), packet.NotECT, packet.TCPFields{
+	fack := packet.BuildFACKIn(v.pool(), ip.Src(), ip.Dst(), packet.NotECT, packet.TCPFields{
 		SrcPort: t.SrcPort(), DstPort: t.DstPort(),
-		Seq: t.Seq(), Ack: t.Ack(),
-		Flags: packet.FlagACK, Window: t.Window(),
-		Options: fopt[:],
-	}, 0)
+		Seq: t.Seq(), Ack: t.Ack(), Window: t.Window(),
+	}, info)
 	fack.FlowTag = ack.FlowTag
 	return ack, fack
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
 // IngressPath is the vSwitch hook for packets arriving from the network.
@@ -396,9 +370,8 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *pac
 	if m.ack && !m.syn {
 		own = v.Table.Get(revKey)
 		f := own
-		if fb := packet.FindOption(t.Options(), OptFACK); fb != nil && len(fb) >= 8 {
+		if info, ok := packet.ParsePACK(packet.FindOption(t.Options(), packet.OptFACK)); ok {
 			// Dedicated FACK: consume feedback, drop the packet.
-			info := packet.PACKInfo{TotalBytes: getU32(fb[0:4]), MarkedBytes: getU32(fb[4:8])}
 			if f != nil {
 				if f.isUDP {
 					v.processUDPFeedback(f, info)
@@ -467,7 +440,7 @@ func (v *VSwitch) ingressHandshake(p *packet.Packet, t packet.TCP, fwdKey, revKe
 	if so.MSS > 0 && int32(so.MSS) < rev.MSS {
 		rev.MSS = int32(so.MSS)
 		if rev.SndNxt <= 1 { // before data: rescale IW
-			rev.CwndBytes = v.Cfg.InitCwndPkts * float64(rev.MSS)
+			rev.CwndBytes = initCwndPkts * float64(rev.MSS)
 		}
 	}
 	if t.HasFlags(packet.FlagACK) {

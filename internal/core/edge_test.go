@@ -211,8 +211,8 @@ func TestFACKFallbackWhenOptionsFull(t *testing.T) {
 		t.Fatalf("FacksSent = %d", v.Stats().FacksSent)
 	}
 	// The FACK carries the feedback under OptFACK.
-	fb := packet.FindOption(out[1].TCP().Options(), OptFACK)
-	if len(fb) < 8 || getU32(fb[0:4]) != 1500 {
+	fb := packet.FindOption(out[1].TCP().Options(), packet.OptFACK)
+	if info, ok := packet.ParsePACK(fb); !ok || info.TotalBytes != 1500 {
 		t.Fatalf("FACK payload wrong: %v", fb)
 	}
 }
@@ -244,7 +244,6 @@ func TestLazyGCSweepsIdleFlows(t *testing.T) {
 func TestPolicingSlackAllowsInFlightAfterCut(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Police = true
-	cfg.PoliceSlackBytes = 2 * 8960
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	// Establish flow state via SYN.
@@ -312,25 +311,30 @@ func TestIngressStripsCEForECNGuest(t *testing.T) {
 }
 
 func TestVRenoVirtualCC(t *testing.T) {
-	v := NewVCC("reno")
-	f := &Flow{flowState: flowState{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40, Policy: &defaultPolicy}}
-	if v.CutFactor(f, false) != 0.5 || v.CutFactor(f, true) != 0.5 {
+	v, _, _ := loneVSwitch(t, DefaultConfig())
+	id, ok := lookupVCC("reno")
+	if !ok || id != vccReno {
+		t.Fatalf("lookupVCC(reno) = %v, %v", id, ok)
+	}
+	f := &Flow{flowState: flowState{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40, Policy: &defaultPolicy, vcc: id}}
+	if id.cut(f) != 0.5 {
 		t.Fatal("vReno must halve")
 	}
-	v.OnAck(f, 1500)
+	f.Alpha = maxAlpha // a loss pins α before the cut; Reno ignores it
+	if id.cut(f) != 0.5 {
+		t.Fatal("vReno must halve on loss too")
+	}
+	renoGrowBytes(f, 1500)
 	if f.CwndBytes != 31500 {
 		t.Fatalf("slow start growth: %v", f.CwndBytes)
 	}
-	v.OnTimeout(f)
+	v.collapseLocked(f)
 	if f.CwndBytes != 1500 {
 		t.Fatalf("timeout should collapse to 1 MSS: %v", f.CwndBytes)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown vCC should panic")
-		}
-	}()
-	NewVCC("bbr")
+	if _, ok := lookupVCC("bbr"); ok || vccKnown("bbr") {
+		t.Fatal("unknown vCC must not resolve")
+	}
 }
 
 func TestPerFlowVCCOverride(t *testing.T) {
@@ -348,8 +352,8 @@ func TestPerFlowVCCOverride(t *testing.T) {
 	egress(v, dataPkt(host.Addr, peer, 1, 80, 100, 100))
 	wan := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 443})
 	dc := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 80})
-	if wan.law().Name() != "reno" || dc.law().Name() != "dctcp" {
-		t.Fatalf("per-flow vCC: wan=%s dc=%s", wan.law().Name(), dc.law().Name())
+	if wan.vcc.String() != "reno" || dc.vcc.String() != "dctcp" {
+		t.Fatalf("per-flow vCC: wan=%s dc=%s", wan.vcc.String(), dc.vcc.String())
 	}
 }
 

@@ -182,8 +182,7 @@ type flowState struct {
 	// triple-dupack loss inference.
 	lastWndRaw  uint16
 	lastWndSeen bool
-	// vcc indexes the growth law, resolved from the policy and the config
-	// (VSwitch.setLaw).
+	// vcc is the flow's law, resolved from its policy (VSwitch.setLaw).
 	vcc        vccID
 	synSeen    bool
 	synAckSeen bool

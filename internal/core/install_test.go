@@ -75,14 +75,14 @@ func TestInstallPolicySwapsVirtualCC(t *testing.T) {
 	k := FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2}
 	egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
 	f := v.Table.Get(k)
-	if f.law().Name() != "dctcp" {
-		t.Fatalf("default vcc = %q", f.law().Name())
+	if f.vcc.String() != "dctcp" {
+		t.Fatalf("default vcc = %q", f.vcc.String())
 	}
 	if _, err := v.InstallPolicy(k, Policy{Beta: 1, VCC: "reno"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.law().Name() != "reno" {
-		t.Fatalf("vcc after install = %q, want reno", f.law().Name())
+	if f.vcc.String() != "reno" {
+		t.Fatalf("vcc after install = %q, want reno", f.vcc.String())
 	}
 }
 

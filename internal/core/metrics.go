@@ -90,7 +90,7 @@ type DatapathMetrics struct {
 	// update, indexed by vccID. Registered with each law's first flow
 	// (registerVCC), so a run's metric set names only the laws it ran.
 	mu    sync.Mutex
-	hists [len(vccLaws)]*lawHists
+	hists [len(vccNames)]*lawHists
 
 	// Flow-table shape gauges, registered lazily on the first
 	// UpdateTableGauges call (daemon /status and /metrics handlers) so runs
@@ -166,7 +166,7 @@ func (m *DatapathMetrics) registerVCC(id vccID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.hists[id] == nil {
-		alg := vccLaws[id].Name()
+		alg := id.String()
 		m.hists[id] = &lawHists{m.reg.Histogram("vcc_cwnd_bytes{alg="+alg+"}", cwndBounds),
 			m.reg.Histogram("vcc_alpha{alg="+alg+"}", alphaBounds)}
 	}

@@ -213,7 +213,7 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	b.in(sp, packet.CE, packet.TCPFields{Seq: 1, Ack: seq, Flags: ack | psh}, 700)
 	b.out(sp, packet.TCPFields{Seq: seq, Ack: 701, Flags: ack | packet.FlagFIN}, 0)
 	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 701, Ack: seq + 1, Flags: ack | packet.FlagFIN}, 0)
-	if old.LossEvents == 0 || old.VTimeouts == 0 || old.Alpha == cfg.InitAlpha || old.law().Name() != "reno" ||
+	if old.LossEvents == 0 || old.VTimeouts == 0 || old.Alpha == initAlpha || old.vcc.String() != "reno" ||
 		old.peer == nil || old.inactivity == nil || !old.finFwd || !old.finRev {
 		t.Fatalf("the record did not live through what the test is about: %+v", &old.flowState)
 	}

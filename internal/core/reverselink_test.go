@@ -171,7 +171,7 @@ func (d *linkDriver) step(kind, c int) {
 	case opFackIn:
 		d.fb[c] += 1000
 		d.pkt(c, false, packet.NotECT, packet.TCPFields{Seq: 1, Ack: d.seq[c], Flags: ack,
-			Options: feedbackOpt(OptFACK, d.fb[c], 0)}, 0)
+			Options: feedbackOpt(packet.OptFACK, d.fb[c], 0)}, 0)
 	case opDataIn:
 		ecn := packet.ECT0
 		if c%3 == 0 {

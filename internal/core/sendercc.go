@@ -33,37 +33,10 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 		ev.HaveFeedback = haveFeedback
 	}
 
-	// Feedback deltas (cumulative counters; uint32 wraparound-safe).
 	now := v.Sim.Now()
 	var totalDelta, markedDelta uint32
 	if haveFeedback {
-		if f.resync == resyncAwaitFeedback {
-			// First feedback after a mid-stream adoption or snapshot
-			// restore: the peer's cumulative counters are unanchored
-			// relative to our state, so this packet only re-baselines —
-			// crediting a delta here would smear stale history into α.
-		} else {
-			totalDelta = info.TotalBytes - f.lastTotal
-			markedDelta = info.MarkedBytes - f.lastMarked
-			if totalDelta >= 1<<31 || markedDelta >= 1<<31 {
-				// The cumulative counters went backwards: the peer's
-				// vSwitch restarted mid-flow (its receiver module restarted
-				// counting from zero). Re-baseline with no delta instead of
-				// crediting a wrapped ~4GB window of phantom bytes.
-				totalDelta, markedDelta = 0, 0
-				v.Metrics.FeedbackResets.Inc()
-			}
-			if markedDelta > totalDelta {
-				// A report cannot have marked more bytes than it delivered;
-				// corrupt feedback (fuzzed PACK payloads) is clamped here so
-				// windowMarked can never exceed windowTotal.
-				markedDelta = totalDelta
-			}
-			f.windowTotal += totalDelta
-			f.windowMarked += markedDelta
-		}
-		f.lastTotal = info.TotalBytes
-		f.lastMarked = info.MarkedBytes
+		totalDelta, markedDelta, _ = v.creditFeedbackLocked(f, info)
 		f.lastFeedbackAt = now
 		f.fbStaleMark = 0
 	}
@@ -122,56 +95,11 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 	// resyncSeq completes the clean round and re-enables enforcement below.
 	v.resyncAdvanceLocked(f, haveFeedback, absAck)
 
-	// α update, roughly once per RTT (when the ACK passes the snapshot of
-	// snd_nxt taken at the previous update).
-	if absAck >= f.alphaSeq {
-		var frac float64
-		if f.windowTotal > 0 {
-			frac = float64(f.windowMarked) / float64(f.windowTotal)
-			if frac > 1 { // corrupt feedback: marked can't exceed total
-				frac = 1
-			}
-		}
-		f.Alpha = (1-v.Cfg.G)*f.Alpha + v.Cfg.G*frac
-		if audit != nil {
-			ev.AlphaUpdated, ev.AlphaFrac = true, frac
-		}
-		f.windowTotal, f.windowMarked = 0, 0
-		f.alphaSeq = f.SndNxt
-		// Per-RTT distribution samples: the operator's view of where the
-		// fleet's virtual windows and congestion estimates sit.
-		h := v.Metrics.hists[f.vcc]
-		h.cwnd.Observe(f.CwndBytes)
-		h.alpha.Observe(f.Alpha)
-	}
-
-	// Cwnd validation: growth is earned only when the guest actually pressed
-	// against the enforced window since the previous ACK (windowLimited). The
-	// peak inflight since the previous ACK is the gauge — the instantaneous
-	// value is zero whenever a delayed ACK covers everything outstanding.
 	// A Policy.Disable flow is observation-mode regardless of Cfg.EnforceRwnd:
 	// the guest is not bound by the virtual window, so the overshoot gate must
 	// not freeze growth (and the rewrite below is skipped entirely).
 	enforcing := v.Cfg.EnforceRwnd && !f.Policy.Disable
-	cwndLimited := windowLimited(f, enforcing, f.maxInflight)
-	f.maxInflight = f.SndNxt - f.SndUna
-
-	switch {
-	case loss:
-		// Figure 5: Loss? yes → α = max_alpha, then cut.
-		f.Alpha = v.Cfg.MaxAlpha
-		v.cutWindow(f, absAck, true)
-	case markedDelta > 0:
-		// Figure 5's "ECN feedback?": any CE-marked byte is congestion.
-		v.cutWindow(f, absAck, false)
-		if acked > 0 && cwndLimited {
-			// DCTCP still grows between cuts within the window guard.
-			f.law().OnAck(f, acked)
-		}
-	case acked > 0 && cwndLimited && !fbStale:
-		f.law().OnAck(f, acked)
-	}
-	v.clampFlow(f)
+	alphaFrac, alphaUpdated := v.reactLocked(f, absAck, acked, markedDelta, loss, enforcing, fbStale)
 
 	// --- enforcement (§3.3) ---
 	// A resyncing flow stays in conservative mode: the guest keeps its own
@@ -191,6 +119,7 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 		}
 	}
 	if audit != nil {
+		ev.AlphaUpdated, ev.AlphaFrac = alphaUpdated, alphaFrac
 		ev.SndUna, ev.SndNxt = f.SndUna, f.SndNxt
 		ev.CreditedTotal, ev.CreditedMarked = totalDelta, markedDelta
 		ev.Alpha = f.Alpha
@@ -207,6 +136,85 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 	return enforced, overwrote, true
 }
 
+// creditFeedbackLocked folds one report of the peer's cumulative counters into
+// the α window and re-baselines on it. It returns the deltas credited, and
+// reset when the counters went backwards: the peer's vSwitch restarted
+// mid-flow and its receiver module counts from zero again. A reset credits
+// nothing instead of a wrapped ~4GB window of phantom bytes. Caller holds f.mu.
+func (v *VSwitch) creditFeedbackLocked(f *Flow, info packet.PACKInfo) (totalDelta, markedDelta uint32, reset bool) {
+	// The first feedback after a mid-stream adoption or snapshot restore only
+	// re-baselines: the peer's counters are unanchored relative to our state,
+	// and crediting a delta would smear stale history into α.
+	if f.resync != resyncAwaitFeedback {
+		totalDelta = info.TotalBytes - f.lastTotal
+		markedDelta = info.MarkedBytes - f.lastMarked
+		if totalDelta >= 1<<31 || markedDelta >= 1<<31 {
+			totalDelta, markedDelta, reset = 0, 0, true
+			v.Metrics.FeedbackResets.Inc()
+		}
+		// A report cannot have marked more bytes than it delivered; corrupt
+		// feedback (fuzzed PACK payloads) is clamped here so windowMarked can
+		// never exceed windowTotal.
+		markedDelta = min(markedDelta, totalDelta)
+		f.windowTotal += totalDelta
+		f.windowMarked += markedDelta
+	}
+	f.lastTotal, f.lastMarked = info.TotalBytes, info.MarkedBytes
+	return totalDelta, markedDelta, reset
+}
+
+// reactLocked is Figure 5 on credited feedback whose ack point is absAck and
+// which newly covers acked bytes. α is updated roughly once per RTT, when
+// absAck passes the snapshot of snd_nxt taken at the previous update; then a
+// loss pins α to max_alpha and cuts, CE-marked bytes cut, and otherwise the
+// window grows if the flow earned it. It returns the α sample it took, for
+// the audit. Caller holds f.mu.
+func (v *VSwitch) reactLocked(f *Flow, absAck, acked int64, markedDelta uint32, loss, enforcing, stale bool) (frac float64, updated bool) {
+	if absAck >= f.alphaSeq {
+		if f.windowTotal > 0 {
+			frac = float64(f.windowMarked) / float64(f.windowTotal)
+			if frac > 1 { // corrupt feedback: marked can't exceed total
+				frac = 1
+			}
+		}
+		f.Alpha = (1-alphaGain)*f.Alpha + alphaGain*frac
+		updated = true
+		f.windowTotal, f.windowMarked = 0, 0
+		f.alphaSeq = f.SndNxt
+		// Per-RTT distribution samples: the operator's view of where the
+		// fleet's virtual windows and congestion estimates sit.
+		h := v.Metrics.hists[f.vcc]
+		h.cwnd.Observe(f.CwndBytes)
+		h.alpha.Observe(f.Alpha)
+	}
+
+	// Cwnd validation: growth is earned only when the guest actually pressed
+	// against the enforced window since the previous ACK (windowLimited). The
+	// peak inflight since the previous ACK is the gauge — the instantaneous
+	// value is zero whenever a delayed ACK covers everything outstanding.
+	// Stale feedback freezes growth; it never coincides with fresh CE marks.
+	grow := acked > 0 && windowLimited(f, enforcing, f.maxInflight) && !stale
+	f.maxInflight = f.SndNxt - f.SndUna
+
+	switch {
+	case loss:
+		// Figure 5: Loss? yes → α = max_alpha, then cut.
+		f.Alpha = maxAlpha
+		v.cutWindow(f, absAck, true)
+	case markedDelta > 0:
+		// Figure 5's "ECN feedback?": any CE-marked byte is congestion.
+		v.cutWindow(f, absAck, false)
+		if grow {
+			// DCTCP still grows between cuts within the window guard.
+			renoGrowBytes(f, acked)
+		}
+	case grow:
+		renoGrowBytes(f, acked)
+	}
+	v.clampFlow(f)
+	return frac, updated
+}
+
 // cutWindow applies the multiplicative decrease at most once per window
 // (Figure 5's "cut wnd in this window before?" guard).
 func (v *VSwitch) cutWindow(f *Flow, absAck int64, loss bool) {
@@ -214,13 +222,13 @@ func (v *VSwitch) cutWindow(f *Flow, absAck int64, loss bool) {
 		return // already cut in this window
 	}
 	f.prevCwndBytes = f.CwndBytes
-	factor := f.law().CutFactor(f, loss)
+	factor := f.vcc.cut(f)
 	f.CwndBytes *= factor
 	f.SsthreshBytes = f.CwndBytes
 	f.cutSeq = f.SndNxt
 	v.clampFlow(f)
 	if a := v.Audit; a != nil {
-		a.CutEvent(v, CutEvent{Key: f.Key, Alg: f.law().Name(), Loss: loss,
+		a.CutEvent(v, CutEvent{Key: f.Key, Alg: f.vcc.String(), Loss: loss,
 			Alpha: f.Alpha, Beta: f.Policy.Beta, Factor: factor,
 			PrevCwnd: f.prevCwndBytes, NewCwnd: f.CwndBytes})
 	}
@@ -295,11 +303,7 @@ func (v *VSwitch) onVTimeout(f *Flow) {
 		f.mu.Unlock()
 		return
 	}
-	v.Metrics.VTimeouts.Inc()
-	f.VTimeouts++
-	f.Alpha = v.Cfg.MaxAlpha
-	f.law().OnTimeout(f)
-	v.clampFlow(f)
+	v.collapseLocked(f)
 	f.cutSeq = f.SndNxt
 	genDup := v.Cfg.GenDupAcks && f.issValid
 	var dup *packet.Packet
@@ -319,6 +323,18 @@ func (v *VSwitch) onVTimeout(f *Flow) {
 		v.Metrics.DupAcksGenerated.Inc()
 		v.Host.DeliverLocal(dup)
 	}
+}
+
+// collapseLocked is Figure 5's inactivity timeout: count it, pin α to
+// max_alpha, halve ssthresh (to two MSS at least) and restart from one MSS.
+// Caller holds f.mu.
+func (v *VSwitch) collapseLocked(f *Flow) {
+	v.Metrics.VTimeouts.Inc()
+	f.VTimeouts++
+	f.Alpha = maxAlpha
+	f.SsthreshBytes = max(f.CwndBytes/2, float64(2*f.MSS))
+	f.CwndBytes = float64(f.MSS)
+	v.clampFlow(f)
 }
 
 // buildDupAckLocked crafts a duplicate ACK toward the guest for the flow's

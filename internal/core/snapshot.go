@@ -154,7 +154,7 @@ func (f *Flow) recordLocked() flowRecord {
 		RwndClamp:  f.Policy.RwndClampBytes,
 		PolDisable: f.Policy.Disable,
 		PolVCC:     f.Policy.VCC,
-		VCCName:    f.law().Name(),
+		VCCName:    f.vcc.String(),
 	}
 }
 
@@ -433,7 +433,7 @@ func (r *flowRecord) sanitize(cfg *Config) {
 		r.MSS = cfg.MTU - 40
 	}
 	mss := float64(r.MSS)
-	iw := cfg.InitCwndPkts * mss
+	iw := initCwndPkts * mss
 	if !finitePositive(r.CwndBytes) {
 		r.CwndBytes = iw
 	}
@@ -444,7 +444,7 @@ func (r *flowRecord) sanitize(cfg *Config) {
 		r.prevCwnd = 0
 	}
 	if !(r.Alpha >= 0) { // NaN fails this too
-		r.Alpha = cfg.InitAlpha
+		r.Alpha = initAlpha
 	}
 	if r.Alpha > 1 {
 		r.Alpha = 1

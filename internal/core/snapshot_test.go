@@ -427,7 +427,7 @@ func TestRestoreUnknownVCCNameDegradesToDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := b.Table.Get(FlowKey{Src: ahost, Dst: peer, SPort: 10, DPort: 20})
-	if f == nil || f.law().Name() != "dctcp" {
+	if f == nil || f.vcc.String() != "dctcp" {
 		t.Fatalf("unknown vCC did not degrade to default")
 	}
 }
@@ -467,8 +467,8 @@ func TestRestoreRetiredBackendSnapshot(t *testing.T) {
 		if f == nil {
 			t.Fatalf("flow %d→%d missing after restore", tc.sport, dport)
 		}
-		if *f.Policy != tc.want || f.law().Name() != tc.law {
-			t.Fatalf("flow %d: policy %+v law %s, want %+v law %s", tc.sport, *f.Policy, f.law().Name(), tc.want, tc.law)
+		if *f.Policy != tc.want || f.vcc.String() != tc.law {
+			t.Fatalf("flow %d: policy %+v law %s, want %+v law %s", tc.sport, *f.Policy, f.vcc.String(), tc.want, tc.law)
 		}
 		// Two feedback ACKs covering snd_nxt: the first re-anchors, the
 		// second completes the resync round.

@@ -12,9 +12,9 @@ import "acdc/internal/packet"
 //     congestion control to slow it down, so the tunnel is the backstop);
 //   - the receiver vSwitch counts total/CE-marked bytes and streams them
 //     back in dedicated FACK control packets;
-//   - the sender runs the same Figure 5 machinery over those counters
-//     (α EWMA, once-per-window cuts, NewReno growth) and drains its queue
-//     as the window opens.
+//   - the sender runs the TCP path's Figure 5 code over those counters
+//     (creditFeedbackLocked, reactLocked, collapseLocked) and drains its
+//     queue as the window opens.
 //
 // All accounting is in wire bytes (UDP has no sequence numbers): SndNxt is
 // bytes admitted to the network, SndUna is bytes the peer reported received.
@@ -65,30 +65,23 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		// Tunnel accounting is in IP-length bytes, so the "MSS" (window
 		// floor / growth quantum) is a full MTU-sized datagram.
 		f.MSS = int32(v.Cfg.MTU)
-		f.CwndBytes = v.Cfg.InitCwndPkts * float64(f.MSS)
+		f.CwndBytes = initCwndPkts * float64(f.MSS)
 		f.alphaSeq, f.cutSeq = 0, 0
 	}
 	f.lastActive = v.Sim.Now()
-	size := int64(p.IPLen())
 	tn := f.tunnel()
 
 	v.inactivityTimer(f).ArmIfIdle(v.Cfg.VTimeout)
 
-	if len(tn.tq) == 0 && f.SndNxt-f.SndUna+size <= int64(f.CwndBytes) {
-		f.SndNxt += size
-		if infl := f.SndNxt - f.SndUna; infl > f.maxInflight {
-			f.maxInflight = infl
-		}
-		if v.Cfg.MarkECT && ip.ECN() == packet.NotECT {
-			ip.SetECN(packet.ECT0)
-		}
+	if len(tn.tq) == 0 && fitsLocked(f, p) {
+		v.admitLocked(f, p)
 		return p, nil
 	}
-	if tn.tqBytes+int(size) <= udpTunnelQueueCap {
+	if size := p.IPLen(); tn.tqBytes+size <= udpTunnelQueueCap {
 		// Retained: the flow owns the datagram until the window opens (the
 		// egress-hook contract lets a consumed packet be kept).
 		tn.tq = append(tn.tq, p)
-		tn.tqBytes += int(size)
+		tn.tqBytes += size
 		return nil, nil
 	}
 	v.Metrics.PolicingDrops.Inc()
@@ -104,39 +97,33 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 		return p, nil
 	}
 	key := FlowKey{Src: ip.Src(), Dst: ip.Dst(), SPort: u.SrcPort(), DPort: u.DstPort()}
-	f := v.flowFor(key)
-	if f == nil {
-		// Table full: deliver uncounted (no feedback stream for this flow).
-		if v.Cfg.StripECN && ip.ECN() != packet.NotECT {
-			ip.SetECN(packet.NotECT)
-			v.Metrics.ECNStripped.Inc()
-		}
-		return p, nil
-	}
-	f.mu.Lock()
-	f.isUDP = true
-	f.lastActive = v.Sim.Now()
-	f.TotalBytes += uint32(p.IPLen())
-	v.Metrics.DataBytes.Add(int64(p.IPLen()))
-	if ip.ECN() == packet.CE {
-		f.MarkedBytes += uint32(p.IPLen())
-		v.Metrics.CEBytes.Add(int64(p.IPLen()))
-	}
-	tn := f.tunnel()
-	needFb := f.TotalBytes-tn.fbLastTotal >= udpFeedbackBytes ||
-		(ip.ECN() == packet.CE) != tn.fbLastCE
 	var fb *packet.Packet
-	if needFb {
-		tn.fbLastTotal = f.TotalBytes
-		tn.fbLastCE = ip.ECN() == packet.CE
-		fb = v.buildUDPFeedbackLocked(f)
-		v.Metrics.FacksSent.Inc()
+	// A full table delivers the datagram uncounted: no feedback stream.
+	if f := v.flowFor(key); f != nil {
+		f.mu.Lock()
+		f.isUDP = true
+		f.lastActive = v.Sim.Now()
+		f.TotalBytes += uint32(p.IPLen())
+		v.Metrics.DataBytes.Add(int64(p.IPLen()))
+		ce := ip.ECN() == packet.CE
+		if ce {
+			f.MarkedBytes += uint32(p.IPLen())
+			v.Metrics.CEBytes.Add(int64(p.IPLen()))
+		}
+		if tn := f.tunnel(); f.TotalBytes-tn.fbLastTotal >= udpFeedbackBytes || ce != tn.fbLastCE {
+			tn.fbLastTotal, tn.fbLastCE = f.TotalBytes, ce
+			// TCP-formatted, so the peer datapath parses it with the same
+			// machinery, and addressed so its reverse lookup lands on the
+			// UDP flow entry.
+			fb = packet.BuildFACKIn(v.pool(), f.Key.Dst, f.Key.Src, packet.ECT0,
+				packet.TCPFields{SrcPort: f.Key.DPort, DstPort: f.Key.SPort},
+				packet.PACKInfo{TotalBytes: f.TotalBytes, MarkedBytes: f.MarkedBytes})
+			v.Metrics.FacksSent.Inc()
+		}
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
-
-	if v.Cfg.StripECN && ip.ECN() != packet.NotECT {
-		ip.SetECN(packet.NotECT) // guest datagram sockets never negotiated ECN
-		v.Metrics.ECNStripped.Inc()
+	if v.Cfg.StripECN {
+		v.stripECN(p, nil) // guest datagram sockets never negotiated ECN
 	}
 	if fb != nil {
 		v.Host.InjectToWire(fb)
@@ -144,70 +131,23 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 	return p, nil
 }
 
-// buildUDPFeedbackLocked crafts the control packet: TCP-formatted (so the
-// peer datapath parses it with the same machinery), carrying the counters
-// in an OptFACK option, addressed so the peer's reverse lookup lands on the
-// UDP flow entry. Caller holds f.mu.
-func (v *VSwitch) buildUDPFeedbackLocked(f *Flow) *packet.Packet {
-	var opt [packet.PACKOptionLen]byte
-	opt[0] = OptFACK
-	opt[1] = packet.PACKOptionLen
-	putU32(opt[2:6], f.TotalBytes)
-	putU32(opt[6:10], f.MarkedBytes)
-	fb := packet.BuildIn(v.pool(), f.Key.Dst, f.Key.Src, packet.ECT0, packet.TCPFields{
-		SrcPort: f.Key.DPort, DstPort: f.Key.SPort,
-		Flags: packet.FlagACK, Window: 0, Options: opt[:],
-	}, 0)
-	return fb
-}
-
-// processUDPFeedback runs the virtual congestion control over tunnel
-// feedback and drains the tunnel queue into the opened window.
+// processUDPFeedback runs the sender loop over tunnel feedback and drains the
+// tunnel queue into the opened window. The peer reports bytes received, not
+// an acknowledgement point, so SndUna advances by the total delta.
 func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
 	f.mu.Lock()
 	f.lastActive = v.Sim.Now()
-	totalDelta := info.TotalBytes - f.lastTotal
-	markedDelta := info.MarkedBytes - f.lastMarked
-	f.lastTotal = info.TotalBytes
-	f.lastMarked = info.MarkedBytes
-	f.windowTotal += totalDelta
-	f.windowMarked += markedDelta
-
-	f.SndUna += int64(totalDelta)
-	if f.SndUna > f.SndNxt {
-		f.SndUna = f.SndNxt
-	}
+	totalDelta, markedDelta, reset := v.creditFeedbackLocked(f, info)
+	f.SndUna = min(f.SndUna+int64(totalDelta), f.SndNxt)
 	if f.inactivity != nil {
 		f.inactivity.Reset(v.Cfg.VTimeout)
 	}
-
-	if f.SndUna >= f.alphaSeq {
-		var frac float64
-		if f.windowTotal > 0 {
-			frac = float64(f.windowMarked) / float64(f.windowTotal)
-			if frac > 1 { // corrupt feedback: marked can't exceed total
-				frac = 1
-			}
-		}
-		f.Alpha = (1-v.Cfg.G)*f.Alpha + v.Cfg.G*frac
-		f.windowTotal, f.windowMarked = 0, 0
-		f.alphaSeq = f.SndNxt
-		h := v.Metrics.hists[f.vcc]
-		h.cwnd.Observe(f.CwndBytes)
-		h.alpha.Observe(f.Alpha)
+	// No dupack loss signal, no RWND to enforce, no staleness freeze.
+	v.reactLocked(f, f.SndUna, int64(totalDelta), markedDelta, false, false, false)
+	if reset {
+		// The restarted peer will never report what it received before.
+		f.SndUna = f.SndNxt
 	}
-
-	cwndLimited := float64(f.maxInflight) >= f.CwndBytes-float64(f.MSS)
-	f.maxInflight = f.SndNxt - f.SndUna
-	if markedDelta > 0 {
-		v.cutWindow(f, f.SndUna, false) // once per window (guarded)
-		if totalDelta > 0 && cwndLimited {
-			f.law().OnAck(f, int64(totalDelta)) // keep growing between cuts
-		}
-	} else if totalDelta > 0 && cwndLimited {
-		f.law().OnAck(f, int64(totalDelta))
-	}
-	v.clampFlow(f)
 	out := v.drainTunnelLocked(f)
 	f.mu.Unlock()
 	for _, q := range out {
@@ -215,25 +155,30 @@ func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
 	}
 }
 
+// fitsLocked reports whether the window has room for p. Caller holds f.mu.
+func fitsLocked(f *Flow, p *packet.Packet) bool {
+	return f.SndNxt-f.SndUna+int64(p.IPLen()) <= int64(f.CwndBytes)
+}
+
+// admitLocked sends p into the window: its bytes are in flight and it leaves
+// ECN-capable. Caller holds f.mu.
+func (v *VSwitch) admitLocked(f *Flow, p *packet.Packet) {
+	f.SndNxt += int64(p.IPLen())
+	f.maxInflight = max(f.maxInflight, f.SndNxt-f.SndUna)
+	if v.Cfg.MarkECT && p.IP().ECN() == packet.NotECT {
+		p.IP().SetECN(packet.ECT0)
+	}
+}
+
 // drainTunnelLocked releases queued datagrams into the opened window.
 func (v *VSwitch) drainTunnelLocked(f *Flow) []*packet.Packet {
 	var out []*packet.Packet
 	tn := f.tunnel()
-	for len(tn.tq) > 0 {
+	for len(tn.tq) > 0 && fitsLocked(f, tn.tq[0]) {
 		p := tn.tq[0]
-		size := int64(p.IPLen())
-		if f.SndNxt-f.SndUna+size > int64(f.CwndBytes) {
-			break
-		}
 		tn.tq = tn.tq[1:]
-		tn.tqBytes -= int(size)
-		f.SndNxt += size
-		if infl := f.SndNxt - f.SndUna; infl > f.maxInflight {
-			f.maxInflight = infl
-		}
-		if v.Cfg.MarkECT && p.IP().ECN() == packet.NotECT {
-			p.IP().SetECN(packet.ECT0)
-		}
+		tn.tqBytes -= p.IPLen()
+		v.admitLocked(f, p)
 		out = append(out, p)
 	}
 	return out
@@ -247,11 +192,7 @@ func (v *VSwitch) onUDPTimeout(f *Flow) {
 		f.mu.Unlock()
 		return
 	}
-	v.Metrics.VTimeouts.Inc()
-	f.VTimeouts++
-	f.Alpha = v.Cfg.MaxAlpha
-	f.law().OnTimeout(f)
-	v.clampFlow(f)
+	v.collapseLocked(f)
 	f.SndUna = f.SndNxt // write off outstanding bytes
 	out := v.drainTunnelLocked(f)
 	f.inactivity.Reset(v.Cfg.VTimeout)

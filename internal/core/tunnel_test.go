@@ -147,6 +147,112 @@ func TestUDPPassthroughWithoutTunnelFlag(t *testing.T) {
 	}
 }
 
+// TestUDPTunnelPinsParentCommit pins the examples/udptunnel run (a 9 Gbps
+// UDP blaster against a TCP tenant on one 10G port, 300 ms) with the tunnel
+// off and on. No digest covers the tunnel, so this is what says a change to
+// the sender loop left it where it was.
+func TestUDPTunnelPinsParentCommit(t *testing.T) {
+	type result struct{ tcpBytes, udpBytes, fabricDrops, tunnelDrops, processed int64 }
+	run := func(tunnel bool) result {
+		ac := core.DefaultConfig()
+		ac.UDPTunnel = tunnel
+		net := topo.Star(3, topo.Options{
+			Guest: tcpstack.DefaultConfig(),
+			ACDC:  &ac,
+			RED:   netsim.REDConfig{MarkThresholdBytes: topo.DefaultMarkThreshold},
+		})
+		eps := make([]*udp.Endpoint, 3)
+		for i := range eps {
+			eps[i] = udp.NewEndpoint(net.Sim, net.Hosts[i])
+		}
+		tcp := workload.Bulk(workload.NewManager(net), 0, 2)
+		var r result
+		eps[2].OnRecv = func(_ packet.Addr, _, _ uint16, n int) { r.udpBytes += int64(n) }
+		eps[1].Blast(net.Addr(2), 6000, 7000, 8960, 9e9, 300*sim.Millisecond)
+		net.Sim.RunFor(300 * sim.Millisecond)
+		r.tcpBytes = tcp.Delivered()
+		r.fabricDrops = net.TotalDrops()
+		r.tunnelDrops = net.ACDC[1].Stats().PolicingDrops
+		r.processed = int64(net.Sim.Processed)
+		return r
+	}
+	want := map[bool]result{
+		false: {tcpBytes: 103561088, udpBytes: 268280320, fabricDrops: 7440, tunnelDrops: 0, processed: 263688},
+		true:  {tcpBytes: 144304768, udpBytes: 227351040, fabricDrops: 0, tunnelDrops: 11982, processed: 306641},
+	}
+	for _, tunnel := range []bool{false, true} {
+		if got := run(tunnel); got != want[tunnel] {
+			t.Errorf("tunnel=%v: got %+v, parent commit gave %+v", tunnel, got, want[tunnel])
+		}
+	}
+}
+
+// TestUDPTunnelPeerRestartRebaselines restarts the receiver's vSwitch under
+// a tunnel flow that has seen CE. The receiver module counts from zero again,
+// so the next FACK's cumulative counters go backwards. The sender must
+// re-baseline as a TCP flow does: count the reset, credit nothing to α, cut
+// nothing, and write off the bytes the old count never reported.
+func TestUDPTunnelPeerRestartRebaselines(t *testing.T) {
+	s := sim.New(1)
+	ha := netsim.NewHost(s, "a", packet.MakeAddr(10, 0, 0, 1))
+	hb := netsim.NewHost(s, "b", packet.MakeAddr(10, 0, 0, 2))
+	ha.NIC = netsim.NewLink(s, "a-nic", 10e9, sim.Microsecond, netsim.HandlerFunc(func(*packet.Packet) {}))
+	hb.NIC = netsim.NewLink(s, "b-nic", 10e9, sim.Microsecond, ha) // b's FACKs reach a
+	cfg := core.DefaultConfig()
+	cfg.UDPTunnel = true
+	a, b := core.Attach(s, ha, cfg), core.Attach(s, hb, cfg)
+
+	// A full initial window of datagrams leaves a; the link between them is
+	// played by hand, so each one reaches b exactly when the test says.
+	var inFlight []*packet.Packet
+	for i := 0; i < 10; i++ {
+		out, _ := a.EgressPath(packet.BuildUDP(ha.Addr, hb.Addr, packet.NotECT, 6000, 7000, 8960))
+		if out == nil {
+			t.Fatalf("datagram %d not admitted", i)
+		}
+		inFlight = append(inFlight, out)
+	}
+	deliver := func(ps []*packet.Packet, ce bool) {
+		for _, p := range ps {
+			if ce {
+				p.IP().SetECN(packet.CE)
+			}
+			b.IngressPath(p)
+		}
+		s.RunFor(100 * sim.Microsecond)
+	}
+	deliver(inFlight[:3], false)
+	deliver(inFlight[3:6], true)
+	f := a.Table.Get(core.FlowKey{Src: ha.Addr, Dst: hb.Addr, SPort: 6000, DPort: 7000})
+	before := f.Snapshot()
+	if before.SndUna == 0 || before.SndUna >= before.SndNxt {
+		t.Fatalf("before the restart: SndUna %d of SndNxt %d, want some but not all reported", before.SndUna, before.SndNxt)
+	}
+	if a.Stats().FacksConsumed == 0 || before.CwndBytes >= 10*9000 {
+		t.Fatalf("before the restart: %d FACKs, cwnd %v: the CE never cut", a.Stats().FacksConsumed, before.CwndBytes)
+	}
+
+	b.Restart(nil)
+	facks := a.Stats().FacksConsumed
+	deliver(inFlight[6:], false)
+	if a.Stats().FacksConsumed == facks {
+		t.Fatal("no FACK after the restart")
+	}
+	after := f.Snapshot()
+	if got := a.Stats().FeedbackResets; got != 1 {
+		t.Errorf("feedback_resets_total = %d, want 1", got)
+	}
+	if after.Alpha != before.Alpha {
+		t.Errorf("α %v → %v across the peer restart, want unchanged", before.Alpha, after.Alpha)
+	}
+	if after.CwndBytes != before.CwndBytes {
+		t.Errorf("cwnd %v → %v across the peer restart, want no cut", before.CwndBytes, after.CwndBytes)
+	}
+	if after.SndUna != after.SndNxt {
+		t.Errorf("SndUna %d, SndNxt %d: outstanding bytes not written off", after.SndUna, after.SndNxt)
+	}
+}
+
 func TestBuildUDPWireFormat(t *testing.T) {
 	p := packet.BuildUDP(packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2),
 		packet.ECT0, 1234, 5678, 9000)

@@ -1,40 +1,46 @@
 package core
 
-import "fmt"
+// Figure 5's constants: DCTCP's α EWMA gain g, the α assigned on loss and on
+// an inactivity timeout (max_alpha), the α a new flow starts from (1, as in
+// Linux DCTCP) and the virtual initial window in MSS.
+const (
+	alphaGain    = 1.0 / 16
+	maxAlpha     = 1.0
+	initAlpha    = 1.0
+	initCwndPkts = 10
+)
 
-// VirtualCC is the congestion-control law the vSwitch runs on behalf of the
-// guest. Implementations mutate f.CwndBytes/f.SsthreshBytes; the surrounding
-// machinery (α accounting, once-per-window guards, dupack detection,
-// inactivity timers) lives in the sender module and calls these hooks.
-type VirtualCC interface {
-	Name() string
-	Init(f *Flow)
-	// OnAck runs for every ACK that advances snd_una; ackedBytes is the
-	// newly acknowledged payload, congested reports whether this window has
-	// seen ECN feedback (used by algorithms that cut on ECN).
-	OnAck(f *Flow, ackedBytes int64)
-	// CutFactor returns the multiplicative-decrease factor in (0,1] applied
-	// at most once per window when congestion (ECN or loss) is detected.
-	CutFactor(f *Flow, loss bool) float64
-	// OnTimeout handles the inactivity (virtual RTO) event.
-	OnTimeout(f *Flow)
-}
-
-// vccLaws are the virtual CCs of this build. The laws are stateless, so a
-// flow names its law by index (Flow.vcc) and every flow shares one value.
-var vccLaws = [...]VirtualCC{&VDCTCP{}, &VReno{}}
-
-// vccID indexes vccLaws; the zero value is DCTCP, the default law.
+// vccID names the virtual congestion-control law the vSwitch runs on behalf
+// of a flow; the zero value is DCTCP, the default. Both laws grow as NewReno
+// in bytes (renoGrowBytes) and collapse alike on a timeout (collapseLocked):
+// they differ only in the cut.
 type vccID uint8
 
-// law returns the flow's virtual CC.
-func (f *Flow) law() VirtualCC { return vccLaws[f.vcc] }
+const (
+	vccDCTCP vccID = iota
+	vccReno        // loss/ECN halving: per-flow law assignment (§3.4), e.g. WAN flows
+)
 
-// lookupVCC resolves name in vccLaws, whose first entry is the default that
-// "" names.
+// vccNames indexes the laws' names by vccID.
+var vccNames = [...]string{"dctcp", "reno"}
+
+func (id vccID) String() string { return vccNames[id] }
+
+// cut is the law's multiplicative-decrease factor in [0,1], applied at most
+// once per window (cutWindow). For DCTCP it is Equation 1: 1 − α/2 at β=1, a
+// full α back-off at β=0; on loss the caller has pinned α to max_alpha. Reno
+// halves regardless of α.
+func (id vccID) cut(f *Flow) float64 {
+	if id == vccReno {
+		return 0.5
+	}
+	return max(0, 1-(f.Alpha-f.Alpha*f.Policy.Beta/2))
+}
+
+// lookupVCC resolves name in vccNames; "" names the default, DCTCP.
 func lookupVCC(name string) (vccID, bool) {
-	for i, x := range vccLaws {
-		if name == "" || x.Name() == name {
+	for i, n := range vccNames {
+		if name == "" || n == name {
 			return vccID(i), true
 		}
 	}
@@ -48,79 +54,8 @@ func vccKnown(name string) bool {
 	return ok
 }
 
-// NewVCC returns a virtual CC by name ("dctcp" or "reno").
-func NewVCC(name string) VirtualCC {
-	id, ok := lookupVCC(name)
-	if !ok {
-		panic(fmt.Sprintf("core: unknown virtual congestion control %q", name))
-	}
-	return vccLaws[id]
-}
-
-// VDCTCP is the paper's vSwitch DCTCP (Figure 5) with the β priority
-// extension (Equation 1). α itself is maintained by the sender module (it
-// needs PACK feedback plumbing); this type supplies growth and cut laws.
-type VDCTCP struct{}
-
-// Name implements VirtualCC.
-func (*VDCTCP) Name() string { return "dctcp" }
-
-// Init implements VirtualCC.
-func (*VDCTCP) Init(f *Flow) {}
-
-// OnAck implements VirtualCC: tcp_cong_avoid per Figure 5 — New Reno growth
-// in byte units.
-func (*VDCTCP) OnAck(f *Flow, acked int64) {
-	renoGrowBytes(f, acked)
-}
-
-// CutFactor implements VirtualCC: Equation 1. With β=1 this is DCTCP's
-// 1 − α/2; with β=0 the window backs off by the full α. On loss, α is
-// pinned to max_alpha by the caller before the cut.
-func (*VDCTCP) CutFactor(f *Flow, loss bool) float64 {
-	beta := f.Policy.Beta
-	factor := 1 - (f.Alpha - f.Alpha*beta/2)
-	if factor < 0 {
-		factor = 0
-	}
-	return factor
-}
-
-// OnTimeout implements VirtualCC: collapse to one MSS and slow-start.
-func (*VDCTCP) OnTimeout(f *Flow) {
-	f.SsthreshBytes = f.CwndBytes / 2
-	if f.SsthreshBytes < float64(2*f.MSS) {
-		f.SsthreshBytes = float64(2 * f.MSS)
-	}
-	f.CwndBytes = float64(f.MSS)
-}
-
-// VReno is a loss/ECN-halving virtual CC, demonstrating per-flow algorithm
-// assignment (§3.4: e.g. WAN flows on a different law than DC flows).
-type VReno struct{}
-
-// Name implements VirtualCC.
-func (*VReno) Name() string { return "reno" }
-
-// Init implements VirtualCC.
-func (*VReno) Init(f *Flow) {}
-
-// OnAck implements VirtualCC.
-func (*VReno) OnAck(f *Flow, acked int64) { renoGrowBytes(f, acked) }
-
-// CutFactor implements VirtualCC: classic halving regardless of α.
-func (*VReno) CutFactor(f *Flow, loss bool) float64 { return 0.5 }
-
-// OnTimeout implements VirtualCC.
-func (*VReno) OnTimeout(f *Flow) {
-	f.SsthreshBytes = f.CwndBytes / 2
-	if f.SsthreshBytes < float64(2*f.MSS) {
-		f.SsthreshBytes = float64(2 * f.MSS)
-	}
-	f.CwndBytes = float64(f.MSS)
-}
-
-// renoGrowBytes is slow start + congestion avoidance in byte units.
+// renoGrowBytes is slow start + congestion avoidance in byte units
+// (tcp_cong_avoid per Figure 5).
 func renoGrowBytes(f *Flow, acked int64) {
 	if f.CwndBytes < f.SsthreshBytes {
 		room := f.SsthreshBytes - f.CwndBytes

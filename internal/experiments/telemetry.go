@@ -26,30 +26,6 @@ type Telemetry struct {
 	ev  *sim.Event
 }
 
-// fleetSnapshot merges every attached vSwitch's registry into one view,
-// plus the fault injector's counters when a chaos profile is active and the
-// fabric's link-lifecycle/ECMP counters when the topology has one, so
-// injected degradation shows up next to the datapath reaction it caused.
-// ok is false when the net has no AC/DC modules (the CUBIC/DCTCP baselines).
-func fleetSnapshot(net *topo.Net) (snap metrics.Snapshot, ok bool) {
-	var snaps []metrics.Snapshot
-	for _, v := range net.ACDC {
-		if v != nil {
-			snaps = append(snaps, v.Metrics.Snapshot())
-		}
-	}
-	if len(snaps) == 0 {
-		return metrics.Snapshot{}, false
-	}
-	if net.Faults != nil {
-		snaps = append(snaps, net.Faults.Registry().Snapshot())
-	}
-	if net.HasFabric() {
-		snaps = append(snaps, net.FabricSnapshot())
-	}
-	return metrics.Merge(snaps...), true
-}
-
 // watchFleet starts a telemetry recorder ticking every interval of simulated
 // time. Returns nil when the net has no AC/DC vSwitches; every Telemetry
 // method is nil-safe so callers need not branch on the scheme.
@@ -58,13 +34,13 @@ func fleetSnapshot(net *topo.Net) (snap metrics.Snapshot, ok bool) {
 // experiment bounds execution with RunFor; Finish cancels the pending tick
 // so a drained simulator can still terminate.
 func watchFleet(net *topo.Net, label string, interval sim.Duration) *Telemetry {
-	if _, ok := fleetSnapshot(net); !ok {
+	if _, ok := net.FleetSnapshot(); !ok {
 		return nil
 	}
 	tl := &Telemetry{Label: label, Interval: interval, net: net}
 	var tick func()
 	tick = func() {
-		snap, _ := fleetSnapshot(net)
+		snap, _ := net.FleetSnapshot()
 		tl.Times = append(tl.Times, net.Sim.Now())
 		tl.Samples = append(tl.Samples, snap)
 		tl.ev = net.Sim.Schedule(interval, tick)
@@ -82,7 +58,7 @@ func (tl *Telemetry) Finish() {
 		tl.net.Sim.Cancel(tl.ev)
 		tl.ev = nil
 	}
-	tl.Final, _ = fleetSnapshot(tl.net)
+	tl.Final, _ = tl.net.FleetSnapshot()
 }
 
 // CEFraction returns CE-marked over total received payload bytes in the

@@ -314,9 +314,6 @@ func NewDomains(plans []FaultDomain, seed int64) *Domains {
 	}
 }
 
-// Plans returns the scheduled domains (defaults applied).
-func (ds *Domains) Plans() []FaultDomain { return ds.plans }
-
 // Registry exposes the domain counters for telemetry merging.
 func (ds *Domains) Registry() *metrics.Registry { return ds.reg }
 

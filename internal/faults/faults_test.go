@@ -103,12 +103,9 @@ func packACK() *packet.Packet {
 
 // fack builds a dedicated FACK feedback packet (pure ACK, OptFACK payload).
 func fack() *packet.Packet {
-	opt := []byte{optFACK, 10, 0, 0, 0x30, 0x39, 0, 0, 0x01, 0x41}
-	return packet.Build(packet.MakeAddr(10, 0, 0, 2), packet.MakeAddr(10, 0, 0, 1),
-		packet.NotECT, packet.TCPFields{
-			SrcPort: 5001, DstPort: 4000, Seq: 0, Ack: 0,
-			Flags: packet.FlagACK, Window: 0, Options: opt,
-		}, 0)
+	return packet.BuildFACKIn(nil, packet.MakeAddr(10, 0, 0, 2), packet.MakeAddr(10, 0, 0, 1),
+		packet.NotECT, packet.TCPFields{SrcPort: 5001, DstPort: 4000},
+		packet.PACKInfo{TotalBytes: 12345, MarkedBytes: 321})
 }
 
 // runHook passes p through an injector hook and returns the delivered copies
@@ -262,15 +259,6 @@ func TestHookDropFeedback(t *testing.T) {
 	out, _ = runHook(in, syn)
 	if len(out) != 1 {
 		t.Error("feedback-loss dropped a SYN")
-	}
-}
-
-// TestFACKKindMatchesCore pins the locally duplicated option kind to the
-// datapath's via the one collision-safe witness we have: OptECNEcho shares
-// the kind number by design (SYN-only vs pure-ACK-only).
-func TestFACKKindMatchesCore(t *testing.T) {
-	if optFACK != packet.OptECNEcho {
-		t.Fatalf("optFACK = %d, want %d (see core.OptFACK)", optFACK, packet.OptECNEcho)
 	}
 }
 

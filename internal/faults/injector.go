@@ -9,12 +9,6 @@ import (
 	"acdc/internal/sim"
 )
 
-// optFACK mirrors core.OptFACK (the dedicated feedback packet's option
-// kind). Duplicated here rather than imported so the fault layer stays below
-// internal/core in the dependency graph; the datapath's own tests pin the
-// two constants together.
-const optFACK = 254
-
 // Injector compiles a Profile into link fault hooks. All randomness comes
 // from one PRNG seeded at construction, and the simulator executes events
 // deterministically, so a chaos run is a pure function of (topology,
@@ -162,7 +156,7 @@ func (in *Injector) dropFeedback(p *packet.Packet) bool {
 		return false
 	}
 	// Dedicated FACK: a pure ACK whose only job is carrying feedback.
-	if fb := packet.FindOption(opts, optFACK); fb != nil && len(fb) >= 8 {
+	if _, ok := packet.ParsePACK(packet.FindOption(opts, packet.OptFACK)); ok {
 		if in.rng.Float64() < in.prof.DropFeedback {
 			in.fbDrops.Inc()
 			return true

@@ -32,7 +32,7 @@ import (
 
 // RestartTarget is the surface the scheduler drives. *core.VSwitch
 // implements it; the interface keeps this package below internal/core in
-// the dependency graph (same reason optFACK is duplicated).
+// the dependency graph.
 type RestartTarget interface {
 	// SaveSnapshot checkpoints the flow table.
 	SaveSnapshot() []byte

@@ -84,9 +84,6 @@ func (p IPv4) SetTotalLen(v uint16) {
 	p.setChecksum(UpdateChecksum16(p.Checksum(), old, v))
 }
 
-// TOS returns the type-of-service byte (DSCP + ECN).
-func (p IPv4) TOS() uint8 { return p[1] }
-
 // ECN returns the ECN codepoint.
 func (p IPv4) ECN() ECN { return ECN(p[1] & 0x3) }
 
@@ -119,20 +116,6 @@ func (p IPv4) Src() Addr { return Addr(binary.BigEndian.Uint32(p[12:16])) }
 
 // Dst returns the destination address.
 func (p IPv4) Dst() Addr { return Addr(binary.BigEndian.Uint32(p[16:20])) }
-
-// SetSrc rewrites the source address and recomputes the header checksum.
-// (Used by NAT-style tests; the AC/DC datapath itself never rewrites
-// addresses.) Note: the TCP pseudo-header checksum must be fixed separately.
-func (p IPv4) SetSrc(a Addr) {
-	binary.BigEndian.PutUint32(p[12:16], uint32(a))
-	p.ComputeChecksum()
-}
-
-// SetDst rewrites the destination address and recomputes the header checksum.
-func (p IPv4) SetDst(a Addr) {
-	binary.BigEndian.PutUint32(p[16:20], uint32(a))
-	p.ComputeChecksum()
-}
 
 // Checksum returns the header checksum field.
 func (p IPv4) Checksum() uint16 { return binary.BigEndian.Uint16(p[10:12]) }

@@ -16,6 +16,11 @@ const (
 	// running totals of received and CE-marked bytes: 8 bytes of data, as in
 	// the paper ("adding an additional 8 bytes as a TCP Option").
 	OptPACK = 253 // length 10
+	// OptFACK marks a dedicated Fake ACK feedback packet (BuildFACKIn): the
+	// PACK layout under its own kind, on a packet the peer's sender module
+	// consumes after extracting the feedback. It shares kind 254 with
+	// OptECNEcho, which only SYNs carry and a FACK never is.
+	OptFACK = 254 // length 10
 	// OptECNEcho marks a reserved-bit substitute: AC/DC uses a reserved
 	// header bit to remember whether the guest's SYN negotiated ECN; we
 	// carry it as a 2-byte option on SYN packets only.
@@ -196,7 +201,17 @@ func EncodePACK(dst []byte, info PACKInfo) int {
 	return PACKOptionLen
 }
 
-// ParsePACK decodes a PACK option payload (as returned by FindOption).
+// BuildFACKIn builds a dedicated feedback packet from pl: a pure ACK with f's
+// ports, sequence numbers and window, carrying info under OptFACK.
+func BuildFACKIn(pl *Pool, src, dst Addr, ecn ECN, f TCPFields, info PACKInfo) *Packet {
+	var opt [PACKOptionLen]byte
+	EncodePACK(opt[:], info)
+	opt[0] = OptFACK
+	f.Flags, f.Options = FlagACK, opt[:]
+	return BuildIn(pl, src, dst, ecn, f, 0)
+}
+
+// ParsePACK decodes a PACK or FACK option payload (as returned by FindOption).
 func ParsePACK(data []byte) (PACKInfo, bool) {
 	if len(data) < 8 {
 		return PACKInfo{}, false

@@ -11,7 +11,6 @@ const (
 	FlagRST uint8 = 1 << 2
 	FlagPSH uint8 = 1 << 3
 	FlagACK uint8 = 1 << 4
-	FlagURG uint8 = 1 << 5
 	FlagECE uint8 = 1 << 6
 	FlagCWR uint8 = 1 << 7
 )
@@ -66,16 +65,6 @@ func (t TCP) ClearFlags(mask uint8) {
 	old := t[13]
 	t[13] &^= mask
 	t.setChecksum(UpdateChecksum8Pair(t.Checksum(), old, t[13], false))
-}
-
-// SetSeq overwrites the sequence number, incrementally fixing the checksum
-// (two 16-bit word substitutions, RFC 1624 style — same arithmetic as
-// SetWindow).
-func (t TCP) SetSeq(v uint32) {
-	old := binary.BigEndian.Uint32(t[4:8])
-	binary.BigEndian.PutUint32(t[4:8], v)
-	c := UpdateChecksum16(t.Checksum(), uint16(old>>16), uint16(v>>16))
-	t.setChecksum(UpdateChecksum16(c, uint16(old), uint16(v)))
 }
 
 // Window returns the (unscaled) receive window field.

@@ -508,7 +508,9 @@ func (st *trialState) collect(s Spec, start []int64) (map[string]float64, metric
 	out["drop_rate"] = st.net.DropRate()
 	out["audit_violations"] = float64(st.net.AuditViolations())
 
-	snap, ok := fleetSnapshot(st.net)
+	// The fleet view includes the fabric's counters, whose names no headline
+	// counter shares; schemes without vSwitches get the fabric's alone.
+	snap, ok := st.net.FleetSnapshot()
 	if ok {
 		if rx := snap.Counter("rx_data_bytes_total"); rx > 0 {
 			out["ce_fraction"] = float64(snap.Counter("rx_ce_bytes_total")) / float64(rx)
@@ -522,7 +524,9 @@ func (st *trialState) collect(s Spec, start []int64) (map[string]float64, metric
 		for _, kv := range fabricCounters {
 			out[kv[0]] = float64(fsnap.Counter(kv[1]))
 		}
-		snap = metrics.Merge(snap, fsnap)
+		if !ok {
+			snap = metrics.Merge(snap, fsnap)
+		}
 	}
 	return out, snap
 }
@@ -532,24 +536,4 @@ func merge(dst, src *stats.Sample) {
 	for _, pt := range src.CDF(src.N()) {
 		dst.Add(pt[0])
 	}
-}
-
-// fleetSnapshot merges every attached vSwitch's registry (plus the fault
-// injector's, when active) into one view — the per-trial telemetry the suite
-// aggregates across trials with metrics.Merge. ok is false for schemes
-// without AC/DC modules.
-func fleetSnapshot(net *topo.Net) (metrics.Snapshot, bool) {
-	var snaps []metrics.Snapshot
-	for _, v := range net.ACDC {
-		if v != nil {
-			snaps = append(snaps, v.Metrics.Snapshot())
-		}
-	}
-	if len(snaps) == 0 {
-		return metrics.Snapshot{}, false
-	}
-	if net.Faults != nil {
-		snaps = append(snaps, net.Faults.Registry().Snapshot())
-	}
-	return metrics.Merge(snaps...), true
 }

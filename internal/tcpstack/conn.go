@@ -214,9 +214,6 @@ func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.state >= StateEstablished && c.state != StateClosed }
-
 // LocalPort returns the local port.
 func (c *Conn) LocalPort() uint16 { return c.key.localPort() }
 

@@ -1,10 +1,10 @@
 package topo
 
-// Multi-path fabric builders: the k-ary fat-tree (Al-Fares et al.) and the
-// two-tier leaf-spine, both forwarding over seeded ECMP at every switch with
-// equal-cost uplinks. These are the topologies where the fabric fault
-// domains (Env.Fabric) become interesting: a downed uplink re-hashes
-// surviving flows onto live paths instead of severing the only route.
+// The multi-path fabric builder: the k-ary fat-tree (Al-Fares et al.),
+// forwarding over seeded ECMP at every switch with equal-cost uplinks. This
+// is the topology where the fabric fault domains (Env.Fabric) become
+// interesting: a downed uplink re-hashes surviving flows onto live paths
+// instead of severing the only route.
 
 import (
 	"fmt"
@@ -165,55 +165,6 @@ func FatTree(cfg FatTreeConfig, o Options) *Net {
 type switchRef struct {
 	sw      *netsim.Switch
 	uplinks []int
-}
-
-// LeafSpine builds a two-tier Clos: `leaves` ToRs each hosting
-// hostsPerLeaf hosts, fully meshed to `spines` spine switches. Leaves ECMP
-// over every spine; spines hold exact down-routes. Names: "leaf{i}",
-// "spine{j}", hosts "h{idx}" with idx = leaf*hostsPerLeaf + slot.
-func LeafSpine(leaves, spines, hostsPerLeaf int, o Options) *Net {
-	if leaves < 1 || spines < 1 || hostsPerLeaf < 1 {
-		panic(fmt.Sprintf("topo: leaf-spine needs leaves/spines/hostsPerLeaf >= 1, got %d/%d/%d",
-			leaves, spines, hostsPerLeaf))
-	}
-	net := newNet(o)
-	net.fabric = true
-	leaf := make([]*switchRef, leaves)
-	for i := range leaf {
-		leaf[i] = &switchRef{sw: net.addSwitch(fmt.Sprintf("leaf%d", i))}
-	}
-	spine := make([]*switchRef, spines)
-	for j := range spine {
-		spine[j] = &switchRef{sw: net.addSwitch(fmt.Sprintf("spine%d", j))}
-	}
-	spineDownToLeaf := make([][]int, spines)
-	for j := range spineDownToLeaf {
-		spineDownToLeaf[j] = make([]int, leaves)
-	}
-	for i := 0; i < leaves; i++ {
-		for j := 0; j < spines; j++ {
-			up, down := net.connectSwitches(leaf[i].sw, spine[j].sw)
-			leaf[i].uplinks = append(leaf[i].uplinks, up)
-			spineDownToLeaf[j][i] = down
-		}
-	}
-	for i := 0; i < leaves; i++ {
-		for s := 0; s < hostsPerLeaf; s++ {
-			idx := i*hostsPerLeaf + s
-			net.addHost(leaf[i].sw, hostAddr(idx), fmt.Sprintf("h%d", idx))
-		}
-		leaf[i].sw.SetDefaultEcmp(leaf[i].uplinks...)
-	}
-	for j := 0; j < spines; j++ {
-		for i := 0; i < leaves; i++ {
-			for s := 0; s < hostsPerLeaf; s++ {
-				spine[j].sw.AddRoute(hostAddr(i*hostsPerLeaf+s), spineDownToLeaf[j][i])
-			}
-		}
-	}
-	net.seedEcmp()
-	net.armEnv()
-	return net
 }
 
 // seedEcmp gives every switch a distinct hash seed derived from the run

@@ -181,31 +181,6 @@ func TestFatTreeDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestLeafSpineShapeAndConnectivity(t *testing.T) {
-	net := LeafSpine(3, 2, 2, Options{})
-	if len(net.Hosts) != 6 || len(net.Switches) != 5 {
-		t.Fatalf("leaf-spine built %d hosts / %d switches", len(net.Hosts), len(net.Switches))
-	}
-	sinks := make([]*sink, len(net.Hosts))
-	for i, h := range net.Hosts {
-		sinks[i] = &sink{}
-		h.Demux = sinks[i]
-	}
-	for i := range net.Hosts {
-		for j := range net.Hosts {
-			if i != j {
-				sendRaw(net, i, j, 5000+i)
-			}
-		}
-	}
-	net.Sim.RunAll()
-	for j, k := range sinks {
-		if len(k.got) != len(net.Hosts)-1 {
-			t.Fatalf("host %d received %d, want %d", j, len(k.got), len(net.Hosts)-1)
-		}
-	}
-}
-
 func TestLinksMatchingAndSwitchLinks(t *testing.T) {
 	net := FatTree(FatTreeConfig{K: 4}, Options{})
 	if got := net.LinksMatching("p0-tor0>p0-agg0"); len(got) != 1 {

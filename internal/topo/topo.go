@@ -96,7 +96,7 @@ type Net struct {
 	Links    []*netsim.Link   // every link in creation order (fault-domain targets)
 	Domains  *faults.Domains  // nil when no fabric fault domains are armed
 	Opts     Options
-	fabric   bool // true for multi-path builders (fat-tree / leaf-spine)
+	fabric   bool // true for the multi-path builder (fat-tree)
 }
 
 // Stack returns host i's guest stack.
@@ -396,6 +396,30 @@ func (n *Net) FabricSnapshot() metrics.Snapshot {
 		snap = metrics.Merge(snap, n.Domains.Registry().Snapshot())
 	}
 	return snap
+}
+
+// FleetSnapshot merges every attached vSwitch's registry into one view, plus
+// the fault injector's counters when a chaos profile is active and the
+// fabric's when the topology has one (HasFabric), so injected degradation
+// shows up next to the datapath reaction it caused. ok is false when the net
+// has no AC/DC modules (the CUBIC/DCTCP baselines).
+func (n *Net) FleetSnapshot() (snap metrics.Snapshot, ok bool) {
+	var snaps []metrics.Snapshot
+	for _, v := range n.ACDC {
+		if v != nil {
+			snaps = append(snaps, v.Metrics.Snapshot())
+		}
+	}
+	if len(snaps) == 0 {
+		return metrics.Snapshot{}, false
+	}
+	if n.Faults != nil {
+		snaps = append(snaps, n.Faults.Registry().Snapshot())
+	}
+	if n.HasFabric() {
+		snaps = append(snaps, n.FabricSnapshot())
+	}
+	return metrics.Merge(snaps...), true
 }
 
 func hostAddr(i int) packet.Addr {

@@ -54,11 +54,6 @@ type StrideConfig struct {
 	MicePeriod sim.Duration // paper: 100ms
 }
 
-// DefaultStride returns the paper's parameters.
-func DefaultStride() StrideConfig {
-	return StrideConfig{N: 17, BgBytes: 512 << 20, MiceBytes: 16 << 10, MicePeriod: 100 * sim.Millisecond}
-}
-
 // Stride launches the concurrent-stride workload: server i sends BgBytes to
 // servers [i+1, i+4] mod N sequentially in a loop, and MiceBytes to server
 // (i+8) mod N every MicePeriod.
@@ -104,11 +99,6 @@ type ShuffleConfig struct {
 	Concurrency int
 	MiceBytes   int64
 	MicePeriod  sim.Duration
-}
-
-// DefaultShuffle returns the paper's parameters.
-func DefaultShuffle() ShuffleConfig {
-	return ShuffleConfig{N: 17, BgBytes: 512 << 20, Concurrency: 2, MiceBytes: 16 << 10, MicePeriod: 100 * sim.Millisecond}
 }
 
 // Shuffle launches the shuffle workload. onDone (optional) fires when every
@@ -174,11 +164,6 @@ type TraceConfig struct {
 	Dist          *trace.Dist
 	// MiceCutoff classifies a message as mice for FCT reporting (paper: 10KB).
 	MiceCutoff int64
-}
-
-// DefaultTrace returns the paper's parameters over the given distribution.
-func DefaultTrace(d *trace.Dist) TraceConfig {
-	return TraceConfig{N: 17, AppsPerServer: 5, Dist: d, MiceCutoff: 10 << 10}
 }
 
 // TraceDriven launches the trace-driven workload.
