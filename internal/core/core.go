@@ -383,7 +383,8 @@ func (v *VSwitch) newFlowRestored(k FlowKey) *Flow {
 
 // buildFlow is the shared flow construction: policy resolution, virtual-CC
 // setup, initial window. Everything it touches is goroutine-safe (atomic
-// policy overrides, striped counters, the metrics histogram mutex). f is new
+// policy overrides; metrics are one atomic word per counter and histogram
+// bucket, with one writer on the datapath). f is new
 // or recycled: all of it but the mutex and the stopped inactivity timer is
 // overwritten, under f.mu because a policy install that found the record
 // under its previous key may be waiting on it.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -578,5 +579,29 @@ func TestDetachRestoresPassthrough(t *testing.T) {
 func TestFlowSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Flow{}); n > 256 {
 		t.Fatalf("Flow is %d bytes, over the 256-byte size class", n)
+	}
+}
+
+// TestAttachFootprint pins a vSwitch's fixed cost before its first flow. Its
+// metrics are most of it, so the bound holds only while every counter and
+// histogram bucket is one atomic word (cache-line-padded cells cost 16 kB).
+func TestAttachFootprint(t *testing.T) {
+	const n, limit = 200, 6656 // 6.5 kB
+	s := sim.New(1)
+	hosts := make([]*netsim.Host, n)
+	for i := range hosts {
+		hosts[i] = netsim.NewHost(s, "h", packet.MakeAddr(10, 0, byte(i>>8), byte(i)))
+	}
+	vs := make([]*VSwitch, n)
+	cfg := DefaultConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, h := range hosts {
+		vs[i] = Attach(s, h, cfg)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(vs)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > limit {
+		t.Fatalf("Attach allocates %d B per vSwitch, want ≤ %d", per, limit)
 	}
 }

@@ -9,15 +9,17 @@
 //
 // Design constraints, in order:
 //
-//   - Update cost. Counter.Add is a single atomic add on a cache-line-padded
-//     stripe chosen per goroutine; there are no locks, maps, or allocations
-//     anywhere on the update path. Registration (Registry.Counter etc.)
-//     takes a mutex, so callers resolve instruments once at setup and hold
-//     the handles.
-//   - Concurrency. All instruments are safe for concurrent update and
-//     concurrent Snapshot; snapshots are internally consistent per
-//     instrument (not across instruments, which would require stopping the
-//     world).
+//   - Update cost. Every counter and histogram bucket is one atomic word;
+//     the datapath has one writer, so nothing is padded or striped, and
+//     Counter.Add is a single atomic add. There are no locks, maps, or
+//     allocations anywhere on the update path. Registration
+//     (Registry.Counter etc.) takes a mutex, so callers resolve instruments
+//     once at setup and hold the handles.
+//   - Concurrency. All instruments stay safe for concurrent update and
+//     concurrent Snapshot, because every update is still an atomic add. A
+//     histogram snapshot derives Count from the bucket counts it loaded, so
+//     Count always equals their sum; consistency does not extend across
+//     instruments, which would require stopping the world.
 //   - Nil tolerance. Every instrument method is a no-op on a nil receiver
 //     and every Registry constructor returns nil from a nil registry, so a
 //     datapath can be compiled with metrics disabled by simply not creating
@@ -29,35 +31,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// numStripes is the number of cache-line-padded cells per Counter. Eight
-// stripes are enough to keep the handful of goroutines a vSwitch datapath
-// runs on (one per NIC queue) off each other's cache lines.
-const numStripes = 8
-
-// stripePad is an atomic int64 padded to a cache line so adjacent stripes
-// never share one (false sharing is the whole point of striping).
-type stripePad struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// stripeIndex derives a cheap, well-distributed stripe index from the
-// address of a stack variable: goroutines have distinct stacks, so
-// concurrent writers spread across stripes, while a single goroutine keeps
-// hitting the same cache line. Go exposes no portable processor or
-// goroutine ID; this is the stdlib-only substitute. The uintptr conversion
-// does not let the pointer escape, so the marker stays on the stack.
-func stripeIndex() uint64 {
-	var marker byte
-	return (uint64(uintptr(unsafe.Pointer(&marker))) >> 10) % numStripes
-}
-
-// Counter is a monotonically increasing striped atomic counter.
+// Counter is a monotonically increasing atomic counter: one word.
 type Counter struct {
-	stripes [numStripes]stripePad
+	v atomic.Int64
 }
 
 // Add adds d to the counter. No-op on a nil receiver.
@@ -65,22 +43,18 @@ func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	c.stripes[stripeIndex()].v.Add(d)
+	c.v.Add(d)
 }
 
 // Inc adds one to the counter. No-op on a nil receiver.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums the stripes. Returns 0 on a nil receiver.
+// Value returns the count. Returns 0 on a nil receiver.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var t int64
-	for i := range c.stripes {
-		t += c.stripes[i].v.Load()
-	}
-	return t
+	return c.v.Load()
 }
 
 // LazyCounter is a counter that registers itself in its registry only on the
@@ -169,19 +143,19 @@ func (g *Gauge) Value() int64 {
 // Histogram accumulates observations into fixed buckets. Bounds are the
 // inclusive upper edges of the first len(Bounds) buckets; one overflow
 // bucket catches everything above the last bound. Observe is lock-free: a
-// linear scan over the (small) bound slice plus two atomic adds.
+// linear scan over the (small) bound slice, one atomic add and a CAS on the
+// sum. There is no separate count: it is the sum of the buckets.
 type Histogram struct {
 	bounds  []float64
-	buckets []stripePad // len(bounds)+1, padded: buckets are contended
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-updated
+	buckets []atomic.Int64 // len(bounds)+1
+	sumBits atomic.Uint64  // float64 bits, CAS-updated
 }
 
 // newHistogram copies bounds (must be ascending).
 func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, buckets: make([]stripePad, len(b)+1)}
+	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
 }
 
 // Observe records x. No-op on a nil receiver.
@@ -193,8 +167,7 @@ func (h *Histogram) Observe(x float64) {
 	for i < len(h.bounds) && x > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].v.Add(1)
-	h.count.Add(1)
+	h.buckets[i].Add(1)
 	for {
 		old := h.sumBits.Load()
 		nv := floatBits(bitsFloat(old) + x)
@@ -207,16 +180,17 @@ func (h *Histogram) Observe(x float64) {
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
-// snapshot copies the histogram state.
+// snapshot copies the histogram state. Count is the sum of the bucket counts
+// just loaded, so a snapshot racing Observe never has Count ≠ Σ Counts.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.buckets)),
-		Count:  h.count.Load(),
 		Sum:    bitsFloat(h.sumBits.Load()),
 	}
 	for i := range h.buckets {
-		s.Counts[i] = h.buckets[i].v.Load()
+		s.Counts[i] = h.buckets[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

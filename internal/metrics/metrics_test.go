@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -101,6 +102,55 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := s.Histograms["h"].Count; got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
+	}
+}
+
+// TestHistogramSnapshotNeverTears races Observe against Snapshot: every
+// snapshot must have Count == Σ Counts. A Count that ran ahead of the buckets
+// walked Quantile off the end and reported the last bound as the p99.
+func TestHistogramSnapshotNeverTears(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", []float64{1, 2, 4})
+	const observers, snaps = 2, 20000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < observers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64(i % 6))
+			}
+		}()
+	}
+	torn := 0
+	for i := 0; i < snaps; i++ {
+		s := r.Snapshot().Histograms["h"]
+		var sum int64
+		for _, c := range s.Counts {
+			sum += c
+		}
+		if s.Count != sum {
+			torn++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of %d snapshots had Count ≠ Σ Counts", torn, snaps)
+	}
+}
+
+// TestCounterSizeClass keeps a Counter at one word: a vSwitch registers
+// dozens of them, and the datapath has one writer, so padding buys nothing.
+func TestCounterSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Counter{}); n != 8 {
+		t.Fatalf("Counter is %d bytes, want 8", n)
 	}
 }
 
