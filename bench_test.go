@@ -11,7 +11,6 @@ package acdc
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"testing"
 
 	"acdc/internal/core"
@@ -202,54 +201,6 @@ func BenchmarkAblationChecksum(b *testing.B) {
 			binary.BigEndian.PutUint16(p.Buf[packet.IPv4HeaderLen+14:], uint16(i))
 			t.ComputeChecksum(ps)
 		}
-	})
-}
-
-// BenchmarkAblationFlowTable compares the sharded flow table against a
-// single-mutex map under parallel lookups (why §4 uses RCU/sharding).
-func BenchmarkAblationFlowTable(b *testing.B) {
-	keys := make([]core.FlowKey, 10000)
-	for i := range keys {
-		keys[i] = core.FlowKey{Src: packet.Addr(i), Dst: packet.Addr(i + 1),
-			SPort: uint16(i), DPort: 80}
-	}
-	// Key is a promoted field of Flow, so it cannot be set in a literal.
-	flow := func(k core.FlowKey) *core.Flow {
-		f := new(core.Flow)
-		f.Key = k
-		return f
-	}
-	b.Run("sharded", func(b *testing.B) {
-		b.SetParallelism(16) // OVS serves many NIC queues; oversubscribe cores
-		tb := core.NewTable()
-		for _, k := range keys {
-			k := k
-			tb.GetOrCreate(k, func() *core.Flow { return flow(k) })
-		}
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				tb.Get(keys[i%len(keys)])
-				i++
-			}
-		})
-	})
-	b.Run("global-mutex", func(b *testing.B) {
-		b.SetParallelism(16)
-		var mu sync.Mutex
-		mp := make(map[core.FlowKey]*core.Flow, len(keys))
-		for _, k := range keys {
-			mp[k] = flow(k)
-		}
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				mu.Lock()
-				_ = mp[keys[i%len(keys)]]
-				mu.Unlock()
-				i++
-			}
-		})
 	})
 }
 

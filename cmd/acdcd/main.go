@@ -103,7 +103,7 @@ func main() {
 	defer cancel()
 	_ = srv.Shutdown(ctx)
 	d.Stop()
-	st := d.StatusNow()
+	st, _ := d.StatusNow() // the loop has exited: answered inline, never busy
 	log.Printf("acdcd: stopped at virtual %s (%d policy updates, %d restarts, degraded=%q)",
 		st.SimNow, st.PolicyUpdates, st.Restarts, st.Degraded)
 }

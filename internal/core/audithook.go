@@ -11,9 +11,9 @@ import "acdc/internal/packet"
 // structs are only populated inside `if v.Audit != nil` guards and passed by
 // value (stack-only).
 //
-// All flow-scoped events (AckEvent, CutEvent, PoliceEvent) are delivered
-// with the flow lock held; implementations must not call back into the
-// VSwitch, the Table, or the flow. Key is safe to read (immutable).
+// All flow-scoped events (AckEvent, CutEvent, PoliceEvent) are delivered in
+// the middle of the datapath's work on the flow; implementations must not
+// call back into the VSwitch, the Table, or the flow.
 
 // AuditDir distinguishes the two datapath hooks in packet events.
 type AuditDir uint8
@@ -43,11 +43,11 @@ type Auditor interface {
 	// do before/after comparisons (window widening) apply.
 	PacketEvent(v *VSwitch, dir AuditDir, pre PacketPre, out, extra *packet.Packet, outIsInput bool)
 	// AckEvent fires once per sender-module ACK processing pass, after all
-	// state updates and the enforcement decision. Flow lock held.
+	// state updates and the enforcement decision.
 	AckEvent(v *VSwitch, e AckEvent)
-	// CutEvent fires on every multiplicative decrease. Flow lock held.
+	// CutEvent fires on every multiplicative decrease.
 	CutEvent(v *VSwitch, e CutEvent)
-	// PoliceEvent fires when policing drops an egress segment. Flow lock held.
+	// PoliceEvent fires when policing drops an egress segment.
 	PoliceEvent(v *VSwitch, e PoliceEvent)
 }
 

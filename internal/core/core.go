@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"acdc/internal/metrics"
 	"acdc/internal/netsim"
@@ -84,7 +82,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// VSwitch is one host's AC/DC datapath instance (the OVS modification).
+// VSwitch is one host's AC/DC datapath instance (the OVS modification). Like
+// everything simulated, it belongs to the simulation goroutine: a caller on
+// another goroutine (the daemon's admin API) reaches it through that
+// goroutine's command queue.
 type VSwitch struct {
 	Sim   *sim.Simulator
 	Host  *netsim.Host
@@ -102,9 +103,8 @@ type VSwitch struct {
 	OnRwndComputed func(f *Flow, rwndBytes int64, overwrote bool)
 
 	// Audit, when non-nil, receives packet and state-transition events for
-	// invariant checking (internal/audit). Set it before traffic flows (it
-	// is read without synchronization from the datapath). Nil costs the hot
-	// path one branch and zero allocations.
+	// invariant checking (internal/audit). Nil costs the hot path one branch
+	// and zero allocations.
 	Audit Auditor
 
 	lastSweep  sim.Time
@@ -119,36 +119,24 @@ type VSwitch struct {
 	evictCursor  int
 	evictRetryAt sim.Time
 
-	// parked is the free list of flow records, owned by the simulation
-	// goroutine: the GC predicates put what they remove on it (retire) and
-	// newFlow takes it back. created counts newFlow calls since the last
-	// sweep; every sweep trims the list to it (trimParked), so demand bounds
-	// what is held, not the high-water mark. ARCHITECTURE.md "Flow records".
+	// parked is the free list of flow records: the GC predicates put what
+	// they remove on it (retire) and newFlow takes it back. created counts
+	// newFlow calls since the last sweep; every sweep trims the list to it
+	// (trimParked), so demand bounds what is held, not the high-water mark.
+	// ARCHITECTURE.md "Flow records".
 	parked  []*Flow
 	created int
 
-	// attached gates the datapath hooks. Attach installs stable wrapper
-	// funcs on the host exactly once and never swaps them again; Detach and
-	// Reattach flip this flag instead, so a control-plane goroutine can
-	// detach the module while packets are mid-hook without racing the
-	// per-packet hook reads.
-	attached atomic.Bool
+	// attached gates the datapath hooks, which Attach installs on the host
+	// once; Detach and Reattach flip it.
+	attached bool
 
 	// overrides is the live per-flow policy table installed through
-	// InstallPolicy (the daemon's policy stream). It is copy-on-write: the
-	// datapath reads the current map with one atomic load at flow setup,
-	// and installs swap in a fresh map, so a policy push never blocks or
-	// races an in-flight packet.
-	overrides atomic.Pointer[map[FlowKey]*Policy]
+	// InstallPolicy (the daemon's policy stream), read at flow setup.
+	overrides map[FlowKey]*Policy
 
 	// interned holds the policies flows share (intern).
-	internMu sync.Mutex
 	interned map[Policy]*Policy
-
-	// sweepArm requests a sweep-timer arm from a goroutine that must not
-	// touch the simulator (snapshot restore under live traffic). The
-	// datapath consumes it in maybeSweep, on the simulation goroutine.
-	sweepArm atomic.Bool
 }
 
 // Attach creates an AC/DC module on host and installs its datapath hooks.
@@ -165,30 +153,28 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 10 * sim.Second
 	}
-	v := &VSwitch{Sim: s, Host: host, Cfg: cfg, Table: NewTable(),
+	v := &VSwitch{Sim: s, Host: host, Cfg: cfg, Table: NewTable(), attached: true,
 		Metrics: NewDatapathMetrics(metrics.NewRegistry()), interned: map[Policy]*Policy{}}
 	if cfg.SweepInterval > 0 {
 		v.sweepTimer = sim.NewTimer(s, v.onSweepTick)
 	}
-	v.attached.Store(true)
 	host.Egress = v.egressHook
 	host.Ingress = v.ingressHook
 	return v
 }
 
-// egressHook and ingressHook are the stable functions installed on the host.
-// They stay installed for the vSwitch's lifetime; Detach/Reattach flip the
-// attached flag, which costs the per-packet path one atomic load and makes
-// live detach safe against concurrent traffic (a nil-ing field swap is not).
+// egressHook and ingressHook are the functions installed on the host. They
+// stay installed for the vSwitch's lifetime; Detach/Reattach flip the
+// attached flag instead.
 func (v *VSwitch) egressHook(p *packet.Packet) (out, extra *packet.Packet) {
-	if !v.attached.Load() {
+	if !v.attached {
 		return p, nil // detached: standard vSwitch passthrough
 	}
 	return v.EgressPath(p)
 }
 
 func (v *VSwitch) ingressHook(p *packet.Packet) (out, extra *packet.Packet) {
-	if !v.attached.Load() {
+	if !v.attached {
 		return p, nil
 	}
 	return v.IngressPath(p)
@@ -204,14 +190,10 @@ func (v *VSwitch) pool() *packet.Pool {
 }
 
 // Detach disables the datapath hooks (reverting to a standard vSwitch).
-// Safe to call from any goroutine, even with packets in flight: the hooks
-// themselves stay installed and gate on an atomic flag.
-func (v *VSwitch) Detach() {
-	v.attached.Store(false)
-}
+func (v *VSwitch) Detach() { v.attached = false }
 
 // Attached reports whether the datapath hooks are live.
-func (v *VSwitch) Attached() bool { return v.attached.Load() }
+func (v *VSwitch) Attached() bool { return v.attached }
 
 // policy resolves the per-flow policy: a live InstallPolicy override wins,
 // then the FlowPolicy callback, then DefaultPolicy. FlowPolicy callbacks
@@ -223,10 +205,8 @@ func (v *VSwitch) Attached() bool { return v.attached.Load() }
 // and a negative clamp would silently disable capping. Snapshot restore
 // sanitizes through the same choke point (flowRecord.sanitize).
 func (v *VSwitch) policy(k FlowKey) *Policy {
-	if m := v.overrides.Load(); m != nil {
-		if p, ok := (*m)[k]; ok {
-			return p // already sanitized by InstallPolicy
-		}
+	if p, ok := v.overrides[k]; ok {
+		return p // already sanitized by InstallPolicy
 	}
 	if v.Cfg.FlowPolicy == nil {
 		return &defaultPolicy
@@ -236,15 +216,13 @@ func (v *VSwitch) policy(k FlowKey) *Policy {
 
 // intern returns the vSwitch's shared copy of the sanitized policy p, so that
 // flows set up under one FlowPolicy answer, or restored with one policy,
-// share one value and set-up allocates nothing. Goroutine-safe: restore may
-// run off the datapath. Past 1024 values, or where == would fold a −0 β into
-// +0 (the snapshot codec tells them apart), p gets a private copy.
+// share one value and set-up allocates nothing. Past 1024 values, or where ==
+// would fold a −0 β into +0 (the snapshot codec tells them apart), p gets a
+// private copy.
 func (v *VSwitch) intern(p Policy) *Policy {
 	if p == defaultPolicy {
 		return &defaultPolicy
 	}
-	v.internMu.Lock()
-	defer v.internMu.Unlock()
 	ip := v.interned[p]
 	if ip == nil || math.Signbit(ip.Beta) != math.Signbit(p.Beta) {
 		ip = &p
@@ -277,24 +255,17 @@ func (v *VSwitch) flowFor(k FlowKey) *Flow {
 	return f
 }
 
-// flowForRestore is the restore-path counterpart of flowFor, callable from a
-// control-plane goroutine while traffic flows. It never runs pressure
-// eviction (evictForPressure stops per-flow timers, a simulation-goroutine
-// operation) — at capacity the overflow records simply fail open, the same
-// outcome a full table gives new traffic — and it creates flows through
-// newFlowRestored, which defers sweep-timer arming to the datapath.
+// flowForRestore is the restore-path counterpart of flowFor. It never runs
+// pressure eviction: a snapshot's records do not displace live traffic, so at
+// capacity the overflow records fail open, the same outcome a full table
+// gives new traffic.
 func (v *VSwitch) flowForRestore(k FlowKey) *Flow {
-	if v.Cfg.MaxFlows > 0 {
-		if f := v.Table.Get(k); f != nil {
-			return f
-		}
-		if v.Table.Len() >= v.Cfg.MaxFlows {
-			v.Metrics.FlowTableFull.Inc()
-			v.Metrics.FailOpen.Inc()
-			return nil
-		}
+	if v.Cfg.MaxFlows > 0 && v.Table.Get(k) == nil && v.Table.Len() >= v.Cfg.MaxFlows {
+		v.Metrics.FlowTableFull.Inc()
+		v.Metrics.FailOpen.Inc()
+		return nil
 	}
-	f, _ := v.Table.GetOrCreate(k, func() *Flow { return v.newFlowRestored(k) })
+	f, _ := v.Table.GetOrCreate(k, func() *Flow { return v.newFlow(k) })
 	return f
 }
 
@@ -316,8 +287,6 @@ func (v *VSwitch) evictForPressure() {
 	v.evictRetryAt = 0
 	v.Metrics.PressureSweeps.Inc()
 	keep := func(f *Flow) bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
 		if (f.finFwd && f.finRev) || now-f.lastActive > v.Cfg.GCInterval {
 			return v.retire(f)
 		}
@@ -345,11 +314,11 @@ func (v *VSwitch) evictForPressure() {
 	v.evictRetryAt = now + cooldown
 }
 
-// newFlow creates a tracked flow from the datapath (simulation goroutine):
-// it may arm the sweep timer directly, and it reuses a parked record when
-// there is one. The newest record parked before the current packet is taken;
-// the ones parked while handling it (a suffix, since the tick only grows) are
-// skipped, because egressRun/ingressRun may hold the record they evicted.
+// newFlow creates a tracked flow, for the datapath and for snapshot restore:
+// it arms the sweep timer, and it reuses a parked record when there is one.
+// The newest record parked before the current packet is taken; the ones
+// parked while handling it (a suffix, since the tick only grows) are skipped,
+// because egressRun/ingressRun may hold the record they evicted.
 func (v *VSwitch) newFlow(k FlowKey) *Flow {
 	v.created++
 	i := len(v.parked) - 1
@@ -370,46 +339,28 @@ func (v *VSwitch) newFlow(k FlowKey) *Flow {
 	return f
 }
 
-// newFlowRestored creates a tracked flow from RestoreSnapshot, which may run
-// on a control-plane goroutine while traffic flows: timer arming is deferred
-// to the datapath via the sweepArm flag instead of touching the simulator.
-func (v *VSwitch) newFlowRestored(k FlowKey) *Flow {
-	f := v.buildFlow(new(Flow), k)
-	if v.sweepTimer != nil {
-		v.sweepArm.Store(true)
-	}
-	return f
-}
-
-// buildFlow is the shared flow construction: policy resolution, virtual-CC
-// setup, initial window. Everything it touches is goroutine-safe (atomic
-// policy overrides; metrics are one atomic word per counter and histogram
-// bucket, with one writer on the datapath). f is new
-// or recycled: all of it but the mutex and the stopped inactivity timer is
-// overwritten, under f.mu because a policy install that found the record
-// under its previous key may be waiting on it.
-func (v *VSwitch) buildFlow(f *Flow, k FlowKey) *Flow {
+// buildFlow is the flow construction: policy resolution, virtual-CC setup,
+// initial window. f is new or recycled: all of it but the stopped inactivity
+// timer is overwritten.
+func (v *VSwitch) buildFlow(f *Flow, k FlowKey) {
 	v.Metrics.FlowsCreated.Inc()
 	v.Metrics.FlowTableSize.Add(1)
-	pol := v.policy(k)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.flowState = flowState{
-		Key:        k,
-		Policy:     pol,
-		MSS:        int32(v.Cfg.MTU - 40),
-		Alpha:      initAlpha,
-		inactivity: f.inactivity,
+	mss := int32(v.Cfg.MTU - 40)
+	*f = Flow{
+		Key:           k,
+		Policy:        v.policy(k),
+		MSS:           mss,
+		Alpha:         initAlpha,
+		CwndBytes:     initCwndPkts * float64(mss),
+		SsthreshBytes: 1 << 40,
+		lastActive:    v.Sim.Now(),
+		inactivity:    f.inactivity,
 	}
 	v.setLaw(f)
-	f.CwndBytes = initCwndPkts * float64(f.MSS)
-	f.SsthreshBytes = 1 << 40
-	f.lastActive = v.Sim.Now()
-	return f
 }
 
 // setLaw resolves f's law from its policy; the policy's name is sanitized
-// before it gets here. Caller holds f.mu.
+// before it gets here.
 func (v *VSwitch) setLaw(f *Flow) {
 	f.vcc, _ = lookupVCC(f.Policy.VCC)
 	v.Metrics.registerVCC(f.vcc)
@@ -424,14 +375,9 @@ func (v *VSwitch) minRwnd(f *Flow) int64 {
 }
 
 // maybeSweep runs the coarse-grained GC from the datapath (no timers, so
-// drained simulations terminate). It also consumes deferred sweep-timer arm
-// requests left by goroutines that cannot touch the simulator themselves
-// (snapshot restore on a control-plane goroutine). The lazy sweep runs every
-// 4096 packets once GCInterval has elapsed.
+// drained simulations terminate). The lazy sweep runs every 4096 packets once
+// GCInterval has elapsed.
 func (v *VSwitch) maybeSweep() {
-	if v.sweepTimer != nil && v.sweepArm.Load() && v.sweepArm.CompareAndSwap(true, false) {
-		v.sweepTimer.ArmIfIdle(v.Cfg.SweepInterval)
-	}
 	v.sweepTick++
 	if v.sweepTick&0xfff != 0 {
 		return
@@ -449,8 +395,6 @@ func (v *VSwitch) maybeSweep() {
 // after IdleTimeout.
 func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 	return func(f *Flow) bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
 		if idle := now - f.lastActive; (f.finFwd && f.finRev && idle > v.Cfg.GCInterval) || idle > v.Cfg.IdleTimeout {
 			return v.retire(f)
 		}
@@ -458,11 +402,10 @@ func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 	}
 }
 
-// retire is a GC predicate's verdict on a record it removes (shard write lock
-// and f.mu held, simulation goroutine): stop the timer, park the record
-// stamped with the current packet, answer "do not keep". Only plain records
-// are parked — a tunnel queue can outlive the table entry — and unlinked, so
-// that they keep no removed partner reachable.
+// retire is a GC predicate's verdict on a record it removes: stop the timer,
+// park the record stamped with the current packet, answer "do not keep". Only
+// plain records are parked — a tunnel queue can outlive the table entry — and
+// unlinked, so that they keep no removed partner reachable.
 func (v *VSwitch) retire(f *Flow) bool {
 	f.stopTimer()
 	if f.cold == nil && !f.isUDP {
@@ -483,7 +426,7 @@ func (v *VSwitch) trimParked(keep int) {
 	}
 }
 
-// ParkedFlows is the length of the free list. Simulation goroutine only.
+// ParkedFlows is the length of the free list.
 func (v *VSwitch) ParkedFlows() int { return len(v.parked) }
 
 // sweepNow removes closed and idle flows across the whole table (the lazy

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -427,7 +426,7 @@ func TestTableShardingAndSweep(t *testing.T) {
 	}
 	for i := 0; i < 1000; i++ {
 		k := mk(i)
-		f, created := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
+		f, created := tb.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
 		if !created || f == nil {
 			t.Fatal("create failed")
 		}
@@ -453,29 +452,9 @@ func TestTableShardingAndSweep(t *testing.T) {
 	}
 }
 
-func TestTableConcurrentAccess(t *testing.T) {
-	tb := NewTable()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				k := FlowKey{Src: packet.Addr(i % 97), Dst: packet.Addr(g), SPort: uint16(i), DPort: 80}
-				tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
-				tb.Get(k)
-				if i%100 == 0 {
-					tb.SweepRange(0, numShards, func(f *Flow) bool { return f.Key.SPort%7 != 0 })
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 func TestEquationOneCutFactor(t *testing.T) {
 	v := vccDCTCP
-	f := &Flow{flowState: flowState{Alpha: 0.5, Policy: &Policy{Beta: 1}}}
+	f := &Flow{Alpha: 0.5, Policy: &Policy{Beta: 1}}
 	if got := v.cut(f); got != 0.75 {
 		t.Fatalf("β=1 α=0.5: factor %v, want 0.75 (DCTCP)", got)
 	}

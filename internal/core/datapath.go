@@ -167,8 +167,6 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *pack
 // senderEgress updates connection-tracking state for outgoing segments and
 // applies policing. It reports whether the packet was dropped.
 func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.lastActive = v.Sim.Now()
 
 	if syn {
@@ -239,7 +237,7 @@ func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool
 // policeLocked is §3.3 policing: it reports whether a data segment ending at
 // segEnd lies beyond the allowed window plus two MSS of slack and must be
 // dropped. The pre-cut window is still honored, so a guest draining its old
-// window is not punished for the cut. Caller holds f.mu.
+// window is not punished for the cut.
 func (v *VSwitch) policeLocked(f *Flow, segEnd, plen int64) bool {
 	if !v.Cfg.Police || plen <= 0 {
 		return false
@@ -282,10 +280,8 @@ func (v *VSwitch) inactivityTimer(f *Flow) *sim.Timer {
 // running totals ride a TCP option on the real ACK, or a dedicated FACK when
 // they do not fit (or when PACK is disabled for ablation).
 func (v *VSwitch) attachFeedback(rev *Flow, ack *packet.Packet) (out, extra *packet.Packet) {
-	rev.mu.Lock()
 	info := packet.PACKInfo{TotalBytes: rev.TotalBytes, MarkedBytes: rev.MarkedBytes}
 	rev.lastActive = v.Sim.Now()
-	rev.mu.Unlock()
 	if info.TotalBytes == 0 && info.MarkedBytes == 0 {
 		return ack, nil
 	}
@@ -432,7 +428,6 @@ func (v *VSwitch) ingressHandshake(p *packet.Packet, t packet.TCP, fwdKey, revKe
 	if rev == nil {
 		return
 	}
-	rev.mu.Lock()
 	if so.WScaleOK {
 		rev.PeerWScale = so.WScale
 		rev.WScaleKnown = true
@@ -449,13 +444,11 @@ func (v *VSwitch) ingressHandshake(p *packet.Packet, t packet.TCP, fwdKey, revKe
 		rev.synAckSeen = true
 	}
 	rev.lastActive = v.Sim.Now()
-	rev.mu.Unlock()
 
 	fwd := v.flowFor(fwdKey)
 	if fwd == nil {
 		return
 	}
-	fwd.mu.Lock()
 	if t.HasFlags(packet.FlagACK) {
 		fwd.GuestECN = t.HasFlags(packet.FlagECE)
 		fwd.synAckSeen = true
@@ -464,12 +457,10 @@ func (v *VSwitch) ingressHandshake(p *packet.Packet, t packet.TCP, fwdKey, revKe
 		fwd.synSeen = true
 	}
 	fwd.lastActive = v.Sim.Now()
-	fwd.mu.Unlock()
 }
 
 // receiverIngress counts feedback totals and restores guest ECN semantics.
 func (v *VSwitch) receiverIngress(f *Flow, p *packet.Packet, t packet.TCP, plen int64) {
-	f.mu.Lock()
 	f.lastActive = v.Sim.Now()
 	if plen > 0 {
 		f.TotalBytes += uint32(plen)
@@ -479,49 +470,26 @@ func (v *VSwitch) receiverIngress(f *Flow, p *packet.Packet, t packet.TCP, plen 
 			v.Metrics.CEBytes.Add(plen)
 		}
 	}
-	fin := t.HasFlags(packet.FlagFIN)
-	if fin {
+	if t.HasFlags(packet.FlagFIN) {
 		f.finFwd = true
-	}
-	guestECN := f.GuestECN
-	f.mu.Unlock()
-	if fin {
-		// The other direction learns of the FIN under its own lock, taken
-		// only after f.mu is released: SaveSnapshot reads finRev under
-		// rev.mu, and Table.Range takes shard lock before flow lock, so
-		// neither a table probe nor a second flow lock belongs inside f.mu.
 		// A probe, not f's link: f outlives rev in the table (rev is now
 		// closed both ways and goes after GCInterval, f only after
 		// IdleTimeout), and a link would keep the swept record reachable.
 		if rev := v.Table.Get(f.Key.Reverse()); rev != nil {
-			rev.mu.Lock()
 			rev.finRev = true
-			rev.mu.Unlock()
 		}
 	}
-
 	if v.Cfg.StripECN {
-		ip := p.IP()
-		switch {
-		case !guestECN && ip.ECN() != packet.NotECT:
-			ip.SetECN(packet.NotECT)
-			v.Metrics.ECNStripped.Inc()
-		case guestECN && ip.ECN() == packet.CE:
-			// Hide CE so the guest's own loop (which would over-react or
-			// double-react) never triggers; AC/DC reacts instead.
-			ip.SetECN(packet.ECT0)
-			v.Metrics.ECNStripped.Inc()
-		}
+		v.stripECN(p, f)
 	}
 }
 
+// stripECN restores the guest's ECN semantics on a packet headed to it: a
+// guest that did not negotiate ECN sees no ECN field, and one that did never
+// sees CE — its own loop would over-react or double-react, so AC/DC reacts
+// instead. f is the flow the packet belongs to, or nil.
 func (v *VSwitch) stripECN(p *packet.Packet, f *Flow) {
-	guestECN := false
-	if f != nil {
-		f.mu.Lock()
-		guestECN = f.GuestECN
-		f.mu.Unlock()
-	}
+	guestECN := f != nil && f.GuestECN
 	ip := p.IP()
 	switch {
 	case !guestECN && ip.ECN() != packet.NotECT:

@@ -91,7 +91,7 @@ func ExampleVSwitch_Stats() {
 
 // ExampleVSwitch_Detach shows turning the module off at runtime — the host
 // behaves like a plain vSwitch (the hooks stay installed but pass traffic
-// through untouched), and Detach is safe even with packets in flight.
+// through untouched), and packets already in flight cross it unmodified.
 func ExampleVSwitch_Detach() {
 	s := sim.New(1)
 	h := netsim.NewHost(s, "h", packet.MakeAddr(10, 0, 0, 1))

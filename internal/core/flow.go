@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -111,23 +110,18 @@ func (p Policy) sanitize() Policy {
 // struct fills the 256-byte malloc size class, so a record is four aligned
 // lines (TestFlowSizeClass, TestFlowHotFieldsLayout); a new field goes behind
 // a pointer, like the tunnel's cold state, or every flow pays for it.
+//
+// A recycled record is re-initialised by one Flow assignment
+// (VSwitch.buildFlow), so a field added here cannot be left holding the
+// previous flow's value.
 type Flow struct {
-	// --- line 0: every packet (lock, link, liveness, receiver module) ---
-	mu sync.Mutex
-	flowState
-}
-
-// flowState is every field of a Flow but its mutex: a recycled record is
-// re-initialised by one flowState assignment under mu (VSwitch.buildFlow), so
-// a field added here cannot be left holding the previous flow's value.
-type flowState struct {
+	// --- line 0: every packet (link, liveness, receiver module) ---
 	iss         uint32 // guest's initial sequence number; valid once issValid
 	lastAckWire uint32 // last ACK's seq field (dupack synthesis)
 	// peer caches the record tracking Key.Reverse(), valid while peerGen
-	// equals the table's deletion generation (Table.reverseOf). Both belong
-	// to the datapath goroutine alone: mu does not guard them, snapshot, policy
-	// install and Range code never touches them, and the snapshot codec skips
-	// them — a restored, re-created or recycled flow starts unlinked.
+	// equals the table's deletion generation (Table.reverseOf). The snapshot
+	// codec skips both: a restored, re-created or recycled flow starts
+	// unlinked.
 	peer       *Flow
 	peerGen    uint64
 	lastActive sim.Time
@@ -201,7 +195,7 @@ type flowState struct {
 	// cold is the tunnel state (tunnel.go), nil on plain TCP flows; a record
 	// with it is never recycled (VSwitch.retire).
 	cold *tunnelState
-	_    [16]byte // to the 256-byte size class: records start on a line
+	_    [24]byte // to the 256-byte size class: records start on a line
 }
 
 // Snapshot is a consistent copy of the enforcement-relevant state, used by
@@ -219,10 +213,8 @@ type Snapshot struct {
 	Resyncing bool
 }
 
-// Snapshot returns a locked copy of the flow's key state.
+// Snapshot returns a copy of the flow's key state.
 func (f *Flow) Snapshot() Snapshot {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return Snapshot{
 		CwndBytes: f.CwndBytes, Alpha: f.Alpha,
 		SndUna: f.SndUna, SndNxt: f.SndNxt,

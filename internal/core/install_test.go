@@ -2,11 +2,10 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"acdc/internal/packet"
+	"acdc/internal/sim"
 )
 
 func TestInstallPolicyRejectsMalformed(t *testing.T) {
@@ -115,17 +114,17 @@ func TestClearPolicyRevertsToConfiguredChain(t *testing.T) {
 	}
 }
 
-// TestInstallPolicyConcurrentWithDatapath is the update-race regression: a
-// controller goroutine streams installs while the simulation goroutine pushes
-// packets through the flow. Run with -race.
+// TestInstallPolicyConcurrentWithDatapath is the update-interleaving
+// regression: installs and clears land between the packets of the flow they
+// address, the way the daemon's command queue delivers them — as events on the
+// simulation goroutine — and each one is live on the flow at once.
 func TestInstallPolicyConcurrentWithDatapath(t *testing.T) {
 	v, host, s := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	k := FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2}
 
-	const minPackets = 2000
+	const packets = 2000
 	const installs = 500
-	var ctrlDone atomic.Bool
 	seq := uint32(1)
 	var tick func()
 	n := 0
@@ -133,30 +132,30 @@ func TestInstallPolicyConcurrentWithDatapath(t *testing.T) {
 		egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, seq, 100))
 		seq += 100
 		ingress(v, ackPkt(peer, host.Addr, k.DPort, k.SPort, seq, 65535))
-		if n++; n < minPackets || !ctrlDone.Load() {
+		if n++; n < packets {
 			s.ScheduleFunc(100, tick)
 		}
 	}
 	s.ScheduleFunc(0, tick)
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer ctrlDone.Store(true)
-		betas := []float64{0, 0.25, 0.5, 0.75, 1}
-		for i := 0; i < installs; i++ {
-			if _, err := v.InstallPolicy(k, Policy{Beta: betas[i%len(betas)]}); err != nil {
+	// One install every 397 ns, staggered against the packets (every 100 ns).
+	betas := []float64{0, 0.25, 0.5, 0.75, 1}
+	for i := 0; i < installs; i++ {
+		want := Policy{Beta: betas[i%len(betas)]}
+		clearAfter := i%3 == 0
+		s.ScheduleFunc(sim.Duration(50+397*i), func() {
+			if _, err := v.InstallPolicy(k, want); err != nil {
 				t.Errorf("InstallPolicy: %v", err)
-				return
 			}
-			if i%3 == 0 {
+			if f := v.Table.Get(k); f != nil && *f.Policy != want {
+				t.Errorf("flow holds %+v right after installing %+v", *f.Policy, want)
+			}
+			if clearAfter {
 				v.ClearPolicy(k)
 			}
-		}
-	}()
+		})
+	}
 	s.RunAll()
-	wg.Wait()
 
 	if got := v.Table.Get(k); got == nil {
 		t.Fatal("flow lost during concurrent installs")
@@ -178,68 +177,5 @@ func TestPolicyOverridesSnapshotIsCopy(t *testing.T) {
 	m[k] = Policy{Beta: 0} // mutate the copy
 	if p, _ := v.PolicyOverride(k); p.Beta != 0.5 {
 		t.Fatalf("live override changed through the listing copy: β=%v", p.Beta)
-	}
-}
-
-// TestInstallPolicyNeverLandsOnRecycledRecord: applyToLive probes the table,
-// then locks the record it found; in between the GC can remove that record and
-// the datapath recycle it into another flow. A controller goroutine streams
-// installs for one key while the simulation goroutine keeps closing, sweeping
-// and reopening that connection and others: only the addressed flow may ever
-// hold the installed β. Run with -race.
-func TestInstallPolicyNeverLandsOnRecycledRecord(t *testing.T) {
-	b := newRecycleBench(t, DefaultConfig())
-	const target, beta = 100, 0.125
-	want := Policy{Beta: beta}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := b.v.InstallPolicy(b.key(target), want); err != nil {
-				t.Errorf("InstallPolicy: %v", err)
-				return
-			}
-		}
-	}()
-
-	reused := 0
-	for round := 0; round < 3000; round++ {
-		// The addressed connection lives, closes and is swept: its two
-		// records are parked while an install may be holding one of them.
-		b.cycle(target)
-		rec := b.v.Table.Get(b.key(target))
-		b.sweep()
-		// Other connections take the parked records straight back.
-		for sp := uint16(200); sp < 203; sp++ {
-			b.out(sp, packet.TCPFields{Flags: packet.FlagSYN}, 0)
-			if b.v.Table.Get(b.key(sp)) == rec {
-				reused++
-			}
-		}
-		// Checked after the creates, not between them: an install that was
-		// waiting on a recycled record has had time to go through.
-		for sp := uint16(200); sp < 203; sp++ {
-			f := b.v.Table.Get(b.key(sp))
-			f.mu.Lock()
-			got := *f.Policy
-			f.mu.Unlock()
-			if got != DefaultPolicy() {
-				t.Fatalf("round %d: flow %v holds %+v, installed for %v", round, f.Key, got, b.key(target))
-			}
-			b.v.Table.Delete(f.Key)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if reused == 0 {
-		t.Fatal("the addressed flow's record was never recycled: the race was not exercised")
 	}
 }

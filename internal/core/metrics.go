@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"acdc/internal/metrics"
-)
+import "acdc/internal/metrics"
 
 // DatapathMetrics holds the pre-resolved instrument handles the vSwitch
 // datapath updates. Handles are resolved once at Attach time so the
@@ -89,7 +85,6 @@ type DatapathMetrics struct {
 	// Per-algorithm CWND/α distributions, sampled once per RTT at each α
 	// update, indexed by vccID. Registered with each law's first flow
 	// (registerVCC), so a run's metric set names only the laws it ran.
-	mu    sync.Mutex
 	hists [len(vccNames)]*lawHists
 
 	// Flow-table shape gauges, registered lazily on the first
@@ -160,11 +155,8 @@ func (m *DatapathMetrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() 
 type lawHists struct{ cwnd, alpha *metrics.Histogram }
 
 // registerVCC registers law id's histograms if no flow has run it yet. Flow
-// setup and law swaps call it under the flow's lock, which orders it before
-// that flow's per-RTT reads of hists.
+// setup and law swaps call it, before that flow's per-RTT reads of hists.
 func (m *DatapathMetrics) registerVCC(id vccID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.hists[id] == nil {
 		alg := id.String()
 		m.hists[id] = &lawHists{m.reg.Histogram("vcc_cwnd_bytes{alg="+alg+"}", cwndBounds),
@@ -174,8 +166,6 @@ func (m *DatapathMetrics) registerVCC(id vccID) {
 
 // tableGauges lazily registers and returns the flow-table shape gauges.
 func (m *DatapathMetrics) tableGauges() (occ, max, imb *metrics.Gauge) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.tableOcc == nil {
 		m.tableOcc = m.reg.Gauge("flow_table_occupancy")
 		m.shardMax = m.reg.Gauge("flow_table_shard_max")

@@ -84,9 +84,7 @@ func TestWindowUpdateStormNoFakeLoss(t *testing.T) {
 	// buffer a little further: a classic window-update storm.
 	for i, wnd := range []uint16{1000, 2000, 3000, 4000} {
 		ingress(v, ackPkt(peer, host.Addr, 200, 100, 777_000, wnd))
-		f.mu.Lock()
 		dups, losses := f.DupAcks, f.LossEvents
-		f.mu.Unlock()
 		if dups != 0 || losses != 0 {
 			t.Fatalf("after window update %d: DupAcks=%d LossEvents=%d, want 0/0",
 				i+1, dups, losses)
@@ -111,9 +109,7 @@ func TestGenuineTripleDupackStillDetected(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ingress(v, ackPkt(peer, host.Addr, 200, 100, 777_000, 65535))
 	}
-	f.mu.Lock()
 	dups, losses := f.DupAcks, f.LossEvents
-	f.mu.Unlock()
 	if dups != 3 || losses != 1 {
 		t.Fatalf("DupAcks=%d LossEvents=%d, want 3/1", dups, losses)
 	}
@@ -151,8 +147,6 @@ func TestPolicyDisableHonoredByEveryBackend(t *testing.T) {
 func TestDctcpCutWindowLimitedOvershootGate(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	f := v.newFlow(FlowKey{Src: host.Addr, Dst: packet.MakeAddr(10, 0, 0, 2), SPort: 1, DPort: 2})
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.CwndBytes = 50_000
 	if !windowLimited(f, true, 50_000) {
 		t.Error("inflight at the window must count as limited")

@@ -43,7 +43,7 @@ func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 		}
 	}
 	for _, f := range tableFlows(v.Table) {
-		if parked[f.peer] && f.peerGen == v.Table.gen.Load() {
+		if parked[f.peer] && f.peerGen == v.Table.gen {
 			t.Fatalf("after %s: %v holds a valid link to a parked record", after, f.Key)
 		}
 	}
@@ -141,7 +141,7 @@ func (b *recycleBench) sweep() {
 // record keeps its stopped timer where a new one has none yet.
 func diffFlowState(got, want *Flow) []string {
 	var diffs []string
-	gv, wv := reflect.ValueOf(&got.flowState).Elem(), reflect.ValueOf(&want.flowState).Elem()
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
 	for i := 0; i < gv.NumField(); i++ {
 		name := gv.Type().Field(i).Name
 		field := func(v reflect.Value) any {
@@ -215,7 +215,7 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 701, Ack: seq + 1, Flags: ack | packet.FlagFIN}, 0)
 	if old.LossEvents == 0 || old.VTimeouts == 0 || old.Alpha == initAlpha || old.vcc.String() != "reno" ||
 		old.peer == nil || old.inactivity == nil || !old.finFwd || !old.finRev {
-		t.Fatalf("the record did not live through what the test is about: %+v", &old.flowState)
+		t.Fatalf("the record did not live through what the test is about: %+v", old)
 	}
 	b.v.ClearPolicy(k)
 
@@ -235,12 +235,11 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	if reused == nil || b.v.ParkedFlows() != 0 {
 		t.Fatalf("the swept record was not reused (%d still parked)", b.v.ParkedFlows())
 	}
-	fresh := b.v.buildFlow(new(Flow), reused.Key)
+	fresh := new(Flow)
+	b.v.buildFlow(fresh, reused.Key)
 	// The SYN that created the flow has been through senderEgress.
-	fresh.mu.Lock()
 	fresh.iss, fresh.issValid, fresh.synSeen = 0, true, true
 	fresh.SndUna, fresh.SndNxt, fresh.alphaSeq = 1, 1, 1
-	fresh.mu.Unlock()
 	for _, d := range diffFlowState(reused, fresh) {
 		t.Error(d)
 	}

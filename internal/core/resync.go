@@ -61,8 +61,8 @@ func (s resyncState) String() string {
 	}
 }
 
-// enterResyncLocked puts a flow into conservative mode. Caller holds f.mu.
-// Idempotent: a flow already resynchronizing keeps its progress.
+// enterResyncLocked puts a flow into conservative mode. Idempotent: a flow
+// already resynchronizing keeps its progress.
 func (f *Flow) enterResyncLocked() {
 	if f.resync != resyncNone {
 		return
@@ -72,9 +72,9 @@ func (f *Flow) enterResyncLocked() {
 }
 
 // resyncAdvanceLocked runs one transition of the machine for an ACK carrying
-// (or not carrying) feedback, after absolute-ack resolution. Caller holds
-// f.mu. At most one transition fires per ACK, so completing a resync takes at
-// least two feedback events — a genuine round, never a single packet.
+// (or not carrying) feedback, after absolute-ack resolution. At most one
+// transition fires per ACK, so completing a resync takes at least two
+// feedback events — a genuine round, never a single packet.
 func (v *VSwitch) resyncAdvanceLocked(f *Flow, haveFeedback bool, absAck int64) {
 	if !haveFeedback {
 		return
@@ -93,16 +93,8 @@ func (v *VSwitch) resyncAdvanceLocked(f *Flow, haveFeedback bool, absAck int64) 
 }
 
 // Resyncing reports whether the flow is still in conservative mode.
-func (f *Flow) Resyncing() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.resync != resyncNone
-}
+func (f *Flow) Resyncing() bool { return f.resync != resyncNone }
 
 // ResyncState returns the state name ("none", "await-feedback",
 // "await-round") for tests and instrumentation.
-func (f *Flow) ResyncState() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.resync.String()
-}
+func (f *Flow) ResyncState() string { return f.resync.String() }

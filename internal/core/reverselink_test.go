@@ -17,8 +17,8 @@ import (
 	"acdc/internal/sim"
 )
 
-// tableFlows lists the table's entries (collected first: checks that probe
-// the table must not run under Range's shard lock).
+// tableFlows lists the table's entries (collected first, so that a check may
+// change the table while it walks them).
 func tableFlows(tb *Table) []*Flow {
 	var fs []*Flow
 	tb.Range(func(f *Flow) { fs = append(fs, f) })
@@ -33,7 +33,7 @@ func checkReverseLinks(t *testing.T, tb *Table, after string) {
 	t.Helper()
 	for _, f := range tableFlows(tb) {
 		want := tb.Get(f.Key.Reverse())
-		if f.peer != nil && f.peerGen == tb.gen.Load() && f.peer != want {
+		if f.peer != nil && f.peerGen == tb.gen && f.peer != want {
 			t.Fatalf("after %s: %v holds a valid link to %p, table has %p", after, f.Key, f.peer, want)
 		}
 		if got := tb.reverseOf(f); got != want {
@@ -296,7 +296,7 @@ func TestReverseLinkCases(t *testing.T) {
 	ka := FlowKey{Src: packet.MakeAddr(10, 0, 0, 1), Dst: packet.MakeAddr(10, 0, 0, 2), SPort: 100, DPort: 200}
 	kb := ka.Reverse()
 	mk := func(tb *Table, k FlowKey) *Flow {
-		f, _ := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
+		f, _ := tb.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
 		return f
 	}
 
@@ -335,8 +335,8 @@ func TestReverseLinkCases(t *testing.T) {
 
 	t.Run("Clear invalidates from its start, even on an empty table", func(t *testing.T) {
 		tb := NewTable()
-		g := tb.gen.Load()
-		if tb.Clear() != 0 || tb.gen.Load() == g {
+		g := tb.gen
+		if tb.Clear() != 0 || tb.gen == g {
 			t.Fatal("Clear of an empty table left the generation alone")
 		}
 	})
@@ -366,9 +366,7 @@ func TestReverseLinkCases(t *testing.T) {
 		if got := v.Table.reverseOf(a); got != b {
 			t.Fatalf("reverseOf after Clear = %p, want %p (old %p)", got, b, oldB)
 		}
-		b.mu.Lock()
 		total := b.TotalBytes
-		b.mu.Unlock()
 		if total != 500 {
 			t.Fatalf("new receive record counted %d bytes, want 500 (the old one's 500 must not carry over)", total)
 		}
@@ -388,12 +386,8 @@ func TestReverseLinkCases(t *testing.T) {
 		if a == nil || b == nil {
 			t.Fatalf("records missing: a=%p b=%p", a, b)
 		}
-		a.mu.Lock()
 		aRev := a.finRev
-		a.mu.Unlock()
-		b.mu.Lock()
 		bFwd := b.finFwd
-		b.mu.Unlock()
 		if !bFwd || !aRev {
 			t.Fatalf("FIN in: finFwd on its own record %v, finRev on the other %v", bFwd, aRev)
 		}
@@ -421,9 +415,8 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 		bytes  uintptr
 		fields []field
 	}{
-		// Every packet: lock, link, liveness, the receiver module, the flags.
+		// Every packet: link, liveness, the receiver module, the flags.
 		{64, []field{
-			{"mu", unsafe.Offsetof(f.mu), unsafe.Sizeof(f.mu)},
 			{"iss", unsafe.Offsetof(f.iss), unsafe.Sizeof(f.iss)},
 			{"peer", unsafe.Offsetof(f.peer), unsafe.Sizeof(f.peer)},
 			{"peerGen", unsafe.Offsetof(f.peerGen), unsafe.Sizeof(f.peerGen)},
@@ -439,7 +432,7 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 			{"WScaleKnown", unsafe.Offsetof(f.WScaleKnown), unsafe.Sizeof(f.WScaleKnown)},
 			{"PeerWScale", unsafe.Offsetof(f.PeerWScale), unsafe.Sizeof(f.PeerWScale)},
 		}},
-		// Per data segment and per ACK (processAckLocked, cutWindow,
+		// Per data segment and per ACK (processFeedbackAndAck, cutWindow,
 		// senderEgress): tracking, feedback, the window, α, the policy and
 		// the law.
 		{192, []field{

@@ -9,21 +9,10 @@ import (
 // to congestion/loss at most once per window, otherwise grow, then enforce
 // the resulting window by rewriting RWND.
 func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP, info packet.PACKInfo, haveFeedback bool) {
-	enforced, overwrote, ok := v.processAckLocked(f, p, t, info, haveFeedback)
-	// The observation hook runs outside the flow lock so it may call
-	// Snapshot or walk the table.
-	if ok && v.OnRwndComputed != nil {
-		v.OnRwndComputed(f, enforced, overwrote)
-	}
-}
-
-func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info packet.PACKInfo, haveFeedback bool) (enforcedOut int64, overwroteOut, okOut bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.lastActive = v.Sim.Now()
 	if !f.issValid {
 		// We never saw our guest send on this flow; nothing to enforce yet.
-		return 0, false, false
+		return
 	}
 	audit := v.Audit
 	var ev AckEvent
@@ -133,14 +122,16 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 		ev.Overwrote = overwrote
 		audit.AckEvent(v, ev)
 	}
-	return enforced, overwrote, true
+	if v.OnRwndComputed != nil {
+		v.OnRwndComputed(f, enforced, overwrote)
+	}
 }
 
 // creditFeedbackLocked folds one report of the peer's cumulative counters into
 // the α window and re-baselines on it. It returns the deltas credited, and
 // reset when the counters went backwards: the peer's vSwitch restarted
 // mid-flow and its receiver module counts from zero again. A reset credits
-// nothing instead of a wrapped ~4GB window of phantom bytes. Caller holds f.mu.
+// nothing instead of a wrapped ~4GB window of phantom bytes.
 func (v *VSwitch) creditFeedbackLocked(f *Flow, info packet.PACKInfo) (totalDelta, markedDelta uint32, reset bool) {
 	// The first feedback after a mid-stream adoption or snapshot restore only
 	// re-baselines: the peer's counters are unanchored relative to our state,
@@ -168,7 +159,7 @@ func (v *VSwitch) creditFeedbackLocked(f *Flow, info packet.PACKInfo) (totalDelt
 // absAck passes the snapshot of snd_nxt taken at the previous update; then a
 // loss pins α to max_alpha and cuts, CE-marked bytes cut, and otherwise the
 // window grows if the flow earned it. It returns the α sample it took, for
-// the audit. Caller holds f.mu.
+// the audit.
 func (v *VSwitch) reactLocked(f *Flow, absAck, acked int64, markedDelta uint32, loss, enforcing, stale bool) (frac float64, updated bool) {
 	if absAck >= f.alphaSeq {
 		if f.windowTotal > 0 {
@@ -291,27 +282,19 @@ func (v *VSwitch) clampFlow(f *Flow) {
 // and optionally synthesize duplicate ACKs so a guest with a long RTO
 // retransmits promptly (§3.3).
 func (v *VSwitch) onVTimeout(f *Flow) {
-	// Membership guard: a warm restart under live traffic clears the table
-	// without stopping per-flow timers (resetTable cannot touch the
-	// simulator from a control-plane goroutine). An orphaned flow's timer
-	// still fires once; it must neither count a timeout nor re-arm.
-	if v.Table.Get(f.Key) != f {
-		return
-	}
-	f.mu.Lock()
-	if f.SndUna >= f.SndNxt {
-		f.mu.Unlock()
+	// Membership guard: a restart clears the table without stopping per-flow
+	// timers (resetTable), so an orphaned flow's timer still fires once; it
+	// must neither count a timeout nor re-arm.
+	if v.Table.Get(f.Key) != f || f.SndUna >= f.SndNxt {
 		return
 	}
 	v.collapseLocked(f)
 	f.cutSeq = f.SndNxt
-	genDup := v.Cfg.GenDupAcks && f.issValid
 	var dup *packet.Packet
-	if genDup {
+	if v.Cfg.GenDupAcks && f.issValid {
 		dup = v.buildDupAckLocked(f)
 	}
 	f.inactivity.Reset(v.Cfg.VTimeout)
-	f.mu.Unlock()
 
 	if dup != nil {
 		// Three dup ACKs, but only two clones: the third delivery hands the
@@ -327,7 +310,6 @@ func (v *VSwitch) onVTimeout(f *Flow) {
 
 // collapseLocked is Figure 5's inactivity timeout: count it, pin α to
 // max_alpha, halve ssthresh (to two MSS at least) and restart from one MSS.
-// Caller holds f.mu.
 func (v *VSwitch) collapseLocked(f *Flow) {
 	v.Metrics.VTimeouts.Inc()
 	f.VTimeouts++
@@ -339,7 +321,6 @@ func (v *VSwitch) collapseLocked(f *Flow) {
 
 // buildDupAckLocked crafts a duplicate ACK toward the guest for the flow's
 // current snd_una, using header fields remembered from the last real ACK.
-// Caller holds f.mu.
 func (v *VSwitch) buildDupAckLocked(f *Flow) *packet.Packet {
 	return packet.BuildIn(v.pool(), f.Key.Dst, f.Key.Src, packet.NotECT, packet.TCPFields{
 		SrcPort: f.Key.DPort, DstPort: f.Key.SPort,
@@ -353,16 +334,9 @@ func (v *VSwitch) buildDupAckLocked(f *Flow) *packet.Packet {
 // create these packets to update windows without relying on ACKs").
 func (v *VSwitch) SendWindowUpdate(k FlowKey) bool {
 	f := v.Table.Get(k)
-	if f == nil {
+	if f == nil || !f.issValid {
 		return false
 	}
-	f.mu.Lock()
-	if !f.issValid {
-		f.mu.Unlock()
-		return false
-	}
-	upd := v.buildDupAckLocked(f)
-	f.mu.Unlock()
-	v.Host.DeliverLocal(upd)
+	v.Host.DeliverLocal(v.buildDupAckLocked(f))
 	return true
 }

@@ -115,8 +115,8 @@ const recordFixedLen = 12 + // key
 	8 + 8 + 1 + // beta, rwndClamp, policy flags
 	1 + 1 // two string length bytes
 
-// recordLocked copies a flow into its serialized form. Caller holds f.mu.
-func (f *Flow) recordLocked() flowRecord {
+// record copies a flow into its serialized form.
+func (f *Flow) record() flowRecord {
 	return flowRecord{
 		Key:         f.Key,
 		PeerWScale:  f.PeerWScale,
@@ -479,11 +479,9 @@ func finitePositive(v float64) bool {
 func (v *VSwitch) SaveSnapshot() []byte {
 	var recs []flowRecord
 	v.Table.Range(func(f *Flow) {
-		f.mu.Lock()
 		if !f.isUDP {
-			recs = append(recs, f.recordLocked())
+			recs = append(recs, f.record())
 		}
-		f.mu.Unlock()
 	})
 	sort.Slice(recs, func(i, j int) bool { return lessKey(recs[i].Key, recs[j].Key) })
 	v.Metrics.SnapshotSaves.Inc()
@@ -507,13 +505,8 @@ func lessKey(a, b FlowKey) bool {
 // Corrupt input fails open: the table is reset to empty, traffic continues
 // untouched, snapshot_corrupt_total is incremented, and the error is
 // returned for logging. Every restored data-direction flow enters the
-// conservative resync mode (resync.go) before enforcement resumes.
-//
-// Safe to call from a control-plane goroutine while the datapath processes
-// packets: flow creation goes through flowForRestore (no timer operations,
-// no pressure eviction), the policy fields route through the Sanitized
-// choke point (flowRecord.sanitize), and per-flow state is written under
-// each flow's mutex.
+// conservative resync mode (resync.go) before enforcement resumes, and the
+// policy fields route through the Sanitized choke point (flowRecord.sanitize).
 func (v *VSwitch) RestoreSnapshot(data []byte) error {
 	_, recs, err := decodeSnapshot(data)
 	if err != nil {
@@ -529,11 +522,6 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 		if f == nil {
 			// Table at capacity (MaxFlows smaller than the snapshot): the
 			// overflow flows fail open exactly like new flows at capacity.
-			continue
-		}
-		f.mu.Lock()
-		if f.Key != r.Key { // swept and recycled since the probe (applyToLive)
-			f.mu.Unlock()
 			continue
 		}
 		f.PeerWScale = r.PeerWScale
@@ -564,9 +552,7 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 		f.LossEvents = r.LossEvents
 		f.Policy = v.intern(Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
 			VCC: r.PolVCC, Disable: r.PolDisable})
-		// Swap the growth law like applyToLive does. No simulator access:
-		// restore may run on a control-plane goroutine.
-		v.setLaw(f)
+		v.setLaw(f) // swap the growth law like applyToLive does
 		f.maxInflight = f.SndNxt - f.SndUna
 		f.lastActive = now
 		if f.issValid {
@@ -575,7 +561,6 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 			// enforcement through the conservative resync round.
 			f.enterResyncLocked()
 		}
-		f.mu.Unlock()
 	}
 	v.Metrics.SnapshotRestores.Inc()
 	return nil
@@ -583,11 +568,10 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 
 // resetTable empties the flow table in place, keeping the table-size gauge
 // and churn counters consistent (restart is removal, as far as accounting
-// goes). It deliberately does NOT stop per-flow inactivity timers — timer
-// operations belong to the simulation goroutine, and resetTable may run from
-// a control-plane goroutine during a live restore. Orphaned timers instead
-// self-cancel when they fire: onVTimeout checks table membership and ignores
-// flows that are no longer the tracked entry for their key.
+// goes). It does not walk the records to stop their inactivity timers:
+// orphaned timers cancel themselves when they fire, because onVTimeout checks
+// table membership and ignores flows that are no longer the tracked entry for
+// their key.
 func (v *VSwitch) resetTable() {
 	dropped := int64(v.Table.Clear())
 	if dropped > 0 {
@@ -601,11 +585,9 @@ func (v *VSwitch) resetTable() {
 // checkpoint. A nil snapshot is a cold restart: the table starts empty and
 // live flows are re-adopted mid-stream by the datapath (resync.go). The
 // metrics registry survives (it models the host's observability agent, not
-// the vSwitch process), so operators see restart counters, not a reset.
-//
-// Restart manipulates the sweep timer and must run on the simulation
-// goroutine; a daemon marshals it through its command queue. (SaveSnapshot
-// and RestoreSnapshot, by contrast, are safe from any goroutine.)
+// the vSwitch process), so operators see restart counters, not a reset. The
+// sweep timer stops with the table and is armed again by the first restored
+// flow (newFlow).
 func (v *VSwitch) Restart(snapshot []byte) {
 	v.resetTable()
 	v.trimParked(0) // the process died: its free list goes with the table
@@ -615,21 +597,13 @@ func (v *VSwitch) Restart(snapshot []byte) {
 	v.Metrics.Restarts.Inc()
 	if snapshot != nil {
 		_ = v.RestoreSnapshot(snapshot) // corrupt input already failed open
-		if v.sweepTimer != nil && v.Table.Len() > 0 {
-			v.sweepTimer.ArmIfIdle(v.Cfg.SweepInterval)
-		}
 	}
 }
 
 // Reattach re-enables the datapath hooks after a Detach (the restart
 // scheduler detaches during the outage window so in-flight traffic passes
 // through a hook-less host, exactly like a dead OVS with fail-open flows).
-// Like Detach, it only flips the attached flag — the stable hook functions
-// Attach installed never move — so it is safe from any goroutine even with
-// packets mid-hook.
-func (v *VSwitch) Reattach() {
-	v.attached.Store(true)
-}
+func (v *VSwitch) Reattach() { v.attached = true }
 
 // FlowCount reports the current flow-table size (part of the restart-target
 // surface: recurring restart plans stop re-arming on a drained table).

@@ -73,18 +73,16 @@ func populatedVSwitch(t *testing.T) (*VSwitch, packet.Addr, packet.Addr) {
 func records(v *VSwitch) map[FlowKey]flowRecord {
 	out := map[FlowKey]flowRecord{}
 	v.Table.Range(func(f *Flow) {
-		f.mu.Lock()
 		if !f.isUDP {
-			out[f.Key] = f.recordLocked()
+			out[f.Key] = f.record()
 		}
-		f.mu.Unlock()
 	})
 	return out
 }
 
 func TestSnapshotRoundTripLossless(t *testing.T) {
 	// Every enforcement-affecting field must survive save → restore exactly.
-	// flowRecord is the pin: recordLocked() collects the full enforcement
+	// flowRecord is the pin: record() collects the full enforcement
 	// state, and equality here fails if restore drops or distorts any of it.
 	a, _, _ := populatedVSwitch(t)
 	want := records(a)
@@ -280,9 +278,7 @@ func TestRestoreRebaselinesFeedbackWithoutAlphaCredit(t *testing.T) {
 	// Feedback claiming 4GB-ish cumulative totals (a peer much further along
 	// than our restored baseline).
 	ingress(b, packAck(peer, ahost, 20, 10, 1401, 65535, 3_000_000_000, 2_999_000_000))
-	f.mu.Lock()
 	wt, wm, lt := f.windowTotal, f.windowMarked, f.lastTotal
-	f.mu.Unlock()
 	if wt != 0 || wm != 0 {
 		t.Fatalf("first post-restore feedback credited deltas: total=%d marked=%d", wt, wm)
 	}
@@ -313,9 +309,7 @@ func TestSnapshotSkipsUDPTunnelFlows(t *testing.T) {
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	egress(v, dataPkt(host.Addr, peer, 1, 2, 100, 100))
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2})
-	f.mu.Lock()
 	f.isUDP = true
-	f.mu.Unlock()
 	_, recs, err := decodeSnapshot(v.SaveSnapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -36,7 +33,7 @@ func TestLenMatchesShardStats(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		k := tbKey(i)
-		tab.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
+		tab.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
 	}
 	check("insert")
 	for i := 0; i < 500; i += 3 {
@@ -152,9 +149,7 @@ func TestPressureSweepCursorSpreads(t *testing.T) {
 		if f == nil {
 			t.Fatalf("flow %d not created", i)
 		}
-		f.mu.Lock()
 		f.finFwd, f.finRev = true, true
-		f.mu.Unlock()
 	}
 	// Each create under pressure scans from the cursor and stops at the first
 	// shard that frees anything; the cursor then resumes past it, so
@@ -171,9 +166,7 @@ func TestPressureSweepCursorSpreads(t *testing.T) {
 		if v.Table.Len() > cfg.MaxFlows {
 			t.Fatalf("table len %d exceeds MaxFlows mid-storm", v.Table.Len())
 		}
-		f.mu.Lock()
 		f.finFwd, f.finRev = true, true
-		f.mu.Unlock()
 		closed = append(closed, k)
 	}
 	evictedShards := map[int]bool{}
@@ -238,7 +231,7 @@ var tableKeys = func() []FlowKey {
 	return ks
 }()
 
-// checkIndex asserts what the lock-free readers rely on, shard by shard: the
+// checkIndex asserts what every probe relies on, shard by shard: the
 // live and used counts match the slots, at most three quarters of the array
 // is in use (so every probe meets an empty slot), and every record is found
 // from its key.
@@ -246,7 +239,7 @@ func checkIndex(t *testing.T, tb *Table, after string) {
 	t.Helper()
 	for i := range tb.shards {
 		s := &tb.shards[i]
-		ix := s.ix.Load()
+		ix := s.ix
 		if ix == nil {
 			if s.live != 0 || s.used != 0 {
 				t.Fatalf("after %s: shard %d counts %d/%d with no index", after, i, s.live, s.used)
@@ -257,13 +250,12 @@ func checkIndex(t *testing.T, tb *Table, after string) {
 		for j := range ix.slots {
 			sl := &ix.slots[j]
 			switch {
-			case sl.f.Load() != nil:
+			case sl.f != nil:
 				live++
-				w0, w1 := sl.k0.Load(), sl.k1.Load()
-				if got := ix.find(w0, w1, hashWords(w0, w1)); got != j {
+				if got := ix.find(sl.k0, sl.k1, hashWords(sl.k0, sl.k1)); got != j {
 					t.Fatalf("after %s: shard %d slot %d is found at %d", after, i, j, got)
 				}
-			case sl.k1.Load() == tombstone:
+			case sl.k1 == tombstone:
 				tomb++
 			}
 		}
@@ -286,7 +278,7 @@ func playTableScript(t *testing.T, script []byte) {
 		switch names[op] {
 		case "get":
 		case "get-or-create":
-			f, created := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
+			f, created := tb.GetOrCreate(k, func() *Flow { return &Flow{Key: k} })
 			if want := model[k]; created != (want == nil) || (want != nil && f != want) {
 				t.Fatalf("step %d: GetOrCreate(%v) = %p, created %v; model has %p", i/2, k, f, created, want)
 			}
@@ -365,32 +357,9 @@ func FuzzTableMatchesMap(f *testing.F) {
 	})
 }
 
-// TestTableGetTakesNoLock: a reader is never held up by a writer's lock.
-func TestTableGetTakesNoLock(t *testing.T) {
-	tb := NewTable()
-	k := tbKey(1)
-	f, _ := tb.GetOrCreate(k, func() *Flow { return &Flow{flowState: flowState{Key: k}} })
-	for i := range tb.shards {
-		tb.shards[i].mu.Lock()
-	}
-	got := make(chan *Flow)
-	go func() { got <- tb.Get(k) }()
-	select {
-	case g := <-got:
-		if g != f {
-			t.Fatalf("Get = %p, want %p", g, f)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Get waited on a shard lock")
-	}
-	for i := range tb.shards {
-		tb.shards[i].mu.Unlock()
-	}
-}
-
 // TestFlowPolicyMayProbeTable: flow set-up runs the operator's FlowPolicy
-// while the new flow's shard is closed to writers; a callback that probes the
-// table, that shard included, must not wait on it.
+// before the new flow is in the table; a callback may probe the table, the
+// new flow's shard included.
 func TestFlowPolicyMayProbeTable(t *testing.T) {
 	cfg := DefaultConfig()
 	var v *VSwitch
@@ -404,59 +373,42 @@ func TestFlowPolicyMayProbeTable(t *testing.T) {
 		return DefaultPolicy()
 	}
 	v, host, _ := loneVSwitch(t, cfg)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		egress(v, dataPkt(host.Addr, packet.MakeAddr(10, 0, 0, 2), 100, 200, 1, 100))
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("flow set-up deadlocked: the FlowPolicy's probe of its own shard waited on the shard lock")
-	}
+	egress(v, dataPkt(host.Addr, packet.MakeAddr(10, 0, 0, 2), 100, 200, 1, 100))
 	if probes != 1 || v.Table.Len() != 1 {
 		t.Fatalf("%d FlowPolicy calls, %d flows; want 1 and 1", probes, v.Table.Len())
 	}
 }
 
-// TestTableConcurrentReaders: a control-plane goroutine probes, ranges,
-// scans, clears and restores the table while the datapath creates flows, the
-// sweep timer removes them and new flows take their records back. Run with
-// -race; the seqlock reads must see whole records or retry.
+// TestTableConcurrentReaders: control-plane reads and writes — probes,
+// ranges, shard scans, clears and restores — land between the datapath's
+// packets, the way the daemon's command queue delivers them, while the
+// datapath creates flows, the sweep timer removes them and new flows take
+// their records back. The index must stay whole throughout.
 func TestTableConcurrentReaders(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SweepInterval = 80 * sim.Microsecond
 	b := newRecycleBench(t, cfg)
-	var ctrlDone atomic.Bool
 	rounds := 0
 	var tick func()
 	tick = func() {
 		b.cycle(uint16(1000 + rounds%300))
-		if rounds++; rounds < 3000 || !ctrlDone.Load() {
+		if rounds++; rounds < 3000 {
 			b.s.ScheduleFunc(5*sim.Microsecond, tick)
 		}
 	}
 	b.s.ScheduleFunc(0, tick)
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer ctrlDone.Store(true)
-		var snap []byte
-		for i := 0; i < 400; i++ {
+	// One control operation every 37 µs, staggered against the cycles.
+	var snap []byte
+	for i := 0; i < 400; i++ {
+		i := i
+		b.s.ScheduleFunc(sim.Duration(i)*37*sim.Microsecond+1, func() {
 			k := b.key(uint16(1000 + i%300))
-			if f := b.v.Table.Get(k); f != nil {
-				f.mu.Lock()
-				_ = f.Key
-				f.mu.Unlock()
+			if f := b.v.Table.Get(k); f != nil && f.Key != k {
+				t.Errorf("Get(%v) returned the record of %v", k, f.Key)
 			}
 			b.v.Table.Get(k.Reverse())
-			b.v.Table.Range(func(f *Flow) {
-				f.mu.Lock()
-				_ = f.CwndBytes
-				f.mu.Unlock()
-			})
+			b.v.Table.Range(func(f *Flow) { _ = f.CwndBytes })
 			b.v.Table.ShardStats()
 			switch i % 50 {
 			case 10:
@@ -468,10 +420,10 @@ func TestTableConcurrentReaders(t *testing.T) {
 			case 30:
 				b.v.Table.Clear()
 			}
-		}
-	}()
+			checkIndex(t, b.v.Table, "a control operation")
+		})
+	}
 	b.s.RunAll()
-	wg.Wait()
 	if b.v.ParkedFlows() == 0 && b.v.Stats().FlowsRemoved == 0 {
 		t.Fatal("the datapath never swept: nothing was recycled under the readers")
 	}

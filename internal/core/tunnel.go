@@ -35,7 +35,7 @@ type tunnelState struct {
 	fbLastCE    bool
 }
 
-// tunnel returns f's tunnel state, made on first use. Caller holds f.mu.
+// tunnel returns f's tunnel state, made on first use.
 func (f *Flow) tunnel() *tunnelState {
 	if f.cold == nil {
 		f.cold = &tunnelState{}
@@ -57,8 +57,6 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		// passes through unwindowed rather than being dropped.
 		return p, nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if !f.issValid {
 		f.isUDP = true
 		f.issValid = true
@@ -100,7 +98,6 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 	var fb *packet.Packet
 	// A full table delivers the datagram uncounted: no feedback stream.
 	if f := v.flowFor(key); f != nil {
-		f.mu.Lock()
 		f.isUDP = true
 		f.lastActive = v.Sim.Now()
 		f.TotalBytes += uint32(p.IPLen())
@@ -120,7 +117,6 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 				packet.PACKInfo{TotalBytes: f.TotalBytes, MarkedBytes: f.MarkedBytes})
 			v.Metrics.FacksSent.Inc()
 		}
-		f.mu.Unlock()
 	}
 	if v.Cfg.StripECN {
 		v.stripECN(p, nil) // guest datagram sockets never negotiated ECN
@@ -135,7 +131,6 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 // tunnel queue into the opened window. The peer reports bytes received, not
 // an acknowledgement point, so SndUna advances by the total delta.
 func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
-	f.mu.Lock()
 	f.lastActive = v.Sim.Now()
 	totalDelta, markedDelta, reset := v.creditFeedbackLocked(f, info)
 	f.SndUna = min(f.SndUna+int64(totalDelta), f.SndNxt)
@@ -148,20 +143,18 @@ func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
 		// The restarted peer will never report what it received before.
 		f.SndUna = f.SndNxt
 	}
-	out := v.drainTunnelLocked(f)
-	f.mu.Unlock()
-	for _, q := range out {
+	for _, q := range v.drainTunnelLocked(f) {
 		v.Host.InjectToWire(q)
 	}
 }
 
-// fitsLocked reports whether the window has room for p. Caller holds f.mu.
+// fitsLocked reports whether the window has room for p.
 func fitsLocked(f *Flow, p *packet.Packet) bool {
 	return f.SndNxt-f.SndUna+int64(p.IPLen()) <= int64(f.CwndBytes)
 }
 
 // admitLocked sends p into the window: its bytes are in flight and it leaves
-// ECN-capable. Caller holds f.mu.
+// ECN-capable.
 func (v *VSwitch) admitLocked(f *Flow, p *packet.Packet) {
 	f.SndNxt += int64(p.IPLen())
 	f.maxInflight = max(f.maxInflight, f.SndNxt-f.SndUna)
@@ -187,16 +180,13 @@ func (v *VSwitch) drainTunnelLocked(f *Flow) []*packet.Packet {
 // onUDPTimeout handles feedback silence: assume everything outstanding was
 // lost (or the receiver vanished), collapse the window, restart.
 func (v *VSwitch) onUDPTimeout(f *Flow) {
-	f.mu.Lock()
 	if f.SndUna >= f.SndNxt && len(f.tunnel().tq) == 0 {
-		f.mu.Unlock()
 		return
 	}
 	v.collapseLocked(f)
 	f.SndUna = f.SndNxt // write off outstanding bytes
 	out := v.drainTunnelLocked(f)
 	f.inactivity.Reset(v.Cfg.VTimeout)
-	f.mu.Unlock()
 	for _, q := range out {
 		v.Host.InjectToWire(q)
 	}

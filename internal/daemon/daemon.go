@@ -7,18 +7,15 @@
 //
 // # Threading model
 //
-// The simulation is single-threaded by contract (internal/sim), so the
-// daemon runs it on one dedicated goroutine — the sim loop — that alternates
-// pacer advances with commands drained from a bounded queue. Admin handlers
-// run on net/http's goroutines and touch the simulation in exactly two ways:
-//
-//   - Race-safe calls (InstallPolicy, SaveSnapshot, RestoreSnapshot, Detach,
-//     Reattach, metrics/flow reads) go direct: the core layer makes these
-//     safe against in-flight datapath packets.
-//   - Everything that manipulates simulator timers (Restart) is marshaled
-//     onto the sim loop through the command queue. A full queue is a
-//     transient apply failure: enqueue retries with bounded backoff and only
-//     then reports the overload to the client (HTTP 503).
+// One owner, one way in. The simulation is single-threaded by contract
+// (internal/sim), so the daemon runs it on one dedicated goroutine — the sim
+// loop — that alternates pacer advances with commands drained from a bounded
+// queue, and that goroutine owns everything simulated: the fabric, every
+// vSwitch, its flow table and its policies. Every method a caller on another
+// goroutine may use (the admin handlers run on net/http's) reaches the fabric
+// through the queue (onLoop), or reads only atomic metric and audit counters
+// (DegradedReason). A full queue is a transient failure: enqueue retries with
+// bounded backoff and only then reports the overload (ErrBusy, HTTP 503).
 //
 // # Degradation
 //
@@ -30,6 +27,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -129,6 +127,9 @@ var ErrBusy = errors.New("daemon: sim loop busy (command queue full)")
 // ErrStopped reports a daemon that is shutting down.
 var ErrStopped = errors.New("daemon: stopped")
 
+// ErrNoHost reports a host index with no AC/DC module behind it.
+var ErrNoHost = errors.New("daemon: no such AC/DC host")
+
 // Daemon is one running service instance.
 type Daemon struct {
 	cfg   Config
@@ -147,6 +148,13 @@ type Daemon struct {
 	policyRejects  atomic.Int64
 	restarts       atomic.Int64
 	enqueueRetries atomic.Int64
+
+	// advancing is true while the loop runs a pacer advance. A new command
+	// cuts the advance short (sim.Stop), so that it waits for one event
+	// rather than the whole catch-up; the next tick resumes where it stopped.
+	// mu keeps the cut out of a command that runs the simulator itself.
+	mu        sync.Mutex
+	advancing bool
 }
 
 // New builds the daemon's simulated fabric (a star of cfg.Hosts hosts with
@@ -184,7 +192,8 @@ func New(cfg Config) *Daemon {
 	return d
 }
 
-// Net exposes the underlying fabric (tests, soak harness).
+// Net exposes the underlying fabric. It belongs to the sim loop: while the
+// loop runs, touch it only inside Exec.
 func (d *Daemon) Net() *topo.Net { return d.net }
 
 // startWorkload opens a ring of persistent bulk connections (host i → i+1)
@@ -235,10 +244,18 @@ func (d *Daemon) loop() {
 		case fn := <-d.cmds:
 			fn()
 		case <-ticker.C:
+			d.setAdvancing(true)
 			d.pacer.Advance()
+			d.setAdvancing(false)
 			d.drain()
 		}
 	}
+}
+
+func (d *Daemon) setAdvancing(on bool) {
+	d.mu.Lock()
+	d.advancing = on
+	d.mu.Unlock()
 }
 
 // drain runs queued commands without blocking, so a burst of admin ops does
@@ -265,6 +282,11 @@ func (d *Daemon) enqueue(fn func()) error {
 		}
 		select {
 		case d.cmds <- fn:
+			d.mu.Lock()
+			if d.advancing {
+				d.net.Sim.Stop()
+			}
+			d.mu.Unlock()
 			return nil
 		default:
 		}
@@ -275,10 +297,9 @@ func (d *Daemon) enqueue(fn func()) error {
 	return ErrBusy
 }
 
-// Exec marshals fn onto the sim loop and waits for it to run — the door for
-// operations the core layers restrict to the simulation goroutine (Restart,
-// fault-profile flips, workload control). fn must not block, or the whole
-// service stalls. A full queue surfaces as ErrBusy after bounded retries.
+// Exec marshals fn onto the sim loop and waits for it to run. fn must not
+// block, or the whole service stalls. A full queue surfaces as ErrBusy after
+// bounded retries, a stopped daemon as ErrStopped.
 func (d *Daemon) Exec(fn func()) error {
 	ran := make(chan struct{})
 	err := d.enqueue(func() {
@@ -292,83 +313,107 @@ func (d *Daemon) Exec(fn func()) error {
 	case <-ran:
 		return nil
 	case <-d.done:
-		return ErrStopped
+		// The loop may have run fn on its way out.
+		select {
+		case <-ran:
+			return nil
+		default:
+			return ErrStopped
+		}
 	}
+}
+
+// onLoop runs fn as the fabric's owner: through the queue while the sim loop
+// runs, inline while there is none — never started (the caller drives the
+// simulator itself, as the benchmark's admin-plane probes do) or stopped and
+// exited (acdcd's final status line). It fails only with ErrBusy.
+func (d *Daemon) onLoop(fn func()) error {
+	if d.started.IsZero() {
+		fn()
+		return nil
+	}
+	err := d.Exec(fn)
+	if errors.Is(err, ErrStopped) {
+		<-d.done
+		fn()
+		return nil
+	}
+	return err
 }
 
 // vswitch resolves a host index to its AC/DC module.
 func (d *Daemon) vswitch(host int) (*core.VSwitch, error) {
 	if host < 0 || host >= len(d.net.ACDC) {
-		return nil, fmt.Errorf("daemon: host %d out of range [0,%d)", host, len(d.net.ACDC))
+		return nil, fmt.Errorf("%w: host %d out of range [0,%d)", ErrNoHost, host, len(d.net.ACDC))
 	}
 	v := d.net.ACDC[host]
 	if v == nil {
-		return nil, fmt.Errorf("daemon: host %d has no AC/DC module", host)
+		return nil, fmt.Errorf("%w: host %d has no AC/DC module", ErrNoHost, host)
 	}
 	return v, nil
 }
 
-// InstallPolicy validates and installs a live per-flow policy on one host's
-// vSwitch. Race-safe: no marshaling needed.
-func (d *Daemon) InstallPolicy(host int, k core.FlowKey, p core.Policy) (core.Policy, error) {
+// onHost runs fn on the sim loop with host's vSwitch.
+func (d *Daemon) onHost(host int, fn func(*core.VSwitch)) error {
 	v, err := d.vswitch(host)
 	if err != nil {
+		return err
+	}
+	return d.onLoop(func() { fn(v) })
+}
+
+// InstallPolicy validates and installs a live per-flow policy on one host's
+// vSwitch.
+func (d *Daemon) InstallPolicy(host int, k core.FlowKey, p core.Policy) (core.Policy, error) {
+	var installed core.Policy
+	var rejected error
+	if err := d.onHost(host, func(v *core.VSwitch) { installed, rejected = v.InstallPolicy(k, p) }); err != nil {
 		return core.Policy{}, err
 	}
-	installed, err := v.InstallPolicy(k, p)
-	if err != nil {
+	if rejected != nil {
 		d.policyRejects.Add(1)
-		return core.Policy{}, err
+		return core.Policy{}, rejected
 	}
 	d.policyUpdates.Add(1)
 	return installed, nil
 }
 
 // ClearPolicy removes a live override.
-func (d *Daemon) ClearPolicy(host int, k core.FlowKey) (bool, error) {
-	v, err := d.vswitch(host)
-	if err != nil {
-		return false, err
-	}
-	return v.ClearPolicy(k), nil
+func (d *Daemon) ClearPolicy(host int, k core.FlowKey) (cleared bool, err error) {
+	err = d.onHost(host, func(v *core.VSwitch) { cleared = v.ClearPolicy(k) })
+	return cleared, err
 }
 
 // SaveSnapshot checkpoints one host's flow table.
-func (d *Daemon) SaveSnapshot(host int) ([]byte, error) {
-	v, err := d.vswitch(host)
-	if err != nil {
-		return nil, err
-	}
-	return v.SaveSnapshot(), nil
+func (d *Daemon) SaveSnapshot(host int) (snap []byte, err error) {
+	err = d.onHost(host, func(v *core.VSwitch) { snap = v.SaveSnapshot() })
+	return snap, err
 }
 
 // RestoreSnapshot installs a checkpoint into one host's flow table. A decode
 // failure fails open on the vSwitch and is returned to the client.
 func (d *Daemon) RestoreSnapshot(host int, data []byte) error {
-	v, err := d.vswitch(host)
-	if err != nil {
+	var rejected error
+	if err := d.onHost(host, func(v *core.VSwitch) { rejected = v.RestoreSnapshot(data) }); err != nil {
 		return err
 	}
-	return v.RestoreSnapshot(data)
+	return rejected
 }
 
-// Restart warm- or cold-restarts one host's vSwitch. Restart manipulates sim
-// timers, so it is marshaled onto the sim loop; a saturated queue surfaces
-// as ErrBusy after bounded retries.
+// Restart warm- or cold-restarts one host's vSwitch: a warm restart saves
+// its snapshot and restarts from it in one command.
 func (d *Daemon) Restart(host int, warm bool) error {
-	v, err := d.vswitch(host)
-	if err != nil {
-		return err
+	err := d.onHost(host, func(v *core.VSwitch) {
+		var snap []byte
+		if warm {
+			snap = v.SaveSnapshot()
+		}
+		v.Restart(snap)
+	})
+	if err == nil {
+		d.restarts.Add(1)
 	}
-	var snap []byte
-	if warm {
-		snap = v.SaveSnapshot()
-	}
-	if err := d.Exec(func() { v.Restart(snap) }); err != nil {
-		return err
-	}
-	d.restarts.Add(1)
-	return nil
+	return err
 }
 
 // SetFaultProfile flips the link fault regime. It errors when the daemon was
@@ -378,7 +423,7 @@ func (d *Daemon) SetFaultProfile(p faults.Profile) error {
 	if in == nil {
 		return errors.New("daemon: no fault injector configured")
 	}
-	return d.Exec(func() { in.SetProfile(p) })
+	return d.onLoop(func() { in.SetProfile(p) })
 }
 
 // MetricsSnapshot merges every host's datapath registry into one view. Each
@@ -387,43 +432,21 @@ func (d *Daemon) SetFaultProfile(p faults.Profile) error {
 // not as of the last control-plane visit. When fabric fault domains are
 // armed, the fabric's link-lifecycle and ECMP counters ride along, so one
 // scrape correlates injected outages with the datapath reaction.
-func (d *Daemon) MetricsSnapshot() metrics.Snapshot {
-	snaps := make([]metrics.Snapshot, 0, len(d.net.ACDC)+1)
-	for _, v := range d.net.ACDC {
-		if v != nil {
-			v.UpdateTableGauges()
-			snaps = append(snaps, v.Metrics.Snapshot())
+func (d *Daemon) MetricsSnapshot() (merged metrics.Snapshot, err error) {
+	err = d.onLoop(func() {
+		snaps := make([]metrics.Snapshot, 0, len(d.net.ACDC)+1)
+		for _, v := range d.net.ACDC {
+			if v != nil {
+				v.UpdateTableGauges()
+				snaps = append(snaps, v.Metrics.Snapshot())
+			}
 		}
-	}
-	if fab, ok := d.fabricSnapshot(); ok {
-		snaps = append(snaps, fab)
-	}
-	return metrics.Merge(snaps...)
-}
-
-// fabricSnapshot reads the fabric's link and switch counters. Unlike the
-// vSwitch registries they are plain fields the simulation goroutine writes
-// (netsim.Link.Stats, Switch.Stats), so a running daemon reads them on the
-// sim loop through Exec. Without a loop — never started (the caller drives
-// the simulator itself) or already stopped — there is no concurrent writer
-// and the read is direct. ok is false for a fabric-free topology and for a
-// loop too busy to take the command: that report goes without the fabric.
-func (d *Daemon) fabricSnapshot() (snap metrics.Snapshot, ok bool) {
-	if !d.net.HasFabric() {
-		return snap, false
-	}
-	read := func() { snap = d.net.FabricSnapshot() }
-	if d.started.IsZero() {
-		read()
-		return snap, true
-	}
-	if err := d.Exec(read); errors.Is(err, ErrStopped) {
-		<-d.done
-		read()
-	} else if err != nil {
-		return snap, false
-	}
-	return snap, true
+		if d.net.HasFabric() {
+			snaps = append(snaps, d.net.FabricSnapshot())
+		}
+		merged = metrics.Merge(snaps...)
+	})
+	return merged, err
 }
 
 // FlowInfo is one tracked flow as the admin API reports it.
@@ -440,28 +463,35 @@ type FlowInfo struct {
 	Resyncing bool    `json:"resyncing,omitempty"`
 }
 
-// Flows lists tracked flows; host < 0 lists every host.
+// Flows lists tracked flows; host < 0 lists every host. The list is never
+// nil, so an empty one encodes as [].
 func (d *Daemon) Flows(host int) ([]FlowInfo, error) {
-	if host >= len(d.net.ACDC) {
-		return nil, fmt.Errorf("daemon: host %d out of range [0,%d)", host, len(d.net.ACDC))
-	}
-	var out []FlowInfo
-	for i, v := range d.net.ACDC {
-		if v == nil || (host >= 0 && i != host) {
-			continue
+	if host >= 0 {
+		if _, err := d.vswitch(host); err != nil {
+			return nil, err
 		}
-		i := i
-		v.Table.Range(func(f *core.Flow) {
-			s := f.Snapshot()
-			out = append(out, FlowInfo{
-				Host: i,
-				Src:  f.Key.Src.String(), Dst: f.Key.Dst.String(),
-				SPort: f.Key.SPort, DPort: f.Key.DPort,
-				CwndBytes: s.CwndBytes, Alpha: s.Alpha,
-				SndUna: s.SndUna, SndNxt: s.SndNxt,
-				Resyncing: s.Resyncing,
+	}
+	out := []FlowInfo{}
+	err := d.onLoop(func() {
+		for i, v := range d.net.ACDC {
+			if v == nil || (host >= 0 && i != host) {
+				continue
+			}
+			v.Table.Range(func(f *core.Flow) {
+				s := f.Snapshot()
+				out = append(out, FlowInfo{
+					Host: i,
+					Src:  f.Key.Src.String(), Dst: f.Key.Dst.String(),
+					SPort: f.Key.SPort, DPort: f.Key.DPort,
+					CwndBytes: s.CwndBytes, Alpha: s.Alpha,
+					SndUna: s.SndUna, SndNxt: s.SndNxt,
+					Resyncing: s.Resyncing,
+				})
 			})
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -498,63 +528,51 @@ type Status struct {
 	Degraded         string `json:"degraded,omitempty"`
 }
 
-// StatusNow assembles the current status. What it reads directly is
-// goroutine-safe (atomic sim clock, sharded table, atomic counters); the
-// fabric counters, which are not, come through fabricSnapshot. As a side
-// effect it republishes each host's table-shape gauges, so a /status poll
-// keeps the Prometheus view fresh too.
-func (d *Daemon) StatusNow() Status {
-	now := d.net.Sim.Now()
-	flows := 0
-	var failOpen, sweeps, imb int64
-	shardMax := 0
-	for _, v := range d.net.ACDC {
-		if v != nil {
-			shape := v.UpdateTableGauges()
-			flows += shape.Flows
-			if shape.ShardMax > shardMax {
-				shardMax = shape.ShardMax
+// StatusNow assembles the current status on the sim loop. As a side effect
+// it republishes each host's table-shape gauges, so a /status poll keeps the
+// Prometheus view fresh too.
+func (d *Daemon) StatusNow() (Status, error) {
+	st := Status{Hosts: d.cfg.Hosts, UptimeSeconds: time.Since(d.started).Seconds()}
+	err := d.onLoop(func() {
+		now := d.net.Sim.Now()
+		st.SimNow, st.SimNowNanos = now.String(), int64(now)
+		st.ForgivenNanos = int64(d.pacer.Forgiven())
+		for _, v := range d.net.ACDC {
+			if v != nil {
+				shape := v.UpdateTableGauges()
+				st.Flows += shape.Flows
+				st.TableShardMax = max(st.TableShardMax, shape.ShardMax)
+				st.TableImbalancePermille = max(st.TableImbalancePermille, shape.ImbalancePermille)
+				st.FailOpen += v.Metrics.FailOpen.Value()
+				st.PressureSweeps += v.Metrics.PressureSweeps.Value()
 			}
-			if shape.ImbalancePermille > imb {
-				imb = shape.ImbalancePermille
-			}
-			failOpen += v.Metrics.FailOpen.Value()
-			sweeps += v.Metrics.PressureSweeps.Value()
 		}
+		if d.net.HasFabric() {
+			snap := d.net.FabricSnapshot()
+			st.FabricLinkDowns = snap.Counter("fabric_link_downs_total")
+			st.FabricLinkUps = snap.Counter("fabric_link_ups_total")
+			st.FabricFailovers = snap.Counter("ecmp_failovers_total")
+			st.FabricBlackholes = snap.Counter("ecmp_blackholes_total")
+			st.FabricGrayDrops = snap.Counter("fabric_gray_drops_total")
+		}
+	})
+	if err != nil {
+		return Status{}, err
 	}
-	st := Status{
-		SimNow:         now.String(),
-		SimNowNanos:    int64(now),
-		ForgivenNanos:  int64(d.pacer.Forgiven()),
-		UptimeSeconds:  time.Since(d.started).Seconds(),
-		Hosts:          d.cfg.Hosts,
-		Flows:          flows,
-		PolicyUpdates:  d.policyUpdates.Load(),
-		PolicyRejects:  d.policyRejects.Load(),
-		Restarts:       d.restarts.Load(),
-		EnqueueRetries: d.enqueueRetries.Load(),
-		AuditTotal:     d.net.AuditViolations(),
-		FailOpen:       failOpen,
-
-		TableShardMax:          shardMax,
-		TableImbalancePermille: imb,
-		PressureSweeps:         sweeps,
-		Degraded:               d.DegradedReason(),
-	}
-	if snap, ok := d.fabricSnapshot(); ok {
-		st.FabricLinkDowns = snap.Counter("fabric_link_downs_total")
-		st.FabricLinkUps = snap.Counter("fabric_link_ups_total")
-		st.FabricFailovers = snap.Counter("ecmp_failovers_total")
-		st.FabricBlackholes = snap.Counter("ecmp_blackholes_total")
-		st.FabricGrayDrops = snap.Counter("fabric_gray_drops_total")
-	}
-	return st
+	st.PolicyUpdates = d.policyUpdates.Load()
+	st.PolicyRejects = d.policyRejects.Load()
+	st.Restarts = d.restarts.Load()
+	st.EnqueueRetries = d.enqueueRetries.Load()
+	st.AuditTotal = d.net.AuditViolations()
+	st.Degraded = d.DegradedReason()
+	return st, nil
 }
 
 // DegradedReason reports why the daemon is degraded, or "" when ready. The
 // daemon never exits on these conditions — a vSwitch that fails open or
 // trips the auditor is worth keeping alive for diagnosis — but readiness
-// reflects them so an orchestrator can drain traffic away.
+// reflects them so an orchestrator can drain traffic away. It reads only
+// atomic counters, so it answers even while the sim loop is busy.
 func (d *Daemon) DegradedReason() string {
 	if n := d.net.AuditViolations(); n > 0 {
 		return fmt.Sprintf("audit: %d invariant violations", n)

@@ -3,6 +3,7 @@ package daemon
 import (
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +35,12 @@ func startDaemon(t *testing.T, cfg Config) (*Daemon, *Client) {
 	return d, NewClient(srv.URL, nil)
 }
 
+// hasFlows reports whether the admin API lists flows on host.
+func hasFlows(c *Client, host int) bool {
+	flows, err := c.Flows(host)
+	return err == nil && len(flows) > 0
+}
+
 // waitFor polls cond for up to 2 seconds of wall time.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -57,13 +64,11 @@ func TestDaemonAdvancesAndServes(t *testing.T) {
 	}
 	// The pacer must keep the virtual clock moving with wall time.
 	waitFor(t, "virtual time to advance", func() bool {
-		return d.Net().Sim.Now() > 10*sim.Millisecond
+		st, err := d.StatusNow()
+		return err == nil && st.SimNowNanos > int64(10*sim.Millisecond)
 	})
 	// With the background workload on, flows appear and metrics count.
-	waitFor(t, "flows to be tracked", func() bool {
-		flows, err := c.Flows(-1)
-		return err == nil && len(flows) > 0
-	})
+	waitFor(t, "flows to be tracked", func() bool { return hasFlows(c, -1) })
 	text, err := c.Metrics()
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
@@ -84,10 +89,7 @@ func TestDaemonAdvancesAndServes(t *testing.T) {
 
 func TestPolicyStreamMixedResults(t *testing.T) {
 	d, c := startDaemon(t, Config{Workload: true})
-	waitFor(t, "flows", func() bool {
-		flows, err := c.Flows(0)
-		return err == nil && len(flows) > 0
-	})
+	waitFor(t, "flows", func() bool { return hasFlows(c, 0) })
 	flows, _ := c.Flows(0)
 	f := flows[0]
 
@@ -116,13 +118,21 @@ func TestPolicyStreamMixedResults(t *testing.T) {
 	if !strings.Contains(results[1].Error, "beta") {
 		t.Fatalf("hostile β rejection reason = %q", results[1].Error)
 	}
-	st := d.StatusNow()
+	st, err := d.StatusNow()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.PolicyUpdates != 1 || st.PolicyRejects != 1 {
 		t.Fatalf("updates/rejects = %d/%d, want 1/1", st.PolicyUpdates, st.PolicyRejects)
 	}
 	// The installed override is live on the vSwitch.
 	k, _ := (PolicyUpdate{Src: f.Src, Dst: f.Dst, SPort: f.SPort, DPort: f.DPort}).key()
-	if p, ok := d.Net().ACDC[0].PolicyOverride(k); !ok || p.Beta != 0.5 {
+	var p core.Policy
+	var ok bool
+	if err := d.Exec(func() { p, ok = d.Net().ACDC[0].PolicyOverride(k) }); err != nil {
+		t.Fatal(err)
+	}
+	if !ok || p.Beta != 0.5 {
 		t.Fatalf("override not live: %+v ok=%v", p, ok)
 	}
 }
@@ -142,9 +152,7 @@ func TestPolicyStreamAllFailedIs400(t *testing.T) {
 
 func TestSnapshotRoundTripAndRestart(t *testing.T) {
 	d, c := startDaemon(t, Config{Workload: true})
-	waitFor(t, "flows on host 0", func() bool {
-		return d.Net().ACDC[0].FlowCount() > 0
-	})
+	waitFor(t, "flows on host 0", func() bool { return hasFlows(c, 0) })
 	snap, err := c.SaveSnapshot(0)
 	if err != nil {
 		t.Fatalf("save: %v", err)
@@ -161,14 +169,15 @@ func TestSnapshotRoundTripAndRestart(t *testing.T) {
 	if err := c.Restart(0, false); err != nil {
 		t.Fatalf("cold restart: %v", err)
 	}
-	st := d.Net().ACDC[0].Stats()
+	var st core.Stats
+	if err := d.Exec(func() { st = d.Net().ACDC[0].Stats() }); err != nil {
+		t.Fatal(err)
+	}
 	if st.Restarts != 2 || st.SnapshotSaves < 2 || st.SnapshotRestores < 2 || st.SnapshotCorrupt != 1 {
 		t.Fatalf("restart accounting: %+v", st)
 	}
 	// The restarted vSwitch keeps enforcing: flows re-appear.
-	waitFor(t, "flows after restart", func() bool {
-		return d.Net().ACDC[0].FlowCount() > 0
-	})
+	waitFor(t, "flows after restart", func() bool { return hasFlows(c, 0) })
 }
 
 func TestReadyzDegradesOnAuditViolation(t *testing.T) {
@@ -179,12 +188,15 @@ func TestReadyzDegradesOnAuditViolation(t *testing.T) {
 	// Seed one invariant violation directly through the auditor's public
 	// event API: a β=3 cut whose factor exceeds 1 (the window grew on
 	// congestion) — exactly the defect class the auditor exists to catch.
-	v := d.Net().ACDC[0]
-	d.Net().Audits[0].CutEvent(v, core.CutEvent{
-		Key: core.FlowKey{SPort: 1, DPort: 2},
-		Alg: "dctcp", Alpha: 0.5, Beta: 3,
-		Factor: 1.25, PrevCwnd: 20000, NewCwnd: 25000,
-	})
+	if err := d.Exec(func() {
+		d.Net().Audits[0].CutEvent(d.Net().ACDC[0], core.CutEvent{
+			Key: core.FlowKey{SPort: 1, DPort: 2},
+			Alg: "dctcp", Alpha: 0.5, Beta: 3,
+			Factor: 1.25, PrevCwnd: 20000, NewCwnd: 25000,
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	err := c.Ready()
 	if err == nil {
 		t.Fatal("readyz stayed ready after an audit violation")
@@ -196,7 +208,7 @@ func TestReadyzDegradesOnAuditViolation(t *testing.T) {
 	if err := c.Health(); err != nil {
 		t.Fatalf("healthz while degraded: %v", err)
 	}
-	if d.StatusNow().Degraded == "" {
+	if st, _ := d.StatusNow(); st.Degraded == "" {
 		t.Fatal("status does not report degradation")
 	}
 }
@@ -227,14 +239,30 @@ func TestRestartBusyQueueSurfacesAfterRetries(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
 		t.Fatalf("restart failed after %v — no retry/backoff happened", elapsed)
 	}
-	if d.StatusNow().EnqueueRetries == 0 {
-		t.Fatal("no enqueue retries recorded")
+	// Every endpoint that needs the fabric answers 503 too, the reads
+	// included: none answers from a fabric it does not own.
+	for path, try := range map[string]func() error{
+		"/status":   func() error { _, err := c.Status(); return err },
+		"/metrics":  func() error { _, err := c.Metrics(); return err },
+		"/v1/flows": func() error { _, err := c.Flows(0); return err },
+		"/v1/flows/watch": func() error {
+			_, err := c.do("GET", "/v1/flows/watch?for=10ms", nil)
+			return err
+		},
+		"/v1/snapshot/save": func() error { _, err := c.SaveSnapshot(0); return err },
+	} {
+		if err := try(); err == nil || !strings.Contains(err.Error(), "503") {
+			t.Errorf("%s against a stalled sim loop: %v, want 503", path, err)
+		}
 	}
 	close(unblock)
 	// The loop recovers: the queued no-op drains and new ops succeed.
 	waitFor(t, "loop recovery", func() bool {
 		return c.Restart(0, false) == nil
 	})
+	if st, err := d.StatusNow(); err != nil || st.EnqueueRetries == 0 {
+		t.Fatalf("no enqueue retries recorded (%v)", err)
+	}
 }
 
 func TestFlowsWatchStreams(t *testing.T) {
@@ -261,10 +289,8 @@ func TestStopIsIdempotentAndInterruptsLoop(t *testing.T) {
 }
 
 func TestAdminTokenGatesMutatingEndpoints(t *testing.T) {
-	d, c := startDaemon(t, Config{Workload: true, AdminToken: "sekrit"})
-	waitFor(t, "flows on host 0", func() bool {
-		return d.Net().ACDC[0].FlowCount() > 0
-	})
+	_, c := startDaemon(t, Config{Workload: true, AdminToken: "sekrit"})
+	waitFor(t, "flows on host 0", func() bool { return hasFlows(c, 0) })
 	// Read-only probes stay open: health checks and scrapes need no token.
 	if err := c.Health(); err != nil {
 		t.Fatalf("healthz without token: %v", err)
@@ -310,10 +336,8 @@ func TestAdminTokenGatesMutatingEndpoints(t *testing.T) {
 
 func TestNoTokenLeavesEndpointsOpen(t *testing.T) {
 	// The loopback deployment path: no token configured, everything serves.
-	d, c := startDaemon(t, Config{Workload: true})
-	waitFor(t, "flows on host 0", func() bool {
-		return d.Net().ACDC[0].FlowCount() > 0
-	})
+	_, c := startDaemon(t, Config{Workload: true})
+	waitFor(t, "flows on host 0", func() bool { return hasFlows(c, 0) })
 	if err := c.Restart(0, true); err != nil {
 		t.Fatalf("restart on open daemon: %v", err)
 	}
@@ -352,16 +376,16 @@ func TestFabricCountersWithoutALoop(t *testing.T) {
 	}
 	d := New(Config{Hosts: 2, Scale: 1.0, Tick: time.Millisecond, Workload: true, Fabric: doms})
 	d.Net().Sim.RunFor(5 * sim.Millisecond)
-	if st := d.StatusNow(); st.FabricLinkDowns != 1 || st.FabricLinkUps != 1 {
-		t.Fatalf("unstarted daemon: downs %d ups %d, want 1 each", st.FabricLinkDowns, st.FabricLinkUps)
+	if st, err := d.StatusNow(); err != nil || st.FabricLinkDowns != 1 || st.FabricLinkUps != 1 {
+		t.Fatalf("unstarted daemon: downs %d ups %d, want 1 each (%v)", st.FabricLinkDowns, st.FabricLinkUps, err)
 	}
 	d.Start()
 	d.Stop()
-	if st := d.StatusNow(); st.FabricLinkDowns != 1 {
-		t.Fatalf("stopped daemon: downs %d, want 1", st.FabricLinkDowns)
+	if st, err := d.StatusNow(); err != nil || st.FabricLinkDowns != 1 {
+		t.Fatalf("stopped daemon: downs %d, want 1 (%v)", st.FabricLinkDowns, err)
 	}
-	if !strings.Contains(d.MetricsSnapshot().Text(), "fabric_link_downs_total") {
-		t.Fatal("stopped daemon: metrics scrape lost the fabric counters")
+	if snap, err := d.MetricsSnapshot(); err != nil || !strings.Contains(snap.Text(), "fabric_link_downs_total") {
+		t.Fatalf("stopped daemon: metrics scrape lost the fabric counters (%v)", err)
 	}
 }
 
@@ -376,8 +400,8 @@ func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 	// Both counters: the second up trails the second down by wall-paced
 	// simulated time, so waiting for the downs alone races it.
 	waitFor(t, "both flaps to finish", func() bool {
-		st := d.StatusNow()
-		return st.FabricLinkDowns >= 2 && st.FabricLinkUps >= 2
+		st, err := d.StatusNow()
+		return err == nil && st.FabricLinkDowns >= 2 && st.FabricLinkUps >= 2
 	})
 	st, err := c.Status()
 	if err != nil {
@@ -399,7 +423,7 @@ func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 
 	// And the fabric-free daemon stays quiet: no fabric keys in either view.
 	d2, c2 := startDaemon(t, Config{Workload: true})
-	if st2 := d2.StatusNow(); st2.FabricLinkDowns != 0 {
+	if st2, _ := d2.StatusNow(); st2.FabricLinkDowns != 0 {
 		t.Fatalf("fabric-free daemon reports fabric downs: %+v", st2)
 	}
 	text2, err := c2.Metrics()
@@ -408,5 +432,110 @@ func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 	}
 	if strings.Contains(text2, "fabric_") || strings.Contains(text2, "link_down_events_total") {
 		t.Fatalf("fabric-free metrics scrape grew fabric keys:\n%s", text2)
+	}
+}
+
+// TestFlowsHostParam pins how the flows endpoints, and the others that take
+// ?host=, answer a bad host: a negative or unparseable one is a bad request,
+// one past the fabric is not found — on the watch stream too, before anything
+// is streamed — and an empty listing is [], not null.
+func TestFlowsHostParam(t *testing.T) {
+	h := New(Config{Hosts: 2}).Handler()
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		body         string // exact body, when set
+	}{
+		{"GET", "/v1/flows", 200, "[]\n"},
+		{"GET", "/v1/flows?host=1", 200, "[]\n"},
+		{"GET", "/v1/flows?host=99", 404, ""},
+		{"GET", "/v1/flows?host=-5", 400, ""},
+		{"GET", "/v1/flows?host=x", 400, ""},
+		{"GET", "/v1/flows/watch?host=99&every=1ms&for=2ms", 404, ""},
+		{"GET", "/v1/flows/watch?host=-5&every=1ms&for=2ms", 400, ""},
+		{"POST", "/v1/snapshot/save?host=99", 404, ""},
+		{"POST", "/v1/snapshot/save?host=-1", 400, ""},
+		{"POST", "/v1/restart?host=99", 404, ""},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.code || (tc.body != "" && rec.Body.String() != tc.body) {
+			t.Errorf("%s %s = %d %q, want %d %q", tc.method, tc.path, rec.Code, rec.Body, tc.code, tc.body)
+		}
+	}
+}
+
+// TestAdminSurfaceConcurrent drives every admin endpoint from many client
+// goroutines at once against a live daemon — workload on, a flapping link —
+// which is where the service's concurrency lives. Run with -race: each call
+// reaches the fabric through the sim loop or answers 503, and the datapath
+// stays clean.
+func TestAdminSurfaceConcurrent(t *testing.T) {
+	doms, err := faults.ParseDomains("flap@1ms,link=h0.up,down=500us,up=1ms,count=100")
+	if err != nil {
+		t.Fatalf("ParseDomains: %v", err)
+	}
+	const hosts, clients = 4, 8
+	d := New(Config{Hosts: hosts, Scale: 1.0, Tick: time.Millisecond, Workload: true, Fabric: doms})
+	addrs := make([]string, hosts)
+	for i := range addrs {
+		addrs[i] = d.Net().Addr(i).String()
+	}
+	d.Start()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	c := NewClient(srv.URL, nil)
+
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			host := g % hosts
+			u := PolicyUpdate{Host: host, Src: addrs[host], Dst: addrs[(host+1)%hosts],
+				SPort: uint16(40000 + g), DPort: 5001, Beta: 0.5}
+			calls := []func() error{
+				func() error { _, err := c.SendPolicies(u); return err },
+				func() error { u := u; u.Clear = true; _, err := c.SendPolicies(u); return err },
+				func() error { _, err := c.Flows(-1); return err },
+				func() error { _, err := c.Flows(host); return err },
+				func() error { _, err := c.do("GET", "/v1/flows/watch?every=2ms&for=5ms", nil); return err },
+				func() error { _, err := c.Status(); return err },
+				func() error { _, err := c.Metrics(); return err },
+				func() error {
+					snap, err := c.SaveSnapshot(host)
+					if err != nil {
+						return err
+					}
+					return c.RestoreSnapshot(host, snap)
+				},
+				func() error { return c.Restart(host, true) },
+				func() error { return c.Restart(host, false) },
+			}
+			for i := 0; time.Now().Before(deadline); i++ {
+				if err := calls[i%len(calls)](); err != nil && !strings.Contains(err.Error(), " 503 ") {
+					t.Errorf("client %d, call %d: %v", g, i%len(calls), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	d.Stop()
+
+	st, err := d.StatusNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AuditTotal != 0 {
+		t.Fatalf("%d audit violations under concurrent admin traffic", st.AuditTotal)
+	}
+	flows, err := d.Flows(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Flows != len(flows) {
+		t.Fatalf("status counts %d flows, the listing has %d", st.Flows, len(flows))
 	}
 }

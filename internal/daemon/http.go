@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -31,8 +32,9 @@ import (
 //	POST /v1/snapshot/restore ?host=i, body = snapshot bytes
 //	POST /v1/restart          ?host=i&mode=warm|cold
 //
-// Apply failures map to status codes: validation → 400, overload (ErrBusy
-// after bounded retry+backoff) → 503, unknown host → 404.
+// Every failure maps to a status code in one place, statusFor: overload
+// (ErrBusy after bounded retry+backoff) → 503, unknown host (ErrNoHost) →
+// 404, anything else (validation, a bad parameter) → 400.
 
 // PolicyUpdate is one streamed policy operation.
 type PolicyUpdate struct {
@@ -165,15 +167,26 @@ func (d *Daemon) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, d.StatusNow())
+	st, err := d.StatusNow()
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	writeJSON(w, st)
 }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	snap, err := d.MetricsSnapshot()
+	if err != nil {
+		fail(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, d.MetricsSnapshot().Text())
+	io.WriteString(w, snap.Text())
 }
 
 // hostParam parses ?host=; required reports whether the endpoint needs it.
+// Absent and optional, it is -1: every host.
 func hostParam(r *http.Request, required bool) (int, error) {
 	s := r.URL.Query().Get("host")
 	if s == "" {
@@ -182,18 +195,22 @@ func hostParam(r *http.Request, required bool) (int, error) {
 		}
 		return -1, nil
 	}
-	return strconv.Atoi(s)
+	host, err := strconv.Atoi(s)
+	if err == nil && host < 0 {
+		err = fmt.Errorf("negative ?host=%d", host)
+	}
+	return host, err
 }
 
 func (d *Daemon) handleFlows(w http.ResponseWriter, r *http.Request) {
 	host, err := hostParam(r, false)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		fail(w, err)
 		return
 	}
 	flows, err := d.Flows(host)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		fail(w, err)
 		return
 	}
 	writeJSON(w, flows)
@@ -204,7 +221,7 @@ func (d *Daemon) handleFlows(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
 	host, err := hostParam(r, false)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		fail(w, err)
 		return
 	}
 	every, dur := 100*time.Millisecond, time.Second
@@ -223,6 +240,13 @@ func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
 	if dur > 30*time.Second {
 		dur = 30 * time.Second
 	}
+	// The first listing answers for the whole stream: an unknown host or a
+	// busy loop fails the request before anything is streamed.
+	flows, err := d.Flows(host)
+	if err != nil {
+		fail(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -230,13 +254,6 @@ func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
-		flows, err := d.Flows(host)
-		if err != nil {
-			return
-		}
-		if flows == nil {
-			flows = []FlowInfo{}
-		}
 		if enc.Encode(flows) != nil {
 			return
 		}
@@ -253,6 +270,9 @@ func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
 		case <-d.done:
 			return
 		}
+		if flows, err = d.Flows(host); err != nil {
+			return
+		}
 	}
 }
 
@@ -263,66 +283,69 @@ func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	var results []PolicyResult
+	var firstErr error
 	for i := 0; ; i++ {
 		var u PolicyUpdate
-		if err := dec.Decode(&u); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
+		err := dec.Decode(&u)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		undecodable := err != nil
+		res := PolicyResult{Index: i}
+		if undecodable {
+			err = fmt.Errorf("decode: %w", err)
+		} else {
+			res, err = d.applyUpdate(i, u)
+		}
+		if err != nil {
+			res.Error = err.Error()
+			if firstErr == nil {
+				firstErr = err
 			}
-			results = append(results, PolicyResult{
-				Index: i, Error: "decode: " + err.Error(),
-			})
+		}
+		results = append(results, res)
+		if undecodable {
 			break // the stream is unparseable past this point
 		}
-		results = append(results, d.applyUpdate(i, u))
 	}
 	if len(results) == 0 {
 		http.Error(w, "empty policy stream", http.StatusBadRequest)
 		return
 	}
-	// One bad update in a batch is a partial failure: report 400 only when
-	// everything failed, 200 with per-update results otherwise.
-	allFailed := true
-	for _, res := range results {
-		if res.OK {
-			allFailed = false
-			break
-		}
-	}
-	if allFailed {
-		w.WriteHeader(http.StatusBadRequest)
+	// One bad update in a batch is a partial failure: the status reports a
+	// failure only when everything failed, 200 with per-update results
+	// otherwise.
+	if firstErr != nil && !slices.ContainsFunc(results, func(r PolicyResult) bool { return r.OK }) {
+		w.WriteHeader(statusFor(firstErr))
 	}
 	writeJSON(w, results)
 }
 
-func (d *Daemon) applyUpdate(i int, u PolicyUpdate) PolicyResult {
+func (d *Daemon) applyUpdate(i int, u PolicyUpdate) (PolicyResult, error) {
 	k, err := u.key()
 	if err != nil {
-		return PolicyResult{Index: i, Error: err.Error()}
+		return PolicyResult{Index: i}, err
 	}
 	if u.Clear {
 		cleared, err := d.ClearPolicy(u.Host, k)
-		if err != nil {
-			return PolicyResult{Index: i, Error: err.Error()}
-		}
-		return PolicyResult{Index: i, OK: true, Cleared: cleared}
+		return PolicyResult{Index: i, OK: err == nil, Cleared: cleared}, err
 	}
 	installed, err := d.InstallPolicy(u.Host, k, u.policy())
 	if err != nil {
-		return PolicyResult{Index: i, Error: err.Error()}
+		return PolicyResult{Index: i}, err
 	}
-	return PolicyResult{Index: i, OK: true, Installed: &installed}
+	return PolicyResult{Index: i, OK: true, Installed: &installed}, nil
 }
 
 func (d *Daemon) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 	host, err := hostParam(r, true)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		fail(w, err)
 		return
 	}
 	snap, err := d.SaveSnapshot(host)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		fail(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -332,18 +355,18 @@ func (d *Daemon) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 	host, err := hostParam(r, true)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		fail(w, err)
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		fail(w, err)
 		return
 	}
 	if err := d.RestoreSnapshot(host, data); err != nil {
 		// The vSwitch already failed open (fresh table); tell the client
 		// its snapshot was rejected.
-		http.Error(w, err.Error(), statusFor(err))
+		fail(w, err)
 		return
 	}
 	io.WriteString(w, "restored\n")
@@ -352,7 +375,7 @@ func (d *Daemon) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleRestart(w http.ResponseWriter, r *http.Request) {
 	host, err := hostParam(r, true)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		fail(w, err)
 		return
 	}
 	mode := r.URL.Query().Get("mode")
@@ -364,23 +387,27 @@ func (d *Daemon) handleRestart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := d.Restart(host, mode == "warm"); err != nil {
-		http.Error(w, err.Error(), statusFor(err))
+		fail(w, err)
 		return
 	}
 	fmt.Fprintf(w, "%s restart done\n", mode)
 }
 
-// statusFor maps daemon errors to HTTP status codes.
+// statusFor maps an error to its HTTP status code.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrStopped):
+	case errors.Is(err, ErrBusy):
 		return http.StatusServiceUnavailable
-	case strings.Contains(err.Error(), "out of range"),
-		strings.Contains(err.Error(), "no AC/DC module"):
+	case errors.Is(err, ErrNoHost):
 		return http.StatusNotFound
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// fail answers a request with err and its status code.
+func fail(w http.ResponseWriter, err error) {
+	http.Error(w, err.Error(), statusFor(err))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

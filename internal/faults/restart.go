@@ -30,9 +30,10 @@ import (
 	"acdc/internal/sim"
 )
 
-// RestartTarget is the surface the scheduler drives. *core.VSwitch
-// implements it; the interface keeps this package below internal/core in
-// the dependency graph.
+// RestartTarget is the surface the scheduler drives, from sim events on the
+// simulation goroutine, which owns the target. *core.VSwitch implements it;
+// the interface keeps this package below internal/core in the dependency
+// graph.
 type RestartTarget interface {
 	// SaveSnapshot checkpoints the flow table.
 	SaveSnapshot() []byte

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Pacer drives a Simulator against a wall clock: each Advance runs the
 // simulation up to the virtual time the elapsed wall time maps to under a
@@ -19,9 +16,6 @@ import (
 // rather than freeze serving requests while it replays the minute.
 //
 // A Pacer is owned by the simulation goroutine: Advance runs events.
-// Forgiven is an atomic read, safe from any goroutine (the daemon's status
-// endpoint reads it while the loop runs); everything else belongs to the
-// owning goroutine.
 type Pacer struct {
 	sim *Simulator
 	// scale is virtual nanoseconds advanced per wall nanosecond. 1.0 paces
@@ -35,7 +29,7 @@ type Pacer struct {
 
 	wallBase time.Duration // clock() at the last rebase
 	simBase  Time          // sim.Now() at the last rebase
-	forgiven atomic.Int64  // total virtual ns dropped by bounded catch-up
+	forgiven Duration      // total virtual time dropped by bounded catch-up
 }
 
 // NewPacer creates a pacer anchored at the simulator's current time. scale
@@ -88,17 +82,17 @@ func (p *Pacer) Advance() Time {
 		return now
 	}
 	if lag := target - now; lag > p.maxCatchUp {
-		p.forgiven.Add(int64(lag - p.maxCatchUp))
+		p.forgiven += lag - p.maxCatchUp
 		target = now + p.maxCatchUp
-		// Rebase after the clamp so the forgiven backlog does not carry
-		// into every subsequent Advance.
-		defer p.rebase()
+		// Re-anchor at the clamped target once it has run, so the forgiven
+		// backlog does not carry into every subsequent Advance, while what a
+		// Stop left short of the target is still owed.
+		defer func() { p.wallBase, p.simBase = p.clock(), target }()
 	}
 	p.sim.Run(target)
 	return p.sim.Now()
 }
 
 // Forgiven returns the total virtual time dropped by bounded catch-up — the
-// daemon's "how far behind real time have I been" gauge. Safe from any
-// goroutine.
-func (p *Pacer) Forgiven() Duration { return Duration(p.forgiven.Load()) }
+// daemon's "how far behind real time have I been" gauge.
+func (p *Pacer) Forgiven() Duration { return p.forgiven }

@@ -74,6 +74,28 @@ func TestPacerBoundsCatchUp(t *testing.T) {
 	}
 }
 
+// TestPacerOwesWhatStopCut: a Stop cuts a bounded catch-up short (the daemon
+// does so to serve a command); what it left of the bound is still owed, and
+// the next Advance replays it without counting it as forgiven.
+func TestPacerOwesWhatStopCut(t *testing.T) {
+	s := New(1)
+	s.At(4*Millisecond, s.Stop)
+	p := NewPacer(s, 1.0, 10*Millisecond)
+	clk := &fakeClock{}
+	p.SetClock(clk.read)
+
+	clk.tick(time.Second)
+	if got := p.Advance(); got != 4*Millisecond {
+		t.Fatalf("stopped advance reached %v, want 4ms", got)
+	}
+	if got := p.Advance(); got != 10*Millisecond {
+		t.Fatalf("the next advance reached %v, want the 10ms the first one was bound to", got)
+	}
+	if want := Second - 10*Millisecond; p.Forgiven() != want {
+		t.Fatalf("forgiven %v, want %v", p.Forgiven(), want)
+	}
+}
+
 func TestPacerIdleWhenAhead(t *testing.T) {
 	s := New(1)
 	s.RunFor(5 * Millisecond)
@@ -87,20 +109,19 @@ func TestPacerIdleWhenAhead(t *testing.T) {
 }
 
 // TestStopFromAnotherGoroutine pins the cross-goroutine contract a daemon
-// relies on: Stop interrupts a running Run, and Now is readable while the
-// simulation advances.
+// relies on: Stop, the one method another goroutine may call, interrupts a
+// running Run.
 func TestStopFromAnotherGoroutine(t *testing.T) {
 	s := New(1)
 	var reschedule func()
 	reschedule = func() { s.Schedule(Microsecond, reschedule) }
 	reschedule()
+	reached := make(chan struct{})
+	s.At(100*Microsecond, func() { close(reached) })
 
 	done := make(chan struct{})
 	go func() {
-		// Concurrent observers: Now and Allocated are atomic reads.
-		for s.Now() < 100*Microsecond {
-			_ = s.Allocated()
-		}
+		<-reached
 		s.Stop()
 		close(done)
 	}()

@@ -3,16 +3,16 @@
 // with cancellable timers, and a deterministic RNG.
 //
 // The simulator is single-threaded: all events run on the goroutine that
-// calls Run. Determinism is guaranteed by ordering events first by time and
-// then by insertion sequence, so two events scheduled for the same instant
-// fire in the order they were scheduled.
+// calls Run, and that goroutine owns the simulator and everything it drives.
+// Determinism is guaranteed by ordering events first by time and then by
+// insertion sequence, so two events scheduled for the same instant fire in
+// the order they were scheduled.
 //
-// Two read paths are safe from other goroutines, which is what lets a
-// long-lived service (cmd/acdcd, internal/soak) observe and interrupt a
-// running simulation: Now and Allocated are atomic loads, and Stop may be
-// called concurrently to make Run return after the current event. Every
-// other method — scheduling, cancelling, Run itself — remains owned by the
-// simulation goroutine.
+// Stop is the one method another goroutine may call: it makes Run return
+// after the current event, which is how a long-lived service (cmd/acdcd)
+// interrupts a running simulation. Everything else a service needs from
+// another goroutine it asks the simulation goroutine for (internal/daemon's
+// command queue).
 //
 // # Event queue
 //
@@ -130,11 +130,7 @@ func slotOf(t Time) int64 { return int64(t) >> slotShift }
 
 // Simulator owns the virtual clock and the pending-event queue.
 type Simulator struct {
-	// now is the virtual clock. It is written only by the simulation
-	// goroutine but read (via Now) by observers on other goroutines — an
-	// admin API reporting status, a flow snapshot taken mid-run — so it is
-	// an atomic Time in nanoseconds.
-	now atomic.Int64
+	now Time // the virtual clock
 	// The wheel's window starts at the clock's slot, cur = slotOf(Now()).
 	// No event is pending in the past and the clock never moves backwards,
 	// so every wheel resident's slot lies in [cur, cur+wheelSlots) and
@@ -150,26 +146,21 @@ type Simulator struct {
 	// Processed counts events executed; useful for perf accounting in tests.
 	Processed uint64
 	// allocated counts Event structs ever heap-allocated (free-list misses).
-	// Atomic so soak harnesses can watch the high-water mark while running.
-	allocated atomic.Int64
+	allocated int64
 }
 
 // Allocated returns the number of Event structs this simulator has ever
 // heap-allocated — the free-list miss count. In steady state it stops
-// growing, which TestEventRecycling pins. Safe to call from any goroutine.
-func (s *Simulator) Allocated() int64 { return s.allocated.Load() }
+// growing, which TestEventRecycling pins.
+func (s *Simulator) Allocated() int64 { return s.allocated }
 
 // New creates a simulator whose RNG is seeded with seed (deterministic runs).
 func New(seed int64) *Simulator {
 	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Now returns the current simulated time. Safe to call from any goroutine;
-// observers on other goroutines see the time of the most recent event.
-func (s *Simulator) Now() Time { return Time(s.now.Load()) }
-
-// setNow advances the clock (simulation goroutine only).
-func (s *Simulator) setNow(t Time) { s.now.Store(int64(t)) }
+// Now returns the current simulated time.
+func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulation RNG. All stochastic behaviour (workload
 // arrivals, hash seeds) must draw from it so runs are reproducible.
@@ -205,7 +196,7 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 		s.free = s.free[:n-1]
 	} else {
 		ev = &Event{index: notQueued}
-		s.allocated.Add(1)
+		s.allocated++
 	}
 	ev.when, ev.seq, ev.fn = t, s.seq, fn
 	s.enqueue(ev)
@@ -263,7 +254,7 @@ func (s *Simulator) Pending() int { return len(s.pq) + s.nWheel }
 func (s *Simulator) Run(until Time) {
 	s.run(until)
 	if !s.stopped.Load() && s.Now() < until {
-		s.setNow(until)
+		s.now = until
 	}
 }
 
@@ -284,7 +275,7 @@ func (s *Simulator) run(until Time) {
 		if ev == nil {
 			return
 		}
-		s.setNow(ev.when)
+		s.now = ev.when
 		fn := ev.fn
 		s.Processed++
 		s.recycle(ev)

@@ -284,23 +284,26 @@ func Run(cfg Config) *Report {
 	if err := d.Exec(func() { churn.Stop(); crowd.Stop() }); err != nil {
 		r.failf("stopping workloads: %v", err)
 	}
-	// The free lists belong to the simulation goroutine: read them there.
+	// The free lists and the simulator belong to the sim loop: read them there.
 	if err := d.Exec(func() {
 		d.Net().Sim.RunFor(600 * sim.Millisecond)
 		for _, v := range d.Net().ACDC {
 			r.ParkedRecords += v.ParkedFlows()
 		}
+		r.AllocatedEnd = d.Net().Sim.Allocated()
 	}); err != nil {
 		r.failf("drain: %v", err)
 	}
 
-	st := d.StatusNow()
-	r.VirtualEnd = d.Net().Sim.Now()
+	st, err := d.StatusNow()
+	if err != nil {
+		r.failf("status: %v", err)
+	}
+	r.VirtualEnd = sim.Time(st.SimNowNanos)
 	r.Forgiven = sim.Duration(st.ForgivenNanos)
 	r.Updates, r.Rejects = st.PolicyUpdates, st.PolicyRejects
 	r.Restarts = st.Restarts
 	r.LeakedFlows = st.Flows
-	r.AllocatedEnd = d.Net().Sim.Allocated()
 	r.AuditViolations = st.AuditTotal
 
 	d.Stop()
@@ -396,7 +399,9 @@ func runControl(cfg Config, d *daemon.Daemon, r *Report) {
 			nextSample = now.Add(cfg.SampleEvery)
 			sample(d, prev, r)
 			if r.AllocatedWarm == 0 && now.After(warmup) {
-				r.AllocatedWarm = d.Net().Sim.Allocated()
+				if err := d.Exec(func() { r.AllocatedWarm = d.Net().Sim.Allocated() }); err != nil {
+					r.failf("reading sim.Allocated: %v", err)
+				}
 			}
 			if injected && cfg.Inject == DefectHostileBeta {
 				// Re-poison each sampling interval: churn keeps replacing
@@ -419,7 +424,10 @@ func streamOne(d *daemon.Daemon, rng *rand.Rand, hosts int, r *Report) {
 	host := rng.Intn(hosts)
 	v := d.Net().ACDC[host]
 	var keys []core.FlowKey
-	v.Table.Range(func(f *core.Flow) { keys = append(keys, f.Key) })
+	if err := d.Exec(func() { v.Table.Range(func(f *core.Flow) { keys = append(keys, f.Key) }) }); err != nil {
+		r.failf("listing flows: %v", err)
+		return
+	}
 	if len(keys) == 0 {
 		return
 	}
@@ -454,10 +462,17 @@ func streamOne(d *daemon.Daemon, rng *rand.Rand, hosts int, r *Report) {
 // different counters are not one consistent cut, but each counter is compared
 // only with its own earlier value, which monotonicity makes sound.
 func sample(d *daemon.Daemon, prev map[string]int64, r *Report) {
-	snap := d.MetricsSnapshot()
-	if f := d.StatusNow().Flows; f > r.FlowsHighWater {
-		r.FlowsHighWater = f
+	snap, err := d.MetricsSnapshot()
+	if err != nil {
+		r.failf("metrics: %v", err)
+		return
 	}
+	st, err := d.StatusNow()
+	if err != nil {
+		r.failf("status: %v", err)
+		return
+	}
+	r.FlowsHighWater = max(r.FlowsHighWater, st.Flows)
 	for name, cur := range snap.Counters {
 		if pv, ok := prev[name]; ok && cur < pv {
 			r.Drift = append(r.Drift, fmt.Sprintf("%s: %d -> %d", name, pv, cur))
