@@ -403,13 +403,18 @@ func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 }
 
 // retire is a GC predicate's verdict on a record it removes: stop the timer,
-// park the record stamped with the current packet, answer "do not keep". Only
-// plain records are parked — a tunnel queue can outlive the table entry — and
-// unlinked, so that they keep no removed partner reachable.
+// put back the datagrams a tunnel queue still holds, park the record stamped
+// with the current packet without its cold state, answer "do not keep".
+// Tunnel records are not parked. The removal that follows unlinks the record.
 func (v *VSwitch) retire(f *Flow) bool {
 	f.stopTimer()
-	if f.cold == nil && !f.isUDP {
-		f.peer, f.parkedAt = nil, uint32(v.sweepTick)
+	if c := f.cold; c != nil {
+		for _, q := range c.tq {
+			v.pool().Put(q)
+		}
+	}
+	if !f.isUDP {
+		f.cold, f.parkedAt = nil, uint32(v.sweepTick)
 		v.parked = append(v.parked, f)
 	}
 	return false

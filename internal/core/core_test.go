@@ -552,13 +552,62 @@ func TestDetachRestoresPassthrough(t *testing.T) {
 	}
 }
 
-// TestFlowSizeClass keeps Flow at four cache lines: the 256-byte malloc size
-// class, whose objects start on line boundaries. One more word and every
-// tracked flow costs 288 bytes and straddles five lines.
+// TestFlowSizeClass keeps Flow at three cache lines, the 192-byte malloc size
+// class, whose objects start on line boundaries (one more word and every
+// tracked flow costs 208 bytes and straddles four lines), and an index slot
+// at two words.
 func TestFlowSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Flow{}); n > 256 {
-		t.Fatalf("Flow is %d bytes, over the 256-byte size class", n)
+	if n := unsafe.Sizeof(Flow{}); n != 192 {
+		t.Fatalf("Flow is %d bytes, want the 192-byte size class", n)
 	}
+	if n := unsafe.Sizeof(slot{}); n != 16 {
+		t.Fatalf("an index slot is %d bytes, want 16", n)
+	}
+}
+
+// TestFlowFootprint pins what a tracked flow costs: 10 k connections set up
+// through the hooks as vswitch-10k sets them up (a handshake each, half dialed
+// out and half in; no data, so no timer), then the live heap per record, its
+// share of the index included — a 192-byte record and ≈ 26 bytes of slots.
+func TestFlowFootprint(t *testing.T) {
+	const conns, limit = 10_000, 232
+	v, host, _ := loneVSwitch(t, DefaultConfig())
+	opts := packet.BuildSynOptions(1460, 7, true)
+	syn := packet.TCPFields{Seq: 1000, Flags: packet.FlagSYN, Window: 65535, Options: opts}
+	synAck := packet.TCPFields{Seq: 5000, Ack: 1001, Flags: packet.FlagSYN | packet.FlagACK, Window: 65535, Options: opts}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < conns; i++ {
+		remote, port := packet.MakeAddr(11, byte(i>>16), byte(i>>8), byte(i)), uint16(30000+i%20000)
+		dialOut := i%2 == 0
+		lp, rp := port, uint16(5001)
+		if !dialOut {
+			lp, rp = rp, lp
+		}
+		seg := func(out bool, f packet.TCPFields) {
+			if out {
+				f.SrcPort, f.DstPort = lp, rp
+				v.EgressPath(packet.Build(host.Addr, remote, packet.NotECT, f, 0))
+			} else {
+				f.SrcPort, f.DstPort = rp, lp
+				v.IngressPath(packet.Build(remote, host.Addr, packet.NotECT, f, 0))
+			}
+		}
+		seg(dialOut, syn)
+		seg(!dialOut, synAck)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := v.Table.Len(); n != 2*conns {
+		t.Fatalf("%d records for %d connections, want two each", n, conns)
+	}
+	per := (after.HeapAlloc - before.HeapAlloc) / (2 * conns)
+	t.Logf("%d B of live heap per tracked record", per)
+	if per > limit {
+		t.Fatalf("%d B of live heap per tracked record, want ≤ %d", per, limit)
+	}
+	runtime.KeepAlive(v)
 }
 
 // TestAttachFootprint pins a vSwitch's fixed cost before its first flow. Its

@@ -89,7 +89,9 @@ func (v *VSwitch) egressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 // lookup resolves the flow for k on the datapath. When the caller already
 // holds other, the flow for k's reverse direction, the answer comes through
 // its link (Table.reverseOf) instead of a second probe of the sharded map;
-// otherwise the table is probed. Both give what Table.Get(k) would.
+// otherwise the table is probed. Both give what Table.Get(k) would. Every
+// caller got other from a probe or create of this packet with no create
+// (which may evict) since, so other is in the table, as reverseOf requires.
 func (v *VSwitch) lookup(other *Flow, k FlowKey) *Flow {
 	if other != nil {
 		return v.Table.reverseOf(other)
@@ -472,10 +474,7 @@ func (v *VSwitch) receiverIngress(f *Flow, p *packet.Packet, t packet.TCP, plen 
 	}
 	if t.HasFlags(packet.FlagFIN) {
 		f.finFwd = true
-		// A probe, not f's link: f outlives rev in the table (rev is now
-		// closed both ways and goes after GCInterval, f only after
-		// IdleTimeout), and a link would keep the swept record reachable.
-		if rev := v.Table.Get(f.Key.Reverse()); rev != nil {
+		if rev := v.lookup(f, f.Key.Reverse()); rev != nil {
 			rev.finRev = true
 		}
 	}

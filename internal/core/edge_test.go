@@ -48,6 +48,57 @@ func ackPkt(src, dst packet.Addr, sp, dp uint16, ack uint32, wnd uint16) *packet
 	}, 0)
 }
 
+// TestEgressDropsReturnToPool: a packet the vSwitch drops on egress — a
+// policed segment, a datagram past a full tunnel queue — goes back to the
+// pool once, after the TSQ credit has read it, and the datagrams a tunnel
+// queue still holds stay out of it until the GC retires their flow.
+func TestEgressDropsReturnToPool(t *testing.T) {
+	s := sim.New(1)
+	pool := packet.NewPool()
+	host := netsim.NewHost(s, "h", packet.MakeAddr(10, 0, 0, 1))
+	host.Pool = pool
+	host.NIC = netsim.NewLink(s, "nic", 10e9, sim.Microsecond, netsim.HandlerFunc(pool.Put))
+	host.OnTxFree = func(p *packet.Packet) {
+		if q := pool.Get(packet.IPv4HeaderLen); q == p {
+			t.Fatal("TSQ credited a packet that was already back in the pool")
+		} else {
+			pool.Put(q)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.MTU, cfg.Police, cfg.UDPTunnel = 1500, true, true
+	v := Attach(s, host, cfg)
+	peer := packet.MakeAddr(10, 0, 0, 2)
+
+	// A handshake, then a segment past the window (10 MSS) plus its slack.
+	tcp := func(f packet.TCPFields, payload int) {
+		f.SrcPort, f.DstPort, f.Window = 100, 200, 65535
+		host.Output(packet.BuildIn(pool, host.Addr, peer, packet.NotECT, f, payload))
+	}
+	tcp(packet.TCPFields{Flags: packet.FlagSYN}, 0)
+	tcp(packet.TCPFields{Seq: 20_001, Ack: 1, Flags: packet.FlagACK}, 1000)
+	// 10 datagrams fill the tunnel's window, 174 its queue, 16 are dropped.
+	for i := 0; i < 200; i++ {
+		host.Output(packet.BuildUDPIn(pool, host.Addr, peer, packet.NotECT, 6000, 7000, 1472))
+	}
+	st := v.Stats()
+	if st.PolicingDrops != 17 || host.EgressDropped != 191 {
+		t.Fatalf("%d policing drops, %d consumed on egress; want 1 + 16 and 17 + 174", st.PolicingDrops, host.EgressDropped)
+	}
+	s.RunFor(100 * sim.Microsecond) // the wire delivers what was sent
+	udp := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 6000, DPort: 7000})
+	if out, queued := pool.Gets-pool.Puts, int64(len(udp.cold.tq)); out != queued || queued != 174 {
+		t.Fatalf("pool Gets − Puts = %d with %d datagrams queued, want both 174", out, queued)
+	}
+	v.sweepNow(s.Now() + 2*cfg.IdleTimeout)
+	if v.Table.Len() != 0 {
+		t.Fatalf("%d flows left after the sweep", v.Table.Len())
+	}
+	if out := pool.Gets - pool.Puts; out != 0 {
+		t.Fatalf("pool Gets − Puts = %d after the GC retired the tunnel flow, want 0", out)
+	}
+}
+
 func TestMidstreamAdoptionResync(t *testing.T) {
 	// A vSwitch attached to an already-running connection (no SYN observed)
 	// must anchor its absolute sequence space at the first data segment, land

@@ -99,31 +99,32 @@ func (p Policy) sanitize() Policy {
 	return p
 }
 
-// Flow is one direction's connection-tracking entry (~the paper's 320-byte
-// flow state). The same struct serves as sender-module state on the host
-// that sources the data and receiver-module state on the host that sinks it.
+// Flow is one direction's connection-tracking entry (the paper budgets ~320
+// bytes of flow state; this is 192, plus a 16-byte index slot). The same
+// struct serves as sender-module state on the host that sources the data and
+// receiver-module state on the host that sinks it.
 //
 // Fields are ordered by how often the datapath touches them, not by module,
 // because at 10k+ flows every cache line of a record is a miss: what every
-// packet reads sits in the first 64 bytes, all the sender module touches per
-// data segment and per ACK in the next 128, the rest in the last line. The
-// struct fills the 256-byte malloc size class, so a record is four aligned
-// lines (TestFlowSizeClass, TestFlowHotFieldsLayout); a new field goes behind
-// a pointer, like the tunnel's cold state, or every flow pays for it.
+// packet reads, and the key an index probe confirms, sits in the first 64
+// bytes, all the sender module touches per data segment and per ACK in the
+// next 128. The struct fills the 192-byte malloc size class, so a record is
+// three aligned lines (TestFlowSizeClass, TestFlowHotFieldsLayout); a field
+// most flows leave zero goes behind the cold pointer, or every flow pays for
+// it.
 //
 // A recycled record is re-initialised by one Flow assignment
 // (VSwitch.buildFlow), so a field added here cannot be left holding the
 // previous flow's value.
 type Flow struct {
-	// --- line 0: every packet (link, liveness, receiver module) ---
+	// --- line 0: every packet (link, liveness, receiver module, key) ---
 	iss         uint32 // guest's initial sequence number; valid once issValid
 	lastAckWire uint32 // last ACK's seq field (dupack synthesis)
-	// peer caches the record tracking Key.Reverse(), valid while peerGen
-	// equals the table's deletion generation (Table.reverseOf). The snapshot
-	// codec skips both: a restored, re-created or recycled flow starts
+	// peer is the record tracking Key.Reverse(), linked both ways: nil, or
+	// that record with its peer pointing back (Table.reverseOf). The snapshot
+	// codec skips it: a restored, re-created or recycled flow starts
 	// unlinked.
 	peer       *Flow
-	peerGen    uint64
 	lastActive sim.Time
 	// receiver module (§3.2)
 	TotalBytes  uint32 // cumulative payload bytes received
@@ -147,6 +148,11 @@ type Flow struct {
 	// PeerWScale is the window scale applied to the RWND field of ACKs
 	// flowing back to the data sender (announced by the data receiver).
 	PeerWScale uint8
+	Key        FlowKey // an index probe whose hash matches confirms it here
+	// parkedAt is v.sweepTick, the per-packet epoch, when the record went on
+	// the free list: newFlow refuses one parked by the datapath call it runs
+	// in, whose caller may still hold the pointer.
+	parkedAt uint32
 
 	// --- lines 1–2: sender module, per data segment and per ACK (§3.1) ---
 	SndUna      int64 // absolute offsets, SYN at 0
@@ -167,7 +173,6 @@ type Flow struct {
 	// but stops (stripped by a middlebox, lost in the fabric), the sender
 	// module freezes virtual-window growth rather than growing blind.
 	lastFeedbackAt sim.Time // 0 until the first PACK/FACK arrives
-	fbStaleMark    sim.Time // last time the stale condition was counted
 	// Policy points at a sanitized value other flows may share (the default,
 	// an interned FlowPolicy answer, an override): replace, never write it.
 	Policy *Policy
@@ -180,23 +185,55 @@ type Flow struct {
 	vcc        vccID
 	synSeen    bool
 	synAckSeen bool
-
-	// --- line 3: per cut, per loss, cold ---
-	Key FlowKey
-	// parkedAt is v.sweepTick, the per-packet epoch, when the record went on
-	// the free list: newFlow refuses one parked by the datapath call it runs
-	// in, whose caller may still hold the pointer.
-	parkedAt uint32
-	// resyncSeq is the absolute sequence one clean feedback round must
-	// cover before enforcement resumes.
-	resyncSeq  int64
-	VTimeouts  int64
-	LossEvents int64
-	// cold is the tunnel state (tunnel.go), nil on plain TCP flows; a record
-	// with it is never recycled (VSwitch.retire).
-	cold *tunnelState
-	_    [24]byte // to the 256-byte size class: records start on a line
+	// cold holds what most flows never write (flowCold); nil until one does.
+	cold *flowCold
 }
+
+// flowCold is what most plain TCP flows leave zero for their whole life, kept
+// behind Flow.cold: the resync target, the loss and timeout counts, the
+// stale-feedback mark and a UDP tunnel's state. The first write of a non-zero
+// value makes it (writeCold); a write of zero to a flow without one is
+// skipped, so the per-ACK path allocates nothing.
+type flowCold struct {
+	// resyncSeq is the absolute sequence one clean feedback round must
+	// cover before enforcement resumes (resync.go).
+	resyncSeq   int64
+	vTimeouts   int64
+	lossEvents  int64
+	fbStaleMark sim.Time // last time the stale-feedback condition was counted
+
+	// UDP tunnel (tunnel.go)
+	tq          []*packet.Packet // sender-side tunnel queue
+	tqBytes     int
+	fbLastTotal uint32 // receiver side: TotalBytes at last feedback
+	fbLastCE    bool
+}
+
+// noCold is what readCold returns for a flow without cold state; nothing
+// writes it.
+var noCold flowCold
+
+// readCold returns f's cold state for reading: zeros when it has none.
+func (f *Flow) readCold() *flowCold {
+	if f.cold == nil {
+		return &noCold
+	}
+	return f.cold
+}
+
+// writeCold returns f's cold state for writing, made on first use.
+func (f *Flow) writeCold() *flowCold {
+	if f.cold == nil {
+		f.cold = &flowCold{}
+	}
+	return f.cold
+}
+
+// VTimeouts counts the inactivity timeouts inferred on the flow (§3.1).
+func (f *Flow) VTimeouts() int64 { return f.readCold().vTimeouts }
+
+// LossEvents counts the triple-duplicate-ACK losses inferred on the flow.
+func (f *Flow) LossEvents() int64 { return f.readCold().lossEvents }
 
 // Snapshot is a consistent copy of the enforcement-relevant state, used by
 // instrumentation (Figures 9 and 10).

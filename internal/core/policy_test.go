@@ -84,7 +84,7 @@ func TestWindowUpdateStormNoFakeLoss(t *testing.T) {
 	// buffer a little further: a classic window-update storm.
 	for i, wnd := range []uint16{1000, 2000, 3000, 4000} {
 		ingress(v, ackPkt(peer, host.Addr, 200, 100, 777_000, wnd))
-		dups, losses := f.DupAcks, f.LossEvents
+		dups, losses := f.DupAcks, f.LossEvents()
 		if dups != 0 || losses != 0 {
 			t.Fatalf("after window update %d: DupAcks=%d LossEvents=%d, want 0/0",
 				i+1, dups, losses)
@@ -109,7 +109,7 @@ func TestGenuineTripleDupackStillDetected(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ingress(v, ackPkt(peer, host.Addr, 200, 100, 777_000, 65535))
 	}
-	dups, losses := f.DupAcks, f.LossEvents
+	dups, losses := f.DupAcks, f.LossEvents()
 	if dups != 3 || losses != 1 {
 		t.Fatalf("DupAcks=%d LossEvents=%d, want 3/1", dups, losses)
 	}

@@ -17,9 +17,9 @@ import (
 )
 
 // checkParkedRecords asserts the free-list invariant: a parked record is on
-// the list once, is not the table's entry for its key, holds no link, has no
-// timer armed (it would fire on the record's next flow), and no flow in the
-// table reaches it through a link that claims to be valid.
+// the list once, is not the table's entry for its key, holds no link and no
+// cold state, has no timer armed (it would fire on the record's next flow),
+// and no flow in the table links to it.
 func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 	t.Helper()
 	if len(v.parked) == 0 {
@@ -39,12 +39,12 @@ func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 				p.inactivity != nil && p.inactivity.Pending())
 		}
 		if p.cold != nil || p.isUDP {
-			t.Fatalf("after %s: parked record %v carries tunnel state", after, p.Key)
+			t.Fatalf("after %s: parked record %v carries cold or tunnel state", after, p.Key)
 		}
 	}
 	for _, f := range tableFlows(v.Table) {
-		if parked[f.peer] && f.peerGen == v.Table.gen {
-			t.Fatalf("after %s: %v holds a valid link to a parked record", after, f.Key)
+		if parked[f.peer] {
+			t.Fatalf("after %s: %v links to a parked record", after, f.Key)
 		}
 	}
 }
@@ -213,8 +213,8 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	b.in(sp, packet.CE, packet.TCPFields{Seq: 1, Ack: seq, Flags: ack | psh}, 700)
 	b.out(sp, packet.TCPFields{Seq: seq, Ack: 701, Flags: ack | packet.FlagFIN}, 0)
 	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 701, Ack: seq + 1, Flags: ack | packet.FlagFIN}, 0)
-	if old.LossEvents == 0 || old.VTimeouts == 0 || old.Alpha == initAlpha || old.vcc.String() != "reno" ||
-		old.peer == nil || old.inactivity == nil || !old.finFwd || !old.finRev {
+	if old.LossEvents() == 0 || old.VTimeouts() == 0 || old.Alpha == initAlpha || old.vcc.String() != "reno" ||
+		old.peer == nil || old.inactivity == nil || !old.finFwd || !old.finRev || old.cold.resyncSeq == 0 {
 		t.Fatalf("the record did not live through what the test is about: %+v", old)
 	}
 	b.v.ClearPolicy(k)

@@ -64,11 +64,9 @@ func (s resyncState) String() string {
 // enterResyncLocked puts a flow into conservative mode. Idempotent: a flow
 // already resynchronizing keeps its progress.
 func (f *Flow) enterResyncLocked() {
-	if f.resync != resyncNone {
-		return
+	if f.resync == resyncNone {
+		f.resync = resyncAwaitFeedback
 	}
-	f.resync = resyncAwaitFeedback
-	f.resyncSeq = 0
 }
 
 // resyncAdvanceLocked runs one transition of the machine for an ACK carrying
@@ -82,11 +80,14 @@ func (v *VSwitch) resyncAdvanceLocked(f *Flow, haveFeedback bool, absAck int64) 
 	switch f.resync {
 	case resyncAwaitFeedback:
 		f.resync = resyncAwaitRound
-		f.resyncSeq = f.SndNxt
+		// resyncSeq is read only in this state, so it is set here and never
+		// reset; a zero needs no cold state.
+		if f.SndNxt != 0 || f.cold != nil {
+			f.writeCold().resyncSeq = f.SndNxt
+		}
 	case resyncAwaitRound:
-		if absAck >= f.resyncSeq {
+		if absAck >= f.readCold().resyncSeq {
 			f.resync = resyncNone
-			f.resyncSeq = 0
 			v.Metrics.FlowsResynced.Inc()
 		}
 	}

@@ -2,9 +2,9 @@ package core
 
 // Tests for the reverse-direction link (Table.reverseOf, Flow.peer): whatever
 // the datapath, the garbage collector, pressure eviction, the control plane
-// and snapshot restore do to the table, the link must answer exactly what a
+// and snapshot restore do to the table, a link is mutual and names what a
 // probe of the table would. The checker runs after every call of a scripted
-// (seeded or fuzzed) stream; the table cases pin the four ways a link goes
+// (seeded or fuzzed) stream; the table cases pin the ways a link could go
 // stale; the layout test pins where the hot fields sit.
 
 import (
@@ -25,16 +25,16 @@ func tableFlows(tb *Table) []*Flow {
 	return fs
 }
 
-// checkReverseLinks asserts the link invariant for every flow in the table:
-// a link that claims to be valid names the table's current entry, and
-// reverseOf agrees with a probe. The second half also re-links every flow,
-// so whatever runs next meets a fully linked table.
+// checkReverseLinks asserts the link invariant for every flow in the table,
+// f.peer == nil || (f.peer == Get(f.Key.Reverse()) && f.peer.peer == f), and
+// that reverseOf agrees with a probe. The second half also re-links every
+// flow, so whatever runs next meets a fully linked table.
 func checkReverseLinks(t *testing.T, tb *Table, after string) {
 	t.Helper()
 	for _, f := range tableFlows(tb) {
 		want := tb.Get(f.Key.Reverse())
-		if f.peer != nil && f.peerGen == tb.gen && f.peer != want {
-			t.Fatalf("after %s: %v holds a valid link to %p, table has %p", after, f.Key, f.peer, want)
+		if f.peer != nil && (f.peer != want || f.peer.peer != f) {
+			t.Fatalf("after %s: %v links to %p (which links to %p), table has %p", after, f.Key, f.peer, f.peer.peer, want)
 		}
 		if got := tb.reverseOf(f); got != want {
 			t.Fatalf("after %s: reverseOf(%v) = %p, Table.Get = %p", after, f.Key, got, want)
@@ -46,7 +46,7 @@ func checkReverseLinks(t *testing.T, tb *Table, after string) {
 // directions the way the datapath did before the link existed.
 func unlinkAll(tb *Table) {
 	for _, f := range tableFlows(tb) {
-		f.peer, f.peerGen = nil, 0
+		f.peer = nil
 	}
 }
 
@@ -333,11 +333,23 @@ func TestReverseLinkCases(t *testing.T) {
 		}
 	})
 
-	t.Run("Clear invalidates from its start, even on an empty table", func(t *testing.T) {
-		tb := NewTable()
-		g := tb.gen
-		if tb.Clear() != 0 || tb.gen == g {
-			t.Fatal("Clear of an empty table left the generation alone")
+	t.Run("removing either end unlinks both", func(t *testing.T) {
+		for _, end := range []FlowKey{ka, kb} {
+			for _, sweep := range []bool{false, true} {
+				tb := NewTable()
+				a, b := mk(tb, ka), mk(tb, kb)
+				if tb.reverseOf(a) != b || b.peer != a {
+					t.Fatal("link not established both ways")
+				}
+				if sweep {
+					tb.SweepShard(shardIndex(end), func(f *Flow) bool { return f.Key != end })
+				} else {
+					tb.Delete(end)
+				}
+				if a.peer != nil || b.peer != nil || tb.Len() != 1 {
+					t.Fatalf("removing %v (sweep %v): a.peer=%p b.peer=%p, %d left", end, sweep, a.peer, b.peer, tb.Len())
+				}
+			}
 		}
 	})
 
@@ -373,38 +385,41 @@ func TestReverseLinkCases(t *testing.T) {
 		checkReverseLinks(t, v.Table, "clear")
 	})
 
-	t.Run("FIN path marks the other direction and leaves its own record unlinked", func(t *testing.T) {
-		v, host, _ := loneVSwitch(t, DefaultConfig())
+	t.Run("FIN path: the swept partner leaves no link behind", func(t *testing.T) {
+		v, host, s := loneVSwitch(t, DefaultConfig())
 		remote := packet.MakeAddr(10, 0, 0, 2)
 		k := FlowKey{Src: host.Addr, Dst: remote, SPort: 100, DPort: 200}
 		egress(v, dataPkt(host.Addr, remote, 100, 200, 1, 1000))
-		fin := packet.Build(remote, host.Addr, packet.NotECT, packet.TCPFields{
-			SrcPort: 200, DstPort: 100, Seq: 1, Ack: 1001,
-			Flags: packet.FlagACK | packet.FlagFIN, Window: 65535}, 0)
-		ingress(v, fin)
+		egress(v, packet.Build(host.Addr, remote, packet.NotECT, packet.TCPFields{
+			SrcPort: 100, DstPort: 200, Seq: 1001, Ack: 1,
+			Flags: packet.FlagACK | packet.FlagFIN, Window: 65535}, 0))
+		ingress(v, packet.Build(remote, host.Addr, packet.NotECT, packet.TCPFields{
+			SrcPort: 200, DstPort: 100, Seq: 1, Ack: 1002,
+			Flags: packet.FlagACK | packet.FlagFIN, Window: 65535}, 0))
 		a, b := v.Table.Get(k), v.Table.Get(k.Reverse())
-		if a == nil || b == nil {
-			t.Fatalf("records missing: a=%p b=%p", a, b)
-		}
-		aRev := a.finRev
-		bFwd := b.finFwd
-		if !bFwd || !aRev {
-			t.Fatalf("FIN in: finFwd on its own record %v, finRev on the other %v", bFwd, aRev)
-		}
-		// b stays in the table IdleTimeout − GCInterval longer than a; a
-		// link from it would pin the swept record for that long.
-		if b.peer != nil {
-			t.Fatalf("the record the FIN arrived on holds a link (%p) to the one that is swept first", b.peer)
+		if a == nil || b == nil || !b.finFwd || !a.finFwd || !a.finRev || b.peer != a {
+			t.Fatalf("after both FINs: a=%p b=%p, want a closed both ways, b's FIN seen and b linked to a", a, b)
 		}
 		checkReverseLinks(t, v.Table, "fin")
+		// a is closed both ways and goes after GCInterval; b waits for
+		// IdleTimeout, and must not keep a reachable meanwhile.
+		v.sweepNow(s.Now() + 2*v.Cfg.GCInterval)
+		if v.Table.Get(k) != nil || v.Table.Get(k.Reverse()) != b {
+			t.Fatal("the sweep did not take exactly the closed record")
+		}
+		if b.peer != nil {
+			t.Fatalf("the survivor still links to the swept record (%p)", b.peer)
+		}
+		checkParkedRecords(t, v, "fin sweep")
 	})
 }
 
 // TestFlowHotFieldsLayout pins the packing the per-packet cost rests on: with
-// 10k+ flows every line of a record is a miss, so what every packet touches
-// ends inside the first cache line, and everything the sender module touches
-// per data segment and per ACK inside the first three. TestFlowSizeClass pins
-// the total, which puts every record on a line boundary.
+// 10k+ flows every line of a record is a miss, so what every packet touches,
+// and the key an index probe confirms, ends inside the first cache line, and
+// everything the sender module touches per data segment and per ACK inside
+// the three. TestFlowSizeClass pins the total, which puts every record on a
+// line boundary.
 func TestFlowHotFieldsLayout(t *testing.T) {
 	var f Flow
 	type field struct {
@@ -415,11 +430,11 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 		bytes  uintptr
 		fields []field
 	}{
-		// Every packet: link, liveness, the receiver module, the flags.
+		// Every packet: link, liveness, the receiver module, the flags, the
+		// key and the park stamp.
 		{64, []field{
 			{"iss", unsafe.Offsetof(f.iss), unsafe.Sizeof(f.iss)},
 			{"peer", unsafe.Offsetof(f.peer), unsafe.Sizeof(f.peer)},
-			{"peerGen", unsafe.Offsetof(f.peerGen), unsafe.Sizeof(f.peerGen)},
 			{"lastActive", unsafe.Offsetof(f.lastActive), unsafe.Sizeof(f.lastActive)},
 			{"TotalBytes", unsafe.Offsetof(f.TotalBytes), unsafe.Sizeof(f.TotalBytes)},
 			{"MarkedBytes", unsafe.Offsetof(f.MarkedBytes), unsafe.Sizeof(f.MarkedBytes)},
@@ -431,10 +446,12 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 			{"isUDP", unsafe.Offsetof(f.isUDP), unsafe.Sizeof(f.isUDP)},
 			{"WScaleKnown", unsafe.Offsetof(f.WScaleKnown), unsafe.Sizeof(f.WScaleKnown)},
 			{"PeerWScale", unsafe.Offsetof(f.PeerWScale), unsafe.Sizeof(f.PeerWScale)},
+			{"Key", unsafe.Offsetof(f.Key), unsafe.Sizeof(f.Key)},
+			{"parkedAt", unsafe.Offsetof(f.parkedAt), unsafe.Sizeof(f.parkedAt)},
 		}},
 		// Per data segment and per ACK (processFeedbackAndAck, cutWindow,
-		// senderEgress): tracking, feedback, the window, α, the policy and
-		// the law.
+		// senderEgress): tracking, feedback, the window, α, the policy, the
+		// law and the cold pointer.
 		{192, []field{
 			{"lastAckWire", unsafe.Offsetof(f.lastAckWire), unsafe.Sizeof(f.lastAckWire)},
 			{"MSS", unsafe.Offsetof(f.MSS), unsafe.Sizeof(f.MSS)},
@@ -454,11 +471,11 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 			{"cutSeq", unsafe.Offsetof(f.cutSeq), unsafe.Sizeof(f.cutSeq)},
 			{"prevCwndBytes", unsafe.Offsetof(f.prevCwndBytes), unsafe.Sizeof(f.prevCwndBytes)},
 			{"lastFeedbackAt", unsafe.Offsetof(f.lastFeedbackAt), unsafe.Sizeof(f.lastFeedbackAt)},
-			{"fbStaleMark", unsafe.Offsetof(f.fbStaleMark), unsafe.Sizeof(f.fbStaleMark)},
 			{"Policy", unsafe.Offsetof(f.Policy), unsafe.Sizeof(f.Policy)},
 			{"lastWndRaw", unsafe.Offsetof(f.lastWndRaw), unsafe.Sizeof(f.lastWndRaw)},
 			{"lastWndSeen", unsafe.Offsetof(f.lastWndSeen), unsafe.Sizeof(f.lastWndSeen)},
 			{"vcc", unsafe.Offsetof(f.vcc), unsafe.Sizeof(f.vcc)},
+			{"cold", unsafe.Offsetof(f.cold), unsafe.Sizeof(f.cold)},
 		}},
 	} {
 		for _, fld := range lim.fields {

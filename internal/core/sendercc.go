@@ -27,7 +27,9 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	if haveFeedback {
 		totalDelta, markedDelta, _ = v.creditFeedbackLocked(f, info)
 		f.lastFeedbackAt = now
-		f.fbStaleMark = 0
+		if f.cold != nil {
+			f.cold.fbStaleMark = 0
+		}
 	}
 
 	// Feedback staleness: the peer's receiver module had been reporting but
@@ -39,8 +41,8 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	// for them growth on plain ACKs is the normal mode.
 	fbStale := !haveFeedback && f.lastFeedbackAt > 0 &&
 		now-f.lastFeedbackAt > v.Cfg.VTimeout
-	if fbStale && now-f.fbStaleMark > v.Cfg.VTimeout {
-		f.fbStaleMark = now
+	if fbStale && now-f.readCold().fbStaleMark > v.Cfg.VTimeout {
+		f.writeCold().fbStaleMark = now
 		v.Metrics.FeedbackTimeouts.Inc()
 	}
 
@@ -73,7 +75,7 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 		f.DupAcks++
 		if f.DupAcks == 3 {
 			loss = true
-			f.LossEvents++
+			f.writeCold().lossEvents++
 		}
 	}
 	f.lastAckWire = t.Seq()
@@ -312,7 +314,7 @@ func (v *VSwitch) onVTimeout(f *Flow) {
 // max_alpha, halve ssthresh (to two MSS at least) and restart from one MSS.
 func (v *VSwitch) collapseLocked(f *Flow) {
 	v.Metrics.VTimeouts.Inc()
-	f.VTimeouts++
+	f.writeCold().vTimeouts++
 	f.Alpha = maxAlpha
 	f.SsthreshBytes = max(f.CwndBytes/2, float64(2*f.MSS))
 	f.CwndBytes = float64(f.MSS)

@@ -147,8 +147,8 @@ func (f *Flow) record() flowRecord {
 		TotalBytes:  f.TotalBytes,
 		MarkedBytes: f.MarkedBytes,
 
-		VTimeouts:  f.VTimeouts,
-		LossEvents: f.LossEvents,
+		VTimeouts:  f.VTimeouts(),
+		LossEvents: f.LossEvents(),
 
 		Beta:       f.Policy.Beta,
 		RwndClamp:  f.Policy.RwndClampBytes,
@@ -548,8 +548,10 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 		f.prevCwndBytes = r.prevCwnd
 		f.TotalBytes = r.TotalBytes
 		f.MarkedBytes = r.MarkedBytes
-		f.VTimeouts = r.VTimeouts
-		f.LossEvents = r.LossEvents
+		if r.VTimeouts != 0 || r.LossEvents != 0 || f.cold != nil {
+			c := f.writeCold()
+			c.vTimeouts, c.lossEvents = r.VTimeouts, r.LossEvents
+		}
 		f.Policy = v.intern(Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
 			VCC: r.PolVCC, Disable: r.PolDisable})
 		v.setLaw(f) // swap the growth law like applyToLive does

@@ -9,15 +9,17 @@ import "math/bits"
 // the order eviction and the sharded GC tick walk the records in.
 const numShards = 64
 
-// slot is one entry of a shard's index: the key as two words and the record.
-// A delete leaves a tombstone (no record, tombstone in k1, whose top half no
-// key sets), so that probes for keys stored past it still reach them.
+// slot is one entry of a shard's index: the key's full hash and the record.
+// The hash is the tag; a probe that matches it confirms the key against
+// f.Key, in the record's first line, which the caller reads next anyway. A
+// delete leaves a tombstone (no record, a non-zero hash), so that probes for
+// keys stored past it still reach them.
 type slot struct {
-	k0, k1 uint64
-	f      *Flow
+	h uint64
+	f *Flow
 }
 
-const tombstone = 1 << 63
+const tombstone = 1 // the hash a deleted slot keeps
 
 // index is one shard's slot array. A hash's top bits pick a key's home slot
 // (its low bits picked the shard).
@@ -26,9 +28,9 @@ type index struct {
 	shift uint // 64 − log2(len(slots))
 }
 
-// find returns the slot holding key (w0, w1), or −1. At most three quarters of
-// the array is in use, so every probe meets an empty slot.
-func (ix *index) find(w0, w1, h uint64) int {
+// find returns the slot holding k, whose hash is h, or −1. At most three
+// quarters of the array is in use, so every probe meets an empty slot.
+func (ix *index) find(k FlowKey, h uint64) int {
 	if ix == nil {
 		return -1
 	}
@@ -36,10 +38,10 @@ func (ix *index) find(w0, w1, h uint64) int {
 	for i := int(h >> ix.shift); ; i = (i + 1) & mask {
 		s := &ix.slots[i]
 		if s.f == nil {
-			if s.k1 != tombstone {
+			if s.h == 0 {
 				return -1
 			}
-		} else if s.k1 == w1 && s.k0 == w0 {
+		} else if s.h == h && s.f.Key == k {
 			return i
 		}
 	}
@@ -60,23 +62,22 @@ func (ix *index) free(h uint64) int {
 // is final when the walk reaches it.
 func (ix *index) compact() {
 	mask, start := len(ix.slots)-1, 0
-	for ix.slots[start].f != nil || ix.slots[start].k1 == tombstone {
+	for ix.slots[start].f != nil || ix.slots[start].h != 0 {
 		start++
 	}
 	for n := 1; n <= mask; n++ {
 		i := (start + n) & mask
 		o := &ix.slots[i]
 		if o.f == nil {
-			o.k1 = 0
+			o.h = 0
 			continue
 		}
-		j := int(hashWords(o.k0, o.k1) >> ix.shift)
+		j := int(o.h >> ix.shift)
 		for j != i && ix.slots[j].f != nil {
 			j = (j + 1) & mask
 		}
 		if j != i {
-			ix.slots[j] = *o
-			o.f = nil
+			ix.slots[j], *o = *o, slot{}
 		}
 	}
 }
@@ -92,7 +93,7 @@ type tableShard struct {
 // of the array in use, the tombstones go first: in place while the records
 // fill at most half of the array, else by moving them to a fresh array, twice
 // as large.
-func (s *tableShard) insert(w0, w1, h uint64, f *Flow) {
+func (s *tableShard) insert(h uint64, f *Flow) {
 	ix := s.ix
 	if ix == nil || 4*(s.used+1) > 3*len(ix.slots) {
 		n := 8
@@ -105,7 +106,7 @@ func (s *tableShard) insert(w0, w1, h uint64, f *Flow) {
 			next := &index{slots: make([]slot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
 			for i := 0; ix != nil && i < len(ix.slots); i++ {
 				if o := ix.slots[i]; o.f != nil {
-					next.slots[next.free(hashWords(o.k0, o.k1))] = o
+					next.slots[next.free(o.h)] = o
 				}
 			}
 			ix = next
@@ -114,17 +115,21 @@ func (s *tableShard) insert(w0, w1, h uint64, f *Flow) {
 		s.used = s.live
 	}
 	sl := &ix.slots[ix.free(h)]
-	if sl.k1 != tombstone {
+	if sl.h == 0 {
 		s.used++
 	}
 	s.live++
-	*sl = slot{k0: w0, k1: w1, f: f}
+	*sl = slot{h: h, f: f}
 }
 
-// remove turns slot i into a tombstone.
+// remove turns slot i into a tombstone and unlinks its record from the
+// reverse flow, both ends (Table.reverseOf).
 func (s *tableShard) remove(i int) {
+	if f := s.ix.slots[i].f; f.peer != nil {
+		f.peer.peer, f.peer = nil, nil
+	}
 	s.live--
-	s.ix.slots[i] = slot{k1: tombstone}
+	s.ix.slots[i] = slot{h: tombstone}
 }
 
 // Table is the vSwitch's connection-tracking table: one entry per data
@@ -135,18 +140,12 @@ type Table struct {
 	// size counts entries across all shards, so Len — which the datapath
 	// consults on every flow create under MaxFlows — does not scan shards.
 	size int
-
-	// gen increments on every operation that removes entries (Delete, Sweep*,
-	// Clear). A Flow's link to its reverse direction (reverseOf) is only
-	// trusted while gen is unchanged since it was taken, so an eviction or GC
-	// sweep invalidates every outstanding one at once.
-	gen uint64
 }
 
 // NewTable creates an empty flow table.
 func NewTable() *Table { return &Table{} }
 
-// keyWords packs k into a slot's two key words.
+// keyWords packs k into the two words hashWords takes.
 func keyWords(k FlowKey) (w0, w1 uint64) {
 	return uint64(k.Src)<<32 | uint64(k.Dst), uint64(k.SPort)<<16 | uint64(k.DPort)
 }
@@ -171,17 +170,16 @@ func hashWords(w0, w1 uint64) uint64 {
 // shardIndex hashes k down to a shard number.
 func shardIndex(k FlowKey) int { return int(hashWords(keyWords(k)) % numShards) }
 
-// locate returns k's key words, its hash and its shard.
-func (t *Table) locate(k FlowKey) (w0, w1, h uint64, s *tableShard) {
-	w0, w1 = keyWords(k)
-	h = hashWords(w0, w1)
-	return w0, w1, h, &t.shards[h%numShards]
+// locate returns k's hash and its shard.
+func (t *Table) locate(k FlowKey) (h uint64, s *tableShard) {
+	h = hashWords(keyWords(k))
+	return h, &t.shards[h%numShards]
 }
 
 // Get returns the flow for k, or nil.
 func (t *Table) Get(k FlowKey) *Flow {
-	w0, w1, h, s := t.locate(k)
-	if i := s.ix.find(w0, w1, h); i >= 0 {
+	h, s := t.locate(k)
+	if i := s.ix.find(k, h); i >= 0 {
 		return s.ix.slots[i].f
 	}
 	return nil
@@ -191,15 +189,16 @@ func (t *Table) Get(k FlowKey) *Flow {
 // what Get(f.Key.Reverse()) would return, through the link f carries: every
 // TCP packet consults both directions of its connection, and the second one
 // is always the reverse of the flow just found, so the link saves that probe.
-// The link is valid while its stamp equals gen: an entry can only leave the
-// table, or be replaced under its key, through a removal, and every removal
-// bumps gen. A nil peer is never trusted — the reverse flow may be created by
-// the next packet — so a miss only drops the stale record.
+// f must be in the table. The link is mutual — f.peer is nil, or the reverse
+// record with its peer pointing back — and a removal unlinks both ends, so a
+// link is never stale. A nil peer is never trusted (the reverse flow may have
+// been created since): it costs one probe, and a hit links both ends.
 func (t *Table) reverseOf(f *Flow) *Flow {
-	if f.peer != nil && f.peerGen == t.gen {
-		return f.peer
+	if f.peer == nil {
+		if r := t.Get(f.Key.Reverse()); r != nil {
+			f.peer, r.peer = r, f
+		}
 	}
-	f.peer, f.peerGen = t.Get(f.Key.Reverse()), t.gen
 	return f.peer
 }
 
@@ -207,23 +206,22 @@ func (t *Table) reverseOf(f *Flow) *Flow {
 // created reports whether init ran. init may probe the table, but not add to
 // or remove from it.
 func (t *Table) GetOrCreate(k FlowKey, init func() *Flow) (f *Flow, created bool) {
-	w0, w1, h, s := t.locate(k)
-	if i := s.ix.find(w0, w1, h); i >= 0 {
+	h, s := t.locate(k)
+	if i := s.ix.find(k, h); i >= 0 {
 		return s.ix.slots[i].f, false
 	}
 	f = init()
-	s.insert(w0, w1, h, f)
+	s.insert(h, f)
 	t.size++
 	return f, true
 }
 
 // Delete removes the flow for k.
 func (t *Table) Delete(k FlowKey) {
-	w0, w1, h, s := t.locate(k)
-	if i := s.ix.find(w0, w1, h); i >= 0 {
+	h, s := t.locate(k)
+	if i := s.ix.find(k, h); i >= 0 {
 		s.remove(i)
 		t.size--
-		t.gen++
 	}
 }
 
@@ -253,8 +251,9 @@ func (t *Table) Range(fn func(*Flow)) {
 
 // Clear empties every shard in place and returns how many flows were removed.
 // The table keeps its identity, so every holder of the pointer sees it empty.
+// It orphans whole records, links and all: no record left in the table, or
+// added later, names one.
 func (t *Table) Clear() int {
-	t.gen++
 	removed := t.size
 	t.shards = [numShards]tableShard{}
 	t.size = 0
@@ -272,10 +271,7 @@ func (t *Table) SweepShard(i int, keep func(*Flow) bool) int {
 			removed++
 		}
 	}
-	if removed > 0 {
-		t.size -= removed
-		t.gen++
-	}
+	t.size -= removed
 	return removed
 }
 

@@ -233,8 +233,8 @@ var tableKeys = func() []FlowKey {
 
 // checkIndex asserts what every probe relies on, shard by shard: the
 // live and used counts match the slots, at most three quarters of the array
-// is in use (so every probe meets an empty slot), and every record is found
-// from its key.
+// is in use (so every probe meets an empty slot), and every record sits under
+// its key's hash and is found from its key.
 func checkIndex(t *testing.T, tb *Table, after string) {
 	t.Helper()
 	for i := range tb.shards {
@@ -252,10 +252,13 @@ func checkIndex(t *testing.T, tb *Table, after string) {
 			switch {
 			case sl.f != nil:
 				live++
-				if got := ix.find(sl.k0, sl.k1, hashWords(sl.k0, sl.k1)); got != j {
+				if h := hashWords(keyWords(sl.f.Key)); sl.h != h {
+					t.Fatalf("after %s: shard %d slot %d holds hash %x for %v, whose hash is %x", after, i, j, sl.h, sl.f.Key, h)
+				}
+				if got := ix.find(sl.f.Key, sl.h); got != j {
 					t.Fatalf("after %s: shard %d slot %d is found at %d", after, i, j, got)
 				}
-			case sl.k1 == tombstone:
+			case sl.h != 0:
 				tomb++
 			}
 		}

@@ -26,23 +26,6 @@ const udpFeedbackBytes = 18_000
 // udpTunnelQueueCap bounds the sender-side tunnel queue.
 const udpTunnelQueueCap = 256 << 10
 
-// tunnelState is what only a tunnel flow carries, kept behind Flow.cold so
-// that TCP flows do not pay for it.
-type tunnelState struct {
-	tq          []*packet.Packet // sender-side tunnel queue
-	tqBytes     int
-	fbLastTotal uint32 // receiver side: TotalBytes at last feedback
-	fbLastCE    bool
-}
-
-// tunnel returns f's tunnel state, made on first use.
-func (f *Flow) tunnel() *tunnelState {
-	if f.cold == nil {
-		f.cold = &tunnelState{}
-	}
-	return f.cold
-}
-
 // udpEgress is the sender-module path for guest datagrams.
 func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 	ip := p.IP()
@@ -67,7 +50,7 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		f.alphaSeq, f.cutSeq = 0, 0
 	}
 	f.lastActive = v.Sim.Now()
-	tn := f.tunnel()
+	tn := f.writeCold()
 
 	v.inactivityTimer(f).ArmIfIdle(v.Cfg.VTimeout)
 
@@ -76,14 +59,15 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		return p, nil
 	}
 	if size := p.IPLen(); tn.tqBytes+size <= udpTunnelQueueCap {
-		// Retained: the flow owns the datagram until the window opens (the
-		// egress-hook contract lets a consumed packet be kept).
+		// Retained: the flow owns the datagram until the window opens or the
+		// GC retires the flow.
+		v.Host.Retain(p)
 		tn.tq = append(tn.tq, p)
 		tn.tqBytes += size
 		return nil, nil
 	}
 	v.Metrics.PolicingDrops.Inc()
-	return nil, nil
+	return nil, nil // dropped: the host recycles it
 }
 
 // udpIngress is the receiver-module path: count, strip ECN, and stream
@@ -107,7 +91,7 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 			f.MarkedBytes += uint32(p.IPLen())
 			v.Metrics.CEBytes.Add(int64(p.IPLen()))
 		}
-		if tn := f.tunnel(); f.TotalBytes-tn.fbLastTotal >= udpFeedbackBytes || ce != tn.fbLastCE {
+		if tn := f.writeCold(); f.TotalBytes-tn.fbLastTotal >= udpFeedbackBytes || ce != tn.fbLastCE {
 			tn.fbLastTotal, tn.fbLastCE = f.TotalBytes, ce
 			// TCP-formatted, so the peer datapath parses it with the same
 			// machinery, and addressed so its reverse lookup lands on the
@@ -166,7 +150,7 @@ func (v *VSwitch) admitLocked(f *Flow, p *packet.Packet) {
 // drainTunnelLocked releases queued datagrams into the opened window.
 func (v *VSwitch) drainTunnelLocked(f *Flow) []*packet.Packet {
 	var out []*packet.Packet
-	tn := f.tunnel()
+	tn := f.writeCold()
 	for len(tn.tq) > 0 && fitsLocked(f, tn.tq[0]) {
 		p := tn.tq[0]
 		tn.tq = tn.tq[1:]
@@ -180,7 +164,7 @@ func (v *VSwitch) drainTunnelLocked(f *Flow) []*packet.Packet {
 // onUDPTimeout handles feedback silence: assume everything outstanding was
 // lost (or the receiver vanished), collapse the window, restart.
 func (v *VSwitch) onUDPTimeout(f *Flow) {
-	if f.SndUna >= f.SndNxt && len(f.tunnel().tq) == 0 {
+	if f.SndUna >= f.SndNxt && len(f.readCold().tq) == 0 {
 		return
 	}
 	v.collapseLocked(f)

@@ -15,10 +15,10 @@ import (
 // hook is a passthrough.
 //
 // Ownership: the hook owns the input while it runs. Returning it (as out)
-// hands it back to the caller; returning nil,nil means the hook consumed it
-// — an ingress hook must not retain the packet in that case (the host
-// recycles it), while an egress hook may (the host only credits TSQ and
-// leaves the packet to its new owner or the GC).
+// hands it back to the caller; returning nil,nil means the hook consumed it,
+// and the host recycles it (on egress after crediting TSQ). An egress hook
+// that keeps the packet instead (the UDP tunnel's queue) calls Host.Retain
+// first and releases it itself; an ingress hook never keeps one.
 type PathHook func(p *packet.Packet) (out, extra *packet.Packet)
 
 // Host is a server: a guest stack above a vSwitch above a NIC. The guest
@@ -55,6 +55,8 @@ type Host struct {
 	SentPackets, RecvPackets      int64
 	SentBytes, RecvBytes          int64
 	EgressDropped, IngressDropped int64
+
+	retained *packet.Packet // what the running egress hook keeps (Retain)
 }
 
 // NewHost creates a host with the given address. Attach the NIC afterwards.
@@ -67,18 +69,27 @@ func (h *Host) Output(p *packet.Packet) {
 	out, extra := applyHook(h.Egress, p)
 	if out == nil && extra == nil {
 		h.EgressDropped++
+		// Read before the credit: TSQ may send more through the hook.
+		kept := h.retained == p
+		h.retained = nil
 		if h.OnTxFree != nil {
-			// Credit TSQ for the packet that never reached the wire. The
-			// packet itself is not recycled here: the egress hook may have
-			// retained it (UDP tunnel queueing), and policing drops are rare
-			// enough that leaving the rest to the GC is fine.
+			// Credit TSQ for the packet that never reached the wire, while
+			// it is still unreleased.
 			h.OnTxFree(p)
+		}
+		if !kept {
+			h.Pool.Put(p) // dropped by the hook (policing, a full tunnel queue)
 		}
 		return
 	}
 	h.sendOne(out)
 	h.sendOne(extra)
 }
+
+// Retain tells Output that the running egress hook keeps p, which it returns
+// as consumed: Output credits TSQ for p but does not recycle it, and the hook
+// puts it back to the pool when it is done with it.
+func (h *Host) Retain(p *packet.Packet) { h.retained = p }
 
 func (h *Host) sendOne(q *packet.Packet) {
 	if q == nil {
