@@ -54,10 +54,9 @@ type Auditor interface {
 // PacketPre is the pre-traversal capture of the fields the packet-level
 // invariants compare against.
 type PacketPre struct {
-	// Auditable mirrors the datapath's own fast-path conditions: valid IPv4,
-	// TCP, valid header, well-formed options, and not a UDP-tunnel packet.
-	// Packets that fail these conditions take a documented fail-open path
-	// (passed through untouched) and are exempt from packet invariants.
+	// Auditable is the datapath's own verdict (classify): the packet takes
+	// full TCP processing. Every other class takes a documented fail-open or
+	// passthrough path and is exempt from packet invariants.
 	Auditable bool
 	Wnd       uint16
 	ECN       packet.ECN
@@ -74,21 +73,16 @@ type PacketPre struct {
 // packet events identical to the datapath's own.
 func (v *VSwitch) CapturePre(p *packet.Packet) PacketPre {
 	pre := PacketPre{FailOpenBefore: v.Metrics.FailOpen.Value()}
-	ip := p.IP()
-	if !ip.Valid() {
+	var m pktMeta
+	classify(p, v.Cfg.UDPTunnel, &m)
+	if m.class != classTCP {
 		return pre
 	}
-	if ip.Protocol() != packet.ProtoTCP {
-		return pre
-	}
-	t := ip.TCP()
-	if !t.Valid() || !packet.OptionsWellFormed(t.Options()) {
-		return pre
-	}
+	t := p.TCP()
 	pre.Auditable = true
 	pre.Wnd = t.Window()
-	pre.ECN = ip.ECN()
-	pre.Payload = p.PayloadLen()
+	pre.ECN = p.IP().ECN()
+	pre.Payload = int(m.plen)
 	pre.Flags = t.Flags()
 	return pre
 }

@@ -203,7 +203,7 @@ func (v *VSwitch) Attached() bool { return v.attached }
 // enforcement math: an operator callback returning β>1 would otherwise make
 // Equation (1)'s cut factor exceed 1 — the window would GROW on congestion —
 // and a negative clamp would silently disable capping. Snapshot restore
-// sanitizes through the same choke point (flowRecord.sanitize).
+// sanitizes through the same choke point (flowRecord.policy).
 func (v *VSwitch) policy(k FlowKey) *Policy {
 	if p, ok := v.overrides[k]; ok {
 		return p // already sanitized by InstallPolicy

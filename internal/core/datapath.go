@@ -12,7 +12,7 @@ const (
 	classBadIP   pktClass = iota // invalid IPv4: fail open
 	classUDP                     // UDP with the tunnel enabled
 	classPass                    // non-TCP passthrough
-	classBadTCP                  // invalid TCP header: fail open
+	classBadTCP                  // invalid TCP header or total length: fail open
 	classBadOpts                 // damaged option block: fail open
 	classTCP                     // full TCP processing
 )
@@ -47,7 +47,9 @@ func classify(p *packet.Packet, udpTunnel bool, m *pktMeta) {
 		return
 	}
 	t := ip.TCP()
-	if !t.Valid() {
+	// A total length below the headers claims a negative payload: a lying
+	// header, refused like a short one (the packet editors refuse it too).
+	if !t.Valid() || int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
 		m.class = classBadTCP
 		return
 	}

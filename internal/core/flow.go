@@ -52,7 +52,7 @@ var defaultPolicy = DefaultPolicy()
 
 // Sanitized is the policy choke point: every path that installs a policy
 // into a flow — the live FlowPolicy callback (VSwitch.policy), runtime
-// installs (VSwitch.InstallPolicy), snapshot restore (flowRecord.sanitize),
+// installs (VSwitch.InstallPolicy), snapshot restore (flowRecord.policy),
 // and scenario-spec policies (internal/scenario) — routes through it, so a
 // hostile or malformed policy can never reach the enforcement math from any
 // direction. See sanitize for the exact clamps.
@@ -82,7 +82,7 @@ func (p Policy) Validate() error {
 // virtual-CC name (an unknown one would panic flow setup; it degrades to
 // the vSwitch default instead, exactly like snapshot restore). Shared by
 // the live FlowPolicy path (VSwitch.policy) and snapshot restore
-// (flowRecord.sanitize), so both installation paths enforce one contract.
+// (flowRecord.policy), so both installation paths enforce one contract.
 func (p Policy) sanitize() Policy {
 	if !(p.Beta >= 0) { // NaN fails this comparison too
 		p.Beta = 1

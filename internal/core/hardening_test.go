@@ -177,3 +177,34 @@ func TestFeedbackLossFreezesGrowthNotTraffic(t *testing.T) {
 		t.Fatal("injector attached but never fired")
 	}
 }
+
+// --- lying total length fails open ---
+
+// TestShortTotalLenFailsOpen: a segment whose IP total length is below its own
+// IP and TCP headers claims a negative payload, a lying header the packet
+// editors already refuse. Both hooks pass it through untouched and count a
+// fail-open; neither creates a record from it nor acts on its FIN, and the
+// auditor exempts it like every other fail-open class.
+func TestShortTotalLenFailsOpen(t *testing.T) {
+	v, host, _ := loneVSwitch(t, DefaultConfig())
+	peer := packet.MakeAddr(10, 0, 0, 2)
+	p := packet.Build(host.Addr, peer, packet.NotECT, packet.TCPFields{
+		SrcPort: 1, DstPort: 2, Seq: 100, Ack: 1,
+		Flags: packet.FlagFIN | packet.FlagACK, Window: 65535,
+	}, 0)
+	p.IP().SetTotalLen(30) // 10 bytes short of its 40 header bytes
+	if v.CapturePre(p).Auditable {
+		t.Fatal("CapturePre marked a short-total-length segment auditable")
+	}
+	for i, hook := range []func(*VSwitch, *packet.Packet) []*packet.Packet{egress, ingress} {
+		out := hook(v, p)
+		if len(out) != 1 || out[0] != p || p.TCP().Window() != 65535 {
+			t.Fatalf("hook %d: short-total-length segment not passed through untouched", i)
+		}
+		st := v.Stats()
+		if v.Table.Len() != 0 || st.FlowsAdoptedMidstream != 0 || st.FailOpen != int64(i+1) {
+			t.Fatalf("hook %d: flows=%d adopted=%d fail_open=%d, want 0/0/%d",
+				i, v.Table.Len(), st.FlowsAdoptedMidstream, st.FailOpen, i+1)
+		}
+	}
+}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 
-	"acdc/internal/packet"
 	"acdc/internal/sim"
 )
 
@@ -20,15 +22,14 @@ import (
 // carry its flow table across the outage instead of silently re-enforcing
 // with wrong assumptions.
 //
-// Format (big-endian):
+// Format (big-endian, encoding/binary's padding-free layout of the structs):
 //
-//	magic    [8]byte  "ACDCSNAP"
-//	version  uint16   (currently 1)
-//	reserved uint16   (must decode as opaque; writers set 0)
-//	captured int64    sim.Time of capture (staleness diagnostics)
-//	count    uint32   number of flow records
-//	records  count ×  (length uint16, fields…)
+//	header   snapshotHeader
+//	records  count × (length uint16, recordFixed, PolVCC, VCCName, backend tail)
 //	crc      uint32   IEEE CRC-32 over everything above
+//
+// PolVCC and VCCName are a length byte and at most 255 bytes; the backend tail
+// is a retired backend's name and float64 scalar (writeRecord, decodeRecord).
 //
 // Records are length-prefixed so decoding is forward compatible: a reader
 // parses the fields it knows and skips any trailing bytes a newer writer
@@ -55,415 +56,277 @@ var snapshotMagic = [8]byte{'A', 'C', 'D', 'C', 'S', 'N', 'A', 'P'}
 // any version ≥ 1 (the record framing is the compatibility contract).
 const SnapshotVersion = 1
 
-const snapshotHeaderLen = 8 + 2 + 2 + 8 + 4 // magic, version, reserved, captured, count
+// snapshotHeader opens a snapshot.
+type snapshotHeader struct {
+	Magic    [8]byte
+	Version  uint16
+	Reserved uint16 // opaque to readers; writers set 0
+	Captured int64  // sim.Time of capture (staleness diagnostics)
+	Count    uint32 // number of flow records
+}
+
+// recordFixed is the fixed-layout prefix of a record, field by field in wire
+// order and width. A field added here goes at the end, with a SnapshotVersion
+// bump: older readers find the strings right behind this prefix.
+type recordFixed struct {
+	Key        FlowKey // src, dst uint32; sport, dport uint16
+	Flags      uint8   // rec* bits
+	PeerWScale uint8
+	MSS        uint32
+	ISS        uint32
+
+	SndUna, SndNxt                  int64
+	CwndBytes, SsthreshBytes, Alpha float64
+
+	LastTotal, LastMarked, WindowTotal, WindowMarked uint32
+	AlphaSeq, CutSeq                                 int64
+	PrevCwnd                                         float64
+
+	TotalBytes, MarkedBytes uint32
+	VTimeouts, LossEvents   int64
+
+	Beta      float64
+	RwndClamp int64
+	PolFlags  uint8 // polDisable
+}
+
+// The handshake and FIN bits of recordFixed.Flags, and PolFlags' one bit.
+const (
+	recWScaleKnown uint8 = 1 << iota
+	recGuestECN
+	recSynSeen
+	recSynAckSeen
+	recISSValid
+	recFinFwd
+	recFinRev
+
+	polDisable uint8 = 1 // Policy.Disable
+)
 
 // flowRecord is one flow's serialized state: every field that affects
 // enforcement (pinned by TestSnapshotRoundTripLossless) plus the lifecycle
 // bits needed to garbage-collect the restored entry correctly.
 type flowRecord struct {
-	Key FlowKey
-
-	PeerWScale  uint8
-	WScaleKnown bool
-	GuestECN    bool
-	synSeen     bool
-	synAckSeen  bool
-	issValid    bool
-	finFwd      bool
-	finRev      bool
-
-	MSS           int
-	iss           uint32
-	SndUna        int64
-	SndNxt        int64
-	CwndBytes     float64
-	SsthreshBytes float64
-	Alpha         float64
-
-	lastTotal    uint32
-	lastMarked   uint32
-	windowTotal  uint32
-	windowMarked uint32
-	alphaSeq     int64
-	cutSeq       int64
-	prevCwnd     float64
-
-	TotalBytes  uint32
-	MarkedBytes uint32
-
-	VTimeouts  int64
-	LossEvents int64
-
-	Beta       float64
-	RwndClamp  int64
-	PolDisable bool
-	PolVCC     string
-	VCCName    string
+	Fixed           recordFixed
+	PolVCC, VCCName string
 }
 
-// recordFixedLen is the length of the fixed-layout prefix of a record; the
-// two trailing strings are variable. A record shorter than this is corrupt.
-const recordFixedLen = 12 + // key
-	1 + 1 + // flags, wscale
-	4 + 4 + // mss, iss
-	8 + 8 + // snd_una, snd_nxt
-	8 + 8 + 8 + // cwnd, ssthresh, alpha
-	4 + 4 + 4 + 4 + // lastTotal, lastMarked, windowTotal, windowMarked
-	8 + 8 + 8 + // alphaSeq, cutSeq, prevCwnd
-	4 + 4 + // totalBytes, markedBytes
-	8 + 8 + // vtimeouts, lossEvents
-	8 + 8 + 1 + // beta, rwndClamp, policy flags
-	1 + 1 // two string length bytes
+var (
+	snapshotHeaderLen = binary.Size(snapshotHeader{})
+	// recordFixedLen is the shortest well-formed record: the fixed prefix
+	// and the two string length bytes.
+	recordFixedLen = binary.Size(recordFixed{}) + 2
+)
 
-// record copies a flow into its serialized form.
-func (f *Flow) record() flowRecord {
-	return flowRecord{
-		Key:         f.Key,
-		PeerWScale:  f.PeerWScale,
-		WScaleKnown: f.WScaleKnown,
-		GuestECN:    f.GuestECN,
-		synSeen:     f.synSeen,
-		synAckSeen:  f.synAckSeen,
-		issValid:    f.issValid,
-		finFwd:      f.finFwd,
-		finRev:      f.finRev,
-
-		MSS:           int(f.MSS),
-		iss:           f.iss,
-		SndUna:        f.SndUna,
-		SndNxt:        f.SndNxt,
-		CwndBytes:     f.CwndBytes,
-		SsthreshBytes: f.SsthreshBytes,
-		Alpha:         f.Alpha,
-
-		lastTotal:    f.lastTotal,
-		lastMarked:   f.lastMarked,
-		windowTotal:  f.windowTotal,
-		windowMarked: f.windowMarked,
-		alphaSeq:     f.alphaSeq,
-		cutSeq:       f.cutSeq,
-		prevCwnd:     f.prevCwndBytes,
-
-		TotalBytes:  f.TotalBytes,
-		MarkedBytes: f.MarkedBytes,
-
-		VTimeouts:  f.VTimeouts(),
-		LossEvents: f.LossEvents(),
-
-		Beta:       f.Policy.Beta,
-		RwndClamp:  f.Policy.RwndClampBytes,
-		PolDisable: f.Policy.Disable,
-		PolVCC:     f.Policy.VCC,
-		VCCName:    f.vcc.String(),
-	}
-}
-
-// --- encoding ---
-
-type snapEncoder struct{ buf []byte }
-
-func (e *snapEncoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *snapEncoder) u16(v uint16) { e.buf = append(e.buf, byte(v>>8), byte(v)) }
-func (e *snapEncoder) u32(v uint32) {
-	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func (e *snapEncoder) u64(v uint64) {
-	e.u32(uint32(v >> 32))
-	e.u32(uint32(v))
-}
-func (e *snapEncoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *snapEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *snapEncoder) str(s string) {
-	if len(s) > 255 {
-		s = s[:255]
-	}
-	e.u8(uint8(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// boolBit packs b into bit i of a flags byte.
-func boolBit(b bool, i uint) uint8 {
+// flag returns mask if b is set, else 0.
+func flag(b bool, mask uint8) uint8 {
 	if b {
-		return 1 << i
+		return mask
 	}
 	return 0
 }
 
-func (e *snapEncoder) record(r flowRecord) {
-	// Reserve the length prefix, encode, then backfill.
-	lenAt := len(e.buf)
-	e.u16(0)
-	start := len(e.buf)
+// record copies a flow into its serialized form.
+func (f *Flow) record() flowRecord {
+	return flowRecord{
+		Fixed: recordFixed{
+			Key: f.Key,
+			Flags: flag(f.WScaleKnown, recWScaleKnown) | flag(f.GuestECN, recGuestECN) |
+				flag(f.synSeen, recSynSeen) | flag(f.synAckSeen, recSynAckSeen) |
+				flag(f.issValid, recISSValid) | flag(f.finFwd, recFinFwd) | flag(f.finRev, recFinRev),
+			PeerWScale: f.PeerWScale,
+			MSS:        uint32(f.MSS),
+			ISS:        f.iss,
 
-	e.u32(uint32(r.Key.Src))
-	e.u32(uint32(r.Key.Dst))
-	e.u16(r.Key.SPort)
-	e.u16(r.Key.DPort)
-	e.u8(boolBit(r.WScaleKnown, 0) | boolBit(r.GuestECN, 1) |
-		boolBit(r.synSeen, 2) | boolBit(r.synAckSeen, 3) |
-		boolBit(r.issValid, 4) | boolBit(r.finFwd, 5) | boolBit(r.finRev, 6))
-	e.u8(r.PeerWScale)
-	e.u32(uint32(r.MSS))
-	e.u32(r.iss)
-	e.i64(r.SndUna)
-	e.i64(r.SndNxt)
-	e.f64(r.CwndBytes)
-	e.f64(r.SsthreshBytes)
-	e.f64(r.Alpha)
-	e.u32(r.lastTotal)
-	e.u32(r.lastMarked)
-	e.u32(r.windowTotal)
-	e.u32(r.windowMarked)
-	e.i64(r.alphaSeq)
-	e.i64(r.cutSeq)
-	e.f64(r.prevCwnd)
-	e.u32(r.TotalBytes)
-	e.u32(r.MarkedBytes)
-	e.i64(r.VTimeouts)
-	e.i64(r.LossEvents)
-	e.f64(r.Beta)
-	e.i64(r.RwndClamp)
-	e.u8(boolBit(r.PolDisable, 0))
-	e.str(r.PolVCC)
-	e.str(r.VCCName)
+			SndUna:        f.SndUna,
+			SndNxt:        f.SndNxt,
+			CwndBytes:     f.CwndBytes,
+			SsthreshBytes: f.SsthreshBytes,
+			Alpha:         f.Alpha,
+
+			LastTotal:    f.lastTotal,
+			LastMarked:   f.lastMarked,
+			WindowTotal:  f.windowTotal,
+			WindowMarked: f.windowMarked,
+			AlphaSeq:     f.alphaSeq,
+			CutSeq:       f.cutSeq,
+			PrevCwnd:     f.prevCwndBytes,
+
+			TotalBytes:  f.TotalBytes,
+			MarkedBytes: f.MarkedBytes,
+			VTimeouts:   f.VTimeouts(),
+			LossEvents:  f.LossEvents(),
+
+			Beta:      f.Policy.Beta,
+			RwndClamp: f.Policy.RwndClampBytes,
+			PolFlags:  flag(f.Policy.Disable, polDisable),
+		},
+		PolVCC:  f.Policy.VCC,
+		VCCName: f.vcc.String(),
+	}
+}
+
+// policy is the record's per-flow policy, through the same sanitizer as the
+// live FlowPolicy path (VSwitch.policy), so a restored flow and a fresh one
+// obey one contract: β ∈ [0,1], non-negative clamp, known vCC name.
+func (r *flowRecord) policy() Policy {
+	return Policy{Beta: r.Fixed.Beta, RwndClampBytes: r.Fixed.RwndClamp,
+		VCC: r.PolVCC, Disable: r.Fixed.PolFlags&polDisable != 0}.sanitize()
+}
+
+// --- encoding ---
+
+// write appends v, a fixed-size value, big-endian. Neither a bytes.Buffer nor
+// a fixed-size value can fail binary.Write.
+func write(b *bytes.Buffer, v any) {
+	if err := binary.Write(b, binary.BigEndian, v); err != nil {
+		panic(err)
+	}
+}
+
+// writeStr appends s, cut to 255 bytes, behind its length byte.
+func writeStr(b *bytes.Buffer, s string) {
+	if len(s) > 255 {
+		s = s[:255]
+	}
+	b.WriteByte(byte(len(s)))
+	b.WriteString(s)
+}
+
+// writeRecord appends one length-framed record.
+func writeRecord(b *bytes.Buffer, r *flowRecord) {
+	lenAt := b.Len()
+	b.Write([]byte{0, 0}) // the frame length, backfilled below
+	write(b, &r.Fixed)
+	writeStr(b, r.PolVCC)
+	writeStr(b, r.VCCName)
 	// The retired enforcement-backend tail: an empty backend name and a zero
 	// per-flow scalar, so the record layout (and every snapshot's bytes)
 	// stays what readers of the format expect.
-	e.str("")
-	e.f64(0)
-
-	n := len(e.buf) - start
-	e.buf[lenAt] = byte(n >> 8)
-	e.buf[lenAt+1] = byte(n)
+	writeStr(b, "")
+	write(b, float64(0))
+	binary.BigEndian.PutUint16(b.Bytes()[lenAt:], uint16(b.Len()-lenAt-2))
 }
 
 // encodeSnapshot renders records into the wire format. Records are encoded
 // in the order given; SaveSnapshot sorts them so identical tables produce
 // identical bytes.
 func encodeSnapshot(capturedAt sim.Time, recs []flowRecord) []byte {
-	e := &snapEncoder{buf: make([]byte, 0, snapshotHeaderLen+len(recs)*(recordFixedLen+16)+4)}
-	e.buf = append(e.buf, snapshotMagic[:]...)
-	e.u16(SnapshotVersion)
-	e.u16(0) // reserved
-	e.i64(int64(capturedAt))
-	e.u32(uint32(len(recs)))
-	for _, r := range recs {
-		e.record(r)
+	var b bytes.Buffer
+	write(&b, snapshotHeader{Magic: snapshotMagic, Version: SnapshotVersion,
+		Captured: int64(capturedAt), Count: uint32(len(recs))})
+	for i := range recs {
+		writeRecord(&b, &recs[i])
 	}
-	e.u32(crc32.ChecksumIEEE(e.buf))
-	return e.buf
+	write(&b, crc32.ChecksumIEEE(b.Bytes()))
+	return b.Bytes()
 }
 
 // --- decoding ---
 
-type snapDecoder struct {
-	buf []byte
-	off int
-	err error
+// readStr reads a length byte and that many bytes; ok is false if they
+// overrun rd.
+func readStr(rd *bytes.Reader) (s string, ok bool) {
+	n, err := rd.ReadByte()
+	if err != nil || int(n) > rd.Len() {
+		return "", false
+	}
+	b := make([]byte, n)
+	_, _ = rd.Read(b) // cannot fail: n ≤ rd.Len()
+	return string(b), true
 }
 
-func (d *snapDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: "+format, args...)
+// decodeRecord parses one record's frame; ok is false if the frame is too
+// short for the fields it must hold.
+func decodeRecord(frame []byte) (r flowRecord, ok bool) {
+	rd := bytes.NewReader(frame)
+	if binary.Read(rd, binary.BigEndian, &r.Fixed) != nil {
+		return r, false
 	}
-}
-
-func (d *snapDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+	if r.PolVCC, ok = readStr(rd); !ok {
+		return r, false
 	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.fail("truncated at offset %d (want %d bytes of %d)", d.off, n, len(d.buf))
-		return nil
+	if r.VCCName, ok = readStr(rd); !ok {
+		return r, false
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *snapDecoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-func (d *snapDecoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0])<<8 | uint16(b[1])
-}
-func (d *snapDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-func (d *snapDecoder) u64() uint64 { return uint64(d.u32())<<32 | uint64(d.u32()) }
-func (d *snapDecoder) i64() int64  { return int64(d.u64()) }
-func (d *snapDecoder) f64() float64 {
-	return math.Float64frombits(d.u64())
-}
-func (d *snapDecoder) str() string {
-	n := int(d.u8())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// decodeRecord parses one length-framed record. Trailing bytes beyond the
-// known fields are skipped (forward compatibility).
-func (d *snapDecoder) record() flowRecord {
-	n := int(d.u16())
-	body := d.take(n)
-	if d.err != nil {
-		return flowRecord{}
-	}
-	rd := &snapDecoder{buf: body}
-	var r flowRecord
-	r.Key.Src = packet.Addr(rd.u32())
-	r.Key.Dst = packet.Addr(rd.u32())
-	r.Key.SPort = rd.u16()
-	r.Key.DPort = rd.u16()
-	flags := rd.u8()
-	r.WScaleKnown = flags&(1<<0) != 0
-	r.GuestECN = flags&(1<<1) != 0
-	r.synSeen = flags&(1<<2) != 0
-	r.synAckSeen = flags&(1<<3) != 0
-	r.issValid = flags&(1<<4) != 0
-	r.finFwd = flags&(1<<5) != 0
-	r.finRev = flags&(1<<6) != 0
-	r.PeerWScale = rd.u8()
-	r.MSS = int(rd.u32())
-	r.iss = rd.u32()
-	r.SndUna = rd.i64()
-	r.SndNxt = rd.i64()
-	r.CwndBytes = rd.f64()
-	r.SsthreshBytes = rd.f64()
-	r.Alpha = rd.f64()
-	r.lastTotal = rd.u32()
-	r.lastMarked = rd.u32()
-	r.windowTotal = rd.u32()
-	r.windowMarked = rd.u32()
-	r.alphaSeq = rd.i64()
-	r.cutSeq = rd.i64()
-	r.prevCwnd = rd.f64()
-	r.TotalBytes = rd.u32()
-	r.MarkedBytes = rd.u32()
-	r.VTimeouts = rd.i64()
-	r.LossEvents = rd.i64()
-	r.Beta = rd.f64()
-	r.RwndClamp = rd.i64()
-	pflags := rd.u8()
-	r.PolDisable = pflags&1 != 0
-	r.PolVCC = rd.str()
-	r.VCCName = rd.str()
 	// The enforcement-backend tail (a backend name and its per-flow scalar)
 	// is optional, so records that end at VCCName still decode. Its values
-	// name mechanisms this build no longer has: read, and ignored — every
-	// restored flow is enforced by the RWND rewrite.
-	if rd.err == nil && rd.off < len(rd.buf) {
-		rd.str()
-		if rd.err == nil && rd.off+8 <= len(rd.buf) {
-			rd.f64()
-		}
+	// name mechanisms this build no longer has: ignored — every restored flow
+	// is enforced by the RWND rewrite. Only a name overrunning the frame is
+	// corruption; a cut-short scalar is tolerated, and bytes past the tail
+	// belong to a newer writer and are ignored by design.
+	if rd.Len() > 0 {
+		_, ok = readStr(rd)
 	}
-	if rd.err != nil {
-		d.fail("record too short (%d bytes)", n)
-	}
-	// Bytes past the backend tail belong to a newer writer: ignored by design.
-	return r
+	return r, ok
 }
 
 // decodeSnapshot validates framing and checksum and returns the records.
 // It never panics on arbitrary input (pinned by FuzzSnapshotDecode).
 func decodeSnapshot(data []byte) (capturedAt sim.Time, recs []flowRecord, err error) {
-	if len(data) < snapshotHeaderLen+4 {
+	var h snapshotHeader
+	if len(data) < snapshotHeaderLen+4 || binary.Read(bytes.NewReader(data), binary.BigEndian, &h) != nil {
 		return 0, nil, fmt.Errorf("snapshot: %d bytes is shorter than header+crc", len(data))
 	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	wantCRC := uint32(crcBytes[0])<<24 | uint32(crcBytes[1])<<16 |
-		uint32(crcBytes[2])<<8 | uint32(crcBytes[3])
-	if got := crc32.ChecksumIEEE(body); got != wantCRC {
-		return 0, nil, fmt.Errorf("snapshot: CRC mismatch (got %08x want %08x)", got, wantCRC)
+	body := data[:len(data)-4]
+	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(data[len(body):]); got != want {
+		return 0, nil, fmt.Errorf("snapshot: CRC mismatch (got %08x want %08x)", got, want)
 	}
-	d := &snapDecoder{buf: body}
-	var magic [8]byte
-	copy(magic[:], d.take(8))
-	if magic != snapshotMagic {
-		return 0, nil, fmt.Errorf("snapshot: bad magic %q", magic[:])
+	if h.Magic != snapshotMagic {
+		return 0, nil, fmt.Errorf("snapshot: bad magic %q", h.Magic[:])
 	}
-	version := d.u16()
-	if version < 1 {
-		return 0, nil, fmt.Errorf("snapshot: bad version %d", version)
+	if h.Version < 1 {
+		return 0, nil, fmt.Errorf("snapshot: bad version %d", h.Version)
 	}
-	d.u16() // reserved
-	capturedAt = sim.Time(d.i64())
-	count := d.u32()
+	rest := body[snapshotHeaderLen:]
 	// Each record costs at least its length prefix + fixed fields; refuse
 	// counts the remaining bytes cannot possibly hold (bounds allocation).
-	if int64(count)*(2+recordFixedLen) > int64(len(body)-d.off) {
-		return 0, nil, fmt.Errorf("snapshot: count %d exceeds payload", count)
+	if int64(h.Count)*int64(2+recordFixedLen) > int64(len(rest)) {
+		return 0, nil, fmt.Errorf("snapshot: count %d exceeds payload", h.Count)
 	}
-	recs = make([]flowRecord, 0, count)
-	for i := uint32(0); i < count; i++ {
-		r := d.record()
-		if d.err != nil {
-			return 0, nil, d.err
+	recs = make([]flowRecord, 0, h.Count)
+	for i := uint32(0); i < h.Count; i++ {
+		if len(rest) < 2 || 2+int(binary.BigEndian.Uint16(rest)) > len(rest) {
+			return 0, nil, fmt.Errorf("snapshot: record %d truncated (%d bytes left)", i, len(rest))
+		}
+		end := 2 + int(binary.BigEndian.Uint16(rest))
+		r, ok := decodeRecord(rest[2:end])
+		if !ok {
+			return 0, nil, fmt.Errorf("snapshot: record %d too short (%d bytes)", i, end-2)
 		}
 		recs = append(recs, r)
+		rest = rest[end:]
 	}
-	if d.off != len(body) {
-		return 0, nil, fmt.Errorf("snapshot: %d trailing bytes after %d records", len(body)-d.off, count)
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("snapshot: %d trailing bytes after %d records", len(rest), h.Count)
 	}
-	return capturedAt, recs, nil
+	return sim.Time(h.Captured), recs, nil
 }
 
 // sanitize clamps decoded numerics to ranges the enforcement math tolerates.
 // The CRC catches wire corruption; this catches forgeries and future-writer
 // drift, so a restored flow can never carry NaN windows, inverted sequence
 // state, or an out-of-range α into the datapath.
-func (r *flowRecord) sanitize(cfg *Config) {
-	if r.MSS < 64 || r.MSS > 65535 {
-		r.MSS = cfg.MTU - 40
+func (x *recordFixed) sanitize(cfg *Config) {
+	if x.MSS < 64 || x.MSS > 65535 {
+		x.MSS = uint32(cfg.MTU - 40)
 	}
-	mss := float64(r.MSS)
-	iw := initCwndPkts * mss
-	if !finitePositive(r.CwndBytes) {
-		r.CwndBytes = iw
+	if !finitePositive(x.CwndBytes) {
+		x.CwndBytes = initCwndPkts * float64(x.MSS)
 	}
-	if !finitePositive(r.SsthreshBytes) {
-		r.SsthreshBytes = 1 << 40
+	if !finitePositive(x.SsthreshBytes) {
+		x.SsthreshBytes = 1 << 40
 	}
-	if !(r.prevCwnd >= 0) || math.IsInf(r.prevCwnd, 0) {
-		r.prevCwnd = 0
+	if !(x.PrevCwnd >= 0) || math.IsInf(x.PrevCwnd, 0) {
+		x.PrevCwnd = 0
 	}
-	if !(r.Alpha >= 0) { // NaN fails this too
-		r.Alpha = initAlpha
+	if !(x.Alpha >= 0) { // NaN fails this too
+		x.Alpha = initAlpha
 	}
-	if r.Alpha > 1 {
-		r.Alpha = 1
-	}
-	// Policy fields go through the same sanitizer as the live FlowPolicy
-	// path (VSwitch.policy), so a restored flow and a fresh one obey one
-	// contract: β ∈ [0,1], non-negative clamp, known vCC name.
-	pol := Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
-		VCC: r.PolVCC, Disable: r.PolDisable}.sanitize()
-	r.Beta, r.RwndClamp, r.PolVCC = pol.Beta, pol.RwndClampBytes, pol.VCC
-	if r.SndUna > r.SndNxt {
-		r.SndUna = r.SndNxt
-	}
-	if r.VTimeouts < 0 {
-		r.VTimeouts = 0
-	}
-	if r.LossEvents < 0 {
-		r.LossEvents = 0
-	}
+	x.Alpha = min(x.Alpha, 1)
+	x.SndUna = min(x.SndUna, x.SndNxt)
+	x.VTimeouts = max(x.VTimeouts, 0)
+	x.LossEvents = max(x.LossEvents, 0)
 }
 
 func finitePositive(v float64) bool {
@@ -483,22 +346,13 @@ func (v *VSwitch) SaveSnapshot() []byte {
 			recs = append(recs, f.record())
 		}
 	})
-	sort.Slice(recs, func(i, j int) bool { return lessKey(recs[i].Key, recs[j].Key) })
+	slices.SortFunc(recs, func(a, b flowRecord) int {
+		ka, kb := a.Fixed.Key, b.Fixed.Key
+		return cmp.Or(cmp.Compare(ka.Src, kb.Src), cmp.Compare(ka.Dst, kb.Dst),
+			cmp.Compare(ka.SPort, kb.SPort), cmp.Compare(ka.DPort, kb.DPort))
+	})
 	v.Metrics.SnapshotSaves.Inc()
 	return encodeSnapshot(v.Sim.Now(), recs)
-}
-
-func lessKey(a, b FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SPort != b.SPort {
-		return a.SPort < b.SPort
-	}
-	return a.DPort < b.DPort
 }
 
 // RestoreSnapshot decodes data and installs the flows into the table.
@@ -506,7 +360,7 @@ func lessKey(a, b FlowKey) bool {
 // untouched, snapshot_corrupt_total is incremented, and the error is
 // returned for logging. Every restored data-direction flow enters the
 // conservative resync mode (resync.go) before enforcement resumes, and the
-// policy fields route through the Sanitized choke point (flowRecord.sanitize).
+// policy fields route through the Sanitized choke point (flowRecord.policy).
 func (v *VSwitch) RestoreSnapshot(data []byte) error {
 	_, recs, err := decodeSnapshot(data)
 	if err != nil {
@@ -517,43 +371,43 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 	now := v.Sim.Now()
 	for i := range recs {
 		r := &recs[i]
-		r.sanitize(&v.Cfg)
-		f := v.flowForRestore(r.Key)
+		x := &r.Fixed
+		x.sanitize(&v.Cfg)
+		f := v.flowForRestore(x.Key)
 		if f == nil {
 			// Table at capacity (MaxFlows smaller than the snapshot): the
 			// overflow flows fail open exactly like new flows at capacity.
 			continue
 		}
-		f.PeerWScale = r.PeerWScale
-		f.WScaleKnown = r.WScaleKnown
-		f.GuestECN = r.GuestECN
-		f.synSeen = r.synSeen
-		f.synAckSeen = r.synAckSeen
-		f.issValid = r.issValid
-		f.finFwd = r.finFwd
-		f.finRev = r.finRev
-		f.MSS = int32(r.MSS)
-		f.iss = r.iss
-		f.SndUna = r.SndUna
-		f.SndNxt = r.SndNxt
-		f.CwndBytes = r.CwndBytes
-		f.SsthreshBytes = r.SsthreshBytes
-		f.Alpha = r.Alpha
-		f.lastTotal = r.lastTotal
-		f.lastMarked = r.lastMarked
-		f.windowTotal = r.windowTotal
-		f.windowMarked = r.windowMarked
-		f.alphaSeq = r.alphaSeq
-		f.cutSeq = r.cutSeq
-		f.prevCwndBytes = r.prevCwnd
-		f.TotalBytes = r.TotalBytes
-		f.MarkedBytes = r.MarkedBytes
-		if r.VTimeouts != 0 || r.LossEvents != 0 || f.cold != nil {
+		f.WScaleKnown = x.Flags&recWScaleKnown != 0
+		f.GuestECN = x.Flags&recGuestECN != 0
+		f.synSeen = x.Flags&recSynSeen != 0
+		f.synAckSeen = x.Flags&recSynAckSeen != 0
+		f.issValid = x.Flags&recISSValid != 0
+		f.finFwd = x.Flags&recFinFwd != 0
+		f.finRev = x.Flags&recFinRev != 0
+		f.PeerWScale = x.PeerWScale
+		f.MSS = int32(x.MSS)
+		f.iss = x.ISS
+		f.SndUna = x.SndUna
+		f.SndNxt = x.SndNxt
+		f.CwndBytes = x.CwndBytes
+		f.SsthreshBytes = x.SsthreshBytes
+		f.Alpha = x.Alpha
+		f.lastTotal = x.LastTotal
+		f.lastMarked = x.LastMarked
+		f.windowTotal = x.WindowTotal
+		f.windowMarked = x.WindowMarked
+		f.alphaSeq = x.AlphaSeq
+		f.cutSeq = x.CutSeq
+		f.prevCwndBytes = x.PrevCwnd
+		f.TotalBytes = x.TotalBytes
+		f.MarkedBytes = x.MarkedBytes
+		if x.VTimeouts != 0 || x.LossEvents != 0 || f.cold != nil {
 			c := f.writeCold()
-			c.vTimeouts, c.lossEvents = r.VTimeouts, r.LossEvents
+			c.vTimeouts, c.lossEvents = x.VTimeouts, x.LossEvents
 		}
-		f.Policy = v.intern(Policy{Beta: r.Beta, RwndClampBytes: r.RwndClamp,
-			VCC: r.PolVCC, Disable: r.PolDisable})
+		f.Policy = v.intern(r.policy())
 		v.setLaw(f) // swap the growth law like applyToLive does
 		f.maxInflight = f.SndNxt - f.SndUna
 		f.lastActive = now

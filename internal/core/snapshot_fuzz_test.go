@@ -41,32 +41,28 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		wscale uint8, flags byte, sndUna, sndNxt int64,
 		cwndBits, alphaBits uint64, total, marked uint32, vcc string) {
 		r := flowRecord{
-			Key:           FlowKey{Src: packet.Addr(src), Dst: packet.Addr(dst), SPort: sp, DPort: dp},
-			PeerWScale:    wscale,
-			WScaleKnown:   flags&1 != 0,
-			GuestECN:      flags&2 != 0,
-			synSeen:       flags&4 != 0,
-			synAckSeen:    flags&8 != 0,
-			issValid:      flags&16 != 0,
-			finFwd:        flags&32 != 0,
-			finRev:        flags&64 != 0,
-			MSS:           int(int32(total % 100_000)),
-			iss:           marked,
-			SndUna:        sndUna,
-			SndNxt:        sndNxt,
-			CwndBytes:     math.Float64frombits(cwndBits),
-			SsthreshBytes: math.Float64frombits(alphaBits),
-			Alpha:         math.Float64frombits(alphaBits),
-			lastTotal:     total,
-			lastMarked:    marked,
-			TotalBytes:    total,
-			MarkedBytes:   marked,
-			VTimeouts:     sndUna,
-			LossEvents:    sndNxt,
-			Beta:          math.Float64frombits(cwndBits),
-			RwndClamp:     sndNxt,
-			PolVCC:        vcc,
-			VCCName:       vcc,
+			Fixed: recordFixed{
+				Key:           FlowKey{Src: packet.Addr(src), Dst: packet.Addr(dst), SPort: sp, DPort: dp},
+				Flags:         flags,
+				PeerWScale:    wscale,
+				MSS:           total % 100_000,
+				ISS:           marked,
+				SndUna:        sndUna,
+				SndNxt:        sndNxt,
+				CwndBytes:     math.Float64frombits(cwndBits),
+				SsthreshBytes: math.Float64frombits(alphaBits),
+				Alpha:         math.Float64frombits(alphaBits),
+				LastTotal:     total,
+				LastMarked:    marked,
+				TotalBytes:    total,
+				MarkedBytes:   marked,
+				VTimeouts:     sndUna,
+				LossEvents:    sndNxt,
+				Beta:          math.Float64frombits(cwndBits),
+				RwndClamp:     sndNxt,
+			},
+			PolVCC:  vcc,
+			VCCName: vcc,
 		}
 		enc := encodeSnapshot(7, []flowRecord{r})
 		capturedAt, recs, err := decodeSnapshot(enc)
@@ -99,9 +95,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// the accepting region; mutations of these exercise every reject branch.
 	f.Add(encodeSnapshot(0, nil))
 	f.Add(encodeSnapshot(42, []flowRecord{{
-		Key: FlowKey{Src: 0x0a000001, Dst: 0x0a000002, SPort: 1, DPort: 2},
-		MSS: 1400, issValid: true, SndUna: 10, SndNxt: 20,
-		CwndBytes: 14000, SsthreshBytes: 1 << 30, Alpha: 0.5, Beta: 1,
+		Fixed: recordFixed{
+			Key: FlowKey{Src: 0x0a000001, Dst: 0x0a000002, SPort: 1, DPort: 2},
+			MSS: 1400, Flags: recISSValid, SndUna: 10, SndNxt: 20,
+			CwndBytes: 14000, SsthreshBytes: 1 << 30, Alpha: 0.5, Beta: 1,
+		},
 		PolVCC: "dctcp", VCCName: "dctcp",
 	}}))
 	f.Add([]byte{})

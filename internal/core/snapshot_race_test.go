@@ -113,7 +113,7 @@ func TestFinRevSetUnderItsOwnLock(t *testing.T) {
 	}
 	saved := map[FlowKey]flowRecord{}
 	for _, r := range recs {
-		saved[r.Key] = r
+		saved[r.Fixed.Key] = r
 	}
 	for i := 0; i < 8; i++ {
 		k := FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: uint16(200 + i)}
@@ -121,9 +121,9 @@ func TestFinRevSetUnderItsOwnLock(t *testing.T) {
 		if f == nil {
 			t.Fatalf("flow %d not tracked", i)
 		}
-		if !f.finRev || !saved[k].finRev {
+		if !f.finRev || saved[k].Fixed.Flags&recFinRev == 0 {
 			t.Fatalf("flow %d: the peer's FIN did not reach the data direction's record (live %v, saved %v)",
-				i, f.finRev, saved[k].finRev)
+				i, f.finRev, saved[k].Fixed.Flags&recFinRev != 0)
 		}
 	}
 }

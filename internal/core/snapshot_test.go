@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -166,23 +170,20 @@ func TestSnapshotForwardCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := &snapEncoder{}
-	e.buf = append(e.buf, snapshotMagic[:]...)
-	e.u16(SnapshotVersion + 1)
-	e.u16(0xBEEF)
-	e.i64(42)
-	e.u32(uint32(len(recs)))
-	for _, r := range recs {
-		lenAt := len(e.buf)
-		e.record(r)
+	var b bytes.Buffer
+	write(&b, snapshotHeader{Magic: snapshotMagic, Version: SnapshotVersion + 1,
+		Reserved: 0xBEEF, Captured: 42, Count: uint32(len(recs))})
+	for i := range recs {
+		lenAt := b.Len()
+		writeRecord(&b, &recs[i])
 		// A future writer appended four bytes of state we don't know about.
-		e.buf = append(e.buf, 0xde, 0xad, 0xbe, 0xef)
-		n := int(e.buf[lenAt])<<8 | int(e.buf[lenAt+1]) + 4
-		e.buf[lenAt], e.buf[lenAt+1] = byte(n>>8), byte(n)
+		b.Write([]byte{0xde, 0xad, 0xbe, 0xef})
+		binary.BigEndian.PutUint16(b.Bytes()[lenAt:], uint16(b.Len()-lenAt-2))
 	}
-	e.u32(crc32.ChecksumIEEE(e.buf))
+	write(&b, crc32.ChecksumIEEE(b.Bytes()))
+	future := b.Bytes()
 
-	capturedAt, got, err := decodeSnapshot(e.buf)
+	capturedAt, got, err := decodeSnapshot(future)
 	if err != nil {
 		t.Fatalf("future-format snapshot rejected: %v", err)
 	}
@@ -196,12 +197,12 @@ func TestSnapshotForwardCompat(t *testing.T) {
 	}
 
 	// And a restore of it must install the flows (not fail open).
-	b, _, _ := loneVSwitch(t, DefaultConfig())
-	if err := b.RestoreSnapshot(e.buf); err != nil {
+	v, _, _ := loneVSwitch(t, DefaultConfig())
+	if err := v.RestoreSnapshot(future); err != nil {
 		t.Fatal(err)
 	}
-	if b.Table.Len() != len(recs) {
-		t.Fatalf("restored %d flows from future format, want %d", b.Table.Len(), len(recs))
+	if v.Table.Len() != len(recs) {
+		t.Fatalf("restored %d flows from future format, want %d", v.Table.Len(), len(recs))
 	}
 }
 
@@ -375,9 +376,9 @@ func TestSanitizeClampsHostileRecords(t *testing.T) {
 	cfg := DefaultConfig()
 	nan := 0.0
 	nan /= nan // NaN without importing math
-	r := flowRecord{
+	r := flowRecord{Fixed: recordFixed{
 		Key:           FlowKey{Src: 1, Dst: 2, SPort: 3, DPort: 4},
-		MSS:           -7,
+		MSS:           7,
 		CwndBytes:     nan,
 		SsthreshBytes: -1,
 		Alpha:         42,
@@ -387,20 +388,22 @@ func TestSanitizeClampsHostileRecords(t *testing.T) {
 		SndNxt:        50,
 		VTimeouts:     -1,
 		LossEvents:    -2,
-		prevCwnd:      nan,
+		PrevCwnd:      nan,
+	}, PolVCC: "bbr2"}
+	x := &r.Fixed
+	x.sanitize(&cfg)
+	pol := r.policy()
+	if x.MSS != uint32(cfg.MTU-40) {
+		t.Fatalf("MSS = %d", x.MSS)
 	}
-	r.sanitize(&cfg)
-	if r.MSS != cfg.MTU-40 {
-		t.Fatalf("MSS = %d", r.MSS)
+	if !finitePositive(x.CwndBytes) || !finitePositive(x.SsthreshBytes) {
+		t.Fatalf("cwnd=%v ssthresh=%v", x.CwndBytes, x.SsthreshBytes)
 	}
-	if !finitePositive(r.CwndBytes) || !finitePositive(r.SsthreshBytes) {
-		t.Fatalf("cwnd=%v ssthresh=%v", r.CwndBytes, r.SsthreshBytes)
+	if x.Alpha < 0 || x.Alpha > 1 || pol.Beta < 0 || pol.Beta > 1 {
+		t.Fatalf("alpha=%v beta=%v", x.Alpha, pol.Beta)
 	}
-	if r.Alpha < 0 || r.Alpha > 1 || r.Beta < 0 || r.Beta > 1 {
-		t.Fatalf("alpha=%v beta=%v", r.Alpha, r.Beta)
-	}
-	if r.RwndClamp != 0 || r.SndUna > r.SndNxt || r.VTimeouts != 0 || r.LossEvents != 0 || r.prevCwnd != 0 {
-		t.Fatalf("sanitize left hostile fields: %+v", r)
+	if pol.RwndClampBytes != 0 || pol.VCC != "" || x.SndUna > x.SndNxt || x.VTimeouts != 0 || x.LossEvents != 0 || x.PrevCwnd != 0 {
+		t.Fatalf("sanitize left hostile fields: %+v, policy %+v", r, pol)
 	}
 }
 
@@ -478,5 +481,103 @@ func TestRestoreRetiredBackendSnapshot(t *testing.T) {
 			t.Fatalf("flow %d: ACK window %d, rewrites %d → %d: not enforced by RWND rewrite",
 				tc.sport, p.TCP().Window(), before, v.Stats().RwndRewrites)
 		}
+	}
+}
+
+// backendSnapshot reads the checked-in six-flow snapshot that
+// TestRestoreRetiredBackendSnapshot restores: reno and dctcp laws, β, a
+// window clamp, handshake and FIN flag shapes, and nonzero retired backend
+// tails.
+func backendSnapshot(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/snapshot_backend_flows.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSnapshotBytesPinParentCommit restores the checked-in snapshot and saves
+// it again. The sha256 of the re-saved bytes was measured on the commit before
+// the record layout became a struct that encoding/binary writes: a field
+// written at another offset, width or byte order changes it.
+func TestSnapshotBytesPinParentCommit(t *testing.T) {
+	v, _, _ := loneVSwitch(t, DefaultConfig())
+	if err := v.RestoreSnapshot(backendSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	const want = "ab381d5577cccd511bf21cb6a31b619792be1ebd35b78498e436d2fb420a8119"
+	if got := fmt.Sprintf("%x", sha256.Sum256(v.SaveSnapshot())); got != want {
+		t.Fatalf("re-saved snapshot sha256 %s, parent commit gave %s", got, want)
+	}
+}
+
+// TestSnapshotDecodePinsParentCommit restores 20 000 seeded mutations of the
+// checked-in snapshot — truncations, bit flips, byte overwrites, and records
+// whose tail is cut, extended or overwritten behind a fixed-up length prefix —
+// with the CRC re-fixed on every other input so body damage reaches the record
+// parser. Each input's verdict, restored table size and re-saved records feed
+// one sha256, measured on the commit before the hand-written codec was
+// replaced by encoding/binary: a decoder that accepts, rejects or reads any
+// input differently changes it.
+func TestSnapshotDecodePinsParentCommit(t *testing.T) {
+	base := backendSnapshot(t)
+	// Each record's frame: the offset of its length prefix and its length.
+	var frames [][2]int
+	for off := snapshotHeaderLen; off < len(base)-4; {
+		n := int(binary.BigEndian.Uint16(base[off:]))
+		frames = append(frames, [2]int{off, n})
+		off += 2 + n
+	}
+	rng := rand.New(rand.NewSource(1))
+	h := sha256.New()
+	accepted := 0
+	for i := 0; i < 20_000; i++ {
+		in := append([]byte(nil), base...)
+		fr := frames[rng.Intn(len(frames))]
+		end := fr[0] + 2 + fr[1] // one past the record's last byte
+		resize := func(delta int) {
+			if delta < 0 {
+				in = append(in[:end+delta], in[end:]...)
+			} else {
+				extra := make([]byte, delta)
+				rng.Read(extra)
+				in = append(in[:end], append(extra, in[end:]...)...)
+			}
+			binary.BigEndian.PutUint16(in[fr[0]:], uint16(fr[1]+delta))
+		}
+		switch rng.Intn(6) {
+		case 0: // truncation
+			in = in[:rng.Intn(len(in))]
+		case 1: // one bit flipped
+			in[rng.Intn(len(in))] ^= 1 << rng.Intn(8)
+		case 2: // one to four bytes overwritten
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				in[rng.Intn(len(in))] = byte(rng.Intn(256))
+			}
+		case 3: // a record's tail cut short: into the backend scalar, its name, VCCName
+			resize(-1 - rng.Intn(16))
+		case 4: // bytes a newer writer might append
+			resize(1 + rng.Intn(8))
+		case 5: // a byte in a record's last 16 overwritten
+			in[end-1-rng.Intn(16)] = byte(rng.Intn(256))
+		}
+		if i%2 == 0 && len(in) >= 4 {
+			binary.BigEndian.PutUint32(in[len(in)-4:], crc32.ChecksumIEEE(in[:len(in)-4]))
+		}
+		v := fuzzVSwitch()
+		var verdict [5]byte
+		if v.RestoreSnapshot(in) == nil {
+			verdict[0] = 1
+			accepted++
+		}
+		binary.BigEndian.PutUint32(verdict[1:], uint32(v.Table.Len()))
+		h.Write(verdict[:])
+		h.Write(v.SaveSnapshot()[snapshotHeaderLen:])
+	}
+	const wantAccepted, want = 7159, "8e5383f52ac705f7ae1ea6e1bfe8681ead75347fc79ff5a3871b0b2c4e0f549d"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); accepted != wantAccepted || got != want {
+		t.Fatalf("%d inputs accepted, verdict sha256 %s; parent commit gave %d, %s",
+			accepted, got, wantAccepted, want)
 	}
 }

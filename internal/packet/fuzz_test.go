@@ -37,8 +37,10 @@ func FuzzParseOptions(f *testing.F) {
 }
 
 // FuzzPACKRoundTrip checks Encode→Find→Parse is lossless for every counter
-// pair and that attaching/stripping the option from a real packet preserves
-// header validity and the virtual payload length.
+// pair, and that the datapath's editors — InsertTCPOptionInPlace on a pooled
+// buffer with spare capacity and on an exact-capacity one, then
+// StripTCPOptionInPlace — keep the headers valid and the virtual payload
+// length intact, and leave no PACK behind.
 func FuzzPACKRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0))
 	f.Add(uint32(9000), uint32(3000))
@@ -51,25 +53,35 @@ func FuzzPACKRoundTrip(f *testing.F) {
 			t.Fatalf("round trip: got %+v ok=%v", info, ok)
 		}
 
-		ack := Build(MakeAddr(10, 0, 0, 2), MakeAddr(10, 0, 0, 1), NotECT, TCPFields{
+		pooled := BuildIn(NewPool(), MakeAddr(10, 0, 0, 2), MakeAddr(10, 0, 0, 1), NotECT, TCPFields{
 			SrcPort: 5001, DstPort: 4000, Seq: 1, Ack: 100,
 			Flags: FlagACK, Window: 65535,
-		}, 0)
-		buf := InsertTCPOption(ack.Buf, opt[:])
-		if buf == nil {
-			t.Fatal("InsertTCPOption failed on a bare ACK")
+		}, 1448)
+		exact := &Packet{Buf: make([]byte, len(pooled.Buf))} // no spare capacity: the insert reallocates
+		copy(exact.Buf, pooled.Buf)
+		payload := pooled.PayloadLen()
+		for _, p := range []*Packet{pooled, exact} {
+			if !InsertTCPOptionInPlace(p, opt[:]) {
+				t.Fatal("InsertTCPOptionInPlace failed on a bare ACK")
+			}
+			verifyWhole(t, p.Buf, "after insert")
+			info2, ok := ParsePACK(FindOption(p.TCP().Options(), OptPACK))
+			if !ok || info2 != info {
+				t.Fatalf("after insert: got %+v ok=%v", info2, ok)
+			}
+			if !StripTCPOptionInPlace(p, OptPACK) {
+				t.Fatal("StripTCPOptionInPlace found no PACK")
+			}
+			verifyWhole(t, p.Buf, "after strip")
+			if FindOption(p.TCP().Options(), OptPACK) != nil {
+				t.Fatal("PACK survived the strip")
+			}
+			if got := p.PayloadLen(); got != payload {
+				t.Fatalf("virtual payload changed: %d -> %d", payload, got)
+			}
 		}
-		d := FindOption(IPv4(buf).TCP().Options(), OptPACK)
-		info2, ok := ParsePACK(d)
-		if !ok || info2 != info {
-			t.Fatalf("after insert: got %+v ok=%v", info2, ok)
-		}
-		out := RemoveTCPOption(buf, OptPACK)
-		if FindOption(IPv4(out).TCP().Options(), OptPACK) != nil {
-			t.Fatal("PACK survived removal")
-		}
-		if !bytes.Equal(out, ack.Buf) {
-			t.Fatal("insert+remove is not identity")
+		if !bytes.Equal(pooled.Buf, exact.Buf) {
+			t.Fatal("the growing and the reallocating insert disagree")
 		}
 	})
 }
@@ -115,8 +127,10 @@ func FuzzRemoveTCPOption(f *testing.F) {
 	})
 }
 
-// FuzzInsertTCPOption checks the attach path against arbitrary base packets:
-// either a clean refusal (nil) or a valid packet containing the new option.
+// FuzzInsertTCPOption checks the attach path against arbitrary base packets,
+// through both of InsertTCPOptionInPlace's branches: either a clean refusal
+// that leaves the packet untouched, or a valid packet containing the new
+// option with its virtual payload length intact.
 func FuzzInsertTCPOption(f *testing.F) {
 	ack := Build(MakeAddr(1, 2, 3, 4), MakeAddr(5, 6, 7, 8), NotECT, TCPFields{
 		SrcPort: 1, DstPort: 2, Flags: FlagACK, Window: 512,
@@ -127,18 +141,26 @@ func FuzzInsertTCPOption(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		var opt [PACKOptionLen]byte
 		EncodePACK(opt[:], PACKInfo{TotalBytes: 42, MarkedBytes: 7})
-		out := InsertTCPOption(pkt, opt[:])
+		out := insertBoth(t, pkt, opt[:])
 		if out == nil {
 			return
 		}
-		oip := IPv4(out)
+		ip, oip := IPv4(pkt), IPv4(out)
 		if !oip.Valid() || !oip.TCP().Valid() {
 			t.Fatal("insert produced invalid packet")
 		}
+		if !oip.TCP().VerifyChecksum(oip.PseudoHeaderSum(tcpLenOf(oip))) {
+			t.Fatal("insert left a bad TCP checksum")
+		}
 		// Insert only succeeds when the result is reachable: an EOL or
-		// malformed block makes InsertTCPOption refuse instead.
+		// malformed block makes InsertTCPOptionInPlace refuse instead.
 		if FindOption(oip.TCP().Options(), OptPACK) == nil {
 			t.Fatal("inserted option not findable")
+		}
+		inPay := int(ip.TotalLen()) - ip.HeaderLen() - ip.TCP().HeaderLen()
+		outPay := int(oip.TotalLen()) - oip.HeaderLen() - oip.TCP().HeaderLen()
+		if inPay != outPay {
+			t.Fatalf("virtual payload changed: %d -> %d", inPay, outPay)
 		}
 	})
 }

@@ -150,8 +150,8 @@ func TestInsertTCPOptionTruncatedHeaders(t *testing.T) {
 	EncodePACK(opt[:], PACKInfo{TotalBytes: 1, MarkedBytes: 1})
 	p := buildWithRawOptions(nil)
 	for n := 0; n < IPv4HeaderLen+TCPHeaderLen; n++ {
-		if out := InsertTCPOption(p.Buf[:n], opt[:]); out != nil {
-			t.Fatalf("InsertTCPOption accepted %d-byte packet", n)
+		if out := insertBoth(t, p.Buf[:n], opt[:]); out != nil {
+			t.Fatalf("InsertTCPOptionInPlace accepted %d-byte packet", n)
 		}
 	}
 }

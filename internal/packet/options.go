@@ -222,59 +222,15 @@ func ParsePACK(data []byte) (PACKInfo, bool) {
 	}, true
 }
 
-// InsertTCPOption returns a new packet buffer equal to pkt (a full IPv4+TCP
-// packet) with opt appended to the TCP options, padded to a 4-byte boundary.
-// IP total length, data offset, and both checksums are fixed up. It fails
-// (returns nil) if the resulting TCP header would exceed MaxTCPHeaderLen —
-// the caller should then fall back to a dedicated FACK packet.
-func InsertTCPOption(pkt []byte, opt []byte) []byte {
-	ip := IPv4(pkt)
-	if !ip.Valid() || ip.Protocol() != ProtoTCP {
-		return nil
-	}
-	t := ip.TCP()
-	if !t.Valid() {
-		return nil
-	}
-	if !optionsAppendable(t.Options()) {
-		return nil
-	}
-	// A total length smaller than the headers (or one the grown packet would
-	// overflow) cannot be rewritten consistently.
-	if int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
-		return nil
-	}
-	padded := (len(opt) + 3) &^ 3
-	newTCPHdr := t.HeaderLen() + padded
-	if newTCPHdr > MaxTCPHeaderLen || int(ip.TotalLen())+padded > 65535 {
-		return nil
-	}
-	ihl := ip.HeaderLen()
-	out := make([]byte, len(pkt)+padded)
-	// IP header + TCP header incl. existing options.
-	n := copy(out, pkt[:ihl+t.HeaderLen()])
-	// New option + NOP padding.
-	n += copy(out[n:], opt)
-	for i := 0; i < padded-len(opt); i++ {
-		out[n] = OptNOP
-		n++
-	}
-	// Any trailing (materialized) payload bytes.
-	copy(out[n:], pkt[ihl+t.HeaderLen():])
-
-	oip := IPv4(out)
-	oip.SetTotalLen(ip.TotalLen() + uint16(padded))
-	ot := oip.TCP()
-	ot.setHeaderLen(newTCPHdr)
-	ot.ComputeChecksum(oip.PseudoHeaderSum(tcpLenOf(oip)))
-	return out
-}
-
-// InsertTCPOptionInPlace appends opt to p's TCP options like InsertTCPOption,
-// but mutates p.Buf directly, extending the slice within its existing
-// capacity when possible (pooled buffers carry spare capacity for exactly
-// this). It reports whether the insert happened; on false p is untouched and
-// the caller should fall back to a dedicated feedback packet.
+// InsertTCPOptionInPlace appends opt to p's TCP options, padded to a 4-byte
+// boundary, fixing the IP total length, the data offset and both checksums.
+// It mutates p.Buf directly, extending the slice within its existing capacity
+// when possible (pooled buffers carry spare capacity for exactly this) and
+// reallocating otherwise. It reports whether the insert happened; on false p
+// is untouched — invalid headers, a total length below them, an option block
+// an appended option would be unreachable behind, or a TCP header that would
+// exceed MaxTCPHeaderLen — and the caller should fall back to a dedicated
+// feedback packet.
 func InsertTCPOptionInPlace(p *Packet, opt []byte) bool {
 	pkt := p.Buf
 	ip := IPv4(pkt)
@@ -288,6 +244,8 @@ func InsertTCPOptionInPlace(p *Packet, opt []byte) bool {
 	if !optionsAppendable(t.Options()) {
 		return false
 	}
+	// A total length smaller than the headers (or one the grown packet would
+	// overflow) cannot be rewritten consistently.
 	if int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
 		return false
 	}
@@ -414,7 +372,7 @@ func RemoveTCPOption(pkt []byte, kind byte) []byte {
 // optionsAppendable reports whether an option appended after opts would be
 // reachable by the parsers: the block must parse cleanly and must not be
 // terminated by an EOL, behind which an appended option is invisible. When
-// it is not, InsertTCPOption refuses and the datapath falls back to a
+// it is not, InsertTCPOptionInPlace refuses and the datapath falls back to a
 // dedicated FACK packet instead of emitting dead feedback.
 func optionsAppendable(opts []byte) bool {
 	for len(opts) > 0 {

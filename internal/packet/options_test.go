@@ -102,15 +102,42 @@ func verifyWhole(t *testing.T, pkt []byte, what string) {
 	}
 }
 
+// insertInPlace runs InsertTCPOptionInPlace on a copy of pkt whose buffer
+// has spare bytes of capacity past its length (none forces the reallocating
+// branch) and returns the result, or nil if the insert refused. A refusal must
+// leave the packet untouched.
+func insertInPlace(t testing.TB, pkt, opt []byte, spare int) []byte {
+	t.Helper()
+	p := &Packet{Buf: append(make([]byte, 0, len(pkt)+spare), pkt...)}
+	if !InsertTCPOptionInPlace(p, opt) {
+		if !bytes.Equal(p.Buf, pkt) {
+			t.Fatal("refused insert modified the packet")
+		}
+		return nil
+	}
+	return p.Buf
+}
+
+// insertBoth runs insertInPlace through both branches, growing within spare
+// capacity and reallocating, and requires the two to agree.
+func insertBoth(t testing.TB, pkt, opt []byte) []byte {
+	t.Helper()
+	grown := insertInPlace(t, pkt, opt, MaxTCPHeaderLen)
+	if realloc := insertInPlace(t, pkt, opt, 0); !bytes.Equal(grown, realloc) {
+		t.Fatalf("insert within capacity gave %x, reallocating insert %x", grown, realloc)
+	}
+	return grown
+}
+
 func TestInsertAndRemovePACK(t *testing.T) {
 	p := mustACK(t, nil)
 	orig := append([]byte(nil), p.Buf...)
 
 	var opt [PACKOptionLen]byte
 	EncodePACK(opt[:], PACKInfo{TotalBytes: 9000, MarkedBytes: 4500})
-	withPack := InsertTCPOption(p.Buf, opt[:])
+	withPack := insertBoth(t, p.Buf, opt[:])
 	if withPack == nil {
-		t.Fatal("InsertTCPOption failed")
+		t.Fatal("InsertTCPOptionInPlace failed")
 	}
 	verifyWhole(t, withPack, "after insert")
 
@@ -148,7 +175,7 @@ func TestInsertPACKAlongsideExistingOptions(t *testing.T) {
 
 	var opt [PACKOptionLen]byte
 	EncodePACK(opt[:], PACKInfo{TotalBytes: 1, MarkedBytes: 1})
-	out := InsertTCPOption(p.Buf, opt[:])
+	out := insertBoth(t, p.Buf, opt[:])
 	verifyWhole(t, out, "insert alongside ts")
 	tc := IPv4(out).TCP()
 	if FindOption(tc.Options(), OptTimestamps) == nil {
@@ -175,7 +202,7 @@ func TestInsertTCPOptionOverflow(t *testing.T) {
 	p := mustACK(t, full)
 	var opt [PACKOptionLen]byte
 	EncodePACK(opt[:], PACKInfo{})
-	if InsertTCPOption(p.Buf, opt[:]) != nil {
+	if insertBoth(t, p.Buf, opt[:]) != nil {
 		t.Fatal("insert into full header should fail")
 	}
 }
@@ -220,7 +247,7 @@ func TestInsertRemoveIdentityProperty(t *testing.T) {
 		}, 0)
 		var opt [PACKOptionLen]byte
 		EncodePACK(opt[:], PACKInfo{TotalBytes: total, MarkedBytes: marked})
-		ins := InsertTCPOption(p.Buf, opt[:])
+		ins := insertBoth(t, p.Buf, opt[:])
 		if ins == nil {
 			return false
 		}
@@ -241,8 +268,10 @@ func BenchmarkInsertPACK(b *testing.B) {
 	}, 0)
 	var opt [PACKOptionLen]byte
 	EncodePACK(opt[:], PACKInfo{TotalBytes: 1 << 20, MarkedBytes: 1 << 10})
+	q := &Packet{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		InsertTCPOption(p.Buf, opt[:])
+		q.Buf = append(q.Buf[:0], p.Buf...)
+		InsertTCPOptionInPlace(q, opt[:])
 	}
 }
