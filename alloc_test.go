@@ -236,7 +236,10 @@ func TestConnCycleZeroAlloc(t *testing.T) {
 // connection's life over a thousand times. After 10 ms each stack holds about
 // 2 400 connections in TIME_WAIT, but the Conn records it keeps, open or parked,
 // stay bounded by the connections it has open: a connection gives its Conn
-// back when it enters TIME_WAIT and keeps only a small record.
+// back when it enters TIME_WAIT and keeps only a small record, whose deadline
+// is an entry in the stack's one TIME_WAIT Deadlines: once the last open
+// connection has closed, the thousands in TIME_WAIT are one pending event per
+// stack.
 func TestTimeWaitHoldsNoConn(t *testing.T) {
 	s := sim.New(1)
 	pool := packet.NewPool()
@@ -306,6 +309,11 @@ func TestTimeWaitHoldsNoConn(t *testing.T) {
 	s.RunFor(10 * sim.Millisecond)
 	inTimeWait := [2]int{stacks[0].NumConns() - open[0], stacks[1].NumConns() - open[1]}
 	stopped = true
+	s.RunFor(sim.Millisecond) // the last requests close; TIME_WAIT lasts 40 ms
+	if p := s.Pending(); p != len(stacks) {
+		t.Errorf("%d connections in TIME_WAIT and none open: %d pending events, want one per stack",
+			stacks[0].NumConns()+stacks[1].NumConns(), p)
+	}
 	s.RunFor(100 * sim.Millisecond)
 	for i, st := range stacks {
 		bound := 2*peak[i] + 2
@@ -397,9 +405,9 @@ func TestFabricFlapLeakFree(t *testing.T) {
 // TestFlowCycleZeroAlloc pins the vSwitch's flow lifecycle: one vSwitch, one
 // connection at a time opened, used, closed both ways and collected by the
 // timer GC beside a long-lived flow, then the next one opened. Once the
-// vSwitch has swept records parked, a new flow takes one back together with
-// its inactivity timer, nothing is allocated to look it up or to create it,
-// and the whole life of a flow allocates nothing.
+// vSwitch has swept records parked, a new flow takes one back, its inactivity
+// deadline takes a freed entry of the vSwitch's, nothing is allocated to look
+// it up or to create it, and the whole life of a flow allocates nothing.
 func TestFlowCycleZeroAlloc(t *testing.T) {
 	s := sim.New(1)
 	pool := packet.NewPool()

@@ -112,6 +112,10 @@ type VSwitch struct {
 	sweepTimer *sim.Timer // armed only when Cfg.SweepInterval > 0
 	sweepGroup int        // next shard-group for the sharded timer GC
 
+	// vtimeouts holds the flows' inactivity deadlines (Flow.vtimeout); the
+	// first flow to arm one makes it.
+	vtimeouts *sim.Deadlines[*Flow]
+
 	// evictCursor round-robins pressure eviction across shards so a table at
 	// MaxFlows never pays a full-table sweep per packet; evictRetryAt is the
 	// cooldown set after a barren full cycle (nothing evictable), during
@@ -340,8 +344,8 @@ func (v *VSwitch) newFlow(k FlowKey) *Flow {
 }
 
 // buildFlow is the flow construction: policy resolution, virtual-CC setup,
-// initial window. f is new or recycled: all of it but the stopped inactivity
-// timer is overwritten.
+// initial window. f is new or recycled (its deadline stopped by retire): all
+// of it is overwritten.
 func (v *VSwitch) buildFlow(f *Flow, k FlowKey) {
 	v.Metrics.FlowsCreated.Inc()
 	v.Metrics.FlowTableSize.Add(1)
@@ -354,7 +358,6 @@ func (v *VSwitch) buildFlow(f *Flow, k FlowKey) {
 		CwndBytes:     initCwndPkts * float64(mss),
 		SsthreshBytes: 1 << 40,
 		lastActive:    v.Sim.Now(),
-		inactivity:    f.inactivity,
 	}
 	v.setLaw(f)
 }
@@ -402,12 +405,14 @@ func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 	}
 }
 
-// retire is a GC predicate's verdict on a record it removes: stop the timer,
+// retire is a GC predicate's verdict on a record it removes: stop the deadline,
 // put back the datagrams a tunnel queue still holds, park the record stamped
 // with the current packet without its cold state, answer "do not keep".
 // Tunnel records are not parked. The removal that follows unlinks the record.
 func (v *VSwitch) retire(f *Flow) bool {
-	f.stopTimer()
+	if f.vtimeout.Pending() {
+		v.vtimeouts.Stop(f)
+	}
 	if c := f.cold; c != nil {
 		for _, q := range c.tq {
 			v.pool().Put(q)
@@ -472,11 +477,5 @@ func (v *VSwitch) onSweepTick() {
 		v.sweepTimer.Reset(tick)
 	} else {
 		v.trimParked(0)
-	}
-}
-
-func (f *Flow) stopTimer() {
-	if f.inactivity != nil {
-		f.inactivity.Stop()
 	}
 }

@@ -379,6 +379,41 @@ func TestVTimeoutCollapsesWindow(t *testing.T) {
 	}
 }
 
+// TestVTimeoutsShareOneEvent: a vSwitch makes its inactivity deadlines when a
+// flow first has data outstanding; k such flows keep theirs behind one pending
+// event; all of them fire at VTimeout and re-arm, and acknowledging everything
+// stops them all.
+func TestVTimeoutsShareOneEvent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.VTimeout = 20 * sim.Microsecond
+	b := newRecycleBench(t, cfg)
+	const k, ack, psh = 100, packet.FlagACK, packet.FlagPSH
+	syn := packet.BuildSynOptions(1460, 7, true)
+	for sp := uint16(1000); sp < 1000+k; sp++ {
+		b.out(sp, packet.TCPFields{Flags: packet.FlagSYN, Options: syn}, 0)
+		b.in(sp, packet.NotECT, packet.TCPFields{Ack: 1, Flags: packet.FlagSYN | ack, Options: syn}, 0)
+	}
+	if b.v.vtimeouts != nil {
+		t.Fatal("handshakes alone made the vSwitch's deadlines: an idle vSwitch must pay nothing for them")
+	}
+	for sp := uint16(1000); sp < 1000+k; sp++ {
+		b.out(sp, packet.TCPFields{Seq: 1, Ack: 1, Flags: ack | psh}, 1000)
+	}
+	if p := b.s.Pending(); p != 1 {
+		t.Fatalf("%d flows with data outstanding: %d pending events, want 1", k, p)
+	}
+	b.s.RunFor(cfg.VTimeout)
+	if got := b.v.Stats().VTimeouts; got != k || b.s.Pending() != 1 {
+		t.Fatalf("after VTimeout: %d timeouts, %d pending events; want %d and 1", got, b.s.Pending(), k)
+	}
+	for sp := uint16(1000); sp < 1000+k; sp++ {
+		b.in(sp, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 1001, Flags: ack}, 0)
+	}
+	if p := b.s.Pending(); p != 0 {
+		t.Fatalf("everything acknowledged: %d pending events, want 0", p)
+	}
+}
+
 func TestDupAckGeneration(t *testing.T) {
 	acdcCfg := DefaultConfig()
 	acdcCfg.VTimeout = 2 * sim.Millisecond

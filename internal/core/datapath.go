@@ -233,7 +233,7 @@ func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool
 			f.maxInflight = infl
 		}
 		// Arm the inactivity timer while data is outstanding.
-		v.inactivityTimer(f).Reset(v.Cfg.VTimeout)
+		v.armVTimeout(f)
 	}
 	return false
 }
@@ -264,20 +264,23 @@ func (v *VSwitch) policeLocked(f *Flow, segEnd, plen int64) bool {
 	return true
 }
 
-// inactivityTimer returns f's timer, creating it on first use. The callback
-// picks the timeout when it fires: the timer outlives the flow on a recycled
-// record, and the next flow may be of the other kind.
-func (v *VSwitch) inactivityTimer(f *Flow) *sim.Timer {
-	if f.inactivity == nil {
-		f.inactivity = sim.NewTimer(v.Sim, func() {
-			if f.isUDP {
-				v.onUDPTimeout(f)
-			} else {
-				v.onVTimeout(f)
-			}
-		})
+// armVTimeout (re)arms f's inactivity deadline VTimeout from now.
+func (v *VSwitch) armVTimeout(f *Flow) {
+	if v.vtimeouts == nil {
+		v.vtimeouts = sim.NewDeadlines(v.Sim, v.onInactive, func(f *Flow) *sim.Deadline { return &f.vtimeout })
 	}
-	return f.inactivity
+	f.vtArmed = true
+	v.vtimeouts.Reset(f, v.Cfg.VTimeout)
+}
+
+// onInactive is the expiry of a flow's inactivity deadline; the flow's kind
+// picks the timeout.
+func (v *VSwitch) onInactive(f *Flow) {
+	if f.isUDP {
+		v.onUDPTimeout(f)
+	} else {
+		v.onVTimeout(f)
+	}
 }
 
 // attachFeedback implements the receiver module's PACK/FACK emission: the

@@ -158,7 +158,11 @@ type Flow struct {
 	SndUna      int64 // absolute offsets, SYN at 0
 	SndNxt      int64
 	maxInflight int64 // peak SndNxt−SndUna since the last ACK
-	inactivity  *sim.Timer
+	// vtimeout is the inactivity deadline (§3.1) in the vSwitch's vtimeouts;
+	// vtArmed records that this flow has armed it, which a recycled record
+	// must not inherit (buildFlow clears both).
+	vtimeout sim.Deadline
+	vtArmed  bool
 	// feedback accounting between α updates
 	lastTotal, lastMarked     uint32
 	windowTotal, windowMarked uint32

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -34,9 +35,8 @@ func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 		if v.Table.Get(p.Key) == p {
 			t.Fatalf("after %s: parked record %v is still the table's entry", after, p.Key)
 		}
-		if p.peer != nil || (p.inactivity != nil && p.inactivity.Pending()) {
-			t.Fatalf("after %s: parked record %v: link %p, timer armed %v", after, p.Key, p.peer,
-				p.inactivity != nil && p.inactivity.Pending())
+		if p.peer != nil || p.vtimeout.Pending() {
+			t.Fatalf("after %s: parked record %v: link %p, timer armed %v", after, p.Key, p.peer, p.vtimeout.Pending())
 		}
 		if p.cold != nil || p.isUDP {
 			t.Fatalf("after %s: parked record %v carries cold or tunnel state", after, p.Key)
@@ -137,8 +137,7 @@ func (b *recycleBench) sweep() {
 }
 
 // diffFlowState lists the fields in which got differs from want, reading the
-// unexported ones in place. The timer is compared by being idle: a recycled
-// record keeps its stopped timer where a new one has none yet.
+// unexported ones in place.
 func diffFlowState(got, want *Flow) []string {
 	var diffs []string
 	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
@@ -149,12 +148,6 @@ func diffFlowState(got, want *Flow) []string {
 			return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
 		}
 		g, w := field(gv), field(wv)
-		if name == "inactivity" {
-			if tm := g.(*sim.Timer); tm != nil && tm.Pending() {
-				diffs = append(diffs, "inactivity: armed on a flow that has sent nothing")
-			}
-			continue
-		}
 		if !reflect.DeepEqual(g, w) {
 			diffs = append(diffs, fmt.Sprintf("%s: %+v, a new record has %+v", name, g, w))
 		}
@@ -214,7 +207,7 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	b.out(sp, packet.TCPFields{Seq: seq, Ack: 701, Flags: ack | packet.FlagFIN}, 0)
 	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 701, Ack: seq + 1, Flags: ack | packet.FlagFIN}, 0)
 	if old.LossEvents() == 0 || old.VTimeouts() == 0 || old.Alpha == initAlpha || old.vcc.String() != "reno" ||
-		old.peer == nil || old.inactivity == nil || !old.finFwd || !old.finRev || old.cold.resyncSeq == 0 {
+		old.peer == nil || !old.vtArmed || !old.finFwd || !old.finRev || old.cold.resyncSeq == 0 {
 		t.Fatalf("the record did not live through what the test is about: %+v", old)
 	}
 	b.v.ClearPolicy(k)
@@ -242,6 +235,53 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	fresh.SndUna, fresh.SndNxt, fresh.alphaSeq = 1, 1, 1
 	for _, d := range diffFlowState(reused, fresh) {
 		t.Error(d)
+	}
+}
+
+// TestRestoreOntoRecycledRecordActsFresh restores one snapshot, a connection
+// with data outstanding, into a vSwitch with parked records (a restore outside
+// Restart keeps the free list, as the daemon's does) and into one without. An
+// ACK that leaves data outstanding then finds a record on which no flow of
+// this life has armed the inactivity deadline, so neither arms it: a recycled
+// record must not act on its previous flow's timer.
+func TestRestoreOntoRecycledRecordActsFresh(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.VTimeout = 20 * sim.Microsecond
+	const sp, ack, psh = 100, packet.FlagACK, packet.FlagPSH
+	syn := packet.BuildSynOptions(1460, 7, true)
+	src := newRecycleBench(t, cfg)
+	src.out(sp, packet.TCPFields{Flags: packet.FlagSYN, Options: syn}, 0)
+	src.in(sp, packet.NotECT, packet.TCPFields{Ack: 1, Flags: packet.FlagSYN | ack, Options: syn}, 0)
+	for i := uint32(0); i < 3; i++ {
+		src.out(sp, packet.TCPFields{Seq: 1 + 1000*i, Ack: 1, Flags: ack | psh}, 1000)
+	}
+	snap := src.v.SaveSnapshot()
+
+	restored := func(recycle bool) (vtimeouts int64, reused bool) {
+		b := newRecycleBench(t, cfg)
+		if recycle {
+			for p := uint16(1000); p < 1004; p++ {
+				b.cycle(p) // each FIN arms, and its ACK stops, the deadline
+			}
+			b.sweep()
+			b.out(2000, packet.TCPFields{Flags: packet.FlagSYN}, 0) // past the sweep's epoch
+		}
+		parked := slices.Clone(b.v.parked)
+		if err := b.v.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		f := b.v.Table.Get(b.key(sp))
+		b.in(sp, packet.ECT0, packet.TCPFields{Seq: 1, Ack: 1001, Flags: ack}, 0)
+		b.s.RunFor(3 * cfg.VTimeout)
+		return f.VTimeouts(), slices.Contains(parked, f)
+	}
+	fresh, _ := restored(false)
+	recycled, reused := restored(true)
+	if !reused {
+		t.Fatal("the restored flow did not take a parked record: the test compares nothing")
+	}
+	if recycled != fresh {
+		t.Fatalf("restored onto a recycled record: %d inactivity timeouts, onto a new one: %d", recycled, fresh)
 	}
 }
 

@@ -459,7 +459,7 @@ func TestFlowHotFieldsLayout(t *testing.T) {
 			{"SndUna", unsafe.Offsetof(f.SndUna), unsafe.Sizeof(f.SndUna)},
 			{"SndNxt", unsafe.Offsetof(f.SndNxt), unsafe.Sizeof(f.SndNxt)},
 			{"maxInflight", unsafe.Offsetof(f.maxInflight), unsafe.Sizeof(f.maxInflight)},
-			{"inactivity", unsafe.Offsetof(f.inactivity), unsafe.Sizeof(f.inactivity)},
+			{"vtimeout", unsafe.Offsetof(f.vtimeout), unsafe.Sizeof(f.vtimeout)},
 			{"lastTotal", unsafe.Offsetof(f.lastTotal), unsafe.Sizeof(f.lastTotal)},
 			{"lastMarked", unsafe.Offsetof(f.lastMarked), unsafe.Sizeof(f.lastMarked)},
 			{"windowTotal", unsafe.Offsetof(f.windowTotal), unsafe.Sizeof(f.windowTotal)},

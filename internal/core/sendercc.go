@@ -57,11 +57,11 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	case acked > 0:
 		f.SndUna = absAck
 		f.DupAcks = 0
-		if f.inactivity != nil {
+		if f.vtArmed {
 			if f.SndUna < f.SndNxt {
-				f.inactivity.Reset(v.Cfg.VTimeout)
+				v.armVTimeout(f)
 			} else {
-				f.inactivity.Stop()
+				v.vtimeouts.Stop(f)
 			}
 		}
 	case acked == 0 && p.PayloadLen() == 0 && f.SndNxt > f.SndUna &&
@@ -296,7 +296,7 @@ func (v *VSwitch) onVTimeout(f *Flow) {
 	if v.Cfg.GenDupAcks && f.issValid {
 		dup = v.buildDupAckLocked(f)
 	}
-	f.inactivity.Reset(v.Cfg.VTimeout)
+	v.armVTimeout(f)
 
 	if dup != nil {
 		// Three dup ACKs, but only two clones: the third delivery hands the

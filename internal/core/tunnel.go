@@ -52,7 +52,9 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 	f.lastActive = v.Sim.Now()
 	tn := f.writeCold()
 
-	v.inactivityTimer(f).ArmIfIdle(v.Cfg.VTimeout)
+	if !f.vtimeout.Pending() {
+		v.armVTimeout(f)
+	}
 
 	if len(tn.tq) == 0 && fitsLocked(f, p) {
 		v.admitLocked(f, p)
@@ -118,8 +120,8 @@ func (v *VSwitch) processUDPFeedback(f *Flow, info packet.PACKInfo) {
 	f.lastActive = v.Sim.Now()
 	totalDelta, markedDelta, reset := v.creditFeedbackLocked(f, info)
 	f.SndUna = min(f.SndUna+int64(totalDelta), f.SndNxt)
-	if f.inactivity != nil {
-		f.inactivity.Reset(v.Cfg.VTimeout)
+	if f.vtArmed {
+		v.armVTimeout(f)
 	}
 	// No dupack loss signal, no RWND to enforce, no staleness freeze.
 	v.reactLocked(f, f.SndUna, int64(totalDelta), markedDelta, false, false, false)
@@ -170,7 +172,7 @@ func (v *VSwitch) onUDPTimeout(f *Flow) {
 	v.collapseLocked(f)
 	f.SndUna = f.SndNxt // write off outstanding bytes
 	out := v.drainTunnelLocked(f)
-	f.inactivity.Reset(v.Cfg.VTimeout)
+	v.armVTimeout(f)
 	for _, q := range out {
 		v.Host.InjectToWire(q)
 	}

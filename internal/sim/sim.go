@@ -32,6 +32,19 @@
 //   - the clock, and cur with it, only moves forward and never past a pending
 //     event, so a resident's slot stays inside the window until it fires.
 //
+// # Timers and deadlines
+//
+// A Timer is one restartable timer with an Event of its own (a connection's
+// RTO, delayed ACK and persist timers). A Deadlines keeps a population of
+// them, one per owner holding a 4-byte Deadline handle, behind one pending
+// Event: a Stack's TIME_WAIT records, a vSwitch's per-flow inactivity timers.
+// It changes no event's order: an entry draws its seq exactly when a Timer's
+// event would (armed while idle, moved earlier, re-armed at a stale wake-up)
+// and keeps it, and the shared event is re-queued at the smallest entry's
+// (when, seq) without drawing. Each firing takes one entry, so Processed is
+// what the Timers would count. Such an event can carry an older seq than
+// events queued since, so a wheel slot is sorted by (when, seq), not by when.
+//
 // # Event recycling
 //
 // Event structs are pooled on a per-Simulator free list: firing or cancelling
@@ -168,10 +181,7 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 func (s *Simulator) Schedule(d Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.Now()+d, fn)
+	return s.atSeq(s.now+max(d, 0), s.nextSeq(), fn)
 }
 
 // ScheduleFunc runs fn after delay d, fire-and-forget: no Event handle is
@@ -185,10 +195,18 @@ func (s *Simulator) ScheduleFunc(d Duration, fn func()) {
 // At runs fn at absolute time t. Scheduling in the past fires at the current
 // time (events never run retroactively).
 func (s *Simulator) At(t Time, fn func()) *Event {
-	if now := s.Now(); t < now {
-		t = now
-	}
+	return s.atSeq(max(t, s.now), s.nextSeq(), fn)
+}
+
+// nextSeq draws a sequence number for an event or a Deadlines entry.
+func (s *Simulator) nextSeq() uint64 {
 	s.seq++
+	return s.seq
+}
+
+// atSeq queues fn at (t, seq) for a seq drawn earlier, so it draws nothing;
+// t must not lie in the past.
+func (s *Simulator) atSeq(t Time, seq uint64, fn func()) *Event {
 	var ev *Event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -198,7 +216,7 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 		ev = &Event{index: notQueued}
 		s.allocated++
 	}
-	ev.when, ev.seq, ev.fn = t, s.seq, fn
+	ev.when, ev.seq, ev.fn = t, seq, fn
 	s.enqueue(ev)
 	return ev
 }
@@ -211,18 +229,11 @@ func (s *Simulator) recycle(ev *Event) {
 	}
 }
 
-// moveTo reschedules a still-pending event to fire at time t: it leaves
-// whichever structure holds it, takes a fresh sequence number (so its order
-// among same-time events is exactly what a cancel+schedule would produce) and
-// is queued again by its new slot. The caller (Timer.ResetAt) guarantees ev
-// is pending. Times in the past clamp to now, like At.
-func (s *Simulator) moveTo(ev *Event, t Time) {
-	if now := s.Now(); t < now {
-		t = now
-	}
+// requeue moves a pending event to (t, seq), drawing nothing; t must not lie
+// in the past.
+func (s *Simulator) requeue(ev *Event, t Time, seq uint64) {
 	s.dequeue(ev)
-	s.seq++
-	ev.when, ev.seq = t, s.seq
+	ev.when, ev.seq = t, seq
 	s.enqueue(ev)
 }
 
@@ -318,13 +329,13 @@ func (s *Simulator) enqueue(ev *Event) {
 		s.wheel[i] = ev
 		s.occ[i>>6] |= 1 << (i & 63)
 	} else {
-		// ev carries the largest seq drawn so far, so it sorts after every
-		// resident with the same or an earlier when: walk back from the tail
-		// over the later ones to p, the resident ev follows (nil: none).
-		// Same-when bursts append in O(1).
+		// Walk back from the tail over the residents that sort after ev to p,
+		// the one ev follows (nil: none). An event from At carries the largest
+		// seq drawn so far, so same-when bursts append in O(1); a Deadlines
+		// event may carry an earlier seq and so precede residents of its when.
 		tail := head.prev
 		p := tail
-		for steps := 0; p != nil && p.when > ev.when; steps++ {
+		for steps := 0; p != nil && eventLess(ev, p); steps++ {
 			if steps == maxSlotWalk {
 				s.push(ev)
 				return

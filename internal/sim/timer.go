@@ -7,10 +7,10 @@ package sim
 // Rearming is lazy, the way kernel TCP keepalive timers are: Reset only
 // records the new logical deadline when the already-pending event fires no
 // later than it, and the expiry handler re-arms to the recorded deadline
-// instead of running the callback early. Per-segment timers (inactivity,
-// delayed ACK) are reset on every packet but almost never fire, so the common
-// case — deadline pushed further out — costs two stores instead of a
-// heap-sift over every pending event in the simulation.
+// instead of running the callback early. Per-segment timers (delayed ACK; a
+// Deadlines entry alike) are reset on every packet but almost never fire, so
+// the common case — deadline pushed further out — costs two stores instead of
+// a heap-sift over every pending event in the simulation.
 type Timer struct {
 	sim *Simulator
 	fn  func()
@@ -49,8 +49,9 @@ func (t *Timer) ResetAt(at Time) {
 			// update to then is what makes the per-packet rearm O(1).
 			return
 		}
-		// Moving earlier: the pending event is too late, queue it afresh.
-		t.sim.moveTo(t.ev, at)
+		// Moving earlier: the pending event is too late. It takes a fresh seq,
+		// so it orders among same-time events as a cancel+schedule would.
+		t.sim.requeue(t.ev, max(at, t.sim.Now()), t.sim.nextSeq())
 		return
 	}
 	t.ev = t.sim.At(at, t.fireFn)

@@ -471,7 +471,7 @@ func (c *Conn) enterTimeWait() {
 	c.rtoTimer.Stop()
 	c.persistTimer.Stop()
 	c.tw = c.stack.newTimeWait()
-	c.tw.timer.Reset(c.timeWait())
+	c.stack.twExpiry.Reset(c.tw, c.timeWait())
 }
 
 // timeWait is the TIME_WAIT duration (2 MSL).

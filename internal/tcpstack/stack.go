@@ -30,20 +30,22 @@ type Stack struct {
 
 	conns     map[connKey]*Conn
 	listeners map[uint16]func(*Conn)
-	nextPort  uint16
 
 	// parked holds torn-down Conns for newConn to take back; see park.
 	parked []*Conn
 	// timeWaits holds the connections in TIME_WAIT, which keep no Conn (see
-	// timeWait); twFree holds expired records for newTimeWait to take back.
+	// timeWait); twFree holds expired records for newTimeWait to take back;
+	// twExpiry, made by the first, holds their deadlines.
 	timeWaits map[connKey]*timeWait
 	twFree    []*timeWait
+	twExpiry  *sim.Deadlines[*timeWait]
 
 	// Scratch shared by every Conn of the stack. Each is filled and consumed
 	// inside one transmit call (BuildIn copies options into the packet buffer)
 	// or one output call, so no connection needs a copy of its own.
 	sackScratch [packet.MaxSACKBlocks]packet.SACKBlock
 	optScratch  [2 + 8*packet.MaxSACKBlocks]byte // also fits the 12 bytes of SYN options
+	nextPort    uint16                           // in optScratch's padding: Stack stays at 320 B
 	// bursts[d] is the tx burst buffer (Conn.bursting) of the output call at
 	// nesting depth d: while one connection flushes, txFree → txCompleted →
 	// output can start another connection's burst, which must not append to
@@ -226,8 +228,8 @@ func (st *Stack) unpark() *Conn {
 
 // timeWait is a connection in TIME_WAIT, as Linux keeps it after freeing the
 // socket (inet_timewait_sock): the key, the final ACK ready to be sent again,
-// the application's OnClosed and one timer. All a connection does in
-// TIME_WAIT is answer a retransmitted FIN, so it needs no Conn.
+// the application's OnClosed and a handle on its deadline in twExpiry. All a
+// connection does in TIME_WAIT is answer a retransmitted FIN: it needs no Conn.
 type timeWait struct {
 	st       *Stack
 	key      connKey
@@ -236,21 +238,22 @@ type timeWait struct {
 	window   uint16
 	flags    uint8
 	ecn      packet.ECN
+	expiry   sim.Deadline
 	dur      sim.Duration
 	onClosed func()
-	timer    *sim.Timer
 }
 
 // newTimeWait takes an expired record back, or makes one.
 func (st *Stack) newTimeWait() *timeWait {
+	if st.twExpiry == nil {
+		st.twExpiry = sim.NewDeadlines(st.Sim, (*timeWait).expire, func(tw *timeWait) *sim.Deadline { return &tw.expiry })
+	}
 	if n := len(st.twFree); n > 0 {
 		tw := st.twFree[n-1]
 		st.twFree = st.twFree[:n-1]
 		return tw
 	}
-	tw := &timeWait{st: st}
-	tw.timer = sim.NewTimer(st.Sim, tw.expire)
-	return tw
+	return &timeWait{st: st}
 }
 
 // handOff moves a connection that entered TIME_WAIT during the segment just
@@ -266,9 +269,9 @@ func (st *Stack) handOff(c *Conn) {
 		key: c.key,
 		seq: f.Seq, ack: f.Ack, flowTag: c.FlowTag,
 		window: f.Window, flags: f.Flags, ecn: c.wireECN(packet.NotECT),
+		expiry:   tw.expiry,
 		dur:      c.timeWait(),
 		onClosed: c.OnClosed,
-		timer:    tw.timer,
 	}
 	c.OnClosed = nil
 	c.teardown()
@@ -291,7 +294,7 @@ func (tw *timeWait) receive(t packet.TCP) {
 	}, 0)
 	p.FlowTag = tw.flowTag
 	st.Host.Output(p)
-	tw.timer.Reset(tw.dur)
+	st.twExpiry.Reset(tw, tw.dur)
 }
 
 // expire ends TIME_WAIT: the key is free again, the record goes back on the

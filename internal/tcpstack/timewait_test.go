@@ -101,6 +101,9 @@ func testTimeWaitRecord(t *testing.T, sack bool, ecn ECNMode, ce bool) {
 	if got := want.TCP().HasFlags(packet.FlagECE); got != (ce && ecn != ECNOff) {
 		t.Fatalf("re-ACK ECE = %v with ecn=%d, CE state %v", got, ecn, ce)
 	}
+	if ss.twExpiry != nil {
+		t.Error("the server, never in TIME_WAIT, made a TIME_WAIT Deadlines")
+	}
 	if ss.NumConns() != 0 || cs.timeWaits[key] == nil || cs.NumConns() != 1 || cs.ConnRecords() != 1 {
 		t.Fatalf("after the re-ACK: server %d conns; client record %v, %d conns, %d Conn records",
 			ss.NumConns(), cs.timeWaits[key] != nil, cs.NumConns(), cs.ConnRecords())
