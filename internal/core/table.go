@@ -9,20 +9,18 @@ import "math/bits"
 // the order eviction and the sharded GC tick walk the records in.
 const numShards = 64
 
-// slot is one entry of a shard's index: the key's full hash and the record.
-// The hash is the tag; a probe that matches it confirms the key against
-// f.Key, in the record's first line, which the caller reads next anyway. A
-// delete leaves a tombstone (no record, a non-zero hash), so that probes for
-// keys stored past it still reach them.
+// slot is one entry of a shard's index: the key's full hash and the record,
+// or the zero slot. The hash is the tag; a probe that matches it confirms the
+// key against f.Key, in the record's first line, which the caller reads next
+// anyway.
 type slot struct {
 	h uint64
 	f *Flow
 }
 
-const tombstone = 1 // the hash a deleted slot keeps
-
 // index is one shard's slot array. A hash's top bits pick a key's home slot
-// (its low bits picked the shard).
+// (its low bits picked the shard). No probe path crosses an empty slot, as a
+// delete shifts the records after it back (delete).
 type index struct {
 	slots []slot
 	shift uint // 64 − log2(len(slots))
@@ -35,19 +33,15 @@ func (ix *index) find(k FlowKey, h uint64) int {
 		return -1
 	}
 	mask := len(ix.slots) - 1
-	for i := int(h >> ix.shift); ; i = (i + 1) & mask {
-		s := &ix.slots[i]
-		if s.f == nil {
-			if s.h == 0 {
-				return -1
-			}
-		} else if s.h == h && s.f.Key == k {
+	for i := int(h >> ix.shift); ix.slots[i].f != nil; i = (i + 1) & mask {
+		if s := &ix.slots[i]; s.h == h && s.f.Key == k {
 			return i
 		}
 	}
+	return -1
 }
 
-// free returns the first slot without a record on hash h's probe path.
+// free returns the first empty slot on hash h's probe path.
 func (ix *index) free(h uint64) int {
 	i := int(h >> ix.shift)
 	for ix.slots[i].f != nil {
@@ -56,80 +50,56 @@ func (ix *index) free(h uint64) int {
 	return i
 }
 
-// compact drops ix's tombstones in place: each record moves back to the
-// first empty slot on its probe path. The walk starts past a slot that was
-// empty before, which no probe path crosses, so every slot on a record's path
-// is final when the walk reaches it.
-func (ix *index) compact() {
-	mask, start := len(ix.slots)-1, 0
-	for ix.slots[start].f != nil || ix.slots[start].h != 0 {
-		start++
-	}
-	for n := 1; n <= mask; n++ {
-		i := (start + n) & mask
-		o := &ix.slots[i]
-		if o.f == nil {
-			o.h = 0
-			continue
-		}
-		j := int(o.h >> ix.shift)
-		for j != i && ix.slots[j].f != nil {
-			j = (j + 1) & mask
-		}
-		if j != i {
-			ix.slots[j], *o = *o, slot{}
+// delete empties slot i by backward shift (Knuth vol. 3, 6.4, Algorithm R):
+// up to the next empty slot, every record whose home slot does not lie
+// cyclically after the gap moves back into it, and leaves a gap of its own.
+func (ix *index) delete(i int) {
+	mask := len(ix.slots) - 1
+	for j := (i + 1) & mask; ix.slots[j].f != nil; j = (j + 1) & mask {
+		if home := int(ix.slots[j].h >> ix.shift); (j-home)&mask >= (j-i)&mask {
+			ix.slots[i], i = ix.slots[j], j
 		}
 	}
+	ix.slots[i] = slot{}
 }
 
 // tableShard is one shard of the index.
 type tableShard struct {
 	ix   *index
 	live int // records
-	used int // records plus tombstones: what the load factor counts
 }
 
 // insert adds a record for a key the shard does not hold. Past three quarters
-// of the array in use, the tombstones go first: in place while the records
-// fill at most half of the array, else by moving them to a fresh array, twice
-// as large.
+// of the array in use, the records move to a fresh array, the smallest power
+// of two at least twice their number.
 func (s *tableShard) insert(h uint64, f *Flow) {
 	ix := s.ix
-	if ix == nil || 4*(s.used+1) > 3*len(ix.slots) {
+	if ix == nil || 4*(s.live+1) > 3*len(ix.slots) {
 		n := 8
 		for n < 2*(s.live+1) {
 			n *= 2
 		}
-		if ix != nil && n <= len(ix.slots) {
-			ix.compact()
-		} else {
-			next := &index{slots: make([]slot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
-			for i := 0; ix != nil && i < len(ix.slots); i++ {
-				if o := ix.slots[i]; o.f != nil {
-					next.slots[next.free(o.h)] = o
-				}
+		next := &index{slots: make([]slot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
+		for i := 0; ix != nil && i < len(ix.slots); i++ {
+			if o := ix.slots[i]; o.f != nil {
+				next.slots[next.free(o.h)] = o
 			}
-			ix = next
-			s.ix = ix
 		}
-		s.used = s.live
-	}
-	sl := &ix.slots[ix.free(h)]
-	if sl.h == 0 {
-		s.used++
+		ix = next
+		s.ix = ix
 	}
 	s.live++
-	*sl = slot{h: h, f: f}
+	ix.slots[ix.free(h)] = slot{h: h, f: f}
 }
 
-// remove turns slot i into a tombstone and unlinks its record from the
-// reverse flow, both ends (Table.reverseOf).
+// remove deletes slot i and unlinks its record from the reverse flow, both
+// ends (Table.reverseOf).
 func (s *tableShard) remove(i int) {
 	if f := s.ix.slots[i].f; f.peer != nil {
 		f.peer.peer, f.peer = nil, nil
 	}
 	s.live--
-	s.ix.slots[i] = slot{h: tombstone}
+	s.ix.delete(i)
 }
 
 // Table is the vSwitch's connection-tracking table: one entry per data
@@ -243,10 +213,13 @@ func (t *Table) ShardStats() (total, maxShard int) {
 
 // Range calls fn for every flow; fn must not add to or remove from the table.
 func (t *Table) Range(fn func(*Flow)) {
-	t.SweepRange(0, numShards, func(f *Flow) bool {
-		fn(f)
-		return true
-	})
+	for i := range t.shards {
+		for j := 0; t.shards[i].ix != nil && j < len(t.shards[i].ix.slots); j++ {
+			if f := t.shards[i].ix.slots[j].f; f != nil {
+				fn(f)
+			}
+		}
+	}
 }
 
 // Clear empties every shard in place and returns how many flows were removed.
@@ -261,14 +234,27 @@ func (t *Table) Clear() int {
 }
 
 // SweepShard sweeps one shard: the unit of incremental pressure eviction.
-// keep may probe the table, but not add to or remove from it.
+// keep may probe the table, but not add to or remove from it. The walk starts
+// just past an empty slot, which no probe path crosses, so no removal shifts a
+// record across the start; after a removal the same slot is examined again,
+// as a later record may have shifted into it. keep runs once per record.
 func (t *Table) SweepShard(i int, keep func(*Flow) bool) int {
 	s := &t.shards[i]
+	if s.ix == nil {
+		return 0
+	}
+	slots := s.ix.slots
+	mask, start := len(slots)-1, 0
+	for slots[start].f != nil {
+		start++
+	}
 	removed := 0
-	for j := 0; s.ix != nil && j < len(s.ix.slots); j++ {
-		if f := s.ix.slots[j].f; f != nil && !keep(f) {
+	for n := 1; n <= mask; {
+		if j := (start + n) & mask; slots[j].f != nil && !keep(slots[j].f) {
 			s.remove(j)
 			removed++
+		} else {
+			n++
 		}
 	}
 	t.size -= removed

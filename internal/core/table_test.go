@@ -231,53 +231,66 @@ var tableKeys = func() []FlowKey {
 	return ks
 }()
 
-// checkIndex asserts what every probe relies on, shard by shard: the
-// live and used counts match the slots, at most three quarters of the array
-// is in use (so every probe meets an empty slot), and every record sits under
-// its key's hash and is found from its key.
-func checkIndex(t *testing.T, tb *Table, after string) {
+// checkIndex asserts what every probe relies on, shard by shard: the live
+// count matches the slots, at most three quarters of the array is in use (so
+// every probe meets an empty slot), an empty slot is the zero slot, and every
+// record sits under its key's hash, with no empty slot between its home slot
+// and its own, and is found from its key. It returns how many records sit
+// past the array's end from their home slot, at a lower index.
+func checkIndex(t *testing.T, tb *Table, after string) (wrapped int) {
 	t.Helper()
 	for i := range tb.shards {
 		s := &tb.shards[i]
 		ix := s.ix
 		if ix == nil {
-			if s.live != 0 || s.used != 0 {
-				t.Fatalf("after %s: shard %d counts %d/%d with no index", after, i, s.live, s.used)
+			if s.live != 0 {
+				t.Fatalf("after %s: shard %d counts %d records with no index", after, i, s.live)
 			}
 			continue
 		}
-		live, tomb := 0, 0
+		mask, live := len(ix.slots)-1, 0
 		for j := range ix.slots {
 			sl := &ix.slots[j]
-			switch {
-			case sl.f != nil:
-				live++
-				if h := hashWords(keyWords(sl.f.Key)); sl.h != h {
-					t.Fatalf("after %s: shard %d slot %d holds hash %x for %v, whose hash is %x", after, i, j, sl.h, sl.f.Key, h)
+			if sl.f == nil {
+				if sl.h != 0 {
+					t.Fatalf("after %s: shard %d empty slot %d keeps hash %x", after, i, j, sl.h)
 				}
-				if got := ix.find(sl.f.Key, sl.h); got != j {
-					t.Fatalf("after %s: shard %d slot %d is found at %d", after, i, j, got)
+				continue
+			}
+			live++
+			if h := hashWords(keyWords(sl.f.Key)); sl.h != h {
+				t.Fatalf("after %s: shard %d slot %d holds hash %x for %v, whose hash is %x", after, i, j, sl.h, sl.f.Key, h)
+			}
+			for p := int(sl.h >> ix.shift); p != j; p = (p + 1) & mask {
+				if ix.slots[p].f == nil {
+					t.Fatalf("after %s: shard %d slot %d: the probe path from home %d crosses empty slot %d",
+						after, i, j, sl.h>>ix.shift, p)
 				}
-			case sl.h != 0:
-				tomb++
+			}
+			if got := ix.find(sl.f.Key, sl.h); got != j {
+				t.Fatalf("after %s: shard %d slot %d is found at %d", after, i, j, got)
+			}
+			if j < int(sl.h>>ix.shift) {
+				wrapped++
 			}
 		}
-		if live != s.live || live+tomb != s.used || 4*s.used > 3*len(ix.slots) {
-			t.Fatalf("after %s: shard %d has %d records, %d tombstones in %d slots; counts %d live, %d used",
-				after, i, live, tomb, len(ix.slots), s.live, s.used)
+		if live != s.live || 4*live > 3*len(ix.slots) {
+			t.Fatalf("after %s: shard %d has %d records in %d slots; counts %d", after, i, live, len(ix.slots), s.live)
 		}
 	}
+	return wrapped
 }
 
-// playTableScript runs a byte script of (op, key) pairs against a Table and a
-// map model, comparing the two after every step.
-func playTableScript(t *testing.T, script []byte) {
+// playTableScript runs a byte script of (op, key) pairs over the key domain
+// keys against a Table and a map model, comparing the two after every step.
+// It returns the most records seen wrapped past an array's end at once.
+func playTableScript(t *testing.T, keys []FlowKey, script []byte) (maxWrapped int) {
 	tb := NewTable()
 	model := map[FlowKey]*Flow{}
 	names := [...]string{"get", "get-or-create", "get-or-create", "delete", "sweep-shard", "clear", "range"}
 	for i := 0; i+1 < len(script); i += 2 {
 		op, arg := int(script[i])%len(names), script[i+1]
-		k := tableKeys[int(arg)%len(tableKeys)]
+		k := keys[int(arg)%len(keys)]
 		switch names[op] {
 		case "get":
 		case "get-or-create":
@@ -291,15 +304,31 @@ func playTableScript(t *testing.T, script []byte) {
 			delete(model, k)
 		case "sweep-shard":
 			keep := func(f *Flow) bool { return (f.Key.SPort+uint16(arg))%3 != 0 }
-			n := 0
+			n, inShard := 0, 0
 			for mk, f := range model {
-				if shardIndex(mk) == shardIndex(k) && !keep(f) {
-					delete(model, mk)
-					n++
+				if shardIndex(mk) == shardIndex(k) {
+					inShard++
+					if !keep(f) {
+						delete(model, mk)
+						n++
+					}
 				}
 			}
-			if got := tb.SweepShard(shardIndex(k), keep); got != n {
+			kept := map[*Flow]int{}
+			got := tb.SweepShard(shardIndex(k), func(f *Flow) bool {
+				kept[f]++
+				return keep(f)
+			})
+			if got != n {
 				t.Fatalf("step %d: SweepShard removed %d, model %d", i/2, got, n)
+			}
+			if len(kept) != inShard {
+				t.Fatalf("step %d: SweepShard asked keep about %d records, the shard held %d", i/2, len(kept), inShard)
+			}
+			for f, calls := range kept {
+				if calls != 1 {
+					t.Fatalf("step %d: SweepShard asked keep about %v %d times", i/2, f.Key, calls)
+				}
 			}
 		case "clear":
 			if got := tb.Clear(); got != len(model) {
@@ -318,7 +347,7 @@ func playTableScript(t *testing.T, script []byte) {
 				t.Fatalf("step %d: Range visited %d, model holds %d", i/2, len(seen), len(model))
 			}
 		}
-		for _, k := range tableKeys {
+		for _, k := range keys {
 			if got := tb.Get(k); got != model[k] {
 				t.Fatalf("step %d (%s): Get(%v) = %p, model %p", i/2, names[op], k, got, model[k])
 			}
@@ -326,12 +355,13 @@ func playTableScript(t *testing.T, script []byte) {
 		if total, _ := tb.ShardStats(); tb.Len() != len(model) || total != len(model) {
 			t.Fatalf("step %d (%s): Len %d, ShardStats %d, model %d", i/2, names[op], tb.Len(), total, len(model))
 		}
-		checkIndex(t, tb, names[op])
+		maxWrapped = max(maxWrapped, checkIndex(t, tb, names[op]))
 	}
+	return maxWrapped
 }
 
 // tableScript draws a script that grows shard 0 through its doublings, then
-// churns it with deletes and sweeps until it is mostly tombstones.
+// churns it with deletes and sweeps, each of which shifts records back.
 func tableScript(rng *rand.Rand, n int) []byte {
 	script := make([]byte, 0, 2*n)
 	for i := 0; i < n; i++ {
@@ -339,7 +369,7 @@ func tableScript(rng *rand.Rand, n int) []byte {
 		if i < n/2 && op != 5 {
 			op = 1 // mostly creates first: the grow path
 		} else if op == 5 && rng.Intn(8) != 0 {
-			op = 3 // Clear is rare, deletes are not: the tombstone path
+			op = 3 // Clear is rare, deletes are not: the backward-shift path
 		}
 		script = append(script, byte(op), byte(rng.Intn(256)))
 	}
@@ -356,8 +386,37 @@ func FuzzTableMatchesMap(f *testing.F) {
 		if len(script) > 1200 {
 			script = script[:1200]
 		}
-		playTableScript(t, script)
+		playTableScript(t, tableKeys, script)
 	})
+}
+
+// TestTableScriptWrapsArrayEnd plays seeded scripts over keys of shard 0 whose
+// home slots lie in the last quarter of any array, plus a few homed in the
+// first eighth: the records fill the array's last slots and wrap past its
+// end, in among records homed there, so removals shift records back across
+// the end and sweeps start from an empty slot in the middle of the array.
+func TestTableScriptWrapsArrayEnd(t *testing.T) {
+	var keys []FlowKey
+	tail, head := 0, 0
+	for i := 0; tail < 24 || head < 8; i++ {
+		k := tbKey(i)
+		if shardIndex(k) != 0 {
+			continue
+		}
+		switch top := hashWords(keyWords(k)) >> 61; {
+		case top >= 6 && tail < 24:
+			tail++
+			keys = append(keys, k)
+		case top == 0 && head < 8:
+			head++
+			keys = append(keys, k)
+		}
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		if w := playTableScript(t, keys, tableScript(rand.New(rand.NewSource(seed)), 600)); w == 0 {
+			t.Errorf("seed %d: no record ever wrapped past the array's end", seed)
+		}
+	}
 }
 
 // TestFlowPolicyMayProbeTable: flow set-up runs the operator's FlowPolicy

@@ -79,9 +79,9 @@ type Conn struct {
 	backoff           int
 
 	rtoTimer, delackTimer, persistTimer *sim.Timer
-	// tw is the TIME_WAIT record from enterTimeWait until Stack.handOff, at
-	// the end of the same event, gives it the connection.
-	tw *timeWait
+	// tw is the TIME_WAIT record's number + 1 from enterTimeWait until
+	// Stack.handOff, at the end of the same event, gives it the connection.
+	tw uint32
 
 	ecnOK   bool
 	sendCWR bool
@@ -471,7 +471,7 @@ func (c *Conn) enterTimeWait() {
 	c.rtoTimer.Stop()
 	c.persistTimer.Stop()
 	c.tw = c.stack.newTimeWait()
-	c.stack.twExpiry.Reset(c.tw, c.timeWait())
+	c.stack.timeWaits.expiry.Reset(c.tw-1, c.timeWait())
 }
 
 // timeWait is the TIME_WAIT duration (2 MSL).

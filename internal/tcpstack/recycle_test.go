@@ -156,9 +156,9 @@ func (b *bench) checkParked(t *testing.T) int {
 	for i, st := range b.stacks {
 		for _, c := range st.parked {
 			n++
-			if !c.parked || c.state != StateClosed || st.conns[c.key] == c || c.tw != nil {
+			if !c.parked || c.state != StateClosed || st.conns[c.key] == c || c.tw != 0 {
 				t.Errorf("stack %d: parked %v: parked=%v, in demux table=%v, TIME_WAIT record=%v",
-					i, c, c.parked, st.conns[c.key] == c, c.tw != nil)
+					i, c, c.parked, st.conns[c.key] == c, c.tw != 0)
 			}
 			for name, tm := range map[string]*sim.Timer{"rto": c.rtoTimer, "delack": c.delackTimer,
 				"persist": c.persistTimer} {
@@ -301,7 +301,7 @@ func TestOnClosedDialsFreshRecord(t *testing.T) {
 	var inEntry *Conn
 	b.hosts[0].Demux = netsim.HandlerFunc(func(p *packet.Packet) {
 		cs.HandlePacket(p)
-		if inEntry == nil && cs.timeWaits[cli.key] != nil {
+		if inEntry == nil && cs.timeWaits.find(cli.key) >= 0 {
 			if !cli.parked {
 				t.Fatalf("cli in TIME_WAIT but its Conn not parked: %v", cli)
 			}

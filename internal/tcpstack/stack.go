@@ -2,6 +2,7 @@ package tcpstack
 
 import (
 	"fmt"
+	"math/bits"
 
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
@@ -34,11 +35,8 @@ type Stack struct {
 	// parked holds torn-down Conns for newConn to take back; see park.
 	parked []*Conn
 	// timeWaits holds the connections in TIME_WAIT, which keep no Conn (see
-	// timeWait); twFree holds expired records for newTimeWait to take back;
-	// twExpiry, made by the first, holds their deadlines.
-	timeWaits map[connKey]*timeWait
-	twFree    []*timeWait
-	twExpiry  *sim.Deadlines[*timeWait]
+	// timeWait); the first one makes it.
+	timeWaits *twTable
 
 	// Scratch shared by every Conn of the stack. Each is filled and consumed
 	// inside one transmit call (BuildIn copies options into the packet buffer)
@@ -69,7 +67,6 @@ func NewStack(s *sim.Simulator, host *netsim.Host, cfg Config) *Stack {
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]func(*Conn)),
 		nextPort:  40000,
-		timeWaits: make(map[connKey]*timeWait),
 	}
 	host.Demux = st
 	// NIC tx-completion feedback for TSQ backpressure.
@@ -128,10 +125,7 @@ func (st *Stack) allocPort(raddr packet.Addr, rport uint16) uint16 {
 			st.nextPort = 40000
 		}
 		key := makeKey(p, raddr, rport)
-		if _, busy := st.conns[key]; busy {
-			continue
-		}
-		if _, busy := st.timeWaits[key]; busy {
+		if _, busy := st.conns[key]; busy || st.timeWaits.find(key) >= 0 {
 			continue
 		}
 		if _, listening := st.listeners[p]; !listening {
@@ -162,9 +156,9 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 	key := makeKey(t.DstPort(), ip.Src(), t.SrcPort())
 	c, ok := st.conns[key]
 	if !ok {
-		if tw, ok := st.timeWaits[key]; ok {
+		if j := st.timeWaits.find(key); j >= 0 {
 			st.DeliveredSegs++
-			tw.receive(t)
+			st.timeWaitReceive(st.timeWaits.index[j]-1, t)
 			st.Host.Pool.Put(p)
 			return
 		}
@@ -185,7 +179,7 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 	}
 	st.DeliveredSegs++
 	c.receive(p)
-	if c.tw != nil {
+	if c.tw != 0 {
 		st.handOff(c)
 	}
 	st.Host.Pool.Put(p)
@@ -228,10 +222,9 @@ func (st *Stack) unpark() *Conn {
 
 // timeWait is a connection in TIME_WAIT, as Linux keeps it after freeing the
 // socket (inet_timewait_sock): the key, the final ACK ready to be sent again,
-// the application's OnClosed and a handle on its deadline in twExpiry. All a
-// connection does in TIME_WAIT is answer a retransmitted FIN: it needs no Conn.
+// the application's OnClosed and a handle on its deadline. All a connection
+// does in TIME_WAIT is answer a retransmitted FIN: it needs no Conn.
 type timeWait struct {
-	st       *Stack
 	key      connKey
 	seq, ack uint32 // of the final ACK
 	flowTag  uint32
@@ -243,17 +236,103 @@ type timeWait struct {
 	onClosed func()
 }
 
-// newTimeWait takes an expired record back, or makes one.
-func (st *Stack) newTimeWait() *timeWait {
-	if st.twExpiry == nil {
-		st.twExpiry = sim.NewDeadlines(st.Sim, (*timeWait).expire, func(tw *timeWait) *sim.Deadline { return &tw.expiry })
+// twPage is the number of TIME_WAIT records in one page of a twTable.
+const twPage = 64
+
+// twTable holds a stack's TIME_WAIT records, as Linux keeps them in a slab
+// cache of their own. Record number i lives at pages[i/twPage][i%twPage], so
+// its address holds while pages are added; expiry keeps its deadline under i.
+// index finds a record by key: open-addressed, linear-probe slots holding a
+// record number + 1, or 0 for empty, at most three quarters in use. A delete
+// shifts the records after it back (Knuth vol. 3, 6.4, Algorithm R), so no
+// probe path crosses an empty slot.
+type twTable struct {
+	pages  []*[twPage]timeWait
+	free   []uint32 // numbers of the records not in use
+	index  []uint32
+	n      int // records in the index
+	expiry *sim.Deadlines[uint32]
+}
+
+func (ts *twTable) rec(i uint32) *timeWait { return &ts.pages[i/twPage][i%twPage] }
+
+// home returns k's home slot: the top bits of a multiplicative hash.
+func (ts *twTable) home(k connKey) int {
+	return int(uint64(k) * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(len(ts.index)))))
+}
+
+// find returns the index slot holding k, or −1.
+func (ts *twTable) find(k connKey) int {
+	if ts == nil {
+		return -1
 	}
-	if n := len(st.twFree); n > 0 {
-		tw := st.twFree[n-1]
-		st.twFree = st.twFree[:n-1]
-		return tw
+	mask := len(ts.index) - 1
+	for j := ts.home(k); ts.index[j] != 0; j = (j + 1) & mask {
+		if ts.rec(ts.index[j]-1).key == k {
+			return j
+		}
 	}
-	return &timeWait{st: st}
+	return -1
+}
+
+// insert indexes record i under its key, which the table does not hold.
+// Past three quarters of the slots in use, the array doubles.
+func (ts *twTable) insert(i uint32) {
+	if 4*(ts.n+1) > 3*len(ts.index) {
+		old := ts.index
+		ts.index = make([]uint32, 2*len(old))
+		for _, o := range old {
+			if o != 0 {
+				ts.place(o)
+			}
+		}
+	}
+	ts.n++
+	ts.place(i + 1)
+}
+
+// place puts slot value o in the first empty slot on its key's probe path.
+func (ts *twTable) place(o uint32) {
+	mask := len(ts.index) - 1
+	j := ts.home(ts.rec(o - 1).key)
+	for ts.index[j] != 0 {
+		j = (j + 1) & mask
+	}
+	ts.index[j] = o
+}
+
+// delete empties index slot j by backward shift: up to the next empty slot,
+// every record whose home slot does not lie cyclically after the gap moves
+// back into it, and leaves a gap of its own.
+func (ts *twTable) delete(j int) {
+	mask := len(ts.index) - 1
+	for k := (j + 1) & mask; ts.index[k] != 0; k = (k + 1) & mask {
+		if home := ts.home(ts.rec(ts.index[k] - 1).key); (k-home)&mask >= (k-j)&mask {
+			ts.index[j], j = ts.index[k], k
+		}
+	}
+	ts.index[j] = 0
+	ts.n--
+}
+
+// newTimeWait takes a free TIME_WAIT record and returns its number + 1. The
+// first makes the table; when none is free, a page of them is added.
+func (st *Stack) newTimeWait() uint32 {
+	ts := st.timeWaits
+	if ts == nil {
+		ts = &twTable{index: make([]uint32, 16)}
+		ts.expiry = sim.NewDeadlines(st.Sim, st.expireTimeWait, func(i uint32) *sim.Deadline { return &ts.rec(i).expiry })
+		st.timeWaits = ts
+	}
+	if len(ts.free) == 0 {
+		ts.pages = append(ts.pages, new([twPage]timeWait))
+		for i := len(ts.pages) * twPage; i > (len(ts.pages)-1)*twPage; i-- {
+			ts.free = append(ts.free, uint32(i-1))
+		}
+	}
+	i := ts.free[len(ts.free)-1]
+	ts.free = ts.free[:len(ts.free)-1]
+	return i + 1
 }
 
 // handOff moves a connection that entered TIME_WAIT during the segment just
@@ -261,11 +340,11 @@ func (st *Stack) newTimeWait() *timeWait {
 // and OnClosed and answers for the key from now on, and the Conn is torn down
 // and parked at once. OnClosed runs from the record when the wait ends.
 func (st *Stack) handOff(c *Conn) {
-	tw := c.tw
-	c.tw = nil
+	i := c.tw - 1
+	c.tw = 0
+	tw := st.timeWaits.rec(i)
 	f := c.ackFields()
 	*tw = timeWait{
-		st:  st,
 		key: c.key,
 		seq: f.Seq, ack: f.Ack, flowTag: c.FlowTag,
 		window: f.Window, flags: f.Flags, ecn: c.wireECN(packet.NotECT),
@@ -275,36 +354,39 @@ func (st *Stack) handOff(c *Conn) {
 	}
 	c.OnClosed = nil
 	c.teardown()
-	st.timeWaits[tw.key] = tw
+	st.timeWaits.insert(i)
 }
 
-// receive answers a segment for a connection in TIME_WAIT. A FIN is the
-// peer's retransmission, sent because our final ACK was lost: send the ACK
-// again and restart the 2 MSL wait (RFC 793 §3.9), so the record outlives
-// the retransmissions the new ACK may still cross. Anything else, a SYN for
-// the key included, is ignored.
-func (tw *timeWait) receive(t packet.TCP) {
+// timeWaitReceive answers a segment for a connection in TIME_WAIT, held by
+// record i. A FIN is the peer's retransmission, sent because our final ACK was
+// lost: send the ACK again and restart the 2 MSL wait (RFC 793 §3.9), so the
+// record outlives the retransmissions the new ACK may still cross. Anything
+// else, a SYN for the key included, is ignored.
+func (st *Stack) timeWaitReceive(i uint32, t packet.TCP) {
 	if !t.HasFlags(packet.FlagFIN) {
 		return
 	}
-	st := tw.st
+	tw := st.timeWaits.rec(i)
 	p := packet.BuildIn(st.Host.Pool, st.Host.Addr, tw.key.remoteAddr(), tw.ecn, packet.TCPFields{
 		SrcPort: tw.key.localPort(), DstPort: tw.key.remotePort(),
 		Seq: tw.seq, Ack: tw.ack, Flags: tw.flags, Window: tw.window,
 	}, 0)
 	p.FlowTag = tw.flowTag
 	st.Host.Output(p)
-	st.twExpiry.Reset(tw, tw.dur)
+	st.timeWaits.expiry.Reset(i, tw.dur)
 }
 
-// expire ends TIME_WAIT: the key is free again, the record goes back on the
-// free list and OnClosed runs. Nothing here reads the record after OnClosed,
-// so OnClosed may itself start a TIME_WAIT that takes the record back.
-func (tw *timeWait) expire() {
-	st, onClosed := tw.st, tw.onClosed
-	delete(st.timeWaits, tw.key)
+// expireTimeWait ends record i's TIME_WAIT: the key is free again, the record
+// goes back on the free list and OnClosed runs. Nothing here reads the record
+// after OnClosed, so OnClosed may itself start a TIME_WAIT that takes the
+// record back.
+func (st *Stack) expireTimeWait(i uint32) {
+	ts := st.timeWaits
+	tw := ts.rec(i)
+	onClosed := tw.onClosed
+	ts.delete(ts.find(tw.key))
 	tw.onClosed = nil
-	st.twFree = append(st.twFree, tw)
+	ts.free = append(ts.free, i)
 	if onClosed != nil {
 		onClosed()
 	}
@@ -312,7 +394,12 @@ func (tw *timeWait) expire() {
 
 // NumConns returns the number of live connections, TIME_WAIT included (for
 // tests).
-func (st *Stack) NumConns() int { return len(st.conns) + len(st.timeWaits) }
+func (st *Stack) NumConns() int {
+	if st.timeWaits == nil {
+		return len(st.conns)
+	}
+	return len(st.conns) + st.timeWaits.n
+}
 
 // ConnRecords returns how many Conn records the stack holds: the open
 // connections' and those parked for reuse. A connection in TIME_WAIT holds

@@ -3,6 +3,7 @@ package tcpstack
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -76,8 +77,8 @@ func testTimeWaitRecord(t *testing.T, sack bool, ecn ECNMode, ce bool) {
 	}
 	b.hosts[0].Demux = netsim.HandlerFunc(func(p *packet.Packet) {
 		cs.HandlePacket(p)
-		if want == nil && cs.timeWaits[key] != nil {
-			if !cli.parked || cli.tw != nil {
+		if want == nil && cs.timeWaits.find(key) >= 0 {
+			if !cli.parked || cli.tw != 0 {
 				t.Fatalf("TIME_WAIT record in place but Conn not handed off: %v", cli)
 			}
 			// The ACK the Conn would send for a retransmitted FIN had it been
@@ -101,12 +102,12 @@ func testTimeWaitRecord(t *testing.T, sack bool, ecn ECNMode, ce bool) {
 	if got := want.TCP().HasFlags(packet.FlagECE); got != (ce && ecn != ECNOff) {
 		t.Fatalf("re-ACK ECE = %v with ecn=%d, CE state %v", got, ecn, ce)
 	}
-	if ss.twExpiry != nil {
+	if ss.timeWaits != nil {
 		t.Error("the server, never in TIME_WAIT, made a TIME_WAIT Deadlines")
 	}
-	if ss.NumConns() != 0 || cs.timeWaits[key] == nil || cs.NumConns() != 1 || cs.ConnRecords() != 1 {
+	if ss.NumConns() != 0 || cs.timeWaits.find(key) < 0 || cs.NumConns() != 1 || cs.ConnRecords() != 1 {
 		t.Fatalf("after the re-ACK: server %d conns; client record %v, %d conns, %d Conn records",
-			ss.NumConns(), cs.timeWaits[key] != nil, cs.NumConns(), cs.ConnRecords())
+			ss.NumConns(), cs.timeWaits.find(key) >= 0, cs.NumConns(), cs.ConnRecords())
 	}
 
 	// allocPort: the TIME_WAIT key is busy, the same port to another peer
@@ -135,15 +136,179 @@ func testTimeWaitRecord(t *testing.T, sack bool, ecn ECNMode, ce bool) {
 	}
 
 	b.s.RunFor(100 * sim.Millisecond)
-	if cs.NumConns() != 0 || len(cs.twFree) != 1 || b.checkParked(t) != 2 {
-		t.Fatalf("after TIME_WAIT: %d conns, %d free records, %d parked", cs.NumConns(), len(cs.twFree), b.checkParked(t))
+	if cs.NumConns() != 0 || len(cs.timeWaits.free) != twPage || b.checkParked(t) != 2 {
+		t.Fatalf("after TIME_WAIT: %d conns, %d free records, %d parked", cs.NumConns(), len(cs.timeWaits.free), b.checkParked(t))
 	}
 }
 
-// TestTimeWaitSizeClass keeps the TIME_WAIT record in the 64-byte malloc
-// size class: a churn keeps one per recently closed connection.
+// TestTimeWaitSizeClass keeps the TIME_WAIT record at 48 bytes, 64 of them to
+// a 3 kB page: a churn keeps one per recently closed connection.
 func TestTimeWaitSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(timeWait{}); n > 64 {
-		t.Fatalf("timeWait is %d bytes, over the 64-byte size class", n)
+	if n := unsafe.Sizeof(timeWait{}); n > 48 {
+		t.Fatalf("timeWait is %d bytes, over 48", n)
+	}
+}
+
+// TestTimeWaitTableMatchesMap is a seeded differential of the TIME_WAIT table
+// against a map model. One client dials three servers, sends a little and
+// closes, so each connection ends in TIME_WAIT on the client; a third of the
+// final ACKs are dropped, so servers retransmit their FINs into the records,
+// which re-ACK and restart the wait. More than a page of records is live at
+// once, and keys share home slots. After every segment the client takes and
+// every expiry, the test checks the table's shape, that every key the model
+// holds is found and no other, NumConns, that allocPort skips a key in
+// TIME_WAIT and hands out one whose wait ended, and that each wait ends
+// exactly at the model's deadline, so in the model's order.
+func TestTimeWaitTableMatchesMap(t *testing.T) {
+	cfg := smallCfg()
+	b := newBench(t, 4, cfg, netsim.REDConfig{}, 1e9)
+	cs := b.stacks[0]
+	for _, st := range b.stacks[1:] {
+		st.Listen(5001, func(c *Conn) { c.OnPeerClose = c.Close })
+	}
+	rng := rand.New(rand.NewSource(36))
+	dur := 4 * cfg.RTOMin
+	model := map[connKey]sim.Time{}
+	peak, collided, refins, expired := 0, false, 0, 0
+
+	check := func(where string) {
+		t.Helper()
+		ts := cs.timeWaits
+		if ts == nil {
+			if len(model) != 0 || cs.NumConns() != len(cs.conns) {
+				t.Fatalf("%s: no TIME_WAIT table; model %d, NumConns %d, %d open", where, len(model), cs.NumConns(), len(cs.conns))
+			}
+			return
+		}
+		for k, at := range model {
+			j := ts.find(k)
+			if j < 0 || ts.rec(ts.index[j]-1).key != k {
+				t.Fatalf("%s: key %x in TIME_WAIT until %v not found (slot %d)", where, uint64(k), at, j)
+			}
+			if at < b.s.Now() {
+				t.Fatalf("%s: key %x still in TIME_WAIT past its deadline %v", where, uint64(k), at)
+			}
+		}
+		for k := range cs.conns {
+			if ts.find(k) >= 0 {
+				t.Fatalf("%s: open connection %x found in the TIME_WAIT table", where, uint64(k))
+			}
+		}
+		if ts.n != len(model) || cs.NumConns() != len(cs.conns)+len(model) {
+			t.Fatalf("%s: table holds %d, NumConns %d; model %d, %d open", where, ts.n, cs.NumConns(), len(model), len(cs.conns))
+		}
+		checkTimeWaits(t, ts, where)
+		peak = max(peak, len(model))
+		homes := map[int]bool{}
+		for k := range model {
+			collided = collided || homes[ts.home(k)]
+			homes[ts.home(k)] = true
+		}
+	}
+	// allocFrom runs allocPort from port p and puts the port cursor back.
+	allocFrom := func(p uint16, k connKey) uint16 {
+		next := cs.nextPort
+		defer func() { cs.nextPort = next }()
+		cs.nextPort = p
+		return cs.allocPort(k.remoteAddr(), k.remotePort())
+	}
+
+	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
+		tc := p.TCP()
+		key := makeKey(tc.SrcPort(), p.IP().Dst(), tc.DstPort())
+		finalAck := tc.Flags()&^packet.FlagECE == packet.FlagACK && p.PayloadLen() == 0 &&
+			cs.conns[key] != nil && cs.conns[key].state == StateTimeWait
+		if finalAck && rng.Intn(3) == 0 {
+			return nil, nil
+		}
+		return p, nil
+	}
+	b.hosts[0].Demux = netsim.HandlerFunc(func(p *packet.Packet) {
+		tc := p.TCP()
+		key := makeKey(tc.DstPort(), p.IP().Src(), tc.SrcPort())
+		_, inTW := model[key]
+		refin := inTW && tc.HasFlags(packet.FlagFIN)
+		cs.HandlePacket(p)
+		switch {
+		case refin:
+			refins++
+			model[key] = b.s.Now() + dur
+		case !inTW && cs.timeWaits.find(key) >= 0:
+			model[key] = b.s.Now() + dur
+		}
+		check("segment")
+		if _, ok := model[key]; ok {
+			if p := allocFrom(key.localPort(), key); p == key.localPort() {
+				t.Fatalf("allocPort handed out port %d, held by TIME_WAIT key %x", p, uint64(key))
+			}
+		}
+	})
+
+	dial := func() {
+		c := cs.Dial(b.hosts[1+rng.Intn(3)].Addr, 5001)
+		key := c.key
+		c.OnClosed = func() {
+			if at, ok := model[key]; !ok || at != b.s.Now() {
+				t.Fatalf("TIME_WAIT of %x ended at %v; model deadline %v (held %v)", uint64(key), b.s.Now(), at, ok)
+			}
+			delete(model, key)
+			expired++
+			check("expiry")
+			if _, busy := cs.conns[key]; !busy {
+				if p := allocFrom(key.localPort(), key); p != key.localPort() {
+					t.Fatalf("allocPort skipped port %d after its TIME_WAIT ended, got %d", key.localPort(), p)
+				}
+			}
+		}
+		c.Send(int64(1 + rng.Intn(4000)))
+		c.Close()
+	}
+	const conns = 300
+	for i := 0; i < conns; i++ {
+		b.s.ScheduleFunc(sim.Duration(rng.Int63n(int64(100*sim.Millisecond))), dial)
+	}
+	b.s.RunFor(400 * sim.Millisecond)
+
+	if expired != conns || len(model) != 0 || cs.NumConns() != 0 {
+		t.Fatalf("%d of %d waits ended; model holds %d, NumConns %d", expired, conns, len(model), cs.NumConns())
+	}
+	if peak <= twPage || len(cs.timeWaits.pages) < 2 || !collided || refins == 0 {
+		t.Fatalf("coverage: peak %d records in %d pages, home slots shared %v, %d FINs into records",
+			peak, len(cs.timeWaits.pages), collided, refins)
+	}
+	if len(cs.timeWaits.free) != len(cs.timeWaits.pages)*twPage {
+		t.Fatalf("%d records free of %d", len(cs.timeWaits.free), len(cs.timeWaits.pages)*twPage)
+	}
+}
+
+// checkTimeWaits asserts the TIME_WAIT table's shape: at most three quarters
+// of the index in use, n counts its records, every record it names is
+// distinct and found from its key with no empty slot on the way, and the
+// records are either indexed or free, never both.
+func checkTimeWaits(t *testing.T, ts *twTable, where string) {
+	t.Helper()
+	mask, n := len(ts.index)-1, 0
+	state := make([]byte, len(ts.pages)*twPage)
+	for j, o := range ts.index {
+		if o == 0 {
+			continue
+		}
+		n++
+		if state[o-1]++; state[o-1] > 1 {
+			t.Fatalf("%s: record %d indexed twice", where, o-1)
+		}
+		for p := ts.home(ts.rec(o - 1).key); p != j; p = (p + 1) & mask {
+			if ts.index[p] == 0 {
+				t.Fatalf("%s: slot %d: the probe path from home %d crosses empty slot %d", where, j, ts.home(ts.rec(o-1).key), p)
+			}
+		}
+	}
+	for _, i := range ts.free {
+		if state[i]++; state[i] > 1 {
+			t.Fatalf("%s: record %d free and indexed, or free twice", where, i)
+		}
+	}
+	if n != ts.n || 4*n > 3*len(ts.index) || n+len(ts.free) != len(state) {
+		t.Fatalf("%s: %d indexed (counted %d) in %d slots, %d free of %d records", where, n, ts.n, len(ts.index), len(ts.free), len(state))
 	}
 }

@@ -122,7 +122,13 @@ func (ms *Messenger) checkComplete() {
 	}
 	for len(ms.msgs) > 0 && ms.srv.Delivered >= ms.msgs[0].end {
 		msg := ms.msgs[0]
-		ms.msgs = ms.msgs[1:]
+		ms.msgs[0] = message{} // keeps no callback alive
+		// Popping the last message keeps the storage for the next send.
+		if len(ms.msgs) == 1 {
+			ms.msgs = ms.msgs[:0]
+		} else {
+			ms.msgs = ms.msgs[1:]
+		}
 		if msg.done != nil {
 			msg.done(ms.Sim.Now() - msg.started)
 		}

@@ -167,3 +167,26 @@ func TestOpenPanicsOnSelfConnection(t *testing.T) {
 	}()
 	m.Open(1, 1)
 }
+
+// TestMessengerSequentialMessagesAllocateNothing sends messages one at a time
+// on one persistent Messenger, as the Prober does: once the connection is up,
+// a message that completes before the next is sent allocates nothing.
+func TestMessengerSequentialMessagesAllocateNothing(t *testing.T) {
+	net := topo.Star(2, topo.Options{Guest: tcpstack.DefaultConfig()})
+	ms := NewManager(net).Open(0, 1)
+	done := 0
+	onDone := func(sim.Duration) { done++ }
+	send := func() {
+		ms.SendMessage(1000, onDone)
+		net.Sim.RunFor(sim.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		send()
+	}
+	if n := testing.AllocsPerRun(50, send); n != 0 {
+		t.Fatalf("%.1f allocations per message, want 0", n)
+	}
+	if done != 4+51 {
+		t.Fatalf("%d messages completed, want %d", done, 4+51)
+	}
+}
