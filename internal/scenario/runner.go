@@ -458,9 +458,7 @@ func (st *trialState) collect(s Spec, start []int64) (map[string]float64, metric
 	if len(st.probers) > 0 {
 		var all stats.Sample
 		for _, p := range st.probers {
-			for _, pt := range p.Samples.CDF(p.Samples.N()) {
-				all.Add(pt[0])
-			}
+			all.AddAll(p.Samples)
 		}
 		out["rtt_p50_ms"] = all.Percentile(50) / 1e6
 		out["rtt_p99_ms"] = all.Percentile(99) / 1e6
@@ -476,8 +474,8 @@ func (st *trialState) collect(s Spec, start []int64) (map[string]float64, metric
 		var mice, bg stats.Sample
 		var dep, arr float64
 		for _, c := range st.churn {
-			merge(&mice, &c.FCTs.Mice)
-			merge(&bg, &c.FCTs.Background)
+			mice.AddAll(&c.FCTs.Mice)
+			bg.AddAll(&c.FCTs.Background)
 			dep += float64(c.Departures)
 			arr += float64(c.Arrivals)
 		}
@@ -491,7 +489,7 @@ func (st *trialState) collect(s Spec, start []int64) (map[string]float64, metric
 		var fct stats.Sample
 		var waves float64
 		for _, f := range st.flash {
-			merge(&fct, &f.FCT)
+			fct.AddAll(&f.FCT)
 			waves += float64(f.Waves)
 		}
 		ms(&fct, "flash")
@@ -500,7 +498,7 @@ func (st *trialState) collect(s Spec, start []int64) (map[string]float64, metric
 	if len(st.pa) > 0 {
 		var qct stats.Sample
 		for _, pa := range st.pa {
-			merge(&qct, &pa.QCT)
+			qct.AddAll(&pa.QCT)
 		}
 		ms(&qct, "qct")
 	}
@@ -529,11 +527,4 @@ func (st *trialState) collect(s Spec, start []int64) (map[string]float64, metric
 		}
 	}
 	return out, snap
-}
-
-// merge copies every observation of src into dst.
-func merge(dst, src *stats.Sample) {
-	for _, pt := range src.CDF(src.N()) {
-		dst.Add(pt[0])
-	}
 }

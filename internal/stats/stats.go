@@ -1,6 +1,5 @@
 // Package stats provides the measurement primitives the evaluation harness
-// uses: percentile/CDF summaries, Jain's fairness index, EWMAs, and
-// windowed throughput meters.
+// uses: percentile/CDF summaries, Jain's fairness index and a text table.
 package stats
 
 import (
@@ -10,90 +9,142 @@ import (
 	"strings"
 )
 
+// blockLen is the number of observations in one storage block: 4 KB of
+// float64, pointer-free and an exact size class.
+const blockLen = 512
+
 // Sample accumulates float64 observations for percentile and CDF queries.
 // The zero value is ready to use.
+//
+// The observations live in blocks of blockLen. The first block grows by
+// append, so a Sample of up to blockLen observations allocates what a plain
+// slice would; every later block is made at full size, so Add never copies
+// what is already stored. A value copy shares the blocks.
 type Sample struct {
-	xs     []float64
+	head   []float64   // observations 0 … blockLen-1
+	rest   [][]float64 // later blocks, each of capacity blockLen; all but the last are full
 	sorted bool
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
 	s.sorted = false
+	if len(s.rest) == 0 && len(s.head) < blockLen {
+		s.head = append(s.head, x)
+		return
+	}
+	last := len(s.rest) - 1
+	if last < 0 || len(s.rest[last]) == blockLen {
+		s.rest = append(s.rest, make([]float64, 0, blockLen))
+		last++
+	}
+	s.rest[last] = append(s.rest[last], x)
+}
+
+// AddAll records every observation of src, in ascending order: the order
+// src.CDF(src.N()) yields them in.
+func (s *Sample) AddAll(src *Sample) {
+	src.sort()
+	src.each(s.Add)
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int {
+	if len(s.rest) == 0 {
+		return len(s.head)
+	}
+	return len(s.rest)*blockLen + len(s.rest[len(s.rest)-1])
+}
+
+// at returns observation i in storage order.
+func (s *Sample) at(i int) float64 {
+	if i < blockLen {
+		return s.head[i]
+	}
+	return s.rest[i/blockLen-1][i%blockLen]
+}
+
+// each calls f on every observation in storage order.
+func (s *Sample) each(f func(float64)) {
+	for _, x := range s.head {
+		f(x)
+	}
+	for _, b := range s.rest {
+		for _, x := range b {
+			f(x)
+		}
+	}
+}
 
 // Min returns the smallest observation (0 if empty).
 func (s *Sample) Min() float64 {
 	s.sort()
-	if len(s.xs) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
-	return s.xs[0]
+	return s.at(0)
 }
 
 // Max returns the largest observation (0 if empty).
 func (s *Sample) Max() float64 {
 	s.sort()
-	if len(s.xs) == 0 {
+	n := s.N()
+	if n == 0 {
 		return 0
 	}
-	return s.xs[len(s.xs)-1]
+	return s.at(n - 1)
 }
 
 // Mean returns the arithmetic mean (0 if empty).
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	n := s.N()
+	if n == 0 {
 		return 0
 	}
 	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	s.each(func(x float64) { sum += x })
+	return sum / float64(n)
 }
 
 // Stddev returns the population standard deviation (0 if fewer than 2 obs).
 func (s *Sample) Stddev() float64 {
-	if len(s.xs) < 2 {
+	n := s.N()
+	if n < 2 {
 		return 0
 	}
 	m := s.Mean()
 	var ss float64
-	for _, x := range s.xs {
+	s.each(func(x float64) {
 		d := x - m
 		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.xs)))
+	})
+	return math.Sqrt(ss / float64(n))
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks. Returns 0 on an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
 	s.sort()
-	n := len(s.xs)
+	n := s.N()
 	if n == 0 {
 		return 0
 	}
 	if n == 1 {
-		return s.xs[0]
+		return s.at(0)
 	}
 	if p <= 0 {
-		return s.xs[0]
+		return s.at(0)
 	}
 	if p >= 100 {
-		return s.xs[n-1]
+		return s.at(n - 1)
 	}
 	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	frac := rank - float64(lo)
 	if lo+1 >= n {
-		return s.xs[n-1]
+		return s.at(n - 1)
 	}
-	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
+	return s.at(lo)*(1-frac) + s.at(lo+1)*frac
 }
 
 // Median is Percentile(50).
@@ -103,7 +154,7 @@ func (s *Sample) Median() float64 { return s.Percentile(50) }
 // suitable for plotting or table dumps.
 func (s *Sample) CDF(points int) [][2]float64 {
 	s.sort()
-	n := len(s.xs)
+	n := s.N()
 	if n == 0 || points <= 0 {
 		return nil
 	}
@@ -116,7 +167,7 @@ func (s *Sample) CDF(points int) [][2]float64 {
 		if idx > n {
 			idx = n
 		}
-		out = append(out, [2]float64{s.xs[idx-1], float64(idx) / float64(n)})
+		out = append(out, [2]float64{s.at(idx - 1), float64(idx) / float64(n)})
 	}
 	return out
 }
@@ -124,11 +175,13 @@ func (s *Sample) CDF(points int) [][2]float64 {
 // FractionBelow returns the empirical P(X <= x).
 func (s *Sample) FractionBelow(x float64) float64 {
 	s.sort()
-	if len(s.xs) == 0 {
+	n := s.N()
+	if n == 0 {
 		return 0
 	}
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
+	above := math.Nextafter(x, math.Inf(1))
+	i := sort.Search(n, func(i int) bool { return s.at(i) >= above })
+	return float64(i) / float64(n)
 }
 
 // Summary renders "p50=… p99=… p99.9=… max=…" with a unit divisor, e.g.
@@ -139,10 +192,27 @@ func (s *Sample) Summary(div float64, unit string) string {
 		s.Percentile(99.9)/div, unit, s.Max()/div, unit)
 }
 
+// sort orders the observations as sort.Float64s orders one slice of them. A
+// Sample of more than one block is gathered into one slice of exactly N,
+// sorted there and copied back, so every block keeps its full capacity and a
+// value copy sees the order as it would through a shared slice.
 func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+	if s.sorted {
+		return
+	}
+	s.sorted = true
+	if len(s.rest) == 0 {
+		sort.Float64s(s.head)
+		return
+	}
+	all := append(make([]float64, 0, s.N()), s.head...)
+	for _, b := range s.rest {
+		all = append(all, b...)
+	}
+	sort.Float64s(all)
+	all = all[copy(s.head, all):]
+	for _, b := range s.rest {
+		all = all[copy(b, all):]
 	}
 }
 
@@ -162,84 +232,6 @@ func JainFairness(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumsq)
 }
-
-// EWMA is an exponentially weighted moving average with weight g for new
-// observations: v ← (1-g)·v + g·x. DCTCP's α estimator uses g = 1/16.
-type EWMA struct {
-	G     float64
-	v     float64
-	valid bool
-}
-
-// Update folds x into the average and returns the new value.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.valid {
-		e.v = x
-		e.valid = true
-	} else {
-		e.v = (1-e.G)*e.v + e.G*x
-	}
-	return e.v
-}
-
-// Value returns the current average (0 before the first update).
-func (e *EWMA) Value() float64 { return e.v }
-
-// Valid reports whether at least one update occurred.
-func (e *EWMA) Valid() bool { return e.valid }
-
-// Meter measures throughput: bytes accumulated between marks.
-type Meter struct {
-	Bytes     int64
-	startNS   int64
-	lastNS    int64
-	intervals []float64 // bits per second per Mark window
-}
-
-// NewMeter starts a meter at time now (ns).
-func NewMeter(nowNS int64) *Meter {
-	return &Meter{startNS: nowNS, lastNS: nowNS}
-}
-
-// Account adds n bytes at the current time (time is supplied at Mark).
-func (m *Meter) Account(n int) { m.Bytes += int64(n) }
-
-// Mark closes the current window at nowNS and records its average bit rate.
-func (m *Meter) Mark(nowNS int64) {
-	dt := nowNS - m.lastNS
-	if dt <= 0 {
-		return
-	}
-	bits := float64(m.Bytes) * 8
-	m.intervals = append(m.intervals, bits/(float64(dt)/1e9))
-	m.Bytes = 0
-	m.lastNS = nowNS
-}
-
-// Rates returns the per-window bit rates recorded by Mark.
-func (m *Meter) Rates() []float64 { return m.intervals }
-
-// TotalRate returns the average bit rate from meter start to nowNS, counting
-// both closed windows and the open one. Requires external byte total.
-type TotalMeter struct {
-	Bytes   int64
-	StartNS int64
-}
-
-// Rate returns average bits/sec over [StartNS, nowNS].
-func (t *TotalMeter) Rate(nowNS int64) float64 {
-	dt := nowNS - t.StartNS
-	if dt <= 0 {
-		return 0
-	}
-	return float64(t.Bytes) * 8 / (float64(dt) / 1e9)
-}
-
-// Gbps formats a bit rate in Gbit/s with 2 decimals.
-func Gbps(bps float64) string { return fmt.Sprintf("%.2fGbps", bps/1e9) }
-
-// Mbps formats a bit rate in Mbit/s with 1 decimal.
-func Mbps(bps float64) string { return fmt.Sprintf("%.1fMbps", bps/1e6) }
 
 // Table is a minimal fixed-width text table writer for harness output.
 type Table struct {

@@ -1,7 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,64 +180,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := EWMA{G: 0.5}
-	if e.Valid() || e.Value() != 0 {
-		t.Fatal("zero EWMA should be invalid")
-	}
-	e.Update(10)
-	if !almost(e.Value(), 10) {
-		t.Fatalf("first update = %v", e.Value())
-	}
-	e.Update(0)
-	if !almost(e.Value(), 5) {
-		t.Fatalf("second update = %v, want 5", e.Value())
-	}
-	// Converges toward a constant input.
-	for i := 0; i < 100; i++ {
-		e.Update(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-6 {
-		t.Fatalf("EWMA did not converge: %v", e.Value())
-	}
-}
-
-func TestMeter(t *testing.T) {
-	m := NewMeter(0)
-	m.Account(1250) // 10000 bits
-	m.Mark(1e9)     // over 1s → 10 kbps
-	m.Account(2500)
-	m.Mark(2e9)
-	rates := m.Rates()
-	if len(rates) != 2 || !almost(rates[0], 10000) || !almost(rates[1], 20000) {
-		t.Fatalf("rates = %v", rates)
-	}
-	// Zero-width window is ignored.
-	m.Mark(2e9)
-	if len(m.Rates()) != 2 {
-		t.Fatal("zero-width window recorded")
-	}
-}
-
-func TestTotalMeter(t *testing.T) {
-	tm := TotalMeter{Bytes: 125_000_000, StartNS: 0}
-	if !almost(tm.Rate(1e9), 1e9) {
-		t.Fatalf("rate = %v, want 1e9", tm.Rate(1e9))
-	}
-	if tm.Rate(0) != 0 {
-		t.Fatal("zero-span rate should be 0")
-	}
-}
-
-func TestRateFormatting(t *testing.T) {
-	if Gbps(9.87e9) != "9.87Gbps" {
-		t.Fatalf("Gbps = %q", Gbps(9.87e9))
-	}
-	if Mbps(214.3e6) != "214.3Mbps" {
-		t.Fatalf("Mbps = %q", Mbps(214.3e6))
-	}
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("name", "tput")
 	tb.Row("cubic", 1.98)
@@ -245,5 +191,302 @@ func TestTable(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(s), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("table has %d lines, want 4", len(lines))
+	}
+}
+
+// sliceSample is Sample as one growing slice, the layout before blocks: the
+// oracle the block storage must match bit for bit.
+type sliceSample struct {
+	xs     []float64
+	sorted bool
+}
+
+func (s *sliceSample) Add(x float64) {
+	s.xs = append(s.xs, x)
+	s.sorted = false
+}
+
+func (s *sliceSample) N() int { return len(s.xs) }
+
+func (s *sliceSample) Min() float64 {
+	s.sort()
+	if len(s.xs) == 0 {
+		return 0
+	}
+	return s.xs[0]
+}
+
+func (s *sliceSample) Max() float64 {
+	s.sort()
+	if len(s.xs) == 0 {
+		return 0
+	}
+	return s.xs[len(s.xs)-1]
+}
+
+func (s *sliceSample) Mean() float64 {
+	if len(s.xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range s.xs {
+		sum += x
+	}
+	return sum / float64(len(s.xs))
+}
+
+func (s *sliceSample) Stddev() float64 {
+	if len(s.xs) < 2 {
+		return 0
+	}
+	m := s.Mean()
+	var ss float64
+	for _, x := range s.xs {
+		d := x - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(s.xs)))
+}
+
+func (s *sliceSample) Percentile(p float64) float64 {
+	s.sort()
+	n := len(s.xs)
+	if n == 0 {
+		return 0
+	}
+	if n == 1 || p <= 0 {
+		return s.xs[0]
+	}
+	if p >= 100 {
+		return s.xs[n-1]
+	}
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	frac := rank - float64(lo)
+	if lo+1 >= n {
+		return s.xs[n-1]
+	}
+	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
+}
+
+func (s *sliceSample) CDF(points int) [][2]float64 {
+	s.sort()
+	n := len(s.xs)
+	if n == 0 || points <= 0 {
+		return nil
+	}
+	if points > n {
+		points = n
+	}
+	out := make([][2]float64, 0, points)
+	for i := 0; i < points; i++ {
+		idx := (i + 1) * n / points
+		if idx > n {
+			idx = n
+		}
+		out = append(out, [2]float64{s.xs[idx-1], float64(idx) / float64(n)})
+	}
+	return out
+}
+
+func (s *sliceSample) FractionBelow(x float64) float64 {
+	s.sort()
+	if len(s.xs) == 0 {
+		return 0
+	}
+	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
+	return float64(i) / float64(len(s.xs))
+}
+
+func (s *sliceSample) sort() {
+	if !s.sorted {
+		sort.Float64s(s.xs)
+		s.sorted = true
+	}
+}
+
+// queried is what Sample and the oracle both answer.
+type queried interface {
+	N() int
+	Min() float64
+	Max() float64
+	Mean() float64
+	Stddev() float64
+	Percentile(p float64) float64
+	CDF(points int) [][2]float64
+	FractionBelow(x float64) float64
+}
+
+// answers asks s every query, the storage-order ones (Mean, Stddev) both
+// before and after the sorting ones, and returns the bits of every answer.
+func answers(s queried) []uint64 {
+	out := []uint64{uint64(s.N()), math.Float64bits(s.Mean()), math.Float64bits(s.Stddev())}
+	add := func(x float64) { out = append(out, math.Float64bits(x)) }
+	add(s.Min())
+	add(s.Max())
+	for _, p := range []float64{-1, 0, 0.1, 1, 25, 50, 90, 99, 99.9, 100} {
+		add(s.Percentile(p))
+	}
+	for _, k := range []int{0, 1, 7, s.N(), s.N() + 1} {
+		for _, pt := range s.CDF(k) {
+			add(pt[0])
+			add(pt[1])
+		}
+	}
+	for _, x := range []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 3, 31.5, 63, math.NaN(), math.Inf(1)} {
+		add(s.FractionBelow(x))
+	}
+	add(s.Mean())
+	add(s.Stddev())
+	return out
+}
+
+// draw returns an observation with many duplicates, both zeros and, when
+// special is set, NaN and the infinities.
+func draw(rng *rand.Rand, special bool) float64 {
+	switch r := rng.Intn(20); {
+	case r == 0:
+		return math.Copysign(0, -1)
+	case r == 1:
+		return 0
+	case r == 2 && special:
+		return math.NaN()
+	case r == 3 && special:
+		return math.Inf(1 - 2*rng.Intn(2))
+	case r < 10:
+		return rng.NormFloat64() * 10
+	default:
+		return float64(rng.Intn(64))
+	}
+}
+
+func sameAnswers(t *testing.T, what string, got, want queried) {
+	t.Helper()
+	g, w := answers(got), answers(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d answers, oracle %d", what, len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("%s: answer %d is %x (%v), oracle %x (%v)", what, i,
+				g[i], math.Float64frombits(g[i]), w[i], math.Float64frombits(w[i]))
+		}
+	}
+}
+
+// TestSampleMatchesSliceOracle: Adds interleaved with queries, some of them
+// through a value copy, answer bit for bit what one sorted slice answers.
+func TestSampleMatchesSliceOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 511, 512, 513, 1024, 1025, 5000} {
+		for _, special := range []bool{false, true} {
+			var s Sample
+			var o sliceSample
+			for i := 0; i < n; i++ {
+				x := draw(rng, special)
+				s.Add(x)
+				o.Add(x)
+				if rng.Intn(n/8+1) != 0 {
+					continue
+				}
+				what := fmt.Sprintf("n=%d special=%v after %d", n, special, i+1)
+				if rng.Intn(2) == 0 {
+					// A copy shares storage: sorting through it reorders
+					// what the original's Mean sums.
+					c, co := s, o
+					sameAnswers(t, what+" (copy)", &c, &co)
+				} else {
+					sameAnswers(t, what, &s, &o)
+				}
+			}
+			sameAnswers(t, fmt.Sprintf("n=%d special=%v", n, special), &s, &o)
+		}
+	}
+}
+
+// TestAddAllMatchesCDFCopy: AddAll leaves a Sample as copying each source
+// through CDF(N) did, storage order included.
+func TestAddAllMatchesCDFCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var s Sample
+	var o sliceSample
+	for _, n := range []int{0, 1, 512, 513} {
+		var src Sample
+		var osrc sliceSample
+		for i := 0; i < n; i++ {
+			x := draw(rng, false)
+			src.Add(x)
+			osrc.Add(x)
+		}
+		s.AddAll(&src)
+		for _, pt := range osrc.CDF(osrc.N()) {
+			o.Add(pt[0])
+		}
+		var one Sample
+		one.AddAll(&src)
+		var oone sliceSample
+		for _, pt := range osrc.CDF(osrc.N()) {
+			oone.Add(pt[0])
+		}
+		sameAnswers(t, fmt.Sprintf("one source of %d", n), &one, &oone)
+	}
+	sameAnswers(t, "sources of 0, 1, 512 and 513", &s, &o)
+}
+
+// allocated returns the bytes f allocates, the least over five tries.
+func allocated(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for try := 0; try < 5; try++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.TotalAlloc-before)
+	}
+	return best
+}
+
+// TestSampleAddNeverCopies: 100 000 Adds allocate the 800 kB they store, one
+// block more for the first block's growth by append, at most one block of
+// room in the last, and the block list. One growing slice allocates about
+// five times the data.
+func TestSampleAddNeverCopies(t *testing.T) {
+	const n, block = 100_000, 4096
+	var s Sample
+	got := allocated(func() {
+		s = Sample{}
+		for i := 0; i < n; i++ {
+			s.Add(float64(i))
+		}
+	})
+	list := uint64(4 * 24 * (n*8/block + 1)) // slice headers, grown by doubling
+	if limit := uint64(n*8+2*block) + list; got > limit {
+		t.Fatalf("%d Adds allocated %d B, want ≤ %d B", n, got, limit)
+	}
+}
+
+// TestSmallSampleAllocatesNoMore: a Sample of up to one block allocates no
+// more than one growing slice of the same observations.
+func TestSmallSampleAllocatesNoMore(t *testing.T) {
+	for _, n := range []int{1, 3, 200, 512} {
+		var s Sample
+		var o sliceSample
+		got := allocated(func() {
+			s = Sample{}
+			for i := 0; i < n; i++ {
+				s.Add(float64(i))
+			}
+		})
+		want := allocated(func() {
+			o = sliceSample{}
+			for i := 0; i < n; i++ {
+				o.Add(float64(i))
+			}
+		})
+		if got > want {
+			t.Errorf("n=%d: Sample allocated %d B, one slice %d B", n, got, want)
+		}
 	}
 }
