@@ -8,7 +8,8 @@
 //
 //   - Manager owns the listen/dial plumbing: every host listens on one port,
 //     and accepted connections are matched back to the Messenger that dialed
-//     them. Open(from, to) returns a persistent one-direction stream.
+//     them. Open(from, to) returns a persistent one-direction stream; once
+//     both of its ends have seen EOF, a later Open reuses its Messenger.
 //   - Messenger is a message-oriented view of that stream: SendMessage
 //     queues n bytes and reports the flow completion time when the
 //     *receiver's* in-order delivered count crosses the message boundary

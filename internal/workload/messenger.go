@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -11,12 +12,13 @@ import (
 
 // Manager owns the connection plumbing on one Net: every host listens on a
 // common port, and accepted connections are matched back to the Messenger
-// that dialed them.
+// that dialed them. It reuses a Messenger once both its ends have seen EOF.
 type Manager struct {
 	Net  *topo.Net
 	Port uint16
 
 	pending map[connID]*Messenger
+	free    []*Messenger // released records, most recently released last
 }
 
 type connID struct {
@@ -47,15 +49,32 @@ func (m *Manager) listenOn(i int) {
 }
 
 // Open dials a persistent connection from host `from` to host `to` and
-// returns its Messenger.
+// returns its Messenger: a released one if there is one, else a new one.
 func (m *Manager) Open(from, to int) *Messenger {
 	if from == to {
 		panic(fmt.Sprintf("workload: self-connection on host %d", from))
 	}
 	cli := m.Net.Stacks[from].Dial(m.Net.Addr(to), m.Port)
-	ms := &Messenger{Sim: m.Net.Sim, Cli: cli, From: from, To: to}
+	ms := m.reuse()
+	if ms == nil {
+		ms = &Messenger{m: m}
+		ms.onRecv = func(int) { ms.checkComplete() }
+		ms.onEOF = ms.peerClosed
+	}
+	ms.Cli, cli.OnPeerClose = cli, ms.onEOF
 	m.pending[connID{m.Net.Addr(from), cli.LocalPort()}] = ms
 	return ms
+}
+
+// reuse takes the latest Messenger released in an earlier event, or nil.
+func (m *Manager) reuse() *Messenger {
+	for i := len(m.free) - 1; i >= 0; i-- {
+		if ms := m.free[i]; ms.releasedAt != uint32(m.Net.Sim.Processed) {
+			m.free = slices.Delete(m.free, i, i+1)
+			return ms
+		}
+	}
+	return nil
 }
 
 // message is one tracked application message in flight.
@@ -79,22 +98,42 @@ type message struct {
 // its predecessors; drivers that need independent timings (e.g. Prober) use
 // a dedicated connection. The zero message count is fine: a Messenger used
 // only via SendBulk tracks Delivered() without per-message accounting.
+//
+// A Messenger is the Manager's again, for a later Open, once both of its
+// connections have received the other's FIN and that event has ended: drop
+// the pointer by then. Its own OnPeerClose callbacks count the FINs, so a
+// caller that replaces either connection's OnPeerClose keeps it from reuse.
 type Messenger struct {
-	Sim      *sim.Simulator
-	Cli      *tcpstack.Conn
-	From, To int
+	m   *Manager
+	Cli *tcpstack.Conn
 
 	srv    *tcpstack.Conn
 	queued int64
 	msgs   []message
 	// OnMessage fires at the receiver when a tracked message fully arrives.
-	OnMessage func(size int64)
+	OnMessage  func(size int64)
+	onRecv     func(int) // the server's OnRecv; built once, kept across reuse
+	onEOF      func()    // both ends' OnPeerClose; likewise
+	eofs       uint32    // ends that have received the other's FIN
+	releasedAt uint32    // Sim.Processed, truncated, when released
 }
 
 func (ms *Messenger) attachServer(c *tcpstack.Conn) {
 	ms.srv = c
-	c.OnRecv = func(int) { ms.checkComplete() }
+	c.OnRecv, c.OnPeerClose = ms.onRecv, ms.onEOF
 	ms.checkComplete()
+}
+
+// peerClosed counts one end's EOF; the second releases the record. Neither
+// Conn calls in again (no payload follows a FIN; a Conn reports EOF once),
+// and either may already serve another connection, so release leaves them be.
+func (ms *Messenger) peerClosed() {
+	if ms.eofs++; ms.eofs < 2 {
+		return
+	}
+	*ms = Messenger{m: ms.m, msgs: ms.msgs[:0], onRecv: ms.onRecv, onEOF: ms.onEOF,
+		releasedAt: uint32(ms.m.Net.Sim.Processed)}
+	ms.m.free = append(ms.m.free, ms)
 }
 
 // Srv returns the server-side connection (nil before accept).
@@ -105,7 +144,7 @@ func (ms *Messenger) Srv() *tcpstack.Conn { return ms.srv }
 func (ms *Messenger) SendMessage(n int64, done func(fct sim.Duration)) {
 	ms.queued += n
 	ms.msgs = append(ms.msgs, message{
-		end: ms.queued, size: n, started: ms.Sim.Now(), done: done,
+		end: ms.queued, size: n, started: ms.m.Net.Sim.Now(), done: done,
 	})
 	ms.Cli.Send(n)
 }
@@ -130,7 +169,7 @@ func (ms *Messenger) checkComplete() {
 			ms.msgs = ms.msgs[1:]
 		}
 		if msg.done != nil {
-			msg.done(ms.Sim.Now() - msg.started)
+			msg.done(ms.m.Net.Sim.Now() - msg.started)
 		}
 		if ms.OnMessage != nil {
 			ms.OnMessage(msg.size)

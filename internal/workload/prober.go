@@ -56,15 +56,15 @@ func (p *Prober) sendProbe() {
 	if p.stopped {
 		return
 	}
-	p.started = p.ms.Sim.Now()
+	p.started = p.ms.m.Net.Sim.Now()
 	p.ms.SendMessage(p.MsgBytes, nil)
 }
 
 func (p *Prober) onResponse() {
 	if p.ms.Cli.Delivered >= p.respEnd && p.respEnd > 0 {
-		p.Samples.Add(float64(p.ms.Sim.Now() - p.started))
+		p.Samples.Add(float64(p.ms.m.Net.Sim.Now() - p.started))
 		if p.Spacing > 0 {
-			p.ms.Sim.Schedule(p.Spacing, p.sendProbe)
+			p.ms.m.Net.Sim.Schedule(p.Spacing, p.sendProbe)
 		} else {
 			p.sendProbe()
 		}
