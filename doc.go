@@ -26,9 +26,9 @@
 //   - internal/core — the paper's contribution: the AC/DC vSwitch module.
 //     Flow table, sender module (virtual DCTCP, RWND rewriting, policing),
 //     receiver module (PACK/FACK feedback, ECN stripping), UDP tunnels.
-//   - internal/metrics — the datapath observability layer: lock-free
-//     counters/gauges/histograms, snapshots with delta/merge, text/JSON
-//     encoders.
+//   - internal/metrics — the datapath observability layer: plain-word
+//     counters/gauges/histograms owned by the simulation goroutine,
+//     snapshots with delta/merge, text/JSON encoders.
 //   - internal/udp — minimal datagram endpoints for the tunnel demos.
 //   - internal/topo — the paper's topologies (dumbbell, parking lot, star).
 //   - internal/workload — traffic and measurement: bulk/incast/stride/

@@ -91,9 +91,9 @@ type VSwitch struct {
 	Host  *netsim.Host
 	Cfg   Config
 	Table *Table
-	// Metrics is the datapath observability layer: lock-free counters,
-	// gauges, and per-algorithm CWND/α histograms updated from the hot
-	// path. Read it via Metrics.Snapshot() or the Stats() convenience
+	// Metrics is the datapath observability layer: counters, gauges, and
+	// per-algorithm CWND/α histograms updated from the hot path, owned like
+	// the vSwitch by the simulation goroutine. Read it via Metrics.Snapshot() or the Stats() convenience
 	// method.
 	Metrics *DatapathMetrics
 

@@ -647,7 +647,7 @@ func TestFlowFootprint(t *testing.T) {
 
 // TestAttachFootprint pins a vSwitch's fixed cost before its first flow. Its
 // metrics are most of it, so the bound holds only while every counter and
-// histogram bucket is one atomic word (cache-line-padded cells cost 16 kB).
+// histogram bucket is one word (cache-line-padded cells cost 16 kB).
 func TestAttachFootprint(t *testing.T) {
 	const n, limit = 200, 6656 // 6.5 kB
 	s := sim.New(1)

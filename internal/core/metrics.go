@@ -5,7 +5,7 @@ import "acdc/internal/metrics"
 // DatapathMetrics holds the pre-resolved instrument handles the vSwitch
 // datapath updates. Handles are resolved once at Attach time so the
 // Egress/Ingress hot path performs only branch-predictable nil checks and
-// lock-free atomic updates — never a registry lookup.
+// plain adds — never a registry lookup.
 //
 // Counter names follow the `*_total` convention; everything is visible via
 // Snapshot(), the text/JSON encoders in internal/metrics, and the telemetry

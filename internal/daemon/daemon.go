@@ -13,9 +13,11 @@
 // queue, and that goroutine owns everything simulated: the fabric, every
 // vSwitch, its flow table and its policies. Every method a caller on another
 // goroutine may use (the admin handlers run on net/http's) reaches the fabric
-// through the queue (onLoop), or reads only atomic metric and audit counters
-// (DegradedReason). A full queue is a transient failure: enqueue retries with
-// bounded backoff and only then reports the overload (ErrBusy, HTTP 503).
+// through the queue (onLoop), or reads only what the loop publishes
+// atomically (DegradedReason): metric instruments are plain words that only
+// their owner may touch (internal/metrics). A full queue is a transient
+// failure: enqueue retries with bounded backoff and only then reports the
+// overload (ErrBusy, HTTP 503).
 //
 // # Degradation
 //
@@ -149,6 +151,11 @@ type Daemon struct {
 	restarts       atomic.Int64
 	enqueueRetries atomic.Int64
 
+	// failOpen is fail_open_total summed over hosts, as the owner of the
+	// fabric last published it (publish): DegradedReason reads it from any
+	// goroutine without touching the vSwitches' plain counters.
+	failOpen atomic.Int64
+
 	// advancing is true while the loop runs a pacer advance. A new command
 	// cuts the advance short (sim.Stop), so that it waits for one event
 	// rather than the whole catch-up; the next tick resumes where it stopped.
@@ -249,7 +256,21 @@ func (d *Daemon) loop() {
 			d.setAdvancing(false)
 			d.drain()
 		}
+		d.publish()
 	}
+}
+
+// publish stores the fail-open total for DegradedReason. Only the fabric's
+// owner calls it: the sim loop after each command and after each advance
+// with the commands drained behind it, or onLoop when there is no loop.
+func (d *Daemon) publish() {
+	var n int64
+	for _, v := range d.net.ACDC {
+		if v != nil {
+			n += v.Metrics.FailOpen.Value()
+		}
+	}
+	d.failOpen.Store(n)
 }
 
 func (d *Daemon) setAdvancing(on bool) {
@@ -330,12 +351,14 @@ func (d *Daemon) Exec(fn func()) error {
 func (d *Daemon) onLoop(fn func()) error {
 	if d.started.IsZero() {
 		fn()
+		d.publish()
 		return nil
 	}
 	err := d.Exec(fn)
 	if errors.Is(err, ErrStopped) {
 		<-d.done
 		fn()
+		d.publish()
 		return nil
 	}
 	return err
@@ -571,19 +594,14 @@ func (d *Daemon) StatusNow() (Status, error) {
 // DegradedReason reports why the daemon is degraded, or "" when ready. The
 // daemon never exits on these conditions — a vSwitch that fails open or
 // trips the auditor is worth keeping alive for diagnosis — but readiness
-// reflects them so an orchestrator can drain traffic away. It reads only
-// atomic counters, so it answers even while the sim loop is busy.
+// reflects them so an orchestrator can drain traffic away. It reads only the
+// auditors' atomic totals and the fail-open total the sim loop publishes
+// after each advance and command, so it answers even while the loop is busy.
 func (d *Daemon) DegradedReason() string {
 	if n := d.net.AuditViolations(); n > 0 {
 		return fmt.Sprintf("audit: %d invariant violations", n)
 	}
-	var failOpen int64
-	for _, v := range d.net.ACDC {
-		if v != nil {
-			failOpen += v.Metrics.FailOpen.Value()
-		}
-	}
-	if failOpen >= d.cfg.FailOpenLimit {
+	if failOpen := d.failOpen.Load(); failOpen >= d.cfg.FailOpenLimit {
 		return fmt.Sprintf("fail-open: %d packets passed unenforced (limit %d)",
 			failOpen, d.cfg.FailOpenLimit)
 	}

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"acdc/internal/core"
 	"acdc/internal/faults"
+	"acdc/internal/packet"
 	"acdc/internal/sim"
 )
 
@@ -210,6 +212,68 @@ func TestReadyzDegradesOnAuditViolation(t *testing.T) {
 	}
 	if st, _ := d.StatusNow(); st.Degraded == "" {
 		t.Fatal("status does not report degradation")
+	}
+}
+
+// TestReadinessWhileLoopFailsOpen: the sim loop takes fail-opens (segments
+// too short for their own headers, fed through host 0's egress hook by a
+// recurring event) while eight goroutines poll /readyz and /status. The
+// vSwitches' counters are plain words that only the loop touches, so under
+// -race this pins that neither endpoint reads them off the loop: /readyz
+// answers from the total the loop publishes, /status from a command. Each
+// poller sees the total only grow, and /readyz degrades once it passes the
+// limit.
+func TestReadinessWhileLoopFailsOpen(t *testing.T) {
+	const limit, pollers = 2000, 8
+	d, c := startDaemon(t, Config{FailOpenLimit: limit})
+	if err := d.Exec(func() {
+		n := d.Net()
+		var feed func()
+		feed = func() {
+			p := packet.Build(n.Addr(0), n.Addr(1), packet.NotECT,
+				packet.TCPFields{SrcPort: 1, DstPort: 2, Flags: packet.FlagACK}, 0)
+			p.IP().SetTotalLen(30) // 10 bytes short of its 40 header bytes
+			n.ACDC[0].EgressPath(p)
+			n.Sim.ScheduleFunc(10*sim.Microsecond, feed)
+		}
+		n.Sim.ScheduleFunc(0, feed)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, pollers)
+	for range pollers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last int64
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+				st, err := c.Status()
+				if err != nil {
+					errs <- fmt.Errorf("status: %v", err)
+					return
+				}
+				if st.FailOpen < last {
+					errs <- fmt.Errorf("fail_open went back from %d to %d", last, st.FailOpen)
+					return
+				}
+				last = st.FailOpen
+				if err := c.Ready(); err != nil {
+					if !strings.Contains(err.Error(), "fail-open") {
+						errs <- fmt.Errorf("degraded reason = %v", err)
+					} else if st, err := c.Status(); err != nil || st.FailOpen < limit || st.Degraded == "" {
+						errs <- fmt.Errorf("degraded at fail_open %d (limit %d), status %+v, %v", st.FailOpen, limit, st, err)
+					}
+					return
+				}
+			}
+			errs <- fmt.Errorf("readyz never degraded; fail_open reached %d", last)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

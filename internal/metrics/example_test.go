@@ -7,17 +7,17 @@ import (
 )
 
 // Example shows the intended datapath pattern: resolve instruments once at
-// setup, update them lock-free on the hot path, and read a consistent
-// snapshot from the control plane.
+// setup, update them on the hot path, and snapshot them from the same
+// goroutine.
 func Example() {
 	reg := metrics.NewRegistry()
 
-	// Setup: resolve handles once (this takes a lock; updates do not).
+	// Setup: resolve handles once (a map lookup; updates need none).
 	pkts := reg.Counter("ingress_segments_total")
 	flows := reg.Gauge("flow_table_size")
 	cwnd := reg.Histogram("cwnd_bytes", metrics.ExponentialBounds(9000, 2, 4))
 
-	// Hot path: one atomic op per update.
+	// Hot path: one add per update.
 	for i := 0; i < 1000; i++ {
 		pkts.Inc()
 	}
@@ -25,7 +25,7 @@ func Example() {
 	cwnd.Observe(9000)
 	cwnd.Observe(36000)
 
-	// Control plane: snapshot and encode.
+	// Between updates: snapshot and encode.
 	snap := reg.Snapshot()
 	fmt.Print(snap.Text())
 	// Output:

@@ -1,25 +1,24 @@
-// Package metrics is the datapath observability layer: a low-overhead,
-// concurrency-safe registry of counters, gauges, and histograms designed to
-// sit on the vSwitch hot path (internal/core's Egress/Ingress). The paper's
-// argument — that the operator, not the tenant, should own congestion
-// control — only holds in production if the operator can see what the
-// datapath is doing: CE fractions, RWND rewrites vs. no-ops, PACK/FACK
-// traffic, policing drops, flow-table churn, and the virtual CWND/α
-// distributions used to tune K, α-gain, and β.
+// Package metrics is the datapath observability layer: a low-overhead
+// registry of counters, gauges, and histograms designed to sit on the vSwitch
+// hot path (internal/core's Egress/Ingress). The paper's argument — that the
+// operator, not the tenant, should own congestion control — only holds in
+// production if the operator can see what the datapath is doing: CE
+// fractions, RWND rewrites vs. no-ops, PACK/FACK traffic, policing drops,
+// flow-table churn, and the virtual CWND/α distributions used to tune K,
+// α-gain, and β.
 //
 // Design constraints, in order:
 //
-//   - Update cost. Every counter and histogram bucket is one atomic word;
-//     the datapath has one writer, so nothing is padded or striped, and
-//     Counter.Add is a single atomic add. There are no locks, maps, or
-//     allocations anywhere on the update path. Registration
-//     (Registry.Counter etc.) takes a mutex, so callers resolve instruments
-//     once at setup and hold the handles.
-//   - Concurrency. All instruments stay safe for concurrent update and
-//     concurrent Snapshot, because every update is still an atomic add. A
-//     histogram snapshot derives Count from the bucket counts it loaded, so
-//     Count always equals their sum; consistency does not extend across
-//     instruments, which would require stopping the world.
+//   - One owner. A registry and its instruments belong to the goroutine that
+//     runs the simulation they observe, as the fabric does (internal/sim):
+//     every update and every Snapshot happens there, and another goroutine
+//     reaches them only through that owner (internal/daemon marshals its
+//     reads onto the sim loop). So no instrument is safe for concurrent use.
+//   - Update cost. Every counter, gauge, and histogram bucket is one plain
+//     word: Counter.Add is a single add, Histogram.Observe a short scan, one
+//     increment and one float add. There are no locks, atomics, maps, or
+//     allocations anywhere on the update path, so callers resolve
+//     instruments once at setup and hold the handles.
 //   - Nil tolerance. Every instrument method is a no-op on a nil receiver
 //     and every Registry constructor returns nil from a nil registry, so a
 //     datapath can be compiled with metrics disabled by simply not creating
@@ -27,15 +26,12 @@
 package metrics
 
 import (
-	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter: one word.
+// Counter is a monotonically increasing counter: one word.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add adds d to the counter. No-op on a nil receiver.
@@ -43,7 +39,7 @@ func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	c.v.Add(d)
+	c.v += d
 }
 
 // Inc adds one to the counter. No-op on a nil receiver.
@@ -54,7 +50,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // LazyCounter is a counter that registers itself in its registry only on the
@@ -65,7 +61,7 @@ func (c *Counter) Value() int64 {
 type LazyCounter struct {
 	reg  *Registry
 	name string
-	c    atomic.Pointer[Counter]
+	c    *Counter
 }
 
 // Lazy returns a counter named name that joins the registry on first use.
@@ -77,24 +73,16 @@ func (r *Registry) Lazy(name string) *LazyCounter {
 	return &LazyCounter{reg: r, name: name}
 }
 
-func (l *LazyCounter) resolve() *Counter {
-	if c := l.c.Load(); c != nil {
-		return c
-	}
-	// Registry.Counter is idempotent, so concurrent first increments all
-	// resolve to the same instrument; the CAS only dedups the pointer store.
-	c := l.reg.Counter(l.name)
-	l.c.CompareAndSwap(nil, c)
-	return c
-}
-
 // Add adds d, registering the counter if this is its first update. No-op on
 // a nil receiver.
 func (l *LazyCounter) Add(d int64) {
 	if l == nil {
 		return
 	}
-	l.resolve().Add(d)
+	if l.c == nil {
+		l.c = l.reg.Counter(l.name)
+	}
+	l.c.v += d
 }
 
 // Inc adds one. No-op on a nil receiver.
@@ -106,14 +94,13 @@ func (l *LazyCounter) Value() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.c.Load().Value() // Counter.Value is nil-safe before first use
+	return l.c.Value() // Counter.Value is nil-safe before first use
 }
 
 // Gauge is an instantaneous value (e.g. flow-table size). Unlike Counter it
-// supports Set and negative Adds; it is a single atomic because gauges are
-// updated at state-change frequency, not per packet.
+// supports Set and negative Adds.
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Set stores v. No-op on a nil receiver.
@@ -121,7 +108,7 @@ func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(v)
+	g.v = v
 }
 
 // Add adds d (may be negative). No-op on a nil receiver.
@@ -129,7 +116,7 @@ func (g *Gauge) Add(d int64) {
 	if g == nil {
 		return
 	}
-	g.v.Add(d)
+	g.v += d
 }
 
 // Value returns the current value. Returns 0 on a nil receiver.
@@ -137,25 +124,25 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // Histogram accumulates observations into fixed buckets. Bounds are the
 // inclusive upper edges of the first len(Bounds) buckets; one overflow
-// bucket catches everything above the last bound. Observe is lock-free: a
-// linear scan over the (small) bound slice, one atomic add and a CAS on the
-// sum. There is no separate count: it is the sum of the buckets.
+// bucket catches everything above the last bound. Observe is a linear scan
+// over the (small) bound slice, one increment and one add to the sum. There
+// is no separate count: it is the sum of the buckets.
 type Histogram struct {
 	bounds  []float64
-	buckets []atomic.Int64 // len(bounds)+1
-	sumBits atomic.Uint64  // float64 bits, CAS-updated
+	buckets []int64 // len(bounds)+1
+	sum     float64
 }
 
 // newHistogram copies bounds (must be ascending).
 func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
+	return &Histogram{bounds: b, buckets: make([]int64, len(b)+1)}
 }
 
 // Observe records x. No-op on a nil receiver.
@@ -167,30 +154,20 @@ func (h *Histogram) Observe(x float64) {
 	for i < len(h.bounds) && x > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	for {
-		old := h.sumBits.Load()
-		nv := floatBits(bitsFloat(old) + x)
-		if h.sumBits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
+	h.buckets[i]++
+	h.sum += x
 }
 
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
-
-// snapshot copies the histogram state. Count is the sum of the bucket counts
-// just loaded, so a snapshot racing Observe never has Count ≠ Σ Counts.
+// snapshot copies the histogram state; Count is the sum of the bucket counts.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.buckets)),
-		Sum:    bitsFloat(h.sumBits.Load()),
+		Sum:    h.sum,
 	}
-	for i := range h.buckets {
-		s.Counts[i] = h.buckets[i].Load()
-		s.Count += s.Counts[i]
+	for i, c := range h.buckets {
+		s.Counts[i] = c
+		s.Count += c
 	}
 	return s
 }
@@ -200,8 +177,8 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // (Histogram additionally requires the same bounds the first call set).
 // The zero value is not usable; call NewRegistry. All methods tolerate a
 // nil receiver by returning nil instruments, which are themselves no-ops.
+// Like its instruments, a registry belongs to one goroutine.
 type Registry struct {
-	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
@@ -221,8 +198,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -236,8 +211,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -252,8 +225,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := r.histograms[name]
 	if h == nil {
 		h = newHistogram(bounds)
@@ -268,8 +239,6 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
@@ -293,8 +262,6 @@ func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
 	for n := range r.counters {
 		names = append(names, n)

@@ -2,8 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"unsafe"
 )
@@ -69,85 +69,97 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates hammers every instrument type from many goroutines
-// while snapshots run — the -race guarantee the datapath relies on.
-func TestConcurrentUpdates(t *testing.T) {
+// TestSnapshotIsACopy: a snapshot holds exactly the updates made before it,
+// across every instrument type, and later updates or edits to the snapshot
+// do not reach the other. The registry's owner takes snapshots between
+// updates, so a snapshot is a plain copy.
+func TestSnapshotIsACopy(t *testing.T) {
 	r := NewRegistry()
-	const workers, perWorker = 8, 10000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := r.Counter("c")
-			g := r.Gauge("g")
-			h := r.Histogram("h", []float64{0.5, 1})
-			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Add(1)
-				h.Observe(0.25)
-				if i%1000 == 0 {
-					_ = r.Snapshot()
-				}
-			}
-		}()
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h", []float64{0.5, 1})
+	lazy := r.Lazy("lazy_total")
+	for i := 0; i < 1000; i++ {
+		c.Inc()
+		g.Add(1)
+		h.Observe(0.25)
 	}
-	wg.Wait()
+	lazy.Add(3)
 	s := r.Snapshot()
-	if got := s.Counter("c"); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
+	c.Inc()
+	g.Set(0)
+	h.Observe(2)
+	lazy.Inc()
+	if s.Counter("c") != 1000 || s.Gauge("g") != 1000 || s.Counter("lazy_total") != 3 {
+		t.Fatalf("snapshot = %+v, want c=1000 g=1000 lazy_total=3", s)
 	}
-	if got := s.Gauge("g"); got != workers*perWorker {
-		t.Fatalf("gauge = %d, want %d", got, workers*perWorker)
+	if hs := s.Histograms["h"]; hs.Count != 1000 || hs.Sum != 250 || hs.Counts[2] != 0 {
+		t.Fatalf("histogram snapshot = %+v", hs)
 	}
-	if got := s.Histograms["h"].Count; got != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
+	s.Histograms["h"].Counts[0] = -1
+	if hs := r.Snapshot().Histograms["h"]; hs.Counts[0] != 1000 || hs.Counts[2] != 1 || hs.Count != 1001 {
+		t.Fatalf("registry histogram after editing a snapshot = %+v", hs)
+	}
+	if c.Value() != 1001 || lazy.Value() != 4 || g.Value() != 0 {
+		t.Fatalf("instruments = %d, %d, %d; want 1001, 4, 0", c.Value(), lazy.Value(), g.Value())
 	}
 }
 
-// TestHistogramSnapshotNeverTears races Observe against Snapshot: every
-// snapshot must have Count == Σ Counts. A Count that ran ahead of the buckets
-// walked Quantile off the end and reported the last bound as the p99.
-func TestHistogramSnapshotNeverTears(t *testing.T) {
+// TestHistogramCountIsBucketSum: a snapshot's Count is the sum of its
+// bucket counts and its Sum the sum of the observations, for a seeded mix
+// that hits every bucket, the bounds themselves and the overflow.
+func TestHistogramCountIsBucketSum(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", []float64{1, 2, 4})
-	const observers, snaps = 2, 20000
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < observers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.Observe(float64(i % 6))
-			}
-		}()
-	}
-	torn := 0
-	for i := 0; i < snaps; i++ {
-		s := r.Snapshot().Histograms["h"]
-		var sum int64
-		for _, c := range s.Counts {
-			sum += c
-		}
-		if s.Count != sum {
-			torn++
+	rng := rand.New(rand.NewSource(1))
+	want := make([]int64, 4)
+	var sum float64
+	for i := 0; i < 5000; i++ {
+		x := float64(rng.Intn(12)) / 2 // 0, 0.5, …, 5.5: the bounds included
+		h.Observe(x)
+		sum += x
+		switch {
+		case x <= 1:
+			want[0]++
+		case x <= 2:
+			want[1]++
+		case x <= 4:
+			want[2]++
+		default:
+			want[3]++
 		}
 	}
-	close(stop)
-	wg.Wait()
-	if torn > 0 {
-		t.Fatalf("%d of %d snapshots had Count ≠ Σ Counts", torn, snaps)
+	s := r.Snapshot().Histograms["h"]
+	var total int64
+	for i, c := range s.Counts {
+		if c != want[i] {
+			t.Fatalf("bucket %d = %d, want %d", i, c, want[i])
+		}
+		total += c
+	}
+	if s.Count != total || s.Count != 5000 || s.Sum != sum {
+		t.Fatalf("Count = %d (Σ buckets %d), Sum = %g (want %g)", s.Count, total, s.Sum, sum)
+	}
+}
+
+// TestUpdatesZeroAlloc: updating any instrument, a lazy counter after its
+// first update included, allocates nothing.
+func TestUpdatesZeroAlloc(t *testing.T) {
+	r := NewRegistry()
+	c, g, h, lazy := r.Counter("c"), r.Gauge("g"), r.Histogram("h", ExponentialBounds(4096, 2, 12)), r.Lazy("l")
+	lazy.Inc()
+	x := 0.0
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Inc()
+		g.Add(1)
+		h.Observe(x)
+		lazy.Inc()
+		x += 1000
+	}); n != 0 {
+		t.Fatalf("%v allocs per update round, want 0", n)
 	}
 }
 
 // TestCounterSizeClass keeps a Counter at one word: a vSwitch registers
-// dozens of them, and the datapath has one writer, so padding buys nothing.
+// dozens of them, and one goroutine owns them, so padding buys nothing.
 func TestCounterSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Counter{}); n != 8 {
 		t.Fatalf("Counter is %d bytes, want 8", n)
@@ -259,16 +271,6 @@ func BenchmarkCounterAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}
-}
-
-func BenchmarkCounterAddParallel(b *testing.B) {
-	c := NewRegistry().Counter("c")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
 }
 
 func BenchmarkCounterAddDisabled(b *testing.B) {

@@ -122,7 +122,8 @@ func NewLink(s *sim.Simulator, name string, rate int64, delay sim.Duration, dst 
 	return l
 }
 
-// pktRing is a growable FIFO ring of packets.
+// pktRing is a growable FIFO ring of packets. Its capacity is a power of two
+// (16, then doubling), so an index wraps with a mask.
 type pktRing struct {
 	buf  []*packet.Packet
 	head int
@@ -135,11 +136,11 @@ func (r *pktRing) push(p *packet.Packet) {
 	if r.n == len(r.buf) {
 		grown := make([]*packet.Packet, max(16, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
 
@@ -148,7 +149,7 @@ func (r *pktRing) peek() *packet.Packet { return r.buf[r.head] }
 func (r *pktRing) pop() *packet.Packet {
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return p
 }

@@ -38,21 +38,22 @@ type Switch struct {
 	// replays deterministically. Zero is a valid seed.
 	EcmpSeed uint64
 
-	ports  []*Link
-	routes map[packet.Addr]int
+	ports []*Link
 
-	// ecmp maps a destination to an equal-cost port group consulted when no
-	// exact route matches; defaultEcmp is the fallback group for destinations
-	// with neither (a fat-tree ToR's "everything remote goes up" rule).
-	// Lookup order: routes → ecmp → defaultEcmp → NoRoute drop.
-	ecmp        map[packet.Addr][]int
+	// routes maps a destination to its route, found in one lookup: port + 1
+	// for an exact route, −(g + 1) for equal-cost group ecmp[g]. defaultEcmp
+	// is the fallback group for destinations with neither (a fat-tree ToR's
+	// "everything remote goes up" rule). Lookup order: exact route → the
+	// destination's group → defaultEcmp → NoRoute drop.
+	routes      sim.Index[packet.Addr, int32]
+	ecmp        [][]int
 	defaultEcmp []int
 	liveBuf     []int // scratch for failover re-hash; avoids per-packet allocs
 }
 
 // NewSwitch creates a switch with a shared buffer pool (nil = infinite).
 func NewSwitch(s *sim.Simulator, name string, buffer *SharedBuffer) *Switch {
-	return &Switch{Sim: s, Name: name, Buffer: buffer, routes: make(map[packet.Addr]int)}
+	return &Switch{Sim: s, Name: name, Buffer: buffer}
 }
 
 // AddPort attaches an egress link and returns its port index. The link's
@@ -75,7 +76,7 @@ func (sw *Switch) AddRoute(dst packet.Addr, port int) {
 	if port < 0 || port >= len(sw.ports) {
 		panic(fmt.Sprintf("netsim: switch %s: route to invalid port %d", sw.Name, port))
 	}
-	sw.routes[dst] = port
+	sw.routes.Put(dst, int32(port)+1)
 }
 
 // AddEcmpRoute directs packets for dst over an equal-cost group of ports,
@@ -83,10 +84,15 @@ func (sw *Switch) AddRoute(dst packet.Addr, port int) {
 // same destination takes precedence.
 func (sw *Switch) AddEcmpRoute(dst packet.Addr, ports ...int) {
 	sw.checkGroup(ports)
-	if sw.ecmp == nil {
-		sw.ecmp = make(map[packet.Addr][]int)
+	group := append([]int(nil), ports...)
+	switch r := sw.routes.Get(dst); {
+	case r > 0: // an exact route: it takes precedence, and routes are never removed
+	case r < 0:
+		sw.ecmp[-r-1] = group
+	default:
+		sw.ecmp = append(sw.ecmp, group)
+		sw.routes.Put(dst, -int32(len(sw.ecmp)))
 	}
-	sw.ecmp[dst] = append([]int(nil), ports...)
 }
 
 // SetDefaultEcmp installs the fallback equal-cost group used for any
@@ -169,17 +175,19 @@ func (sw *Switch) HandlePacket(p *packet.Packet) {
 		sw.Pool.Put(p)
 		return
 	}
-	port, ok := sw.routes[ip.Dst()]
-	if !ok {
-		group := sw.ecmp[ip.Dst()]
-		if group == nil {
-			group = sw.defaultEcmp
+	r := sw.routes.Get(ip.Dst())
+	port := int(r) - 1
+	if r <= 0 {
+		group := sw.defaultEcmp
+		if r < 0 {
+			group = sw.ecmp[-r-1]
 		}
 		if len(group) == 0 {
 			sw.Stats.NoRoute++
 			sw.Pool.Put(p)
 			return
 		}
+		var ok bool
 		if port, ok = sw.ecmpSelect(group, ip); !ok {
 			sw.Stats.Blackholes++
 			sw.Pool.Put(p)

@@ -269,6 +269,37 @@ func TestEcmpPerDestinationGroup(t *testing.T) {
 	}
 }
 
+// TestExactRouteTakesPrecedence: whichever order they are added in, an exact
+// route wins over a destination's ECMP group, and a destination's group
+// added again replaces the first.
+func TestExactRouteTakesPrecedence(t *testing.T) {
+	s := sim.New(1)
+	sw, sinks := buildEcmpSwitch(s, 4)
+	before, after, regrouped := packet.MakeAddr(10, 0, 9, 1), packet.MakeAddr(10, 0, 9, 2), packet.MakeAddr(10, 0, 9, 3)
+	sw.AddRoute(before, 3)
+	sw.AddEcmpRoute(before, 0, 1)
+	sw.AddEcmpRoute(after, 0, 1)
+	sw.AddRoute(after, 3)
+	sw.AddEcmpRoute(regrouped, 0, 1)
+	sw.AddEcmpRoute(regrouped, 2)
+	for i := 0; i < 32; i++ {
+		for _, dst := range []packet.Addr{before, after} {
+			sw.HandlePacket(mkFlowPkt(packet.MakeAddr(10, 0, 0, 1), dst, uint16(4000+i), 80, 10))
+		}
+	}
+	s.RunAll()
+	if got := len(sinks[3].got); got != 64 || sw.Stats.EcmpForwarded != 0 {
+		t.Fatalf("exact routes carried %d of 64 packets, %d hashed", got, sw.Stats.EcmpForwarded)
+	}
+	for i := 0; i < 32; i++ {
+		sw.HandlePacket(mkFlowPkt(packet.MakeAddr(10, 0, 0, 1), regrouped, uint16(4000+i), 80, 10))
+	}
+	s.RunAll()
+	if got := len(sinks[2].got); got != 32 || len(sinks[0].got)+len(sinks[1].got) != 0 {
+		t.Fatalf("replaced group carried %d of 32 packets; the first group %d", got, len(sinks[0].got)+len(sinks[1].got))
+	}
+}
+
 func TestEcmpGroupValidation(t *testing.T) {
 	s := sim.New(1)
 	sw := NewSwitch(s, "x", nil)
@@ -318,4 +349,50 @@ func FuzzECMPHash(f *testing.F) {
 			t.Fatalf("64 consecutive source addresses all hashed to one of %d buckets", nPorts)
 		}
 	})
+}
+
+// TestSwitchForwardZeroAlloc pins the route lookup on the per-packet path:
+// a warm switch with a hundred exact routes, per-destination ECMP groups and
+// a default group forwards a packet down each kind of route without
+// allocating.
+func TestSwitchForwardZeroAlloc(t *testing.T) {
+	s := sim.New(1)
+	sw := NewSwitch(s, "tor", nil)
+	pool := packet.NewPool()
+	sw.Pool = pool
+	ports := make([]int, 4)
+	for i := range ports {
+		ports[i] = sw.AddPort(NewLink(s, fmt.Sprintf("p%d", i), 10e9, sim.Microsecond,
+			HandlerFunc(func(p *packet.Packet) { pool.Put(p) })), REDConfig{})
+	}
+	const n = 100
+	dsts := make([]packet.Addr, 0, 3*n)
+	for i := range n {
+		exact, group := packet.MakeAddr(10, 0, 0, byte(i)), packet.MakeAddr(10, 1, 0, byte(i))
+		sw.AddRoute(exact, ports[i%len(ports)])
+		sw.AddEcmpRoute(group, ports[i%2], ports[2+i%2])
+		dsts = append(dsts, exact, group, packet.MakeAddr(10, 2, 0, byte(i)))
+	}
+	sw.SetDefaultEcmp(ports...)
+	src := packet.MakeAddr(10, 9, 9, 9)
+	i := 0
+	round := func() {
+		sw.HandlePacket(packet.BuildIn(pool, src, dsts[i], packet.ECT0,
+			packet.TCPFields{SrcPort: uint16(i), DstPort: 5001, Flags: packet.FlagACK}, 1000))
+		s.RunAll()
+		i = (i + 1) % len(dsts)
+	}
+	for range 2 * len(dsts) {
+		round()
+	}
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Errorf("forward round: %v allocs, want 0", n)
+	}
+	st := sw.Stats
+	if st.NoRoute != 0 || st.Forwarded == 0 || st.EcmpForwarded != 2*st.Forwarded/3 {
+		t.Errorf("stats %+v: want no drops and two thirds of the packets hashed", st)
+	}
+	if out := pool.Gets - pool.Puts; out != 0 {
+		t.Errorf("%d packets not returned to the pool", out)
+	}
 }

@@ -5,6 +5,8 @@ package packet
 // so incremental updates matter: they touch 2 bytes instead of re-summing the
 // whole header.
 
+import "encoding/binary"
+
 // Checksum computes the Internet checksum over b. An odd trailing byte is
 // padded with zero, per RFC 1071.
 func Checksum(b []byte) uint16 {
@@ -25,16 +27,32 @@ func PartialSum(b []byte, acc uint32) uint32 { return sum(b, acc) }
 // FinishSum folds a partial sum and complements it.
 func FinishSum(acc uint32) uint16 { return finish(acc) }
 
+// sum adds b to acc as big-endian 16-bit words, an odd trailing byte padded
+// with zero. It adds four bytes at a time into 64 bits and folds at the end:
+// 2^16 ≡ 1 modulo 0xffff, so a 32-bit word adds what its two halves do, and
+// the fold keeps every nonzero sum nonzero, so FinishSum gives exactly what
+// adding the 16-bit words one by one would.
 func sum(b []byte, acc uint32) uint32 {
-	n := len(b)
-	i := 0
-	for ; i+1 < n; i += 2 {
-		acc += uint32(b[i])<<8 | uint32(b[i+1])
+	s := uint64(acc)
+	for ; len(b) >= 4; b = b[4:] {
+		s += uint64(binary.BigEndian.Uint32(b))
 	}
-	if i < n {
-		acc += uint32(b[i]) << 8
+	if len(b) >= 2 {
+		s += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
 	}
-	return acc
+	if len(b) == 1 {
+		s += uint64(b[0]) << 8
+	}
+	return fold32(s)
+}
+
+// fold32 folds a 64-bit sum of words to 32 bits with end-around carry. The
+// result is congruent to s modulo 0xffff, and zero only when s is.
+func fold32(s uint64) uint32 {
+	s = s>>32 + s&0xffffffff
+	s = s>>32 + s&0xffffffff
+	return uint32(s)
 }
 
 func finish(acc uint32) uint16 {

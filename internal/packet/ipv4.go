@@ -141,20 +141,19 @@ func (p IPv4) Payload() []byte { return p[p.HeaderLen():] }
 func (p IPv4) TCP() TCP { return TCP(p.Payload()) }
 
 // PseudoHeaderSum returns the partial checksum of the TCP pseudo-header
-// (src, dst, zero+proto, TCP length) for use in TCP checksum computation.
+// (src, dst, zero+proto, TCP length) for use in TCP checksum computation: the
+// sum of its six 16-bit words, taken from the addresses as numbers.
 func (p IPv4) PseudoHeaderSum(tcpLen uint16) uint32 {
-	var ph [12]byte
-	copy(ph[0:4], p[12:16])
-	copy(ph[4:8], p[16:20])
-	ph[8] = 0
-	ph[9] = p.Protocol()
-	binary.BigEndian.PutUint16(ph[10:12], tcpLen)
-	return PartialSum(ph[:], 0)
+	return wordSum(p.Src()) + wordSum(p.Dst()) + uint32(p.Protocol()) + uint32(tcpLen)
 }
+
+// wordSum is the sum of a's two 16-bit words.
+func wordSum(a Addr) uint32 { return uint32(a>>16) + uint32(a&0xffff) }
 
 // InitIPv4 writes a fresh IPv4 header into b (which must be at least
 // IPv4HeaderLen bytes), with the given addresses, total length and ECN
-// codepoint, protocol TCP, TTL 64, and a valid checksum.
+// codepoint, protocol TCP, TTL 64, and a valid checksum, summed from those
+// fields rather than read back from b.
 func InitIPv4(b []byte, src, dst Addr, totalLen uint16, ecn ECN) IPv4 {
 	_ = b[IPv4HeaderLen-1]
 	b[0] = 0x45 // version 4, IHL 5
@@ -164,10 +163,12 @@ func InitIPv4(b []byte, src, dst Addr, totalLen uint16, ecn ECN) IPv4 {
 	binary.BigEndian.PutUint16(b[6:8], 0x4000)
 	b[8] = 64 // TTL
 	b[9] = ProtoTCP
-	binary.BigEndian.PutUint16(b[10:12], 0)
 	binary.BigEndian.PutUint32(b[12:16], uint32(src))
 	binary.BigEndian.PutUint32(b[16:20], uint32(dst))
-	p := IPv4(b[:IPv4HeaderLen])
-	p.ComputeChecksum()
+	// The header's ten 16-bit words: version, IHL and ECN; totalLen; the
+	// identification (0); the flags; TTL and protocol; the checksum itself
+	// (0); and two for each address.
+	acc := 0x4500 + uint32(ecn) + uint32(totalLen) + 0x4000 + 64<<8 + ProtoTCP + wordSum(src) + wordSum(dst)
+	binary.BigEndian.PutUint16(b[10:12], finish(acc))
 	return IPv4(b)
 }

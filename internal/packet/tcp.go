@@ -115,8 +115,9 @@ type TCPFields struct {
 }
 
 // EncodeTCP writes a TCP header (+options) into b and returns the view. The
-// checksum is computed with the given pseudo-header sum. b must be large
-// enough for TCPHeaderLen + padded options.
+// checksum is computed with the given pseudo-header sum: the fixed header's
+// words are summed from f, and only the option bytes are read back from b.
+// b must be large enough for TCPHeaderLen + padded options.
 func EncodeTCP(b []byte, f TCPFields, pseudoSum uint32) TCP {
 	optLen := (len(f.Options) + 3) &^ 3
 	hdrLen := TCPHeaderLen + optLen
@@ -129,12 +130,15 @@ func EncodeTCP(b []byte, f TCPFields, pseudoSum uint32) TCP {
 	t.setHeaderLen(hdrLen)
 	b[13] = f.Flags
 	binary.BigEndian.PutUint16(b[14:16], f.Window)
-	binary.BigEndian.PutUint16(b[16:18], 0)
-	binary.BigEndian.PutUint16(b[18:20], 0) // urgent pointer
+	binary.BigEndian.PutUint32(b[16:20], 0) // checksum, urgent pointer
 	copy(b[TCPHeaderLen:], f.Options)
 	for i := TCPHeaderLen + len(f.Options); i < hdrLen; i++ {
 		b[i] = OptNOP
 	}
-	t.ComputeChecksum(pseudoSum)
+	// Every term is below 2^32, so the sum of nine of them cannot overflow.
+	acc := uint64(pseudoSum) + uint64(f.SrcPort) + uint64(f.DstPort) +
+		uint64(f.Seq) + uint64(f.Ack) + uint64(b[12])<<8 + uint64(f.Flags) + uint64(f.Window) +
+		uint64(sum(b[TCPHeaderLen:hdrLen], 0))
+	t.setChecksum(finish(fold32(acc)))
 	return t
 }

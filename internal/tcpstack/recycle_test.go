@@ -156,9 +156,9 @@ func (b *bench) checkParked(t *testing.T) int {
 	for i, st := range b.stacks {
 		for _, c := range st.parked {
 			n++
-			if !c.parked || c.state != StateClosed || st.conns[c.key] == c || c.tw != 0 {
+			if !c.parked || c.state != StateClosed || st.conns.Get(c.key) == c || c.tw != 0 {
 				t.Errorf("stack %d: parked %v: parked=%v, in demux table=%v, TIME_WAIT record=%v",
-					i, c, c.parked, st.conns[c.key] == c, c.tw != 0)
+					i, c, c.parked, st.conns.Get(c.key) == c, c.tw != 0)
 			}
 			for name, tm := range map[string]*sim.Timer{"rto": c.rtoTimer, "delack": c.delackTimer,
 				"persist": c.persistTimer} {
@@ -437,5 +437,61 @@ func TestTeardownIsNotRepeatable(t *testing.T) {
 func TestConnSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Conn{}); n > 704 {
 		t.Fatalf("Conn is %d bytes, over the 704-byte size class", n)
+	}
+}
+
+// TestDemuxZeroAlloc pins the demux index on the per-packet path. With a
+// hundred connections open, a warm stack finds the one a segment belongs to
+// (HandlePacket: a pure ACK from the peer) and the one a transmit completion
+// credits (txFree), and drops a segment for no connection, without
+// allocating.
+func TestDemuxZeroAlloc(t *testing.T) {
+	const n = 100
+	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
+	var srvs []*Conn
+	b.stacks[1].Listen(5001, func(c *Conn) { srvs = append(srvs, c) })
+	cs, local, peer := b.stacks[0], b.hosts[0].Addr, b.hosts[1].Addr
+	clis := make(map[connKey]*Conn, n)
+	for range n {
+		c := cs.Dial(peer, 5001)
+		clis[c.key] = c
+	}
+	b.s.RunFor(10 * sim.Millisecond)
+	if len(srvs) != n || cs.conns.Len() != n {
+		t.Fatalf("%d accepted, %d open; want %d", len(srvs), cs.conns.Len(), n)
+	}
+	acks, sent := make([]*packet.Packet, n), make([]*packet.Packet, n)
+	for i, srv := range srvs {
+		cli := clis[makeKey(srv.key.remotePort(), peer, 5001)]
+		if cli == nil || cli.state != StateEstablished {
+			t.Fatalf("server %v has no established client", srv)
+		}
+		acks[i] = packet.Build(peer, local, packet.NotECT, srv.ackFields(), 0)
+		sent[i] = packet.Build(local, peer, packet.NotECT, cli.ackFields(), 0)
+	}
+	stray := packet.Build(peer, local, packet.NotECT, packet.TCPFields{SrcPort: 5001, DstPort: 9, Flags: packet.FlagACK}, 0)
+	i := 0
+	round := func() {
+		cs.HandlePacket(acks[i])
+		cs.Host.OnTxFree(sent[i])
+		cs.HandlePacket(stray)
+		i = (i + 1) % n
+	}
+	for range 2 * n {
+		round()
+	}
+	delivered, dropped := cs.DeliveredSegs, cs.DroppedSegs
+	const runs = 1000
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		t.Errorf("demux round: %v allocs, want 0", allocs)
+	}
+	// AllocsPerRun calls round once more than it measures.
+	if cs.DeliveredSegs-delivered != runs+1 || cs.DroppedSegs-dropped != runs+1 {
+		t.Errorf("%d segments delivered, %d dropped; want %d each", cs.DeliveredSegs-delivered, cs.DroppedSegs-dropped, runs+1)
+	}
+	for _, c := range clis {
+		if c.state != StateEstablished || cs.conns.Get(c.key) != c {
+			t.Fatalf("client %v: state %v, in the demux index %v", c, c.state, cs.conns.Get(c.key) == c)
+		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // connKey identifies a connection from the stack's point of view: local port,
-// remote address and remote port packed into one word, so that the demux,
-// TSQ and port-allocation maps hash it on the runtime's 8-byte fast path.
+// remote address and remote port packed into one word, the key of the
+// demux index and of the TIME_WAIT table.
 type connKey uint64
 
 func makeKey(localPort uint16, remoteAddr packet.Addr, remotePort uint16) connKey {
@@ -29,7 +29,7 @@ type Stack struct {
 	Host *netsim.Host
 	Cfg  Config
 
-	conns     map[connKey]*Conn
+	conns     sim.Index[connKey, *Conn] // the open connections: demux and TSQ feedback
 	listeners map[uint16]func(*Conn)
 
 	// parked holds torn-down Conns for newConn to take back; see park.
@@ -64,7 +64,6 @@ func NewStack(s *sim.Simulator, host *netsim.Host, cfg Config) *Stack {
 		Sim:       s,
 		Host:      host,
 		Cfg:       cfg,
-		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]func(*Conn)),
 		nextPort:  40000,
 	}
@@ -88,7 +87,7 @@ func (st *Stack) txFree(p *packet.Packet) {
 	if !t.Valid() {
 		return
 	}
-	if c, ok := st.conns[makeKey(t.SrcPort(), ip.Dst(), t.DstPort())]; ok {
+	if c := st.conns.Get(makeKey(t.SrcPort(), ip.Dst(), t.DstPort())); c != nil {
 		c.txCompleted(int64(p.IPLen()))
 	}
 }
@@ -110,7 +109,7 @@ func (st *Stack) Dial(raddr packet.Addr, rport uint16) *Conn {
 func (st *Stack) DialCfg(raddr packet.Addr, rport uint16, cfg Config) *Conn {
 	lport := st.allocPort(raddr, rport)
 	c := newConn(st, makeKey(lport, raddr, rport), cfg, false)
-	st.conns[c.key] = c
+	st.conns.Put(c.key, c)
 	c.sendSYN()
 	return c
 }
@@ -125,7 +124,7 @@ func (st *Stack) allocPort(raddr packet.Addr, rport uint16) uint16 {
 			st.nextPort = 40000
 		}
 		key := makeKey(p, raddr, rport)
-		if _, busy := st.conns[key]; busy || st.timeWaits.find(key) >= 0 {
+		if st.conns.Get(key) != nil || st.timeWaits.find(key) >= 0 {
 			continue
 		}
 		if _, listening := st.listeners[p]; !listening {
@@ -154,8 +153,8 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 		return
 	}
 	key := makeKey(t.DstPort(), ip.Src(), t.SrcPort())
-	c, ok := st.conns[key]
-	if !ok {
+	c := st.conns.Get(key)
+	if c == nil {
 		if j := st.timeWaits.find(key); j >= 0 {
 			st.DeliveredSegs++
 			st.timeWaitReceive(st.timeWaits.index[j]-1, t)
@@ -165,7 +164,7 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 		if t.HasFlags(packet.FlagSYN) && !t.HasFlags(packet.FlagACK) {
 			if onAccept, listening := st.listeners[t.DstPort()]; listening {
 				c = newConn(st, key, st.Cfg, true)
-				st.conns[key] = c
+				st.conns.Put(key, c)
 				onAccept(c)
 				st.DeliveredSegs++
 				c.receive(p)
@@ -187,7 +186,7 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 
 // remove deletes a closed connection from the demux table.
 func (st *Stack) remove(c *Conn) {
-	delete(st.conns, c.key)
+	st.conns.Delete(c.key)
 }
 
 // park puts a torn-down Conn on the free list, stamped with the event it died
@@ -396,15 +395,15 @@ func (st *Stack) expireTimeWait(i uint32) {
 // tests).
 func (st *Stack) NumConns() int {
 	if st.timeWaits == nil {
-		return len(st.conns)
+		return st.conns.Len()
 	}
-	return len(st.conns) + st.timeWaits.n
+	return st.conns.Len() + st.timeWaits.n
 }
 
 // ConnRecords returns how many Conn records the stack holds: the open
 // connections' and those parked for reuse. A connection in TIME_WAIT holds
 // none (for tests).
-func (st *Stack) ConnRecords() int { return len(st.conns) + len(st.parked) }
+func (st *Stack) ConnRecords() int { return st.conns.Len() + len(st.parked) }
 
 func (st *Stack) String() string {
 	return fmt.Sprintf("stack(%s conns=%d)", st.Host.Name, st.NumConns())

@@ -514,7 +514,7 @@ func TestLargeTransferCrossesSeqWrap(t *testing.T) {
 	st := b.stacks[0]
 	cli := newConn(st, makeKey(40000, b.hosts[1].Addr, 5001), st.Cfg, false)
 	cli.iss = 0xffff_0000
-	st.conns[cli.key] = cli
+	st.conns.Put(cli.key, cli)
 	cli.sendSYN()
 	const total = 64 << 20
 	cli.Send(total)

@@ -130,9 +130,9 @@ func testTimeWaitRecord(t *testing.T, sack bool, ecn ECNMode, ce bool) {
 		}, 0))
 	})
 	if cs.DeliveredSegs != delivered+1 || cs.DroppedSegs != droppedSegs || b.hosts[0].SentPackets != sent ||
-		len(cs.conns) != 0 {
+		cs.conns.Len() != 0 {
 		t.Errorf("SYN to the TIME_WAIT key: delivered +%d, dropped +%d, sent +%d, %d conns",
-			cs.DeliveredSegs-delivered, cs.DroppedSegs-droppedSegs, b.hosts[0].SentPackets-sent, len(cs.conns))
+			cs.DeliveredSegs-delivered, cs.DroppedSegs-droppedSegs, b.hosts[0].SentPackets-sent, cs.conns.Len())
 	}
 
 	b.s.RunFor(100 * sim.Millisecond)
@@ -175,8 +175,8 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 		t.Helper()
 		ts := cs.timeWaits
 		if ts == nil {
-			if len(model) != 0 || cs.NumConns() != len(cs.conns) {
-				t.Fatalf("%s: no TIME_WAIT table; model %d, NumConns %d, %d open", where, len(model), cs.NumConns(), len(cs.conns))
+			if len(model) != 0 || cs.NumConns() != cs.conns.Len() {
+				t.Fatalf("%s: no TIME_WAIT table; model %d, NumConns %d, %d open", where, len(model), cs.NumConns(), cs.conns.Len())
 			}
 			return
 		}
@@ -189,13 +189,13 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 				t.Fatalf("%s: key %x still in TIME_WAIT past its deadline %v", where, uint64(k), at)
 			}
 		}
-		for k := range cs.conns {
+		cs.conns.Range(func(k connKey, _ *Conn) {
 			if ts.find(k) >= 0 {
 				t.Fatalf("%s: open connection %x found in the TIME_WAIT table", where, uint64(k))
 			}
-		}
-		if ts.n != len(model) || cs.NumConns() != len(cs.conns)+len(model) {
-			t.Fatalf("%s: table holds %d, NumConns %d; model %d, %d open", where, ts.n, cs.NumConns(), len(model), len(cs.conns))
+		})
+		if ts.n != len(model) || cs.NumConns() != cs.conns.Len()+len(model) {
+			t.Fatalf("%s: table holds %d, NumConns %d; model %d, %d open", where, ts.n, cs.NumConns(), len(model), cs.conns.Len())
 		}
 		checkTimeWaits(t, ts, where)
 		peak = max(peak, len(model))
@@ -217,7 +217,7 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 		tc := p.TCP()
 		key := makeKey(tc.SrcPort(), p.IP().Dst(), tc.DstPort())
 		finalAck := tc.Flags()&^packet.FlagECE == packet.FlagACK && p.PayloadLen() == 0 &&
-			cs.conns[key] != nil && cs.conns[key].state == StateTimeWait
+			cs.conns.Get(key) != nil && cs.conns.Get(key).state == StateTimeWait
 		if finalAck && rng.Intn(3) == 0 {
 			return nil, nil
 		}
@@ -254,7 +254,7 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 			delete(model, key)
 			expired++
 			check("expiry")
-			if _, busy := cs.conns[key]; !busy {
+			if cs.conns.Get(key) == nil {
 				if p := allocFrom(key.localPort(), key); p != key.localPort() {
 					t.Fatalf("allocPort skipped port %d after its TIME_WAIT ended, got %d", key.localPort(), p)
 				}
