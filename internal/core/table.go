@@ -1,111 +1,39 @@
 package core
 
-import "math/bits"
+import "acdc/internal/sim"
 
 // numShards for the flow table. The paper's OVS keeps flows in an RCU hash
 // table with per-flow spinlocks because its datapath runs on every core. Here
 // one simulation goroutine owns the table, so each shard is a plain
-// open-addressed, linear-probe slot array; the shards stay because they fix
-// the order eviction and the sharded GC tick walk the records in.
+// sim.Slots array; the shards stay because they fix the order eviction and
+// the sharded GC tick walk the records in.
 const numShards = 64
 
-// slot is one entry of a shard's index: the key's full hash and the record,
-// or the zero slot. The hash is the tag; a probe that matches it confirms the
-// key against f.Key, in the record's first line, which the caller reads next
-// anyway.
+// slot is one entry of a shard: the key's full hash and the record, or the
+// zero slot. The hash is the tag; a probe that matches it confirms the key
+// against f.Key, in the record's first line, which the caller reads next
+// anyway. A hash's top bits pick a key's home slot (its low bits picked the
+// shard).
 type slot struct {
 	h uint64
 	f *Flow
 }
 
-// index is one shard's slot array. A hash's top bits pick a key's home slot
-// (its low bits picked the shard). No probe path crosses an empty slot, as a
-// delete shifts the records after it back (delete).
-type index struct {
-	slots []slot
-	shift uint // 64 − log2(len(slots))
-}
+// slotHash is a slot's hash, which the slot keeps.
+func slotHash(s slot) uint64 { return s.h }
 
-// find returns the slot holding k, whose hash is h, or −1. At most three
-// quarters of the array is in use, so every probe meets an empty slot.
-func (ix *index) find(k FlowKey, h uint64) int {
-	if ix == nil {
-		return -1
-	}
-	mask := len(ix.slots) - 1
-	for i := int(h >> ix.shift); ix.slots[i].f != nil; i = (i + 1) & mask {
-		if s := &ix.slots[i]; s.h == h && s.f.Key == k {
-			return i
-		}
-	}
-	return -1
-}
-
-// free returns the first empty slot on hash h's probe path.
-func (ix *index) free(h uint64) int {
-	i := int(h >> ix.shift)
-	for ix.slots[i].f != nil {
-		i = (i + 1) & (len(ix.slots) - 1)
-	}
-	return i
-}
-
-// delete empties slot i by backward shift (Knuth vol. 3, 6.4, Algorithm R):
-// up to the next empty slot, every record whose home slot does not lie
-// cyclically after the gap moves back into it, and leaves a gap of its own.
-func (ix *index) delete(i int) {
-	mask := len(ix.slots) - 1
-	for j := (i + 1) & mask; ix.slots[j].f != nil; j = (j + 1) & mask {
-		if home := int(ix.slots[j].h >> ix.shift); (j-home)&mask >= (j-i)&mask {
-			ix.slots[i], i = ix.slots[j], j
-		}
-	}
-	ix.slots[i] = slot{}
-}
-
-// tableShard is one shard of the index.
-type tableShard struct {
-	ix   *index
-	live int // records
-}
-
-// insert adds a record for a key the shard does not hold. Past three quarters
-// of the array in use, the records move to a fresh array, the smallest power
-// of two at least twice their number.
-func (s *tableShard) insert(h uint64, f *Flow) {
-	ix := s.ix
-	if ix == nil || 4*(s.live+1) > 3*len(ix.slots) {
-		n := 8
-		for n < 2*(s.live+1) {
-			n *= 2
-		}
-		next := &index{slots: make([]slot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
-		for i := 0; ix != nil && i < len(ix.slots); i++ {
-			if o := ix.slots[i]; o.f != nil {
-				next.slots[next.free(o.h)] = o
-			}
-		}
-		ix = next
-		s.ix = ix
-	}
-	s.live++
-	ix.slots[ix.free(h)] = slot{h: h, f: f}
-}
-
-// remove deletes slot i and unlinks its record from the reverse flow, both
-// ends (Table.reverseOf).
-func (s *tableShard) remove(i int) {
-	if f := s.ix.slots[i].f; f.peer != nil {
+// unlink clears the link between f and its reverse flow, both ends
+// (Table.reverseOf), as f leaves the table.
+func unlink(f *Flow) {
+	if f.peer != nil {
 		f.peer.peer, f.peer = nil, nil
 	}
-	s.live--
-	s.ix.delete(i)
 }
 
 // Table is the vSwitch's connection-tracking table: one entry per data
 // direction, two per TCP connection. It belongs to the simulation goroutine.
 type Table struct {
-	shards [numShards]tableShard
+	shards [numShards]*sim.Slots[slot] // nil until the shard's first record
 
 	// size counts entries across all shards, so Len — which the datapath
 	// consults on every flow create under MaxFlows — does not scan shards.
@@ -140,17 +68,21 @@ func hashWords(w0, w1 uint64) uint64 {
 // shardIndex hashes k down to a shard number.
 func shardIndex(k FlowKey) int { return int(hashWords(keyWords(k)) % numShards) }
 
-// locate returns k's hash and its shard.
-func (t *Table) locate(k FlowKey) (h uint64, s *tableShard) {
+// find returns k's hash, its shard and the position of its slot there, or
+// −1.
+func (t *Table) find(k FlowKey) (h uint64, s *sim.Slots[slot], i int) {
 	h = hashWords(keyWords(k))
-	return h, &t.shards[h%numShards]
+	s = t.shards[h%numShards]
+	return h, s, s.Find(h, func(o slot) bool { return o.h == h && o.f.Key == k })
 }
 
-// Get returns the flow for k, or nil.
+// Get returns the flow for k, or nil. It is find written out, so that the
+// probe inlines here, on every packet's path.
 func (t *Table) Get(k FlowKey) *Flow {
-	h, s := t.locate(k)
-	if i := s.ix.find(k, h); i >= 0 {
-		return s.ix.slots[i].f
+	h := hashWords(keyWords(k))
+	s := t.shards[h%numShards]
+	if i := s.Find(h, func(o slot) bool { return o.h == h && o.f.Key == k }); i >= 0 {
+		return s.At(i).f
 	}
 	return nil
 }
@@ -176,21 +108,25 @@ func (t *Table) reverseOf(f *Flow) *Flow {
 // created reports whether init ran. init may probe the table, but not add to
 // or remove from it.
 func (t *Table) GetOrCreate(k FlowKey, init func() *Flow) (f *Flow, created bool) {
-	h, s := t.locate(k)
-	if i := s.ix.find(k, h); i >= 0 {
-		return s.ix.slots[i].f, false
+	h, s, i := t.find(k)
+	if i >= 0 {
+		return s.At(i).f, false
 	}
 	f = init()
-	s.insert(h, f)
+	if s == nil {
+		s = new(sim.Slots[slot])
+		t.shards[h%numShards] = s
+	}
+	s.Insert(h, slot{h: h, f: f}, slotHash)
 	t.size++
 	return f, true
 }
 
 // Delete removes the flow for k.
 func (t *Table) Delete(k FlowKey) {
-	h, s := t.locate(k)
-	if i := s.ix.find(k, h); i >= 0 {
-		s.remove(i)
+	if _, s, i := t.find(k); i >= 0 {
+		unlink(s.At(i).f)
+		s.Delete(i, slotHash)
 		t.size--
 	}
 }
@@ -203,8 +139,8 @@ func (t *Table) Len() int { return t.size }
 // longest shard, for the occupancy and imbalance gauges. Control-plane use
 // only; the datapath never calls it.
 func (t *Table) ShardStats() (total, maxShard int) {
-	for i := range t.shards {
-		n := t.shards[i].live
+	for _, s := range t.shards {
+		n := s.Len()
 		total += n
 		maxShard = max(maxShard, n)
 	}
@@ -213,12 +149,8 @@ func (t *Table) ShardStats() (total, maxShard int) {
 
 // Range calls fn for every flow; fn must not add to or remove from the table.
 func (t *Table) Range(fn func(*Flow)) {
-	for i := range t.shards {
-		for j := 0; t.shards[i].ix != nil && j < len(t.shards[i].ix.slots); j++ {
-			if f := t.shards[i].ix.slots[j].f; f != nil {
-				fn(f)
-			}
-		}
+	for _, s := range t.shards {
+		s.Range(func(o slot) { fn(o.f) })
 	}
 }
 
@@ -228,35 +160,22 @@ func (t *Table) Range(fn func(*Flow)) {
 // added later, names one.
 func (t *Table) Clear() int {
 	removed := t.size
-	t.shards = [numShards]tableShard{}
+	t.shards = [numShards]*sim.Slots[slot]{}
 	t.size = 0
 	return removed
 }
 
 // SweepShard sweeps one shard: the unit of incremental pressure eviction.
-// keep may probe the table, but not add to or remove from it. The walk starts
-// just past an empty slot, which no probe path crosses, so no removal shifts a
-// record across the start; after a removal the same slot is examined again,
-// as a later record may have shifted into it. keep runs once per record.
+// keep may probe the table, but not add to or remove from it. keep runs once
+// per record (sim.Slots.DeleteFunc).
 func (t *Table) SweepShard(i int, keep func(*Flow) bool) int {
-	s := &t.shards[i]
-	if s.ix == nil {
-		return 0
-	}
-	slots := s.ix.slots
-	mask, start := len(slots)-1, 0
-	for slots[start].f != nil {
-		start++
-	}
-	removed := 0
-	for n := 1; n <= mask; {
-		if j := (start + n) & mask; slots[j].f != nil && !keep(slots[j].f) {
-			s.remove(j)
-			removed++
-		} else {
-			n++
+	removed := t.shards[i].DeleteFunc(func(o slot) bool {
+		if keep(o.f) {
+			return false
 		}
-	}
+		unlink(o.f)
+		return true
+	}, slotHash)
 	t.size -= removed
 	return removed
 }

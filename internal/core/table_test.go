@@ -231,52 +231,27 @@ var tableKeys = func() []FlowKey {
 	return ks
 }()
 
-// checkIndex asserts what every probe relies on, shard by shard: the live
-// count matches the slots, at most three quarters of the array is in use (so
-// every probe meets an empty slot), an empty slot is the zero slot, and every
-// record sits under its key's hash, with no empty slot between its home slot
-// and its own, and is found from its key. It returns how many records sit
-// past the array's end from their home slot, at a lower index.
+// checkIndex asserts what every probe relies on, shard by shard: the slot
+// array's shape (sim.Slots.Check), and every record sitting under its key's
+// hash and found from its key. It returns how many records sit past the
+// array's end from their home slot, at a lower index.
 func checkIndex(t *testing.T, tb *Table, after string) (wrapped int) {
 	t.Helper()
-	for i := range tb.shards {
-		s := &tb.shards[i]
-		ix := s.ix
-		if ix == nil {
-			if s.live != 0 {
-				t.Fatalf("after %s: shard %d counts %d records with no index", after, i, s.live)
-			}
-			continue
+	for i, s := range tb.shards {
+		w, err := s.Check(slotHash)
+		if err != nil {
+			t.Fatalf("after %s: shard %d: %v", after, i, err)
 		}
-		mask, live := len(ix.slots)-1, 0
-		for j := range ix.slots {
-			sl := &ix.slots[j]
+		wrapped += w
+		s.Range(func(sl slot) {
 			if sl.f == nil {
-				if sl.h != 0 {
-					t.Fatalf("after %s: shard %d empty slot %d keeps hash %x", after, i, j, sl.h)
-				}
-				continue
+				t.Fatalf("after %s: shard %d holds hash %x with no record", after, i, sl.h)
 			}
-			live++
-			if h := hashWords(keyWords(sl.f.Key)); sl.h != h {
-				t.Fatalf("after %s: shard %d slot %d holds hash %x for %v, whose hash is %x", after, i, j, sl.h, sl.f.Key, h)
+			if h := hashWords(keyWords(sl.f.Key)); sl.h != h || tb.Get(sl.f.Key) != sl.f {
+				t.Fatalf("after %s: shard %d holds hash %x for %v, whose hash is %x, and Get finds %p for %p",
+					after, i, sl.h, sl.f.Key, h, tb.Get(sl.f.Key), sl.f)
 			}
-			for p := int(sl.h >> ix.shift); p != j; p = (p + 1) & mask {
-				if ix.slots[p].f == nil {
-					t.Fatalf("after %s: shard %d slot %d: the probe path from home %d crosses empty slot %d",
-						after, i, j, sl.h>>ix.shift, p)
-				}
-			}
-			if got := ix.find(sl.f.Key, sl.h); got != j {
-				t.Fatalf("after %s: shard %d slot %d is found at %d", after, i, j, got)
-			}
-			if j < int(sl.h>>ix.shift) {
-				wrapped++
-			}
-		}
-		if live != s.live || 4*live > 3*len(ix.slots) {
-			t.Fatalf("after %s: shard %d has %d records in %d slots; counts %d", after, i, live, len(ix.slots), s.live)
-		}
+		})
 	}
 	return wrapped
 }

@@ -339,6 +339,14 @@ func TestFlowsWatchStreams(t *testing.T) {
 	if lines < 3 {
 		t.Fatalf("watch produced %d snapshots over 100ms at 20ms, want ≥3", lines)
 	}
+	// ?every= has a 10ms floor: a watcher cannot list the tables on the sim
+	// loop as fast as it answers.
+	if data, err = c.do("GET", "/v1/flows/watch?every=1ns&for=100ms", nil); err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines > 11 {
+		t.Fatalf("watch produced %d snapshots over 100ms at every=1ns, want ≤ 11 (a 10ms floor)", lines)
+	}
 }
 
 func TestStopIsIdempotentAndInterruptsLoop(t *testing.T) {

@@ -217,7 +217,9 @@ func (d *Daemon) handleFlows(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFlowsWatch streams flow snapshots as NDJSON arrays, one line per
-// interval, until ?for= elapses (default 1s, capped at 30s).
+// ?every= (default 100ms, at least 10ms), until ?for= elapses (default 1s,
+// capped at 30s). Each line lists the host's table on the sim loop, so the
+// floor keeps an unauthenticated watcher from taking the loop over.
 func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
 	host, err := hostParam(r, false)
 	if err != nil {
@@ -237,9 +239,7 @@ func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if dur > 30*time.Second {
-		dur = 30 * time.Second
-	}
+	every, dur = max(every, 10*time.Millisecond), min(dur, 30*time.Second)
 	// The first listing answers for the whole stream: an unknown host or a
 	// busy loop fails the request before anything is streamed.
 	flows, err := d.Flows(host)

@@ -2,7 +2,6 @@ package tcpstack
 
 import (
 	"fmt"
-	"math/bits"
 
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
@@ -155,9 +154,9 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 	key := makeKey(t.DstPort(), ip.Src(), t.SrcPort())
 	c := st.conns.Get(key)
 	if c == nil {
-		if j := st.timeWaits.find(key); j >= 0 {
+		if i := st.timeWaits.find(key); i >= 0 {
 			st.DeliveredSegs++
-			st.timeWaitReceive(st.timeWaits.index[j]-1, t)
+			st.timeWaitReceive(uint32(i), t)
 			st.Host.Pool.Put(p)
 			return
 		}
@@ -241,77 +240,30 @@ const twPage = 64
 // twTable holds a stack's TIME_WAIT records, as Linux keeps them in a slab
 // cache of their own. Record number i lives at pages[i/twPage][i%twPage], so
 // its address holds while pages are added; expiry keeps its deadline under i.
-// index finds a record by key: open-addressed, linear-probe slots holding a
-// record number + 1, or 0 for empty, at most three quarters in use. A delete
-// shifts the records after it back (Knuth vol. 3, 6.4, Algorithm R), so no
-// probe path crosses an empty slot.
+// index finds a record by key: its slots hold a record number + 1, hashed by
+// the record's key.
 type twTable struct {
 	pages  []*[twPage]timeWait
 	free   []uint32 // numbers of the records not in use
-	index  []uint32
-	n      int // records in the index
+	index  sim.Slots[uint32]
 	expiry *sim.Deadlines[uint32]
 }
 
 func (ts *twTable) rec(i uint32) *timeWait { return &ts.pages[i/twPage][i%twPage] }
 
-// home returns k's home slot: the top bits of a multiplicative hash.
-func (ts *twTable) home(k connKey) int {
-	return int(uint64(k) * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(len(ts.index)))))
-}
+// hash is the hash of the key of the record index slot o names.
+func (ts *twTable) hash(o uint32) uint64 { return sim.HashWord(ts.rec(o - 1).key) }
 
-// find returns the index slot holding k, or −1.
+// find returns the number of the record holding k, or −1.
 func (ts *twTable) find(k connKey) int {
 	if ts == nil {
 		return -1
 	}
-	mask := len(ts.index) - 1
-	for j := ts.home(k); ts.index[j] != 0; j = (j + 1) & mask {
-		if ts.rec(ts.index[j]-1).key == k {
-			return j
-		}
+	j := ts.index.Find(sim.HashWord(k), func(o uint32) bool { return ts.rec(o-1).key == k })
+	if j < 0 {
+		return -1
 	}
-	return -1
-}
-
-// insert indexes record i under its key, which the table does not hold.
-// Past three quarters of the slots in use, the array doubles.
-func (ts *twTable) insert(i uint32) {
-	if 4*(ts.n+1) > 3*len(ts.index) {
-		old := ts.index
-		ts.index = make([]uint32, 2*len(old))
-		for _, o := range old {
-			if o != 0 {
-				ts.place(o)
-			}
-		}
-	}
-	ts.n++
-	ts.place(i + 1)
-}
-
-// place puts slot value o in the first empty slot on its key's probe path.
-func (ts *twTable) place(o uint32) {
-	mask := len(ts.index) - 1
-	j := ts.home(ts.rec(o - 1).key)
-	for ts.index[j] != 0 {
-		j = (j + 1) & mask
-	}
-	ts.index[j] = o
-}
-
-// delete empties index slot j by backward shift: up to the next empty slot,
-// every record whose home slot does not lie cyclically after the gap moves
-// back into it, and leaves a gap of its own.
-func (ts *twTable) delete(j int) {
-	mask := len(ts.index) - 1
-	for k := (j + 1) & mask; ts.index[k] != 0; k = (k + 1) & mask {
-		if home := ts.home(ts.rec(ts.index[k] - 1).key); (k-home)&mask >= (k-j)&mask {
-			ts.index[j], j = ts.index[k], k
-		}
-	}
-	ts.index[j] = 0
-	ts.n--
+	return int(ts.index.At(j) - 1)
 }
 
 // newTimeWait takes a free TIME_WAIT record and returns its number + 1. The
@@ -319,7 +271,7 @@ func (ts *twTable) delete(j int) {
 func (st *Stack) newTimeWait() uint32 {
 	ts := st.timeWaits
 	if ts == nil {
-		ts = &twTable{index: make([]uint32, 16)}
+		ts = &twTable{}
 		ts.expiry = sim.NewDeadlines(st.Sim, st.expireTimeWait, func(i uint32) *sim.Deadline { return &ts.rec(i).expiry })
 		st.timeWaits = ts
 	}
@@ -353,7 +305,7 @@ func (st *Stack) handOff(c *Conn) {
 	}
 	c.OnClosed = nil
 	c.teardown()
-	st.timeWaits.insert(i)
+	st.timeWaits.index.Insert(sim.HashWord(c.key), i+1, st.timeWaits.hash)
 }
 
 // timeWaitReceive answers a segment for a connection in TIME_WAIT, held by
@@ -383,7 +335,7 @@ func (st *Stack) expireTimeWait(i uint32) {
 	ts := st.timeWaits
 	tw := ts.rec(i)
 	onClosed := tw.onClosed
-	ts.delete(ts.find(tw.key))
+	ts.index.Delete(ts.index.Find(sim.HashWord(tw.key), func(o uint32) bool { return o == i+1 }), ts.hash)
 	tw.onClosed = nil
 	ts.free = append(ts.free, i)
 	if onClosed != nil {
@@ -397,7 +349,7 @@ func (st *Stack) NumConns() int {
 	if st.timeWaits == nil {
 		return st.conns.Len()
 	}
-	return st.conns.Len() + st.timeWaits.n
+	return st.conns.Len() + st.timeWaits.index.Len()
 }
 
 // ConnRecords returns how many Conn records the stack holds: the open

@@ -181,9 +181,9 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 			return
 		}
 		for k, at := range model {
-			j := ts.find(k)
-			if j < 0 || ts.rec(ts.index[j]-1).key != k {
-				t.Fatalf("%s: key %x in TIME_WAIT until %v not found (slot %d)", where, uint64(k), at, j)
+			i := ts.find(k)
+			if i < 0 || ts.rec(uint32(i)).key != k {
+				t.Fatalf("%s: key %x in TIME_WAIT until %v not found (record %d)", where, uint64(k), at, i)
 			}
 			if at < b.s.Now() {
 				t.Fatalf("%s: key %x still in TIME_WAIT past its deadline %v", where, uint64(k), at)
@@ -194,15 +194,16 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 				t.Fatalf("%s: open connection %x found in the TIME_WAIT table", where, uint64(k))
 			}
 		})
-		if ts.n != len(model) || cs.NumConns() != cs.conns.Len()+len(model) {
-			t.Fatalf("%s: table holds %d, NumConns %d; model %d, %d open", where, ts.n, cs.NumConns(), len(model), cs.conns.Len())
+		if ts.index.Len() != len(model) || cs.NumConns() != cs.conns.Len()+len(model) {
+			t.Fatalf("%s: table holds %d, NumConns %d; model %d, %d open", where, ts.index.Len(), cs.NumConns(), len(model), cs.conns.Len())
 		}
 		checkTimeWaits(t, ts, where)
 		peak = max(peak, len(model))
 		homes := map[int]bool{}
 		for k := range model {
-			collided = collided || homes[ts.home(k)]
-			homes[ts.home(k)] = true
+			home := ts.index.Home(sim.HashWord(k))
+			collided = collided || homes[home]
+			homes[home] = true
 		}
 	}
 	// allocFrom runs allocPort from port p and puts the port cursor back.
@@ -281,34 +282,26 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 	}
 }
 
-// checkTimeWaits asserts the TIME_WAIT table's shape: at most three quarters
-// of the index in use, n counts its records, every record it names is
-// distinct and found from its key with no empty slot on the way, and the
-// records are either indexed or free, never both.
+// checkTimeWaits asserts the TIME_WAIT table's shape: the index's
+// (sim.Slots.Check), and every record either indexed or free, never both and
+// never twice.
 func checkTimeWaits(t *testing.T, ts *twTable, where string) {
 	t.Helper()
-	mask, n := len(ts.index)-1, 0
+	if _, err := ts.index.Check(ts.hash); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
 	state := make([]byte, len(ts.pages)*twPage)
-	for j, o := range ts.index {
-		if o == 0 {
-			continue
-		}
-		n++
+	ts.index.Range(func(o uint32) {
 		if state[o-1]++; state[o-1] > 1 {
 			t.Fatalf("%s: record %d indexed twice", where, o-1)
 		}
-		for p := ts.home(ts.rec(o - 1).key); p != j; p = (p + 1) & mask {
-			if ts.index[p] == 0 {
-				t.Fatalf("%s: slot %d: the probe path from home %d crosses empty slot %d", where, j, ts.home(ts.rec(o-1).key), p)
-			}
-		}
-	}
+	})
 	for _, i := range ts.free {
 		if state[i]++; state[i] > 1 {
 			t.Fatalf("%s: record %d free and indexed, or free twice", where, i)
 		}
 	}
-	if n != ts.n || 4*n > 3*len(ts.index) || n+len(ts.free) != len(state) {
-		t.Fatalf("%s: %d indexed (counted %d) in %d slots, %d free of %d records", where, n, ts.n, len(ts.index), len(ts.free), len(state))
+	if ts.index.Len()+len(ts.free) != len(state) {
+		t.Fatalf("%s: %d indexed, %d free of %d records", where, ts.index.Len(), len(ts.free), len(state))
 	}
 }

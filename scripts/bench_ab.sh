@@ -14,9 +14,12 @@
 # parent of a committed change; pass HEAD to measure uncommitted work). -claim
 # names a metric the change claims to improve: it must win at least 9 of 10
 # pairs and move its median by more than the base's quartile spread. Exits 1
-# when a metric is worse than its bound, the change fails more operations, or
-# a claimed gain does not show. Per-run result lines are kept in
-# .bench_build/ab/{base,change}.jsonl.
+# when a metric is worse than its bound ("worse"), either side's quartile
+# spread on a metric exceeds its bound ("spread", too noisy to tell; noisy
+# vswitch-10k runs reach it with no claim at all), a claimed gain does not
+# show ("no gain"), a run is marked incorrect, or the change fails a larger
+# share of operations; exits 2 on bad usage or a result line that lacks a
+# metric. Per-run result lines are kept in .bench_build/ab/{base,change}.jsonl.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
