@@ -177,3 +177,15 @@ func (v *VSwitch) onUDPTimeout(f *Flow) {
 		v.Host.InjectToWire(q)
 	}
 }
+
+// TunnelQueued returns the datagrams the sender-side tunnel queues hold: the
+// packets this vSwitch owns between Host.Retain and their release.
+func (v *VSwitch) TunnelQueued() int {
+	n := 0
+	v.Table.Range(func(f *Flow) {
+		if f.cold != nil {
+			n += len(f.cold.tq)
+		}
+	})
+	return n
+}

@@ -252,6 +252,7 @@ func runTrial(s Spec, env topo.Env, schemeKey string, seed int64) (map[string]fl
 	}
 
 	st.net.Sim.RunFor(s.Warmup.D())
+	conserve(st.net, s.Name, "warmup")
 	for _, p := range st.probers {
 		p.Start()
 	}
@@ -260,6 +261,7 @@ func runTrial(s Spec, env topo.Env, schemeKey string, seed int64) (map[string]fl
 		start[i] = f.Delivered()
 	}
 	st.net.Sim.RunFor(s.Measure.D())
+	conserve(st.net, s.Name, "measure")
 	for _, p := range st.probers {
 		p.Stop()
 	}
@@ -274,6 +276,14 @@ func runTrial(s Spec, env topo.Env, schemeKey string, seed int64) (map[string]fl
 	}
 
 	return st.collect(s, start)
+}
+
+// conserve is the fabric conservation audit in panic mode: a packet or a
+// buffer byte the net's accounting cannot place aborts the suite.
+func conserve(net *topo.Net, scenario, phase string) {
+	if err := net.CheckConservation(); err != nil {
+		panic(fmt.Sprintf("scenario %s: conservation audit after %s: %v", scenario, phase, err))
+	}
 }
 
 // launch wires one workload element into the trial.

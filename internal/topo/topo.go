@@ -139,6 +139,19 @@ func (n *Net) AuditViolations() int64 {
 	return t
 }
 
+// CheckConservation runs netsim's conservation audit over the whole net:
+// every link, every switch's shared buffer, and the pool, whose outstanding
+// packets are the links' plus those the vSwitch tunnel queues keep.
+func (n *Net) CheckConservation() error {
+	var held int64
+	for _, v := range n.ACDC {
+		if v != nil {
+			held += int64(v.TunnelQueued())
+		}
+	}
+	return netsim.CheckConservation(n.Links, n.Switches, n.Pool, held)
+}
+
 // newNet allocates the container and simulator.
 func newNet(o Options) *Net {
 	o = o.withDefaults()

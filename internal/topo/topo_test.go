@@ -16,6 +16,15 @@ func opts() Options {
 	}
 }
 
+// conserve fails the test when the net's conservation audit does: a packet
+// or a buffer byte its accounting cannot place.
+func conserve(t *testing.T, n *Net) {
+	t.Helper()
+	if err := n.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func xfer(t *testing.T, n *Net, from, to int, bytes int64, d sim.Duration) int64 {
 	t.Helper()
 	srv := new(*tcpstack.Conn)
@@ -24,6 +33,7 @@ func xfer(t *testing.T, n *Net, from, to int, bytes int64, d sim.Duration) int64
 	cli := n.Stacks[from].Dial(n.Addr(to), port)
 	cli.Send(bytes)
 	n.Sim.RunFor(d)
+	conserve(t, n)
 	if *srv == nil {
 		t.Fatalf("no connection %d→%d", from, to)
 	}
@@ -72,6 +82,7 @@ func TestDumbbellSharedBottleneck(t *testing.T) {
 		cli.Send(1 << 40)
 	}
 	n.Sim.RunFor(100 * sim.Millisecond)
+	conserve(t, n)
 	var total int64
 	for i, s := range srvs {
 		if *s == nil {
