@@ -373,12 +373,10 @@ func (ds *Domains) scheduleOutage(s *sim.Simulator, links []*netsim.Link, at, du
 func (ds *Domains) scheduleGray(s *sim.Simulator, links []*netsim.Link, p FaultDomain) {
 	s.Schedule(p.At, func() {
 		for _, l := range links {
-			prev := l.Fault
-			l.Fault = ds.grayHook(prev, p.Loss, p.Delay)
+			prev := l.Fault()
+			l.SetFault(ds.grayHook(prev, p.Loss, p.Delay))
 			if p.For > 0 {
-				restore := prev
-				target := l
-				s.Schedule(p.For, func() { target.Fault = restore })
+				s.Schedule(p.For, func() { l.SetFault(prev) })
 			}
 		}
 	})

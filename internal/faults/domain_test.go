@@ -195,7 +195,7 @@ func TestDomainsGrayWindowCloses(t *testing.T) {
 			packet.ECT0, packet.TCPFields{SrcPort: 1, DstPort: 2, Flags: packet.FlagACK}, 64))
 	}
 	s.Run(20 * sim.Microsecond)
-	if l.Fault != nil {
+	if l.Fault() != nil {
 		t.Fatal("gray hook still installed after the window")
 	}
 	for i := 0; i < 10; i++ {

@@ -303,11 +303,11 @@ func TestAttachRespectsDisabledProfile(t *testing.T) {
 	s := sim.New(0)
 	l := netsim.NewLink(s, "t", 1e9, sim.Microsecond, netsim.HandlerFunc(func(*packet.Packet) {}))
 	NewInjector(Profile{}, 1).Attach(l)
-	if l.Fault != nil {
+	if l.Fault() != nil {
 		t.Error("disabled profile installed a hook")
 	}
 	NewInjector(Profile{Drop: 1}, 1).Attach(l)
-	if l.Fault == nil {
+	if l.Fault() == nil {
 		t.Error("enabled profile did not install a hook")
 	}
 }
@@ -327,7 +327,7 @@ func TestLinkFaultHookWiring(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("lossy link delivered %d packets", got)
 	}
-	l.Fault = nil
+	l.SetFault(nil)
 	for i := 0; i < 10; i++ {
 		l.Send(dataSegment())
 	}

@@ -80,7 +80,7 @@ func (in *Injector) Attach(l *netsim.Link) {
 	if !in.prof.Enabled() {
 		return
 	}
-	l.Fault = in.Hook
+	l.SetFault(in.Hook)
 }
 
 // Hook is the netsim.FaultHook: it draws from the seeded PRNG in packet

@@ -18,7 +18,8 @@ type Packet struct {
 	// FlowTag is an opaque workload identifier used by tracing and stats.
 	FlowTag uint32
 	// EnqueuedAt/SentAt are bookkeeping timestamps (ns) set by the network
-	// layer for queue-delay accounting.
+	// layer for queue-delay accounting: a link stamps both when it queues
+	// the packet, SentAt with the departure the FIFO serializer fixes then.
 	EnqueuedAt int64
 	SentAt     int64
 	// Hops counts switch traversals, for loop detection in tests.
