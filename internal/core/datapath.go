@@ -215,7 +215,7 @@ func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool
 		segEnd := absSeq + plen
 		if t.HasFlags(packet.FlagFIN) {
 			segEnd++
-			f.finFwd = true
+			v.closeLocked(f)
 		}
 
 		// Policing trusts the tracked window; a resyncing flow's window is
@@ -478,13 +478,25 @@ func (v *VSwitch) receiverIngress(f *Flow, p *packet.Packet, t packet.TCP, plen 
 		}
 	}
 	if t.HasFlags(packet.FlagFIN) {
-		f.finFwd = true
-		if rev := v.lookup(f, f.Key.Reverse()); rev != nil {
-			rev.finRev = true
-		}
+		v.closeLocked(f)
 	}
 	if v.Cfg.StripECN {
 		v.stripECN(p, f)
+	}
+}
+
+// closeLocked records a FIN in f's data direction, whichever side of the
+// vSwitch it crossed, on both records of the pair: f.finFwd and the reverse
+// record's finRev. It also takes f.finRev from a FIN the reverse record saw
+// before f existed, so each record is closed once both FINs have passed and
+// both go at the first sweep past GCInterval.
+func (v *VSwitch) closeLocked(f *Flow) {
+	f.finFwd = true
+	if rev := v.lookup(f, f.Key.Reverse()); rev != nil {
+		rev.finRev = true
+		if rev.finFwd {
+			f.finRev = true
+		}
 	}
 }
 

@@ -55,6 +55,66 @@ func TestSweepTimerRearmsOnNewFlow(t *testing.T) {
 	}
 }
 
+// --- close ---
+
+// TestGuestCloseRetiresBothRecords: once both FINs have crossed the vSwitch,
+// in whichever order and whether or not the receive-direction record existed
+// when the guest's FIN left, both records of the connection go at the first
+// sweep past GCInterval, without waiting for IdleTimeout, and neither is left
+// linked.
+func TestGuestCloseRetiresBothRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		steps []string
+	}{
+		{"local FIN before the reverse record exists", []string{"data out", "fin out", "fin in"}},
+		{"local FIN after the reverse record exists", []string{"data out", "data in", "fin out", "fin in"}},
+		{"remote FIN first", []string{"data out", "fin in", "fin out"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, host, s := loneVSwitch(t, DefaultConfig())
+			remote := packet.MakeAddr(10, 0, 0, 2)
+			k := FlowKey{Src: host.Addr, Dst: remote, SPort: 100, DPort: 200}
+			fin := packet.FlagACK | packet.FlagFIN
+			for _, step := range tc.steps {
+				switch step {
+				case "data out":
+					egress(v, dataPkt(host.Addr, remote, 100, 200, 1, 1000))
+				case "data in":
+					ingress(v, dataPkt(remote, host.Addr, 200, 100, 1, 500))
+				case "fin out":
+					egress(v, packet.Build(host.Addr, remote, packet.NotECT, packet.TCPFields{
+						SrcPort: 100, DstPort: 200, Seq: 1001, Ack: 1, Flags: fin, Window: 65535}, 0))
+				case "fin in":
+					ingress(v, packet.Build(remote, host.Addr, packet.NotECT, packet.TCPFields{
+						SrcPort: 200, DstPort: 100, Seq: 1, Ack: 1002, Flags: fin, Window: 65535}, 0))
+				}
+			}
+			a, b := v.Table.Get(k), v.Table.Get(k.Reverse())
+			if a == nil || b == nil {
+				t.Fatalf("records after both FINs: send %p, receive %p", a, b)
+			}
+			for _, f := range []*Flow{a, b} {
+				if !f.finFwd || !f.finRev {
+					t.Fatalf("%v: finFwd %v finRev %v, want both", f.Key, f.finFwd, f.finRev)
+				}
+			}
+			v.sweepNow(s.Now() + v.Cfg.GCInterval)
+			if v.Table.Len() != 2 {
+				t.Fatalf("%d records left at GCInterval, want both kept", v.Table.Len())
+			}
+			v.sweepNow(s.Now() + v.Cfg.GCInterval + 1)
+			if n := v.Table.Len(); n != 0 || v.Stats().FlowsRemoved != 2 {
+				t.Fatalf("%d records left and %d removed past GCInterval, want 0 and 2", n, v.Stats().FlowsRemoved)
+			}
+			if a.peer != nil || b.peer != nil {
+				t.Fatalf("a swept record still links: send→%p receive→%p", a.peer, b.peer)
+			}
+			checkParkedRecords(t, v, "close sweep")
+		})
+	}
+}
+
 // --- bounded table / fail-open ---
 
 func TestFlowForEvictsClosedUnderPressure(t *testing.T) {

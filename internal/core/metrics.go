@@ -225,12 +225,6 @@ type Stats struct {
 	FlowsAdoptedMidstream        int64
 	FeedbackResets               int64
 	PolicyInstalls               int64
-	// Retired1–Retired5 hold the places of five counters of the deleted
-	// enforcement backends and are always zero, so a Stats value prints
-	// ("{… 0 0 0 0 0}") and sums field by field as it always has: the
-	// benchmark's digest hashes its printed form, and BENCH_exact.json pins
-	// that digest.
-	Retired1, Retired2, Retired3, Retired4, Retired5 int64
 }
 
 // Stats reads the current counter values into a Stats snapshot.

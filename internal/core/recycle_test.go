@@ -128,8 +128,8 @@ func (b *recycleBench) cycle(sp uint16) {
 	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 2, Flags: ack | packet.FlagFIN}, 0)
 }
 
-// sweep advances the clock past IdleTimeout — only the direction that saw both
-// FINs goes after GCInterval — and runs the lazy sweep.
+// sweep advances the clock past IdleTimeout, so every record goes whether or
+// not it saw both FINs, and runs the lazy sweep.
 func (b *recycleBench) sweep() {
 	b.s.RunFor(2 * b.v.Cfg.IdleTimeout)
 	b.v.sweepNow(b.s.Now())

@@ -25,11 +25,12 @@ import (
 // Format (big-endian, encoding/binary's padding-free layout of the structs):
 //
 //	header   snapshotHeader
-//	records  count × (length uint16, recordFixed, PolVCC, VCCName, backend tail)
+//	records  count × (length uint16, recordFixed, PolVCC, VCCName)
 //	crc      uint32   IEEE CRC-32 over everything above
 //
-// PolVCC and VCCName are a length byte and at most 255 bytes; the backend tail
-// is a retired backend's name and float64 scalar (writeRecord, decodeRecord).
+// PolVCC and VCCName are a length byte and at most 255 bytes. A version 1
+// record may go on with a retired enforcement backend's tail, its name and
+// float64 scalar, which decodeRecord reads and ignores.
 //
 // Records are length-prefixed so decoding is forward compatible: a reader
 // parses the fields it knows and skips any trailing bytes a newer writer
@@ -54,7 +55,7 @@ var snapshotMagic = [8]byte{'A', 'C', 'D', 'C', 'S', 'N', 'A', 'P'}
 
 // SnapshotVersion is the format version this build writes. Readers accept
 // any version ≥ 1 (the record framing is the compatibility contract).
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // snapshotHeader opens a snapshot.
 type snapshotHeader struct {
@@ -200,11 +201,6 @@ func writeRecord(b *bytes.Buffer, r *flowRecord) {
 	write(b, &r.Fixed)
 	writeStr(b, r.PolVCC)
 	writeStr(b, r.VCCName)
-	// The retired enforcement-backend tail: an empty backend name and a zero
-	// per-flow scalar, so the record layout (and every snapshot's bytes)
-	// stays what readers of the format expect.
-	writeStr(b, "")
-	write(b, float64(0))
 	binary.BigEndian.PutUint16(b.Bytes()[lenAt:], uint16(b.Len()-lenAt-2))
 }
 
@@ -236,9 +232,9 @@ func readStr(rd *bytes.Reader) (s string, ok bool) {
 	return string(b), true
 }
 
-// decodeRecord parses one record's frame; ok is false if the frame is too
-// short for the fields it must hold.
-func decodeRecord(frame []byte) (r flowRecord, ok bool) {
+// decodeRecord parses one record's frame, written at the given format
+// version; ok is false if the frame is too short for the fields it must hold.
+func decodeRecord(frame []byte, version uint16) (r flowRecord, ok bool) {
 	rd := bytes.NewReader(frame)
 	if binary.Read(rd, binary.BigEndian, &r.Fixed) != nil {
 		return r, false
@@ -249,13 +245,14 @@ func decodeRecord(frame []byte) (r flowRecord, ok bool) {
 	if r.VCCName, ok = readStr(rd); !ok {
 		return r, false
 	}
-	// The enforcement-backend tail (a backend name and its per-flow scalar)
-	// is optional, so records that end at VCCName still decode. Its values
-	// name mechanisms this build no longer has: ignored — every restored flow
-	// is enforced by the RWND rewrite. Only a name overrunning the frame is
-	// corruption; a cut-short scalar is tolerated, and bytes past the tail
-	// belong to a newer writer and are ignored by design.
-	if rd.Len() > 0 {
+	// A version 1 writer went on with an enforcement-backend tail (a backend
+	// name and its per-flow scalar); it is optional, so records that end at
+	// VCCName still decode. Its values name mechanisms this build no longer
+	// has: ignored — every restored flow is enforced by the RWND rewrite.
+	// Only a name overrunning the frame is corruption; a cut-short scalar is
+	// tolerated. Bytes past the known fields belong to a newer writer and are
+	// ignored by design.
+	if version == 1 && rd.Len() > 0 {
 		_, ok = readStr(rd)
 	}
 	return r, ok
@@ -290,7 +287,7 @@ func decodeSnapshot(data []byte) (capturedAt sim.Time, recs []flowRecord, err er
 			return 0, nil, fmt.Errorf("snapshot: record %d truncated (%d bytes left)", i, len(rest))
 		}
 		end := 2 + int(binary.BigEndian.Uint16(rest))
-		r, ok := decodeRecord(rest[2:end])
+		r, ok := decodeRecord(rest[2:end], h.Version)
 		if !ok {
 			return 0, nil, fmt.Errorf("snapshot: record %d too short (%d bytes)", i, end-2)
 		}

@@ -84,6 +84,51 @@ func TestTimeWaitReAcksRetransmittedFIN(t *testing.T) {
 	}
 }
 
+// TestFINAheadOfHoleClosesWhenFilled: a FIN that arrives while one segment
+// ahead of it is missing is held until the hole fills; the segment that fills
+// it also consumes the FIN, so the receiver acknowledges it at once and the
+// sender never has to retransmit it.
+func TestFINAheadOfHoleClosesWhenFilled(t *testing.T) {
+	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
+	var srv *Conn
+	var peerClosedAt sim.Time
+	b.stacks[1].Listen(5001, func(c *Conn) {
+		srv = c
+		c.OnPeerClose = func() { peerClosedAt = b.s.Now() }
+	})
+	// Drop the third data segment once; the FIN rides on the tenth and last.
+	dataSegs, finSegs := 0, 0
+	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
+		if p.TCP().HasFlags(packet.FlagFIN) {
+			finSegs++
+		}
+		if p.PayloadLen() > 0 {
+			if dataSegs++; dataSegs == 3 {
+				return nil, nil
+			}
+		}
+		return p, nil
+	}
+	cli := b.stacks[0].Dial(b.hosts[1].Addr, 5001)
+	const total = 10 * 1460
+	cli.Send(total)
+	cli.Close()
+	b.s.RunFor(100 * sim.Millisecond)
+	if srv == nil || srv.Delivered != total {
+		t.Fatalf("server conn %v, want %d bytes delivered", srv, total)
+	}
+	if peerClosedAt == 0 || srv.State() != StateCloseWait {
+		t.Fatalf("peer close seen at %v, server state %v: want the FIN consumed when the hole filled", peerClosedAt, srv.State())
+	}
+	if finSegs != 1 || cli.RetransSegs != 1 || cli.Timeouts != 0 {
+		t.Fatalf("%d FIN segments, %d retransmissions, %d timeouts: want the FIN sent once and only the lost segment resent",
+			finSegs, cli.RetransSegs, cli.Timeouts)
+	}
+	if cli.State() != StateFinWait2 {
+		t.Fatalf("client state %v, want FinWait2 (its FIN acknowledged)", cli.State())
+	}
+}
+
 func TestSimultaneousClose(t *testing.T) {
 	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
 	var srv *Conn

@@ -60,19 +60,21 @@ func (c *Conn) processData(p *packet.Packet, t packet.TCP) {
 		}
 	}
 
-	// FIN handling: it occupies the sequence slot after the payload.
+	// FIN handling: it occupies the sequence slot after the payload, and is
+	// consumed once everything before it has arrived — on its own segment,
+	// or on the one that fills the last hole ahead of a FIN recorded early.
 	if t.HasFlags(packet.FlagFIN) {
-		finAt := end
 		if c.finRcvd < 0 {
-			c.finRcvd = finAt
+			c.finRcvd = end
 		}
-		if finAt == c.rcvNxt {
-			c.rcvNxt++
-			immediate = true
-			c.peerClosed()
-		} else if finAt < c.rcvNxt {
+		if end < c.rcvNxt {
 			immediate = true // duplicate FIN
 		}
+	}
+	if c.finRcvd == c.rcvNxt { // rcvNxt ≥ 1, so never while finRcvd is -1
+		c.rcvNxt++
+		immediate = true
+		c.peerClosed()
 	}
 
 	if immediate {
