@@ -498,15 +498,17 @@ func backendSnapshot(t *testing.T) []byte {
 }
 
 // TestSnapshotBytesPinParentCommit restores the checked-in snapshot and saves
-// it again. The sha256 of the re-saved bytes was measured on the commit before
-// the record layout became a struct that encoding/binary writes: a field
-// written at another offset, width or byte order changes it.
+// it again. The sha256 of the re-saved bytes is the version 2 format's: the
+// bytes the commit before the record layout became a struct that
+// encoding/binary writes gave, with the version field 2 and each record's
+// empty backend tail dropped. A field written at another offset, width or
+// byte order changes it.
 func TestSnapshotBytesPinParentCommit(t *testing.T) {
 	v, _, _ := loneVSwitch(t, DefaultConfig())
 	if err := v.RestoreSnapshot(backendSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
-	const want = "ab381d5577cccd511bf21cb6a31b619792be1ebd35b78498e436d2fb420a8119"
+	const want = "34b911e6a3d6650b4d7cc932c9503b8e7ded53f31d381240702d811d76bf7e99"
 	if got := fmt.Sprintf("%x", sha256.Sum256(v.SaveSnapshot())); got != want {
 		t.Fatalf("re-saved snapshot sha256 %s, parent commit gave %s", got, want)
 	}
@@ -517,9 +519,10 @@ func TestSnapshotBytesPinParentCommit(t *testing.T) {
 // whose tail is cut, extended or overwritten behind a fixed-up length prefix —
 // with the CRC re-fixed on every other input so body damage reaches the record
 // parser. Each input's verdict, restored table size and re-saved records feed
-// one sha256, measured on the commit before the hand-written codec was
-// replaced by encoding/binary: a decoder that accepts, rejects or reads any
-// input differently changes it.
+// one sha256. The verdicts and restored records are those of the commit before
+// the hand-written codec was replaced by encoding/binary; the re-saved records
+// are in the version 2 format, without the backend tail. A decoder that
+// accepts, rejects or reads any input differently changes it.
 func TestSnapshotDecodePinsParentCommit(t *testing.T) {
 	base := backendSnapshot(t)
 	// Each record's frame: the offset of its length prefix and its length.
@@ -575,7 +578,7 @@ func TestSnapshotDecodePinsParentCommit(t *testing.T) {
 		h.Write(verdict[:])
 		h.Write(v.SaveSnapshot()[snapshotHeaderLen:])
 	}
-	const wantAccepted, want = 7159, "8e5383f52ac705f7ae1ea6e1bfe8681ead75347fc79ff5a3871b0b2c4e0f549d"
+	const wantAccepted, want = 7159, "50c9237bcc8aeaa54fb4c8c722b58083c3382700255c12290b3cbdc262ac6fa5"
 	if got := fmt.Sprintf("%x", h.Sum(nil)); accepted != wantAccepted || got != want {
 		t.Fatalf("%d inputs accepted, verdict sha256 %s; parent commit gave %d, %s",
 			accepted, got, wantAccepted, want)

@@ -110,9 +110,8 @@ func (ch *churn) request(cli int) {
 // count, delivered bytes and connection count measured on the commit before
 // Conn recycling existed: a recycler that adds, drops or reorders an event,
 // a timer arm or an RNG draw — or hands out a record with state left over
-// from its previous life — changes at least one of them. The event count is
-// the one-event-per-hop link's; bytes, connections and retransmissions are
-// still the pre-recycling commit's.
+// from its previous life — changes at least one of them. All four are the
+// commit that consumes a FIN held behind a hole once the hole fills.
 func TestChurnPinsParentCommit(t *testing.T) {
 	ch := newChurn(t)
 	for cli := 0; cli < 64; cli++ {
@@ -122,10 +121,10 @@ func TestChurnPinsParentCommit(t *testing.T) {
 	ch.stopped = true
 	ch.b.s.RunFor(100 * sim.Millisecond)
 	const (
-		wantProcessed = 618889
-		wantDelivered = 102476392
-		wantOpened    = 6863
-		wantRetrans   = 892
+		wantProcessed = 621418
+		wantDelivered = 102846179
+		wantOpened    = 6888
+		wantRetrans   = 863
 	)
 	if ch.b.s.Processed != wantProcessed || ch.delivered != wantDelivered ||
 		ch.opened != wantOpened || ch.retrans != wantRetrans {

@@ -338,8 +338,8 @@ func TestFatTreeStridePinsParentCommit(t *testing.T) {
 // before flow records were recycled: a record that comes back with state from
 // its previous flow, or a flow created, swept or evicted at a different
 // packet, changes at least one of them. The event count is the
-// one-event-per-hop link's; counters and checkpoint are still the recycling
-// commit's.
+// one-event-per-hop link's; counters and checkpoint are the commit on which a
+// FIN in either direction closes both records and snapshots are version 2.
 func TestACDCChurnPinsParentCommit(t *testing.T) {
 	const hosts, perHost, port, maxFlows = 17, 4, 5001, 1500
 	ac := core.DefaultConfig()
@@ -414,10 +414,10 @@ func TestACDCChurnPinsParentCommit(t *testing.T) {
 	sum.SnapshotSaves = 0 // the save above, not the run
 
 	const wantProcessed = 3163147
-	wantStats := core.Stats{FlowsCreated: 142743, FlowsRemoved: 118946, PacksAttached: 327140,
-		PacksConsumed: 326980, RwndRewrites: 962974, UntrackedSegs: 71, EgressSegs: 1034831,
-		IngressSegs: 1034401, FlowsEvicted: 80867, PressureSweeps: 2896}
-	const wantSnap = "08291e4b81b4ac25cb44fc36481dba77bd0f17e6221c99d6a585004a071a2187"
+	wantStats := core.Stats{FlowsCreated: 142743, FlowsRemoved: 123830, PacksAttached: 327140,
+		PacksConsumed: 327015, RwndRewrites: 963037, UntrackedSegs: 8, EgressSegs: 1034831,
+		IngressSegs: 1034401, FlowsEvicted: 8041, PressureSweeps: 336}
+	const wantSnap = "812b8f9ffe55a4dfc2bc74b2149f0a3c7ee2d3e8afbd0224b56bfa817a2bfdab"
 	if got := hex.EncodeToString(snap[:]); net.Sim.Processed != wantProcessed || sum != wantStats || got != wantSnap {
 		t.Fatalf("AC/DC churn run: processed=%d\nstats=%+v\nsnapshot sha256=%s\nparent commit gave %d\n%+v\n%s",
 			net.Sim.Processed, sum, got, wantProcessed, wantStats, wantSnap)
