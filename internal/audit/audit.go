@@ -171,24 +171,6 @@ func (a *Auditor) sampled() bool {
 // Total returns the number of violations recorded across all rules.
 func (a *Auditor) Total() int64 { return a.total.Load() }
 
-// Count returns the number of violations of one rule.
-func (a *Auditor) Count(rule Rule) int64 {
-	c, ok := a.local[rule]
-	if !ok {
-		return 0
-	}
-	return c.Load()
-}
-
-// Violations returns the logged violation reports (bounded by MaxLog).
-func (a *Auditor) Violations() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, len(a.recent))
-	copy(out, a.recent)
-	return out
-}
-
 // --- core.Auditor implementation ---
 
 // PacketEvent checks the packet-level invariants: no window widening on the

@@ -134,12 +134,6 @@ func New(name string) Algorithm {
 	}
 }
 
-// Names lists the available algorithms in the order the paper's Figure 1
-// uses them, plus the extras (DCTCP, TIMELY).
-func Names() []string {
-	return []string{"illinois", "cubic", "reno", "vegas", "highspeed", "dctcp", "timely"}
-}
-
 // renoGrow implements the classic slow-start + congestion-avoidance growth
 // shared by NewReno-style algorithms: exponential below ssthresh, then one
 // MSS per RTT (approximated per-byte as Linux does).

@@ -43,8 +43,7 @@ func (d *DCTCP) gain() float64 {
 	return 1.0 / 16
 }
 
-// Alpha exposes the current marking-fraction estimate (for tests and the
-// harness).
+// Alpha exposes the current marking-fraction estimate (for tests).
 func (d *DCTCP) Alpha(c *Ctx) float64 { return d.state(c).alpha }
 
 // CongAvoid implements Algorithm: Reno growth.

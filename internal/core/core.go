@@ -196,9 +196,6 @@ func (v *VSwitch) pool() *packet.Pool {
 // Detach disables the datapath hooks (reverting to a standard vSwitch).
 func (v *VSwitch) Detach() { v.attached = false }
 
-// Attached reports whether the datapath hooks are live.
-func (v *VSwitch) Attached() bool { return v.attached }
-
 // policy resolves the per-flow policy: a live InstallPolicy override wins,
 // then the FlowPolicy callback, then DefaultPolicy. FlowPolicy callbacks
 // must return a fully specified Policy (start from DefaultPolicy and

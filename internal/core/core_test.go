@@ -66,13 +66,12 @@ func (b *bench) longFlow(t *testing.T, from, to int) (*tcpstack.Conn, **tcpstack
 func TestACDCEnforcesDCTCPOnCubicGuests(t *testing.T) {
 	acdcCfg := DefaultConfig()
 	b := newBench(t, 3, cubicGuest(), &acdcCfg, redK(), 10e9)
-	b.longFlow(t, 0, 2)
+	_, srv1 := b.longFlow(t, 0, 2)
 	var srv2 *tcpstack.Conn
 	b.stacks[2].Listen(5002, func(c *tcpstack.Conn) { srv2 = c })
 	cli2 := b.stacks[1].Dial(b.hosts[2].Addr, 5002)
 	cli2.Send(1 << 40)
 	b.s.RunFor(100 * sim.Millisecond)
-	_ = srv2
 
 	bottleneck := b.sw.Port(2)
 	if b.sw.TotalDrops() != 0 {
@@ -86,7 +85,8 @@ func TestACDCEnforcesDCTCPOnCubicGuests(t *testing.T) {
 	if q := bottleneck.Stats.MaxQueueBytes; q > 12*testK {
 		t.Fatalf("max queue %dB under AC/DC, want ≈K=%d", q, testK)
 	}
-	if u := bottleneck.Utilization(); u < 0.85 {
+	// Goodput over the bottleneck's capacity, headers and handshake excluded.
+	if u := float64((*srv1).Delivered+srv2.Delivered) * 8 / (10e9 * b.s.Now().Seconds()); u < 0.85 {
 		t.Fatalf("utilization %.2f, want high", u)
 	}
 	sv := b.acdc[0]
@@ -555,20 +555,6 @@ func TestSenderCCInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWindowUpdateGeneration(t *testing.T) {
-	acdcCfg := DefaultConfig()
-	b := newBench(t, 2, cubicGuest(), &acdcCfg, redK(), 10e9)
-	cli, _ := b.longFlow(t, 0, 1)
-	b.s.RunFor(20 * sim.Millisecond)
-	key := FlowKey{Src: b.hosts[0].Addr, Dst: b.hosts[1].Addr, SPort: cli.LocalPort(), DPort: 5001}
-	if !b.acdc[0].SendWindowUpdate(key) {
-		t.Fatal("SendWindowUpdate failed for live flow")
-	}
-	if b.acdc[0].SendWindowUpdate(FlowKey{Src: 1, Dst: 2, SPort: 3, DPort: 4}) {
-		t.Fatal("SendWindowUpdate succeeded for unknown flow")
 	}
 }
 

@@ -92,10 +92,3 @@ func (v *VSwitch) resyncAdvanceLocked(f *Flow, haveFeedback bool, absAck int64) 
 		}
 	}
 }
-
-// Resyncing reports whether the flow is still in conservative mode.
-func (f *Flow) Resyncing() bool { return f.resync != resyncNone }
-
-// ResyncState returns the state name ("none", "await-feedback",
-// "await-round") for tests and instrumentation.
-func (f *Flow) ResyncState() string { return f.resync.String() }

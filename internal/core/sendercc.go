@@ -330,15 +330,3 @@ func (v *VSwitch) buildDupAckLocked(f *Flow) *packet.Packet {
 		Flags: packet.FlagACK, Window: f.windowField(f.enforcedWindow(v.minRwnd(f))),
 	}, 0)
 }
-
-// SendWindowUpdate synthesizes a TCP window-update ACK toward the local
-// guest reflecting the flow's current enforced window (§3.3: "ACEDC can
-// create these packets to update windows without relying on ACKs").
-func (v *VSwitch) SendWindowUpdate(k FlowKey) bool {
-	f := v.Table.Get(k)
-	if f == nil || !f.issValid {
-		return false
-	}
-	v.Host.DeliverLocal(v.buildDupAckLocked(f))
-	return true
-}

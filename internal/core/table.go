@@ -65,9 +65,6 @@ func hashWords(w0, w1 uint64) uint64 {
 	return h
 }
 
-// shardIndex hashes k down to a shard number.
-func shardIndex(k FlowKey) int { return int(hashWords(keyWords(k)) % numShards) }
-
 // find returns k's hash, its shard and the position of its slot there, or
 // −1.
 func (t *Table) find(k FlowKey) (h uint64, s *sim.Slots[slot], i int) {
@@ -120,15 +117,6 @@ func (t *Table) GetOrCreate(k FlowKey, init func() *Flow) (f *Flow, created bool
 	s.Insert(h, slot{h: h, f: f}, slotHash)
 	t.size++
 	return f, true
-}
-
-// Delete removes the flow for k.
-func (t *Table) Delete(k FlowKey) {
-	if _, s, i := t.find(k); i >= 0 {
-		unlink(s.At(i).f)
-		s.Delete(i, slotHash)
-		t.size--
-	}
 }
 
 // Len reports the entry count in O(1): the MaxFlows capacity check runs it on

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"acdc/internal/core"
@@ -210,7 +211,7 @@ func TestUDPTunnelPeerRestartRebaselines(t *testing.T) {
 	// played by hand, so each one reaches b exactly when the test says.
 	var inFlight []*packet.Packet
 	for i := 0; i < 10; i++ {
-		out, _ := a.EgressPath(packet.BuildUDP(ha.Addr, hb.Addr, packet.NotECT, 6000, 7000, 8960))
+		out, _ := a.EgressPath(packet.BuildUDPIn(nil, ha.Addr, hb.Addr, packet.NotECT, 6000, 7000, 8960))
 		if out == nil {
 			t.Fatalf("datagram %d not admitted", i)
 		}
@@ -258,7 +259,7 @@ func TestUDPTunnelPeerRestartRebaselines(t *testing.T) {
 }
 
 func TestBuildUDPWireFormat(t *testing.T) {
-	p := packet.BuildUDP(packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2),
+	p := packet.BuildUDPIn(nil, packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2),
 		packet.ECT0, 1234, 5678, 9000)
 	ip := p.IP()
 	if !ip.Valid() || ip.Protocol() != packet.ProtoUDP {
@@ -271,8 +272,8 @@ func TestBuildUDPWireFormat(t *testing.T) {
 	if u.SrcPort() != 1234 || u.DstPort() != 5678 {
 		t.Fatalf("ports %d %d", u.SrcPort(), u.DstPort())
 	}
-	if u.Length() != packet.UDPHeaderLen+9000 {
-		t.Fatalf("length %d", u.Length())
+	if n := binary.BigEndian.Uint16(u[4:6]); n != packet.UDPHeaderLen+9000 {
+		t.Fatalf("length %d", n)
 	}
 	if p.IPLen() != packet.IPv4HeaderLen+packet.UDPHeaderLen+9000 {
 		t.Fatalf("IPLen %d", p.IPLen())

@@ -22,7 +22,7 @@ const (
 )
 
 // vccNames indexes the laws' names by vccID.
-var vccNames = [...]string{"dctcp", "reno"}
+var vccNames = [...]string{vccDCTCP: "dctcp", vccReno: "reno"}
 
 func (id vccID) String() string { return vccNames[id] }
 

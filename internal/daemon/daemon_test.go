@@ -127,11 +127,15 @@ func TestPolicyStreamMixedResults(t *testing.T) {
 	if st.PolicyUpdates != 1 || st.PolicyRejects != 1 {
 		t.Fatalf("updates/rejects = %d/%d, want 1/1", st.PolicyUpdates, st.PolicyRejects)
 	}
-	// The installed override is live on the vSwitch.
+	// The installed override is live on the tracked flow.
 	k, _ := (PolicyUpdate{Src: f.Src, Dst: f.Dst, SPort: f.SPort, DPort: f.DPort}).key()
 	var p core.Policy
 	var ok bool
-	if err := d.Exec(func() { p, ok = d.Net().ACDC[0].PolicyOverride(k) }); err != nil {
+	if err := d.Exec(func() {
+		if fl := d.Net().ACDC[0].Table.Get(k); fl != nil {
+			p, ok = *fl.Policy, true
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !ok || p.Beta != 0.5 {

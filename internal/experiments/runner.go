@@ -3,8 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync"
-
-	"acdc/internal/metrics"
 )
 
 // Parallel experiment engine. Every experiment builds its own topo.Net with
@@ -82,32 +80,4 @@ func Sweep(jobs []Job, workers int, onDone func(i int, r *Result)) []*Result {
 	}
 	wg.Wait()
 	return results
-}
-
-// RunAll runs each experiment with the same config over `workers` workers.
-func RunAll(exps []Experiment, cfg RunConfig, workers int, onDone func(i int, r *Result)) []*Result {
-	jobs := make([]Job, len(exps))
-	for i, e := range exps {
-		jobs[i] = Job{Exp: e, Cfg: cfg}
-	}
-	return Sweep(jobs, workers, onDone)
-}
-
-// MergeTelemetry folds the final fleet snapshots of every telemetry stream
-// in the given results (in result order, then stream order) into one
-// aggregate — the whole batch's datapath totals. Snapshot merging is
-// key-wise summation, so the result is independent of worker scheduling.
-func MergeTelemetry(results []*Result) metrics.Snapshot {
-	var snaps []metrics.Snapshot
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		for _, tl := range r.Telemetry {
-			if tl != nil {
-				snaps = append(snaps, tl.Final)
-			}
-		}
-	}
-	return metrics.Merge(snaps...)
 }

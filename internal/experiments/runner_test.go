@@ -16,6 +16,15 @@ func expByID(t *testing.T, id string) Experiment {
 	return *e
 }
 
+// runAll runs each experiment with the same config over `workers` workers.
+func runAll(exps []Experiment, cfg RunConfig, workers int, onDone func(i int, r *Result)) []*Result {
+	jobs := make([]Job, len(exps))
+	for i, e := range exps {
+		jobs[i] = Job{Exp: e, Cfg: cfg}
+	}
+	return Sweep(jobs, workers, onDone)
+}
+
 // TestParallelMatchesSequential is the engine's core guarantee: running
 // experiments on a worker pool yields byte-identical reports (and therefore
 // identical metrics) to running them one at a time, in the same order.
@@ -27,11 +36,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	cfg := RunConfig{Seed: 1}
 
 	var seqOrder []string
-	seq := RunAll(exps, cfg, 1, func(i int, r *Result) {
+	seq := runAll(exps, cfg, 1, func(i int, r *Result) {
 		seqOrder = append(seqOrder, r.ID)
 	})
 	var parOrder []string
-	par := RunAll(exps, cfg, 4, func(i int, r *Result) {
+	par := runAll(exps, cfg, 4, func(i int, r *Result) {
 		parOrder = append(parOrder, r.ID)
 	})
 
@@ -104,31 +113,6 @@ func TestSweepOrderAndConcurrency(t *testing.T) {
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("onDone visited %v: not in job order", order)
-		}
-	}
-}
-
-// TestMergeTelemetryDeterministic checks that the batch-wide fleet aggregate
-// is the same no matter how the runs were scheduled.
-func TestMergeTelemetryDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs an experiment twice")
-	}
-	exps := []Experiment{expByID(t, "fig8")}
-	cfg := RunConfig{Seed: 1}
-	a := MergeTelemetry(RunAll(exps, cfg, 1, nil))
-	b := MergeTelemetry(RunAll(exps, cfg, 3, nil))
-	if len(a.Counters) == 0 {
-		t.Fatal("fig8 produced no telemetry counters; merge test is vacuous")
-	}
-	for k, v := range a.Counters {
-		if b.Counters[k] != v {
-			t.Errorf("counter %s: seq %d, par %d", k, v, b.Counters[k])
-		}
-	}
-	for k, v := range b.Counters {
-		if _, ok := a.Counters[k]; !ok {
-			t.Errorf("counter %s (=%d) only present in parallel merge", k, v)
 		}
 	}
 }

@@ -248,7 +248,7 @@ func parseDomain(spec string) (FaultDomain, error) {
 				d.Count = n
 			case "loss":
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 || f > 1 {
+				if err != nil || !(f >= 0 && f <= 1) {
 					return FaultDomain{}, fmt.Errorf("fabric: bad loss %q (want 0..1)", v)
 				}
 				d.Loss = f

@@ -47,7 +47,7 @@ func TestParseDomainsErrors(t *testing.T) {
 	for _, in := range []string{
 		"", ";", "bogus,link=x", "link-down", "switch-down@1ms", "flap,link=x,count=0",
 		"gray,link=x,loss=2", "link-down@-1ms,link=x", "flap,link=x,nope=1",
-		"link-down,link", "gray,link=x,delay=zzz",
+		"link-down,link", "gray,link=x,delay=zzz", "gray,link=x,loss=NaN",
 	} {
 		if _, err := ParseDomains(in); err == nil {
 			t.Errorf("%q: no error", in)

@@ -185,7 +185,7 @@ func Parse(s string) (Profile, error) {
 			}
 		default:
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) {
 				return Profile{}, fmt.Errorf("faults: bad probability %s=%q (want [0,1])", k, v)
 			}
 			switch k {

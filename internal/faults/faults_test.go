@@ -47,7 +47,7 @@ func TestParseKeyValue(t *testing.T) {
 		t.Errorf("Parse(\"\") = %+v, %v", p, err)
 	}
 	for _, bad := range []string{
-		"nope", "drop", "drop=1.5", "drop=-0.1", "drop=x",
+		"nope", "drop", "drop=1.5", "drop=-0.1", "drop=x", "drop=NaN",
 		"jitter=5", "jitter=-1ms", "mystery=0.1",
 	} {
 		if _, err := Parse(bad); err == nil {
@@ -86,7 +86,7 @@ func dataSegment() *packet.Packet {
 		packet.ECT0, packet.TCPFields{
 			SrcPort: 4000, DstPort: 5001, Seq: 100, Ack: 1,
 			Flags: packet.FlagACK | packet.FlagPSH, Window: 65535,
-			Options: []byte{packet.OptNOP, packet.OptNOP, packet.OptTimestamps, 10, 0, 0, 0, 1, 0, 0, 0, 2},
+			Options: []byte{packet.OptNOP, packet.OptNOP, 8 /* timestamps */, 10, 0, 0, 0, 1, 0, 0, 0, 2},
 		}, 1448)
 }
 
@@ -204,7 +204,7 @@ func TestHookStripOptions(t *testing.T) {
 	if !ip.VerifyChecksum() {
 		t.Error("IP checksum broken after strip")
 	}
-	if !tcp.VerifyChecksum(ip.PseudoHeaderSum(ip.TotalLen() - uint16(ip.HeaderLen()))) {
+	if packet.ChecksumWith(tcp[:tcp.HeaderLen()], ip.PseudoHeaderSum(ip.TotalLen()-uint16(ip.HeaderLen()))) != 0 {
 		t.Error("TCP checksum broken after strip")
 	}
 	if in.strips.Value() != 1 {

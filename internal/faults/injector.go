@@ -47,9 +47,6 @@ func NewInjector(prof Profile, seed int64) *Injector {
 	}
 }
 
-// Profile returns the injected profile.
-func (in *Injector) Profile() Profile { return in.prof }
-
 // SetProfile swaps the fault mix on a live injector — how a soak harness
 // flips fault regimes mid-run without rebuilding the topology. The profile is
 // read by Hook on the simulation goroutine, so SetProfile must run there too
@@ -61,18 +58,6 @@ func (in *Injector) SetProfile(p Profile) { in.prof = p.withDefaults() }
 
 // Registry exposes the injection counters for telemetry merging.
 func (in *Injector) Registry() *metrics.Registry { return in.reg }
-
-// Total sums every injected fault so far.
-func (in *Injector) Total() int64 {
-	var t int64
-	for _, c := range []*metrics.Counter{
-		in.drops, in.reorders, in.dups, in.jitters,
-		in.corrupts, in.strips, in.fbDrops, in.fbStrips,
-	} {
-		t += c.Value()
-	}
-	return t
-}
 
 // Attach installs the injector's hook on a link. A disabled profile leaves
 // the link untouched so fault-free runs stay on the exact pre-existing path.

@@ -25,10 +25,6 @@
 //     the registry — the hot path pays one predictable branch.
 package metrics
 
-import (
-	"sort"
-)
-
 // Counter is a monotonically increasing counter: one word.
 type Counter struct {
 	v int64
@@ -254,26 +250,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[n] = h.snapshot()
 	}
 	return s
-}
-
-// Names returns every registered instrument name, sorted (for stable text
-// encodings and tests).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ExponentialBounds returns n ascending bucket bounds starting at start and

@@ -187,9 +187,6 @@ func TestNilSafety(t *testing.T) {
 	if s := r.Snapshot(); len(s.Counters) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
-	if r.Names() != nil {
-		t.Fatal("nil registry Names must be nil")
-	}
 }
 
 func TestSnapshotDeltaAndMerge(t *testing.T) {
@@ -237,7 +234,7 @@ func TestEncoders(t *testing.T) {
 		t.Fatalf("text encoding not sorted:\n%s", text)
 	}
 
-	raw, err := s.JSON()
+	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -151,11 +150,6 @@ func (s Snapshot) Text() string {
 			n, h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 	}
 	return b.String()
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -20,15 +20,6 @@ func NewSharedBuffer(total int, alpha float64) *SharedBuffer {
 	return &SharedBuffer{Total: total, Alpha: alpha}
 }
 
-// Used returns the bytes currently held.
-func (b *SharedBuffer) Used() int {
-	b.settle()
-	return b.used
-}
-
-// Free returns the unallocated bytes.
-func (b *SharedBuffer) Free() int { return b.Total - b.Used() }
-
 // Admit reports whether a port currently holding portBytes may queue n more
 // bytes, and reserves them if so.
 //

@@ -203,13 +203,6 @@ func (l *Link) QueueBytes() int {
 	return l.queueBytes
 }
 
-// QueueLen returns the number of queued packets (including the one being
-// serialized).
-func (l *Link) QueueLen() int {
-	l.settle()
-	return l.queue.len()
-}
-
 // TxTime returns the serialization time for n wire bytes.
 func (l *Link) TxTime(n int) sim.Duration {
 	return sim.Duration(int64(n) * 8 * int64(sim.Second) / l.Rate)
@@ -484,18 +477,6 @@ func (l *Link) AvgQueueBytes() float64 {
 		return 0
 	}
 	return l.Stats.QueueByteTicks / float64(l.Sim.Now())
-}
-
-// Utilization returns the fraction of capacity used over [0, now].
-func (l *Link) Utilization() float64 {
-	l.settle()
-	now := l.Sim.Now()
-	if now == 0 {
-		return 0
-	}
-	sentBits := float64(l.Stats.SentBytes) * 8
-	capBits := float64(l.Rate) * now.Seconds()
-	return sentBits / capBits
 }
 
 func (l *Link) String() string {

@@ -46,9 +46,6 @@ func NewShaper(s *sim.Simulator, rate int64, burst int, dst Handler) *Shaper {
 	return &Shaper{Sim: s, Rate: rate, Burst: burst, Dst: dst, tokens: float64(burst)}
 }
 
-// QueueBytes returns the current backlog.
-func (sh *Shaper) QueueBytes() int { return sh.queueBytes }
-
 // sendThreshold returns the credit required to release a packet needing
 // `need` bytes: a full bucket always suffices (borrowing), so packets larger
 // than the burst still drain at the configured rate instead of wedging.

@@ -37,13 +37,11 @@ type Switch struct {
 
 	ports []*Link
 
-	// routes maps a destination to its route, found in one lookup: port + 1
-	// for an exact route, −(g + 1) for equal-cost group ecmp[g]. defaultEcmp
-	// is the fallback group for destinations with neither (a fat-tree ToR's
-	// "everything remote goes up" rule). Lookup order: exact route → the
-	// destination's group → defaultEcmp → NoRoute drop.
+	// routes maps a destination to its exact route's port + 1, found in one
+	// lookup (zero is no route). defaultEcmp is the equal-cost group for
+	// destinations without one (a fat-tree ToR's "everything remote goes
+	// up" rule). Lookup order: exact route → defaultEcmp → NoRoute drop.
 	routes      sim.Index[packet.Addr, int32]
-	ecmp        [][]int
 	defaultEcmp []int
 	liveBuf     []int // scratch for failover re-hash; avoids per-packet allocs
 }
@@ -79,31 +77,10 @@ func (sw *Switch) AddRoute(dst packet.Addr, port int) {
 	sw.routes.Put(dst, int32(port)+1)
 }
 
-// AddEcmpRoute directs packets for dst over an equal-cost group of ports,
-// selected per packet by the seeded 5-tuple hash. An exact AddRoute for the
-// same destination takes precedence.
-func (sw *Switch) AddEcmpRoute(dst packet.Addr, ports ...int) {
-	sw.checkGroup(ports)
-	group := append([]int(nil), ports...)
-	switch r := sw.routes.Get(dst); {
-	case r > 0: // an exact route: it takes precedence, and routes are never removed
-	case r < 0:
-		sw.ecmp[-r-1] = group
-	default:
-		sw.ecmp = append(sw.ecmp, group)
-		sw.routes.Put(dst, -int32(len(sw.ecmp)))
-	}
-}
-
-// SetDefaultEcmp installs the fallback equal-cost group used for any
-// destination with no exact or per-destination ECMP route — the fat-tree
-// "default route points up" rule.
+// SetDefaultEcmp installs the equal-cost group, selected per packet by the
+// seeded 5-tuple hash, for any destination with no exact route — the
+// fat-tree "default route points up" rule.
 func (sw *Switch) SetDefaultEcmp(ports ...int) {
-	sw.checkGroup(ports)
-	sw.defaultEcmp = append([]int(nil), ports...)
-}
-
-func (sw *Switch) checkGroup(ports []int) {
 	if len(ports) == 0 {
 		panic(fmt.Sprintf("netsim: switch %s: empty ECMP group", sw.Name))
 	}
@@ -112,6 +89,7 @@ func (sw *Switch) checkGroup(ports []int) {
 			panic(fmt.Sprintf("netsim: switch %s: ECMP route to invalid port %d", sw.Name, port))
 		}
 	}
+	sw.defaultEcmp = append([]int(nil), ports...)
 }
 
 // ecmpMix64 is the splitmix64 finalizer: full-avalanche, so every input bit
@@ -175,20 +153,15 @@ func (sw *Switch) HandlePacket(p *packet.Packet) {
 		sw.Pool.Put(p)
 		return
 	}
-	r := sw.routes.Get(ip.Dst())
-	port := int(r) - 1
-	if r <= 0 {
-		group := sw.defaultEcmp
-		if r < 0 {
-			group = sw.ecmp[-r-1]
-		}
-		if len(group) == 0 {
+	port := int(sw.routes.Get(ip.Dst())) - 1
+	if port < 0 {
+		if len(sw.defaultEcmp) == 0 {
 			sw.Stats.NoRoute++
 			sw.Pool.Put(p)
 			return
 		}
 		var ok bool
-		if port, ok = sw.ecmpSelect(group, ip); !ok {
+		if port, ok = sw.ecmpSelect(sw.defaultEcmp, ip); !ok {
 			sw.Stats.Blackholes++
 			sw.Pool.Put(p)
 			return
@@ -225,14 +198,4 @@ func (sw *Switch) TotalSent() int64 {
 		n += l.Stats.SentPackets
 	}
 	return n
-}
-
-// DropRate returns drops / (drops + sent) across the switch, the metric the
-// paper reports from switch counters.
-func (sw *Switch) DropRate() float64 {
-	d, s := sw.TotalDrops(), sw.TotalSent()
-	if d+s == 0 {
-		return 0
-	}
-	return float64(d) / float64(d+s)
 }

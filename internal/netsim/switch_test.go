@@ -72,10 +72,8 @@ func TestSwitchTTLExpiry(t *testing.T) {
 	k := &sink{}
 	sw.AddRoute(packet.MakeAddr(10, 0, 0, 2), sw.AddPort(NewLink(s, "p", 1e9, 0, k), REDConfig{}))
 	p := mkFlowPkt(packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2), 1, 2, 10)
-	for p.IP().TTL() > 1 {
-		if !p.IP().DecTTL() {
-			break
-		}
+	for ip := p.IP(); ip[8] > 1; { // the TTL byte
+		ip.DecTTL()
 	}
 	sw.HandlePacket(p)
 	s.RunAll()
@@ -84,8 +82,8 @@ func TestSwitchTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestEcmpExactRouteWins: an exact AddRoute for a destination shadows both
-// the per-destination group and the default group.
+// TestEcmpExactRouteWins: an exact AddRoute for a destination shadows the
+// default group.
 func TestEcmpExactRouteWins(t *testing.T) {
 	s := sim.New(1)
 	sw, sinks := buildEcmpSwitch(s, 4)
@@ -250,38 +248,24 @@ func TestEcmpFailover(t *testing.T) {
 	}
 }
 
-// TestEcmpPerDestinationGroup: AddEcmpRoute restricts a destination to its
-// own group while others fall back to the default.
-func TestEcmpPerDestinationGroup(t *testing.T) {
-	s := sim.New(1)
-	sw, sinks := buildEcmpSwitch(s, 4)
-	dst := packet.MakeAddr(10, 0, 9, 9)
-	sw.AddEcmpRoute(dst, 0, 1)
-	for i := 0; i < 64; i++ {
-		sw.HandlePacket(mkFlowPkt(packet.MakeAddr(10, 0, 0, 1), dst, uint16(4000+i), 80, 10))
-	}
-	s.RunAll()
-	if n := len(sinks[2].got) + len(sinks[3].got); n != 0 {
-		t.Fatalf("restricted group leaked %d flows onto out-of-group ports", n)
-	}
-	if len(sinks[0].got) == 0 || len(sinks[1].got) == 0 {
-		t.Fatalf("group ports unused: %d/%d", len(sinks[0].got), len(sinks[1].got))
-	}
-}
-
 // TestExactRouteTakesPrecedence: whichever order they are added in, an exact
-// route wins over a destination's ECMP group, and a destination's group
-// added again replaces the first.
+// route wins over the default group, and a route added again replaces the
+// first.
 func TestExactRouteTakesPrecedence(t *testing.T) {
 	s := sim.New(1)
-	sw, sinks := buildEcmpSwitch(s, 4)
-	before, after, regrouped := packet.MakeAddr(10, 0, 9, 1), packet.MakeAddr(10, 0, 9, 2), packet.MakeAddr(10, 0, 9, 3)
+	sw := NewSwitch(s, "ecmp", nil)
+	sw.Pool = packet.NewPool()
+	sinks := make([]*sink, 4)
+	for i := range sinks {
+		sinks[i] = &sink{}
+		sw.AddPort(NewLink(s, fmt.Sprintf("up%d", i), 10e9, sim.Microsecond, sinks[i]), REDConfig{})
+	}
+	before, after, rerouted := packet.MakeAddr(10, 0, 9, 1), packet.MakeAddr(10, 0, 9, 2), packet.MakeAddr(10, 0, 9, 3)
 	sw.AddRoute(before, 3)
-	sw.AddEcmpRoute(before, 0, 1)
-	sw.AddEcmpRoute(after, 0, 1)
+	sw.SetDefaultEcmp(0, 1)
 	sw.AddRoute(after, 3)
-	sw.AddEcmpRoute(regrouped, 0, 1)
-	sw.AddEcmpRoute(regrouped, 2)
+	sw.AddRoute(rerouted, 0)
+	sw.AddRoute(rerouted, 2)
 	for i := 0; i < 32; i++ {
 		for _, dst := range []packet.Addr{before, after} {
 			sw.HandlePacket(mkFlowPkt(packet.MakeAddr(10, 0, 0, 1), dst, uint16(4000+i), 80, 10))
@@ -292,11 +276,11 @@ func TestExactRouteTakesPrecedence(t *testing.T) {
 		t.Fatalf("exact routes carried %d of 64 packets, %d hashed", got, sw.Stats.EcmpForwarded)
 	}
 	for i := 0; i < 32; i++ {
-		sw.HandlePacket(mkFlowPkt(packet.MakeAddr(10, 0, 0, 1), regrouped, uint16(4000+i), 80, 10))
+		sw.HandlePacket(mkFlowPkt(packet.MakeAddr(10, 0, 0, 1), rerouted, uint16(4000+i), 80, 10))
 	}
 	s.RunAll()
 	if got := len(sinks[2].got); got != 32 || len(sinks[0].got)+len(sinks[1].got) != 0 {
-		t.Fatalf("replaced group carried %d of 32 packets; the first group %d", got, len(sinks[0].got)+len(sinks[1].got))
+		t.Fatalf("replaced route carried %d of 32 packets; the first route and the group %d", got, len(sinks[0].got)+len(sinks[1].got))
 	}
 }
 
@@ -305,9 +289,8 @@ func TestEcmpGroupValidation(t *testing.T) {
 	sw := NewSwitch(s, "x", nil)
 	sw.AddPort(NewLink(s, "p", 1e9, 0, &sink{}), REDConfig{})
 	for name, fn := range map[string]func(){
-		"empty-group":  func() { sw.SetDefaultEcmp() },
-		"bad-port":     func() { sw.SetDefaultEcmp(3) },
-		"bad-per-dest": func() { sw.AddEcmpRoute(packet.MakeAddr(10, 0, 0, 1), -1) },
+		"empty-group": func() { sw.SetDefaultEcmp() },
+		"bad-port":    func() { sw.SetDefaultEcmp(3) },
 	} {
 		func() {
 			defer func() {
@@ -352,9 +335,8 @@ func FuzzECMPHash(f *testing.F) {
 }
 
 // TestSwitchForwardZeroAlloc pins the route lookup on the per-packet path:
-// a warm switch with a hundred exact routes, per-destination ECMP groups and
-// a default group forwards a packet down each kind of route without
-// allocating.
+// a warm switch with a hundred exact routes and a default group forwards a
+// packet down each kind of route without allocating.
 func TestSwitchForwardZeroAlloc(t *testing.T) {
 	s := sim.New(1)
 	sw := NewSwitch(s, "tor", nil)
@@ -366,12 +348,11 @@ func TestSwitchForwardZeroAlloc(t *testing.T) {
 			HandlerFunc(func(p *packet.Packet) { pool.Put(p) })), REDConfig{})
 	}
 	const n = 100
-	dsts := make([]packet.Addr, 0, 3*n)
+	dsts := make([]packet.Addr, 0, 2*n)
 	for i := range n {
-		exact, group := packet.MakeAddr(10, 0, 0, byte(i)), packet.MakeAddr(10, 1, 0, byte(i))
+		exact := packet.MakeAddr(10, 0, 0, byte(i))
 		sw.AddRoute(exact, ports[i%len(ports)])
-		sw.AddEcmpRoute(group, ports[i%2], ports[2+i%2])
-		dsts = append(dsts, exact, group, packet.MakeAddr(10, 2, 0, byte(i)))
+		dsts = append(dsts, exact, packet.MakeAddr(10, 2, 0, byte(i)))
 	}
 	sw.SetDefaultEcmp(ports...)
 	src := packet.MakeAddr(10, 9, 9, 9)
@@ -389,8 +370,8 @@ func TestSwitchForwardZeroAlloc(t *testing.T) {
 		t.Errorf("forward round: %v allocs, want 0", n)
 	}
 	st := sw.Stats
-	if st.NoRoute != 0 || st.Forwarded == 0 || st.EcmpForwarded != 2*st.Forwarded/3 {
-		t.Errorf("stats %+v: want no drops and two thirds of the packets hashed", st)
+	if st.NoRoute != 0 || st.Forwarded == 0 || st.EcmpForwarded != st.Forwarded/2 {
+		t.Errorf("stats %+v: want no drops and half the packets hashed", st)
 	}
 	if out := pool.Gets - pool.Puts; out != 0 {
 		t.Errorf("%d packets not returned to the pool", out)

@@ -19,18 +19,10 @@ func ChecksumWith(b []byte, initial uint32) uint16 {
 	return finish(sum(b, initial))
 }
 
-// PartialSum accumulates b into a running 32-bit partial sum that can later
-// be finished with FinishSum. b must have even length unless it is the final
-// fragment.
-func PartialSum(b []byte, acc uint32) uint32 { return sum(b, acc) }
-
-// FinishSum folds a partial sum and complements it.
-func FinishSum(acc uint32) uint16 { return finish(acc) }
-
 // sum adds b to acc as big-endian 16-bit words, an odd trailing byte padded
 // with zero. It adds four bytes at a time into 64 bits and folds at the end:
 // 2^16 ≡ 1 modulo 0xffff, so a 32-bit word adds what its two halves do, and
-// the fold keeps every nonzero sum nonzero, so FinishSum gives exactly what
+// the fold keeps every nonzero sum nonzero, so finish gives exactly what
 // adding the 16-bit words one by one would.
 func sum(b []byte, acc uint32) uint32 {
 	s := uint64(acc)

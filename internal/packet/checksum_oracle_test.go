@@ -72,8 +72,8 @@ func oracleBuild(src, dst Addr, ecn ECN, f TCPFields, payloadLen int) []byte {
 	return b
 }
 
-// checkAgainstOracle compares Checksum, ChecksumWith and a PartialSum chain
-// over b cut at the given points (any lengths, odd ones included) with the
+// checkAgainstOracle compares Checksum, ChecksumWith and a chain of partial
+// sums (sum) over b cut at the given points (any lengths, odd ones included) with the
 // oracle.
 func checkAgainstOracle(t *testing.T, b []byte, initial uint32, cuts []int) {
 	t.Helper()
@@ -85,10 +85,10 @@ func checkAgainstOracle(t *testing.T, b []byte, initial uint32, cuts []int) {
 	}
 	acc, oracle, from := initial, initial, 0
 	for _, to := range append(cuts, len(b)) {
-		acc, oracle, from = PartialSum(b[from:to], acc), oracleSum(b[from:to], oracle), to
+		acc, oracle, from = sum(b[from:to], acc), oracleSum(b[from:to], oracle), to
 	}
-	if got, want := FinishSum(acc), oracleFinish(oracle); got != want {
-		t.Fatalf("PartialSum chain over % x cut at %v from %#x = %#04x, oracle %#04x", b, cuts, initial, got, want)
+	if got, want := finish(acc), oracleFinish(oracle); got != want {
+		t.Fatalf("partial-sum chain over % x cut at %v from %#x = %#04x, oracle %#04x", b, cuts, initial, got, want)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestPseudoHeaderSumMatchesOracle(t *testing.T) {
 		binary.BigEndian.PutUint32(ip[16:20], uint32(dst))
 		ip[9] = proto
 		got, want := ip.PseudoHeaderSum(tcpLen), oraclePseudo(src, dst, proto, tcpLen)
-		if FinishSum(got) != oracleFinish(want) {
+		if finish(got) != oracleFinish(want) {
 			t.Fatalf("PseudoHeaderSum(%v, %v, %d, %d) = %#x, oracle %#x", src, dst, proto, tcpLen, got, want)
 		}
 	}
@@ -193,7 +193,7 @@ func TestBuildMatchesOracle(t *testing.T) {
 }
 
 // FuzzChecksumMatchesOracle compares Checksum, ChecksumWith and a
-// three-fragment PartialSum chain with the byte-pair oracle on any bytes.
+// three-fragment chain of partial sums with the byte-pair oracle on any bytes.
 func FuzzChecksumMatchesOracle(f *testing.F) {
 	f.Add([]byte{}, uint32(0), uint8(0), uint8(0))
 	f.Add([]byte{0x01}, uint32(0xffff), uint8(1), uint8(1))

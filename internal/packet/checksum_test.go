@@ -88,7 +88,7 @@ func TestPartialSumComposition(t *testing.T) {
 	a := []byte{1, 2, 3, 4}
 	b := []byte{5, 6, 7, 8}
 	whole := Checksum(append(append([]byte{}, a...), b...))
-	composed := FinishSum(PartialSum(b, PartialSum(a, 0)))
+	composed := finish(sum(b, sum(a, 0)))
 	if whole != composed {
 		t.Fatalf("composed = %#04x, want %#04x", composed, whole)
 	}

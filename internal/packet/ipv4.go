@@ -94,9 +94,6 @@ func (p IPv4) SetECN(e ECN) {
 	p.setChecksum(UpdateChecksum8Pair(p.Checksum(), old, p[1], false))
 }
 
-// TTL returns the time-to-live field.
-func (p IPv4) TTL() uint8 { return p[8] }
-
 // DecTTL decrements TTL, fixing the checksum; returns false if TTL hit zero.
 func (p IPv4) DecTTL() bool {
 	if p[8] == 0 {

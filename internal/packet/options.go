@@ -4,13 +4,12 @@ import "encoding/binary"
 
 // TCP option kinds.
 const (
-	OptEOL        = 0
-	OptNOP        = 1
-	OptMSS        = 2 // length 4
-	OptWScale     = 3 // length 3
-	OptSACKPerm   = 4 // length 2
-	OptSACK       = 5 // variable
-	OptTimestamps = 8 // length 10
+	OptEOL      = 0
+	OptNOP      = 1
+	OptMSS      = 2 // length 4
+	OptWScale   = 3 // length 3
+	OptSACKPerm = 4 // length 2
+	OptSACK     = 5 // variable
 	// OptPACK is AC/DC's Piggy-backed ACK congestion-feedback option
 	// (experimental kind per RFC 4727). It carries the receiver module's
 	// running totals of received and CE-marked bytes: 8 bytes of data, as in

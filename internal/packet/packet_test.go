@@ -81,21 +81,6 @@ func TestSetWindowIncrementalChecksum(t *testing.T) {
 	}
 }
 
-func TestSetClearFlagsChecksum(t *testing.T) {
-	p := testPacket(t, nil, 0)
-	ip := p.IP()
-	ps := ip.PseudoHeaderSum(tcpLenOf(ip))
-	tc := p.TCP()
-	tc.SetFlags(FlagECE | FlagCWR)
-	if !tc.HasFlags(FlagECE|FlagCWR) || !tc.VerifyChecksum(ps) {
-		t.Fatal("SetFlags broke header")
-	}
-	tc.ClearFlags(FlagECE)
-	if tc.HasFlags(FlagECE) || !tc.HasFlags(FlagCWR) || !tc.VerifyChecksum(ps) {
-		t.Fatal("ClearFlags broke header")
-	}
-}
-
 func TestSetECNIncrementalChecksum(t *testing.T) {
 	p := testPacket(t, nil, 100)
 	ip := p.IP()

@@ -106,8 +106,10 @@ func BuildIn(pl *Pool, src, dst Addr, ecn ECN, f TCPFields, payloadLen int) *Pac
 	return p
 }
 
-// BuildUDPIn is BuildUDP drawing its packet from pl (nil pl ⇒ identical to
-// BuildUDP).
+// BuildUDPIn constructs a UDP packet drawn from pl (nil pl allocates it)
+// with a virtual payload of payloadLen bytes: as with TCP, payload bytes are
+// not materialized, and the checksum covers the materialized header,
+// mirroring NIC offload.
 func BuildUDPIn(pl *Pool, src, dst Addr, ecn ECN, sport, dport uint16, payloadLen int) *Packet {
 	total := IPv4HeaderLen + UDPHeaderLen + payloadLen
 	p := pl.Get(IPv4HeaderLen + UDPHeaderLen)

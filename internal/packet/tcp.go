@@ -53,20 +53,6 @@ func (t TCP) Flags() uint8 { return t[13] }
 // HasFlags reports whether all flags in mask are set.
 func (t TCP) HasFlags(mask uint8) bool { return t[13]&mask == mask }
 
-// SetFlags sets the flags in mask, incrementally fixing the TCP checksum.
-func (t TCP) SetFlags(mask uint8) {
-	old := t[13]
-	t[13] |= mask
-	t.setChecksum(UpdateChecksum8Pair(t.Checksum(), old, t[13], false))
-}
-
-// ClearFlags clears the flags in mask, incrementally fixing the checksum.
-func (t TCP) ClearFlags(mask uint8) {
-	old := t[13]
-	t[13] &^= mask
-	t.setChecksum(UpdateChecksum8Pair(t.Checksum(), old, t[13], false))
-}
-
 // Window returns the (unscaled) receive window field.
 func (t TCP) Window() uint16 { return binary.BigEndian.Uint16(t[14:16]) }
 
@@ -86,23 +72,12 @@ func (t TCP) setChecksum(v uint16) { binary.BigEndian.PutUint16(t[16:18], v) }
 // Options returns the raw options bytes.
 func (t TCP) Options() []byte { return t[TCPHeaderLen:t.HeaderLen()] }
 
-// Payload returns bytes after the header. In this simulator payloads are not
-// materialized, so this is normally empty; it exists for completeness and for
-// tests that build full packets.
-func (t TCP) Payload() []byte { return t[t.HeaderLen():] }
-
 // ComputeChecksum recomputes the TCP checksum over the pseudo-header and the
 // TCP header bytes present in the buffer (payload is virtual; see package
 // comment) and stores it.
 func (t TCP) ComputeChecksum(pseudoSum uint32) {
 	t.setChecksum(0)
 	t.setChecksum(ChecksumWith(t[:t.HeaderLen()], pseudoSum))
-}
-
-// VerifyChecksum reports whether the stored checksum is consistent with the
-// header bytes and pseudo-header sum.
-func (t TCP) VerifyChecksum(pseudoSum uint32) bool {
-	return ChecksumWith(t[:t.HeaderLen()], pseudoSum) == 0
 }
 
 // TCPFields collects the values needed to build a TCP header.

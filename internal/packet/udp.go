@@ -20,25 +20,6 @@ func (u UDP) SrcPort() uint16 { return binary.BigEndian.Uint16(u[0:2]) }
 // DstPort returns the destination port.
 func (u UDP) DstPort() uint16 { return binary.BigEndian.Uint16(u[2:4]) }
 
-// Length returns the UDP length field (header + payload).
-func (u UDP) Length() uint16 { return binary.BigEndian.Uint16(u[4:6]) }
-
 // UDP returns the UDP view of an IPv4 packet's payload. The caller must
 // have checked Protocol() == ProtoUDP.
 func (p IPv4) UDP() UDP { return UDP(p.Payload()) }
-
-// BuildUDP constructs a UDP packet with a virtual payload of payloadLen
-// bytes (as with TCP, payload bytes are not materialized; the checksum
-// covers the materialized header, mirroring NIC offload).
-func BuildUDP(src, dst Addr, ecn ECN, sport, dport uint16, payloadLen int) *Packet {
-	total := IPv4HeaderLen + UDPHeaderLen + payloadLen
-	buf := make([]byte, IPv4HeaderLen+UDPHeaderLen)
-	InitIPv4(buf, src, dst, uint16(total), ecn)
-	buf[9] = ProtoUDP
-	IPv4(buf).ComputeChecksum()
-	binary.BigEndian.PutUint16(buf[IPv4HeaderLen+0:], sport)
-	binary.BigEndian.PutUint16(buf[IPv4HeaderLen+2:], dport)
-	binary.BigEndian.PutUint16(buf[IPv4HeaderLen+4:], uint16(UDPHeaderLen+payloadLen))
-	binary.BigEndian.PutUint16(buf[IPv4HeaderLen+6:], 0)
-	return &Packet{Buf: buf}
-}

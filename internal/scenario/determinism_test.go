@@ -37,7 +37,11 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 			suite[run{seed, workers}] = b.String()
 			b.Reset()
-			for _, r := range experiments.RunAll(figs, experiments.RunConfig{Seed: seed}, workers, nil) {
+			jobs := make([]experiments.Job, len(figs))
+			for i, e := range figs {
+				jobs[i] = experiments.Job{Exp: e, Cfg: experiments.RunConfig{Seed: seed}}
+			}
+			for _, r := range experiments.Sweep(jobs, workers, nil) {
 				b.WriteString(r.String())
 			}
 			report[run{seed, workers}] = b.String()

@@ -71,15 +71,6 @@ type Result struct {
 	Schemes []*SchemeResult
 }
 
-// CheckFailures counts assertion failures across all schemes.
-func (r *Result) CheckFailures() int {
-	n := 0
-	for _, s := range r.Schemes {
-		n += len(s.CheckFailures)
-	}
-	return n
-}
-
 // Run executes the scenarios × schemes × trials matrix through the
 // experiments.Sweep worker pool and returns one Result per scenario, in
 // input order. Specs are validated first; an invalid spec fails the whole

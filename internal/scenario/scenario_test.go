@@ -320,9 +320,6 @@ func TestChecksGateResults(t *testing.T) {
 				sr.Scheme, len(sr.CheckFailures), sr.CheckFailures)
 		}
 	}
-	if results[0].CheckFailures() != 4 {
-		t.Fatalf("total failures %d, want 4", results[0].CheckFailures())
-	}
 }
 
 // TestBaselinePerturbationRegresses is the acceptance-criteria test: bless a

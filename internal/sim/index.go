@@ -236,9 +236,3 @@ func (ix *Index[K, V]) Delete(k K) bool {
 
 // Len returns the number of keys held.
 func (ix *Index[K, V]) Len() int { return ix.s.Len() }
-
-// Range calls f for every key and value, in slot order. f must not change
-// the index.
-func (ix *Index[K, V]) Range(f func(K, V)) {
-	ix.s.Range(func(s indexSlot[K, V]) { f(s.k, s.v) })
-}

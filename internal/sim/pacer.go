@@ -53,13 +53,6 @@ func NewPacer(s *Simulator, scale float64, maxCatchUp Duration) *Pacer {
 	return p
 }
 
-// SetClock replaces the wall-clock source (tests). The pacer is rebased so
-// the new clock's current reading maps to the simulator's current time.
-func (p *Pacer) SetClock(clock func() time.Duration) {
-	p.clock = clock
-	p.rebase()
-}
-
 // rebase re-anchors the wall→virtual mapping at the present.
 func (p *Pacer) rebase() {
 	p.wallBase = p.clock()

@@ -75,15 +75,6 @@ func (t *Timer) Stop() {
 // Pending reports whether the timer is armed and has not yet fired.
 func (t *Timer) Pending() bool { return t.ev != nil }
 
-// Deadline returns the expiry time of a pending timer; valid only when
-// Pending() is true.
-func (t *Timer) Deadline() Time {
-	if t.ev == nil {
-		return 0
-	}
-	return t.deadline
-}
-
 // fire runs at the scheduled event's expiry. If Reset pushed the logical
 // deadline past the event that just fired, this is a stale wakeup: re-arm at
 // the real deadline and stay silent. Otherwise clear the pending handle (the

@@ -106,21 +106,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(n)
 }
 
-// Stddev returns the population standard deviation (0 if fewer than 2 obs).
-func (s *Sample) Stddev() float64 {
-	n := s.N()
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	s.each(func(x float64) {
-		d := x - m
-		ss += d * d
-	})
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks. Returns 0 on an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
@@ -170,26 +155,6 @@ func (s *Sample) CDF(points int) [][2]float64 {
 		out = append(out, [2]float64{s.at(idx - 1), float64(idx) / float64(n)})
 	}
 	return out
-}
-
-// FractionBelow returns the empirical P(X <= x).
-func (s *Sample) FractionBelow(x float64) float64 {
-	s.sort()
-	n := s.N()
-	if n == 0 {
-		return 0
-	}
-	above := math.Nextafter(x, math.Inf(1))
-	i := sort.Search(n, func(i int) bool { return s.at(i) >= above })
-	return float64(i) / float64(n)
-}
-
-// Summary renders "p50=… p99=… p99.9=… max=…" with a unit divisor, e.g.
-// pass 1e6 to print milliseconds from nanosecond observations.
-func (s *Sample) Summary(div float64, unit string) string {
-	return fmt.Sprintf("n=%d p50=%.3f%s p99=%.3f%s p99.9=%.3f%s max=%.3f%s",
-		s.N(), s.Percentile(50)/div, unit, s.Percentile(99)/div, unit,
-		s.Percentile(99.9)/div, unit, s.Max()/div, unit)
 }
 
 // sort orders the observations as sort.Float64s orders one slice of them. A

@@ -56,24 +56,6 @@ func TestPercentileAddAfterQuery(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	var s Sample
-	s.Add(2)
-	if s.Stddev() != 0 {
-		t.Fatal("stddev of single obs should be 0")
-	}
-	s.Add(4)
-	s.Add(4)
-	s.Add(4)
-	s.Add(5)
-	s.Add(5)
-	s.Add(7)
-	s.Add(9)
-	if !almost(s.Stddev(), 2) {
-		t.Fatalf("stddev = %v, want 2", s.Stddev())
-	}
-}
-
 func TestCDF(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
@@ -91,28 +73,6 @@ func TestCDF(t *testing.T) {
 	}
 	if s.CDF(0) != nil {
 		t.Fatal("CDF(0) should be nil")
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 10; i++ {
-		s.Add(float64(i))
-	}
-	if !almost(s.FractionBelow(5), 0.5) {
-		t.Fatalf("F(5) = %v", s.FractionBelow(5))
-	}
-	if !almost(s.FractionBelow(0.5), 0) || !almost(s.FractionBelow(10), 1) {
-		t.Fatal("tails wrong")
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	var s Sample
-	s.Add(1e6)
-	got := s.Summary(1e6, "ms")
-	if !strings.Contains(got, "p50=1.000ms") {
-		t.Fatalf("Summary = %q", got)
 	}
 }
 
@@ -235,19 +195,6 @@ func (s *sliceSample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-func (s *sliceSample) Stddev() float64 {
-	if len(s.xs) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.xs)))
-}
-
 func (s *sliceSample) Percentile(p float64) float64 {
 	s.sort()
 	n := len(s.xs)
@@ -289,15 +236,6 @@ func (s *sliceSample) CDF(points int) [][2]float64 {
 	return out
 }
 
-func (s *sliceSample) FractionBelow(x float64) float64 {
-	s.sort()
-	if len(s.xs) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
-}
-
 func (s *sliceSample) sort() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
@@ -311,16 +249,14 @@ type queried interface {
 	Min() float64
 	Max() float64
 	Mean() float64
-	Stddev() float64
 	Percentile(p float64) float64
 	CDF(points int) [][2]float64
-	FractionBelow(x float64) float64
 }
 
-// answers asks s every query, the storage-order ones (Mean, Stddev) both
-// before and after the sorting ones, and returns the bits of every answer.
+// answers asks s every query, the storage-order one (Mean) both before and
+// after the sorting ones, and returns the bits of every answer.
 func answers(s queried) []uint64 {
-	out := []uint64{uint64(s.N()), math.Float64bits(s.Mean()), math.Float64bits(s.Stddev())}
+	out := []uint64{uint64(s.N()), math.Float64bits(s.Mean())}
 	add := func(x float64) { out = append(out, math.Float64bits(x)) }
 	add(s.Min())
 	add(s.Max())
@@ -333,11 +269,7 @@ func answers(s queried) []uint64 {
 			add(pt[1])
 		}
 	}
-	for _, x := range []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 3, 31.5, 63, math.NaN(), math.Inf(1)} {
-		add(s.FractionBelow(x))
-	}
 	add(s.Mean())
-	add(s.Stddev())
 	return out
 }
 

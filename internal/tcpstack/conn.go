@@ -211,9 +211,6 @@ func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
 
 // --- public API ---
 
-// State returns the connection state.
-func (c *Conn) State() State { return c.state }
-
 // LocalPort returns the local port.
 func (c *Conn) LocalPort() uint16 { return c.key.localPort() }
 
@@ -232,20 +229,8 @@ func (c *Conn) SndWnd() int64 { return c.sndWnd }
 // SRTT returns the smoothed RTT in ns (0 before the first sample).
 func (c *Conn) SRTT() int64 { return c.srtt }
 
-// BytesQueued returns app bytes not yet acknowledged by the peer.
-func (c *Conn) BytesQueued() int64 {
-	q := 1 + c.appEnd - c.sndUna
-	if q < 0 {
-		q = 0
-	}
-	return q
-}
-
 // MSS returns the connection's segment size.
 func (c *Conn) MSS() int { return c.ctx.MSS }
-
-// Algorithm exposes the congestion-control algorithm (instrumentation).
-func (c *Conn) Algorithm() cc.Algorithm { return c.alg }
 
 // Send queues n virtual payload bytes for transmission.
 func (c *Conn) Send(n int64) {

@@ -135,9 +135,6 @@ func (c *Conn) drainOOO() int64 {
 	return freed
 }
 
-// OOORanges returns the count of buffered out-of-order ranges (tests).
-func (c *Conn) OOORanges() int { return len(c.ooo) }
-
 // echoECE reports whether outgoing segments should carry ECE right now.
 func (c *Conn) echoECE() bool {
 	if !c.ecnOK {

@@ -99,9 +99,6 @@ type Net struct {
 	fabric   bool // true for the multi-path builder (fat-tree)
 }
 
-// Stack returns host i's guest stack.
-func (n *Net) Stack(i int) *tcpstack.Stack { return n.Stacks[i] }
-
 // Addr returns host i's address.
 func (n *Net) Addr(i int) packet.Addr { return n.Hosts[i].Addr }
 
@@ -259,16 +256,6 @@ func Dumbbell(pairs int, o Options) *Net {
 	}
 	net.armEnv()
 	return net
-}
-
-// BottleneckPort returns the dumbbell's congested egress (left→right trunk).
-func (n *Net) BottleneckPort() *netsim.Link {
-	if len(n.Switches) < 2 {
-		// Star: caller should use the receiver's downlink instead.
-		panic("topo: BottleneckPort on non-dumbbell topology")
-	}
-	// connectSwitches added the trunk as the first port of the left switch.
-	return n.Switches[0].Port(0)
 }
 
 // ParkingLot builds the Figure 7b multi-hop, multi-bottleneck chain:

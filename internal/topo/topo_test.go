@@ -58,7 +58,7 @@ func TestDumbbellConnectivityAndBottleneck(t *testing.T) {
 			t.Fatalf("pair %d delivered %d", i, got)
 		}
 	}
-	bp := n.BottleneckPort()
+	bp := n.Switches[0].Port(0) // the left→right trunk, the left switch's first port
 	if bp.Stats.SentPackets == 0 {
 		t.Fatal("no traffic crossed the trunk")
 	}

@@ -30,19 +30,6 @@ func Incast(m *Manager, senders []int, recv int) []*Messenger {
 	return flows
 }
 
-// Rates returns each flow's average delivered rate in bits/sec over [t0, now].
-func Rates(flows []*Messenger, t0, now sim.Time) []float64 {
-	out := make([]float64, len(flows))
-	span := (now - t0).Seconds()
-	if span <= 0 {
-		return out
-	}
-	for i, f := range flows {
-		out[i] = float64(f.Delivered()) * 8 / span
-	}
-	return out
-}
-
 // StrideConfig parameterizes the concurrent-stride workload. The paper runs
 // 17 servers for 10 minutes with 512MB background flows and 16KB mice every
 // 100ms; defaults here are time-scaled so the dynamics (many overlapping
