@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -16,6 +18,11 @@ var (
 	designAnchor = regexp.MustCompile("`([\\w./-]+\\.go)` \\(([^)]*)\\)")
 	designFile   = regexp.MustCompile("`[^`]+\\.go(:[0-9]+)?`")
 	designName   = regexp.MustCompile("`([\\w.]+)`")
+
+	// codeSpan is one inline code span; citedTest a test, benchmark or fuzz
+	// target named in one.
+	codeSpan  = regexp.MustCompile("`[^`\n]+`")
+	citedTest = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)`)
 )
 
 // TestDesignAnchorsResolve holds DESIGN.md's paper ↔ code table to its
@@ -101,4 +108,60 @@ func declaredNames(t *testing.T, file string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// TestDocsCiteLiveTests: every test, benchmark or fuzz target the documents
+// name in a code span is declared by some _test.go file of either module, so
+// a deleted test cannot go on vouching for what it once measured. A span with
+// a * names a family, not one test, and is skipped; ROADMAP.md (plans) and
+// CHANGES.md (history) may name tests that do not exist yet or any more.
+func TestDocsCiteLiveTests(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", "SCENARIOS.md", "bench/README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(string(text), -1) {
+			if strings.Contains(span, "*") {
+				continue
+			}
+			for _, m := range citedTest.FindAllStringSubmatch(span, -1) {
+				if checked++; !declared[m[1]] {
+					t.Errorf("%s cites %s, which no _test.go declares", doc, m[1])
+				}
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("checked %d citations; the documents make more", checked)
+	}
 }

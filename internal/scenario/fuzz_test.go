@@ -8,9 +8,10 @@ import (
 
 // FuzzParseSpecs feeds ParseSpecs arbitrary config bytes, seeded with the
 // catalog's own JSON. It must never panic, and what it accepts must be
-// runnable as written: a topology of at least two hosts, positive windows and
-// trial counts, a guest MSS, fan-ins that fit the topology, and an encoding
-// that decodes back to the same spec.
+// runnable as written: a topology of at least two hosts with no negative link
+// rate, delay or buffer, positive windows and trial counts, a guest MSS,
+// fan-ins that fit the topology, and an encoding that decodes back to the
+// same spec.
 func FuzzParseSpecs(f *testing.F) {
 	all, err := json.Marshal(Catalog())
 	if err != nil {
@@ -30,6 +31,9 @@ func FuzzParseSpecs(f *testing.F) {
 		f.Add([]byte(head + field + tail))
 	}
 	f.Add([]byte(head + `"workloads":[{"kind":"incast","senders":9223372036854775807}]}`))
+	for _, field := range []string{`"link_rate":-1`, `"link_delay":"-5us"`, `"buffer_bytes":-1`} {
+		f.Add([]byte(`{"name":"x","topo":{"kind":"star","hosts":4,` + field + `},` + tail))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs, err := ParseSpecs(data)
 		if err != nil {
@@ -64,6 +68,10 @@ func checkRunnable(t *testing.T, s Spec) {
 	if s.Trials < 1 || s.Warmup <= 0 || s.Measure <= 0 || s.MTU <= 40 || s.MinRwndBytes < 0 {
 		t.Fatalf("accepted spec %q: %d trials, warmup %v, measure %v, MTU %d, min rwnd %d",
 			s.Name, s.Trials, s.Warmup, s.Measure, s.MTU, s.MinRwndBytes)
+	}
+	if s.Topo.LinkRate < 0 || s.Topo.LinkDelay < 0 || s.Topo.BufferBytes < 0 {
+		t.Fatalf("accepted spec %q: link rate %d, link delay %v, buffer %d",
+			s.Name, s.Topo.LinkRate, s.Topo.LinkDelay, s.Topo.BufferBytes)
 	}
 	for _, w := range s.Workloads {
 		switch w.Kind {

@@ -81,6 +81,9 @@ func TestValidateRejects(t *testing.T) {
 		{"bad-smoke-fabric", func(s *Spec) { s.Smoke = &Adjust{Fabric: "gray,loss=0.5"} }},
 		{"fattree-odd-k", func(s *Spec) { s.Topo = TopoSpec{Kind: "fattree", K: 3} }},
 		{"fattree-neg-hpt", func(s *Spec) { s.Topo = TopoSpec{Kind: "fattree", K: 4, HostsPerTor: -1} }},
+		{"neg-link-rate", func(s *Spec) { s.Topo.LinkRate = -1 }},
+		{"neg-link-delay", func(s *Spec) { s.Topo.LinkDelay = Duration(-5 * sim.Microsecond) }},
+		{"neg-buffer", func(s *Spec) { s.Topo.BufferBytes = -1 }},
 		{"check-no-metric", func(s *Spec) { s.Checks = []Check{{Min: fp(1)}} }},
 		{"check-wrong-scheme", func(s *Spec) { s.Checks = []Check{{Scheme: "dctcp", Metric: "x"}} }},
 		{"check-inverted", func(s *Spec) { s.Checks = []Check{{Metric: "x", Min: fp(2), Max: fp(1)}} }},

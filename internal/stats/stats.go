@@ -5,40 +5,93 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// blockLen is the number of observations in one storage block: 4 KB of
-// float64, pointer-free and an exact size class.
+// blockLen is the number of observations in one storage block: 2 KB of
+// uint32 or 4 KB of float64, pointer-free and an exact size class at either
+// width.
 const blockLen = 512
 
 // Sample accumulates float64 observations for percentile and CDF queries.
 // The zero value is ready to use.
 //
+// Every observation is stored at one width: as a uint32 while each value so
+// far is a whole number in [0, 2³²) with a clear sign bit (a latency in
+// nanoseconds below 4.3 s), as a float64 once one is not. The first value
+// that does not fit converts what is stored to float64, once and in storage
+// order, and the Sample stays wide. Every answer is the one a single float64
+// slice of the same observations gives, bit for bit.
+//
 // The observations live in blocks of blockLen. The first block grows by
-// append, so a Sample of up to blockLen observations allocates what a plain
-// slice would; every later block is made at full size, so Add never copies
-// what is already stored. A value copy shares the blocks.
+// append, so a Sample of up to blockLen observations allocates no more than
+// a plain slice would; every later block is made at full size, so Add never
+// copies what is already stored, except for that one widening. A value copy
+// shares the blocks until either side widens.
 type Sample struct {
-	head   []float64   // observations 0 … blockLen-1
-	rest   [][]float64 // later blocks, each of capacity blockLen; all but the last are full
+	ints   blocks[uint32]  // while narrow
+	floats blocks[float64] // once wide
+	wide   bool
 	sorted bool
+}
+
+// blocks holds observations of one width.
+type blocks[T uint32 | float64] struct {
+	head []T   // observations 0 … blockLen-1
+	rest [][]T // later blocks, each of capacity blockLen; all but the last are full
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.sorted = false
-	if len(s.rest) == 0 && len(s.head) < blockLen {
-		s.head = append(s.head, x)
+	if !s.wide {
+		// float64(u) == x holds only for a whole x in [0, 2³²), whatever
+		// an out-of-range conversion yields; −0 is the one such x the
+		// comparison cannot tell from 0.
+		if u := uint32(x); float64(u) == x && !math.Signbit(x) {
+			s.ints.add(u)
+			return
+		}
+		s.widen()
+	}
+	s.floats.add(x)
+}
+
+// widen converts the stored integers to float64 blocks of the same shape, in
+// storage order, and drops the integer blocks.
+func (s *Sample) widen() {
+	s.wide = true
+	in := s.ints
+	s.ints = blocks[uint32]{}
+	s.floats.head = make([]float64, len(in.head), cap(in.head))
+	for i, x := range in.head {
+		s.floats.head[i] = float64(x)
+	}
+	if len(in.rest) == 0 {
 		return
 	}
-	last := len(s.rest) - 1
-	if last < 0 || len(s.rest[last]) == blockLen {
-		s.rest = append(s.rest, make([]float64, 0, blockLen))
+	s.floats.rest = make([][]float64, len(in.rest), cap(in.rest))
+	for i, b := range in.rest {
+		f := make([]float64, len(b), blockLen)
+		for j, x := range b {
+			f[j] = float64(x)
+		}
+		s.floats.rest[i] = f
+	}
+}
+
+func (b *blocks[T]) add(x T) {
+	if len(b.rest) == 0 && len(b.head) < blockLen {
+		b.head = append(b.head, x)
+		return
+	}
+	last := len(b.rest) - 1
+	if last < 0 || len(b.rest[last]) == blockLen {
+		b.rest = append(b.rest, make([]T, 0, blockLen))
 		last++
 	}
-	s.rest[last] = append(s.rest[last], x)
+	b.rest[last] = append(b.rest[last], x)
 }
 
 // AddAll records every observation of src, in ascending order: the order
@@ -50,27 +103,49 @@ func (s *Sample) AddAll(src *Sample) {
 
 // N returns the number of observations.
 func (s *Sample) N() int {
-	if len(s.rest) == 0 {
-		return len(s.head)
+	if s.wide {
+		return s.floats.n()
 	}
-	return len(s.rest)*blockLen + len(s.rest[len(s.rest)-1])
+	return s.ints.n()
+}
+
+func (b *blocks[T]) n() int {
+	if len(b.rest) == 0 {
+		return len(b.head)
+	}
+	return len(b.rest)*blockLen + len(b.rest[len(b.rest)-1])
 }
 
 // at returns observation i in storage order.
 func (s *Sample) at(i int) float64 {
-	if i < blockLen {
-		return s.head[i]
+	if s.wide {
+		return s.floats.at(i)
 	}
-	return s.rest[i/blockLen-1][i%blockLen]
+	return float64(s.ints.at(i))
+}
+
+func (b *blocks[T]) at(i int) T {
+	if i < blockLen {
+		return b.head[i]
+	}
+	return b.rest[i/blockLen-1][i%blockLen]
 }
 
 // each calls f on every observation in storage order.
 func (s *Sample) each(f func(float64)) {
-	for _, x := range s.head {
+	if s.wide {
+		s.floats.each(f)
+		return
+	}
+	s.ints.each(func(x uint32) { f(float64(x)) })
+}
+
+func (b *blocks[T]) each(f func(T)) {
+	for _, x := range b.head {
 		f(x)
 	}
-	for _, b := range s.rest {
-		for _, x := range b {
+	for _, blk := range b.rest {
+		for _, x := range blk {
 			f(x)
 		}
 	}
@@ -157,27 +232,38 @@ func (s *Sample) CDF(points int) [][2]float64 {
 	return out
 }
 
-// sort orders the observations as sort.Float64s orders one slice of them. A
-// Sample of more than one block is gathered into one slice of exactly N,
-// sorted there and copied back, so every block keeps its full capacity and a
-// value copy sees the order as it would through a shared slice.
+// sort orders the observations as sort.Float64s orders one float64 slice of
+// them. A narrow Sample sorts its integers: none is NaN or −0, so their order
+// is the only one sort.Float64s could give.
 func (s *Sample) sort() {
 	if s.sorted {
 		return
 	}
 	s.sorted = true
-	if len(s.rest) == 0 {
-		sort.Float64s(s.head)
+	if s.wide {
+		s.floats.sort()
+	} else {
+		s.ints.sort()
+	}
+}
+
+// sort runs slices.Sort, which is what sort.Float64s calls. A Sample of more
+// than one block is gathered into one slice of exactly N, sorted there and
+// copied back, so every block keeps its full capacity and a value copy sees
+// the order as it would through a shared slice.
+func (b *blocks[T]) sort() {
+	if len(b.rest) == 0 {
+		slices.Sort(b.head)
 		return
 	}
-	all := append(make([]float64, 0, s.N()), s.head...)
-	for _, b := range s.rest {
-		all = append(all, b...)
+	all := append(make([]T, 0, b.n()), b.head...)
+	for _, blk := range b.rest {
+		all = append(all, blk...)
 	}
-	sort.Float64s(all)
-	all = all[copy(s.head, all):]
-	for _, b := range s.rest {
-		all = all[copy(b, all):]
+	slices.Sort(all)
+	all = all[copy(b.head, all):]
+	for _, blk := range b.rest {
+		all = all[copy(blk, all):]
 	}
 }
 
