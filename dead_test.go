@@ -111,27 +111,9 @@ type deadFinder struct {
 // module with a method of its name, or an imported one (the universe's error
 // included) with a method of its name and signature.
 func findDead(root, users string) ([]deadDecl, error) {
-	g := &deadFinder{fset: token.NewFileSet(), pkgs: make(map[string]*deadPkg),
-		decls: make(map[types.Object]bool), edges: make(map[types.Object][]types.Object)}
-	g.std = importer.ForCompiler(g.fset, "source", nil).(types.ImporterFrom)
-	modPath, err := g.addModule(root, false)
+	g, modPath, paths, err := loadModule(root, users)
 	if err != nil {
 		return nil, err
-	}
-	if users != "" {
-		if _, err := g.addModule(filepath.Join(root, users), true); err != nil {
-			return nil, err
-		}
-	}
-	paths := make([]string, 0, len(g.pkgs))
-	for path := range g.pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, err := g.ImportFrom(path, "", 0); err != nil {
-			return nil, err
-		}
 	}
 	for _, path := range paths {
 		g.addPackage(g.pkgs[path])
@@ -165,6 +147,35 @@ func findDead(root, users string) ([]deadDecl, error) {
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
 	return dead, nil
+}
+
+// loadModule type-checks every non-test package of the module at root, and
+// every file of the user module in root/users when users is not empty. It
+// returns the module's path and the packages' paths, sorted.
+func loadModule(root, users string) (*deadFinder, string, []string, error) {
+	g := &deadFinder{fset: token.NewFileSet(), pkgs: make(map[string]*deadPkg),
+		decls: make(map[types.Object]bool), edges: make(map[types.Object][]types.Object)}
+	g.std = importer.ForCompiler(g.fset, "source", nil).(types.ImporterFrom)
+	modPath, err := g.addModule(root, false)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	if users != "" {
+		if _, err := g.addModule(filepath.Join(root, users), true); err != nil {
+			return nil, "", nil, err
+		}
+	}
+	paths := make([]string, 0, len(g.pkgs))
+	for path := range g.pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := g.ImportFrom(path, "", 0); err != nil {
+			return nil, "", nil, err
+		}
+	}
+	return g, modPath, paths, nil
 }
 
 // addModule parses the packages of the module in dir (its go.mod names the

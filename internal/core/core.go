@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"acdc/internal/metrics"
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -158,7 +157,7 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 		cfg.IdleTimeout = 10 * sim.Second
 	}
 	v := &VSwitch{Sim: s, Host: host, Cfg: cfg, Table: NewTable(), attached: true,
-		Metrics: NewDatapathMetrics(metrics.NewRegistry()), interned: map[Policy]*Policy{}}
+		Metrics: newDatapathMetrics(), interned: map[Policy]*Policy{}}
 	if cfg.SweepInterval > 0 {
 		v.sweepTimer = sim.NewTimer(s, v.onSweepTick)
 	}

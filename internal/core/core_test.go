@@ -632,10 +632,11 @@ func TestFlowFootprint(t *testing.T) {
 }
 
 // TestAttachFootprint pins a vSwitch's fixed cost before its first flow. Its
-// metrics are most of it, so the bound holds only while every counter and
-// histogram bucket is one word (cache-line-padded cells cost 16 kB).
+// metrics were most of it (2 936 B of 3 832 B) while each series was a word
+// of its own behind a name map; the bound, half of that, holds while they
+// are plain words of one struct whose names are shared by every vSwitch.
 func TestAttachFootprint(t *testing.T) {
-	const n, limit = 200, 6656 // 6.5 kB
+	const n, limit = 200, 1916
 	s := sim.New(1)
 	hosts := make([]*netsim.Host, n)
 	for i := range hosts {
@@ -650,7 +651,9 @@ func TestAttachFootprint(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(vs)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > limit {
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("Attach allocates %d B per vSwitch", per)
+	if per > limit {
 		t.Fatalf("Attach allocates %d B per vSwitch, want ≤ %d", per, limit)
 	}
 }

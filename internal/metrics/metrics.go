@@ -14,6 +14,11 @@
 //     every update and every Snapshot happens there, and another goroutine
 //     reaches them only through that owner (internal/daemon marshals its
 //     reads onto the sim loop). So no instrument is safe for concurrent use.
+//   - Names once per process, values once per owner. An owner of many
+//     series holds them by value in one struct whose `metric` tags a Schema
+//     reads once; Register lends the struct to a registry, which reads it in
+//     place. Owners of a few use the by-name constructors. Histograms share
+//     their caller's bounds.
 //   - Update cost. Every counter, gauge, and histogram bucket is one plain
 //     word: Counter.Add is a single add, Histogram.Observe a short scan, one
 //     increment and one float add. There are no locks, atomics, maps, or
@@ -24,6 +29,14 @@
 //     datapath can be compiled with metrics disabled by simply not creating
 //     the registry — the hot path pays one predictable branch.
 package metrics
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"unsafe"
+)
 
 // Counter is a monotonically increasing counter: one word.
 type Counter struct {
@@ -49,48 +62,33 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// LazyCounter is a counter that registers itself in its registry only on the
-// first increment. Degradation-path counters (fail-open passthroughs, table
-// evictions, fault injections) use it so a healthy run's snapshots contain no
-// trace of failure modes that never happened — text encodings, golden tests,
-// and operator dashboards stay byte-identical until the event actually fires.
+// LazyCounter is a counter that appears in snapshots only once added to,
+// even by Add(0). Degradation-path counters (fail-open passthroughs, table
+// evictions, fault injections) use it so a healthy run's snapshots, text
+// encodings and golden tests carry no trace of failure modes that never
+// happened. It is one word: the low bit records the first Add, the rest
+// holds the count.
 type LazyCounter struct {
-	reg  *Registry
-	name string
-	c    *Counter
+	w int64
 }
 
-// Lazy returns a counter named name that joins the registry on first use.
-// A nil registry yields a nil LazyCounter, which is a no-op.
-func (r *Registry) Lazy(name string) *LazyCounter {
-	if r == nil {
-		return nil
-	}
-	return &LazyCounter{reg: r, name: name}
-}
-
-// Add adds d, registering the counter if this is its first update. No-op on
-// a nil receiver.
+// Add adds d and marks the counter as used. No-op on a nil receiver.
 func (l *LazyCounter) Add(d int64) {
 	if l == nil {
 		return
 	}
-	if l.c == nil {
-		l.c = l.reg.Counter(l.name)
-	}
-	l.c.v += d
+	l.w = (l.w + d<<1) | 1
 }
 
 // Inc adds one. No-op on a nil receiver.
 func (l *LazyCounter) Inc() { l.Add(1) }
 
-// Value returns the count so far; 0 on a nil receiver or before first use
-// (reading does not register the counter).
+// Value returns the count so far; 0 on a nil receiver or before first use.
 func (l *LazyCounter) Value() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.c.Value() // Counter.Value is nil-safe before first use
+	return l.w >> 1
 }
 
 // Gauge is an instantaneous value (e.g. flow-table size). Unlike Counter it
@@ -129,16 +127,20 @@ func (g *Gauge) Value() int64 {
 // over the (small) bound slice, one increment and one add to the sum. There
 // is no separate count: it is the sum of the buckets.
 type Histogram struct {
-	bounds  []float64
-	buckets []int64 // len(bounds)+1
+	bounds  []float64 // the caller's, shared and read-only
+	buckets []int64   // len(bounds)+1
 	sum     float64
 }
 
-// newHistogram copies bounds (must be ascending).
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, buckets: make([]int64, len(b)+1)}
+// init shares bounds. Bounds that are not finite and strictly ascending
+// would file values in the wrong bucket, so it panics, naming the series.
+func (h *Histogram) init(name string, bounds []float64) {
+	for i, b := range bounds {
+		if math.IsNaN(b) || math.IsInf(b, 0) || i > 0 && b <= bounds[i-1] {
+			panic(fmt.Sprintf("metrics: histogram %q: bounds %v are not finite and strictly ascending", name, bounds))
+		}
+	}
+	h.bounds, h.buckets = bounds, make([]int64, len(bounds)+1)
 }
 
 // Observe records x. No-op on a nil receiver.
@@ -156,75 +158,130 @@ func (h *Histogram) Observe(x float64) {
 
 // snapshot copies the histogram state; Count is the sum of the bucket counts.
 func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.buckets)),
-		Sum:    h.sum,
-	}
-	for i, c := range h.buckets {
-		s.Counts[i] = c
+	s := HistogramSnapshot{Bounds: h.bounds, Counts: slices.Clone(h.buckets), Sum: h.sum}
+	for _, c := range h.buckets {
 		s.Count += c
 	}
 	return s
 }
 
-// Registry names and owns instruments. Instrument constructors are
-// idempotent: asking for the same name twice returns the same instrument
-// (Histogram additionally requires the same bounds the first call set).
-// The zero value is not usable; call NewRegistry. All methods tolerate a
-// nil receiver by returning nil instruments, which are themselves no-ops.
-// Like its instruments, a registry belongs to one goroutine.
-type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+// Schema names the series of struct type T, once per process: each field
+// tagged `metric:"name"`, a Counter, LazyCounter or Gauge.
+type Schema[T any] struct{ schema }
+
+type schema struct {
+	fields   []schemaField
+	counters int // how many fields are Counters: the least a snapshot holds
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
+// schemaField is one series of a struct: its name, its offset and its kind,
+// an index in wordTypes.
+type schemaField struct {
+	name string
+	off  uintptr
+	kind int
+}
+
+// wordTypes are the one-word instruments a Schema reads, in kind order.
+var wordTypes = []reflect.Type{reflect.TypeFor[Counter](), reflect.TypeFor[LazyCounter](), reflect.TypeFor[Gauge]()}
+
+// NewSchema reads T's tags. It panics on a tagged field of another type.
+func NewSchema[T any]() *Schema[T] {
+	s, t := &Schema[T]{}, reflect.TypeFor[T]()
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name, ok := f.Tag.Lookup("metric")
+		kind := slices.Index(wordTypes, f.Type)
+		switch {
+		case !ok:
+			continue
+		case kind < 0:
+			panic(fmt.Sprintf("metrics: %s.%s (%q) is a %s, not a Counter, LazyCounter or Gauge", t, f.Name, name, f.Type))
+		case kind == 0:
+			s.counters++
+		}
+		s.fields = append(s.fields, schemaField{name, f.Offset, kind})
 	}
+	return s
+}
+
+// at returns the instrument sf names in the struct at base, a T of the
+// Schema[T] sf belongs to: Register's signature sees to that.
+func (sf schemaField) at(base unsafe.Pointer) any {
+	p := unsafe.Add(base, sf.off)
+	switch sf.kind {
+	case 1:
+		return (*LazyCounter)(p)
+	case 2:
+		return (*Gauge)(p)
+	}
+	return (*Counter)(p)
+}
+
+// Registry names instruments its callers own. Its constructors return the
+// one instrument of a name and kind (Histogram keeps the first call's
+// bounds); they do not look into registered structs. The zero value is an
+// empty registry. Methods on a nil registry return nil instruments, which
+// are no-ops. Like its instruments, a registry belongs to one goroutine.
+type Registry struct {
+	entries  []entry
+	counters int // the Counters registered: the least a snapshot holds
+}
+
+// entry is the instrument p named name or, when s is set, the struct of s's
+// series at p, an unsafe.Pointer.
+type entry struct {
+	name string
+	s    *schema
+	p    any
+}
+
+// NewRegistry creates an empty registry, with room for a vSwitch's struct
+// and its first law's two histograms.
+func NewRegistry() *Registry { return &Registry{entries: make([]entry, 0, 4)} }
+
+// Register adds block's series under s's names. The registry reads them in
+// place, so block must live as long as the registry does.
+func Register[T any](r *Registry, s *Schema[T], block *T) {
+	r.entries = append(r.entries, entry{s: &s.schema, p: unsafe.Pointer(block)})
+	r.counters += s.counters
+}
+
+// named returns the *T the constructors registered under name, registering
+// a zero one if there is none.
+func named[T any](r *Registry, name string) *T {
+	if r == nil {
+		return nil
+	}
+	for _, e := range r.entries {
+		if p, ok := e.p.(*T); ok && e.name == name {
+			return p
+		}
+	}
+	p := new(T)
+	if _, ok := any(p).(*Counter); ok {
+		r.counters++
+	}
+	r.entries = append(r.entries, entry{name: name, p: p})
+	return p
 }
 
 // Counter returns the counter named name, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return named[Counter](r, name) }
+
+// Lazy returns the lazy counter named name, creating it if needed.
+func (r *Registry) Lazy(name string) *LazyCounter { return named[LazyCounter](r, name) }
 
 // Gauge returns the gauge named name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return named[Gauge](r, name) }
 
-// Histogram returns the histogram named name, creating it with the given
-// ascending bucket bounds if needed. Bounds on subsequent calls are ignored.
+// Histogram returns the histogram named name, creating it with bounds if
+// needed. The histogram shares bounds, so the caller must not change them;
+// bounds on subsequent calls are ignored.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h := r.histograms[name]
-	if h == nil {
-		h = newHistogram(bounds)
-		r.histograms[name] = h
+	h := named[Histogram](r, name)
+	if h != nil && h.buckets == nil {
+		h.init(name, bounds)
 	}
 	return h
 }
@@ -235,19 +292,29 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
+	s := Snapshot{make(map[string]int64, r.counters), map[string]int64{}, map[string]HistogramSnapshot{}}
+	add := func(name string, inst any) {
+		switch x := inst.(type) {
+		case *Counter:
+			s.Counters[name] = x.Value()
+		case *LazyCounter:
+			if x.w&1 != 0 {
+				s.Counters[name] = x.Value()
+			}
+		case *Gauge:
+			s.Gauges[name] = x.Value()
+		case *Histogram:
+			s.Histograms[name] = x.snapshot()
+		}
 	}
-	for n, c := range r.counters {
-		s.Counters[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		s.Gauges[n] = g.Value()
-	}
-	for n, h := range r.histograms {
-		s.Histograms[n] = h.snapshot()
+	for _, e := range r.entries {
+		if e.s == nil {
+			add(e.name, e.p)
+			continue
+		}
+		for _, f := range e.s.fields {
+			add(f.name, f.at(e.p.(unsafe.Pointer)))
+		}
 	}
 	return s
 }

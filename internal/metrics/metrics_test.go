@@ -2,7 +2,10 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -158,11 +161,106 @@ func TestUpdatesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCounterSizeClass keeps a Counter at one word: a vSwitch registers
-// dozens of them, and one goroutine owns them, so padding buys nothing.
+// TestCounterSizeClass keeps a Counter, a LazyCounter and a Gauge at one
+// word each: a vSwitch holds dozens of them, and one goroutine owns them, so
+// padding buys nothing.
 func TestCounterSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Counter{}); n != 8 {
-		t.Fatalf("Counter is %d bytes, want 8", n)
+	for name, n := range map[string]uintptr{"Counter": unsafe.Sizeof(Counter{}),
+		"LazyCounter": unsafe.Sizeof(LazyCounter{}), "Gauge": unsafe.Sizeof(Gauge{})} {
+		if n != 8 {
+			t.Errorf("%s is %d bytes, want 8", name, n)
+		}
+	}
+}
+
+// testBlock is an owner's series held by value, as core.DatapathMetrics
+// holds a vSwitch's.
+type testBlock struct {
+	Pkts  Counter     `metric:"pkts_total"`
+	Fails LazyCounter `metric:"fails_total"`
+	Flows Gauge       `metric:"flows"`
+}
+
+var testSchema = NewSchema[testBlock]()
+
+// TestRegisteredBlock: a registered struct's series are read in place under
+// their tag names, and its lazy series appears only once added to, by
+// Add(0) too.
+func TestRegisteredBlock(t *testing.T) {
+	r := NewRegistry()
+	b := &testBlock{}
+	Register(r, testSchema, b)
+	b.Pkts.Add(3)
+	b.Flows.Set(2)
+	if got, want := r.Snapshot().Text(), "pkts_total 3\nflows 2\n"; got != want {
+		t.Fatalf("snapshot text = %q, want %q", got, want)
+	}
+	b.Fails.Add(0)
+	if v, ok := r.Snapshot().Counters["fails_total"]; !ok || v != 0 {
+		t.Fatalf("after Add(0), fails_total = %d, %v; want 0, present", v, ok)
+	}
+	b.Fails.Inc()
+	if b.Fails.Value() != 1 || r.Snapshot().Counter("fails_total") != 1 {
+		t.Fatalf("fails_total = %d, want 1", b.Fails.Value())
+	}
+}
+
+// mustPanic runs f and requires it to panic with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("recovered %v, want a panic mentioning %s", r, want)
+		}
+	}()
+	f()
+}
+
+// TestSchemaRejectsWhatItCannotRead: a tagged field must be a one-word
+// instrument held by value.
+func TestSchemaRejectsWhatItCannotRead(t *testing.T) {
+	mustPanic(t, `"x"`, func() {
+		NewSchema[struct {
+			X int `metric:"x"`
+		}]()
+	})
+	mustPanic(t, `"y"`, func() {
+		NewSchema[struct {
+			Y *Counter `metric:"y"`
+		}]()
+	})
+}
+
+// TestHistogramRejectsBadBounds: bounds that are not finite and strictly
+// ascending would file observations in the wrong bucket without an error,
+// so registering them panics, naming the series.
+func TestHistogramRejectsBadBounds(t *testing.T) {
+	for _, b := range [][]float64{ExponentialBounds(1, 0.5, 4), {1, 1}, {1, math.NaN()},
+		{math.Inf(-1), 0}, {1, math.Inf(1)}} {
+		mustPanic(t, `"bad"`, func() { NewRegistry().Histogram("bad", b) })
+	}
+}
+
+// TestQuantileWithoutBounds: a histogram with no bounds has only the
+// overflow bucket, whose quantiles report its lower edge, 0, rather than
+// indexing before the first bound.
+func TestQuantileWithoutBounds(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("x", nil).Observe(5)
+	if got, want := r.Snapshot().Text(), "x count=1 mean=5 p50=0 p99=0\n"; got != want {
+		t.Fatalf("text = %q, want %q", got, want)
+	}
+}
+
+// TestMergeKeepsFirstOfUnequalBounds: histograms whose bounds have the same
+// length but other values are not added bucket-wise; the first seen stays.
+func TestMergeKeepsFirstOfUnequalBounds(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Histogram("h", []float64{1, 2}).Observe(1.5)
+	b.Histogram("h", []float64{10, 20}).Observe(15)
+	m := Merge(a.Snapshot(), b.Snapshot()).Histograms["h"]
+	if m.Count != 1 || !slices.Equal(m.Counts, []int64{0, 1, 0}) || !slices.Equal(m.Bounds, []float64{1, 2}) {
+		t.Fatalf("merged = %+v, want the first histogram alone", m)
 	}
 }
 

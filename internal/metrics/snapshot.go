@@ -2,8 +2,9 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Snapshot is a point-in-time copy of a registry, suitable for encoding,
@@ -16,7 +17,8 @@ type Snapshot struct {
 }
 
 // HistogramSnapshot is one histogram's frozen state. Counts has
-// len(Bounds)+1 entries; the last is the overflow bucket.
+// len(Bounds)+1 entries; the last is the overflow bucket. Bounds is the
+// histogram's own, shared and read-only.
 type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
@@ -33,18 +35,13 @@ func (h HistogramSnapshot) Mean() float64 {
 }
 
 // Quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
-// inside the containing bucket. The overflow bucket reports the last bound.
+// inside the containing bucket. The overflow bucket has no upper edge, so it
+// reports its lower one: the last bound, or 0 when there are no bounds.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
+	rank := min(max(q, 0), 1) * float64(h.Count)
 	var cum float64
 	for i, c := range h.Counts {
 		next := cum + float64(c)
@@ -54,7 +51,7 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 				lo = h.Bounds[i-1]
 			}
 			if i >= len(h.Bounds) {
-				return h.Bounds[len(h.Bounds)-1] // overflow: clamp
+				return lo // overflow
 			}
 			hi := h.Bounds[i]
 			frac := (rank - cum) / float64(c)
@@ -92,13 +89,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 
 // Merge sums snapshots from several registries (e.g. one per host's
 // vSwitch) into one operator-wide view. Counters and gauges add; histograms
-// add bucket-wise when bounds match and otherwise keep the first seen.
+// add bucket-wise when their bounds are equal and otherwise keep the first
+// seen.
 func Merge(snaps ...Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
+	out := Snapshot{map[string]int64{}, map[string]int64{}, map[string]HistogramSnapshot{}}
 	for _, s := range snaps {
 		for n, v := range s.Counters {
 			out.Counters[n] += v
@@ -107,29 +101,20 @@ func Merge(snaps ...Snapshot) Snapshot {
 			out.Gauges[n] += v
 		}
 		for n, h := range s.Histograms {
-			have, ok := out.Histograms[n]
-			if !ok {
-				out.Histograms[n] = copyHist(h)
-				continue
+			switch have, ok := out.Histograms[n]; {
+			case !ok:
+				h.Counts = slices.Clone(h.Counts) // the bounds are read-only
+				out.Histograms[n] = h
+			case slices.Equal(have.Bounds, h.Bounds):
+				have.Count += h.Count
+				have.Sum += h.Sum
+				for i := range have.Counts {
+					have.Counts[i] += h.Counts[i]
+				}
+				out.Histograms[n] = have
 			}
-			if len(have.Bounds) != len(h.Bounds) {
-				continue
-			}
-			have.Count += h.Count
-			have.Sum += h.Sum
-			for i := range have.Counts {
-				have.Counts[i] += h.Counts[i]
-			}
-			out.Histograms[n] = have
 		}
 	}
-	return out
-}
-
-func copyHist(h HistogramSnapshot) HistogramSnapshot {
-	out := h
-	out.Counts = append([]int64(nil), h.Counts...)
-	out.Bounds = append([]float64(nil), h.Bounds...)
 	return out
 }
 
@@ -137,19 +122,18 @@ func copyHist(h HistogramSnapshot) HistogramSnapshot {
 // summarized as count/mean/p50/p99. The format is stable, one instrument
 // per line, for grep-ability and golden tests.
 func (s Snapshot) Text() string {
-	var b strings.Builder
-	for _, n := range sortedKeys(s.Counters) {
-		fmt.Fprintf(&b, "%s %d\n", n, s.Counters[n])
-	}
-	for _, n := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(&b, "%s %d\n", n, s.Gauges[n])
+	var b []byte
+	for _, m := range []map[string]int64{s.Counters, s.Gauges} {
+		for _, n := range sortedKeys(m) {
+			b = append(strconv.AppendInt(append(append(b, n...), ' '), m[n], 10), '\n')
+		}
 	}
 	for _, n := range sortedKeys(s.Histograms) {
 		h := s.Histograms[n]
-		fmt.Fprintf(&b, "%s count=%d mean=%.4g p50=%.4g p99=%.4g\n",
+		b = fmt.Appendf(b, "%s count=%d mean=%.4g p50=%.4g p99=%.4g\n",
 			n, h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 	}
-	return b.String()
+	return string(b)
 }
 
 func sortedKeys[V any](m map[string]V) []string {
