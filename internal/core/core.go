@@ -122,13 +122,13 @@ type VSwitch struct {
 	evictCursor  int
 	evictRetryAt sim.Time
 
-	// parked is the free list of flow records: the GC predicates put what
-	// they remove on it (retire) and newFlow takes it back. created counts
-	// newFlow calls since the last sweep; every sweep trims the list to it
-	// (trimParked), so demand bounds what is held, not the high-water mark.
-	// ARCHITECTURE.md "Flow records".
-	parked  []*Flow
-	created int
+	// parked holds the free lists of bare records and of senderFlows: retire
+	// parks, newFlow takes back. ARCHITECTURE.md "Flow records".
+	parked [2]freeList
+
+	// defaults is buildFlow's initial sender state (from Cfg.MTU at Attach),
+	// which every bare record shares; never written.
+	defaults *senderBlock
 
 	// attached gates the datapath hooks, which Attach installs on the host
 	// once; Detach and Reattach flip it.
@@ -156,8 +156,11 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 10 * sim.Second
 	}
+	mss := int32(cfg.MTU - 40)
 	v := &VSwitch{Sim: s, Host: host, Cfg: cfg, Table: NewTable(), attached: true,
-		Metrics: newDatapathMetrics(), interned: map[Policy]*Policy{}}
+		Metrics: newDatapathMetrics(), interned: map[Policy]*Policy{},
+		defaults: &senderBlock{MSS: mss, Alpha: initAlpha,
+			CwndBytes: initCwndPkts * float64(mss), SsthreshBytes: 1 << 40}}
 	if cfg.SweepInterval > 0 {
 		v.sweepTimer = sim.NewTimer(s, v.onSweepTick)
 	}
@@ -234,10 +237,10 @@ func (v *VSwitch) intern(p Policy) *Policy {
 }
 
 // flowFor is the capacity-aware GetOrCreate every datapath create site goes
-// through. At MaxFlows it first evicts closed/idle entries; if the table is
-// still full the flow is not tracked and the caller must pass the packet
-// through unmodified (fail-open — a full table must never drop traffic).
-func (v *VSwitch) flowFor(k FlowKey) *Flow {
+// through, sender saying whether the host sends on k. At MaxFlows it first
+// evicts closed/idle entries; if the table is still full the flow is not
+// tracked and the caller must pass the packet through unmodified (fail-open).
+func (v *VSwitch) flowFor(k FlowKey, sender bool) *Flow {
 	if v.Cfg.MaxFlows > 0 {
 		if f := v.Table.Get(k); f != nil {
 			return f
@@ -251,7 +254,7 @@ func (v *VSwitch) flowFor(k FlowKey) *Flow {
 			}
 		}
 	}
-	f, _ := v.Table.GetOrCreate(k, func() *Flow { return v.newFlow(k) })
+	f, _ := v.Table.GetOrCreate(k, func() *Flow { return v.newFlow(k, sender) })
 	return f
 }
 
@@ -259,13 +262,13 @@ func (v *VSwitch) flowFor(k FlowKey) *Flow {
 // pressure eviction: a snapshot's records do not displace live traffic, so at
 // capacity the overflow records fail open, the same outcome a full table
 // gives new traffic.
-func (v *VSwitch) flowForRestore(k FlowKey) *Flow {
+func (v *VSwitch) flowForRestore(k FlowKey, sender bool) *Flow {
 	if v.Cfg.MaxFlows > 0 && v.Table.Get(k) == nil && v.Table.Len() >= v.Cfg.MaxFlows {
 		v.Metrics.FlowTableFull.Inc()
 		v.Metrics.FailOpen.Inc()
 		return nil
 	}
-	f, _ := v.Table.GetOrCreate(k, func() *Flow { return v.newFlow(k) })
+	f, _ := v.Table.GetOrCreate(k, func() *Flow { return v.newFlow(k, sender) })
 	return f
 }
 
@@ -315,20 +318,23 @@ func (v *VSwitch) evictForPressure() {
 }
 
 // newFlow creates a tracked flow, for the datapath and for snapshot restore:
-// it arms the sweep timer, and it reuses a parked record when there is one.
-// The newest record parked before the current packet is taken; the ones
-// parked while handling it (a suffix, since the tick only grows) are skipped,
-// because egressRun/ingressRun may hold the record they evicted.
-func (v *VSwitch) newFlow(k FlowKey) *Flow {
-	v.created++
-	i := len(v.parked) - 1
-	for i >= 0 && v.parked[i].parkedAt == uint32(v.sweepTick) {
-		i--
+// it arms the sweep timer, and it reuses the newest record of the kind parked
+// before the current call when there is one. A sender record is a senderFlow;
+// any other is a bare Flow on the shared defaults.
+func (v *VSwitch) newFlow(k FlowKey, sender bool) *Flow {
+	l := v.freeList(sender)
+	l.created++
+	n := len(l.recs)
+	if l.tick == v.sweepTick {
+		n, l.mark = l.mark, max(l.mark-1, 0)
 	}
 	var f *Flow
-	if i >= 0 {
-		f = v.parked[i]
-		v.parked = slices.Delete(v.parked, i, i+1)
+	if n > 0 {
+		f = l.recs[n-1]
+		l.recs = slices.Delete(l.recs, n-1, n)
+	} else if sender {
+		sf := new(senderFlow)
+		f, sf.senderBlock, sf.inline = &sf.Flow, &sf.s, true
 	} else {
 		f = new(Flow)
 	}
@@ -341,21 +347,34 @@ func (v *VSwitch) newFlow(k FlowKey) *Flow {
 
 // buildFlow is the flow construction: policy resolution, virtual-CC setup,
 // initial window. f is new or recycled (its deadline stopped by retire): all
-// of it is overwritten.
+// of it is overwritten, a senderFlow's block with the defaults, which a bare
+// record shares.
 func (v *VSwitch) buildFlow(f *Flow, k FlowKey) {
 	v.Metrics.FlowsCreated.Inc()
 	v.Metrics.FlowTableSize.Add(1)
-	mss := int32(v.Cfg.MTU - 40)
+	b := v.defaults
+	if f.inline {
+		b = f.senderBlock
+		*b = *v.defaults
+	}
 	*f = Flow{
-		Key:           k,
-		Policy:        v.policy(k),
-		MSS:           mss,
-		Alpha:         initAlpha,
-		CwndBytes:     initCwndPkts * float64(mss),
-		SsthreshBytes: 1 << 40,
-		lastActive:    v.Sim.Now(),
+		Key:         k,
+		Policy:      v.policy(k),
+		senderBlock: b,
+		inline:      f.inline,
+		lastActive:  v.Sim.Now(),
 	}
 	v.setLaw(f)
+}
+
+// ownSender gives f a copy of the defaults if it shares them, and returns its
+// block. Every sender-module entry that writes calls it first.
+func (v *VSwitch) ownSender(f *Flow) *senderBlock {
+	if f.senderBlock == v.defaults {
+		b := *v.defaults
+		f.senderBlock = &b
+	}
+	return f.sender()
 }
 
 // setLaw resolves f's law from its policy; the policy's name is sanitized
@@ -402,9 +421,9 @@ func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 }
 
 // retire is a GC predicate's verdict on a record it removes: stop the deadline,
-// put back the datagrams a tunnel queue still holds, park the record stamped
-// with the current packet without its cold state, answer "do not keep".
-// Tunnel records are not parked. The removal that follows unlinks the record.
+// put back the datagrams a tunnel queue still holds, park the record on its
+// kind's list without its cold state, answer "do not keep". Tunnel records
+// are not parked. The removal that follows unlinks the record.
 func (v *VSwitch) retire(f *Flow) bool {
 	if f.vtimeout.Pending() {
 		v.vtimeouts.Stop(f)
@@ -415,25 +434,52 @@ func (v *VSwitch) retire(f *Flow) bool {
 		}
 	}
 	if !f.isUDP {
-		f.cold, f.parkedAt = nil, uint32(v.sweepTick)
-		v.parked = append(v.parked, f)
+		if f.cold != nil { // never the shared defaults'
+			f.cold = nil
+		}
+		l := v.freeList(f.inline)
+		if l.tick != v.sweepTick {
+			l.tick, l.mark = v.sweepTick, len(l.recs)
+		}
+		l.recs = append(l.recs, f)
 	}
 	return false
 }
 
-// trimParked cuts the free list to keep records. Every sweep keeps as many as
-// flows were created since the previous one; a vSwitch that stops sweeping
+// freeList holds the parked records of one kind. created counts the kind's
+// creates since the last sweep, which trims recs to it (trimParked). recs[mark:]
+// were parked in datapath call tick (v.sweepTick, advanced once per packet),
+// and newFlow skips them: egressRun/ingressRun may hold the record they evicted.
+type freeList struct {
+	recs                []*Flow
+	created, tick, mark int
+}
+
+// freeList returns the list of senderFlows or of bare records.
+func (v *VSwitch) freeList(sender bool) *freeList {
+	if sender {
+		return &v.parked[1]
+	}
+	return &v.parked[0]
+}
+
+// trimParked cuts each free list to as many records as were created of its
+// kind since the previous sweep, or to none: a vSwitch that stops sweeping
 // (timer GC on an empty table, restart) keeps none.
-func (v *VSwitch) trimParked(keep int) {
-	v.created = 0
-	if len(v.parked) > keep {
-		clear(v.parked[keep:])
-		v.parked = v.parked[:keep]
+func (v *VSwitch) trimParked(toDemand bool) {
+	for i := range v.parked {
+		l := &v.parked[i]
+		keep := 0
+		if toDemand {
+			keep = min(len(l.recs), l.created)
+		}
+		clear(l.recs[keep:])
+		l.recs, l.created, l.mark = l.recs[:keep], 0, min(l.mark, keep)
 	}
 }
 
-// ParkedFlows is the length of the free list.
-func (v *VSwitch) ParkedFlows() int { return len(v.parked) }
+// ParkedFlows is the length of the free lists.
+func (v *VSwitch) ParkedFlows() int { return len(v.parked[0].recs) + len(v.parked[1].recs) }
 
 // sweepNow removes closed and idle flows across the whole table (the lazy
 // packet-driven sweep, already rate-limited to once per GCInterval).
@@ -441,7 +487,7 @@ func (v *VSwitch) sweepNow(now sim.Time) {
 	removed := v.Table.SweepRange(0, numShards, v.gcKeep(now))
 	v.Metrics.FlowsRemoved.Add(int64(removed))
 	v.Metrics.FlowTableSize.Add(-int64(removed))
-	v.trimParked(v.created)
+	v.trimParked(true)
 }
 
 // sweepGroups divides the timer GC: each tick sweeps numShards/sweepGroups
@@ -463,7 +509,7 @@ func (v *VSwitch) onSweepTick() {
 	v.Metrics.FlowsRemoved.Add(int64(removed))
 	v.Metrics.FlowTableSize.Add(-int64(removed))
 	if v.sweepGroup == 0 { // a whole pass over the table is one sweep
-		v.trimParked(v.created)
+		v.trimParked(true)
 	}
 	if v.Table.Len() > 0 {
 		tick := v.Cfg.SweepInterval / sweepGroups
@@ -472,6 +518,6 @@ func (v *VSwitch) onSweepTick() {
 		}
 		v.sweepTimer.Reset(tick)
 	} else {
-		v.trimParked(0)
+		v.trimParked(false)
 	}
 }

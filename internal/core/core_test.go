@@ -489,7 +489,7 @@ func TestTableShardingAndSweep(t *testing.T) {
 
 func TestEquationOneCutFactor(t *testing.T) {
 	v := vccDCTCP
-	f := &Flow{Alpha: 0.5, Policy: &Policy{Beta: 1}}
+	f := &Flow{senderBlock: &senderBlock{Alpha: 0.5}, Policy: &Policy{Beta: 1}}
 	if got := v.cut(f); got != 0.75 {
 		t.Fatalf("β=1 α=0.5: factor %v, want 0.75 (DCTCP)", got)
 	}
@@ -522,7 +522,7 @@ func TestSenderCCInvariantsProperty(t *testing.T) {
 
 	prop := func(ops []uint32) bool {
 		key := FlowKey{Src: host.Addr, Dst: packet.MakeAddr(10, 0, 0, 2), SPort: 1, DPort: 2}
-		f := v.newFlow(key)
+		f := v.newFlow(key, true)
 		f.issValid = true
 		f.SndUna, f.SndNxt = 1, 1
 		f.alphaSeq = 1
@@ -573,13 +573,16 @@ func TestDetachRestoresPassthrough(t *testing.T) {
 	}
 }
 
-// TestFlowSizeClass keeps Flow at three cache lines, the 192-byte malloc size
-// class, whose objects start on line boundaries (one more word and every
-// tracked flow costs 208 bytes and straddles four lines), and an index slot
-// at two words.
+// TestFlowSizeClass keeps a bare record at one cache line and a senderFlow at
+// three, the 64- and 192-byte malloc size classes, whose objects start on line
+// boundaries (one more word and a senderFlow costs 208 bytes and straddles
+// four lines), and an index slot at two words.
 func TestFlowSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Flow{}); n != 192 {
-		t.Fatalf("Flow is %d bytes, want the 192-byte size class", n)
+	if n := unsafe.Sizeof(Flow{}); n != 64 {
+		t.Fatalf("a bare record is %d bytes, want the 64-byte size class: one line", n)
+	}
+	if n := unsafe.Sizeof(senderFlow{}); n != 192 {
+		t.Fatalf("a senderFlow is %d bytes, want the 192-byte size class: three lines", n)
 	}
 	if n := unsafe.Sizeof(slot{}); n != 16 {
 		t.Fatalf("an index slot is %d bytes, want 16", n)
@@ -589,9 +592,10 @@ func TestFlowSizeClass(t *testing.T) {
 // TestFlowFootprint pins what a tracked flow costs: 10 k connections set up
 // through the hooks as vswitch-10k sets them up (a handshake each, half dialed
 // out and half in; no data, so no timer), then the live heap per record, its
-// share of the index included — a 192-byte record and ≈ 26 bytes of slots.
+// share of the index included — one 192-byte senderFlow and one 64-byte bare
+// record per connection, and ≈ 26 bytes of slots.
 func TestFlowFootprint(t *testing.T) {
-	const conns, limit = 10_000, 232
+	const conns, limit = 10_000, 170
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	opts := packet.BuildSynOptions(1460, 7, true)
 	syn := packet.TCPFields{Seq: 1000, Flags: packet.FlagSYN, Window: 65535, Options: opts}

@@ -132,7 +132,7 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *pack
 	// --- sender module: track our data direction ---
 	var fwd *Flow
 	if m.syn || m.plen > 0 || m.fin {
-		fwd = v.flowFor(m.key)
+		fwd = v.flowFor(m.key, true)
 	} else {
 		fwd = v.Table.Get(m.key)
 	}
@@ -172,17 +172,18 @@ func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *pack
 // applies policing. It reports whether the packet was dropped.
 func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool {
 	f.lastActive = v.Sim.Now()
+	b := v.ownSender(f)
 
 	if syn {
 		f.iss = t.Seq()
-		f.issValid = true
-		f.SndUna, f.SndNxt = 1, 1
-		f.alphaSeq, f.cutSeq = 1, 0
+		b.issValid = true
+		b.SndUna, b.SndNxt = 1, 1
+		b.alphaSeq, b.cutSeq = 1, 0
 		f.synSeen = true
 		so := packet.ParseSynOptions(t.Options())
-		if so.MSS > 0 && int32(so.MSS) < f.MSS {
-			f.MSS = int32(so.MSS)
-			f.CwndBytes = initCwndPkts * float64(f.MSS)
+		if so.MSS > 0 && int32(so.MSS) < b.MSS {
+			b.MSS = int32(so.MSS)
+			b.CwndBytes = initCwndPkts * float64(b.MSS)
 		}
 		ecnIntent := t.Flags()&(packet.FlagECE|packet.FlagCWR) != 0
 		if t.HasFlags(packet.FlagACK) {
@@ -196,22 +197,22 @@ func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool
 		return false
 	}
 
-	if !f.issValid {
+	if !b.issValid {
 		// Adopted mid-stream (no handshake observed — vSwitch attached or
 		// restarted under a live connection): anchor absolute space at this
 		// segment and enter the conservative resync mode — the window scale
 		// and feedback baseline are unknown, so enforcement and policing
 		// stay off until one clean feedback round completes (resync.go).
 		f.iss = t.Seq()
-		f.issValid = true
-		f.SndUna, f.SndNxt = 0, 0
-		f.alphaSeq, f.cutSeq = 0, 0
+		b.issValid = true
+		b.SndUna, b.SndNxt = 0, 0
+		b.alphaSeq, b.cutSeq = 0, 0
 		f.enterResyncLocked()
 		v.Metrics.FlowsAdoptedMidstream.Inc()
 	}
 
 	if plen > 0 || t.HasFlags(packet.FlagFIN) {
-		absSeq := f.absSeq(t.Seq(), f.SndNxt)
+		absSeq := f.absSeq(t.Seq(), b.SndNxt)
 		segEnd := absSeq + plen
 		if t.HasFlags(packet.FlagFIN) {
 			segEnd++
@@ -222,15 +223,15 @@ func (v *VSwitch) senderEgress(f *Flow, t packet.TCP, syn bool, plen int64) bool
 		// exactly what cannot be trusted yet, so policing waits with it. A
 		// Policy.Disable flow is exempt from enforcement, so dropping its
 		// beyond-window segments would be exactly the harm it opted out of.
-		if f.resync == resyncNone && !f.Policy.Disable && v.policeLocked(f, segEnd, plen) {
+		if b.resync == resyncNone && !f.Policy.Disable && v.policeLocked(f, segEnd, plen) {
 			return true
 		}
 
-		if segEnd > f.SndNxt {
-			f.SndNxt = segEnd
+		if segEnd > b.SndNxt {
+			b.SndNxt = segEnd
 		}
-		if infl := f.SndNxt - f.SndUna; infl > f.maxInflight {
-			f.maxInflight = infl
+		if infl := b.SndNxt - b.SndUna; infl > b.maxInflight {
+			b.maxInflight = infl
 		}
 		// Arm the inactivity timer while data is outstanding.
 		v.armVTimeout(f)
@@ -412,7 +413,7 @@ func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta) (*packet.Packet, *pac
 	if m.plen > 0 || m.fin || m.syn {
 		f := v.lookup(own, m.key)
 		if f == nil && (m.plen > 0 || m.fin) {
-			f = v.flowFor(m.key)
+			f = v.flowFor(m.key, false)
 		}
 		if f != nil {
 			v.receiverIngress(f, p, t, m.plen)
@@ -431,10 +432,11 @@ func (v *VSwitch) ingressHandshake(p *packet.Packet, t packet.TCP, fwdKey, revKe
 	so := packet.ParseSynOptions(t.Options())
 	// The peer's SYN/SYN-ACK announces the scale applied to the RWND fields
 	// of the ACKs the peer will send — which our sender module rewrites.
-	rev := v.flowFor(revKey)
+	rev := v.flowFor(revKey, true)
 	if rev == nil {
 		return
 	}
+	v.ownSender(rev)
 	if so.WScaleOK {
 		rev.PeerWScale = so.WScale
 		rev.WScaleKnown = true
@@ -452,7 +454,7 @@ func (v *VSwitch) ingressHandshake(p *packet.Packet, t packet.TCP, fwdKey, revKe
 	}
 	rev.lastActive = v.Sim.Now()
 
-	fwd := v.flowFor(fwdKey)
+	fwd := v.flowFor(fwdKey, false)
 	if fwd == nil {
 		return
 	}

@@ -367,7 +367,7 @@ func TestVRenoVirtualCC(t *testing.T) {
 	if !ok || id != vccReno {
 		t.Fatalf("lookupVCC(reno) = %v, %v", id, ok)
 	}
-	f := &Flow{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40, Policy: &defaultPolicy, vcc: id}
+	f := &Flow{senderBlock: &senderBlock{MSS: 1500, CwndBytes: 30000, SsthreshBytes: 1 << 40}, Policy: &defaultPolicy, vcc: id}
 	if id.cut(f) != 0.5 {
 		t.Fatal("vReno must halve")
 	}
@@ -420,7 +420,7 @@ func TestFlowKeyReverse(t *testing.T) {
 }
 
 func TestEnforcedWindowClampAndFloor(t *testing.T) {
-	f := &Flow{CwndBytes: 100_000, Policy: &Policy{Beta: 1, RwndClampBytes: 50_000}}
+	f := &Flow{senderBlock: &senderBlock{CwndBytes: 100_000}, Policy: &Policy{Beta: 1, RwndClampBytes: 50_000}}
 	if got := f.enforcedWindow(9000); got != 50_000 {
 		t.Fatalf("clamp: %d", got)
 	}

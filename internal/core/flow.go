@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -100,72 +101,57 @@ func (p Policy) sanitize() Policy {
 }
 
 // Flow is one direction's connection-tracking entry (the paper budgets ~320
-// bytes of flow state; this is 192, plus a 16-byte index slot). The same
-// struct serves as sender-module state on the host that sources the data and
-// receiver-module state on the host that sinks it.
+// bytes of flow state). What every packet reads — link, liveness, policy, the
+// receiver module's counters (§3.2), key and flags — is one 64-byte line. The
+// sender module's state (§3.1) is a senderBlock behind the embedded pointer,
+// whose fields are promoted, so readers never branch. A record made where
+// its host sends is a senderFlow, record and block in three aligned lines; a
+// record keyed toward its host is bare, 64 bytes on the vSwitch's read-only
+// defaults (TestFlowSizeClass, TestFlowHotFieldsLayout,
+// TestPeerRecordHasNoSenderBlock). Every sender-module write first gives a
+// bare record a block of its own (VSwitch.ownSender). A field most flows
+// leave zero goes behind the cold pointer, or every flow pays for it.
 //
-// Fields are ordered by how often the datapath touches them, not by module,
-// because at 10k+ flows every cache line of a record is a miss: what every
-// packet reads, and the key an index probe confirms, sits in the first 64
-// bytes, all the sender module touches per data segment and per ACK in the
-// next 128. The struct fills the 192-byte malloc size class, so a record is
-// three aligned lines (TestFlowSizeClass, TestFlowHotFieldsLayout); a field
-// most flows leave zero goes behind the cold pointer, or every flow pays for
-// it.
-//
-// A recycled record is re-initialised by one Flow assignment
-// (VSwitch.buildFlow), so a field added here cannot be left holding the
-// previous flow's value.
+// A recycled record is re-initialised by one Flow assignment, and its block
+// by one senderBlock assignment (VSwitch.buildFlow), so a field added here
+// cannot be left holding the previous flow's value.
 type Flow struct {
-	// --- line 0: every packet (link, liveness, receiver module, key) ---
-	iss         uint32 // guest's initial sequence number; valid once issValid
-	lastAckWire uint32 // last ACK's seq field (dupack synthesis)
 	// peer is the record tracking Key.Reverse(), linked both ways: nil, or
 	// that record with its peer pointing back (Table.reverseOf). The snapshot
 	// codec skips it: a restored, re-created or recycled flow starts
 	// unlinked.
 	peer       *Flow
 	lastActive sim.Time
+	*senderBlock
+	// Policy points at a sanitized value other flows may share (the default,
+	// an interned FlowPolicy answer, an override): replace, never write it.
+	Policy *Policy
 	// receiver module (§3.2)
-	TotalBytes  uint32 // cumulative payload bytes received
-	MarkedBytes uint32 // cumulative CE-marked payload bytes
-	// sender module, per ACK, in this line's spare words
-	MSS     int32
-	DupAcks int32
+	TotalBytes  uint32  // cumulative payload bytes received
+	MarkedBytes uint32  // cumulative CE-marked payload bytes
+	Key         FlowKey // an index probe whose hash matches confirms it here
+	iss         uint32  // guest's initial sequence number; valid once issValid
 	// GuestECN records whether the guests negotiated ECN end to end; the
 	// receiver module uses it to restore the original ECN semantics.
-	GuestECN bool
-	issValid bool
-	// resync is the conservative-mode state machine for flows adopted
-	// without a handshake (mid-stream pickup, snapshot restore); while it
-	// is not resyncNone, RWND enforcement and policing are suspended
-	// (resync.go).
-	resync      resyncState
-	finFwd      bool // FIN seen in the data direction
-	finRev      bool // FIN seen in the reverse direction
-	isUDP       bool // UDP tunnel flow (future-work extension; see tunnel.go)
-	WScaleKnown bool
-	// PeerWScale is the window scale applied to the RWND field of ACKs
-	// flowing back to the data sender (announced by the data receiver).
-	PeerWScale uint8
-	Key        FlowKey // an index probe whose hash matches confirms it here
-	// parkedAt is v.sweepTick, the per-packet epoch, when the record went on
-	// the free list: newFlow refuses one parked by the datapath call it runs
-	// in, whose caller may still hold the pointer.
-	parkedAt uint32
+	GuestECN   bool
+	finFwd     bool // FIN seen in the data direction
+	finRev     bool // FIN seen in the reverse direction
+	isUDP      bool // UDP tunnel flow (future-work extension; see tunnel.go)
+	synSeen    bool
+	synAckSeen bool
+	// vcc is the flow's law, resolved from its policy (VSwitch.setLaw).
+	vcc vccID
+	// inline marks a senderFlow: it picks the free list, and lets sender find
+	// the block without loading the pointer.
+	inline bool
+}
 
-	// --- lines 1–2: sender module, per data segment and per ACK (§3.1) ---
+// senderBlock is the sender module's per-flow state (§3.1), two lines. The
+// vSwitch's shared defaults are never written.
+type senderBlock struct {
 	SndUna      int64 // absolute offsets, SYN at 0
 	SndNxt      int64
 	maxInflight int64 // peak SndNxt−SndUna since the last ACK
-	// vtimeout is the inactivity deadline (§3.1) in the vSwitch's vtimeouts;
-	// vtArmed records that this flow has armed it, which a recycled record
-	// must not inherit (buildFlow clears both).
-	vtimeout sim.Deadline
-	vtArmed  bool
-	// feedback accounting between α updates
-	lastTotal, lastMarked     uint32
-	windowTotal, windowMarked uint32
 
 	CwndBytes     float64
 	SsthreshBytes float64
@@ -177,20 +163,50 @@ type Flow struct {
 	// but stops (stripped by a middlebox, lost in the fabric), the sender
 	// module freezes virtual-window growth rather than growing blind.
 	lastFeedbackAt sim.Time // 0 until the first PACK/FACK arrives
-	// Policy points at a sanitized value other flows may share (the default,
-	// an interned FlowPolicy answer, an override): replace, never write it.
-	Policy *Policy
+	// cold holds what most flows never write (flowCold); nil until one does.
+	cold *flowCold
+
+	lastAckWire uint32 // last ACK's seq field (dupack synthesis)
+	MSS         int32
+	DupAcks     int32
+	// vtimeout is the inactivity deadline (§3.1) in the vSwitch's vtimeouts;
+	// vtArmed records that this flow has armed it, which a recycled record
+	// must not inherit (buildFlow clears both).
+	vtimeout sim.Deadline
+	// feedback accounting between α updates
+	lastTotal, lastMarked     uint32
+	windowTotal, windowMarked uint32
 	// Last ACK's raw (pre-rewrite) window field: a duplicate ACK requires an
 	// unchanged window, so pure window updates never count toward the
 	// triple-dupack loss inference.
-	lastWndRaw  uint16
+	lastWndRaw uint16
+	vtArmed    bool
+	issValid   bool
+	// resync is the conservative-mode state machine for flows adopted
+	// without a handshake (mid-stream pickup, snapshot restore); while it
+	// is not resyncNone, RWND enforcement and policing are suspended
+	// (resync.go).
+	resync      resyncState
+	WScaleKnown bool
+	// PeerWScale is the window scale applied to the RWND field of ACKs
+	// flowing back to the data sender (announced by the data receiver).
+	PeerWScale  uint8
 	lastWndSeen bool
-	// vcc is the flow's law, resolved from its policy (VSwitch.setLaw).
-	vcc        vccID
-	synSeen    bool
-	synAckSeen bool
-	// cold holds what most flows never write (flowCold); nil until one does.
-	cold *flowCold
+}
+
+// sender returns f.senderBlock, a senderFlow's at its fixed offset: the entries
+// that use it load the block's lines beside the record's, not after them.
+func (f *Flow) sender() *senderBlock {
+	if f.inline {
+		return &(*senderFlow)(unsafe.Pointer(f)).s
+	}
+	return f.senderBlock
+}
+
+// senderFlow is a record made where its host sends, with its block.
+type senderFlow struct {
+	Flow
+	s senderBlock
 }
 
 // flowCold is what most plain TCP flows leave zero for their whole life, kept

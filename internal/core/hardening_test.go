@@ -124,7 +124,7 @@ func TestFlowForEvictsClosedUnderPressure(t *testing.T) {
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	// Fill the table with two closed flows.
 	for i := uint16(0); i < 2; i++ {
-		f := v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: 100 + i, DPort: 200})
+		f := v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: 100 + i, DPort: 200}, true)
 		if f == nil {
 			t.Fatalf("flow %d not created below capacity", i)
 		}
@@ -132,7 +132,7 @@ func TestFlowForEvictsClosedUnderPressure(t *testing.T) {
 	}
 	// At capacity, a new key must evict the closed entries rather than
 	// fail open or grow past the bound.
-	f := v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: 300, DPort: 200})
+	f := v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: 300, DPort: 200}, true)
 	if f == nil {
 		t.Fatal("flowFor failed open even though closed flows were evictable")
 	}

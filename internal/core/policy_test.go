@@ -146,7 +146,7 @@ func TestPolicyDisableHonoredByEveryBackend(t *testing.T) {
 // pressing against — but not overshooting — the virtual window.
 func TestDctcpCutWindowLimitedOvershootGate(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
-	f := v.newFlow(FlowKey{Src: host.Addr, Dst: packet.MakeAddr(10, 0, 0, 2), SPort: 1, DPort: 2})
+	f := v.newFlow(FlowKey{Src: host.Addr, Dst: packet.MakeAddr(10, 0, 0, 2), SPort: 1, DPort: 2}, true)
 	f.CwndBytes = 50_000
 	if !windowLimited(f, true, 50_000) {
 		t.Error("inflight at the window must count as limited")

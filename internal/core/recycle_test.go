@@ -1,9 +1,9 @@
 package core
 
-// Tests for the flow-record free list (VSwitch.parked): a recycled record is
-// indistinguishable from a new one, a record is never handed out inside the
-// datapath call that removed it, no parked record is reachable from the table,
-// and the list shrinks to demand.
+// Tests for the flow-record free lists (VSwitch.parked, one per kind): a
+// recycled record is indistinguishable from a new one, a record is never
+// handed out inside the datapath call that removed it, no parked record is
+// reachable from the table, and each list shrinks to demand.
 
 import (
 	"fmt"
@@ -17,21 +17,30 @@ import (
 	"acdc/internal/sim"
 )
 
+// parkedRecords lists both free lists, bare records first.
+func parkedRecords(v *VSwitch) []*Flow {
+	return slices.Concat(v.parked[0].recs, v.parked[1].recs)
+}
+
 // checkParkedRecords asserts the free-list invariant: a parked record is on
-// the list once, is not the table's entry for its key, holds no link and no
-// cold state, has no timer armed (it would fire on the record's next flow),
-// and no flow in the table links to it.
+// its kind's list once, is not the table's entry for its key, holds no link
+// and no cold state, has no timer armed (it would fire on the record's next
+// flow), and no flow in the table links to it.
 func checkParkedRecords(t *testing.T, v *VSwitch, after string) {
 	t.Helper()
-	if len(v.parked) == 0 {
+	recs := parkedRecords(v)
+	if len(recs) == 0 {
 		return
 	}
-	parked := make(map[*Flow]bool, len(v.parked))
-	for _, p := range v.parked {
+	parked := make(map[*Flow]bool, len(recs))
+	for i, p := range recs {
 		if parked[p] {
 			t.Fatalf("after %s: %v is on the free list twice", after, p.Key)
 		}
 		parked[p] = true
+		if inline := i >= len(v.parked[0].recs); p.inline != inline {
+			t.Fatalf("after %s: parked record %v is on the other kind's list", after, p.Key)
+		}
 		if v.Table.Get(p.Key) == p {
 			t.Fatalf("after %s: parked record %v is still the table's entry", after, p.Key)
 		}
@@ -58,7 +67,7 @@ func TestRecycleDifferential(t *testing.T) {
 	reused := int64(0)
 	for seed := int64(1); seed <= 12; seed++ {
 		script := linkScript(rand.New(rand.NewSource(seed)), 1500)
-		playScript(t, script, "recycling", func(v *VSwitch) { v.parked = nil })
+		playScript(t, script, "recycling", func(v *VSwitch) { v.parked = [2]freeList{} })
 		reused += countReuse(t, script)
 	}
 	if reused == 0 {
@@ -136,9 +145,15 @@ func (b *recycleBench) sweep() {
 	checkParkedRecords(b.t, b.v, "sweep")
 }
 
-// diffFlowState lists the fields in which got differs from want, reading the
-// unexported ones in place.
+// diffFlowState lists the fields, the sender block's included, in which got
+// differs from want, reading the unexported ones in place.
 func diffFlowState(got, want *Flow) []string {
+	return append(diffFields(got, want), diffFields(got.senderBlock, want.senderBlock)...)
+}
+
+// diffFields lists the fields in which *got differs from *want, a pointer to
+// a sender block compared by what it points at.
+func diffFields[T any](got, want *T) []string {
 	var diffs []string
 	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
 	for i := 0; i < gv.NumField(); i++ {
@@ -160,7 +175,8 @@ func diffFlowState(got, want *Flow) []string {
 // window cut, a triple-dupack loss, an inactivity timeout, a live policy
 // install that swaps the growth law, FIN both ways — has it swept and reused
 // for another key, and compares it field by field with a record built new for
-// that key.
+// that key. The connection's peer record, given a block of its own by a
+// foreign-source egress, goes the same way as a bare record.
 func TestRecycledFlowEqualsFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VTimeout = 20 * sim.Microsecond
@@ -211,39 +227,47 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 		t.Fatalf("the record did not live through what the test is about: %+v", old)
 	}
 	b.v.ClearPolicy(k)
+	oldPeer := old.peer
+	b.v.egressHook(packet.Build(b.peer, b.local, packet.NotECT,
+		packet.TCPFields{SrcPort: 5001, DstPort: sp, Seq: 900, Ack: seq + 1, Flags: ack | psh, Window: 65535}, 300))
+	if oldPeer.inline || oldPeer.senderBlock == b.v.defaults || !oldPeer.issValid {
+		t.Fatal("the foreign-source egress did not give the peer record a block of its own")
+	}
 
 	b.sweep()
-	if b.v.Table.Get(k) != nil || b.v.ParkedFlows() != 2 {
-		t.Fatalf("after the sweep: in table %v, %d parked, want both records of the connection parked",
-			b.v.Table.Get(k) != nil, b.v.ParkedFlows())
+	if b.v.Table.Get(k) != nil || len(b.v.parked[0].recs) != 1 || len(b.v.parked[1].recs) != 1 {
+		t.Fatalf("after the sweep: in table %v, %d+%d parked, want both records of the connection parked",
+			b.v.Table.Get(k) != nil, len(b.v.parked[0].recs), len(b.v.parked[1].recs))
 	}
-	// Two new flows take both parked records; one of them gets old.
-	var reused *Flow
-	for _, p := range []uint16{200, 201} {
-		b.out(p, packet.TCPFields{Flags: packet.FlagSYN}, 0)
-		if f := b.v.Table.Get(b.key(p)); f == old {
-			reused = f
-		}
+	// A sender create takes old, a receiver create the peer record.
+	b.out(200, packet.TCPFields{Flags: packet.FlagSYN}, 0)
+	b.in(201, packet.NotECT, packet.TCPFields{Seq: 1, Flags: psh}, 100)
+	reused, reusedPeer := b.v.Table.Get(b.key(200)), b.v.Table.Get(b.key(201).Reverse())
+	if reused != old || reusedPeer != oldPeer || b.v.ParkedFlows() != 0 {
+		t.Fatalf("the swept records were not reused (%d still parked)", b.v.ParkedFlows())
 	}
-	if reused == nil || b.v.ParkedFlows() != 0 {
-		t.Fatalf("the swept record was not reused (%d still parked)", b.v.ParkedFlows())
-	}
-	fresh := new(Flow)
-	b.v.buildFlow(fresh, reused.Key)
+	// The lists are empty: newFlow makes new records.
+	fresh := b.v.newFlow(reused.Key, true)
 	// The SYN that created the flow has been through senderEgress.
 	fresh.iss, fresh.issValid, fresh.synSeen = 0, true, true
 	fresh.SndUna, fresh.SndNxt, fresh.alphaSeq = 1, 1, 1
-	for _, d := range diffFlowState(reused, fresh) {
+	freshPeer := b.v.newFlow(reusedPeer.Key, false)
+	freshPeer.TotalBytes = 100 // the segment that created it
+	for _, d := range append(diffFlowState(reused, fresh), diffFlowState(reusedPeer, freshPeer)...) {
 		t.Error(d)
+	}
+	if reusedPeer.senderBlock != b.v.defaults {
+		t.Error("the recycled peer record kept a block of its own")
 	}
 }
 
 // TestRestoreOntoRecycledRecordActsFresh restores one snapshot, a connection
-// with data outstanding, into a vSwitch with parked records (a restore outside
-// Restart keeps the free list, as the daemon's does) and into one without. An
-// ACK that leaves data outstanding then finds a record on which no flow of
-// this life has armed the inactivity deadline, so neither arms it: a recycled
-// record must not act on its previous flow's timer.
+// with data outstanding, into a vSwitch with parked records of both kinds (a
+// restore outside Restart keeps the free lists, as the daemon's does) and into
+// one without. An ACK that leaves data outstanding then finds a record on
+// which no flow of this life has armed the inactivity deadline, so neither
+// arms it: a recycled record must not act on its previous flow's timer. The
+// peer record, restored bare onto a recycled one, saves as it was saved.
 func TestRestoreOntoRecycledRecordActsFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VTimeout = 20 * sim.Microsecond
@@ -257,7 +281,7 @@ func TestRestoreOntoRecycledRecordActsFresh(t *testing.T) {
 	}
 	snap := src.v.SaveSnapshot()
 
-	restored := func(recycle bool) (vtimeouts int64, reused bool) {
+	restored := func(recycle bool) (vtimeouts int64, reused, reusedPeer bool, peerRec flowRecord) {
 		b := newRecycleBench(t, cfg)
 		if recycle {
 			for p := uint16(1000); p < 1004; p++ {
@@ -266,68 +290,93 @@ func TestRestoreOntoRecycledRecordActsFresh(t *testing.T) {
 			b.sweep()
 			b.out(2000, packet.TCPFields{Flags: packet.FlagSYN}, 0) // past the sweep's epoch
 		}
-		parked := slices.Clone(b.v.parked)
+		parked := parkedRecords(b.v)
 		if err := b.v.RestoreSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
-		f := b.v.Table.Get(b.key(sp))
+		f, peer := b.v.Table.Get(b.key(sp)), b.v.Table.Get(b.key(sp).Reverse())
+		if f.senderBlock == b.v.defaults || peer.senderBlock != b.v.defaults {
+			t.Fatal("restore gave the sender record no block, or the peer record one")
+		}
+		peerRec = peer.record()
 		b.in(sp, packet.ECT0, packet.TCPFields{Seq: 1, Ack: 1001, Flags: ack}, 0)
 		b.s.RunFor(3 * cfg.VTimeout)
-		return f.VTimeouts(), slices.Contains(parked, f)
+		return f.VTimeouts(), slices.Contains(parked, f), slices.Contains(parked, peer), peerRec
 	}
-	fresh, _ := restored(false)
-	recycled, reused := restored(true)
-	if !reused {
-		t.Fatal("the restored flow did not take a parked record: the test compares nothing")
+	fresh, _, _, freshPeer := restored(false)
+	recycled, reused, reusedPeer, recycledPeer := restored(true)
+	if !reused || !reusedPeer {
+		t.Fatalf("the restored flows did not take parked records (sender %v, peer %v): the test compares nothing", reused, reusedPeer)
 	}
 	if recycled != fresh {
 		t.Fatalf("restored onto a recycled record: %d inactivity timeouts, onto a new one: %d", recycled, fresh)
+	}
+	if recycledPeer != freshPeer {
+		t.Fatalf("peer record restored onto a recycled one: %+v, onto a new one: %+v", recycledPeer, freshPeer)
 	}
 }
 
 // TestEvictedRecordNotReusedInSameCall: ingressRun holds its own direction's
 // record across flowFor, and at MaxFlows flowFor evicts closed flows at once —
 // here the very record in hand. It must not come back as the new flow inside
-// that call; the next packet may have it.
+// that call; the next packet may have it. The record in hand is a senderFlow,
+// or a bare record made by a segment arriving with the host's own source
+// address, which the bare create would otherwise take.
 func TestEvictedRecordNotReusedInSameCall(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxFlows = 2
-	b := newRecycleBench(t, cfg)
-	const sp, ack = 100, packet.FlagACK
-	b.out(sp, packet.TCPFields{Flags: packet.FlagSYN}, 0)
-	b.out(sp, packet.TCPFields{Seq: 1, Ack: 1, Flags: ack | packet.FlagFIN}, 0)
-	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 2, Flags: ack | packet.FlagFIN}, 0)
-	own := b.v.Table.Get(b.key(sp))
-	if own == nil || !own.finFwd || !own.finRev {
-		t.Fatalf("own direction not closed both ways: %v", own)
-	}
-	// Leave only the closed record and one live flow: the table is full.
-	b.v.Table.Delete(b.key(sp).Reverse())
-	b.out(900, packet.TCPFields{Flags: packet.FlagSYN}, 0)
-	if b.v.Table.Len() != cfg.MaxFlows {
-		t.Fatalf("table holds %d records, want %d", b.v.Table.Len(), cfg.MaxFlows)
-	}
+	for _, sender := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.MaxFlows = 2
+		b := newRecycleBench(t, cfg)
+		const sp, ack = 100, packet.FlagACK
+		if sender {
+			b.out(sp, packet.TCPFields{Flags: packet.FlagSYN}, 0)
+			b.out(sp, packet.TCPFields{Seq: 1, Ack: 1, Flags: ack | packet.FlagFIN}, 0)
+		} else {
+			b.v.ingressHook(packet.Build(b.local, b.peer, packet.NotECT, packet.TCPFields{
+				SrcPort: sp, DstPort: 5001, Seq: 1, Flags: packet.FlagFIN, Window: 65535}, 100))
+		}
+		b.in(sp, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 2, Flags: ack | packet.FlagFIN}, 0)
+		own := b.v.Table.Get(b.key(sp))
+		if own == nil || !own.finFwd || !own.finRev || own.inline != sender {
+			t.Fatalf("sender %v: own direction not closed both ways, or of the wrong kind: %v", sender, own)
+		}
+		// Leave only the closed record and one live flow: the table is full.
+		b.v.Table.Delete(b.key(sp).Reverse())
+		b.out(900, packet.TCPFields{Flags: packet.FlagSYN}, 0)
+		if b.v.Table.Len() != cfg.MaxFlows {
+			t.Fatalf("sender %v: table holds %d records, want %d", sender, b.v.Table.Len(), cfg.MaxFlows)
+		}
 
-	// A late data segment of the closed connection: the ACK half finds own,
-	// the data half creates the peer's direction, and the create evicts own.
-	b.in(sp, packet.ECT0, packet.TCPFields{Seq: 2, Ack: 2, Flags: ack | packet.FlagPSH}, 300)
-	created := b.v.Table.Get(b.key(sp).Reverse())
-	if created == nil || b.v.Table.Get(b.key(sp)) != nil {
-		t.Fatalf("the create did not evict the closed record: created %v, old entry %v", created, b.v.Table.Get(b.key(sp)))
-	}
-	if created == own {
-		t.Fatal("the record evicted by this call was handed out inside it")
-	}
-	if b.v.ParkedFlows() != 1 || b.v.parked[0] != own || own.Key != b.key(sp) {
-		t.Fatalf("the evicted record should be parked untouched: %d parked, key %v", b.v.ParkedFlows(), own.Key)
-	}
-	checkParkedRecords(t, b.v, "eviction")
+		// A late data segment of the closed connection: the ACK half finds
+		// own, the data half creates the peer's direction, and the create
+		// evicts own.
+		b.in(sp, packet.ECT0, packet.TCPFields{Seq: 2, Ack: 2, Flags: ack | packet.FlagPSH}, 300)
+		created := b.v.Table.Get(b.key(sp).Reverse())
+		if created == nil || b.v.Table.Get(b.key(sp)) != nil {
+			t.Fatalf("sender %v: the create did not evict the closed record: created %v, old entry %v",
+				sender, created, b.v.Table.Get(b.key(sp)))
+		}
+		if created == own {
+			t.Fatalf("sender %v: the record evicted by this call was handed out inside it", sender)
+		}
+		if l := b.v.freeList(sender); b.v.ParkedFlows() != 1 || len(l.recs) != 1 || l.recs[0] != own || own.Key != b.key(sp) {
+			t.Fatalf("sender %v: the evicted record should be parked untouched: %d parked, key %v", sender, b.v.ParkedFlows(), own.Key)
+		}
+		checkParkedRecords(t, b.v, "eviction")
 
-	// The next packet's create may take it.
-	b.v.Table.Delete(b.key(900))
-	b.out(901, packet.TCPFields{Flags: packet.FlagSYN}, 0)
-	if got := b.v.Table.Get(b.key(901)); got != own {
-		t.Fatalf("the next call did not reuse the parked record: got %p, parked %p", got, own)
+		// The next packet's create of the kind may take it.
+		b.v.Table.Delete(b.key(900))
+		if sender {
+			b.out(901, packet.TCPFields{Flags: packet.FlagSYN}, 0)
+		} else {
+			b.in(901, packet.NotECT, packet.TCPFields{Seq: 1, Flags: packet.FlagPSH}, 100)
+		}
+		if got := b.v.Table.Get(b.key(901)); sender && got != own {
+			t.Fatalf("the next call did not reuse the parked senderFlow: got %p, parked %p", got, own)
+		}
+		if got := b.v.Table.Get(b.key(901).Reverse()); !sender && got != own {
+			t.Fatalf("the next call did not reuse the parked bare record: got %p, parked %p", got, own)
+		}
 	}
 }
 
@@ -343,18 +392,20 @@ func TestFreeListTrimsToDemand(t *testing.T) {
 			sp++
 		}
 	}
+	// Each connection is one record of each kind.
+	kinds := func() (bare, sender int) { return len(b.v.parked[0].recs), len(b.v.parked[1].recs) }
 	burst(2500) // 5 000 records
 	b.sweep()
-	if got := b.v.ParkedFlows(); got != 5000 {
-		t.Fatalf("%d records parked after the spike was swept, want all 5000", got)
+	if bare, sender := kinds(); bare != 2500 || sender != 2500 || b.v.ParkedFlows() != 5000 {
+		t.Fatalf("%d+%d records parked after the spike was swept, want all 2500 of each kind", bare, sender)
 	}
-	burst(5) // 10 records, all taken from the list
-	if got := b.v.ParkedFlows(); got != 4990 {
-		t.Fatalf("%d records parked after 10 creates, want 4990", got)
+	burst(5) // 10 records, all taken from the lists
+	if bare, sender := kinds(); bare != 2495 || sender != 2495 {
+		t.Fatalf("%d+%d records parked after 5 creates of each kind, want 2495 each", bare, sender)
 	}
 	b.sweep()
-	if got := b.v.ParkedFlows(); got > 10 {
-		t.Fatalf("%d records parked two sweeps after the spike, want at most the 10 created since the last one", got)
+	if bare, sender := kinds(); bare > 5 || sender > 5 {
+		t.Fatalf("%d+%d records parked two sweeps after the spike, want at most the 5 of each kind created since the last one", bare, sender)
 	}
 	b.sweep()
 	if got := b.v.ParkedFlows(); got != 0 {

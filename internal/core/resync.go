@@ -63,9 +63,9 @@ func (s resyncState) String() string {
 
 // enterResyncLocked puts a flow into conservative mode. Idempotent: a flow
 // already resynchronizing keeps its progress.
-func (f *Flow) enterResyncLocked() {
-	if f.resync == resyncNone {
-		f.resync = resyncAwaitFeedback
+func (b *senderBlock) enterResyncLocked() {
+	if b.resync == resyncNone {
+		b.resync = resyncAwaitFeedback
 	}
 }
 

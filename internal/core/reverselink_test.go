@@ -229,9 +229,9 @@ func playLinkScript(t *testing.T, script []byte) {
 }
 
 // playScript runs script on a vSwitch left alone, checking the link and the
-// free-list invariants after every call, and on a reference vSwitch that
-// without is applied to before every call; the two must be indistinguishable
-// from outside.
+// free-list invariants and the shared sender defaults after every call, and on
+// a reference vSwitch that without is applied to before every call; the two
+// must be indistinguishable from outside.
 func playScript(t *testing.T, script []byte, what string, without func(*VSwitch)) {
 	t.Helper()
 	full, ref := newLinkDriver(t, nil), newLinkDriver(t, without)
@@ -240,8 +240,10 @@ func playScript(t *testing.T, script []byte, what string, without func(*VSwitch)
 		full.step(kind, c)
 		checkReverseLinks(t, full.v.Table, linkOpNames[kind])
 		checkParkedRecords(t, full.v, linkOpNames[kind])
+		checkSenderDefaults(t, full.v)
 		ref.step(kind, c)
 	}
+	checkSenderDefaults(t, ref.v)
 	if len(full.rows) != len(ref.rows) {
 		t.Fatalf("%d output rows with %s, %d without", len(full.rows), what, len(ref.rows))
 	}
@@ -417,71 +419,81 @@ func TestReverseLinkCases(t *testing.T) {
 
 // TestFlowHotFieldsLayout pins the packing the per-packet cost rests on: with
 // 10k+ flows every line of a record is a miss, so what every packet touches,
-// and the key an index probe confirms, ends inside the first cache line, and
-// everything the sender module touches per data segment and per ACK inside
-// the three. TestFlowSizeClass pins the total, which puts every record on a
-// line boundary.
+// and the key an index probe confirms, is the record's one line, and
+// everything the sender module touches per data segment and per ACK is in the
+// sender block, the next two lines of a senderFlow. Naming a field by the
+// struct it is listed under also pins the struct it is in.
+// TestFlowSizeClass pins the totals, which put every record on a line
+// boundary.
 func TestFlowHotFieldsLayout(t *testing.T) {
 	var f Flow
+	var b senderBlock
+	var sf senderFlow
 	type field struct {
 		name      string
 		off, size uintptr
 	}
 	for _, lim := range []struct {
-		bytes  uintptr
-		fields []field
+		where      string
+		start, end uintptr // in a senderFlow
+		base       uintptr // of the fields' struct in a senderFlow
+		fields     []field
 	}{
-		// Every packet: link, liveness, the receiver module, the flags, the
-		// key and the park stamp.
-		{64, []field{
-			{"iss", unsafe.Offsetof(f.iss), unsafe.Sizeof(f.iss)},
+		// Every packet: link, liveness, the block, the policy, the receiver
+		// module, the key, the flags and the law.
+		{"the record's line", 0, 64, 0, []field{
 			{"peer", unsafe.Offsetof(f.peer), unsafe.Sizeof(f.peer)},
 			{"lastActive", unsafe.Offsetof(f.lastActive), unsafe.Sizeof(f.lastActive)},
+			{"senderBlock", unsafe.Offsetof(f.senderBlock), unsafe.Sizeof(f.senderBlock)},
+			{"Policy", unsafe.Offsetof(f.Policy), unsafe.Sizeof(f.Policy)},
 			{"TotalBytes", unsafe.Offsetof(f.TotalBytes), unsafe.Sizeof(f.TotalBytes)},
 			{"MarkedBytes", unsafe.Offsetof(f.MarkedBytes), unsafe.Sizeof(f.MarkedBytes)},
+			{"Key", unsafe.Offsetof(f.Key), unsafe.Sizeof(f.Key)},
+			{"iss", unsafe.Offsetof(f.iss), unsafe.Sizeof(f.iss)},
 			{"GuestECN", unsafe.Offsetof(f.GuestECN), unsafe.Sizeof(f.GuestECN)},
-			{"issValid", unsafe.Offsetof(f.issValid), unsafe.Sizeof(f.issValid)},
-			{"resync", unsafe.Offsetof(f.resync), unsafe.Sizeof(f.resync)},
 			{"finFwd", unsafe.Offsetof(f.finFwd), unsafe.Sizeof(f.finFwd)},
 			{"finRev", unsafe.Offsetof(f.finRev), unsafe.Sizeof(f.finRev)},
 			{"isUDP", unsafe.Offsetof(f.isUDP), unsafe.Sizeof(f.isUDP)},
-			{"WScaleKnown", unsafe.Offsetof(f.WScaleKnown), unsafe.Sizeof(f.WScaleKnown)},
-			{"PeerWScale", unsafe.Offsetof(f.PeerWScale), unsafe.Sizeof(f.PeerWScale)},
-			{"Key", unsafe.Offsetof(f.Key), unsafe.Sizeof(f.Key)},
-			{"parkedAt", unsafe.Offsetof(f.parkedAt), unsafe.Sizeof(f.parkedAt)},
+			{"synSeen", unsafe.Offsetof(f.synSeen), unsafe.Sizeof(f.synSeen)},
+			{"synAckSeen", unsafe.Offsetof(f.synAckSeen), unsafe.Sizeof(f.synAckSeen)},
+			{"vcc", unsafe.Offsetof(f.vcc), unsafe.Sizeof(f.vcc)},
+			{"inline", unsafe.Offsetof(f.inline), unsafe.Sizeof(f.inline)},
 		}},
 		// Per data segment and per ACK (processFeedbackAndAck, cutWindow,
-		// senderEgress): tracking, feedback, the window, α, the policy, the
-		// law and the cold pointer.
-		{192, []field{
-			{"lastAckWire", unsafe.Offsetof(f.lastAckWire), unsafe.Sizeof(f.lastAckWire)},
-			{"MSS", unsafe.Offsetof(f.MSS), unsafe.Sizeof(f.MSS)},
-			{"DupAcks", unsafe.Offsetof(f.DupAcks), unsafe.Sizeof(f.DupAcks)},
-			{"SndUna", unsafe.Offsetof(f.SndUna), unsafe.Sizeof(f.SndUna)},
-			{"SndNxt", unsafe.Offsetof(f.SndNxt), unsafe.Sizeof(f.SndNxt)},
-			{"maxInflight", unsafe.Offsetof(f.maxInflight), unsafe.Sizeof(f.maxInflight)},
-			{"vtimeout", unsafe.Offsetof(f.vtimeout), unsafe.Sizeof(f.vtimeout)},
-			{"lastTotal", unsafe.Offsetof(f.lastTotal), unsafe.Sizeof(f.lastTotal)},
-			{"lastMarked", unsafe.Offsetof(f.lastMarked), unsafe.Sizeof(f.lastMarked)},
-			{"windowTotal", unsafe.Offsetof(f.windowTotal), unsafe.Sizeof(f.windowTotal)},
-			{"windowMarked", unsafe.Offsetof(f.windowMarked), unsafe.Sizeof(f.windowMarked)},
-			{"CwndBytes", unsafe.Offsetof(f.CwndBytes), unsafe.Sizeof(f.CwndBytes)},
-			{"SsthreshBytes", unsafe.Offsetof(f.SsthreshBytes), unsafe.Sizeof(f.SsthreshBytes)},
-			{"Alpha", unsafe.Offsetof(f.Alpha), unsafe.Sizeof(f.Alpha)},
-			{"alphaSeq", unsafe.Offsetof(f.alphaSeq), unsafe.Sizeof(f.alphaSeq)},
-			{"cutSeq", unsafe.Offsetof(f.cutSeq), unsafe.Sizeof(f.cutSeq)},
-			{"prevCwndBytes", unsafe.Offsetof(f.prevCwndBytes), unsafe.Sizeof(f.prevCwndBytes)},
-			{"lastFeedbackAt", unsafe.Offsetof(f.lastFeedbackAt), unsafe.Sizeof(f.lastFeedbackAt)},
-			{"Policy", unsafe.Offsetof(f.Policy), unsafe.Sizeof(f.Policy)},
-			{"lastWndRaw", unsafe.Offsetof(f.lastWndRaw), unsafe.Sizeof(f.lastWndRaw)},
-			{"lastWndSeen", unsafe.Offsetof(f.lastWndSeen), unsafe.Sizeof(f.lastWndSeen)},
-			{"vcc", unsafe.Offsetof(f.vcc), unsafe.Sizeof(f.vcc)},
-			{"cold", unsafe.Offsetof(f.cold), unsafe.Sizeof(f.cold)},
+		// senderEgress): tracking, the window, α, feedback and the cold
+		// pointer.
+		{"the sender block's two lines", 64, 192, unsafe.Offsetof(sf.s), []field{
+			{"SndUna", unsafe.Offsetof(b.SndUna), unsafe.Sizeof(b.SndUna)},
+			{"SndNxt", unsafe.Offsetof(b.SndNxt), unsafe.Sizeof(b.SndNxt)},
+			{"maxInflight", unsafe.Offsetof(b.maxInflight), unsafe.Sizeof(b.maxInflight)},
+			{"CwndBytes", unsafe.Offsetof(b.CwndBytes), unsafe.Sizeof(b.CwndBytes)},
+			{"SsthreshBytes", unsafe.Offsetof(b.SsthreshBytes), unsafe.Sizeof(b.SsthreshBytes)},
+			{"Alpha", unsafe.Offsetof(b.Alpha), unsafe.Sizeof(b.Alpha)},
+			{"alphaSeq", unsafe.Offsetof(b.alphaSeq), unsafe.Sizeof(b.alphaSeq)},
+			{"cutSeq", unsafe.Offsetof(b.cutSeq), unsafe.Sizeof(b.cutSeq)},
+			{"prevCwndBytes", unsafe.Offsetof(b.prevCwndBytes), unsafe.Sizeof(b.prevCwndBytes)},
+			{"lastFeedbackAt", unsafe.Offsetof(b.lastFeedbackAt), unsafe.Sizeof(b.lastFeedbackAt)},
+			{"cold", unsafe.Offsetof(b.cold), unsafe.Sizeof(b.cold)},
+			{"lastAckWire", unsafe.Offsetof(b.lastAckWire), unsafe.Sizeof(b.lastAckWire)},
+			{"MSS", unsafe.Offsetof(b.MSS), unsafe.Sizeof(b.MSS)},
+			{"DupAcks", unsafe.Offsetof(b.DupAcks), unsafe.Sizeof(b.DupAcks)},
+			{"vtimeout", unsafe.Offsetof(b.vtimeout), unsafe.Sizeof(b.vtimeout)},
+			{"lastTotal", unsafe.Offsetof(b.lastTotal), unsafe.Sizeof(b.lastTotal)},
+			{"lastMarked", unsafe.Offsetof(b.lastMarked), unsafe.Sizeof(b.lastMarked)},
+			{"windowTotal", unsafe.Offsetof(b.windowTotal), unsafe.Sizeof(b.windowTotal)},
+			{"windowMarked", unsafe.Offsetof(b.windowMarked), unsafe.Sizeof(b.windowMarked)},
+			{"lastWndRaw", unsafe.Offsetof(b.lastWndRaw), unsafe.Sizeof(b.lastWndRaw)},
+			{"vtArmed", unsafe.Offsetof(b.vtArmed), unsafe.Sizeof(b.vtArmed)},
+			{"issValid", unsafe.Offsetof(b.issValid), unsafe.Sizeof(b.issValid)},
+			{"resync", unsafe.Offsetof(b.resync), unsafe.Sizeof(b.resync)},
+			{"WScaleKnown", unsafe.Offsetof(b.WScaleKnown), unsafe.Sizeof(b.WScaleKnown)},
+			{"PeerWScale", unsafe.Offsetof(b.PeerWScale), unsafe.Sizeof(b.PeerWScale)},
+			{"lastWndSeen", unsafe.Offsetof(b.lastWndSeen), unsafe.Sizeof(b.lastWndSeen)},
 		}},
 	} {
 		for _, fld := range lim.fields {
-			if end := fld.off + fld.size; end > lim.bytes {
-				t.Errorf("%s ends at byte %d, outside the first %d", fld.name, end, lim.bytes)
+			if start, end := lim.base+fld.off, lim.base+fld.off+fld.size; start < lim.start || end > lim.end {
+				t.Errorf("%s spans bytes [%d, %d) of a senderFlow, outside %s [%d, %d)", fld.name, start, end, lim.where, lim.start, lim.end)
 			}
 		}
 	}

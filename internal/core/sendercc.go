@@ -9,16 +9,18 @@ import (
 // to congestion/loss at most once per window, otherwise grow, then enforce
 // the resulting window by rewriting RWND.
 func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP, info packet.PACKInfo, haveFeedback bool) {
+	b := f.sender()
 	f.lastActive = v.Sim.Now()
-	if !f.issValid {
+	if !b.issValid {
 		// We never saw our guest send on this flow; nothing to enforce yet.
+		// (False in the shared defaults: the writes below own their block.)
 		return
 	}
 	audit := v.Audit
 	var ev AckEvent
 	if audit != nil {
 		ev.Key = f.Key
-		ev.PrevSndUna, ev.PrevSndNxt = f.SndUna, f.SndNxt
+		ev.PrevSndUna, ev.PrevSndNxt = b.SndUna, b.SndNxt
 		ev.HaveFeedback = haveFeedback
 	}
 
@@ -26,9 +28,9 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	var totalDelta, markedDelta uint32
 	if haveFeedback {
 		totalDelta, markedDelta, _ = v.creditFeedbackLocked(f, info)
-		f.lastFeedbackAt = now
-		if f.cold != nil {
-			f.cold.fbStaleMark = 0
+		b.lastFeedbackAt = now
+		if b.cold != nil {
+			b.cold.fbStaleMark = 0
 		}
 	}
 
@@ -39,47 +41,47 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	// let the vtimeout/loss machinery handle anything worse. Flows that
 	// never saw feedback (one-sided, baseline, non-AC/DC peer) are exempt:
 	// for them growth on plain ACKs is the normal mode.
-	fbStale := !haveFeedback && f.lastFeedbackAt > 0 &&
-		now-f.lastFeedbackAt > v.Cfg.VTimeout
+	fbStale := !haveFeedback && b.lastFeedbackAt > 0 &&
+		now-b.lastFeedbackAt > v.Cfg.VTimeout
 	if fbStale && now-f.readCold().fbStaleMark > v.Cfg.VTimeout {
 		f.writeCold().fbStaleMark = now
 		v.Metrics.FeedbackTimeouts.Inc()
 	}
 
-	absAck := f.absSeq(t.Ack(), f.SndUna)
-	if absAck > f.SndNxt {
-		absAck = f.SndNxt
+	absAck := f.absSeq(t.Ack(), b.SndUna)
+	if absAck > b.SndNxt {
+		absAck = b.SndNxt
 	}
-	acked := absAck - f.SndUna
+	acked := absAck - b.SndUna
 
 	loss := false
 	switch {
 	case acked > 0:
-		f.SndUna = absAck
-		f.DupAcks = 0
-		if f.vtArmed {
-			if f.SndUna < f.SndNxt {
+		b.SndUna = absAck
+		b.DupAcks = 0
+		if b.vtArmed {
+			if b.SndUna < b.SndNxt {
 				v.armVTimeout(f)
 			} else {
 				v.vtimeouts.Stop(f)
 			}
 		}
-	case acked == 0 && p.PayloadLen() == 0 && f.SndNxt > f.SndUna &&
+	case acked == 0 && p.PayloadLen() == 0 && b.SndNxt > b.SndUna &&
 		t.Flags()&(packet.FlagSYN|packet.FlagFIN) == 0 &&
-		f.lastWndSeen && t.Window() == f.lastWndRaw:
+		b.lastWndSeen && t.Window() == b.lastWndRaw:
 		// A duplicate ACK per RFC 5681 also requires an unchanged window
 		// field: a pure window update (the receiver opening or closing its
 		// buffer) is not evidence of loss, and a burst of them must not fake
 		// a triple-dupack, pin α to max_alpha, and collapse the virtual
 		// window.
-		f.DupAcks++
-		if f.DupAcks == 3 {
+		b.DupAcks++
+		if b.DupAcks == 3 {
 			loss = true
 			f.writeCold().lossEvents++
 		}
 	}
-	f.lastAckWire = t.Seq()
-	f.lastWndRaw, f.lastWndSeen = t.Window(), true
+	b.lastAckWire = t.Seq()
+	b.lastWndRaw, b.lastWndSeen = t.Window(), true
 
 	// One transition of the resync machine per feedback-carrying ACK
 	// (resync.go): first feedback re-anchors, a later feedback ACK covering
@@ -98,7 +100,7 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	enforced := f.enforcedWindow(v.minRwnd(f))
 	overwrote := false
 	origWnd := t.Window()
-	if enforcing && f.resync == resyncNone {
+	if enforcing && b.resync == resyncNone {
 		// Overwrite the receive-window field with the enforced window under
 		// the peer's scale, never widening it.
 		if field := f.windowField(enforced); field < origWnd {
@@ -111,13 +113,13 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	}
 	if audit != nil {
 		ev.AlphaUpdated, ev.AlphaFrac = alphaUpdated, alphaFrac
-		ev.SndUna, ev.SndNxt = f.SndUna, f.SndNxt
+		ev.SndUna, ev.SndNxt = b.SndUna, b.SndNxt
 		ev.CreditedTotal, ev.CreditedMarked = totalDelta, markedDelta
-		ev.Alpha = f.Alpha
-		ev.CwndBytes = f.CwndBytes
+		ev.Alpha = b.Alpha
+		ev.CwndBytes = b.CwndBytes
 		ev.MinRwnd = v.minRwnd(f)
-		ev.WScale, ev.WScaleKnown = f.PeerWScale, f.WScaleKnown
-		ev.Resyncing = f.resync != resyncNone
+		ev.WScale, ev.WScaleKnown = b.PeerWScale, b.WScaleKnown
+		ev.Resyncing = b.resync != resyncNone
 		ev.Enforce = enforcing
 		ev.Enforced = enforced
 		ev.OrigWnd, ev.NewWnd = origWnd, t.Window()

@@ -330,6 +330,32 @@ func finitePositive(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0)
 }
 
+// restoreSender writes the record's sender state into b.
+func (x *recordFixed) restoreSender(b *senderBlock) {
+	b.WScaleKnown = x.Flags&recWScaleKnown != 0
+	b.issValid = x.Flags&recISSValid != 0
+	b.PeerWScale = x.PeerWScale
+	b.MSS = int32(x.MSS)
+	b.SndUna, b.SndNxt = x.SndUna, x.SndNxt
+	b.CwndBytes, b.SsthreshBytes, b.Alpha = x.CwndBytes, x.SsthreshBytes, x.Alpha
+	b.lastTotal, b.lastMarked = x.LastTotal, x.LastMarked
+	b.windowTotal, b.windowMarked = x.WindowTotal, x.WindowMarked
+	b.alphaSeq, b.cutSeq, b.prevCwndBytes = x.AlphaSeq, x.CutSeq, x.PrevCwnd
+	b.maxInflight = b.SndNxt - b.SndUna
+	if b.issValid {
+		// Even a fresh snapshot is one outage behind the wire: re-enter
+		// enforcement through the conservative resync round.
+		b.enterResyncLocked()
+	}
+}
+
+// same reports whether b holds d's state bit for bit (== takes −0 for +0).
+func (b *senderBlock) same(d *senderBlock) bool {
+	sign := math.Signbit
+	return *b == *d && sign(b.CwndBytes) == sign(d.CwndBytes) && sign(b.SsthreshBytes) == sign(d.SsthreshBytes) &&
+		sign(b.Alpha) == sign(d.Alpha) && sign(b.prevCwndBytes) == sign(d.prevCwndBytes)
+}
+
 // --- vSwitch API ---
 
 // SaveSnapshot serializes the current flow table (checkpoint). The encoding
@@ -370,50 +396,36 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 		r := &recs[i]
 		x := &r.Fixed
 		x.sanitize(&v.Cfg)
-		f := v.flowForRestore(x.Key)
+		// A record whose sender state is not the defaults gets a block.
+		d := *v.defaults
+		x.restoreSender(&d)
+		f := v.flowForRestore(x.Key, !d.same(v.defaults) || x.VTimeouts != 0 || x.LossEvents != 0)
 		if f == nil {
 			// Table at capacity (MaxFlows smaller than the snapshot): the
 			// overflow flows fail open exactly like new flows at capacity.
 			continue
 		}
-		f.WScaleKnown = x.Flags&recWScaleKnown != 0
 		f.GuestECN = x.Flags&recGuestECN != 0
 		f.synSeen = x.Flags&recSynSeen != 0
 		f.synAckSeen = x.Flags&recSynAckSeen != 0
-		f.issValid = x.Flags&recISSValid != 0
 		f.finFwd = x.Flags&recFinFwd != 0
 		f.finRev = x.Flags&recFinRev != 0
-		f.PeerWScale = x.PeerWScale
-		f.MSS = int32(x.MSS)
 		f.iss = x.ISS
-		f.SndUna = x.SndUna
-		f.SndNxt = x.SndNxt
-		f.CwndBytes = x.CwndBytes
-		f.SsthreshBytes = x.SsthreshBytes
-		f.Alpha = x.Alpha
-		f.lastTotal = x.LastTotal
-		f.lastMarked = x.LastMarked
-		f.windowTotal = x.WindowTotal
-		f.windowMarked = x.WindowMarked
-		f.alphaSeq = x.AlphaSeq
-		f.cutSeq = x.CutSeq
-		f.prevCwndBytes = x.PrevCwnd
 		f.TotalBytes = x.TotalBytes
 		f.MarkedBytes = x.MarkedBytes
-		if x.VTimeouts != 0 || x.LossEvents != 0 || f.cold != nil {
-			c := f.writeCold()
-			c.vTimeouts, c.lossEvents = x.VTimeouts, x.LossEvents
+		b := *f.senderBlock
+		x.restoreSender(&b)
+		if keepCold := x.VTimeouts != 0 || x.LossEvents != 0 || f.cold != nil; keepCold || !b.same(f.senderBlock) {
+			v.ownSender(f)
+			*f.senderBlock = b
+			if keepCold {
+				c := f.writeCold()
+				c.vTimeouts, c.lossEvents = x.VTimeouts, x.LossEvents
+			}
 		}
 		f.Policy = v.intern(r.policy())
 		v.setLaw(f) // swap the growth law like applyToLive does
-		f.maxInflight = f.SndNxt - f.SndUna
 		f.lastActive = now
-		if f.issValid {
-			// Even a fresh snapshot is one outage behind the wire: packets
-			// were in flight while the vSwitch was down. Re-enter
-			// enforcement through the conservative resync round.
-			f.enterResyncLocked()
-		}
 	}
 	v.Metrics.SnapshotRestores.Inc()
 	return nil
@@ -443,7 +455,7 @@ func (v *VSwitch) resetTable() {
 // flow (newFlow).
 func (v *VSwitch) Restart(snapshot []byte) {
 	v.resetTable()
-	v.trimParked(0) // the process died: its free list goes with the table
+	v.trimParked(false) // the process died: its free list goes with the table
 	if v.sweepTimer != nil {
 		v.sweepTimer.Stop()
 	}

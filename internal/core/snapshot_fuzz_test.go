@@ -84,6 +84,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := v.RestoreSnapshot(enc); err != nil {
 			t.Fatalf("well-formed snapshot rejected: %v", err)
 		}
+		checkSenderDefaults(t, v)
 	})
 }
 
@@ -128,5 +129,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 		} else if v.Stats().SnapshotRestores != 1 {
 			t.Fatalf("SnapshotRestores = %d after accept", v.Stats().SnapshotRestores)
 		}
+		checkSenderDefaults(t, v)
 	})
 }

@@ -71,14 +71,14 @@ func TestPressureSweepRateLimited(t *testing.T) {
 		return FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: 200}
 	}
 	for i := 0; i < cfg.MaxFlows; i++ {
-		if v.flowFor(key(i)) == nil {
+		if v.flowFor(key(i), true) == nil {
 			t.Fatalf("flow %d not created below capacity", i)
 		}
 	}
 
 	const storm = 100
 	for i := 0; i < storm; i++ {
-		if f := v.flowFor(key(1000 + i)); f != nil {
+		if f := v.flowFor(key(1000+i), true); f != nil {
 			t.Fatalf("create %d tracked past MaxFlows", i)
 		}
 	}
@@ -104,7 +104,7 @@ func TestPressureSweepRateLimited(t *testing.T) {
 	// Residents now idle past GCInterval: the cooldown has expired, so the
 	// next create re-scans, evicts, and tracks the new flow.
 	s.RunFor(2 * cfg.GCInterval)
-	if f := v.flowFor(key(5000)); f == nil {
+	if f := v.flowFor(key(5000), true); f == nil {
 		t.Fatal("create failed open though every resident was idle-evictable")
 	}
 	st = v.Stats()
@@ -145,7 +145,7 @@ func TestPressureSweepCursorSpreads(t *testing.T) {
 	}
 	// Fill to capacity and close every resident (closed = always evictable).
 	for i, k := range resident {
-		f := v.flowFor(k)
+		f := v.flowFor(k, true)
 		if f == nil {
 			t.Fatalf("flow %d not created", i)
 		}
@@ -159,7 +159,7 @@ func TestPressureSweepCursorSpreads(t *testing.T) {
 	closed := append([]FlowKey(nil), resident...)
 	for i := 0; i < cfg.MaxFlows; i++ {
 		k := FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(9000 + i), DPort: 200}
-		f := v.flowFor(k)
+		f := v.flowFor(k, true)
 		if f == nil {
 			t.Fatalf("create %d failed open with closed flows evictable", i)
 		}
@@ -194,7 +194,7 @@ func TestUpdateTableGauges(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	for i := 0; i < 10; i++ {
-		v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: 200})
+		v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: 200}, true)
 	}
 	shape := v.UpdateTableGauges()
 	if shape.Flows != 10 || shape.Flows != v.Table.Len() {

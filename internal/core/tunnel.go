@@ -34,12 +34,13 @@ func (v *VSwitch) udpEgress(p *packet.Packet) (*packet.Packet, *packet.Packet) {
 		return p, nil
 	}
 	key := FlowKey{Src: ip.Src(), Dst: ip.Dst(), SPort: u.SrcPort(), DPort: u.DstPort()}
-	f := v.flowFor(key)
+	f := v.flowFor(key, true)
 	if f == nil {
 		// Table full: the tunnel cannot admit-control this datagram, so it
 		// passes through unwindowed rather than being dropped.
 		return p, nil
 	}
+	v.ownSender(f)
 	if !f.issValid {
 		f.isUDP = true
 		f.issValid = true
@@ -83,7 +84,8 @@ func (v *VSwitch) udpIngress(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 	key := FlowKey{Src: ip.Src(), Dst: ip.Dst(), SPort: u.SrcPort(), DPort: u.DstPort()}
 	var fb *packet.Packet
 	// A full table delivers the datagram uncounted: no feedback stream.
-	if f := v.flowFor(key); f != nil {
+	if f := v.flowFor(key, true); f != nil {
+		v.ownSender(f)
 		f.isUDP = true
 		f.lastActive = v.Sim.Now()
 		f.TotalBytes += uint32(p.IPLen())

@@ -3,7 +3,8 @@
 # SCENARIOS.md's order ("Every artefact a behaviour change moves"), each step
 # on the code the previous one accepted, then checks what it cannot rewrite.
 #
-#   1. the figure, report and datapath-metrics goldens (go test -update);
+#   1. the figure, report, datapath-metrics and daemon flow-listing goldens
+#      (go test -update);
 #   2. SUITE_baselines.json, full and smoke mode (acdcsuite -bless);
 #   3. BENCH_exact.json (scripts/bench_exact.sh -update);
 #   4. the five Test*PinsParentCommit pins and the two snapshot pins: their
@@ -29,9 +30,9 @@ step() {
 	"$@" || failed+=("$name")
 }
 
-step "1. figure, report and datapath-metrics goldens" \
-	go test -count=1 -run 'TestDumbbellFiguresGolden|TestReportGolden|TestDatapathSnapshotGolden' \
-	./internal/experiments/ ./internal/core/ -update
+step "1. figure, report, datapath-metrics and flow-listing goldens" \
+	go test -count=1 -run 'TestDumbbellFiguresGolden|TestReportGolden|TestDatapathSnapshotGolden|TestFlowsGolden' \
+	./internal/experiments/ ./internal/core/ ./internal/daemon/ -update
 step "2. SUITE_baselines.json, full mode" go run ./cmd/acdcsuite -parallel 0 -quiet -bless
 step "2. SUITE_baselines.json, smoke mode" go run ./cmd/acdcsuite -smoke -parallel 0 -quiet -bless
 step "3. BENCH_exact.json" bash scripts/bench_exact.sh -update
