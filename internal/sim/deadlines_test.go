@@ -173,6 +173,68 @@ func TestDeadlinesMatchTimers(t *testing.T) {
 	}
 }
 
+// TestDeadlinesAdopt drives owners that draw their own stamps (StampAt) and
+// hand them to a Deadlines later in the same event, in the reverse order and
+// with plain events drawn in between, as a TIME_WAIT record hands its stamp
+// over when its wait leaves arm order. They must fire where Timers armed at
+// the draws fire: Adopt draws nothing, and a later Reset, the fired
+// callbacks' included, re-arms the adopted entry as it would a Timer.
+func TestDeadlinesAdopt(t *testing.T) {
+	const n, steps = 12, 2000
+	for seed := int64(1); seed <= 4; seed++ {
+		a, b := newDLWorld(true, n, seed), newDLWorld(false, n, seed)
+		script := rand.New(rand.NewSource(seed))
+		for step := 0; step < steps; step++ {
+			var held []*dlItem
+			var stamps []Stamp
+			for range 1 + script.Intn(4) {
+				i := script.Intn(n)
+				d := dlDurations[script.Intn(len(dlDurations))]
+				switch it := b.items[i]; {
+				case slices.Contains(held, it):
+					continue
+				case it.h.Pending():
+					a.reset(a.items[i], d)
+					b.reset(it, d)
+					continue
+				}
+				a.reset(a.items[i], d)
+				held, stamps = append(held, b.items[i]), append(stamps, b.s.StampAt(b.s.Now()+d))
+			}
+			tag := fmt.Sprintf("plain %d", step)
+			d := dlDurations[script.Intn(len(dlDurations))]
+			a.plain(tag, d)
+			b.plain(tag, d)
+			seq := b.s.seq
+			for j := len(held) - 1; j >= 0; j-- {
+				b.d.Adopt(held[j], stamps[j])
+			}
+			if b.s.seq != seq {
+				t.Fatalf("seed %d step %d: Adopt drew %d seqs", seed, step, b.s.seq-seq)
+			}
+			run := Duration(script.Intn(3000))
+			a.s.RunFor(run)
+			b.s.RunFor(run)
+
+			armed := 0
+			for j := range a.items {
+				if a.armed(a.items[j]) {
+					armed++
+				}
+			}
+			if a.s.seq != b.s.seq || a.s.Processed != b.s.Processed || b.s.Pending() != a.s.Pending()-armed+min(armed, 1) {
+				t.Fatalf("seed %d step %d: seq %d vs %d, processed %d vs %d, pending %d vs %d with %d Timers armed",
+					seed, step, a.s.seq, b.s.seq, a.s.Processed, b.s.Processed, a.s.Pending(), b.s.Pending(), armed)
+			}
+		}
+		a.s.RunAll()
+		b.s.RunAll()
+		if !slices.Equal(a.log, b.log) || a.s.Processed != b.s.Processed {
+			t.Fatalf("seed %d: %d firings with Timers, %d adopted; logs differ", seed, len(a.log), len(b.log))
+		}
+	}
+}
+
 // TestDeadlinesIdleAllocatesNothing: stopping owners that are not armed
 // allocates nothing and queues nothing. (An owner that may never arm one, as
 // most of incast47's stacks and vSwitches, makes its Deadlines on the first

@@ -37,13 +37,14 @@
 // A Timer is one restartable timer with an Event of its own (a connection's
 // RTO, delayed ACK and persist timers). A Deadlines keeps a population of
 // them, one per owner holding a 4-byte Deadline handle, behind one pending
-// Event: a Stack's TIME_WAIT records, a vSwitch's per-flow inactivity timers.
+// Event: a vSwitch's per-flow inactivity timers, a Stack's TIME_WAIT waits.
 // It changes no event's order: an entry draws its seq exactly when a Timer's
-// event would (armed while idle, moved earlier, re-armed at a stale wake-up)
-// and keeps it, and the shared event is re-queued at the smallest entry's
-// (when, seq) without drawing. Each firing takes one entry, so Processed is
-// what the Timers would count. Such an event can carry an older seq than
-// events queued since, so a wheel slot is sorted by (when, seq), not by when.
+// event would (armed while idle, moved earlier, re-armed at a stale wake-up;
+// or earlier, by StampAt, for Adopt) and keeps it, and the shared event is
+// re-queued at the smallest entry's (when, seq). Each firing takes one entry,
+// so Processed is what the Timers would count. Such an event can carry an
+// older seq than events queued since, so a wheel slot is sorted by (when,
+// seq), not by when.
 //
 // # Event recycling
 //
@@ -203,6 +204,15 @@ func (s *Simulator) nextSeq() uint64 {
 	s.seq++
 	return s.seq
 }
+
+// Stamp is the (when, seq) an event fires at.
+type Stamp struct {
+	When Time
+	Seq  uint64
+}
+
+// StampAt draws the stamp At(t) would give an event now (Deadlines.Adopt).
+func (s *Simulator) StampAt(t Time) Stamp { return Stamp{max(t, s.now), s.nextSeq()} }
 
 // atSeq queues fn at (t, seq) for a seq drawn earlier, so it draws nothing;
 // t must not lie in the past.

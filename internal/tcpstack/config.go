@@ -102,3 +102,6 @@ func DefaultConfig() Config {
 
 // MSS returns the segment payload size for the configured MTU.
 func (c Config) MSS() int { return c.MTU - 40 }
+
+// timeWait returns the TIME_WAIT duration (2 MSL).
+func (c Config) timeWait() sim.Duration { return 4 * c.RTOMin }

@@ -455,12 +455,8 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.rtoTimer.Stop()
 	c.persistTimer.Stop()
-	c.tw = c.stack.newTimeWait()
-	c.stack.timeWaits.expiry.Reset(c.tw-1, c.timeWait())
+	c.tw = c.stack.armTimeWait(c.cfg.timeWait())
 }
-
-// timeWait is the TIME_WAIT duration (2 MSL).
-func (c *Conn) timeWait() sim.Duration { return 4 * c.cfg.RTOMin }
 
 // teardown ends the connection: it leaves the demux table, OnClosed runs, and
 // the record is parked for reuse. A connection is torn down once; a second

@@ -19,7 +19,11 @@
 # vswitch-10k runs reach it with no claim at all), a claimed gain does not
 # show ("no gain"), a run is marked incorrect, or the change fails a larger
 # share of operations; exits 2 on bad usage or a result line that lacks a
-# metric. Per-run result lines are kept in .bench_build/ab/{base,change}.jsonl.
+# metric. Each run is kept as one line of .bench_build/ab/{base,change}.jsonl,
+# {"slowdown": S, "result": <the run's result line>}, S being the run's
+# "machine S× slower than the reference" (null if it printed none), as
+# scripts/bench_history.sh records it. benchab prints each side's slowdowns,
+# so a machine that switched speed between runs can be told from a change.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -46,9 +50,12 @@ git -C "$root" archive "$rev" | tar -x -C "$out/base"
 : >"$out/base.jsonl"
 : >"$out/change.jsonl"
 
-run() { # run SIDE TREE: one timed window, its result line appended to SIDE.jsonl
-	bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
-		tail -n 1 >>"$out/$1.jsonl"
+run() { # run SIDE TREE: one timed window, its slowdown and result line appended to SIDE.jsonl
+	local o result slowdown
+	o="$(bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)"
+	result="$(tail -n 1 <<<"$o")"
+	slowdown="$(sed -nE 's/.*information only:.* machine ([0-9.]+)× slower.*/\1/p' <<<"$o")"
+	printf '{"slowdown":%s,"result":%s}\n' "${slowdown:-null}" "$result" >>"$out/$1.jsonl"
 }
 echo "bench_ab: $workload seed $seed, ${seconds}s windows, $pairs pairs, base ${rev:0:12}" >&2
 for ((i = 1; i <= pairs; i++)); do
