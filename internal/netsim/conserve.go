@@ -9,7 +9,7 @@ import (
 // held returns the packets the link owns: queued, propagating on the clean
 // wire, or re-scheduled by a fault hook.
 func (l *Link) held() int {
-	return l.queue.len() + l.flight.len() + l.faultPending
+	return l.nQueued + l.nFlight + l.faultPending
 }
 
 // checkConservation audits the link's packet accounting: every accepted
@@ -22,7 +22,7 @@ func (l *Link) checkConservation() error {
 	if in != out {
 		return fmt.Errorf("link %s: accepted %d + duplicated %d != delivered %d + fault losses %d + discarded %d + queued %d + in flight %d",
 			l.Name, l.Stats.EnquedPackets, l.dups, l.delivered, l.Stats.DropsFault, l.discarded,
-			l.queue.len(), l.flight.len()+l.faultPending)
+			l.nQueued, l.nFlight+l.faultPending)
 	}
 	return nil
 }

@@ -4,7 +4,7 @@ package netsim
 // serialized).
 func (l *Link) QueueLen() int {
 	l.settle()
-	return l.queue.len()
+	return l.nQueued
 }
 
 // QueueBytes returns the current backlog.

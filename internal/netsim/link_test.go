@@ -373,8 +373,8 @@ func TestLinkMatchesTwoEventReference(t *testing.T) {
 	due := func(at sim.Time) bool {
 		for i := 0; i < ports; i++ {
 			l := sw.Port(i)
-			for k := 0; k < l.queue.len(); k++ {
-				if sim.Time(l.queue.at(k).SentAt) == at {
+			for q := l.qhead; q != nil; q = q.Next() {
+				if sim.Time(q.SentAt) == at {
 					return true
 				}
 			}
@@ -523,8 +523,8 @@ func TestLinkSetFaultWhileQueued(t *testing.T) {
 			}
 		})
 		s.At(sim.Duration(b)*20*sim.Microsecond+4100*sim.Nanosecond, func() {
-			if l.QueueLen() < 2 || l.flight.len()+l.faultPending == 0 {
-				t.Fatalf("swap at %v with %d queued, %d in flight: the test lost its teeth", s.Now(), l.QueueLen(), l.flight.len())
+			if l.QueueLen() < 2 || l.nFlight+l.faultPending == 0 {
+				t.Fatalf("swap at %v with %d queued, %d in flight: the test lost its teeth", s.Now(), l.QueueLen(), l.nFlight)
 			}
 			if l.Fault() == nil {
 				l.SetFault(hook)

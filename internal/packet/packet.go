@@ -11,22 +11,50 @@ const FrameOverhead = 38
 // wire-format IPv4+TCP header bytes (which the AC/DC datapath parses and
 // rewrites exactly as OVS would); payload bytes are virtual and accounted by
 // the IP total-length field.
+//
+// A Packet is one 128-byte object: Buf is normally a slice of its own header
+// array, which holds the longest header the simulation builds (IPv4 20, no
+// IP options, + TCP ≤ 60). Only a longer Buf — a hand-built packet with
+// materialized payload, or a rewrite that outgrew it — lives on the heap,
+// until the pool's next Get points it back. A Packet must not be copied by
+// value: the copy's Buf would still alias the original's array (go vet's
+// copylocks check reports such copies).
 type Packet struct {
+	noCopy noCopy
 	// Buf is the materialized IPv4 header + TCP header (+options). Payload
 	// bytes are not materialized.
 	Buf []byte
+	// next links the packet into one intrusive FIFO (see FIFO); nil when
+	// it is in none.
+	next *Packet
+	// SentAt is the departure (ns) the FIFO serializer of the link now
+	// carrying the packet fixed when it queued it.
+	SentAt int64
 	// FlowTag is an opaque workload identifier used by tracing and stats.
 	FlowTag uint32
-	// EnqueuedAt/SentAt are bookkeeping timestamps (ns) set by the network
-	// layer for queue-delay accounting: a link stamps both when it queues
-	// the packet, SentAt with the departure the FIFO serializer fixes then.
-	EnqueuedAt int64
-	SentAt     int64
-	// Hops counts switch traversals, for loop detection in tests.
-	Hops int
+	// Hops counts switch traversals, for loop detection in tests; TTL
+	// bounds it.
+	Hops uint8
 	// pooled marks a packet currently sitting on a Pool free list, so a
 	// double release panics instead of corrupting a reused packet.
 	pooled bool
+	hdr    [IPv4HeaderLen + MaxTCPHeaderLen]byte
+}
+
+// noCopy makes go vet's copylocks check report a Packet copied by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// setLen points Buf at the first n bytes of the packet's own header array,
+// or at a fresh heap slice when n exceeds it.
+func (p *Packet) setLen(n int) {
+	if n <= len(p.hdr) {
+		p.Buf = p.hdr[:n]
+	} else {
+		p.Buf = make([]byte, n)
+	}
 }
 
 // IP returns the IPv4 view of the packet.
@@ -48,12 +76,14 @@ func (p *Packet) IPLen() int { return int(p.IP().TotalLen()) }
 // link-layer overhead.
 func (p *Packet) WireLen() int { return p.IPLen() + FrameOverhead }
 
-// Clone deep-copies the packet (the datapath clones before mutating packets
-// that are also retained elsewhere, e.g. retransmission queues).
+// Clone deep-copies the packet into a new one with its own header array
+// (the datapath clones before mutating packets that are also retained
+// elsewhere, e.g. retransmission queues).
 func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Buf = append([]byte(nil), p.Buf...)
-	return &q
+	q := &Packet{SentAt: p.SentAt, FlowTag: p.FlowTag, Hops: p.Hops}
+	q.setLen(len(p.Buf))
+	copy(q.Buf, p.Buf)
+	return q
 }
 
 // String renders a compact human-readable summary for traces and test
@@ -86,11 +116,5 @@ func (p *Packet) String() string {
 // Build constructs a complete packet with the given addresses, TCP fields and
 // virtual payload length. The IP ECN codepoint is ecn; checksums are valid.
 func Build(src, dst Addr, ecn ECN, f TCPFields, payloadLen int) *Packet {
-	optLen := (len(f.Options) + 3) &^ 3
-	tcpHdr := TCPHeaderLen + optLen
-	total := IPv4HeaderLen + tcpHdr + payloadLen
-	buf := make([]byte, IPv4HeaderLen+tcpHdr)
-	ip := InitIPv4(buf, src, dst, uint16(total), ecn)
-	EncodeTCP(buf[IPv4HeaderLen:], f, ip.PseudoHeaderSum(uint16(tcpHdr+payloadLen)))
-	return &Packet{Buf: buf}
+	return BuildIn(nil, src, dst, ecn, f, payloadLen)
 }

@@ -20,10 +20,12 @@
 # show ("no gain"), a run is marked incorrect, or the change fails a larger
 # share of operations; exits 2 on bad usage or a result line that lacks a
 # metric. Each run is kept as one line of .bench_build/ab/{base,change}.jsonl,
-# {"slowdown": S, "result": <the run's result line>}, S being the run's
-# "machine S× slower than the reference" (null if it printed none), as
-# scripts/bench_history.sh records it. benchab prints each side's slowdowns,
-# so a machine that switched speed between runs can be told from a change.
+# {"slowdown": S, "raw": R, "result": <the run's result line>}, S being the
+# run's "machine S× slower than the reference" (null if it printed none), as
+# scripts/bench_history.sh records it, and R its packet rate before
+# normalisation, "raw (not normalised) R 1/s" (null if it printed none).
+# benchab prints each side's slowdowns and raw rates, so a machine that
+# switched speed between runs can be told from a change.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -50,12 +52,13 @@ git -C "$root" archive "$rev" | tar -x -C "$out/base"
 : >"$out/base.jsonl"
 : >"$out/change.jsonl"
 
-run() { # run SIDE TREE: one timed window, its slowdown and result line appended to SIDE.jsonl
-	local o result slowdown
+run() { # run SIDE TREE: one timed window, its slowdown, raw rate and result line appended to SIDE.jsonl
+	local o result slowdown raw
 	o="$(bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)"
 	result="$(tail -n 1 <<<"$o")"
 	slowdown="$(sed -nE 's/.*information only:.* machine ([0-9.]+)× slower.*/\1/p' <<<"$o")"
-	printf '{"slowdown":%s,"result":%s}\n' "${slowdown:-null}" "$result" >>"$out/$1.jsonl"
+	raw="$(sed -nE 's/.*raw \(not normalised\) ([0-9.e+]+) 1\/s.*/\1/p' <<<"$o" | tail -n 1)"
+	printf '{"slowdown":%s,"raw":%s,"result":%s}\n' "${slowdown:-null}" "${raw:-null}" "$result" >>"$out/$1.jsonl"
 }
 echo "bench_ab: $workload seed $seed, ${seconds}s windows, $pairs pairs, base ${rev:0:12}" >&2
 for ((i = 1; i <= pairs; i++)); do
