@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -60,6 +61,10 @@ func main() {
 	if help != "" {
 		fmt.Print(help)
 		return
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "acdcd: bad -scale %v: want a finite number above 0\n", *scale)
+		os.Exit(2)
 	}
 
 	if *adminToken == "" && !daemon.LoopbackAddr(*listen) {

@@ -23,7 +23,7 @@ var deadAllow = map[string]string{
 	"internal/cc.DCTCP.Alpha":               "tcpstack's light-marking test reads the guest's α through an interface",
 	"internal/core.VSwitch.PolicyOverrides": "the daemon's policy fuzz checks every stored override",
 	"internal/daemon.Client.WithToken":      "the only way the Client authenticates to a daemon started with acdcd's -admin-token",
-	"internal/netsim.Link.AvgQueueBytes":    "tcpstack's Figure 2 contrast tests compare the bottleneck's time-averaged queue under DCTCP, TIMELY and CUBIC",
+	"internal/netsim.Link.AvgQueueBytes":    "tcpstack's Figure 2 contrast test compares the bottleneck's time-averaged queue under DCTCP and CUBIC",
 	"internal/netsim.Link.QueueBytes":       "tcpstack's TSQ test samples the NIC's queue",
 	"internal/packet.IPv4.VerifyChecksum":   "the header checksum check core's, faults' and netsim's tests hold rewritten packets to",
 	"internal/sim.Slots.Check":              "the shape check core's flow table and tcpstack's TIME_WAIT table tests run over their Slots",
@@ -41,23 +41,70 @@ func TestNoDeadExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[string]bool)
-	for _, d := range dead {
-		if _, ok := deadAllow[d.name]; ok {
-			seen[d.name] = true
-			continue
-		}
-		t.Errorf("%s: %s is reached by no program: delete it, move it into a _test.go file, or allow-list it with a reason", d.pos, d.name)
-	}
-	for name := range deadAllow {
-		if !seen[name] {
-			t.Errorf("deadAllow names %s, which a program reaches or which is gone: drop the entry", name)
-		}
+	for _, msg := range unallowed(dead, deadAllow, "deadAllow",
+		"is reached by no program: delete it, move it into a _test.go file, or allow-list it with a reason") {
+		t.Error(msg)
 	}
 }
 
+// knobAllow holds the config fields TestNoDeadKnobs accepts although only
+// tests set them, each with the behaviour a test or benchmark needs another
+// value to show. Keys are as the test prints them.
+var knobAllow = map[string]string{
+	"internal/core.Config.CutEveryAck":    "DESIGN.md §5's cut-guard ablation benchmark runs without Figure 5's once-per-window cut guard",
+	"internal/core.Config.DisablePACK":    "DESIGN.md §5's PACK-vs-FACK ablation benchmark and core's FACK-only test send all feedback in dedicated packets",
+	"internal/core.Config.GenDupAcks":     "§3.3's synthesized dup-ACKs: core's dup-ACK tests show a guest whose RTO sits far above the vSwitch's timer recover by fast retransmit",
+	"internal/core.Config.MaxFlows":       "eviction and fail-open at a full flow table show only at a bound the table reaches; the figures run unbounded",
+	"internal/core.Config.Police":         "§3.3's policing shows only against a guest that ignores the RWND (core's policing tests, the policing ablation benchmark)",
+	"internal/soak.Config.Inject":         "each soak gate's self-test seeds the defect that gate exists to catch; a real soak runs clean",
+	"internal/tcpstack.Config.IgnoreRwnd": "the non-conforming guest that §3.3's policing exists for; no figure runs one",
+	"internal/tcpstack.Config.RTOMin":     "core's §3.3 dup-ACK test needs a guest RTO far above the vSwitch's timer",
+	"internal/tcpstack.Config.RcvBuf":     "tcpstack's zero-window and flow-control tests need a peer that advertises less than one MSS, which AC/DC's RWND rewrite also produces in product",
+	"internal/tcpstack.Config.SACK":       "the NewReno recovery a peer without SACK gets (a fault profile's option strip produces one); tcpstack's recovery and negotiation tests compare both",
+}
+
+// TestNoDeadKnobs fails on every field of a …Config or Options struct of
+// the module that no program outside the declaring package writes: a value
+// nothing sets is a constant. knobAllow names the fields only tests set.
+func TestNoDeadKnobs(t *testing.T) {
+	dead, err := findDeadKnobs(".", "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range unallowed(dead, knobAllow, "knobAllow",
+		"is written by no program: make it a constant, or allow-list it with the behaviour a test needs another value to show") {
+		t.Error(msg)
+	}
+}
+
+// unallowed returns one message for each found declaration allow does not
+// name, and one for each entry of allow that names none of them.
+func unallowed(found []deadDecl, allow map[string]string, allowName, why string) []string {
+	var msgs []string
+	seen := make(map[string]bool)
+	for _, d := range found {
+		if _, ok := allow[d.name]; ok {
+			seen[d.name] = true
+			continue
+		}
+		msgs = append(msgs, fmt.Sprintf("%s: %s %s", d.pos, d.name, why))
+	}
+	var stale []string
+	for name := range allow {
+		if !seen[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		msgs = append(msgs, fmt.Sprintf("%s names %s, which a program uses or which is gone: drop the entry", allowName, name))
+	}
+	return msgs
+}
+
 // TestDeadFinderFixture runs the finder over testdata/deadexports, whose
-// one planted dead function and its helper must be all it reports: a
+// planted dead function and its helper, and planted interface method that
+// no program calls with its one implementation, must be all it reports: a
 // generic method called through an instantiation, a method reached only
 // through an interface, one reached only through the universe's error and
 // one promoted through an embedded struct are used.
@@ -66,13 +113,37 @@ func TestDeadFinderFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, d := range dead {
-		got = append(got, d.name)
+	if got, want := deadNames(dead), "lib.Shape.Perimeter lib.Square.Perimeter lib.Unused lib.helper"; got != want {
+		t.Errorf("dead = %s, want %s", got, want)
 	}
-	if want := "lib.Unused lib.helper"; strings.Join(got, " ") != want {
-		t.Errorf("dead = %v, want %s", got, want)
+}
+
+// TestKnobFinderFixture runs the knob finder over testdata/deadexports,
+// whose config has one field written as a composite-literal key, one by
+// assignment, one through its address, and the planted knob, which only
+// its own package writes: that must be all it reports. An allow-list entry
+// for a written field, or for a field that is gone, is reported as stale.
+func TestKnobFinderFixture(t *testing.T) {
+	dead, err := findDeadKnobs(filepath.Join("testdata", "deadexports"), "")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got, want := deadNames(dead), "lib.Config.Depth"; got != want {
+		t.Fatalf("dead knobs = %s, want %s", got, want)
+	}
+	msgs := unallowed(dead, map[string]string{"lib.Config.Depth": "", "lib.Config.Rate": "", "lib.Config.Gone": ""}, "allow", "")
+	if len(msgs) != 2 || !strings.Contains(msgs[0], "lib.Config.Gone") || !strings.Contains(msgs[1], "lib.Config.Rate") {
+		t.Errorf("stale entries reported as %q, want lib.Config.Gone and lib.Config.Rate", msgs)
+	}
+}
+
+// deadNames joins the names of found declarations.
+func deadNames(found []deadDecl) string {
+	var names []string
+	for _, d := range found {
+		names = append(names, d.name)
+	}
+	return strings.Join(names, " ")
 }
 
 // deadDecl is one declaration no program reaches.
@@ -101,15 +172,23 @@ type deadFinder struct {
 	pkgs  map[string]*deadPkg
 	decls map[types.Object]bool
 	edges map[types.Object][]types.Object // nil key: the roots
+	// impls holds, for each method of a package-level interface of the
+	// module, the methods of its name: each is reached once both the
+	// interface method and its receiver's type are.
+	impls map[types.Object][]types.Object
 }
 
 // findDead type-checks every non-test package of the module at root, and
 // every file of the user module in root/users when users is not empty, and
 // returns the declarations that no main, init, package-level variable or
-// user-module file reaches, sorted by name. A method is reached from its
-// receiver's type when an interface may call it: any interface of the
-// module with a method of its name, or an imported one (the universe's error
-// included) with a method of its name and signature.
+// user-module file reaches, sorted by name. A method of a package-level
+// interface of the module is a declaration too: a program reaches it by
+// calling it through the interface or on any implementation. A method is
+// reached from its receiver's type when such an interface method of its name
+// is reached, or when another interface may call it: one declared inside a
+// function or type of the module with a method of its name, or an imported
+// one (the universe's error included) with a method of its name and
+// signature.
 func findDead(root, users string) ([]deadDecl, error) {
 	g, modPath, paths, err := loadModule(root, users)
 	if err != nil {
@@ -122,11 +201,23 @@ func findDead(root, users string) ([]deadDecl, error) {
 
 	reached := make(map[types.Object]bool)
 	for stack := g.edges[nil]; len(stack) > 0; {
-		obj := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !reached[obj] {
-			reached[obj] = true
-			stack = append(stack, g.edges[obj]...)
+		for len(stack) > 0 {
+			obj := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !reached[obj] {
+				reached[obj] = true
+				stack = append(stack, g.edges[obj]...)
+			}
+		}
+		for m, impls := range g.impls {
+			if !reached[m] {
+				continue
+			}
+			for _, impl := range impls {
+				if !reached[impl] && reached[deadRecv(impl)] {
+					stack = append(stack, impl)
+				}
+			}
 		}
 	}
 	var dead []deadDecl
@@ -288,6 +379,13 @@ func (g *deadFinder) addPackage(p *deadPkg) {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						g.refs(p, decl(s.Name), s)
+						if it, ok := s.Type.(*ast.InterfaceType); ok {
+							for _, m := range it.Methods.List {
+								for _, id := range m.Names {
+									decl(id)
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						if d.Tok == token.VAR {
 							g.refs(p, nil, s)
@@ -332,7 +430,9 @@ func (g *deadFinder) edge(from, to types.Object) {
 }
 
 // addInterfaceEdges adds an edge from a method's receiver type to the
-// method when an interface may call it (see findDead).
+// method when an interface other than a package-level one of the module may
+// call it, and records the rest in impls (see findDead). A method with an
+// interface method's name and signature reaches the interface method.
 func (g *deadFinder) addInterfaceEdges() {
 	names := make(map[string]bool)
 	sigs := make(map[string][]types.Type)
@@ -365,7 +465,7 @@ func (g *deadFinder) addInterfaceEdges() {
 		}
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
+				if it, ok := n.(*ast.InterfaceType); ok && !g.declaredIface(p, it) {
 					for _, m := range it.Methods.List {
 						for _, id := range m.Names {
 							names[id.Name] = true
@@ -376,10 +476,23 @@ func (g *deadFinder) addInterfaceEdges() {
 			})
 		}
 	}
+	ifaceMethods := make(map[string][]types.Object)
+	for obj := range g.decls {
+		if recv := deadRecv(obj); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceMethods[obj.Name()] = append(ifaceMethods[obj.Name()], obj)
+		}
+	}
+	g.impls = make(map[types.Object][]types.Object)
 	for obj := range g.decls {
 		recv := deadRecv(obj)
-		if recv == nil {
+		if recv == nil || types.IsInterface(recv.Type()) {
 			continue
+		}
+		for _, m := range ifaceMethods[obj.Name()] {
+			g.impls[m] = append(g.impls[m], obj)
+			if types.Identical(m.Type(), obj.Type()) {
+				g.edges[obj] = append(g.edges[obj], m)
+			}
 		}
 		match := names[obj.Name()]
 		for _, sig := range sigs[obj.Name()] {
@@ -389,6 +502,17 @@ func (g *deadFinder) addInterfaceEdges() {
 			g.edges[recv] = append(g.edges[recv], obj)
 		}
 	}
+}
+
+// declaredIface reports whether it is the type of a package-level type
+// declaration of p, whose methods are declarations of their own.
+func (g *deadFinder) declaredIface(p *deadPkg, it *ast.InterfaceType) bool {
+	for _, m := range it.Methods.List {
+		for _, id := range m.Names {
+			return g.decls[p.info.Defs[id]]
+		}
+	}
+	return false
 }
 
 // deadRecv returns the type name a method is declared on, or nil for
@@ -406,4 +530,80 @@ func deadRecv(obj types.Object) *types.TypeName {
 		return n.Origin().Obj()
 	}
 	return nil
+}
+
+// findDeadKnobs returns the fields of the module's package-level …Config and
+// Options structs that no non-test file of another package writes, by
+// assignment, as a composite-literal key or by taking the field's address;
+// the user module's non-test files count as writers. Names are as findDead
+// prints them, with the struct's name before the field's.
+func findDeadKnobs(root, users string) ([]deadDecl, error) {
+	g, modPath, paths, err := loadModule(root, users)
+	if err != nil {
+		return nil, err
+	}
+	fields := make(map[*types.Var]string)
+	written := make(map[*types.Var]bool)
+	for _, path := range paths {
+		p := g.pkgs[path]
+		if !p.user {
+			scope := p.pkg.Scope()
+			rel := strings.TrimPrefix(strings.TrimPrefix(path, modPath), "/")
+			for _, n := range scope.Names() {
+				st, ok := scope.Lookup(n).Type().Underlying().(*types.Struct)
+				if _, isType := scope.Lookup(n).(*types.TypeName); !ok || !isType || !strings.HasSuffix(n, "Config") && n != "Options" {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					fields[st.Field(i)] = rel + "." + n + "." + st.Field(i).Name()
+				}
+			}
+		}
+		// write marks the field e selects, when another package declares it.
+		write := func(e ast.Expr) {
+			e = ast.Unparen(e)
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				e = sel.Sel
+			}
+			if id, ok := e.(*ast.Ident); ok {
+				if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != p.pkg {
+					written[v] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			if strings.HasSuffix(g.fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						write(l)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.KeyValueExpr:
+					write(n.Key)
+				}
+				return true
+			})
+		}
+	}
+	var dead []deadDecl
+	for v, name := range fields {
+		if !written[v] {
+			pos := g.fset.Position(v.Pos())
+			if r, err := filepath.Rel(root, pos.Filename); err == nil {
+				pos.Filename = r
+			}
+			dead = append(dead, deadDecl{name: name, pos: pos})
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
+	return dead, nil
 }

@@ -19,7 +19,7 @@
 //     shared dynamic buffer, WRED/ECN marking, token-bucket shapers, and
 //     hosts exposing the vSwitch hook points.
 //   - internal/cc — guest congestion-control laws (CUBIC, NewReno, DCTCP,
-//     Vegas, Illinois, HighSpeed, window-based TIMELY).
+//     Vegas, Illinois, HighSpeed).
 //   - internal/tcpstack — guest TCP endpoints: handshake, SACK recovery,
 //     RTO, delayed ACKs, window scaling, classic+DCTCP ECN, TSQ, and the
 //     non-conforming IgnoreRwnd stack used to test policing.

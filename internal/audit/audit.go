@@ -76,11 +76,8 @@ type Config struct {
 	// Panic makes the first violation panic with the formatted report (test
 	// mode: chaos suites run with this set so CI fails loudly).
 	Panic bool
-	// Logf receives one formatted line per logged violation. Nil logs to the
-	// standard logger (stderr).
-	Logf func(format string, args ...any)
-	// MaxLog bounds the number of violations logged (counters keep counting
-	// past it). 0 means the default of 32.
+	// MaxLog bounds the number of violations logged to the standard logger
+	// (counters keep counting past it). 0 means the default of 32.
 	MaxLog int
 	// Sample, when > 1, checks only every Sample-th packet and ACK event —
 	// the long-lived service mode runs the auditor continuously, and 1-in-N
@@ -149,11 +146,7 @@ func (a *Auditor) violate(rule Rule, format string, args ...any) {
 		a.logged++
 		a.recent = append(a.recent, msg)
 		a.mu.Unlock()
-		if a.cfg.Logf != nil {
-			a.cfg.Logf("%s", msg)
-		} else {
-			log.Print(msg)
-		}
+		log.Print(msg)
 		return
 	}
 	a.mu.Unlock()

@@ -1,6 +1,8 @@
 package audit
 
 import (
+	"bytes"
+	"log"
 	"strings"
 	"testing"
 
@@ -14,6 +16,17 @@ import (
 // auditVSwitch builds a real vSwitch (paper defaults: MarkECT, StripECN,
 // EnforceRwnd) with an attached auditor, for the packet-level rules that
 // need v.Cfg and v.Metrics.
+// captureLog sends the standard logger, where an Auditor logs its
+// violations, to a buffer until the test ends.
+func captureLog(t *testing.T) *bytes.Buffer {
+	var buf bytes.Buffer
+	out, flags := log.Writer(), log.Flags()
+	log.SetOutput(&buf)
+	log.SetFlags(0)
+	t.Cleanup(func() { log.SetOutput(out); log.SetFlags(flags) })
+	return &buf
+}
+
 func auditVSwitch(t *testing.T, cfg Config) (*core.VSwitch, *Auditor) {
 	t.Helper()
 	s := sim.New(1)
@@ -127,10 +140,8 @@ func TestSelfTestCorpus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.rule), func(t *testing.T) {
-			var lines []string
-			v, a := auditVSwitch(t, Config{Logf: func(f string, args ...any) {
-				lines = append(lines, f)
-			}})
+			captureLog(t)
+			v, a := auditVSwitch(t, Config{})
 			tc.inject(v, a)
 			if got := a.Count(tc.rule); got != 1 {
 				t.Fatalf("rule %s: violations = %d, want 1 (all: %v)",
@@ -219,8 +230,8 @@ func TestPanicMode(t *testing.T) {
 
 // TestMaxLogBounds: counting continues past MaxLog but logging stops.
 func TestMaxLogBounds(t *testing.T) {
-	var n int
-	v, a := auditVSwitch(t, Config{MaxLog: 2, Logf: func(string, ...any) { n++ }})
+	logged := captureLog(t)
+	v, a := auditVSwitch(t, Config{MaxLog: 2})
 	e := goodAck()
 	e.Alpha = 2
 	for i := 0; i < 5; i++ {
@@ -229,7 +240,7 @@ func TestMaxLogBounds(t *testing.T) {
 	if a.Count(RuleAlphaRange) != 5 {
 		t.Fatalf("count = %d, want 5", a.Count(RuleAlphaRange))
 	}
-	if n != 2 || len(a.Violations()) != 2 {
+	if n := strings.Count(logged.String(), "\n"); n != 2 || len(a.Violations()) != 2 {
 		t.Fatalf("logged %d lines, %d kept; want 2 each", n, len(a.Violations()))
 	}
 }
@@ -237,7 +248,8 @@ func TestMaxLogBounds(t *testing.T) {
 // TestNilRegistry: an auditor over a metrics-disabled vSwitch still counts
 // in its own atomics.
 func TestNilRegistry(t *testing.T) {
-	a := New((*metrics.Registry)(nil), Config{Logf: func(string, ...any) {}})
+	captureLog(t)
+	a := New((*metrics.Registry)(nil), Config{})
 	a.CutEvent(nil, core.CutEvent{Key: key(), Alg: "dctcp", Factor: 1.5})
 	if a.Count(RuleCutFactor) != 1 {
 		t.Fatalf("count = %d, want 1", a.Count(RuleCutFactor))

@@ -1,7 +1,6 @@
 // Package cc implements the host (guest-VM) TCP congestion-control variants
-// the paper evaluates — NewReno, CUBIC, DCTCP, Vegas, Illinois, HighSpeed —
-// plus a window-based TIMELY (the paper's other cited datacenter CC). Each
-// is modelled on its Linux implementation's control law where one exists. The TCP
+// the paper evaluates — NewReno, CUBIC, DCTCP, Vegas, Illinois, HighSpeed.
+// Each is modelled on its Linux implementation's control law. The TCP
 // endpoint (internal/tcpstack) owns the connection state and calls into the
 // Algorithm at the same points Linux calls its congestion-ops vtable.
 package cc
@@ -71,7 +70,6 @@ func (c *Ctx) ClampCwnd(minCwnd float64) {
 // samples, AckedWithECN feeds DCTCP-style byte accounting, and OnRTO resets
 // algorithm state after a timeout.
 type Algorithm interface {
-	Name() string
 	Init(c *Ctx)
 	// CongAvoid is called for each ACK that advances snd_una while the
 	// connection is in open state; acked is the number of newly acked bytes.
@@ -86,8 +84,6 @@ type Algorithm interface {
 	AckedWithECN(c *Ctx, acked int, ece bool)
 	// OnRTO notifies of a retransmission timeout.
 	OnRTO(c *Ctx)
-	// UndoCwnd returns the window to restore on spurious loss detection.
-	UndoCwnd(c *Ctx) float64
 }
 
 // Base provides no-op implementations of the optional hooks.
@@ -106,12 +102,8 @@ func (Base) AckedWithECN(*Ctx, int, bool) {}
 // OnRTO implements Algorithm.
 func (Base) OnRTO(*Ctx) {}
 
-// UndoCwnd implements Algorithm: restore to 2x current ssthresh like Linux's
-// default tcp_reno_undo_cwnd.
-func (Base) UndoCwnd(c *Ctx) float64 { return max(c.Cwnd, c.Ssthresh*2) }
-
 // New constructs an algorithm by name ("cubic", "reno", "dctcp", "vegas",
-// "illinois", "highspeed", "timely"). It panics on unknown names —
+// "illinois", "highspeed"). It panics on unknown names —
 // configuration errors in experiments should fail loudly.
 func New(name string) Algorithm {
 	switch name {
@@ -127,8 +119,6 @@ func New(name string) Algorithm {
 		return &Illinois{}
 	case "highspeed":
 		return &HighSpeed{}
-	case "timely":
-		return &Timely{}
 	default:
 		panic(fmt.Sprintf("cc: unknown congestion control %q", name))
 	}

@@ -23,9 +23,6 @@ const (
 	cubicBeta = 0.7
 )
 
-// Name implements Algorithm.
-func (*Cubic) Name() string { return "cubic" }
-
 // Init implements Algorithm.
 func (*Cubic) Init(c *Ctx) { initPriv(c, cubicState{}) }
 

@@ -21,9 +21,6 @@ type dctcpState struct {
 // congestion event halves, then α adapts).
 const DefaultDCTCPAlpha = 1.0
 
-// Name implements Algorithm.
-func (*DCTCP) Name() string { return "dctcp" }
-
 // Init implements Algorithm.
 func (d *DCTCP) Init(c *Ctx) { initPriv(c, dctcpState{alpha: DefaultDCTCPAlpha}) }
 

@@ -15,9 +15,6 @@ const (
 	hsLowDecr    = 0.5
 )
 
-// Name implements Algorithm.
-func (*HighSpeed) Name() string { return "highspeed" }
-
 // hsB returns the decrease factor b(w) per RFC 3649 §5.
 func hsB(w float64) float64 {
 	if w <= hsLowWindow {

@@ -24,9 +24,6 @@ const (
 	illTheta    = 5
 )
 
-// Name implements Algorithm.
-func (*Illinois) Name() string { return "illinois" }
-
 // Init implements Algorithm.
 func (*Illinois) Init(c *Ctx) {
 	initPriv(c, illinoisState{baseRTT: 1 << 62, alpha: illAlphaMax, beta: illBetaMin})

@@ -4,9 +4,6 @@ package cc
 // one-MSS-per-RTT congestion avoidance, halve on loss.
 type NewReno struct{ Base }
 
-// Name implements Algorithm.
-func (*NewReno) Name() string { return "reno" }
-
 // CongAvoid implements Algorithm.
 func (*NewReno) CongAvoid(c *Ctx, acked int) { renoGrow(c, acked) }
 

@@ -17,9 +17,6 @@ const (
 	vegasGamma = 1
 )
 
-// Name implements Algorithm.
-func (*Vegas) Name() string { return "vegas" }
-
 // Init implements Algorithm.
 func (*Vegas) Init(c *Ctx) { initPriv(c, vegasState{baseRTT: 1 << 62, minRTT: 1 << 62}) }
 

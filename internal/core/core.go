@@ -9,6 +9,10 @@ import (
 	"acdc/internal/sim"
 )
 
+// vTimeout is the per-flow inactivity timer used to infer guest timeouts
+// (§3.1).
+const vTimeout = 10 * sim.Millisecond
+
 // Config parameterizes one host's AC/DC module.
 type Config struct {
 	// MTU sets the default MSS (MTU − 40) used before a handshake MSS
@@ -18,9 +22,6 @@ type Config struct {
 	// the paper applies at β=0 and the reason AC/DC beats host DCTCP's
 	// 2-packet floor in deep incast (§5.2).
 	MinRwndBytes int64
-	// VTimeout is the per-flow inactivity timer used to infer guest
-	// timeouts (§3.1).
-	VTimeout sim.Duration
 	// EnforceRwnd enables overwriting the receive window; when false with
 	// LogRwnd set, the module runs in the Figure 9 measurement mode.
 	EnforceRwnd bool
@@ -72,7 +73,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MTU:         9000,
-		VTimeout:    10 * sim.Millisecond,
 		EnforceRwnd: true,
 		MarkECT:     true,
 		StripECN:    true,
@@ -146,9 +146,6 @@ type VSwitch struct {
 func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 	if cfg.MTU == 0 {
 		cfg.MTU = 9000
-	}
-	if cfg.VTimeout == 0 {
-		cfg.VTimeout = 10 * sim.Millisecond
 	}
 	if cfg.GCInterval == 0 {
 		cfg.GCInterval = sim.Second

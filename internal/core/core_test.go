@@ -355,7 +355,6 @@ func TestLogOnlyModeDoesNotEnforce(t *testing.T) {
 
 func TestVTimeoutCollapsesWindow(t *testing.T) {
 	acdcCfg := DefaultConfig()
-	acdcCfg.VTimeout = 2 * sim.Millisecond
 	b := newBench(t, 2, cubicGuest(), &acdcCfg, redK(), 10e9)
 	// Blackhole all traffic mid-flow: inactivity timer must fire.
 	cli, _ := b.longFlow(t, 0, 1)
@@ -369,7 +368,9 @@ func TestVTimeoutCollapsesWindow(t *testing.T) {
 		hookOld(p)      // vSwitch accounting runs (snd_nxt advances)…
 		return nil, nil // …but nothing reaches the wire, so ACKs stop
 	}
-	b.s.RunFor(20 * sim.Millisecond)
+	// The guest's first RTO (RTOMin 10 ms) retransmits and re-arms the
+	// vSwitch's timer, which then fires before the backed-off second RTO.
+	b.s.RunFor(40 * sim.Millisecond)
 	if b.acdc[0].Stats().VTimeouts == 0 {
 		t.Fatal("inactivity timer never fired")
 	}
@@ -381,12 +382,10 @@ func TestVTimeoutCollapsesWindow(t *testing.T) {
 
 // TestVTimeoutsShareOneEvent: a vSwitch makes its inactivity deadlines when a
 // flow first has data outstanding; k such flows keep theirs behind one pending
-// event; all of them fire at VTimeout and re-arm, and acknowledging everything
+// event; all of them fire at vTimeout and re-arm, and acknowledging everything
 // stops them all.
 func TestVTimeoutsShareOneEvent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VTimeout = 20 * sim.Microsecond
-	b := newRecycleBench(t, cfg)
+	b := newRecycleBench(t, DefaultConfig())
 	const k, ack, psh = 100, packet.FlagACK, packet.FlagPSH
 	syn := packet.BuildSynOptions(1460, 7, true)
 	for sp := uint16(1000); sp < 1000+k; sp++ {
@@ -402,9 +401,9 @@ func TestVTimeoutsShareOneEvent(t *testing.T) {
 	if p := b.s.Pending(); p != 1 {
 		t.Fatalf("%d flows with data outstanding: %d pending events, want 1", k, p)
 	}
-	b.s.RunFor(cfg.VTimeout)
+	b.s.RunFor(vTimeout)
 	if got := b.v.Stats().VTimeouts; got != k || b.s.Pending() != 1 {
-		t.Fatalf("after VTimeout: %d timeouts, %d pending events; want %d and 1", got, b.s.Pending(), k)
+		t.Fatalf("after vTimeout: %d timeouts, %d pending events; want %d and 1", got, b.s.Pending(), k)
 	}
 	for sp := uint16(1000); sp < 1000+k; sp++ {
 		b.in(sp, packet.NotECT, packet.TCPFields{Seq: 1, Ack: 1001, Flags: ack}, 0)
@@ -416,11 +415,9 @@ func TestVTimeoutsShareOneEvent(t *testing.T) {
 
 func TestDupAckGeneration(t *testing.T) {
 	acdcCfg := DefaultConfig()
-	acdcCfg.VTimeout = 2 * sim.Millisecond
 	acdcCfg.GenDupAcks = true
 	guest := cubicGuest()
 	guest.RTOMin = sim.Second // guest RTO far above AC/DC's timer
-	guest.RTOInit = sim.Second
 	b := newBench(t, 2, guest, &acdcCfg, redK(), 10e9)
 
 	cli, srvp := b.longFlow(t, 0, 1)

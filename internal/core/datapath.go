@@ -265,13 +265,13 @@ func (v *VSwitch) policeLocked(f *Flow, segEnd, plen int64) bool {
 	return true
 }
 
-// armVTimeout (re)arms f's inactivity deadline VTimeout from now.
+// armVTimeout (re)arms f's inactivity deadline vTimeout from now.
 func (v *VSwitch) armVTimeout(f *Flow) {
 	if v.vtimeouts == nil {
 		v.vtimeouts = sim.NewDeadlines(v.Sim, v.onInactive, func(f *Flow) *sim.Deadline { return &f.vtimeout })
 	}
 	f.vtArmed = true
-	v.vtimeouts.Reset(f, v.Cfg.VTimeout)
+	v.vtimeouts.Reset(f, vTimeout)
 }
 
 // onInactive is the expiry of a flow's inactivity deadline; the flow's kind

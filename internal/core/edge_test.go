@@ -433,7 +433,6 @@ func TestEnforcedWindowClampAndFloor(t *testing.T) {
 func TestDupAckSynthesisTemplate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GenDupAcks = true
-	cfg.VTimeout = sim.Millisecond
 	v, host, s := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
 
@@ -450,7 +449,7 @@ func TestDupAckSynthesisTemplate(t *testing.T) {
 	ingress(v, ackPkt(peer, host.Addr, 2, 1, 1+8960, 512))
 	// More unacked data, then let the inactivity timer fire.
 	egress(v, dataPkt(host.Addr, peer, 1, 2, 1+8960, 8960))
-	s.RunFor(5 * sim.Millisecond)
+	s.RunFor(vTimeout + 5*sim.Millisecond)
 
 	if v.Stats().VTimeouts == 0 {
 		t.Fatal("vTimeout never fired")

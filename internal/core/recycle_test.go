@@ -179,7 +179,6 @@ func diffFields[T any](got, want *T) []string {
 // foreign-source egress, goes the same way as a bare record.
 func TestRecycledFlowEqualsFresh(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.VTimeout = 20 * sim.Microsecond
 	b := newRecycleBench(t, cfg)
 	const sp, ack, psh = 100, packet.FlagACK, packet.FlagPSH
 	k := b.key(sp)
@@ -218,7 +217,7 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ackIn(seq-3000, 0, 2500) // duplicate ACKs: a loss event
 	}
-	b.s.RunFor(3 * cfg.VTimeout) // data outstanding, nothing acknowledged: inferred timeout
+	b.s.RunFor(3 * vTimeout) // data outstanding, nothing acknowledged: inferred timeout
 	b.in(sp, packet.CE, packet.TCPFields{Seq: 1, Ack: seq, Flags: ack | psh}, 700)
 	b.out(sp, packet.TCPFields{Seq: seq, Ack: 701, Flags: ack | packet.FlagFIN}, 0)
 	b.in(sp, packet.NotECT, packet.TCPFields{Seq: 701, Ack: seq + 1, Flags: ack | packet.FlagFIN}, 0)
@@ -270,7 +269,6 @@ func TestRecycledFlowEqualsFresh(t *testing.T) {
 // peer record, restored bare onto a recycled one, saves as it was saved.
 func TestRestoreOntoRecycledRecordActsFresh(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.VTimeout = 20 * sim.Microsecond
 	const sp, ack, psh = 100, packet.FlagACK, packet.FlagPSH
 	syn := packet.BuildSynOptions(1460, 7, true)
 	src := newRecycleBench(t, cfg)
@@ -300,7 +298,7 @@ func TestRestoreOntoRecycledRecordActsFresh(t *testing.T) {
 		}
 		peerRec = peer.record()
 		b.in(sp, packet.ECT0, packet.TCPFields{Seq: 1, Ack: 1001, Flags: ack}, 0)
-		b.s.RunFor(3 * cfg.VTimeout)
+		b.s.RunFor(3 * vTimeout)
 		return f.VTimeouts(), slices.Contains(parked, f), slices.Contains(parked, peer), peerRec
 	}
 	fresh, _, _, freshPeer := restored(false)

@@ -191,7 +191,7 @@ func TestSenderBlockOnFirstSenderWrite(t *testing.T) {
 					Seq: 1, Ack: 6001 + 1000*i, Flags: ack, Window: 65535, Options: feedbackOpt(packet.OptPACK, 1000*(i+1), 0)}, 0))
 			})
 		}
-		w.step("advance", func(b *recycleBench) { b.s.RunFor(3 * b.v.Cfg.VTimeout) })
+		w.step("advance", func(b *recycleBench) { b.s.RunFor(3 * vTimeout) })
 		if w.upgraded == 0 {
 			t.Fatal("no record left the shared defaults: the test compares nothing")
 		}

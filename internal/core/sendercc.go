@@ -42,8 +42,8 @@ func (v *VSwitch) processFeedbackAndAck(f *Flow, p *packet.Packet, t packet.TCP,
 	// never saw feedback (one-sided, baseline, non-AC/DC peer) are exempt:
 	// for them growth on plain ACKs is the normal mode.
 	fbStale := !haveFeedback && b.lastFeedbackAt > 0 &&
-		now-b.lastFeedbackAt > v.Cfg.VTimeout
-	if fbStale && now-f.readCold().fbStaleMark > v.Cfg.VTimeout {
+		now-b.lastFeedbackAt > vTimeout
+	if fbStale && now-f.readCold().fbStaleMark > vTimeout {
 		f.writeCold().fbStaleMark = now
 		v.Metrics.FeedbackTimeouts.Inc()
 	}

@@ -44,6 +44,14 @@ import (
 	"acdc/internal/workload"
 )
 
+const (
+	// failOpenLimit is the fail_open_total count (summed over hosts) at
+	// which readiness degrades.
+	failOpenLimit = 10000
+	// queueDepth bounds the sim-loop command queue.
+	queueDepth = 64
+)
+
 // Config parameterizes a daemon.
 type Config struct {
 	// Hosts is the star-topology size (default 4).
@@ -65,11 +73,6 @@ type Config struct {
 	// sampling (default 64; state transitions are always checked). 0 keeps
 	// the default; negative disables auditing entirely.
 	AuditSample int
-	// FailOpenLimit is the fail_open_total count (summed over hosts) at
-	// which readiness degrades (default 10000).
-	FailOpenLimit int64
-	// QueueDepth bounds the sim-loop command queue (default 64).
-	QueueDepth int
 	// Workload, when true, drives continuous background bulk traffic so the
 	// service has live flows without an external driver (default off; the
 	// binary turns it on).
@@ -101,7 +104,7 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Scale <= 0 {
+	if !(c.Scale > 0) { // NaN too
 		c.Scale = 0.05
 	}
 	if c.MaxCatchUp <= 0 {
@@ -112,12 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AuditSample == 0 {
 		c.AuditSample = 64
-	}
-	if c.FailOpenLimit <= 0 {
-		c.FailOpenLimit = 10000
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	return c
 }
@@ -189,7 +186,7 @@ func New(cfg Config) *Daemon {
 		cfg:   cfg,
 		net:   net,
 		pacer: sim.NewPacer(net.Sim, cfg.Scale, cfg.MaxCatchUp),
-		cmds:  make(chan func(), cfg.QueueDepth),
+		cmds:  make(chan func(), queueDepth),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -601,9 +598,9 @@ func (d *Daemon) DegradedReason() string {
 	if n := d.net.AuditViolations(); n > 0 {
 		return fmt.Sprintf("audit: %d invariant violations", n)
 	}
-	if failOpen := d.failOpen.Load(); failOpen >= d.cfg.FailOpenLimit {
+	if failOpen := d.failOpen.Load(); failOpen >= failOpenLimit {
 		return fmt.Sprintf("fail-open: %d packets passed unenforced (limit %d)",
-			failOpen, d.cfg.FailOpenLimit)
+			failOpen, failOpenLimit)
 	}
 	return ""
 }

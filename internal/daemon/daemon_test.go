@@ -228,8 +228,8 @@ func TestReadyzDegradesOnAuditViolation(t *testing.T) {
 // poller sees the total only grow, and /readyz degrades once it passes the
 // limit.
 func TestReadinessWhileLoopFailsOpen(t *testing.T) {
-	const limit, pollers = 2000, 8
-	d, c := startDaemon(t, Config{FailOpenLimit: limit})
+	const limit, pollers = failOpenLimit, 8
+	d, c := startDaemon(t, Config{})
 	if err := d.Exec(func() {
 		n := d.Net()
 		var feed func()
@@ -238,7 +238,7 @@ func TestReadinessWhileLoopFailsOpen(t *testing.T) {
 				packet.TCPFields{SrcPort: 1, DstPort: 2, Flags: packet.FlagACK}, 0)
 			p.IP().SetTotalLen(30) // 10 bytes short of its 40 header bytes
 			n.ACDC[0].EgressPath(p)
-			n.Sim.ScheduleFunc(10*sim.Microsecond, feed)
+			n.Sim.ScheduleFunc(2*sim.Microsecond, feed)
 		}
 		n.Sim.ScheduleFunc(0, feed)
 	}); err != nil {
@@ -282,7 +282,7 @@ func TestReadinessWhileLoopFailsOpen(t *testing.T) {
 }
 
 func TestRestartBusyQueueSurfacesAfterRetries(t *testing.T) {
-	d, c := startDaemon(t, Config{QueueDepth: 1, Tick: time.Millisecond})
+	d, c := startDaemon(t, Config{Tick: time.Millisecond})
 	// Stall the sim loop on a blocked command, then fill the queue: the
 	// next marshaled op must exhaust its retries and surface 503.
 	unblock := make(chan struct{})
@@ -293,8 +293,10 @@ func TestRestartBusyQueueSurfacesAfterRetries(t *testing.T) {
 		// Queue drained means the loop is now blocked inside the command.
 		return len(d.cmds) == 0
 	})
-	if err := d.enqueue(func() {}); err != nil {
-		t.Fatalf("fill enqueue: %v", err)
+	for range queueDepth {
+		if err := d.enqueue(func() {}); err != nil {
+			t.Fatalf("fill enqueue: %v", err)
+		}
 	}
 	start := time.Now()
 	err := c.Restart(0, false)

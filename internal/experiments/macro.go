@@ -194,7 +194,7 @@ func Fig23(cfg RunConfig) *Result {
 		"Web-search: median mice FCT −77%/−76% (DCTCP/AC-DC), p99.9 −50%/−55%; data-mining: median −72%/−73%, p99.9 −36%/−53%")
 	for _, d := range []*trace.Dist{trace.WebSearch(), trace.DataMining()} {
 		r.section("--- %s workload ---", d.Name)
-		tcfg := workload.TraceConfig{N: 17, AppsPerServer: 5, Dist: d, MiceCutoff: 10 << 10}
+		tcfg := workload.TraceConfig{N: 17, AppsPerServer: 5, Dist: d}
 		macroFCT(r, cfg, func(m *workload.Manager, fcts *workload.FCTs) {
 			workload.TraceDriven(m, tcfg, fcts)
 		}, cfg.scale(400*sim.Millisecond))

@@ -337,7 +337,7 @@ func (st *trialState) launch(s Spec, w WorkloadSpec, hosts int) {
 		if w.Dist == "data-mining" {
 			d = trace.DataMining()
 		}
-		cfg := workload.TraceConfig{N: n, AppsPerServer: 3, Dist: d, MiceCutoff: 10 << 10}
+		cfg := workload.TraceConfig{N: n, AppsPerServer: 3, Dist: d}
 		workload.TraceDriven(st.m, cfg, &st.fcts)
 	case "flash-crowd":
 		senders := make([]int, w.Senders)

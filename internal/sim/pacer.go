@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Pacer drives a Simulator against a wall clock: each Advance runs the
 // simulation up to the virtual time the elapsed wall time maps to under a
@@ -32,11 +35,11 @@ type Pacer struct {
 	forgiven Duration      // total virtual time dropped by bounded catch-up
 }
 
-// NewPacer creates a pacer anchored at the simulator's current time. scale
-// ≤ 0 defaults to 1.0 (real time); maxCatchUp ≤ 0 defaults to 100ms of
-// virtual time per Advance.
+// NewPacer creates a pacer anchored at the simulator's current time. A scale
+// that is not above 0 (NaN included) defaults to 1.0 (real time);
+// maxCatchUp ≤ 0 defaults to 100ms of virtual time per Advance.
 func NewPacer(s *Simulator, scale float64, maxCatchUp Duration) *Pacer {
-	if scale <= 0 {
+	if !(scale > 0) {
 		scale = 1.0
 	}
 	if maxCatchUp <= 0 {
@@ -59,10 +62,16 @@ func (p *Pacer) rebase() {
 	p.simBase = p.sim.Now()
 }
 
-// Target returns the virtual time the simulation should have reached by now.
+// Target returns the virtual time the simulation should have reached by now,
+// saturating at the largest Time: a scale so large that the product leaves
+// int64 (or is NaN, as 0 × +Inf) must not wrap to a time in the past.
 func (p *Pacer) Target() Time {
 	elapsed := p.clock() - p.wallBase
-	return p.simBase + Time(float64(elapsed)*p.scale)
+	d := float64(elapsed) * p.scale
+	if !(d < 1<<62) || Time(d) > math.MaxInt64-p.simBase {
+		return math.MaxInt64
+	}
+	return p.simBase + Time(d)
 }
 
 // Advance runs the simulation toward Target, replaying at most MaxCatchUp of
@@ -75,7 +84,7 @@ func (p *Pacer) Advance() Time {
 		return now
 	}
 	if lag := target - now; lag > p.maxCatchUp {
-		p.forgiven += lag - p.maxCatchUp
+		p.forgiven += min(lag-p.maxCatchUp, math.MaxInt64-p.forgiven) // saturates as Target does
 		target = now + p.maxCatchUp
 		// Re-anchor at the clamped target once it has run, so the forgiven
 		// backlog does not carry into every subsequent Advance, while what a

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -129,5 +130,40 @@ func TestStopFromAnotherGoroutine(t *testing.T) {
 	<-done
 	if now := s.Now(); now >= Second {
 		t.Fatalf("Stop did not interrupt Run (now=%v)", now)
+	}
+}
+
+// TestPacerHugeScaleKeepsRunning: a scale that is NaN, +Inf or so large that
+// elapsed × scale leaves int64 must not freeze the virtual clock. NaN falls
+// back to real time; the others saturate Target at the largest Time, so each
+// Advance replays its bounded catch-up and forgives the rest, the forgiven
+// total saturating too.
+func TestPacerHugeScaleKeepsRunning(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		s := New(1)
+		fired := 0
+		for i := 1; i <= 5; i++ {
+			s.Schedule(Duration(i)*Millisecond, func() { fired++ })
+		}
+		p := NewPacer(s, scale, 10*Millisecond)
+		clk := &fakeClock{}
+		p.SetClock(clk.read)
+		if got := p.Target(); got < 0 {
+			t.Errorf("scale %v: target %v before any wall time passed", scale, got)
+		}
+		clk.tick(10 * time.Millisecond)
+		if got := p.Target(); got < 10*Millisecond {
+			t.Errorf("scale %v: target %v after 10ms of wall time", scale, got)
+		}
+		if got := p.Advance(); got != 10*Millisecond || fired != 5 {
+			t.Errorf("scale %v: Advance reached %v and fired %d events, want 10ms and 5", scale, got, fired)
+		}
+		for range 3 {
+			clk.tick(time.Millisecond)
+			p.Advance()
+		}
+		if f := p.Forgiven(); f < 0 {
+			t.Errorf("scale %v: forgiven %v after four advances", scale, f)
+		}
 	}
 }

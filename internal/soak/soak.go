@@ -19,13 +19,13 @@
 //     between samples is corruption (double accounting, a racy reset).
 //   - Event free-list leak: sim.Allocated() is the simulator's event
 //     allocation high-water mark and plateaus in steady state. Growth after
-//     warm-up beyond AllocSlack means events are being held, not recycled.
+//     warm-up beyond allocSlack means events are being held, not recycled.
 //   - Goroutine leak: after Stop, the process goroutine count must return to
-//     its pre-soak baseline (within GoroutineSlack).
+//     its pre-soak baseline (within goroutineSlack).
 //   - Audit violations: the sampling invariant auditor runs throughout; any
 //     violation fails the run.
-//   - Activity floors: a soak that did fewer than MinUpdates policy updates
-//     or MinRestarts restarts wasn't soaking — the run fails rather than
+//   - Activity floors: a soak that did fewer than minUpdates policy updates
+//     or minRestarts restarts wasn't soaking — the run fails rather than
 //     vacuously passing.
 //
 // Defect injectors (Config.Inject) seed the failures the gates exist to
@@ -75,6 +75,23 @@ const (
 	DefectPhantomDemand Defect = "phantom-demand"
 )
 
+// The soak's fixed shape: its fabric, its control-plane cadences (wall
+// time) and its gates' floors and slacks.
+const (
+	scale           = 0.2 // virtual seconds advanced per wall second
+	tenants         = 3   // the churn workload's tenants …
+	hostsPerTenant  = 4   // … of this many hosts each: the fabric's hosts
+	updateEvery     = 10 * time.Millisecond
+	updatesPerBurst = 4 // policy updates per hostile-controller burst
+	restartEvery    = time.Second
+	faultFlipEvery  = 2 * time.Second
+	sampleEvery     = 250 * time.Millisecond // metric scrapes for drift and allocation
+	minUpdates      = 100                    // activity floors
+	minRestarts     = 1
+	goroutineSlack  = 4     // goroutine-count growth allowed after Stop
+	allocSlack      = 16384 // sim.Allocated() growth allowed after warm-up: one free list's worth
+)
+
 // Config parameterizes a soak run. The zero value is a sensible short soak;
 // CI smoke and cmd/acdcsuite raise Duration.
 type Config struct {
@@ -82,32 +99,6 @@ type Config struct {
 	Duration time.Duration
 	// Seed drives both the simulation and the hostile controller (default 1).
 	Seed int64
-	// Scale is virtual seconds advanced per wall second (default 0.2).
-	Scale float64
-	// Tenants and HostsPerTenant size the churn workload (defaults 3 and 4;
-	// the topology gets Tenants*HostsPerTenant hosts).
-	Tenants, HostsPerTenant int
-	// UpdateEvery is the wall interval between hostile-controller policy
-	// bursts (default 10ms), UpdatesPerBurst the burst size (default 4).
-	UpdateEvery     time.Duration
-	UpdatesPerBurst int
-	// RestartEvery is the wall interval between vSwitch restarts (default
-	// 1s; mostly warm, occasionally cold).
-	RestartEvery time.Duration
-	// FaultFlipEvery is the wall interval between fault-profile flips
-	// (default 2s).
-	FaultFlipEvery time.Duration
-	// SampleEvery is the wall interval between metric scrapes for the
-	// drift/allocation gates (default 250ms).
-	SampleEvery time.Duration
-	// MinUpdates and MinRestarts are the activity floors (defaults 100, 1).
-	MinUpdates, MinRestarts int64
-	// GoroutineSlack is the allowed goroutine-count growth after Stop
-	// (default 4).
-	GoroutineSlack int
-	// AllocSlack is the allowed sim.Allocated() growth after warm-up
-	// (default 16384, one free-list's worth).
-	AllocSlack int64
 	// Inject seeds a deliberate defect (harness self-tests).
 	Inject Defect
 	// Log, when set, receives progress lines.
@@ -120,42 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Scale <= 0 {
-		c.Scale = 0.2
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 3
-	}
-	if c.HostsPerTenant <= 0 {
-		c.HostsPerTenant = 4
-	}
-	if c.UpdateEvery <= 0 {
-		c.UpdateEvery = 10 * time.Millisecond
-	}
-	if c.UpdatesPerBurst <= 0 {
-		c.UpdatesPerBurst = 4
-	}
-	if c.RestartEvery <= 0 {
-		c.RestartEvery = time.Second
-	}
-	if c.FaultFlipEvery <= 0 {
-		c.FaultFlipEvery = 2 * time.Second
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 250 * time.Millisecond
-	}
-	if c.MinUpdates <= 0 {
-		c.MinUpdates = 100
-	}
-	if c.MinRestarts <= 0 {
-		c.MinRestarts = 1
-	}
-	if c.GoroutineSlack <= 0 {
-		c.GoroutineSlack = 4
-	}
-	if c.AllocSlack <= 0 {
-		c.AllocSlack = 16384
 	}
 	if c.Log == nil {
 		c.Log = func(string, ...any) {}
@@ -230,14 +185,14 @@ func Run(cfg Config) *Report {
 	start := time.Now()
 	r := &Report{GoroutineBase: runtime.NumGoroutine()}
 
-	hosts := cfg.Tenants * cfg.HostsPerTenant
+	const hosts = tenants * hostsPerTenant
 	startProf, _ := faults.Lookup("jitter")
 	d := daemon.New(daemon.Config{
 		Hosts: hosts,
 		Seed:  cfg.Seed,
-		Scale: cfg.Scale,
+		Scale: scale,
 		// Short catch-up bursts keep the sim loop responsive to marshaled
-		// control ops even when the fabric can't sustain Scale.
+		// control ops even when the fabric can't sustain scale.
 		MaxCatchUp: 5 * sim.Millisecond,
 		Faults:     &startProf,
 		Tune: func(c *core.Config) {
@@ -254,13 +209,13 @@ func Run(cfg Config) *Report {
 	// which is only safe while the loop isn't running).
 	m := workload.NewManager(d.Net())
 	churn := workload.NewTenantChurn(m, workload.TenantChurnConfig{
-		Tenants:        cfg.Tenants,
-		HostsPerTenant: cfg.HostsPerTenant,
+		Tenants:        tenants,
+		HostsPerTenant: hostsPerTenant,
 		ChurnPeriod:    5 * sim.Millisecond,
 	})
 	churn.Start()
-	crowdSenders := make([]int, 0, cfg.HostsPerTenant)
-	for i := hosts - cfg.HostsPerTenant; i < hosts; i++ {
+	crowdSenders := make([]int, 0, hostsPerTenant)
+	for i := hosts - hostsPerTenant; i < hosts; i++ {
 		crowdSenders = append(crowdSenders, i)
 	}
 	crowd := workload.NewFlashCrowd(m, workload.FlashCrowdConfig{
@@ -313,20 +268,20 @@ func Run(cfg Config) *Report {
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		r.GoroutineEnd = runtime.NumGoroutine()
-		if r.GoroutineEnd <= r.GoroutineBase+cfg.GoroutineSlack || time.Now().After(deadline) {
+		if r.GoroutineEnd <= r.GoroutineBase+goroutineSlack || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 
 	r.WallDuration = time.Since(start)
-	gate(cfg, r)
+	gate(r)
 	cfg.Log("%s", r.String())
 	return r
 }
 
 // gate applies the pass/fail criteria to the collected evidence.
-func gate(cfg Config, r *Report) {
+func gate(r *Report) {
 	if r.LeakedFlows > 0 {
 		r.failf("flow-table leak: %d entries survived the post-workload drain", r.LeakedFlows)
 	}
@@ -336,22 +291,22 @@ func gate(cfg Config, r *Report) {
 	for _, dr := range r.Drift {
 		r.failf("counter drift: %s", dr)
 	}
-	if r.AllocatedWarm > 0 && r.AllocatedEnd-r.AllocatedWarm > cfg.AllocSlack {
+	if r.AllocatedWarm > 0 && r.AllocatedEnd-r.AllocatedWarm > allocSlack {
 		r.failf("event free-list leak: sim.Allocated grew %d past warm-up (slack %d)",
-			r.AllocatedEnd-r.AllocatedWarm, cfg.AllocSlack)
+			r.AllocatedEnd-r.AllocatedWarm, allocSlack)
 	}
-	if r.GoroutineEnd > r.GoroutineBase+cfg.GoroutineSlack {
+	if r.GoroutineEnd > r.GoroutineBase+goroutineSlack {
 		r.failf("goroutine leak: %d before, %d after stop (slack %d)",
-			r.GoroutineBase, r.GoroutineEnd, cfg.GoroutineSlack)
+			r.GoroutineBase, r.GoroutineEnd, goroutineSlack)
 	}
 	if r.AuditViolations > 0 {
 		r.failf("audit: %d invariant violations", r.AuditViolations)
 	}
-	if r.Updates < cfg.MinUpdates {
-		r.failf("too idle: %d policy updates applied, need >= %d", r.Updates, cfg.MinUpdates)
+	if r.Updates < minUpdates {
+		r.failf("too idle: %d policy updates applied, need >= %d", r.Updates, minUpdates)
 	}
-	if r.Restarts < cfg.MinRestarts {
-		r.failf("too idle: %d restarts, need >= %d", r.Restarts, cfg.MinRestarts)
+	if r.Restarts < minRestarts {
+		r.failf("too idle: %d restarts, need >= %d", r.Restarts, minRestarts)
 	}
 }
 
@@ -360,34 +315,34 @@ func gate(cfg Config, r *Report) {
 // their configured cadences until the soak deadline.
 func runControl(cfg Config, d *daemon.Daemon, r *Report) {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x50ac))
-	hosts := cfg.Tenants * cfg.HostsPerTenant
+	const hosts = tenants * hostsPerTenant
 	deadline := time.Now().Add(cfg.Duration)
 	warmup := time.Now().Add(cfg.Duration / 3)
 	injectAt := time.Now().Add(cfg.Duration / 2)
 	injected := false
 
 	nextUpdate := time.Now()
-	nextRestart := time.Now().Add(cfg.RestartEvery)
-	nextFlip := time.Now().Add(cfg.FaultFlipEvery)
-	nextSample := time.Now().Add(cfg.SampleEvery)
+	nextRestart := time.Now().Add(restartEvery)
+	nextFlip := time.Now().Add(faultFlipEvery)
+	nextSample := time.Now().Add(sampleEvery)
 	prev := map[string]int64{}
 
 	for now := time.Now(); now.Before(deadline); now = time.Now() {
 		if !now.Before(nextUpdate) {
-			nextUpdate = now.Add(cfg.UpdateEvery)
-			for i := 0; i < cfg.UpdatesPerBurst; i++ {
+			nextUpdate = now.Add(updateEvery)
+			for i := 0; i < updatesPerBurst; i++ {
 				streamOne(d, rng, hosts, r)
 			}
 		}
 		if !now.Before(nextRestart) {
-			nextRestart = now.Add(cfg.RestartEvery)
+			nextRestart = now.Add(restartEvery)
 			warm := rng.Float64() < 0.8
 			if err := d.Restart(rng.Intn(hosts), warm); err != nil {
 				r.failf("restart: %v", err)
 			}
 		}
 		if !now.Before(nextFlip) {
-			nextFlip = now.Add(cfg.FaultFlipEvery)
+			nextFlip = now.Add(faultFlipEvery)
 			p, _ := faults.Lookup(flipProfiles[rng.Intn(len(flipProfiles))])
 			if err := d.SetFaultProfile(p); err != nil {
 				r.failf("fault flip: %v", err)
@@ -396,7 +351,7 @@ func runControl(cfg Config, d *daemon.Daemon, r *Report) {
 			}
 		}
 		if !now.Before(nextSample) {
-			nextSample = now.Add(cfg.SampleEvery)
+			nextSample = now.Add(sampleEvery)
 			sample(d, prev, r)
 			if r.AllocatedWarm == 0 && now.After(warmup) {
 				if err := d.Exec(func() { r.AllocatedWarm = d.Net().Sim.Allocated() }); err != nil {

@@ -31,10 +31,8 @@ func hasFailure(r *Report, substr string) bool {
 }
 
 func TestCleanSoakPasses(t *testing.T) {
-	// Flip faults four times a run: the default cadence (2 s) would put the
-	// first flip at the very end of a -short run.
-	d := dur(t, 4*time.Second)
-	r := Run(Config{Duration: d, FaultFlipEvery: d / 4, Log: t.Logf})
+	// Long enough that a fault flip (every 2 s) lands inside a -short run.
+	r := Run(Config{Duration: dur(t, 5*time.Second), Log: t.Logf})
 	if r.Failed() {
 		t.Fatalf("clean soak failed:\n%s", r)
 	}

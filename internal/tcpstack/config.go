@@ -38,8 +38,29 @@ func (m ECNMode) String() string {
 	}
 }
 
-// Config parameterizes a Stack. The zero value is not usable; call
-// DefaultConfig and override.
+// The guest's fixed Linux settings, the same for every stack the paper runs.
+const (
+	// initCwnd is the initial window in MSS (RFC 6928's 10).
+	initCwnd = 10
+	// minCwnd is the window floor in MSS. Linux's DCTCP floor of 2 is the
+	// behaviour the paper's incast analysis calls out.
+	minCwnd = 2
+	// wscale is the receive window scale factor every stack advertises.
+	wscale = 7
+	// rtoInit is the timeout before the first RTT sample.
+	rtoInit = 100 * sim.Millisecond
+	// delAckDelay is the delayed-ACK timer; delAckSegs full segments force
+	// an immediate ACK.
+	delAckDelay = 500 * sim.Microsecond
+	delAckSegs  = 2
+	// tsqLimit bounds the bytes a connection may have queued in the host
+	// NIC, modelling Linux's TCP Small Queues: without it a self-clocked
+	// flow parks its whole window in its own NIC queue.
+	tsqLimit = 128 << 10
+)
+
+// Config parameterizes a Stack; every connection of the stack runs it. The
+// zero value is not usable; call DefaultConfig and override.
 type Config struct {
 	// MTU is the link MTU; MSS = MTU − 40. The paper evaluates 1500 and 9000.
 	MTU int
@@ -47,25 +68,12 @@ type Config struct {
 	CC string
 	// ECN selects the ECN mode. DCTCP requires ECNDCTCP to function.
 	ECN ECNMode
-	// InitCwnd is the initial window in MSS (RFC 6928's 10).
-	InitCwnd float64
-	// MinCwnd is the window floor in MSS. Linux's DCTCP floor of 2 is the
-	// behaviour the paper's incast analysis calls out.
-	MinCwnd float64
 	// CwndClamp caps cwnd in MSS (snd_cwnd_clamp); 0 = unlimited.
 	CwndClamp float64
 	// RcvBuf is the receive buffer in bytes (advertised window ceiling).
 	RcvBuf int
-	// WScale is the receive window scale factor to advertise.
-	WScale uint8
 	// RTOMin floors the retransmission timeout; the paper sets 10ms.
 	RTOMin sim.Duration
-	// RTOInit is the timeout before the first RTT sample.
-	RTOInit sim.Duration
-	// DelAckDelay is the delayed-ACK timer; DelAckSegs full segments force
-	// an immediate ACK.
-	DelAckDelay sim.Duration
-	DelAckSegs  int
 	// IgnoreRwnd, when true, makes the sender disregard the peer's
 	// advertised receive window — a non-conforming stack used to evaluate
 	// AC/DC's policing mechanism (§3.3).
@@ -73,30 +81,18 @@ type Config struct {
 	// SACK enables selective acknowledgements (RFC 2018) with SACK-based
 	// loss recovery; the paper's testbed sets tcp_sack=1.
 	SACK bool
-	// TSQLimit bounds the bytes a connection may have queued in the host
-	// NIC, modelling Linux's TCP Small Queues: without it a self-clocked
-	// flow parks its whole window in its own NIC queue. 0 = the 128KB
-	// default; negative = unlimited.
-	TSQLimit int
 }
 
 // DefaultConfig returns the paper's system settings: 9KB MTU, CUBIC,
-// RTOmin=10ms, 4MB receive buffer with window scale 7.
+// RTOmin=10ms, 4MB receive buffer.
 func DefaultConfig() Config {
 	return Config{
-		MTU:         9000,
-		CC:          "cubic",
-		ECN:         ECNOff,
-		InitCwnd:    10,
-		MinCwnd:     2,
-		RcvBuf:      4 << 20,
-		WScale:      7,
-		RTOMin:      10 * sim.Millisecond,
-		RTOInit:     100 * sim.Millisecond,
-		DelAckDelay: 500 * sim.Microsecond,
-		DelAckSegs:  2,
-		SACK:        true,
-		TSQLimit:    128 << 10,
+		MTU:    9000,
+		CC:     "cubic",
+		ECN:    ECNOff,
+		RcvBuf: 4 << 20,
+		RTOMin: 10 * sim.Millisecond,
+		SACK:   true,
 	}
 }
 

@@ -45,9 +45,8 @@ type seqRange struct{ start, end int64 }
 // its event has ended. Read counters in OnPeerClose or before Close, and drop
 // the pointer by then.
 type Conn struct {
-	stack  *Stack
+	stack  *Stack // its Cfg is the connection's config
 	key    connKey
-	cfg    Config
 	server bool
 	parked bool // torn down; on (or about to join) the stack's free list
 	state  State
@@ -93,7 +92,6 @@ type Conn struct {
 
 	// TSQ accounting: bytes of ours sitting in the host NIC queue.
 	nicQueued int64
-	tsqLimit  int64
 
 	// output reentrancy guard.
 	inOutput    bool
@@ -152,10 +150,10 @@ type Conn struct {
 // newConn returns a connection in StateClosed, in a record taken back from
 // the stack's free list when one is available. What a record keeps from its
 // previous life is only what costs an allocation and carries no state: the
-// three timers (stopped), the algorithm value when cfg names the same one, the
-// algorithm's private state (Init resets it in place) and the capacity of the
-// SACK scoreboard and reassembly lists.
-func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
+// three timers (stopped), the algorithm value (every connection of the stack
+// runs the same one), the algorithm's private state (Init resets it in place)
+// and the capacity of the SACK scoreboard and reassembly lists.
+func newConn(st *Stack, key connKey, server bool) *Conn {
 	c := st.unpark()
 	if c == nil {
 		c = &Conn{}
@@ -169,23 +167,22 @@ func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
 	c.delackTimer.Stop()
 	c.persistTimer.Stop()
 	alg := c.alg
-	if alg == nil || alg.Name() != cfg.CC { // an alias ("newreno") is just built again
-		alg = cc.New(cfg.CC)
+	if alg == nil {
+		alg = cc.New(st.Cfg.CC)
 	}
 	// Overwrite the whole record, so that a field added later starts at its
 	// zero value without having to be listed here.
 	*c = Conn{
 		stack:  st,
 		key:    key,
-		cfg:    cfg,
 		server: server,
 		state:  StateClosed,
 		alg:    alg,
 		ctx: cc.Ctx{
-			MSS:       cfg.MSS(),
-			Cwnd:      cfg.InitCwnd,
+			MSS:       st.Cfg.MSS(),
+			Cwnd:      initCwnd,
 			Ssthresh:  1 << 30,
-			CwndClamp: cfg.CwndClamp,
+			CwndClamp: st.Cfg.CwndClamp,
 			Now:       int64(st.Sim.Now()),
 		}.Recycle(&c.ctx),
 		finRcvd:      -1,
@@ -197,15 +194,7 @@ func newConn(st *Stack, key connKey, cfg Config, server bool) *Conn {
 	}
 	c.iss = uint32(st.Sim.Rand().Int63()) | 1
 	c.alg.Init(&c.ctx)
-	c.peerMSS = cfg.MSS()
-	switch {
-	case cfg.TSQLimit > 0:
-		c.tsqLimit = int64(cfg.TSQLimit)
-	case cfg.TSQLimit == 0:
-		c.tsqLimit = 128 << 10
-	default:
-		c.tsqLimit = 1 << 60
-	}
+	c.peerMSS = st.Cfg.MSS()
 	return c
 }
 
@@ -292,22 +281,22 @@ func (c *Conn) sendSYN() {
 	c.state = StateSynSent
 	c.probeStart = c.stack.Sim.Now() // handshake RTT seed (SYN → SYN-ACK)
 	flags := packet.FlagSYN
-	if c.cfg.ECN != ECNOff {
+	if c.stack.Cfg.ECN != ECNOff {
 		flags |= packet.FlagECE | packet.FlagCWR
 	}
 	c.sndNxt = 1
 	c.transmit(packet.TCPFields{
 		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.iss, Flags: flags, Window: 65535,
-		Options: c.synOptions(c.cfg.SACK),
+		Options: c.synOptions(c.stack.Cfg.SACK),
 	}, 0, packet.NotECT)
-	c.rtoTimer.Reset(c.cfg.RTOInit)
+	c.rtoTimer.Reset(rtoInit)
 }
 
 // synOptions encodes the handshake options into the stack's scratch;
 // transmit copies them into the packet before the scratch is used again.
 func (c *Conn) synOptions(sackPerm bool) []byte {
-	return packet.AppendSynOptions(c.stack.optScratch[:0], uint16(c.cfg.MSS()), c.cfg.WScale, sackPerm)
+	return packet.AppendSynOptions(c.stack.optScratch[:0], uint16(c.stack.Cfg.MSS()), wscale, sackPerm)
 }
 
 func (c *Conn) handleSYN(p *packet.Packet, t packet.TCP) {
@@ -321,8 +310,8 @@ func (c *Conn) handleSYN(p *packet.Packet, t packet.TCP) {
 		c.ctx.MSS = int(so.MSS)
 	}
 	peerECN := t.HasFlags(packet.FlagECE | packet.FlagCWR)
-	c.ecnOK = peerECN && c.cfg.ECN != ECNOff
-	c.sackOK = so.SACKPerm && c.cfg.SACK
+	c.ecnOK = peerECN && c.stack.Cfg.ECN != ECNOff
+	c.sackOK = so.SACKPerm && c.stack.Cfg.SACK
 	c.state = StateSynRcvd
 	c.probeStart = c.stack.Sim.Now() // handshake RTT seed (SYN-ACK → ACK)
 	flags := packet.FlagSYN | packet.FlagACK
@@ -335,7 +324,7 @@ func (c *Conn) handleSYN(p *packet.Packet, t packet.TCP) {
 		Seq: c.iss, Ack: c.wireAck(c.rcvNxt), Flags: flags, Window: 65535,
 		Options: c.synOptions(c.sackOK),
 	}, 0, packet.NotECT)
-	c.rtoTimer.Reset(c.cfg.RTOInit)
+	c.rtoTimer.Reset(rtoInit)
 }
 
 func (c *Conn) handleSynAck(p *packet.Packet, t packet.TCP) {
@@ -348,8 +337,8 @@ func (c *Conn) handleSynAck(p *packet.Packet, t packet.TCP) {
 	if so.MSS > 0 && int(so.MSS) < c.ctx.MSS {
 		c.ctx.MSS = int(so.MSS)
 	}
-	c.ecnOK = t.HasFlags(packet.FlagECE) && c.cfg.ECN != ECNOff
-	c.sackOK = so.SACKPerm && c.cfg.SACK
+	c.ecnOK = t.HasFlags(packet.FlagECE) && c.stack.Cfg.ECN != ECNOff
+	c.sackOK = so.SACKPerm && c.stack.Cfg.SACK
 	c.sndUna = 1
 	c.sndWnd = int64(t.Window()) << c.peerWScale
 	c.sndWL = 1
@@ -455,7 +444,7 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.rtoTimer.Stop()
 	c.persistTimer.Stop()
-	c.tw = c.stack.armTimeWait(c.cfg.timeWait())
+	c.tw = c.stack.armTimeWait()
 }
 
 // teardown ends the connection: it leaves the demux table, OnClosed runs, and

@@ -99,25 +99,3 @@ func TestDCTCPQueueFarBelowCubicQueue(t *testing.T) {
 		t.Fatalf("DCTCP avg queue %f not far below CUBIC's %f", qD, qC)
 	}
 }
-
-func TestTimelyKeepsQueueModerateWithoutECN(t *testing.T) {
-	// TIMELY needs no ECN: RTT gradients alone should hold the standing
-	// queue far below what loss-driven CUBIC builds on the same drop-tail
-	// bottleneck.
-	cfg := DefaultConfig()
-	cfg.CC = "timely"
-	b, srvs := runTwoToOne(t, cfg, netsim.REDConfig{}, 100*sim.Millisecond)
-	qTimely := b.sw.Port(2).AvgQueueBytes()
-
-	cubic := DefaultConfig()
-	bC, _ := runTwoToOne(t, cubic, netsim.REDConfig{}, 100*sim.Millisecond)
-	qCubic := bC.sw.Port(2).AvgQueueBytes()
-
-	if qTimely*3 > qCubic {
-		t.Fatalf("TIMELY avg queue %.0fB not far below CUBIC's %.0fB", qTimely, qCubic)
-	}
-	total := srvs[0].Delivered + srvs[1].Delivered
-	if rate := float64(total) * 8 / b.s.Now().Seconds(); rate < 7e9 {
-		t.Fatalf("TIMELY throughput %.2f Gbps too low", rate/1e9)
-	}
-}

@@ -27,7 +27,15 @@ func (st *Stack) startTimeWaitsAt(n uint32) {
 	ts.base, ts.due, ts.tail = n&^(twPage-1), n, n
 }
 
-// putTimeWaitsOutOfOrder makes the stack's TIME_WAIT table take no wait in
-// arm order: each has an entry of its own in the table's sim.Deadlines, as
-// every wait had before the table kept arm order.
-func (st *Stack) putTimeWaitsOutOfOrder() { st.twTable().dur = -1 }
+// putTimeWaitsOutOfOrder moves every wait the stack's TIME_WAIT table keeps
+// in arm order to an entry of its own in the table's sim.Deadlines, as every
+// wait had before the table kept arm order.
+func (st *Stack) putTimeWaitsOutOfOrder() {
+	ts := st.timeWaits
+	for i := ts.due; i != ts.tail; i++ {
+		if at := ts.rec(i).at; at.Seq != 0 {
+			ts.leave(i, at)
+		}
+	}
+	ts.seekDue()
+}

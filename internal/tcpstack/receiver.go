@@ -15,7 +15,7 @@ func (c *Conn) processData(p *packet.Packet, t packet.TCP) {
 
 	// ECN receiver accounting (only for payload-bearing segments).
 	if plen > 0 && c.ecnOK {
-		switch c.cfg.ECN {
+		switch c.stack.Cfg.ECN {
 		case ECNDCTCP:
 			if ce {
 				c.ceAccum = true
@@ -54,7 +54,7 @@ func (c *Conn) processData(p *packet.Packet, t packet.TCP) {
 				c.OnRecv(int(delivered))
 			}
 			c.delAcked++
-			if c.delAcked >= c.cfg.DelAckSegs {
+			if c.delAcked >= delAckSegs {
 				immediate = true
 			}
 		}
@@ -80,7 +80,7 @@ func (c *Conn) processData(p *packet.Packet, t packet.TCP) {
 	if immediate {
 		c.sendAck()
 	} else if plen > 0 {
-		c.delackTimer.ArmIfIdle(c.cfg.DelAckDelay)
+		c.delackTimer.ArmIfIdle(delAckDelay)
 	}
 }
 
@@ -140,7 +140,7 @@ func (c *Conn) echoECE() bool {
 	if !c.ecnOK {
 		return false
 	}
-	switch c.cfg.ECN {
+	switch c.stack.Cfg.ECN {
 	case ECNDCTCP:
 		return c.ceAccum
 	case ECNRFC3168:
@@ -153,7 +153,7 @@ func (c *Conn) echoECE() bool {
 // this simulator consume instantly, so the window is the full buffer scaled
 // down; it still exercises the RWND path AC/DC rewrites.
 func (c *Conn) advWindow() uint16 {
-	w := c.cfg.RcvBuf >> c.cfg.WScale
+	w := c.stack.Cfg.RcvBuf >> wscale
 	if w > 65535 {
 		w = 65535
 	}
@@ -189,7 +189,7 @@ func (c *Conn) ackFields() packet.TCPFields {
 func (c *Conn) ackSent() {
 	c.delAcked = 0
 	c.delackTimer.Stop()
-	if c.cfg.ECN == ECNDCTCP {
+	if c.stack.Cfg.ECN == ECNDCTCP {
 		// The echo for accumulated CEs has been delivered.
 		c.ceAccum = c.lastCE
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"acdc/internal/cc"
 	"acdc/internal/netsim"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
@@ -269,11 +270,11 @@ func TestRecycledConnEqualsFresh(t *testing.T) {
 	for i, old := range []*Conn{cli, srv} {
 		key := makeKey(uint16(1000+i), packet.MakeAddr(10, 0, 0, 77), 5001)
 		b.inEvent(func() {
-			got := newConn(b.stacks[i], key, cfg, i == 1)
+			got := newConn(b.stacks[i], key, i == 1)
 			if got != old {
 				t.Fatalf("stack %d: newConn did not take the parked record back", i)
 			}
-			want := newConn(empty, key, cfg, i == 1)
+			want := newConn(empty, key, i == 1)
 			want.iss = got.iss
 			diffConns(t, got, want)
 		})
@@ -339,7 +340,7 @@ func TestOnClosedDialsFreshRecord(t *testing.T) {
 	st := b.stacks[1]
 	var dead *Conn
 	b.inEvent(func() {
-		dead = newConn(st, makeKey(7, b.hosts[0].Addr, 7), st.Cfg, false)
+		dead = newConn(st, makeKey(7, b.hosts[0].Addr, 7), false)
 		dead.Close() // never opened: torn down and parked on the spot
 		if len(st.parked) != 1 || st.parked[0] != dead {
 			t.Fatalf("closed record not parked: %d on the list", len(st.parked))
@@ -355,40 +356,34 @@ func TestOnClosedDialsFreshRecord(t *testing.T) {
 	})
 }
 
-// TestRecycledRecordTakesConfiguredCC: the algorithm and its private state
-// are kept only when the new connection asks for the same algorithm.
+// TestRecycledRecordTakesConfiguredCC: a recycled record runs the stack's
+// algorithm, keeps the algorithm value, and starts its private state afresh.
 func TestRecycledRecordTakesConfiguredCC(t *testing.T) {
 	cfg := smallCfg()
+	cfg.CC, cfg.ECN = "dctcp", ECNDCTCP
 	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
 	b.stacks[1].Listen(5001, func(c *Conn) { c.OnPeerClose = c.Close })
-	dctcp := cfg
-	dctcp.CC, dctcp.ECN = "dctcp", ECNDCTCP
-	type alphaer interface{ Alpha(*ccCtx) float64 }
 
 	var rec *Conn
 	var prevAlg any
-	for i, step := range []struct {
-		cfg     Config
-		keepAlg bool
-	}{{cfg, false}, {dctcp, false}, {dctcp, true}, {cfg, false}} {
+	for i := range 3 {
 		var c *Conn
-		b.inEvent(func() { c = b.stacks[0].DialCfg(b.hosts[1].Addr, 5001, step.cfg) })
+		b.inEvent(func() { c = b.stacks[0].Dial(b.hosts[1].Addr, 5001) })
 		if i == 0 {
 			rec = c
 		}
 		if c != rec {
 			t.Fatalf("step %d: record not recycled", i)
 		}
-		if got := c.Algorithm().Name(); got != step.cfg.CC {
-			t.Fatalf("step %d: algorithm %q, configured %q", i, got, step.cfg.CC)
+		a, ok := c.Algorithm().(*cc.DCTCP)
+		if !ok {
+			t.Fatalf("step %d: algorithm %T, configured dctcp", i, c.Algorithm())
 		}
-		if a, ok := c.Algorithm().(alphaer); ok {
-			if got := a.Alpha(&c.ctx); got != 1 {
-				t.Fatalf("step %d: recycled DCTCP starts at alpha %v, want 1", i, got)
-			}
+		if got := a.Alpha(&c.ctx); got != 1 {
+			t.Fatalf("step %d: recycled DCTCP starts at alpha %v, want 1", i, got)
 		}
-		if kept := c.Algorithm() == prevAlg; kept != step.keepAlg {
-			t.Fatalf("step %d: algorithm value kept = %v, want %v", i, kept, step.keepAlg)
+		if kept := c.Algorithm() == prevAlg; kept != (i > 0) {
+			t.Fatalf("step %d: algorithm value kept = %v, want %v", i, kept, i > 0)
 		}
 		prevAlg = c.Algorithm()
 		c.Send(200_000)
@@ -433,11 +428,12 @@ func TestTeardownIsNotRepeatable(t *testing.T) {
 	cli.teardown()
 }
 
-// TestConnSizeClass keeps Conn inside the 704-byte malloc size class: the
-// next one is 768, and a free list of them is live heap.
+// TestConnSizeClass keeps Conn inside the 576-byte malloc size class: the
+// next one is 640, and a free list of them is live heap. A Conn reads its
+// stack's config; a copy of its own would take it to 704.
 func TestConnSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Conn{}); n > 704 {
-		t.Fatalf("Conn is %d bytes, over the 704-byte size class", n)
+	if n := unsafe.Sizeof(Conn{}); n > 576 {
+		t.Fatalf("Conn is %d bytes, over the 576-byte size class", n)
 	}
 }
 

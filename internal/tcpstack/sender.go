@@ -96,7 +96,7 @@ func (c *Conn) ackAdvance(absAck, acked int64, ece bool) {
 	if c.inCWR && absAck >= c.highSeq {
 		c.inCWR = false
 	}
-	c.ctx.ClampCwnd(c.cfg.MinCwnd)
+	c.ctx.ClampCwnd(minCwnd)
 
 	// RTO management: restart while data is outstanding.
 	if c.sndUna < c.sndNxt || (c.finQueued && !c.finAcked() && c.sndNxt > c.finAbs()) {
@@ -130,7 +130,7 @@ func (c *Conn) dupAck() {
 func (c *Conn) enterCWR() {
 	c.ctx.Ssthresh = c.alg.SsthreshOnLoss(&c.ctx)
 	c.ctx.Cwnd = c.ctx.Ssthresh
-	c.ctx.ClampCwnd(c.cfg.MinCwnd)
+	c.ctx.ClampCwnd(minCwnd)
 	c.inCWR = true
 	c.highSeq = c.sndNxt
 	c.sendCWR = true
@@ -140,7 +140,7 @@ func (c *Conn) enterFastRecovery() {
 	c.FastRecoveries++
 	c.ctx.Ssthresh = c.alg.SsthreshOnLoss(&c.ctx)
 	c.ctx.Cwnd = c.ctx.Ssthresh + 3
-	c.ctx.ClampCwnd(c.cfg.MinCwnd)
+	c.ctx.ClampCwnd(minCwnd)
 	c.inRecovery = true
 	c.recoverAt = c.sndNxt
 	c.rtxNext = c.sndUna
@@ -186,12 +186,12 @@ func (c *Conn) rttSample(ns int64) {
 func (c *Conn) currentRTO() sim.Duration {
 	var base sim.Duration
 	if c.srtt == 0 {
-		base = c.cfg.RTOInit
+		base = rtoInit
 	} else {
 		base = sim.Duration(c.srtt + 4*c.rttvar)
 	}
-	if base < c.cfg.RTOMin {
-		base = c.cfg.RTOMin
+	if base < c.stack.Cfg.RTOMin {
+		base = c.stack.Cfg.RTOMin
 	}
 	rto := base << uint(c.backoff)
 	if rto > 4*sim.Second {
@@ -240,14 +240,14 @@ func (c *Conn) onRTO() {
 
 func (c *Conn) sendSYNRetrans() {
 	flags := packet.FlagSYN
-	if c.cfg.ECN != ECNOff {
+	if c.stack.Cfg.ECN != ECNOff {
 		flags |= packet.FlagECE | packet.FlagCWR
 	}
 	c.RetransSegs++
 	c.transmit(packet.TCPFields{
 		SrcPort: c.key.localPort(), DstPort: c.key.remotePort(),
 		Seq: c.iss, Flags: flags, Window: 65535,
-		Options: c.synOptions(c.cfg.SACK),
+		Options: c.synOptions(c.stack.Cfg.SACK),
 	}, 0, packet.NotECT)
 	c.rtoTimer.Reset(c.currentRTO())
 }
@@ -338,14 +338,14 @@ func (c *Conn) outputLoop() {
 	dataEnd := 1 + c.appEnd
 	for {
 		wnd := c.CwndBytes()
-		if !c.cfg.IgnoreRwnd && c.sndWnd < wnd {
+		if !c.stack.Cfg.IgnoreRwnd && c.sndWnd < wnd {
 			wnd = c.sndWnd
 		}
 		usable := c.sndUna + wnd - c.sndNxt
 		if c.sndNxt < dataEnd {
 			// TSQ: don't queue more than tsqLimit into the NIC; resume on
 			// tx completion.
-			if c.nicQueued >= c.tsqLimit {
+			if c.nicQueued >= tsqLimit {
 				return
 			}
 			// Unsent payload remains.
@@ -445,7 +445,7 @@ func (c *Conn) sendSegment(abs, segLen int64, fin bool) {
 // DCTCP (tcp_ca_needs_ecn) marks every packet ECN-capable — SYNs and pure
 // ACKs included — so WRED marks them instead of dropping.
 func (c *Conn) wireECN(ecn packet.ECN) packet.ECN {
-	if c.cfg.ECN == ECNDCTCP {
+	if c.stack.Cfg.ECN == ECNDCTCP {
 		return packet.ECT0
 	}
 	return ecn
@@ -475,12 +475,12 @@ func (c *Conn) transmit(f packet.TCPFields, payloadLen int, ecn packet.ECN) {
 // txCompleted credits TSQ budget when a packet of ours leaves the host
 // (serialized or dropped) and resumes output if it was TSQ-throttled.
 func (c *Conn) txCompleted(n int64) {
-	throttled := c.nicQueued >= c.tsqLimit
+	throttled := c.nicQueued >= tsqLimit
 	c.nicQueued -= n
 	if c.nicQueued < 0 {
 		c.nicQueued = 0
 	}
-	if throttled && c.nicQueued < c.tsqLimit && c.state != StateClosed {
+	if throttled && c.nicQueued < tsqLimit && c.state != StateClosed {
 		c.output()
 	}
 }

@@ -26,7 +26,7 @@ func (k connKey) remotePort() uint16      { return uint16(k) }
 type Stack struct {
 	Sim  *sim.Simulator
 	Host *netsim.Host
-	Cfg  Config
+	Cfg  Config // every connection's: connections read it, they keep no copy
 
 	conns     sim.Index[connKey, *Conn] // the open connections: demux and TSQ feedback
 	listeners map[uint16]func(*Conn)
@@ -56,7 +56,7 @@ type Stack struct {
 	DroppedSegs   int64 // segments with no matching connection
 }
 
-// NewStack creates a stack bound to host with the given default config and
+// NewStack creates a stack bound to host, whose connections all run cfg, and
 // installs it as the host's demux.
 func NewStack(s *sim.Simulator, host *netsim.Host, cfg Config) *Stack {
 	st := &Stack{
@@ -98,16 +98,10 @@ func (st *Stack) Listen(port uint16, onAccept func(*Conn)) {
 	st.listeners[port] = onAccept
 }
 
-// Dial creates a client connection to raddr:rport using the stack's default
-// config and sends the SYN.
+// Dial creates a client connection to raddr:rport and sends the SYN.
 func (st *Stack) Dial(raddr packet.Addr, rport uint16) *Conn {
-	return st.DialCfg(raddr, rport, st.Cfg)
-}
-
-// DialCfg creates a client connection with a per-connection config override.
-func (st *Stack) DialCfg(raddr packet.Addr, rport uint16, cfg Config) *Conn {
 	lport := st.allocPort(raddr, rport)
-	c := newConn(st, makeKey(lport, raddr, rport), cfg, false)
+	c := newConn(st, makeKey(lport, raddr, rport), false)
 	st.conns.Put(c.key, c)
 	c.sendSYN()
 	return c
@@ -162,7 +156,7 @@ func (st *Stack) HandlePacket(p *packet.Packet) {
 		}
 		if t.HasFlags(packet.FlagSYN) && !t.HasFlags(packet.FlagACK) {
 			if onAccept, listening := st.listeners[t.DstPort()]; listening {
-				c = newConn(st, key, st.Cfg, true)
+				c = newConn(st, key, true)
 				st.conns.Put(key, c)
 				onAccept(c)
 				st.DeliveredSegs++
@@ -242,12 +236,12 @@ const twDue = 1<<32 - 1
 
 // twTable holds a stack's TIME_WAIT records, as Linux keeps them in a slab
 // cache of their own, numbered in arm order: record i is
-// pages[(i-base)/twPage][i%twPage], tail the next. Waits of the stack's
-// length, dur, end in arm order (as Linux's fixed TCP_TIMEWAIT_LEN assumes),
-// so one entry of expiry, the due entry, sits at the stamp of the oldest, due;
-// the page due leaves goes to the far end of the ring. A wait restarted by a
-// FIN or of another length moves to late, with an entry of its own that keeps
-// its stamp and re-arms lazily: it ends where a Timer of its own would fire.
+// pages[(i-base)/twPage][i%twPage], tail the next. Every wait lasts dur, so
+// waits end in arm order (as Linux's fixed TCP_TIMEWAIT_LEN assumes), and one
+// entry of expiry, the due entry, sits at the stamp of the oldest, due; the
+// page due leaves goes to the far end of the ring. A wait restarted by a FIN
+// moves to late, with an entry of its own that keeps its stamp and re-arms
+// lazily: it ends where a Timer of its own would fire.
 // index's slots hold a record number + 1.
 type twTable struct {
 	pages           []*[twPage]timeWait
@@ -259,11 +253,10 @@ type twTable struct {
 	late            map[uint32]*twLateWait // made by the first leave
 }
 
-// twLateWait is a record out of arm order, its entry and its wait's length.
+// twLateWait is a record out of arm order and its entry.
 type twLateWait struct {
-	tw  timeWait
-	h   sim.Deadline
-	dur sim.Duration
+	tw timeWait
+	h  sim.Deadline
 }
 
 func (ts *twTable) rec(i uint32) *timeWait {
@@ -305,7 +298,7 @@ func (st *Stack) twTable() *twTable {
 
 // armTimeWait takes the next record, draws the stamp of its wait and returns
 // its number + 1; handOff fills it in at the end of the event.
-func (st *Stack) armTimeWait(dur sim.Duration) uint32 {
+func (st *Stack) armTimeWait() uint32 {
 	ts := st.twTable()
 	idle := ts.due == ts.tail
 	for ts.tail == twDue || ts.late[ts.tail] != nil { // a late record's wait outlived 2³² arms
@@ -316,11 +309,7 @@ func (st *Stack) armTimeWait(dur sim.Duration) uint32 {
 	}
 	i := ts.tail
 	ts.tail++
-	if at := st.Sim.StampAt(st.Sim.Now() + dur); dur == ts.dur {
-		ts.rec(i).at = at
-	} else {
-		ts.leave(i, at, dur)
-	}
+	ts.rec(i).at = st.Sim.StampAt(st.Sim.Now() + ts.dur)
 	if idle {
 		ts.seekDue()
 	}
@@ -329,12 +318,12 @@ func (st *Stack) armTimeWait(dur sim.Duration) uint32 {
 
 // leave moves record i, whose wait is stamped at, to late, where its wait has
 // an entry of its own; its slot in the ring is free.
-func (ts *twTable) leave(i uint32, at sim.Stamp, dur sim.Duration) {
+func (ts *twTable) leave(i uint32, at sim.Stamp) {
 	if ts.late == nil {
 		ts.late = map[uint32]*twLateWait{}
 	}
 	tw := ts.rec(i)
-	ts.late[i] = &twLateWait{tw: *tw, dur: dur}
+	ts.late[i] = &twLateWait{tw: *tw}
 	ts.late[i].tw.at, *tw = sim.Stamp{}, timeWait{}
 	ts.expiry.Adopt(i, at)
 }
@@ -394,10 +383,10 @@ func (st *Stack) timeWaitReceive(i uint32, t packet.TCP) {
 	p.FlowTag = tw.flowTag
 	st.Host.Output(p)
 	if tw.at.Seq != 0 {
-		ts.leave(i, tw.at, ts.dur)
+		ts.leave(i, tw.at)
 		ts.seekDue()
 	}
-	ts.expiry.Reset(i, ts.late[i].dur)
+	ts.expiry.Reset(i, ts.dur)
 }
 
 // expireTimeWait ends the due record's wait (v = twDue) or late record v's;

@@ -136,14 +136,13 @@ func TestBidirectionalTransfer(t *testing.T) {
 
 func TestWindowScaleNegotiation(t *testing.T) {
 	cfg := smallCfg()
-	cfg.WScale = 9
 	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
 	cli, srv := b.transfer(t, 0, 1, 1000, 10*sim.Millisecond)
-	if cli.peerWScale != 9 || srv.peerWScale != 9 {
+	if cli.peerWScale != wscale || srv.peerWScale != wscale {
 		t.Fatalf("wscale: cli=%d srv=%d", cli.peerWScale, srv.peerWScale)
 	}
 	// Advertised window reconstructed at sender ≈ RcvBuf.
-	if cli.SndWnd() < int64(cfg.RcvBuf)-(1<<9) || cli.SndWnd() > int64(cfg.RcvBuf) {
+	if cli.SndWnd() < int64(cfg.RcvBuf)-(1<<wscale) || cli.SndWnd() > int64(cfg.RcvBuf) {
 		t.Fatalf("sndWnd = %d, want ≈ %d", cli.SndWnd(), cfg.RcvBuf)
 	}
 }
@@ -298,7 +297,6 @@ func TestRandomLossEventuallyDelivers(t *testing.T) {
 func TestFlowControlLimitsInflight(t *testing.T) {
 	cfg := smallCfg()
 	cfg.RcvBuf = 8 * 1460 // 8 segments
-	cfg.WScale = 0
 	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
 	maxInflight := int64(0)
 	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
@@ -318,8 +316,7 @@ func TestSubMSSSegmentsWhenWindowTiny(t *testing.T) {
 	// Peer advertises less than one MSS: sender must emit sub-MSS segments,
 	// the behaviour AC/DC's byte-granularity RWND floor relies on.
 	cfg := smallCfg()
-	cfg.RcvBuf = 700 // < MSS
-	cfg.WScale = 0
+	cfg.RcvBuf = 700 // < MSS: advertised as 640 at window scale 7
 	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
 	var subMSS int
 	b.hosts[0].Egress = func(p *packet.Packet) (*packet.Packet, *packet.Packet) {
@@ -340,7 +337,6 @@ func TestSubMSSSegmentsWhenWindowTiny(t *testing.T) {
 func TestIgnoreRwndStack(t *testing.T) {
 	cfg := smallCfg()
 	cfg.RcvBuf = 2 * 1460
-	cfg.WScale = 0
 	cfg.IgnoreRwnd = true
 	b := newBench(t, 2, cfg, netsim.REDConfig{}, 1e9)
 	var maxPayloadBurst int64
@@ -422,7 +418,7 @@ func TestRTTSampleMagnitude(t *testing.T) {
 func TestSlowStartThenCA(t *testing.T) {
 	b := newBench(t, 2, smallCfg(), netsim.REDConfig{}, 1e9)
 	cli, _ := b.transfer(t, 0, 1, 5_000_000, 200*sim.Millisecond)
-	if cli.Cwnd() <= DefaultConfig().InitCwnd {
+	if cli.Cwnd() <= initCwnd {
 		t.Fatalf("cwnd never grew: %v", cli.Cwnd())
 	}
 }
@@ -512,7 +508,7 @@ func TestLargeTransferCrossesSeqWrap(t *testing.T) {
 	// Build the client by hand so the ISS is pinned just below the 32-bit
 	// wrap before the SYN goes out.
 	st := b.stacks[0]
-	cli := newConn(st, makeKey(40000, b.hosts[1].Addr, 5001), st.Cfg, false)
+	cli := newConn(st, makeKey(40000, b.hosts[1].Addr, 5001), false)
 	cli.iss = 0xffff_0000
 	st.conns.Put(cli.key, cli)
 	cli.sendSYN()

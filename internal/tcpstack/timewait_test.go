@@ -307,11 +307,9 @@ func TestTimeWaitRestartPinsNoPages(t *testing.T) {
 // TestTimeWaitTableMatchesMap is a seeded differential of the TIME_WAIT table
 // against a map model and against a reference run. One client dials three
 // servers, sends a little and closes, so each connection ends in TIME_WAIT on
-// the client. The waits leave arm order in every way they can: a fifth of the
-// connections are dialled with another RTOMin, so their waits are shorter or
-// longer than the stack's; a third of the final ACKs are dropped, so servers
-// retransmit their FINs into the records, which re-ACK and restart the wait;
-// and half the OnClosed callbacks dial again at once, so new waits are armed
+// the client. A third of the final ACKs are dropped, so servers retransmit
+// their FINs into the records, which re-ACK and restart the wait: those
+// waits leave arm order. Half the OnClosed callbacks dial again at once, so new waits are armed
 // from an expiry. The record counter starts just below 2³², so the record
 // numbers and their index slots (number + 1) wrap during the run. More than a
 // page of records is live at once, and keys share home slots.
@@ -320,14 +318,14 @@ func TestTimeWaitRestartPinsNoPages(t *testing.T) {
 // table's shape, that every key the model holds is found and no other,
 // NumConns, that allocPort skips a key in TIME_WAIT and hands out one whose
 // wait ended, and that each wait ends exactly at the model's deadline. The
-// reference run is the same run with every wait on an entry of its own in the
-// stack's sim.Deadlines, armed and restarted as every TIME_WAIT was before
-// waits were kept in arm order: the two must end the same waits at the same
-// times, with the same Sim.Processed and Sim.Pending and the same number of
-// seqs drawn, after every step.
+// reference run is the same run with every wait moved to an entry of its own
+// in the stack's sim.Deadlines in the segment's event that armed it, as every
+// TIME_WAIT was kept before waits were kept in arm order: the two must end
+// the same waits at the same times, with the same Sim.Processed and
+// Sim.Pending and the same number of seqs drawn, after every step.
 func TestTimeWaitTableMatchesMap(t *testing.T) {
-	ring := runTimeWaitDifferential(t, func(st *Stack) { st.startTimeWaitsAt(1<<32 - 100) })
-	ref := runTimeWaitDifferential(t, (*Stack).putTimeWaitsOutOfOrder)
+	ring := runTimeWaitDifferential(t, false)
+	ref := runTimeWaitDifferential(t, true)
 	for i := range min(len(ring), len(ref)) {
 		if ring[i] != ref[i] {
 			t.Fatalf("step %d: %s\nreference: %s", i, ring[i], ref[i])
@@ -338,21 +336,26 @@ func TestTimeWaitTableMatchesMap(t *testing.T) {
 	}
 }
 
-// runTimeWaitDifferential runs TestTimeWaitTableMatchesMap's connections on
-// a client stack prepared by setup and returns one line per step: the time,
-// the key, Sim.Processed and Sim.Pending.
-func runTimeWaitDifferential(t *testing.T, setup func(*Stack)) []string {
+// runTimeWaitDifferential runs TestTimeWaitTableMatchesMap's connections,
+// with the record counter about to wrap or, for the reference, every wait out
+// of arm order, and returns one line per step: the time, the key,
+// Sim.Processed and Sim.Pending.
+func runTimeWaitDifferential(t *testing.T, ref bool) []string {
 	t.Helper()
 	cfg := smallCfg()
 	b := newBench(t, 4, cfg, netsim.REDConfig{}, 1e9)
 	cs := b.stacks[0]
-	setup(cs)
+	if ref {
+		cs.twTable()
+	} else {
+		cs.startTimeWaitsAt(1<<32 - 100)
+	}
+	wait := cfg.timeWait()
 	for _, st := range b.stacks[1:] {
 		st.Listen(5001, func(c *Conn) { c.OnPeerClose = c.Close })
 	}
 	rng := rand.New(rand.NewSource(36))
 	model := map[connKey]sim.Time{}
-	durs := map[connKey]sim.Duration{}
 	var trace []string
 	// step logs a step; the seq it draws tells how many the run has drawn.
 	step := func(what string, k connKey) {
@@ -416,12 +419,15 @@ func runTimeWaitDifferential(t *testing.T, setup func(*Stack)) []string {
 		_, inTW := model[key]
 		refin := inTW && tc.HasFlags(packet.FlagFIN)
 		cs.HandlePacket(p)
+		if ref {
+			cs.putTimeWaitsOutOfOrder()
+		}
 		switch {
 		case refin:
 			refins++
-			model[key] = b.s.Now() + durs[key]
+			model[key] = b.s.Now() + wait
 		case !inTW && cs.timeWaits.find(key) >= 0:
-			model[key] = b.s.Now() + durs[key]
+			model[key] = b.s.Now() + wait
 		}
 		check("segment")
 		step("segment", key)
@@ -435,16 +441,8 @@ func runTimeWaitDifferential(t *testing.T, setup func(*Stack)) []string {
 	const conns, redialsMax = 300, 150
 	var dial func()
 	dial = func() {
-		dcfg := cfg
-		switch rng.Intn(10) {
-		case 0:
-			dcfg.RTOMin = cfg.RTOMin / 2
-		case 1:
-			dcfg.RTOMin = 2 * cfg.RTOMin
-		}
-		c := cs.DialCfg(b.hosts[1+rng.Intn(3)].Addr, 5001, dcfg)
+		c := cs.Dial(b.hosts[1+rng.Intn(3)].Addr, 5001)
 		key := c.key
-		durs[key] = 4 * dcfg.RTOMin
 		c.OnClosed = func() {
 			if at, ok := model[key]; !ok || at != b.s.Now() {
 				t.Fatalf("TIME_WAIT of %x ended at %v; model deadline %v (held %v)", uint64(key), b.s.Now(), at, ok)
@@ -475,7 +473,7 @@ func runTimeWaitDifferential(t *testing.T, setup func(*Stack)) []string {
 	if expired != conns+redials || len(model) != 0 || cs.NumConns() != 0 {
 		t.Fatalf("%d of %d waits ended; model holds %d, NumConns %d", expired, conns+redials, len(model), cs.NumConns())
 	}
-	ring := ts.dur == cfg.timeWait()
+	ring := !ref
 	if peak <= twPage || ring && len(ts.pages) < 2 || !collided || refins == 0 || late == 0 || redials == 0 {
 		t.Fatalf("coverage: peak %d records in %d pages, home slots shared %v, %d FINs into records, up to %d out of arm order, %d redials",
 			peak, len(ts.pages), collided, refins, late, redials)

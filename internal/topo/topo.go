@@ -19,6 +19,9 @@ import (
 	"acdc/internal/tcpstack"
 )
 
+// bufferAlpha is every switch buffer's dynamic-threshold α.
+const bufferAlpha = 1.0
+
 // Options configures a topology build.
 type Options struct {
 	// LinkRate is every link's rate in bits/sec (default 10 Gbps).
@@ -27,8 +30,6 @@ type Options struct {
 	LinkDelay sim.Duration
 	// BufferBytes is each switch's shared buffer (default 9MB, the G8264).
 	BufferBytes int
-	// BufferAlpha is the dynamic-threshold α (default 1.0).
-	BufferAlpha float64
 	// RED configures every switch port's marking behaviour.
 	RED netsim.REDConfig
 	// Guest is the guest TCP stack configuration for every host.
@@ -62,9 +63,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BufferBytes == 0 {
 		o.BufferBytes = 9 << 20
-	}
-	if o.BufferAlpha == 0 {
-		o.BufferAlpha = 1.0
 	}
 	if o.Guest.MTU == 0 {
 		o.Guest = tcpstack.DefaultConfig()
@@ -173,7 +171,7 @@ func (n *Net) newLink(name string, dst netsim.Handler) *netsim.Link {
 
 func (n *Net) addSwitch(name string) *netsim.Switch {
 	sw := netsim.NewSwitch(n.Sim, name,
-		netsim.NewSharedBuffer(n.Opts.BufferBytes, n.Opts.BufferAlpha))
+		netsim.NewSharedBuffer(n.Opts.BufferBytes, bufferAlpha))
 	sw.Pool = n.Pool
 	n.Switches = append(n.Switches, sw)
 	return sw

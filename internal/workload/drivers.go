@@ -149,9 +149,11 @@ type TraceConfig struct {
 	N             int
 	AppsPerServer int // paper: 5
 	Dist          *trace.Dist
-	// MiceCutoff classifies a message as mice for FCT reporting (paper: 10KB).
-	MiceCutoff int64
 }
+
+// miceCutoff classifies a trace message as mice for FCT reporting (paper:
+// 10KB).
+const miceCutoff = 10 << 10
 
 // TraceDriven launches the trace-driven workload.
 func TraceDriven(m *Manager, cfg TraceConfig, fcts *FCTs) {
@@ -173,7 +175,7 @@ func TraceDriven(m *Manager, cfg TraceConfig, fcts *FCTs) {
 					d++
 				}
 				conns[d].SendMessage(size, func(fct sim.Duration) {
-					if size < cfg.MiceCutoff {
+					if size < miceCutoff {
 						fcts.Mice.Add(float64(fct))
 					} else {
 						fcts.Background.Add(float64(fct))

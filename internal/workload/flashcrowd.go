@@ -22,12 +22,13 @@ type FlashCrowdConfig struct {
 	Bytes int64
 	// Period is the time between wave starts (default 5ms).
 	Period sim.Duration
-	// Spread staggers each sender's request uniformly in [0, Spread) within
-	// a wave (default 100µs): real crowds are near- but not perfectly
-	// synchronized. Offsets are drawn from the simulation RNG, so a fixed
-	// seed replays the identical arrival pattern.
-	Spread sim.Duration
 }
+
+// flashSpread staggers each sender's request uniformly in [0, flashSpread)
+// within a wave: real crowds are near- but not perfectly synchronized.
+// Offsets are drawn from the simulation RNG, so a fixed seed replays the
+// identical arrival pattern.
+const flashSpread = 100 * sim.Microsecond
 
 // withDefaults fills unset fields.
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
@@ -36,9 +37,6 @@ func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
 	}
 	if c.Period == 0 {
 		c.Period = 5 * sim.Millisecond
-	}
-	if c.Spread == 0 {
-		c.Spread = 100 * sim.Microsecond
 	}
 	return c
 }
@@ -84,7 +82,7 @@ func (f *FlashCrowd) wave() {
 	rng := f.m.Net.Sim.Rand()
 	for _, c := range f.conns {
 		c := c
-		offset := sim.Duration(rng.Int63n(int64(f.cfg.Spread)))
+		offset := sim.Duration(rng.Int63n(int64(flashSpread)))
 		f.m.Net.Sim.Schedule(offset, func() {
 			c.SendMessage(f.cfg.Bytes, func(fct sim.Duration) {
 				f.FCT.Add(float64(fct))

@@ -145,7 +145,7 @@ func TestTraceDrivenClassifiesMice(t *testing.T) {
 	net := starNet(6)
 	m := NewManager(net)
 	var fcts FCTs
-	cfg := TraceConfig{N: 6, AppsPerServer: 2, Dist: trace.WebSearch(), MiceCutoff: 10 << 10}
+	cfg := TraceConfig{N: 6, AppsPerServer: 2, Dist: trace.WebSearch()}
 	TraceDriven(m, cfg, &fcts)
 	net.Sim.RunFor(150 * sim.Millisecond)
 	if fcts.Mice.N()+fcts.Background.N() < 50 {

@@ -8,5 +8,9 @@ func main() {
 	p.Put(1)
 	var s lib.Shape = lib.Square{Side: p.Get()}
 	var err error = lib.Fault{}
-	println(s.Area(), lib.Algo{}.Name(), err.Error())
+	c := lib.Config{Rate: 1}.Defaults()
+	c.Burst = 2
+	limit := &c.Limit
+	*limit = 3
+	println(s.Area(), lib.Algo{}.Name(), err.Error(), c.Depth)
 }

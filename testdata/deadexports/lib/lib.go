@@ -1,5 +1,6 @@
 // Package lib plants the declarations the dead-export finder must tell
-// apart: two dead, the rest reached in ways a name search misses.
+// apart: four dead, the rest reached in ways a name search misses; and the
+// config fields the knob finder must tell apart: one unwritten.
 package lib
 
 // Pool is generic; app calls Get only through an instantiation.
@@ -11,14 +12,21 @@ func (p *Pool[T]) Put(v T) { p.items = append(p.items, v) }
 // Get returns the last value stored.
 func (p *Pool[T]) Get() T { return p.items[len(p.items)-1] }
 
-// Shape is the only way app reaches Square's Area.
-type Shape interface{ Area() int }
+// Shape is the only way app reaches Square's Area. No program calls
+// Perimeter, the planted dead interface method.
+type Shape interface {
+	Area() int
+	Perimeter() int
+}
 
 // Square implements Shape.
 type Square struct{ Side int }
 
 // Area is reached only through Shape.
 func (s Square) Area() int { return s.Side * s.Side }
+
+// Perimeter implements Shape; it is dead with the method it implements.
+func (s Square) Perimeter() int { return 4 * s.Side }
 
 // Base carries a method its embedders promote.
 type Base struct{}
@@ -41,3 +49,16 @@ func Unused() int { return helper() }
 
 // helper is reached only from Unused.
 func helper() int { return 1 }
+
+// Config is the fixture's config: app writes Rate as a composite-literal key,
+// Burst by assignment and Limit through its address. Depth, the planted
+// knob, only its own package writes.
+type Config struct {
+	Rate, Burst, Limit, Depth int
+}
+
+// Defaults fills Depth.
+func (c Config) Defaults() Config {
+	c.Depth = 4
+	return c
+}
