@@ -505,11 +505,11 @@ func (g *deadFinder) addInterfaceEdges() {
 }
 
 // declaredIface reports whether it is the type of a package-level type
-// declaration of p, whose methods are declarations of their own.
+// declaration of p, whose methods addPackage made declarations of their own.
 func (g *deadFinder) declaredIface(p *deadPkg, it *ast.InterfaceType) bool {
 	for _, m := range it.Methods.List {
-		for _, id := range m.Names {
-			return g.decls[p.info.Defs[id]]
+		if len(m.Names) > 0 {
+			return g.decls[p.info.Defs[m.Names[0]]]
 		}
 	}
 	return false
@@ -550,8 +550,12 @@ func findDeadKnobs(root, users string) ([]deadDecl, error) {
 			scope := p.pkg.Scope()
 			rel := strings.TrimPrefix(strings.TrimPrefix(path, modPath), "/")
 			for _, n := range scope.Names() {
-				st, ok := scope.Lookup(n).Type().Underlying().(*types.Struct)
-				if _, isType := scope.Lookup(n).(*types.TypeName); !ok || !isType || !strings.HasSuffix(n, "Config") && n != "Options" {
+				tn, ok := scope.Lookup(n).(*types.TypeName)
+				if !ok || !strings.HasSuffix(n, "Config") && n != "Options" {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
 					continue
 				}
 				for i := 0; i < st.NumFields(); i++ {
