@@ -25,6 +25,7 @@ var deadAllow = map[string]string{
 	"internal/daemon.Client.WithToken":      "the only way the Client authenticates to a daemon started with acdcd's -admin-token",
 	"internal/netsim.Link.AvgQueueBytes":    "tcpstack's Figure 2 contrast test compares the bottleneck's time-averaged queue under DCTCP and CUBIC",
 	"internal/netsim.Link.QueueBytes":       "tcpstack's TSQ test samples the NIC's queue",
+	"internal/packet.Build":                 "the tests' one-line packet constructor (BuildIn without a pool): core's, netsim's, tcpstack's, soak's and five other packages' tests build packets with it",
 	"internal/packet.IPv4.VerifyChecksum":   "the header checksum check core's, faults' and netsim's tests hold rewritten packets to",
 	"internal/sim.Slots.Check":              "the shape check core's flow table and tcpstack's TIME_WAIT table tests run over their Slots",
 	"internal/sim.Slots.Home":               "tcpstack's TIME_WAIT test finds colliding keys by their home slot; Check uses it too",
@@ -56,7 +57,6 @@ var knobAllow = map[string]string{
 	"internal/core.Config.GenDupAcks":     "§3.3's synthesized dup-ACKs: core's dup-ACK tests show a guest whose RTO sits far above the vSwitch's timer recover by fast retransmit",
 	"internal/core.Config.MaxFlows":       "eviction and fail-open at a full flow table show only at a bound the table reaches; the figures run unbounded",
 	"internal/core.Config.Police":         "§3.3's policing shows only against a guest that ignores the RWND (core's policing tests, the policing ablation benchmark)",
-	"internal/soak.Config.Inject":         "each soak gate's self-test seeds the defect that gate exists to catch; a real soak runs clean",
 	"internal/tcpstack.Config.IgnoreRwnd": "the non-conforming guest that §3.3's policing exists for; no figure runs one",
 	"internal/tcpstack.Config.RTOMin":     "core's §3.3 dup-ACK test needs a guest RTO far above the vSwitch's timer",
 	"internal/tcpstack.Config.RcvBuf":     "tcpstack's zero-window and flow-control tests need a peer that advertises less than one MSS, which AC/DC's RWND rewrite also produces in product",
@@ -103,17 +103,18 @@ func unallowed(found []deadDecl, allow map[string]string, allowName, why string)
 }
 
 // TestDeadFinderFixture runs the finder over testdata/deadexports, whose
-// planted dead function and its helper, and planted interface method that
-// no program calls with its one implementation, must be all it reports: a
-// generic method called through an instantiation, a method reached only
-// through an interface, one reached only through the universe's error and
-// one promoted through an embedded struct are used.
+// planted dead function and its helper, planted interface method that no
+// program calls with its one implementation, and planted method that shares
+// a reached interface method's name but not its signature must be all it
+// reports: a generic method called through an instantiation, a method
+// reached only through an interface, one reached only through the
+// universe's error and one promoted through an embedded struct are used.
 func TestDeadFinderFixture(t *testing.T) {
 	dead, err := findDead(filepath.Join("testdata", "deadexports"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := deadNames(dead), "lib.Shape.Perimeter lib.Square.Perimeter lib.Unused lib.helper"; got != want {
+	if got, want := deadNames(dead), "lib.Gauge.Area lib.Shape.Perimeter lib.Square.Perimeter lib.Unused lib.helper"; got != want {
 		t.Errorf("dead = %s, want %s", got, want)
 	}
 }
@@ -173,8 +174,8 @@ type deadFinder struct {
 	decls map[types.Object]bool
 	edges map[types.Object][]types.Object // nil key: the roots
 	// impls holds, for each method of a package-level interface of the
-	// module, the methods of its name: each is reached once both the
-	// interface method and its receiver's type are.
+	// module, the methods of its name and signature: each is reached once
+	// both the interface method and its receiver's type are.
 	impls map[types.Object][]types.Object
 }
 
@@ -185,10 +186,10 @@ type deadFinder struct {
 // interface of the module is a declaration too: a program reaches it by
 // calling it through the interface or on any implementation. A method is
 // reached from its receiver's type when such an interface method of its name
-// is reached, or when another interface may call it: one declared inside a
-// function or type of the module with a method of its name, or an imported
-// one (the universe's error included) with a method of its name and
-// signature.
+// and signature is reached, or when another interface may call it: one
+// declared inside a function or type of the module with a method of its
+// name, or an imported one (the universe's error included) with a method of
+// its name and signature.
 func findDead(root, users string) ([]deadDecl, error) {
 	g, modPath, paths, err := loadModule(root, users)
 	if err != nil {
@@ -489,8 +490,8 @@ func (g *deadFinder) addInterfaceEdges() {
 			continue
 		}
 		for _, m := range ifaceMethods[obj.Name()] {
-			g.impls[m] = append(g.impls[m], obj)
 			if types.Identical(m.Type(), obj.Type()) {
+				g.impls[m] = append(g.impls[m], obj)
 				g.edges[obj] = append(g.edges[obj], m)
 			}
 		}

@@ -53,10 +53,9 @@ var defaultPolicy = DefaultPolicy()
 
 // Sanitized is the policy choke point: every path that installs a policy
 // into a flow — the live FlowPolicy callback (VSwitch.policy), runtime
-// installs (VSwitch.InstallPolicy), snapshot restore (flowRecord.policy),
-// and scenario-spec policies (internal/scenario) — routes through it, so a
-// hostile or malformed policy can never reach the enforcement math from any
-// direction. See sanitize for the exact clamps.
+// installs (VSwitch.InstallPolicy) and snapshot restore (flowRecord.policy)
+// — routes through it, so a hostile or malformed policy can never reach the
+// enforcement math from any direction. See sanitize for the exact clamps.
 func (p Policy) Sanitized() Policy { return p.sanitize() }
 
 // Validate reports why a policy would be rejected at an API boundary (the

@@ -126,11 +126,6 @@ func (c *Client) SendPolicies(updates ...PolicyUpdate) ([]PolicyResult, error) {
 	return results, err
 }
 
-// SaveSnapshot checkpoints one host's flow table and returns the bytes.
-func (c *Client) SaveSnapshot(host int) ([]byte, error) {
-	return c.do(http.MethodPost, "/v1/snapshot/save?host="+strconv.Itoa(host), nil)
-}
-
 // Restart warm- or cold-restarts one host's vSwitch.
 func (c *Client) Restart(host int, warm bool) error {
 	mode := "cold"

@@ -1,9 +1,9 @@
 // Package daemon turns the batch simulator into a long-lived service: a
 // continuously advancing simulation (wall-clock paced, with bounded catch-up)
 // plus a localhost HTTP admin API for streaming per-flow policy updates,
-// scraping metrics, checkpointing and warm-restarting vSwitches, and probing
-// health. cmd/acdcd is the thin binary around it; internal/soak reuses the
-// same machinery to hammer the control plane in tests.
+// scraping metrics, warm- and cold-restarting vSwitches, and probing health.
+// cmd/acdcd is the thin binary around it; internal/soak reuses the same
+// machinery to hammer the control plane in tests.
 //
 // # Threading model
 //
@@ -90,9 +90,9 @@ type Config struct {
 	// status report and /metrics into fabric mode (extra counters appear).
 	Fabric []faults.FaultDomain
 	// AdminToken, when non-empty, requires `Authorization: Bearer <token>`
-	// on every mutating admin endpoint (the POST surface: policy, snapshot
-	// save/restore, restart). Read-only probes stay open so health checks
-	// and scrapes work unauthenticated. Empty leaves the API open —
+	// on every mutating admin endpoint (the POST surface: policy and
+	// restart). Read-only probes stay open so health checks and scrapes
+	// work unauthenticated. Empty leaves the API open —
 	// acceptable only on a loopback bind, which cmd/acdcd enforces.
 	AdminToken string
 }
@@ -402,22 +402,6 @@ func (d *Daemon) InstallPolicy(host int, k core.FlowKey, p core.Policy) (core.Po
 func (d *Daemon) ClearPolicy(host int, k core.FlowKey) (cleared bool, err error) {
 	err = d.onHost(host, func(v *core.VSwitch) { cleared = v.ClearPolicy(k) })
 	return cleared, err
-}
-
-// SaveSnapshot checkpoints one host's flow table.
-func (d *Daemon) SaveSnapshot(host int) (snap []byte, err error) {
-	err = d.onHost(host, func(v *core.VSwitch) { snap = v.SaveSnapshot() })
-	return snap, err
-}
-
-// RestoreSnapshot installs a checkpoint into one host's flow table. A decode
-// failure fails open on the vSwitch and is returned to the client.
-func (d *Daemon) RestoreSnapshot(host int, data []byte) error {
-	var rejected error
-	if err := d.onHost(host, func(v *core.VSwitch) { rejected = v.RestoreSnapshot(data) }); err != nil {
-		return err
-	}
-	return rejected
 }
 
 // Restart warm- or cold-restarts one host's vSwitch: a warm restart saves

@@ -159,16 +159,6 @@ func TestPolicyStreamAllFailedIs400(t *testing.T) {
 func TestSnapshotRoundTripAndRestart(t *testing.T) {
 	d, c := startDaemon(t, Config{Workload: true})
 	waitFor(t, "flows on host 0", func() bool { return hasFlows(c, 0) })
-	snap, err := c.SaveSnapshot(0)
-	if err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := c.RestoreSnapshot(0, snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if err := c.RestoreSnapshot(0, []byte("garbage")); err == nil {
-		t.Fatal("corrupt restore did not error")
-	}
 	if err := c.Restart(0, true); err != nil {
 		t.Fatalf("warm restart: %v", err)
 	}
@@ -179,7 +169,9 @@ func TestSnapshotRoundTripAndRestart(t *testing.T) {
 	if err := d.Exec(func() { st = d.Net().ACDC[0].Stats() }); err != nil {
 		t.Fatal(err)
 	}
-	if st.Restarts != 2 || st.SnapshotSaves < 2 || st.SnapshotRestores < 2 || st.SnapshotCorrupt != 1 {
+	// The warm restart saves a snapshot and restores from it; the cold one
+	// restores nothing.
+	if st.Restarts != 2 || st.SnapshotSaves != 1 || st.SnapshotRestores != 1 || st.SnapshotCorrupt != 0 {
 		t.Fatalf("restart accounting: %+v", st)
 	}
 	// The restarted vSwitch keeps enforcing: flows re-appear.
@@ -315,11 +307,6 @@ func TestRestartBusyQueueSurfacesAfterRetries(t *testing.T) {
 		"/status":   func() error { _, err := c.Status(); return err },
 		"/metrics":  func() error { _, err := c.Metrics(); return err },
 		"/v1/flows": func() error { _, err := c.Flows(0); return err },
-		"/v1/flows/watch": func() error {
-			_, err := c.do("GET", "/v1/flows/watch?for=10ms", nil)
-			return err
-		},
-		"/v1/snapshot/save": func() error { _, err := c.SaveSnapshot(0); return err },
 	} {
 		if err := try(); err == nil || !strings.Contains(err.Error(), "503") {
 			t.Errorf("%s against a stalled sim loop: %v, want 503", path, err)
@@ -332,26 +319,6 @@ func TestRestartBusyQueueSurfacesAfterRetries(t *testing.T) {
 	})
 	if st, err := d.StatusNow(); err != nil || st.EnqueueRetries == 0 {
 		t.Fatalf("no enqueue retries recorded (%v)", err)
-	}
-}
-
-func TestFlowsWatchStreams(t *testing.T) {
-	_, c := startDaemon(t, Config{Workload: true})
-	data, err := c.do("GET", "/v1/flows/watch?every=20ms&for=100ms", nil)
-	if err != nil {
-		t.Fatalf("watch: %v", err)
-	}
-	lines := strings.Count(strings.TrimSpace(string(data)), "\n") + 1
-	if lines < 3 {
-		t.Fatalf("watch produced %d snapshots over 100ms at 20ms, want ≥3", lines)
-	}
-	// ?every= has a 10ms floor: a watcher cannot list the tables on the sim
-	// loop as fast as it answers.
-	if data, err = c.do("GET", "/v1/flows/watch?every=1ns&for=100ms", nil); err != nil {
-		t.Fatalf("watch: %v", err)
-	}
-	if lines := strings.Count(string(data), "\n"); lines > 11 {
-		t.Fatalf("watch produced %d snapshots over 100ms at every=1ns, want ≤ 11 (a 10ms floor)", lines)
 	}
 }
 
@@ -385,8 +352,6 @@ func TestAdminTokenGatesMutatingEndpoints(t *testing.T) {
 			_, err := c.SendPolicies(PolicyUpdate{Host: 0, Src: "10.0.0.1", Dst: "10.0.0.2", Beta: 0.5})
 			return err
 		},
-		func() error { _, err := c.SaveSnapshot(0); return err },
-		func() error { return c.RestoreSnapshot(0, []byte("x")) },
 		func() error { return c.Restart(0, true) },
 	} {
 		err := try()
@@ -400,12 +365,8 @@ func TestAdminTokenGatesMutatingEndpoints(t *testing.T) {
 	}
 	// The right token opens the full surface.
 	ac := c.WithToken("sekrit")
-	snap, err := ac.SaveSnapshot(0)
-	if err != nil {
-		t.Fatalf("save with token: %v", err)
-	}
-	if err := ac.RestoreSnapshot(0, snap); err != nil {
-		t.Fatalf("restore with token: %v", err)
+	if _, err := ac.SendPolicies(PolicyUpdate{Host: 0, Src: "10.0.0.1", Dst: "10.0.0.2", Beta: 0.5}); err != nil {
+		t.Fatalf("policy with token: %v", err)
 	}
 	if err := ac.Restart(0, true); err != nil {
 		t.Fatalf("restart with token: %v", err)
@@ -513,10 +474,10 @@ func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 	}
 }
 
-// TestFlowsHostParam pins how the flows endpoints, and the others that take
-// ?host=, answer a bad host: a negative or unparseable one is a bad request,
-// one past the fabric is not found — on the watch stream too, before anything
-// is streamed — and an empty listing is [], not null.
+// TestFlowsHostParam pins how the flows endpoint, and the restart endpoint
+// that also takes ?host=, answer a bad host: a negative or unparseable one is
+// a bad request, one past the fabric is not found, and an empty listing is
+// [], not null.
 func TestFlowsHostParam(t *testing.T) {
 	h := New(Config{Hosts: 2}).Handler()
 	for _, tc := range []struct {
@@ -529,11 +490,8 @@ func TestFlowsHostParam(t *testing.T) {
 		{"GET", "/v1/flows?host=99", 404, ""},
 		{"GET", "/v1/flows?host=-5", 400, ""},
 		{"GET", "/v1/flows?host=x", 400, ""},
-		{"GET", "/v1/flows/watch?host=99&every=1ms&for=2ms", 404, ""},
-		{"GET", "/v1/flows/watch?host=-5&every=1ms&for=2ms", 400, ""},
-		{"POST", "/v1/snapshot/save?host=99", 404, ""},
-		{"POST", "/v1/snapshot/save?host=-1", 400, ""},
 		{"POST", "/v1/restart?host=99", 404, ""},
+		{"POST", "/v1/restart?host=-1", 400, ""},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
@@ -578,16 +536,8 @@ func TestAdminSurfaceConcurrent(t *testing.T) {
 				func() error { u := u; u.Clear = true; _, err := c.SendPolicies(u); return err },
 				func() error { _, err := c.Flows(-1); return err },
 				func() error { _, err := c.Flows(host); return err },
-				func() error { _, err := c.do("GET", "/v1/flows/watch?every=2ms&for=5ms", nil); return err },
 				func() error { _, err := c.Status(); return err },
 				func() error { _, err := c.Metrics(); return err },
-				func() error {
-					snap, err := c.SaveSnapshot(host)
-					if err != nil {
-						return err
-					}
-					return c.RestoreSnapshot(host, snap)
-				},
 				func() error { return c.Restart(host, true) },
 				func() error { return c.Restart(host, false) },
 			}

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"acdc/internal/core"
 	"acdc/internal/packet"
@@ -26,10 +25,7 @@ import (
 //	GET  /status              Status JSON
 //	GET  /metrics             merged datapath metrics, text encoding
 //	GET  /v1/flows[?host=i]   tracked flows
-//	GET  /v1/flows/watch      NDJSON flow snapshots (?every=100ms&for=2s)
 //	POST /v1/policy           one PolicyUpdate or an NDJSON stream of them
-//	POST /v1/snapshot/save    ?host=i → snapshot bytes (octet-stream)
-//	POST /v1/snapshot/restore ?host=i, body = snapshot bytes
 //	POST /v1/restart          ?host=i&mode=warm|cold
 //
 // Every failure maps to a status code in one place, statusFor: overload
@@ -112,10 +108,7 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /status", d.handleStatus)
 	mux.HandleFunc("GET /metrics", d.handleMetrics)
 	mux.HandleFunc("GET /v1/flows", d.handleFlows)
-	mux.HandleFunc("GET /v1/flows/watch", d.handleFlowsWatch)
 	mux.HandleFunc("POST /v1/policy", d.requireToken(d.handlePolicy))
-	mux.HandleFunc("POST /v1/snapshot/save", d.requireToken(d.handleSnapshotSave))
-	mux.HandleFunc("POST /v1/snapshot/restore", d.requireToken(d.handleSnapshotRestore))
 	mux.HandleFunc("POST /v1/restart", d.requireToken(d.handleRestart))
 	return mux
 }
@@ -216,66 +209,6 @@ func (d *Daemon) handleFlows(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, flows)
 }
 
-// handleFlowsWatch streams flow snapshots as NDJSON arrays, one line per
-// ?every= (default 100ms, at least 10ms), until ?for= elapses (default 1s,
-// capped at 30s). Each line lists the host's table on the sim loop, so the
-// floor keeps an unauthenticated watcher from taking the loop over.
-func (d *Daemon) handleFlowsWatch(w http.ResponseWriter, r *http.Request) {
-	host, err := hostParam(r, false)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	every, dur := 100*time.Millisecond, time.Second
-	if s := r.URL.Query().Get("every"); s != "" {
-		if every, err = time.ParseDuration(s); err != nil || every <= 0 {
-			http.Error(w, "bad ?every=", http.StatusBadRequest)
-			return
-		}
-	}
-	if s := r.URL.Query().Get("for"); s != "" {
-		if dur, err = time.ParseDuration(s); err != nil || dur <= 0 {
-			http.Error(w, "bad ?for=", http.StatusBadRequest)
-			return
-		}
-	}
-	every, dur = max(every, 10*time.Millisecond), min(dur, 30*time.Second)
-	// The first listing answers for the whole stream: an unknown host or a
-	// busy loop fails the request before anything is streamed.
-	flows, err := d.Flows(host)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	deadline := time.Now().Add(dur)
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		if enc.Encode(flows) != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if time.Now().After(deadline) {
-			return
-		}
-		select {
-		case <-ticker.C:
-		case <-r.Context().Done():
-			return
-		case <-d.done:
-			return
-		}
-		if flows, err = d.Flows(host); err != nil {
-			return
-		}
-	}
-}
-
 // handlePolicy consumes one PolicyUpdate or an NDJSON stream of them and
 // responds with one PolicyResult per update. The stream is applied in order;
 // a malformed or rejected update is reported in its result and does not
@@ -335,41 +268,6 @@ func (d *Daemon) applyUpdate(i int, u PolicyUpdate) (PolicyResult, error) {
 		return PolicyResult{Index: i}, err
 	}
 	return PolicyResult{Index: i, OK: true, Installed: &installed}, nil
-}
-
-func (d *Daemon) handleSnapshotSave(w http.ResponseWriter, r *http.Request) {
-	host, err := hostParam(r, true)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	snap, err := d.SaveSnapshot(host)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(snap)
-}
-
-func (d *Daemon) handleSnapshotRestore(w http.ResponseWriter, r *http.Request) {
-	host, err := hostParam(r, true)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if err := d.RestoreSnapshot(host, data); err != nil {
-		// The vSwitch already failed open (fresh table); tell the client
-		// its snapshot was rejected.
-		fail(w, err)
-		return
-	}
-	io.WriteString(w, "restored\n")
 }
 
 func (d *Daemon) handleRestart(w http.ResponseWriter, r *http.Request) {

@@ -4,14 +4,21 @@
 // A [Spec] is plain data — JSON-serializable, loadable from a config file via
 // [LoadSpecs] — composing the repo's building blocks:
 //
-//   - a topology from internal/topo ([TopoSpec]: star, dumbbell, parking lot)
+//   - a topology from internal/topo ([TopoSpec]: star, dumbbell, parking
+//     lot, fat-tree)
 //   - a workload mix from internal/workload ([WorkloadSpec]: bulk pairs,
 //     incast, prober, partition/aggregate, stride, trace-driven, flash-crowd,
 //     tenant-churn)
-//   - a fault profile and vSwitch restart plan from internal/faults (the
-//     same syntax as acdcsim's -faults/-restart flags)
+//   - a fault profile, vSwitch restart plan and fabric fault-domain plan
+//     from internal/faults (the same syntax as acdcsim's -faults, -restart
+//     and -fabric flags; a restart plan may name only hosts the topology
+//     has)
 //   - expected-invariant assertions ([Check]) backed by internal/audit and
 //     the runner's metric namespace
+//
+// A spec installs no per-flow policy: every flow runs the vSwitch's default.
+// §3.4's differentiation is Figure 13's (internal/experiments), and the
+// daemon installs policies live (internal/daemon).
 //
 // [Run] executes the scenarios × schemes × trials matrix through the
 // experiments.Sweep worker pool — each scheme×trial in its own simulator, so

@@ -3,10 +3,8 @@ package scenario
 import (
 	"fmt"
 
-	"acdc/internal/core"
 	"acdc/internal/experiments"
 	"acdc/internal/metrics"
-	"acdc/internal/packet"
 	"acdc/internal/sim"
 	"acdc/internal/stats"
 	"acdc/internal/tcpstack"
@@ -230,14 +228,6 @@ func runTrial(s Spec, env topo.Env, schemeKey string, seed int64) (map[string]fl
 	st.m = workload.NewManager(st.net)
 	hosts := len(st.net.Hosts)
 
-	if fp := compileFlowPolicy(s.Policies, st.net); fp != nil {
-		for _, v := range st.net.ACDC {
-			if v != nil {
-				v.Cfg.FlowPolicy = fp
-			}
-		}
-	}
-
 	for _, w := range s.Workloads {
 		st.launch(s, w, hosts)
 	}
@@ -353,39 +343,6 @@ func (st *trialState) launch(s Spec, w WorkloadSpec, hosts int) {
 		c := workload.NewTenantChurn(st.m, TenantChurnConfigOf(w))
 		c.Start()
 		st.churn = append(st.churn, c)
-	}
-}
-
-// compileFlowPolicy turns a spec's policy list into the core FlowPolicy
-// callback: first matching entry wins, no match falls back to the default.
-// The returned policy is routed through the Sanitized choke point — the same
-// clamp as live installs and snapshot restore — so even a policy body that
-// bypassed Spec.Validate (a hand-built spec, a future field) cannot hand the
-// enforcement math a hostile β or an unknown VCC. Returns nil when the spec
-// declares no policies, leaving the vSwitch default untouched.
-func compileFlowPolicy(policies []PolicySpec, net *topo.Net) func(core.FlowKey) core.Policy {
-	if len(policies) == 0 {
-		return nil
-	}
-	hostOf := make(map[packet.Addr]int, len(net.Hosts))
-	for i := range net.Hosts {
-		hostOf[net.Addr(i)] = i
-	}
-	return func(k core.FlowKey) core.Policy {
-		for _, ps := range policies {
-			if ps.SrcHost != nil {
-				if h, ok := hostOf[k.Src]; !ok || h != *ps.SrcHost {
-					continue
-				}
-			}
-			if ps.DstHost != nil {
-				if h, ok := hostOf[k.Dst]; !ok || h != *ps.DstHost {
-					continue
-				}
-			}
-			return ps.policy().Sanitized()
-		}
-		return core.DefaultPolicy()
 	}
 }
 

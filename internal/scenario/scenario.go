@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"acdc/internal/audit"
-	"acdc/internal/core"
 	"acdc/internal/sim"
 	"acdc/internal/topo"
 )
@@ -111,56 +110,6 @@ type WorkloadSpec struct {
 	ChurnPeriod Duration `json:"churn_period,omitempty"`
 }
 
-// PolicySpec declares one per-flow differentiation policy (§3.4) a scenario
-// installs on every AC/DC vSwitch before traffic starts. Matching is by host
-// index of the flow's data direction; a spec with no matcher applies to every
-// flow, and the first matching entry wins. Values are rejected at spec
-// validation (a config file can say no) and the compiled callback still
-// routes through core.Policy.Sanitized — the same choke point as live
-// installs and snapshot restore — so a policy that skips validation cannot
-// reach the enforcement math either.
-type PolicySpec struct {
-	// SrcHost / DstHost restrict the policy to flows whose data-direction
-	// source / destination is that host index (nil matches any host).
-	SrcHost *int `json:"src_host,omitempty"`
-	DstHost *int `json:"dst_host,omitempty"`
-
-	// Beta is Equation 1's priority in [0,1]; nil keeps the default 1.
-	Beta *float64 `json:"beta,omitempty"`
-	// RwndClampBytes caps the enforced window (0 = no cap).
-	RwndClampBytes int64 `json:"rwnd_clamp_bytes,omitempty"`
-	// VCC overrides the virtual CC algorithm ("" = vSwitch default).
-	VCC string `json:"vcc,omitempty"`
-	// Disable exempts matching flows from enforcement entirely.
-	Disable bool `json:"disable,omitempty"`
-}
-
-// policy maps the spec onto the core policy type (unvalidated).
-func (p PolicySpec) policy() core.Policy {
-	pol := core.DefaultPolicy()
-	if p.Beta != nil {
-		pol.Beta = *p.Beta
-	}
-	pol.RwndClampBytes = p.RwndClampBytes
-	pol.VCC = p.VCC
-	pol.Disable = p.Disable
-	return pol
-}
-
-// validate checks matcher ranges and the policy body against the same rules
-// the daemon's live policy stream enforces.
-func (p PolicySpec) validate(hosts int) error {
-	for _, h := range []struct {
-		name string
-		v    *int
-	}{{"src_host", p.SrcHost}, {"dst_host", p.DstHost}} {
-		if h.v != nil && (*h.v < 0 || *h.v >= hosts) {
-			return fmt.Errorf("%s %d outside [0,%d)", h.name, *h.v, hosts)
-		}
-	}
-	return p.policy().Validate()
-}
-
 // Check is one expected-invariant assertion over a scenario's aggregated
 // per-scheme metrics: the named metric must lie in [Min, Max] (either bound
 // optional). Checks express what must hold for the scenario to be *valid* —
@@ -204,9 +153,6 @@ type Adjust struct {
 	// Fabric, when non-empty, replaces the fabric fault-domain plan (fault
 	// times usually need rescaling along with the warmup/measure windows).
 	Fabric string `json:"fabric,omitempty"`
-	// Policies, when non-empty, replaces the policy list wholesale (host
-	// matchers usually need rescaling along with the host count).
-	Policies []PolicySpec `json:"policies,omitempty"`
 }
 
 // Spec is one declarative scenario: a topology, a workload mix, an optional
@@ -223,9 +169,6 @@ type Spec struct {
 
 	Topo      TopoSpec       `json:"topo"`
 	Workloads []WorkloadSpec `json:"workloads"`
-	// Policies are per-flow differentiation policies installed on every
-	// AC/DC vSwitch before traffic starts (no effect on other schemes).
-	Policies []PolicySpec `json:"policies,omitempty"`
 
 	// Schemes are the enforcement configurations to compare: "cubic",
 	// "dctcp", "acdc" (default: all three).
@@ -313,9 +256,6 @@ func (s Spec) ForSmoke() Spec {
 	if len(a.Workloads) > 0 {
 		s.Workloads = a.Workloads
 	}
-	if len(a.Policies) > 0 {
-		s.Policies = a.Policies
-	}
 	if a.Fabric != "" {
 		s.Fabric = a.Fabric
 	}
@@ -361,17 +301,20 @@ func (s Spec) Validate() error {
 				s.Name, k, strings.Join(SchemeKeys, ", "))
 		}
 	}
-	if _, err := s.env(); err != nil {
+	env, err := s.env()
+	if err != nil {
 		return fmt.Errorf("scenario %s: %v", s.Name, err)
+	}
+	if p := env.Restart; p != nil {
+		for _, h := range p.Hosts {
+			if h >= hosts {
+				return fmt.Errorf("scenario %s: restart plan names host %d outside [0,%d)", s.Name, h, hosts)
+			}
+		}
 	}
 	for i, w := range s.Workloads {
 		if err := w.validate(s.Topo.Kind, hosts); err != nil {
 			return fmt.Errorf("scenario %s: workload %d: %v", s.Name, i, err)
-		}
-	}
-	for i, p := range s.Policies {
-		if err := p.validate(hosts); err != nil {
-			return fmt.Errorf("scenario %s: policy %d: %v", s.Name, i, err)
 		}
 	}
 	for _, c := range s.Checks {

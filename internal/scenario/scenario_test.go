@@ -77,6 +77,12 @@ func TestValidateRejects(t *testing.T) {
 		{"prober-self", func(s *Spec) { s.Workloads[1].To = 0 }},
 		{"bad-faults", func(s *Spec) { s.Faults = "gremlins" }},
 		{"bad-restart", func(s *Spec) { s.Restart = "hot@never" }},
+		// A plan naming a host the topology lacks would restart nothing.
+		{"restart-past-topology", func(s *Spec) { s.Restart = "warm@1ms,host=4" }},
+		{"restart-past-smoke-topology", func(s *Spec) {
+			s.Restart = "warm@1ms,host=3"
+			s.Smoke = &Adjust{Hosts: 1, Workloads: []WorkloadSpec{{Kind: "bulk-pairs"}}}
+		}},
 		{"bad-fabric", func(s *Spec) { s.Fabric = "meteor,link=x" }},
 		{"bad-smoke-fabric", func(s *Spec) { s.Smoke = &Adjust{Fabric: "gray,loss=0.5"} }},
 		{"fattree-odd-k", func(s *Spec) { s.Topo = TopoSpec{Kind: "fattree", K: 3} }},

@@ -28,9 +28,9 @@
 //     or minRestarts restarts wasn't soaking — the run fails rather than
 //     vacuously passing.
 //
-// Defect injectors (Config.Inject) seed the failures the gates exist to
-// catch, so the harness's detection power is itself under test; see
-// soak_test.go.
+// The package's tests seed the failures the gates exist to catch, each
+// through a plant (see run), so the harness's detection power is itself
+// under test.
 package soak
 
 import (
@@ -43,36 +43,8 @@ import (
 	"acdc/internal/core"
 	"acdc/internal/daemon"
 	"acdc/internal/faults"
-	"acdc/internal/packet"
 	"acdc/internal/sim"
 	"acdc/internal/workload"
-)
-
-// Defect selects a deliberately seeded bug for harness self-tests.
-type Defect string
-
-const (
-	// DefectNone runs clean.
-	DefectNone Defect = ""
-	// DefectUndeadFlow keeps one synthetic flow-table entry alive forever —
-	// a keepalive event refreshes it through the datapath with no connection
-	// behind it, so it survives the drain. Models a broken removal path.
-	DefectUndeadFlow Defect = "undead-flow"
-	// DefectCounterRegress subtracts a billion from a datapath counter
-	// mid-run. Models double accounting or a racy counter reset.
-	DefectCounterRegress Defect = "counter-regress"
-	// DefectHostileBeta writes β=3 straight into live flows, bypassing the
-	// Policy sanitize/validate choke point. The next congestion cut grows
-	// the window (Eq. 1 factor > 1) and the always-on state-transition
-	// audit catches it. Models an unsanitized policy install path.
-	DefectHostileBeta Defect = "hostile-beta"
-	// DefectPhantomDemand keeps opening and closing a synthetic connection
-	// through host 0's datapath, drain included, so every sweep sees flows
-	// created and the trim keeps records parked to the end. Models a free
-	// list that is no longer trimmed; core has no switch that skips the trim
-	// (and gets none for a self-test), so the defect feeds it instead, and
-	// its connections trip the flow-table gate as well.
-	DefectPhantomDemand Defect = "phantom-demand"
 )
 
 // The soak's fixed shape: its fabric, its control-plane cadences (wall
@@ -99,8 +71,6 @@ type Config struct {
 	Duration time.Duration
 	// Seed drives both the simulation and the hostile controller (default 1).
 	Seed int64
-	// Inject seeds a deliberate defect (harness self-tests).
-	Inject Defect
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -180,7 +150,19 @@ var flipProfiles = []string{"none", "jitter", "dup", "reorder", "loss", "none"}
 // of Config for the simulated side (seeded PRNGs everywhere); wall-clock
 // scheduling jitter only shifts when control-plane ops land, not what they
 // may legally do.
-func Run(cfg Config) *Report {
+func Run(cfg Config) *Report { return run(cfg, nil) }
+
+// A plant seeds a deliberate defect for the gates to catch. run calls before
+// ahead of the daemon's Start, while the caller still owns the fabric, and
+// midRun from the controller loop half way through the soak and again after
+// every later sample, reaching the fabric through Exec.
+type plant interface {
+	before(d *daemon.Daemon)
+	midRun(d *daemon.Daemon) error
+}
+
+// run is Run with a defect planted, when p is not nil.
+func run(cfg Config, p plant) *Report {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	r := &Report{GoroutineBase: runtime.NumGoroutine()}
@@ -223,15 +205,12 @@ func Run(cfg Config) *Report {
 		Hot:     0,
 	})
 	crowd.Start()
-	switch cfg.Inject {
-	case DefectUndeadFlow:
-		injectUndeadFlow(d.Net().ACDC[0], d.Net().Sim)
-	case DefectPhantomDemand:
-		injectPhantomDemand(d.Net().ACDC[0], d.Net().Sim)
+	if p != nil {
+		p.before(d)
 	}
 
 	d.Start()
-	runControl(cfg, d, r)
+	runControl(cfg, d, r, p)
 
 	// Drain: stop the workloads, then run the simulation past the idle
 	// timeout so every flow backed by a (now quiet) connection is swept.
@@ -312,14 +291,20 @@ func gate(r *Report) {
 
 // runControl is the hostile controller plus the drift/allocation sampler: a
 // wall-clock loop that streams policy updates, restarts, and fault flips at
-// their configured cadences until the soak deadline.
-func runControl(cfg Config, d *daemon.Daemon, r *Report) {
+// their configured cadences until the soak deadline, and plants p's mid-run
+// defect.
+func runControl(cfg Config, d *daemon.Daemon, r *Report, p plant) {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x50ac))
 	const hosts = tenants * hostsPerTenant
 	deadline := time.Now().Add(cfg.Duration)
 	warmup := time.Now().Add(cfg.Duration / 3)
-	injectAt := time.Now().Add(cfg.Duration / 2)
-	injected := false
+	plantAt := time.Now().Add(cfg.Duration / 2)
+	planted := false
+	midRun := func() {
+		if err := p.midRun(d); err != nil {
+			r.failf("planting a defect: %v", err)
+		}
+	}
 
 	nextUpdate := time.Now()
 	nextRestart := time.Now().Add(restartEvery)
@@ -358,15 +343,13 @@ func runControl(cfg Config, d *daemon.Daemon, r *Report) {
 					r.failf("reading sim.Allocated: %v", err)
 				}
 			}
-			if injected && cfg.Inject == DefectHostileBeta {
-				// Re-poison each sampling interval: churn keeps replacing
-				// the poisoned flows with clean ones.
-				injectMidRun(cfg.Inject, d, r)
+			if planted {
+				midRun()
 			}
 		}
-		if cfg.Inject != DefectNone && !injected && now.After(injectAt) {
-			injected = true
-			injectMidRun(cfg.Inject, d, r)
+		if p != nil && !planted && now.After(plantAt) {
+			planted = true
+			midRun()
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -434,83 +417,4 @@ func sample(d *daemon.Daemon, prev map[string]int64, r *Report) {
 		}
 		prev[name] = cur
 	}
-}
-
-// injectUndeadFlow schedules a keepalive that refreshes one synthetic flow
-// through host 0's egress every 50ms of virtual time — forever, including
-// through the drain. No connection backs the entry, so a correct harness
-// must flag it as leaked. Scheduled before the daemon starts (sim-goroutine
-// rule); the event then reschedules itself from inside the simulation.
-func injectUndeadFlow(v *core.VSwitch, s *sim.Simulator) {
-	src := packet.MakeAddr(10, 99, 99, 1)
-	dst := packet.MakeAddr(10, 99, 99, 2)
-	var seq uint32 = 1000
-	var keepalive func()
-	keepalive = func() {
-		p := packet.Build(src, dst, packet.NotECT, packet.TCPFields{
-			SrcPort: 49999, DstPort: 49998,
-			Seq: seq, Ack: 1, Flags: packet.FlagACK | packet.FlagPSH,
-			Window: 65535,
-		}, 1000)
-		seq += 1000
-		v.EgressPath(p) // midstream adoption creates (and refreshes) the entry
-		s.ScheduleFunc(50*sim.Millisecond, keepalive)
-	}
-	s.ScheduleFunc(0, keepalive)
-}
-
-// injectPhantomDemand opens and closes one synthetic connection through host
-// 0's datapath every 5ms of virtual time, forever: SYN out, FIN out, FIN in —
-// two records, closed, with nothing behind them. Each sweep collects the ones
-// old enough and, having seen new ones created, keeps records parked for the
-// next. Scheduled like injectUndeadFlow.
-func injectPhantomDemand(v *core.VSwitch, s *sim.Simulator) {
-	src := packet.MakeAddr(10, 99, 99, 1)
-	dst := packet.MakeAddr(10, 99, 99, 2)
-	port := uint16(0)
-	var cycle func()
-	cycle = func() {
-		port++
-		sp := 20000 + port%20000
-		const ack, fin = packet.FlagACK, packet.FlagFIN
-		v.EgressPath(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
-			SrcPort: sp, DstPort: 49998, Seq: 1000, Flags: packet.FlagSYN, Window: 65535}, 0))
-		v.EgressPath(packet.Build(src, dst, packet.NotECT, packet.TCPFields{
-			SrcPort: sp, DstPort: 49998, Seq: 1001, Ack: 1, Flags: ack | fin, Window: 65535}, 0))
-		v.IngressPath(packet.Build(dst, src, packet.NotECT, packet.TCPFields{
-			SrcPort: 49998, DstPort: sp, Seq: 1, Ack: 1002, Flags: ack | fin, Window: 65535}, 0))
-		s.ScheduleFunc(5*sim.Millisecond, cycle)
-	}
-	s.ScheduleFunc(0, cycle)
-}
-
-// injectMidRun applies the wall-clock-timed defects from the controller
-// loop, marshaled onto the sim goroutine.
-func injectMidRun(defect Defect, d *daemon.Daemon, r *Report) {
-	var err error
-	switch defect {
-	case DefectCounterRegress:
-		v := d.Net().ACDC[0]
-		err = d.Exec(func() { v.Metrics.EgressSegs.Add(-1_000_000_000) })
-	case DefectHostileBeta:
-		err = d.Exec(func() {
-			for _, v := range d.Net().ACDC {
-				poisonBeta(v)
-			}
-		})
-	}
-	if err != nil {
-		r.failf("defect injection %q: %v", defect, err)
-	}
-}
-
-// poisonBeta gives every flow v tracks β = 3, past the Sanitized choke point.
-// Flows share policy values, so each gets a private copy: writing through
-// Flow.Policy would poison the shared default, and every flow created after.
-func poisonBeta(v *core.VSwitch) {
-	v.Table.Range(func(f *core.Flow) {
-		p := *f.Policy
-		p.Beta = 3
-		f.Policy = &p
-	})
 }

@@ -63,7 +63,7 @@ func TestCleanSoakPasses(t *testing.T) {
 }
 
 func TestSoakCatchesUndeadFlow(t *testing.T) {
-	r := Run(Config{Duration: dur(t, 2*time.Second), Inject: DefectUndeadFlow, Log: t.Logf})
+	r := run(Config{Duration: dur(t, 2*time.Second), Log: t.Logf}, DefectUndeadFlow)
 	if !hasFailure(r, "flow-table leak") {
 		t.Fatalf("undead flow not detected:\n%s", r)
 	}
@@ -73,7 +73,7 @@ func TestSoakCatchesUndeadFlow(t *testing.T) {
 }
 
 func TestSoakCatchesCounterRegress(t *testing.T) {
-	r := Run(Config{Duration: dur(t, 2*time.Second), Inject: DefectCounterRegress, Log: t.Logf})
+	r := run(Config{Duration: dur(t, 2*time.Second), Log: t.Logf}, DefectCounterRegress)
 	if !hasFailure(r, "counter drift") {
 		t.Fatalf("counter regression not detected:\n%s", r)
 	}
@@ -83,7 +83,7 @@ func TestSoakCatchesCounterRegress(t *testing.T) {
 }
 
 func TestSoakCatchesHostileBeta(t *testing.T) {
-	r := Run(Config{Duration: dur(t, 3*time.Second), Inject: DefectHostileBeta, Log: t.Logf})
+	r := run(Config{Duration: dur(t, 3*time.Second), Log: t.Logf}, DefectHostileBeta)
 	if !hasFailure(r, "audit") {
 		t.Fatalf("unsanitized live policy not detected:\n%s", r)
 	}
@@ -93,7 +93,7 @@ func TestSoakCatchesHostileBeta(t *testing.T) {
 }
 
 func TestSoakCatchesParkedRecords(t *testing.T) {
-	r := Run(Config{Duration: dur(t, 2*time.Second), Inject: DefectPhantomDemand, Log: t.Logf})
+	r := run(Config{Duration: dur(t, 2*time.Second), Log: t.Logf}, DefectPhantomDemand)
 	if !hasFailure(r, "flow-record leak") {
 		t.Fatalf("records parked after the drain not detected:\n%s", r)
 	}

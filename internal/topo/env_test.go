@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"acdc/internal/faults"
 )
 
 // TestBindEnv drives every run-environment flag through a fresh FlagSet: a
@@ -86,5 +88,26 @@ func TestBindEnvSubset(t *testing.T) {
 	}
 	if d := env.Describe(1); len(d) != 0 {
 		t.Fatalf("clean Env describes itself as %q", d)
+	}
+}
+
+// TestRestartPlanPastTopologyPanics: a restart plan that names a host the
+// topology lacks would restart nothing, so arming it panics, as a fault
+// domain that matches no link does. The topology's last host arms.
+func TestRestartPlanPastTopologyPanics(t *testing.T) {
+	arm := func(plan string) (panicked bool) {
+		p, err := faults.ParseRestart(plan)
+		if err != nil {
+			t.Fatalf("ParseRestart(%q): %v", plan, err)
+		}
+		defer func() { panicked = recover() != nil }()
+		Star(4, Options{Env: Env{Restart: &p}})
+		return false
+	}
+	if arm("warm@5ms,host=3") {
+		t.Fatal("a plan naming the star's last host panicked")
+	}
+	if !arm("warm@5ms,host=0,host=4") {
+		t.Fatal("a plan naming host 4 of a 4-host star armed without a panic")
 	}
 }

@@ -295,9 +295,16 @@ func ParkingLot(o Options) *Net {
 
 // armEnv schedules the restart plan and then the fabric fault domains, once
 // every host, AC/DC module and link exists. Called at the end of each
-// topology builder.
+// topology builder. A restart plan that names a host the topology lacks
+// panics, as a fault domain that matches no link does: a plan that silently
+// restarts nothing reads as an all-clear.
 func (n *Net) armEnv() {
 	if p := n.Opts.Restart; p != nil {
+		for _, h := range p.Hosts {
+			if h >= len(n.Hosts) {
+				panic(fmt.Sprintf("restart: %s names host %d, the topology has %d", p, h, len(n.Hosts)))
+			}
+		}
 		var targets []faults.RestartTarget
 		for i, v := range n.ACDC {
 			if v != nil && p.AppliesTo(i) {

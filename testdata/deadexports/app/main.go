@@ -12,5 +12,5 @@ func main() {
 	c.Burst = 2
 	limit := &c.Limit
 	*limit = 3
-	println(s.Area(), lib.Algo{}.Name(), err.Error(), c.Depth)
+	println(s.Area(), lib.Algo{}.Name(), err.Error(), c.Depth, lib.Gauge{Level: 1}.Level)
 }

@@ -1,5 +1,5 @@
 // Package lib plants the declarations the dead-export finder must tell
-// apart: four dead, the rest reached in ways a name search misses; and the
+// apart: five dead, the rest reached in ways a name search misses; and the
 // config fields the knob finder must tell apart: one unwritten.
 package lib
 
@@ -27,6 +27,13 @@ func (s Square) Area() int { return s.Side * s.Side }
 
 // Perimeter implements Shape; it is dead with the method it implements.
 func (s Square) Perimeter() int { return 4 * s.Side }
+
+// Gauge is reached: app builds one.
+type Gauge struct{ Level int }
+
+// Area shares Shape.Area's name but not its signature, so Shape cannot call
+// it: it is dead although Shape.Area and Gauge are reached.
+func (g Gauge) Area(scale int) int { return g.Level * scale }
 
 // Base carries a method its embedders promote.
 type Base struct{}
