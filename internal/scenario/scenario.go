@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -321,7 +324,7 @@ func (s Spec) Validate() error {
 		if c.Metric == "" {
 			return fmt.Errorf("scenario %s: check without a metric", s.Name)
 		}
-		if c.Scheme != "" && !contains(s.Schemes, c.Scheme) {
+		if c.Scheme != "" && !slices.Contains(s.Schemes, c.Scheme) {
 			return fmt.Errorf("scenario %s: check on scheme %q the scenario does not run", s.Name, c.Scheme)
 		}
 		if c.Min != nil && c.Max != nil && *c.Min > *c.Max {
@@ -438,15 +441,6 @@ func (w WorkloadSpec) validate(topoKind string, hosts int) error {
 	return nil
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // LoadSpecs reads scenario specs from a JSON config file: either a single
 // spec object or an array of them. Every spec is validated.
 func LoadSpecs(path string) ([]Spec, error) {
@@ -457,15 +451,21 @@ func LoadSpecs(path string) ([]Spec, error) {
 	return ParseSpecs(data)
 }
 
-// ParseSpecs decodes and validates one spec or an array of specs.
+// ParseSpecs decodes and validates one spec or an array of specs. A key no
+// field takes is an error that names it, not a different scenario run clean.
 func ParseSpecs(data []byte) ([]Spec, error) {
+	if t := bytes.TrimSpace(data); len(t) > 0 && t[0] != '[' {
+		data = append(append([]byte{'['}, t...), ']') // one spec
+	}
 	var many []Spec
-	if err := json.Unmarshal(data, &many); err != nil {
-		var one Spec
-		if err2 := json.Unmarshal(data, &one); err2 != nil {
-			return nil, fmt.Errorf("scenario: config is neither a spec nor a spec array: %v", err)
-		}
-		many = []Spec{one}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&many)
+	if _, end := dec.Token(); err == nil && end != io.EOF {
+		err = fmt.Errorf("data after the config")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario: config: %v", err)
 	}
 	for _, s := range many {
 		if err := s.Validate(); err != nil {

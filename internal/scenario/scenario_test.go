@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"acdc/internal/sim"
@@ -147,6 +150,53 @@ func TestDurationJSONRoundTrip(t *testing.T) {
 	var b box
 	if err := json.Unmarshal([]byte(`{"d":"soon"}`), &b); err == nil {
 		t.Fatal("accepted non-duration string")
+	}
+}
+
+// TestParseSpecsRejectsUnknownKeys: a key no Spec field takes is an error
+// that names it, whether it comes from an older schema or a typo; each spec
+// below, the shallow-buffer sweep's first with one key added, once ran as a
+// clean run of that spec. The file itself still loads, and so does the
+// catalog written out as JSON.
+func TestParseSpecsRejectsUnknownKeys(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "shallow_buffer.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, key, value string }{
+		{"deleted-policies", "policies", `[{"beta": 3}]`},
+		{"mistyped-warmup", "warmpu", `"5ms"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := maps.Clone(raw[0])
+			spec[tc.key] = json.RawMessage(tc.value)
+			one, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range [][]byte{one, append(append([]byte("["), one...), ']')} {
+				if _, err := ParseSpecs(in); err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.key)) {
+					t.Errorf("ParseSpecs(%s): error %v, want one naming %q", in, err, tc.key)
+				}
+			}
+		})
+	}
+	if _, err := ParseSpecs(data); err != nil {
+		t.Errorf("shallow-buffer sweep: %v", err)
+	}
+	all, err := json.Marshal(Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if specs, err := ParseSpecs(all); err != nil || len(specs) != len(Catalog()) {
+		t.Errorf("catalog as JSON: %d specs, %v", len(specs), err)
+	}
+	if _, err := ParseSpecs([]byte(`[]{}`)); err == nil {
+		t.Error("ParseSpecs accepted data after the config")
 	}
 }
 

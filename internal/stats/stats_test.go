@@ -497,3 +497,233 @@ func TestSmallSampleAllocatesNoMore(t *testing.T) {
 		}
 	}
 }
+
+// sameUpTo is sameAnswers up to what a Sample leaves open: the payload of a
+// NaN (Mean's additions may propagate another one than the slice's loop)
+// and, when zeroSign is set for a Sample that counted before it widened,
+// the sign of a zero.
+func sameUpTo(t *testing.T, what string, got, want queried, zeroSign bool) {
+	t.Helper()
+	g, w := answers(got), answers(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d answers, oracle %d", what, len(g), len(w))
+	}
+	for i := range g {
+		if a, b := math.Float64frombits(g[i]), math.Float64frombits(w[i]); !same(a, b, zeroSign) {
+			t.Fatalf("%s: answer %d is %x (%v), oracle %x (%v)", what, i, g[i], a, w[i], b)
+		}
+	}
+}
+
+func same(a, b float64, zeroSign bool) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || zeroSign && a == 0 && b == 0 ||
+		math.IsNaN(a) && math.IsNaN(b)
+}
+
+// FuzzSampleMatchesSlice: a Sample answers every query as one float64 slice
+// of the same observations does, whether it counts them, stops counting part
+// way or never starts. The inputs pick how many observations go in, how many
+// distinct values they take (a fixed set of card values, with or without a
+// share of fresh ones that grows to all), where and with what the Sample
+// widens, and a seed for the rest: the draws, queries between Adds (some
+// through a value copy) and an AddAll of the result into an empty, a
+// counting and a wide Sample.
+func FuzzSampleMatchesSlice(f *testing.F) {
+	// mode&1 draws ever more fresh values; mode/2%5 picks the widener (none,
+	// 0.5, −0, NaN or 2³²); mode/10%2 draws only ±0 and whole numbers once
+	// wide, so that the lowest answers show a zero's sign.
+	f.Add(int64(1), uint16(6000), uint16(200), uint16(0), uint8(0))        // counts throughout
+	f.Add(int64(2), uint16(5000), uint16(4000), uint16(0), uint8(0))       // never counts
+	f.Add(int64(3), uint16(6000), uint16(8), uint16(0), uint8(1))          // stops counting part way
+	f.Add(int64(4), uint16(3000), uint16(100), uint16(2000), uint8(2))     // counts, widens on 0.5
+	f.Add(int64(5), uint16(3000), uint16(100), uint16(1500), uint8(4))     // counts, widens on −0
+	f.Add(int64(6), uint16(2600), uint16(64), uint16(2100), uint8(6))      // counts, widens on NaN
+	f.Add(int64(7), uint16(1100), uint16(3), uint16(1050), uint8(8))       // counts, widens on 2³²
+	f.Add(int64(8), uint16(4000), uint16(30000), uint16(3000), uint8(14))  // never counts, widens on −0
+	f.Add(int64(13), uint16(4000), uint16(30000), uint16(1030), uint8(14)) // never counts, widens just after judging
+	f.Add(int64(12), uint16(3000), uint16(100), uint16(1500), uint8(14))   // counts, widens on −0
+	f.Add(int64(9), uint16(1023), uint16(1), uint16(0), uint8(0))          // not yet counting
+	f.Add(int64(10), uint16(1025), uint16(1), uint16(1024), uint8(2))      // one value, widens last
+	f.Add(int64(11), uint16(6000), uint16(8), uint16(5500), uint8(5))      // stops counting, widens
+	f.Fuzz(func(t *testing.T, seed int64, n, card, widenAt uint16, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		total := int(n % 8192)
+		pool := 1 + int(card)
+		growing := mode&1 == 1
+		widener := []float64{math.NaN(), 0.5, math.Copysign(0, -1), math.NaN(), 1 << 32}[mode/2%5]
+		widen := mode/2%5 != 0 && int(widenAt) < total
+		zeros := mode/10%2 == 1
+		vals := make([]float64, pool)
+		for i := range vals {
+			vals[i] = float64(rng.Int63n(1 << 32))
+		}
+		vals[0], vals[len(vals)-1] = 0, 1<<32-1
+		var s Sample
+		var o sliceSample
+		counted := false
+		for i := 0; i < total; i++ {
+			var x float64
+			switch {
+			case widen && i == int(widenAt):
+				counted = counted || len(s.runs) > 0
+				x = widener
+			case s.wide && zeros && rng.Intn(4) == 0:
+				x = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			case s.wide && rng.Intn(4) == 0:
+				x = draw(rng, true)
+			case growing && rng.Intn(total) < 2*i:
+				x = float64(rng.Int63n(1 << 32))
+			default:
+				x = vals[rng.Intn(pool)]
+			}
+			s.Add(x)
+			o.Add(x)
+			counted = counted || len(s.runs) > 0
+			if rng.Intn(total/6+1) != 0 {
+				continue
+			}
+			what := fmt.Sprintf("after %d", i+1)
+			if rng.Intn(2) == 0 {
+				c, co := s, o
+				sameUpTo(t, what+" (copy)", &c, &co, counted && s.wide)
+			} else {
+				sameUpTo(t, what, &s, &o, counted && s.wide)
+			}
+		}
+		loose := counted && s.wide
+		sameUpTo(t, "at the end", &s, &o, loose)
+		// Sorted, it stores the sorted slice's order: the runs and the
+		// pending block merged.
+		i := 0
+		s.each(func(x float64) {
+			if !same(x, o.xs[i], loose) {
+				t.Fatalf("sorted, observation %d is %v, oracle %v", i, x, o.xs[i])
+			}
+			i++
+		})
+		if s.N() != total || s.wide != (widen && total > 0) {
+			t.Fatalf("N %d of %d, wide %v", s.N(), total, s.wide)
+		}
+		// AddAll into an empty, a counting and a wide Sample, whose Mean
+		// shows the order AddAll adds in. A twin fed the oracle's ascending
+		// order through Add shows whether the target counted before it
+		// widened.
+		for _, prefill := range []struct {
+			n    int
+			frac float64
+		}{{0, 0}, {1100, 0}, {300, 0.1}} {
+			var dst, twin Sample
+			var odst sliceSample
+			for i := 0; i < prefill.n; i++ {
+				x := float64(i%40) + prefill.frac
+				dst.Add(x)
+				twin.Add(x)
+				odst.Add(x)
+			}
+			dst.AddAll(&s)
+			twinCounted := false
+			for _, pt := range o.CDF(o.N()) {
+				twinCounted = twinCounted || len(twin.runs) > 0
+				twin.Add(pt[0])
+				odst.Add(pt[0])
+			}
+			what := fmt.Sprintf("AddAll after %v", prefill)
+			sameUpTo(t, what, &dst, &odst, loose || (twinCounted && dst.wide))
+		}
+	})
+}
+
+// held returns the bytes of s's backing arrays: what it keeps live besides
+// the Sample itself.
+func held(s *Sample) int {
+	return 8*cap(s.runs) + blocksHeld(&s.ints, 4) + blocksHeld(&s.floats, 8)
+}
+
+func blocksHeld[T uint32 | float64](b *blocks[T], width int) int {
+	n := width*cap(b.head) + 24*cap(b.rest)
+	for _, blk := range b.rest {
+		n += width * cap(blk)
+	}
+	return n
+}
+
+// TestSampleFootprint pins what a Sample keeps live on both sides of the
+// counting rule. incast47's prober RTTs, 31 022 observations over 548
+// values (path delay plus whole serialisation times), sweep up and down as
+// the queue fills and drains: the first 1 024 take 536 values at seed 1.
+// Here a sweep takes all 548 in its first 548. They are held in runs and one
+// pending block, at most 8 KB where blocks took 124 KB. mice-churn's request
+// times, 44 802 observations over 43 284 values, stay in blocks: no more
+// than blocks alone hold, plus 4 KB. Both answer as the oracle does.
+func TestSampleFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fresh := rng.Perm(44_802) // below 43 284 a value of its own, above it a repeat
+	for _, tc := range []struct {
+		n, distinct int
+		next        func(i int) int // index of observation i's value
+		limit       func(blocks int) int
+	}{
+		{31_022, 548, func(i int) int { // a queue sweeping 0 … 547 … 0
+			return 547 - abs(i%1094-547)
+		}, func(int) int { return 8 << 10 }},
+		{44_802, 43_284, func(i int) int {
+			if fresh[i] < 43_284 {
+				return fresh[i]
+			}
+			return rng.Intn(43_284)
+		}, func(blocks int) int { return blocks + 4<<10 }},
+	} {
+		var s Sample
+		var o sliceSample
+		var b blocks[uint32]
+		seen := map[int]bool{}
+		for i := 0; i < tc.n; i++ {
+			x := float64(20_000 + 1_200*tc.next(i)) // ns: a path delay plus queued 1.2 µs packets
+			seen[int(x)] = true
+			s.Add(x)
+			o.Add(x)
+			b.add(uint32(x))
+		}
+		got, limit := held(&s), tc.limit(blocksHeld(&b, 4))
+		t.Logf("%d observations over %d values: %d B held (%d runs), blocks alone %d B",
+			tc.n, len(seen), got, len(s.runs), blocksHeld(&b, 4))
+		if len(seen) != tc.distinct {
+			t.Fatalf("%d observations took %d values, want %d", tc.n, len(seen), tc.distinct)
+		}
+		if got > limit {
+			t.Errorf("%d observations over %d values hold %d B, want ≤ %d B", tc.n, tc.distinct, got, limit)
+		}
+		sameAnswers(t, fmt.Sprintf("%d over %d", tc.n, tc.distinct), &s, &o)
+	}
+}
+
+func abs(x int) int { return max(x, -x) }
+
+// TestSampleStopsCountingAt2to21: past 2²¹ observations near 2³² a sum
+// rounds, so its order shows in Mean. A Sample stops counting before that
+// and keeps later observations in insertion order, as the slice does.
+func TestSampleStopsCountingAt2to21(t *testing.T) {
+	var s Sample
+	var o sliceSample
+	for i := 0; i < 3<<20; i++ {
+		x := float64(1<<32 - 1 - i%3)
+		s.Add(x)
+		o.Add(x)
+	}
+	if len(s.runs) != 0 {
+		t.Fatalf("still counting %d observations in %d runs", s.counted, len(s.runs))
+	}
+	for _, q := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"mean", s.Mean(), o.Mean()},
+		{"p50", s.Percentile(50), o.Percentile(50)},
+		{"p99.9", s.Percentile(99.9), o.Percentile(99.9)},
+		{"mean after sorting", s.Mean(), o.Mean()},
+	} {
+		if math.Float64bits(q.got) != math.Float64bits(q.want) {
+			t.Errorf("%s: %v, slice %v", q.what, q.got, q.want)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # covprod.sh — the functions of internal/ that no program runs.
 #
-# Builds every main package with coverage of the whole module
-# (go build -cover -coverpkg=./...), runs the drivers' sweep below with
-# GOCOVERDIR set, and lists each function of internal/ whose coverage stays
+# Copies the tree (every file git tracks or would track) once into a scratch
+# directory, builds every main package there with coverage of the whole
+# module (go build -cover -coverpkg=./...), runs the drivers' sweep below
+# there with GOCOVERDIR set, and lists each function of internal/ whose coverage stays
 # 0.0 % as "<file> <function>" (no line numbers, so the list survives edits
 # above a function). testdata/zero_run.txt holds that list, one
 # "<file> <function>\t<reason>" line each, the reason from a short
@@ -58,10 +59,20 @@ case "${1:-}" in
 esac
 
 cd "$(dirname "$0")/.."
-list=testdata/zero_run.txt
+list=$PWD/testdata/zero_run.txt
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir -p "$work/bin" "$work/cov"
+mkdir -p "$work/bin" "$work/cov" "$work/src"
+
+# One snapshot: an edit made while the script runs cannot give binaries of
+# two versions, whose merged profile would list the functions below the edit
+# as never run. A tracked file deleted from the tree is left out.
+git ls-files -z -co --exclude-standard |
+	while IFS= read -r -d '' f; do
+		if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+	done |
+	tar -cf - --null -T - | tar -xf - -C "$work/src"
+cd "$work/src"
 
 mod=$(go list -m)
 for pkg in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
