@@ -22,8 +22,8 @@ type Config struct {
 	// the paper applies at β=0 and the reason AC/DC beats host DCTCP's
 	// 2-packet floor in deep incast (§5.2).
 	MinRwndBytes int64
-	// EnforceRwnd enables overwriting the receive window; when false with
-	// LogRwnd set, the module runs in the Figure 9 measurement mode.
+	// EnforceRwnd enables overwriting the receive window. Figure 9 sets it,
+	// MarkECT and StripECN false to only observe it (experiments/micro2.go).
 	EnforceRwnd bool
 	// MarkECT makes all egress packets ECN-capable (§3.2).
 	MarkECT bool

@@ -16,10 +16,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"acdc/internal/metrics"
 	"acdc/internal/netsim"
@@ -45,20 +42,14 @@ const (
 	DomainGray
 )
 
-// String names the kind using the spec syntax.
+// String names the kind as a spec does.
 func (k DomainKind) String() string {
-	switch k {
-	case DomainLinkDown:
-		return "link-down"
-	case DomainSwitchDown:
-		return "switch-down"
-	case DomainFlap:
-		return "flap"
-	case DomainGray:
-		return "gray"
-	default:
-		return fmt.Sprintf("kind(%d)", k)
+	for name, d := range domainKinds {
+		if d.Kind == k {
+			return name
+		}
 	}
+	return fmt.Sprintf("kind(%d)", k)
 }
 
 // FaultDomain declares one scheduled fabric fault.
@@ -113,78 +104,54 @@ func (d FaultDomain) withDefaults() FaultDomain {
 	return d
 }
 
-// String renders the domain in the spec syntax it parses from.
-func (d FaultDomain) String() string {
-	var terms []string
-	if d.Link != "" {
-		terms = append(terms, "link="+d.Link)
-	}
-	if d.Switch != "" {
-		terms = append(terms, "switch="+d.Switch)
-	}
-	switch d.Kind {
-	case DomainLinkDown, DomainSwitchDown:
-		terms = append(terms, fmt.Sprintf("for=%v", d.For))
-	case DomainFlap:
-		terms = append(terms, fmt.Sprintf("down=%v", d.Down),
-			fmt.Sprintf("up=%v", d.Up), fmt.Sprintf("count=%d", d.Count))
-	case DomainGray:
-		if d.Loss > 0 {
-			terms = append(terms, fmt.Sprintf("loss=%g", d.Loss))
-		}
-		if d.Delay > 0 {
-			terms = append(terms, fmt.Sprintf("delay=%v", d.Delay))
-		}
-		if d.For > 0 {
-			terms = append(terms, fmt.Sprintf("for=%v", d.For))
-		}
-	}
-	s := fmt.Sprintf("%s@%v", d.Kind, d.At)
-	if len(terms) > 0 {
-		s += "," + strings.Join(terms, ",")
-	}
-	return s
-}
+// String renders the domain as ParseDomains reads it.
+func (d FaultDomain) String() string { return domainGrammar.render(d.Kind.String(), d) }
 
 // domainKinds maps spec names to kinds.
-var domainKinds = map[string]DomainKind{
-	"link-down":   DomainLinkDown,
-	"switch-down": DomainSwitchDown,
-	"flap":        DomainFlap,
-	"gray":        DomainGray,
+var domainKinds = map[string]FaultDomain{
+	"link-down":   {Kind: DomainLinkDown},
+	"switch-down": {Kind: DomainSwitchDown},
+	"flap":        {Kind: DomainFlap},
+	"gray":        {Kind: DomainGray},
 }
 
-// DomainKinds returns the registered kind names, sorted.
-func DomainKinds() []string {
-	out := make([]string, 0, len(domainKinds))
-	for n := range domainKinds {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// domainGrammar declares a fault domain's keys.
+var domainGrammar = grammar[FaultDomain]{
+	what: "fabric", noun: "kind", heads: domainKinds,
+	at: func(d *FaultDomain) *sim.Duration { return &d.At },
+	keys: []key[FaultDomain]{
+		{"link", func(d *FaultDomain) any { return &d.Link }, "links by name, or by a name prefix ending in '*'"},
+		{"switch", func(d *FaultDomain) any { return &d.Switch }, "the switch whose links fail (switch-down)"},
+		{"for", func(d *FaultDomain) any { return &d.For }, "outage length (default 100us); gray: window (default to the end)"},
+		{"down", func(d *FaultDomain) any { return &d.Down }, "flap: time down (default 100us)"},
+		{"up", func(d *FaultDomain) any { return &d.Up }, "flap: time up (default 1ms)"},
+		{"count", func(d *FaultDomain) any { return &d.Count }, "flap: cycles (default 3)"},
+		{"loss", func(d *FaultDomain) any { return &d.Loss }, "gray: silent drop probability (default 0.01 without delay)"},
+		{"delay", func(d *FaultDomain) any { return &d.Delay }, "gray: extra delay of the packets it keeps"},
+	},
 }
 
 // ParseDomains resolves a -fabric flag value: one or more ';'-separated
-// domains, each "kind[@time][,key=value…]". Kinds: link-down, switch-down,
-// flap, gray. Keys: link=<name|prefix*>, switch=<name>, for=<dur>,
-// down=<dur>, up=<dur>, count=<n>, loss=<frac>, delay=<dur>. Examples:
-//
-//	link-down@2ms,link=p0-tor0>p0-agg0,for=500us
-//	switch-down@5ms,switch=p1-tor0,for=5ms
-//	flap@1ms,link=p0-agg0>core0,down=500us,up=2ms,count=5
-//	gray@1ms,link=core1>p2-agg0,loss=0.02;link-down@4ms,link=p3-agg1>core3
+// domains, each "kind[@time][,key=value…]" (see DomainHelp). A switch-down
+// needs switch=, every other kind link=.
 func ParseDomains(s string) ([]FaultDomain, error) {
 	var out []FaultDomain
 	for _, spec := range strings.Split(s, ";") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
+		if strings.TrimSpace(spec) == "" {
 			continue
 		}
-		d, err := parseDomain(spec)
+		d, _, err := domainGrammar.read(spec)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, d)
+		target, need := d.Link, "link"
+		if d.Kind == DomainSwitchDown {
+			target, need = d.Switch, "switch"
+		}
+		if target == "" {
+			return nil, fmt.Errorf("fabric: %s needs %s=<name>", d.Kind, need)
+		}
+		out = append(out, d.withDefaults())
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("fabric: empty spec")
@@ -192,82 +159,20 @@ func ParseDomains(s string) ([]FaultDomain, error) {
 	return out, nil
 }
 
-func parseDomain(spec string) (FaultDomain, error) {
-	head, rest, hasOpts := strings.Cut(spec, ",")
-	name, at, hasAt := strings.Cut(strings.TrimSpace(head), "@")
-	name = strings.TrimSpace(name)
-	kind, ok := domainKinds[name]
-	if !ok {
-		msg := fmt.Sprintf("fabric: unknown kind %q (have %s)", name, strings.Join(DomainKinds(), ", "))
-		if near := Nearest(name, DomainKinds()); near != "" {
-			msg += fmt.Sprintf("; did you mean %q?", near)
-		}
-		return FaultDomain{}, fmt.Errorf("%s", msg)
+// DomainHelp renders the fabric fault-domain kinds and keys as the `-fabric
+// list` output (same convention as ProfilesHelp/RestartHelp).
+func DomainHelp() string {
+	kinds := map[string]string{
+		"link-down":   "take the link= links down for for=",
+		"switch-down": "take every link touching switch= down for for=",
+		"flap":        "cycle the link= links down= and up=, count= times",
+		"gray":        "the link= links stay up, but drop loss= and delay by delay=",
 	}
-	d := FaultDomain{Kind: kind}
-	if hasAt {
-		v, err := time.ParseDuration(strings.TrimSpace(at))
-		if err != nil || v <= 0 {
-			return FaultDomain{}, fmt.Errorf("fabric: bad time %q", at)
-		}
-		d.At = sim.Duration(v.Nanoseconds())
-	}
-	if hasOpts {
-		for _, term := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(strings.TrimSpace(term), "=")
-			if !ok {
-				return FaultDomain{}, fmt.Errorf("fabric: bad term %q (want key=value)", term)
-			}
-			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-			switch k {
-			case "link":
-				d.Link = v
-			case "switch":
-				d.Switch = v
-			case "for", "down", "up", "delay":
-				dur, err := time.ParseDuration(v)
-				if err != nil || dur < 0 {
-					return FaultDomain{}, fmt.Errorf("fabric: bad duration %s=%q", k, v)
-				}
-				sd := sim.Duration(dur.Nanoseconds())
-				switch k {
-				case "for":
-					d.For = sd
-				case "down":
-					d.Down = sd
-				case "up":
-					d.Up = sd
-				case "delay":
-					d.Delay = sd
-				}
-			case "count":
-				n, err := strconv.Atoi(v)
-				if err != nil || n <= 0 {
-					return FaultDomain{}, fmt.Errorf("fabric: bad count %q", v)
-				}
-				d.Count = n
-			case "loss":
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || !(f >= 0 && f <= 1) {
-					return FaultDomain{}, fmt.Errorf("fabric: bad loss %q (want 0..1)", v)
-				}
-				d.Loss = f
-			default:
-				return FaultDomain{}, fmt.Errorf("fabric: unknown key %q", k)
-			}
-		}
-	}
-	switch kind {
-	case DomainSwitchDown:
-		if d.Switch == "" {
-			return FaultDomain{}, fmt.Errorf("fabric: %s needs switch=<name>", kind)
-		}
-	default:
-		if d.Link == "" {
-			return FaultDomain{}, fmt.Errorf("fabric: %s needs link=<name|prefix*>", kind)
-		}
-	}
-	return d.withDefaults(), nil
+	return domainGrammar.help("fabric fault domains (kind[@time][,key=value...]; @time > 0, default 1ms; join several with ';')",
+		func(name string) string { return kinds[name] },
+		"switch-down@5ms,switch=p1-tor0,for=5ms",
+		"flap@1ms,link=p0-agg0>core0,down=500us,up=2ms,count=5",
+		"gray@1ms,link=core1>p2-agg0,loss=0.02;link-down@4ms,link=p3-agg1>core3")
 }
 
 // FabricView is the topology surface a Domains scheduler targets. topo.Net

@@ -225,7 +225,7 @@ func TestDomainsSchedulePanicsOnNoMatch(t *testing.T) {
 
 func TestDomainHelpMentionsEveryKind(t *testing.T) {
 	h := DomainHelp()
-	for _, k := range DomainKinds() {
+	for _, k := range names(domainKinds) {
 		if !strings.Contains(h, k) {
 			t.Errorf("DomainHelp missing kind %q", k)
 		}

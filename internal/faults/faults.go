@@ -18,11 +18,7 @@
 package faults
 
 import (
-	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"acdc/internal/sim"
 )
@@ -69,34 +65,13 @@ func (p Profile) Enabled() bool {
 		p.Corrupt > 0 || p.StripOptions > 0 || p.DropFeedback > 0
 }
 
-// String renders the active fault terms, e.g. "chaos(drop=0.005,dup=0.005)".
+// String renders the profile as Parse reads it: its registered name, or the
+// key list of its non-zero fields ("" for the zero Profile).
 func (p Profile) String() string {
-	var terms []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			terms = append(terms, fmt.Sprintf("%s=%g", k, v))
-		}
+	if q, ok := Lookup(p.Name); ok && q == p {
+		return p.Name
 	}
-	add("drop", p.Drop)
-	add("reorder", p.Reorder)
-	if p.Reorder > 0 && p.ReorderDelay > 0 {
-		terms = append(terms, fmt.Sprintf("reorder-delay=%v", p.ReorderDelay))
-	}
-	add("dup", p.Dup)
-	if p.Jitter > 0 {
-		terms = append(terms, fmt.Sprintf("jitter=%v", p.Jitter))
-	}
-	add("corrupt", p.Corrupt)
-	add("strip-options", p.StripOptions)
-	add("feedback-loss", p.DropFeedback)
-	name := p.Name
-	if name == "" {
-		name = "custom"
-	}
-	if len(terms) == 0 {
-		return name + "(none)"
-	}
-	return name + "(" + strings.Join(terms, ",") + ")"
+	return profileGrammar.render("", p)
 }
 
 // withDefaults fills derived fields (reorder hold-back).
@@ -126,16 +101,6 @@ var profiles = map[string]Profile{
 	},
 }
 
-// Names returns the registered profile names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(profiles))
-	for n := range profiles {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns the named profile.
 func Lookup(name string) (Profile, bool) {
 	p, ok := profiles[name]
@@ -146,10 +111,24 @@ func Lookup(name string) (Profile, bool) {
 	return p.withDefaults(), true
 }
 
-// Parse resolves a -faults flag value: either a registered profile name
-// (see Names) or a comma-separated key=value list, e.g.
-// "drop=0.01,jitter=100us,feedback-loss=0.5". Duration-valued keys accept
-// time.ParseDuration syntax; probability keys accept floats in [0,1].
+// profileGrammar declares a profile's keys.
+var profileGrammar = grammar[Profile]{
+	what: "faults", noun: "profile", heads: profiles,
+	keys: []key[Profile]{
+		{"drop", func(p *Profile) any { return &p.Drop }, "probability a packet is lost"},
+		{"reorder", func(p *Profile) any { return &p.Reorder }, "probability a packet is held back reorder-delay"},
+		{"reorder-delay", func(p *Profile) any { return &p.ReorderDelay }, "hold-back of a reordered packet (default 200us)"},
+		{"dup", func(p *Profile) any { return &p.Dup }, "probability a packet is delivered twice"},
+		{"jitter", func(p *Profile) any { return &p.Jitter }, "uniform extra delay up to this on every packet"},
+		{"corrupt", func(p *Profile) any { return &p.Corrupt }, "probability a TCP checksum and options are damaged"},
+		{"strip-options", func(p *Profile) any { return &p.StripOptions }, "probability every TCP option is stripped"},
+		{"feedback-loss", func(p *Profile) any { return &p.DropFeedback }, "probability AC/DC's PACK/FACK feedback is lost"},
+	},
+}
+
+// Parse resolves a -faults flag value: a registered profile name, or a
+// comma-separated key=value list (see ProfilesHelp), e.g.
+// "drop=0.01,jitter=100us,feedback-loss=0.5". "" is the zero Profile.
 func Parse(s string) (Profile, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -158,53 +137,22 @@ func Parse(s string) (Profile, error) {
 	if p, ok := Lookup(s); ok {
 		return p, nil
 	}
+	g := &profileGrammar
 	if !strings.Contains(s, "=") {
-		if near := Nearest(s, Names()); near != "" {
-			return Profile{}, fmt.Errorf("faults: unknown profile %q (did you mean %q?)", s, near)
-		}
-		return Profile{}, fmt.Errorf("faults: unknown profile %q (have %s)", s, strings.Join(Names(), ", "))
+		return Profile{}, g.unknown(g.noun, s, names(profiles))
 	}
 	var p Profile
-	for _, term := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(term), "=")
-		if !ok {
-			return Profile{}, fmt.Errorf("faults: bad term %q (want key=value)", term)
-		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		switch k {
-		case "jitter", "reorder-delay":
-			d, err := time.ParseDuration(v)
-			if err != nil || d < 0 {
-				return Profile{}, fmt.Errorf("faults: bad duration %s=%q", k, v)
-			}
-			if k == "jitter" {
-				p.Jitter = sim.Duration(d.Nanoseconds())
-			} else {
-				p.ReorderDelay = sim.Duration(d.Nanoseconds())
-			}
-		default:
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || !(f >= 0 && f <= 1) {
-				return Profile{}, fmt.Errorf("faults: bad probability %s=%q (want [0,1])", k, v)
-			}
-			switch k {
-			case "drop":
-				p.Drop = f
-			case "reorder":
-				p.Reorder = f
-			case "dup":
-				p.Dup = f
-			case "corrupt":
-				p.Corrupt = f
-			case "strip-options":
-				p.StripOptions = f
-			case "feedback-loss":
-				p.DropFeedback = f
-			default:
-				return Profile{}, fmt.Errorf("faults: unknown key %q", k)
-			}
-		}
+	if _, err := g.terms(&p, s); err != nil {
+		return Profile{}, err
 	}
 	return p.withDefaults(), nil
+}
+
+// ProfilesHelp renders the built-in fault profiles and the keys as the
+// `-faults list` output (topo.BindEnv), which is also the syntax of a
+// scenario spec's Faults field.
+func ProfilesHelp() string {
+	return profileGrammar.help("built-in fault profiles (a profile is one of these names or a key list)",
+		func(name string) string { return profileGrammar.render("", profiles[name].withDefaults()) },
+		"drop=0.01,jitter=50us,feedback-loss=0.5")
 }

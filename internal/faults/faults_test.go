@@ -10,7 +10,7 @@ import (
 )
 
 func TestParseNamedProfiles(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range names(profiles) {
 		p, err := Parse(name)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
@@ -58,16 +58,20 @@ func TestParseKeyValue(t *testing.T) {
 
 func TestProfileString(t *testing.T) {
 	p, _ := Lookup("chaos")
+	if got := p.String(); got != "chaos" {
+		t.Errorf("String() = %q, want the registered name", got)
+	}
+	p.Name = ""
 	s := p.String()
-	for _, want := range []string{"chaos(", "drop=0.005", "feedback-loss=0.2"} {
+	for _, want := range []string{"drop=0.005", "feedback-loss=0.2"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
 	}
-	if got := (Profile{}).String(); got != "custom(none)" {
+	if got := (Profile{}).String(); got != "" {
 		t.Errorf("zero String() = %q", got)
 	}
-	if got := (Profile{Name: "none"}).String(); got != "none(none)" {
+	if got := (Profile{Name: "none"}).String(); got != "none" {
 		t.Errorf("none String() = %q", got)
 	}
 }
@@ -215,6 +219,35 @@ func TestHookStripOptions(t *testing.T) {
 	out2, _ := runHook(in, out[0].Clone())
 	if len(out2) != 1 || in.strips.Value() != 1 {
 		t.Error("bare packet was counted as stripped")
+	}
+}
+
+// TestHookStripOptionsRefusesLyingTotalLen: an ACK whose IP total length is
+// shorter than its own 52 header bytes passes the option strip untouched,
+// as it passes the packet package's option editors; shrinking it would wrap
+// the total length to about 64 KB.
+func TestHookStripOptionsRefusesLyingTotalLen(t *testing.T) {
+	in := NewInjector(Profile{StripOptions: 1}, 3)
+	p := packet.Build(packet.MakeAddr(10, 0, 0, 2), packet.MakeAddr(10, 0, 0, 1),
+		packet.NotECT, packet.TCPFields{
+			SrcPort: 5001, DstPort: 4000, Seq: 1, Ack: 1,
+			Flags: packet.FlagACK, Window: 65535,
+			Options: []byte{packet.OptNOP, packet.OptNOP, 8, 10, 0, 0, 0, 1, 0, 0, 0, 2},
+		}, 0)
+	if len(p.Buf) != 52 {
+		t.Fatalf("built a %d-byte packet, want 52", len(p.Buf))
+	}
+	p.IP().SetTotalLen(8)
+	want := append([]byte(nil), p.Buf...)
+	out, _ := runHook(in, p)
+	if len(out) != 1 {
+		t.Fatalf("delivered %d packets", len(out))
+	}
+	if got := out[0].IP().TotalLen(); got != 8 || string(out[0].Buf) != string(want) {
+		t.Fatalf("lying packet rewritten: total length %d, %d bytes", got, len(out[0].Buf))
+	}
+	if in.strips.Value() != 0 {
+		t.Fatalf("strips=%d, want 0", in.strips.Value())
 	}
 }
 

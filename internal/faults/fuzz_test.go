@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,7 +35,7 @@ func FuzzParseDomains(f *testing.F) {
 		}
 		f.Add(s)
 	}
-	for _, k := range DomainKinds() {
+	for _, k := range names(domainKinds) {
 		f.Add(k)
 	}
 	f.Add("gray@1ms,loss=1e-400;;flap,count=9223372036854775807")
@@ -58,9 +59,9 @@ func FuzzParseDomains(f *testing.F) {
 }
 
 func FuzzParseRestart(f *testing.F) {
-	seeds := helpExamples(RestartHelp(), "example:")
+	seeds := helpExamples(RestartHelp(), "examples:")
 	if len(seeds) == 0 {
-		f.Fatal("RestartHelp prints no example")
+		f.Fatal("RestartHelp prints no examples")
 	}
 	for _, s := range seeds {
 		if _, err := ParseRestart(s); err != nil {
@@ -68,7 +69,7 @@ func FuzzParseRestart(f *testing.F) {
 		}
 		f.Add(s)
 	}
-	for _, v := range RestartVariants() {
+	for _, v := range names(restartVariants) {
 		f.Add(v)
 	}
 	f.Add("warm@1ms,host=0,host=3,down=50us,every=2ms")
@@ -87,4 +88,92 @@ func FuzzParseRestart(f *testing.F) {
 			}
 		}
 	})
+}
+
+// matchesReference parses s with parse and with the reference parser ref
+// (reference_test.go) and fails unless both reject it, or both accept it with
+// equal values. An accepted value must also read back from its rendering.
+func matchesReference[T any](t *testing.T, what, s string, parse, ref func(string) (T, error), render func(T) string) {
+	t.Helper()
+	got, err := parse(s)
+	want, refErr := ref(s)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s(%q): error %v, reference error %v", what, s, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s(%q) = %+v, reference %+v", what, s, got, want)
+	}
+	if back, err := parse(render(got)); err != nil || !reflect.DeepEqual(back, got) {
+		t.Fatalf("%s(%q) renders %q, which reads back as %+v, %v", what, s, render(got), back, err)
+	}
+}
+
+// joinDomains renders a fabric plan as ParseDomains reads it.
+func joinDomains(ds []FaultDomain) string {
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = d.String()
+	}
+	return strings.Join(out, ";")
+}
+
+// FuzzSpecRoundTrip: for any text, Parse, ParseRestart and ParseDomains
+// accept what the parsers they replaced accepted, with the same value, and
+// reject the rest; and what they accept, String renders in a form they read
+// back to the same value. The seeds are every word of the three `list`
+// texts, the forms the old String printed, and edge cases of each kind.
+func FuzzSpecRoundTrip(f *testing.F) {
+	for _, help := range []string{ProfilesHelp(), RestartHelp(), DomainHelp()} {
+		for _, word := range strings.Fields(help) {
+			f.Add(word)
+		}
+	}
+	for _, s := range []string{
+		"", ";", " warm @ 2ms , down = 1us ", "warm,", "stale,age=0", "stale,age=0,age=5us",
+		"warm,age=0", "stale@1.000ms(age=100.000us)", "loss(drop=0.01)", "custom(none)",
+		"cold@200.000us(down=50.000us,every=2.000ms,hosts=0+3)", "wram", "los", "grya,link=x",
+		"drop=-0,jitter=1.2345678ms,reorder-delay=3ns", "drop=0x1p-3,dup=1e-400",
+		"jitter=2562047h47m16.854775807s", "warm@1ms,host=+3,host=0,every=1h",
+		"link-down,link=a=b@c,count=2", "gray,link=x,delay=10us", "gray,link=x,loss=0,for=0",
+		"switch-down@5ms,switch=t,link=;flap,link=p*,down=0,up=0", "flap,link=x,count=007",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		matchesReference(t, "Parse", s, Parse, refParse, Profile.String)
+		matchesReference(t, "ParseRestart", s, ParseRestart, refParseRestart, RestartPlan.String)
+		matchesReference(t, "ParseDomains", s, ParseDomains, refParseDomains, joinDomains)
+	})
+}
+
+// TestStringRoundTrip: every registered profile, under its name and as its
+// key list, every restart variant and every domain kind with its defaults
+// reads back from its String as itself.
+func TestStringRoundTrip(t *testing.T) {
+	for _, name := range names(profiles) {
+		p, _ := Lookup(name)
+		for _, q := range []Profile{p, {Drop: p.Drop, Reorder: p.Reorder, ReorderDelay: p.ReorderDelay,
+			Dup: p.Dup, Jitter: p.Jitter, Corrupt: p.Corrupt, StripOptions: p.StripOptions, DropFeedback: p.DropFeedback}} {
+			if back, err := Parse(q.String()); err != nil || back != q {
+				t.Errorf("profile %+v renders %q, which reads back as %+v, %v", q, q.String(), back, err)
+			}
+		}
+	}
+	for _, name := range names(restartVariants) {
+		p, _ := LookupRestart(name)
+		if back, err := ParseRestart(p.String()); err != nil || !reflect.DeepEqual(back, p) {
+			t.Errorf("restart %+v renders %q, which reads back as %+v, %v", p, p.String(), back, err)
+		}
+	}
+	for _, name := range names(domainKinds) {
+		d := domainKinds[name]
+		d.Link, d.Switch = "p0-agg0>*", "p1-tor0"
+		d = d.withDefaults()
+		if back, err := ParseDomains(d.String()); err != nil || len(back) != 1 || back[0] != d {
+			t.Errorf("domain %+v renders %q, which reads back as %+v, %v", d, d.String(), back, err)
+		}
+	}
 }

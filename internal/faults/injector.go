@@ -191,7 +191,8 @@ func stripAllOptions(p *packet.Packet) bool {
 		return false
 	}
 	t := ip.TCP()
-	if !t.Valid() || t.HeaderLen() <= packet.TCPHeaderLen {
+	// A total length short of the headers would wrap when shrunk: refuse it.
+	if !t.Valid() || t.HeaderLen() <= packet.TCPHeaderLen || int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
 		return false
 	}
 	ihl := ip.HeaderLen()

@@ -22,10 +22,7 @@ package faults
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
+	"slices"
 
 	"acdc/internal/sim"
 )
@@ -63,20 +60,14 @@ const (
 	RestartCorrupt
 )
 
-// String names the mode.
+// String names the mode as a spec does.
 func (m RestartMode) String() string {
-	switch m {
-	case RestartCold:
-		return "cold"
-	case RestartWarm:
-		return "warm"
-	case RestartStale:
-		return "stale"
-	case RestartCorrupt:
-		return "corrupt"
-	default:
-		return fmt.Sprintf("mode(%d)", m)
+	for name, p := range restartVariants {
+		if p.Mode == m {
+			return name
+		}
 	}
+	return fmt.Sprintf("mode(%d)", m)
 }
 
 // RestartPlan declares one scheduled vSwitch restart (optionally recurring).
@@ -108,16 +99,6 @@ var restartVariants = map[string]RestartPlan{
 	"corrupt": {Mode: RestartCorrupt},
 }
 
-// RestartVariants returns the registered variant names, sorted.
-func RestartVariants() []string {
-	out := make([]string, 0, len(restartVariants))
-	for n := range restartVariants {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // LookupRestart returns the named variant with defaults applied.
 func LookupRestart(name string) (RestartPlan, bool) {
 	p, ok := restartVariants[name]
@@ -139,110 +120,47 @@ func (p RestartPlan) withDefaults() RestartPlan {
 }
 
 // AppliesTo reports whether host index i restarts under this plan.
-func (p RestartPlan) AppliesTo(i int) bool {
-	if len(p.Hosts) == 0 {
-		return true
-	}
-	for _, h := range p.Hosts {
-		if h == i {
-			return true
-		}
-	}
-	return false
+func (p RestartPlan) AppliesTo(i int) bool { return len(p.Hosts) == 0 || slices.Contains(p.Hosts, i) }
+
+// String renders the plan as ParseRestart reads it, e.g.
+// "stale@1.000ms,age=100.000us".
+func (p RestartPlan) String() string { return restartGrammar.render(p.Mode.String(), p) }
+
+// restartGrammar declares a restart plan's keys.
+var restartGrammar = grammar[RestartPlan]{
+	what: "restart", noun: "variant", heads: restartVariants,
+	at: func(p *RestartPlan) *sim.Duration { return &p.At },
+	keys: []key[RestartPlan]{
+		{"down", func(p *RestartPlan) any { return &p.Downtime }, "time the host runs without its vSwitch"},
+		{"age", func(p *RestartPlan) any { return &p.StaleAge }, "how far a stale checkpoint lags the wire (default 100us)"},
+		{"every", func(p *RestartPlan) any { return &p.Every }, "repeat with this period while flows remain"},
+		{"host", func(p *RestartPlan) any { return &p.Hosts }, "restart only this host (repeatable; default every host)"},
+	},
 }
 
-// String renders the plan, e.g. "stale@1ms(age=100us)".
-func (p RestartPlan) String() string {
-	var terms []string
-	if p.Mode == RestartStale {
-		terms = append(terms, fmt.Sprintf("age=%v", p.StaleAge))
-	}
-	if p.Downtime > 0 {
-		terms = append(terms, fmt.Sprintf("down=%v", p.Downtime))
-	}
-	if p.Every > 0 {
-		terms = append(terms, fmt.Sprintf("every=%v", p.Every))
-	}
-	if len(p.Hosts) > 0 {
-		hs := make([]string, len(p.Hosts))
-		for i, h := range p.Hosts {
-			hs[i] = strconv.Itoa(h)
-		}
-		terms = append(terms, "hosts="+strings.Join(hs, "+"))
-	}
-	s := fmt.Sprintf("%s@%v", p.Mode, p.At)
-	if len(terms) > 0 {
-		s += "(" + strings.Join(terms, ",") + ")"
-	}
-	return s
-}
-
-// ParseRestart resolves a -restart flag value: "mode[@time][,key=value…]"
-// where mode is a registered variant (see RestartVariants) and keys are
-// down=<dur>, age=<dur>, every=<dur>, host=<idx> (repeatable). Examples:
-//
-//	warm                  warm restart of every vSwitch at the default 1ms
-//	cold@200us            cold restart at t=200µs
-//	stale@1ms,age=500us   restore a checkpoint 500µs behind the wire
-//	warm@1ms,host=0,host=3,down=50us
+// ParseRestart resolves a -restart flag value, "mode[@time][,key=value…]",
+// where mode is a registered variant and @time defaults to 1ms: "warm",
+// "cold@200us", "stale@1ms,age=500us" (see RestartHelp).
 func ParseRestart(s string) (RestartPlan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return RestartPlan{}, fmt.Errorf("restart: empty spec")
+	p, given, err := restartGrammar.read(s)
+	if err != nil {
+		return RestartPlan{}, err
 	}
-	head, rest, hasOpts := strings.Cut(s, ",")
-	name, at, hasAt := strings.Cut(strings.TrimSpace(head), "@")
-	p, ok := restartVariants[strings.TrimSpace(name)]
-	if !ok {
-		return RestartPlan{}, fmt.Errorf("restart: unknown variant %q (have %s)",
-			name, strings.Join(RestartVariants(), ", "))
-	}
-	if hasAt {
-		d, err := time.ParseDuration(strings.TrimSpace(at))
-		if err != nil || d <= 0 {
-			return RestartPlan{}, fmt.Errorf("restart: bad time %q", at)
-		}
-		p.At = sim.Duration(d.Nanoseconds())
-	}
-	ageSet := false
-	if hasOpts {
-		for _, term := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(strings.TrimSpace(term), "=")
-			if !ok {
-				return RestartPlan{}, fmt.Errorf("restart: bad term %q (want key=value)", term)
-			}
-			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-			switch k {
-			case "down", "age", "every":
-				d, err := time.ParseDuration(v)
-				if err != nil || d < 0 {
-					return RestartPlan{}, fmt.Errorf("restart: bad duration %s=%q", k, v)
-				}
-				switch k {
-				case "down":
-					p.Downtime = sim.Duration(d.Nanoseconds())
-				case "age":
-					p.StaleAge = sim.Duration(d.Nanoseconds())
-					ageSet = true
-				case "every":
-					p.Every = sim.Duration(d.Nanoseconds())
-				}
-			case "host":
-				h, err := strconv.Atoi(v)
-				if err != nil || h < 0 {
-					return RestartPlan{}, fmt.Errorf("restart: bad host index %q", v)
-				}
-				p.Hosts = append(p.Hosts, h)
-			default:
-				return RestartPlan{}, fmt.Errorf("restart: unknown key %q", k)
-			}
-		}
-	}
-	if p.Mode == RestartStale && ageSet && p.StaleAge == 0 {
+	if p.Mode == RestartStale && p.StaleAge == 0 && slices.Contains(given, "age") {
 		// An explicit age=0 would silently become the default; reject it.
 		return RestartPlan{}, fmt.Errorf("restart: stale variant needs age > 0")
 	}
 	return p.withDefaults(), nil
+}
+
+// RestartHelp renders the restart variants and keys as the `-restart list`
+// output (same convention as ProfilesHelp).
+func RestartHelp() string {
+	return restartGrammar.help("vSwitch restart variants (mode[@time][,key=value...]; @time > 0, default 1ms)",
+		func(name string) string {
+			p, _ := LookupRestart(name)
+			return p.String()
+		}, "stale@1ms,age=500us,down=50us,host=0", "warm@1ms,every=2ms,host=0,host=3")
 }
 
 // Schedule arms the plan on the sim clock for every target. Targets restart

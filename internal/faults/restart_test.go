@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"acdc/internal/sim"
@@ -72,6 +73,11 @@ func TestParseRestartErrors(t *testing.T) {
 			t.Fatalf("ParseRestart(%q) accepted", in)
 		}
 	}
+	for in, near := range map[string]string{"wram": `"warm"`, "warm,dwon=1us": `"down"`, "warm,=1us": "(have down,"} {
+		if _, err := ParseRestart(in); err == nil || !strings.Contains(err.Error(), near) {
+			t.Errorf("ParseRestart(%q): %v, want it to mention %s", in, err, near)
+		}
+	}
 }
 
 func TestRestartPlanString(t *testing.T) {
@@ -81,10 +87,10 @@ func TestRestartPlanString(t *testing.T) {
 	}{
 		{RestartPlan{Mode: RestartWarm, At: sim.Millisecond}, "warm@1.000ms"},
 		{RestartPlan{Mode: RestartStale, At: sim.Millisecond,
-			StaleAge: 100 * sim.Microsecond}, "stale@1.000ms(age=100.000us)"},
+			StaleAge: 100 * sim.Microsecond}, "stale@1.000ms,age=100.000us"},
 		{RestartPlan{Mode: RestartCold, At: 200 * sim.Microsecond,
 			Downtime: 50 * sim.Microsecond, Every: 2 * sim.Millisecond,
-			Hosts: []int{0, 3}}, "cold@200.000us(down=50.000us,every=2.000ms,hosts=0+3)"},
+			Hosts: []int{0, 3}}, "cold@200.000us,down=50.000us,every=2.000ms,host=0,host=3"},
 	}
 	for _, tc := range cases {
 		if got := tc.plan.String(); got != tc.want {
@@ -95,8 +101,8 @@ func TestRestartPlanString(t *testing.T) {
 
 func TestRestartVariantsRegistry(t *testing.T) {
 	want := []string{"cold", "corrupt", "stale", "warm"}
-	if got := RestartVariants(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("RestartVariants() = %v, want %v", got, want)
+	if got := names(restartVariants); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restart variants = %v, want %v", got, want)
 	}
 	p, ok := LookupRestart("stale")
 	if !ok || p.Mode != RestartStale || p.At != sim.Millisecond ||

@@ -322,10 +322,12 @@ func sameAnswers(t *testing.T, what string, got, want queried) {
 }
 
 // TestSampleMatchesSliceOracle: Adds interleaved with queries, some of them
-// through a value copy, answer bit for bit what one sorted slice answers.
-// Besides fractions, ±0 and the special values, whole numbers go in: narrow
-// until the widening value three quarters in (2³², −0 or 0.5), up to about
-// 2³³ after it, with copies queried just before and just after it.
+// through a value copy, answer what one sorted slice answers, bit for bit up
+// to NaN payloads. Besides fractions, ±0 and the special values, whole
+// numbers go in: narrow until the widening value three quarters in (2³², −0
+// or 0.5), up to about 2³³ after it, with copies queried just before and just
+// after it. Once a Sample that counted widens, the order of −0 and 0 is
+// outside its contract, so from then on a zero answer may differ in sign.
 func TestSampleMatchesSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	wideners := map[string]float64{"2^32": 1 << 32, "-0": math.Copysign(0, -1), "0.5": 0.5}
@@ -335,6 +337,7 @@ func TestSampleMatchesSliceOracle(t *testing.T) {
 			var o sliceSample
 			widener, whole := wideners[mode]
 			w := 3 * n / 4
+			counted := false
 			for i := 0; i < n; i++ {
 				var x float64
 				switch {
@@ -349,6 +352,7 @@ func TestSampleMatchesSliceOracle(t *testing.T) {
 				}
 				s.Add(x)
 				o.Add(x)
+				counted = counted || len(s.runs) > 0
 				if whole && s.wide != (i >= w) {
 					t.Fatalf("n=%d %s after %d: wide %v", n, mode, i+1, s.wide)
 				}
@@ -361,12 +365,12 @@ func TestSampleMatchesSliceOracle(t *testing.T) {
 					// A copy shares storage: sorting through it reorders
 					// what the original's Mean sums.
 					c, co := s, o
-					sameAnswers(t, what+" (copy)", &c, &co)
+					sameUpTo(t, what+" (copy)", &c, &co, counted && s.wide)
 				} else {
-					sameAnswers(t, what, &s, &o)
+					sameUpTo(t, what, &s, &o, counted && s.wide)
 				}
 			}
-			sameAnswers(t, fmt.Sprintf("n=%d %s", n, mode), &s, &o)
+			sameUpTo(t, fmt.Sprintf("n=%d %s", n, mode), &s, &o, counted && s.wide)
 		}
 	}
 }

@@ -28,6 +28,7 @@ func TestBindEnv(t *testing.T) {
 		{args: []string{"-restart", "warm@1ms"}, ok: func(e Env) bool { return e.Restart != nil }, header: "vSwitch restart: "},
 		{args: []string{"-restart", "hot@never"}, fail: `bad -restart "hot@never"`},
 		{args: []string{"-restart", "list"}, help: "vSwitch restart variants"},
+		{args: []string{"-restart", "wram"}, fail: `did you mean "warm"`},
 		{args: []string{"-fabric", "link-down@1ms,link=left>right"}, ok: func(e Env) bool { return len(e.Fabric) == 1 }, header: "fabric fault domains: "},
 		{args: []string{"-fabric", "meteor,link=x"}, fail: `bad -fabric "meteor,link=x"`},
 		{args: []string{"-fabric", "list"}, help: "fabric fault domains"},
@@ -38,15 +39,7 @@ func TestBindEnv(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
-			fs := flag.NewFlagSet("acdcsim", flag.ContinueOnError)
-			fs.SetOutput(io.Discard)
-			f := BindEnv(fs)
-			var env Env
-			var help string
-			err := fs.Parse(tc.args)
-			if err == nil {
-				env, help, err = f.Env()
-			}
+			env, help, err := envFromArgs(tc.args...)
 			switch {
 			case tc.fail != "":
 				if err == nil || !strings.Contains(err.Error(), tc.fail) {
@@ -67,6 +60,54 @@ func TestBindEnv(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// envFromArgs parses args through a fresh FlagSet bound to every
+// run-environment flag.
+func envFromArgs(args ...string) (Env, string, error) {
+	fs := flag.NewFlagSet("acdcsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := BindEnv(fs)
+	if err := fs.Parse(args); err != nil {
+		return Env{}, "", err
+	}
+	return f.Env()
+}
+
+// TestListFormsAccepted: every form a `list` query prints goes back in
+// through its own flag — each built-in fault profile by name and as its key
+// list, each restart variant by name and as its plan, and every example.
+// The fabric list's kind lines are prose, not forms.
+func TestListFormsAccepted(t *testing.T) {
+	for _, o := range []struct {
+		flag          string
+		namesAreForms bool
+	}{{"faults", true}, {"restart", true}, {"fabric", false}} {
+		_, help, err := envFromArgs("-"+o.flag, "list")
+		if err != nil || help == "" {
+			t.Fatalf("-%s list: %q, %v", o.flag, help, err)
+		}
+		var forms []string
+		section := "names"
+		for _, line := range strings.Split(help, "\n")[1:] {
+			switch {
+			case line == "keys:" || line == "examples:":
+				section = line
+			case section == "names" && o.namesAreForms:
+				forms = append(forms, strings.Fields(line)...)
+			case section == "examples:" && line != "":
+				forms = append(forms, strings.TrimSpace(line))
+			}
+		}
+		if len(forms) < 2 {
+			t.Fatalf("-%s list prints %d forms:\n%s", o.flag, len(forms), help)
+		}
+		for _, form := range forms {
+			if _, help, err := envFromArgs("-"+o.flag, form); err != nil || help != "" {
+				t.Errorf("-%s list prints %q, which -%s rejects: %v", o.flag, form, o.flag, err)
+			}
+		}
 	}
 }
 
