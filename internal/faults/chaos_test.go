@@ -6,6 +6,9 @@
 package faults_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
 	"testing"
 
 	"acdc/internal/audit"
@@ -99,19 +102,22 @@ type chaosOutcome struct {
 	faultTotal int64
 	fleet      string           // merged vSwitch metrics snapshot text
 	snap       metrics.Snapshot // the same snapshot, queryable by counter name
+	digest     string           // sha256 of the run log driveChaos was given
 }
 
 func runChaos(t *testing.T, prof *faults.Profile, seed int64) chaosOutcome {
 	t.Helper()
 	net := topo.Dumbbell(chaosPairs, chaosOptions(prof, seed))
 	widened := watchRwnd(net)
-	return driveChaos(net, widened)
+	return driveChaos(net, widened, sha256.New())
 }
 
 // driveChaos runs the standard chaos workload (chaosPairs flows, chaosMsgs
 // messages each) on an already-built net and collects the outcome. Restart
-// tests build the net themselves so they can arm restart plans first.
-func driveChaos(net *topo.Net, widened *int64) chaosOutcome {
+// tests build the net themselves so they can arm restart plans first. Each
+// completed message appends its time, flow and delivered bytes to log, whose
+// sum becomes the outcome's digest.
+func driveChaos(net *topo.Net, widened *int64, log hash.Hash) chaosOutcome {
 	m := workload.NewManager(net)
 
 	completed := 0
@@ -119,7 +125,10 @@ func driveChaos(net *topo.Net, widened *int64) chaosOutcome {
 	for i := 0; i < chaosPairs; i++ {
 		flows[i] = m.Open(i, chaosPairs+i)
 		for j := 0; j < chaosMsgs; j++ {
-			flows[i].SendMessage(chaosMsgSize, func(sim.Duration) { completed++ })
+			flows[i].SendMessage(chaosMsgSize, func(sim.Duration) {
+				completed++
+				fmt.Fprintf(log, "deliver t=%d flow=%d bytes=%d\n", net.Sim.Now(), i, flows[i].Delivered())
+			})
 		}
 	}
 
@@ -145,6 +154,7 @@ func driveChaos(net *topo.Net, widened *int64) chaosOutcome {
 		completed: completed,
 		widened:   *widened,
 		maxTable:  maxTable,
+		digest:    fmt.Sprintf("%x", log.Sum(nil)),
 	}
 	for _, f := range flows {
 		out.delivered = append(out.delivered, f.Delivered())
