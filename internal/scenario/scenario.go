@@ -458,13 +458,7 @@ func ParseSpecs(data []byte) ([]Spec, error) {
 		data = append(append([]byte{'['}, t...), ']') // one spec
 	}
 	var many []Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&many)
-	if _, end := dec.Token(); err == nil && end != io.EOF {
-		err = fmt.Errorf("data after the config")
-	}
-	if err != nil {
+	if err := decodeStrict(data, &many); err != nil {
 		return nil, fmt.Errorf("scenario: config: %v", err)
 	}
 	for _, s := range many {
@@ -473,4 +467,16 @@ func ParseSpecs(data []byte) ([]Spec, error) {
 		}
 	}
 	return many, nil
+}
+
+// decodeStrict decodes data, one JSON value, into v. A field v has no place
+// for, or anything after the value, is an error.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if _, end := dec.Token(); err == nil && end != io.EOF {
+		err = fmt.Errorf("data after the value")
+	}
+	return err
 }

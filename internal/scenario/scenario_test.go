@@ -450,6 +450,37 @@ func TestBaselineMissingStaleAndSeed(t *testing.T) {
 	}
 }
 
+// TestLoadBaselinesStrict: a baseline file with a key the format has no
+// field for, or with data after its object, fails to load rather than gate
+// less than it says; the checked-in file loads.
+func TestLoadBaselinesStrict(t *testing.T) {
+	for _, tc := range []struct {
+		name, data, wantErr string
+	}{
+		{"well formed", `{"seed": 1, "modes": {"smoke": {"s": {"acdc": {"m": 1}}}}}`, ""},
+		{"mistyped top-level key", `{"seed": 1, "mode": {}}`, `unknown field "mode"`},
+		{"trailing data", `{"seed": 1, "modes": {}} {}`, "data after the value"},
+		{"trailing bracket", `{"seed": 1, "modes": {}}]`, "data after the value"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "base.json")
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadBaselines(path)
+			if tc.wantErr == "" && err != nil {
+				t.Fatalf("LoadBaselines: %v", err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("LoadBaselines: error %v, want one containing %q", err, tc.wantErr)
+			}
+		})
+	}
+	if _, err := LoadBaselines("../../SUITE_baselines.json"); err != nil {
+		t.Fatalf("checked-in baselines: %v", err)
+	}
+}
+
 func TestBlessRoundTripsThroughDisk(t *testing.T) {
 	results, err := Run([]Spec{tinySpec()}, SuiteConfig{Seed: 1, Workers: 1})
 	if err != nil {
