@@ -28,8 +28,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
 	"strings"
@@ -127,9 +129,14 @@ func main() {
 	switch {
 	case *noBaseline:
 	case *bless:
+		// Only a missing file starts fresh: blessing over one that does not
+		// load would drop the other mode's baselines.
 		f, lerr := scenario.LoadBaselines(*baseline)
+		if errors.Is(lerr, fs.ErrNotExist) {
+			f, lerr = &scenario.BaselineFile{Comment: "regenerate: go run ./cmd/acdcsuite -bless (and -smoke -bless); see SCENARIOS.md"}, nil
+		}
 		if lerr != nil {
-			f = &scenario.BaselineFile{Comment: "regenerate: go run ./cmd/acdcsuite -bless (and -smoke -bless); see SCENARIOS.md"}
+			fail(2, "acdcsuite: %v", lerr)
 		}
 		f.Bless(cfg.Mode(), *seed, results)
 		if err := scenario.SaveBaselines(*baseline, f); err != nil {

@@ -77,7 +77,6 @@ type DatapathMetrics struct {
 	Restarts              metrics.LazyCounter `metric:"vswitch_restarts_total"`        // Restart() invocations (cold or warm)
 	SnapshotSaves         metrics.LazyCounter `metric:"snapshot_save_total"`           // flow-table checkpoints taken
 	SnapshotRestores      metrics.LazyCounter `metric:"snapshot_restore_total"`        // checkpoints decoded and installed
-	SnapshotCorrupt       metrics.LazyCounter `metric:"snapshot_corrupt_total"`        // checkpoints rejected (failed open to a fresh table)
 	FlowsResynced         metrics.LazyCounter `metric:"flows_resynced_total"`          // flows that completed the conservative resync round
 	FlowsAdoptedMidstream metrics.LazyCounter `metric:"flows_adopted_midstream_total"` // sender flows adopted without a handshake
 	FeedbackResets        metrics.LazyCounter `metric:"feedback_resets_total"`         // cumulative-feedback regressions re-baselined (peer vSwitch restarted mid-flow)
@@ -183,7 +182,6 @@ type Stats struct {
 	Restarts                     int64
 	SnapshotSaves                int64
 	SnapshotRestores             int64
-	SnapshotCorrupt              int64
 	FlowsResynced                int64
 	FlowsAdoptedMidstream        int64
 	FeedbackResets               int64

@@ -8,8 +8,8 @@ import (
 )
 
 // TestSnapshotConcurrentWithDatapath is the warm-restart interleaving
-// regression: SaveSnapshot / RestoreSnapshot — including corrupt restores,
-// which reset the table in place — and Detach / Reattach land between the
+// regression: SaveSnapshot / RestoreSnapshot, cold restarts, which reset the
+// table in place, and Detach / Reattach land between the
 // packets of several flows, the way the daemon's command queue delivers them:
 // as events on the simulation goroutine. The assertions pin that the
 // accounting survives the interleaving (gauge == table size).
@@ -40,7 +40,7 @@ func TestSnapshotConcurrentWithDatapath(t *testing.T) {
 
 	// One control operation every 730 ns: staggered against the packets
 	// (every 100 ns), so each lands between two of them.
-	var snap []byte
+	var snap []flowRecord
 	for i := 0; i < ctrlCycles; i++ {
 		op := i % 5
 		s.ScheduleFunc(sim.Duration(50+730*i), func() {
@@ -48,15 +48,11 @@ func TestSnapshotConcurrentWithDatapath(t *testing.T) {
 			case 0:
 				snap = v.SaveSnapshot()
 			case 1, 2:
-				if err := v.RestoreSnapshot(snap); err != nil {
-					t.Errorf("restore of a saved snapshot failed: %v", err)
-				}
+				v.RestoreSnapshot(snap)
 			case 3:
-				// Corrupt restore: must fail open (in-place table reset)
-				// without disturbing the traffic around it.
-				if err := v.RestoreSnapshot([]byte("garbage")); err == nil {
-					t.Error("corrupt restore did not error")
-				}
+				// Cold restart: an in-place table reset that must not
+				// disturb the traffic around it.
+				v.Restart(nil)
 			case 4:
 				v.Detach()
 				v.Reattach()
@@ -72,7 +68,7 @@ func TestSnapshotConcurrentWithDatapath(t *testing.T) {
 		t.Fatalf("flow_table_size gauge %d != table len %d after interleaved restarts", gauge, tbl)
 	}
 	st := v.Stats()
-	if st.SnapshotSaves == 0 || st.SnapshotRestores == 0 || st.SnapshotCorrupt == 0 {
+	if st.SnapshotSaves == 0 || st.SnapshotRestores == 0 || st.Restarts == 0 {
 		t.Fatalf("controller did not exercise all paths: %+v", st)
 	}
 }
@@ -93,7 +89,7 @@ func TestFinRevSetUnderItsOwnLock(t *testing.T) {
 
 	const rounds = 2000
 	n := 0
-	var snap []byte
+	var snap []flowRecord
 	var tick func()
 	tick = func() {
 		sp, dp := uint16(100+n%8), uint16(200+n%8)
@@ -107,13 +103,9 @@ func TestFinRevSetUnderItsOwnLock(t *testing.T) {
 	s.ScheduleFunc(0, tick)
 	s.RunAll()
 
-	_, recs, err := decodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
 	saved := map[FlowKey]flowRecord{}
-	for _, r := range recs {
-		saved[r.Fixed.Key] = r
+	for _, r := range snap {
+		saved[r.Key] = r
 	}
 	for i := 0; i < 8; i++ {
 		k := FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: uint16(200 + i)}
@@ -121,9 +113,9 @@ func TestFinRevSetUnderItsOwnLock(t *testing.T) {
 		if f == nil {
 			t.Fatalf("flow %d not tracked", i)
 		}
-		if !f.finRev || saved[k].Fixed.Flags&recFinRev == 0 {
+		if !f.finRev || saved[k].Flags&recFinRev == 0 {
 			t.Fatalf("flow %d: the peer's FIN did not reach the data direction's record (live %v, saved %v)",
-				i, f.finRev, saved[k].Fixed.Flags&recFinRev != 0)
+				i, f.finRev, saved[k].Flags&recFinRev != 0)
 		}
 	}
 }

@@ -408,11 +408,11 @@ func (d *Daemon) ClearPolicy(host int, k core.FlowKey) (cleared bool, err error)
 // its snapshot and restarts from it in one command.
 func (d *Daemon) Restart(host int, warm bool) error {
 	err := d.onHost(host, func(v *core.VSwitch) {
-		var snap []byte
 		if warm {
-			snap = v.SaveSnapshot()
+			v.Restart(v.SaveSnapshot())
+		} else {
+			v.Restart(nil)
 		}
-		v.Restart(snap)
 	})
 	if err == nil {
 		d.restarts.Add(1)

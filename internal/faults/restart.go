@@ -5,7 +5,7 @@ package faults
 // exactly the component that gets restarted (OVS upgrades, crashes, host
 // agent redeploys), taking every per-flow enforcement state with it. A
 // RestartPlan schedules that event on the sim clock, in three flavours of
-// state recovery plus a corruption probe:
+// state recovery:
 //
 //	cold     the process loses everything; live flows are re-adopted
 //	         mid-stream by the datapath and resynchronized conservatively.
@@ -13,8 +13,6 @@ package faults
 //	         the way up — the intended production path.
 //	stale    the restored checkpoint is StaleAge old (checkpoints are
 //	         periodic in practice, so the one on disk always lags the wire).
-//	corrupt  the warm checkpoint is bit-flipped before restore; the decoder
-//	         must fail open to a cold start (snapshot_corrupt_total).
 //
 // During the Downtime window between death and revival the datapath hooks
 // are detached, so traffic crosses a hook-less host exactly like a dead OVS
@@ -30,17 +28,18 @@ import (
 // RestartTarget is the surface the scheduler drives, from sim events on the
 // simulation goroutine, which owns the target. *core.VSwitch implements it;
 // the interface keeps this package below internal/core in the dependency
-// graph.
-type RestartTarget interface {
+// graph. C is the target's checkpoint, which the scheduler holds but never
+// looks inside.
+type RestartTarget[C any] interface {
 	// SaveSnapshot checkpoints the flow table.
-	SaveSnapshot() []byte
+	SaveSnapshot() C
 	// Detach removes the datapath hooks (the process is down).
 	Detach()
 	// Reattach reinstalls the datapath hooks (the process is back).
 	Reattach()
-	// Restart discards all flow state and, when snapshot is non-nil,
-	// restores from it (corrupt snapshots fail open inside).
-	Restart(snapshot []byte)
+	// Restart discards all flow state and restores snapshot, unless it is
+	// C's zero value (a cold restart).
+	Restart(snapshot C)
 	// FlowCount reports the current flow-table size (used to let recurring
 	// restarts go quiet on a drained fabric).
 	FlowCount() int
@@ -56,8 +55,6 @@ const (
 	RestartWarm
 	// RestartStale restores a checkpoint StaleAge older than the death.
 	RestartStale
-	// RestartCorrupt restores a bit-flipped warm checkpoint (must fail open).
-	RestartCorrupt
 )
 
 // String names the mode as a spec does.
@@ -93,10 +90,9 @@ type RestartPlan struct {
 // restartVariants is the named-plan registry, mirroring the fault-profile
 // registry: each name is a ready-to-run plan for the common cases.
 var restartVariants = map[string]RestartPlan{
-	"cold":    {Mode: RestartCold},
-	"warm":    {Mode: RestartWarm},
-	"stale":   {Mode: RestartStale},
-	"corrupt": {Mode: RestartCorrupt},
+	"cold":  {Mode: RestartCold},
+	"warm":  {Mode: RestartWarm},
+	"stale": {Mode: RestartStale},
 }
 
 // LookupRestart returns the named variant with defaults applied.
@@ -163,21 +159,21 @@ func RestartHelp() string {
 		}, "stale@1ms,age=500us,down=50us,host=0", "warm@1ms,every=2ms,host=0,host=3")
 }
 
-// Schedule arms the plan on the sim clock for every target. Targets restart
-// simultaneously (same event time), modelling a fleet-wide redeploy; use
-// Hosts to restart a subset. The caller filters targets with AppliesTo.
-func (p RestartPlan) Schedule(s *sim.Simulator, targets []RestartTarget) {
+// ScheduleRestarts arms plan p on the sim clock for every target. Targets
+// restart simultaneously (same event time), modelling a fleet-wide redeploy;
+// use Hosts to restart a subset. The caller filters targets with AppliesTo.
+func ScheduleRestarts[T RestartTarget[C], C any](s *sim.Simulator, p RestartPlan, targets []T) {
 	p = p.withDefaults()
 	for _, t := range targets {
-		scheduleOne(s, p, t, p.At)
+		scheduleOne[C](s, p, t, p.At)
 	}
 }
 
 // scheduleOne arms one restart cycle for one target at absolute-ish delay at
 // (relative to now), and re-arms for recurring plans while the target still
 // tracks flows.
-func scheduleOne(s *sim.Simulator, p RestartPlan, t RestartTarget, at sim.Duration) {
-	var snap []byte
+func scheduleOne[C any](s *sim.Simulator, p RestartPlan, t RestartTarget[C], at sim.Duration) {
+	var snap C
 	if p.Mode == RestartStale {
 		pre := at - p.StaleAge
 		if pre < 0 {
@@ -186,14 +182,8 @@ func scheduleOne(s *sim.Simulator, p RestartPlan, t RestartTarget, at sim.Durati
 		s.Schedule(pre, func() { snap = t.SaveSnapshot() })
 	}
 	s.Schedule(at, func() {
-		switch p.Mode {
-		case RestartWarm:
+		if p.Mode == RestartWarm {
 			snap = t.SaveSnapshot()
-		case RestartCorrupt:
-			snap = t.SaveSnapshot()
-			if len(snap) > 0 {
-				snap[len(snap)/2] ^= 0xff
-			}
 		}
 		t.Detach()
 		s.Schedule(p.Downtime, func() {

@@ -23,8 +23,7 @@ type fakeTarget struct {
 
 func (f *fakeTarget) SaveSnapshot() []byte {
 	f.saves = append(f.saves, f.s.Now())
-	// Hand out a copy so the corrupt mode's in-place flip can't touch f.snap.
-	return append([]byte(nil), f.snap...)
+	return f.snap
 }
 func (f *fakeTarget) Detach()   { f.detaches = append(f.detaches, f.s.Now()) }
 func (f *fakeTarget) Reattach() { f.reattaches = append(f.reattaches, f.s.Now()) }
@@ -47,7 +46,7 @@ func TestParseRestart(t *testing.T) {
 			StaleAge: 500 * sim.Microsecond}},
 		{"warm@1ms,host=0,host=3,down=50us", RestartPlan{Mode: RestartWarm,
 			At: sim.Millisecond, Downtime: 50 * sim.Microsecond, Hosts: []int{0, 3}}},
-		{"corrupt,every=2ms", RestartPlan{Mode: RestartCorrupt, At: sim.Millisecond,
+		{"cold,every=2ms", RestartPlan{Mode: RestartCold, At: sim.Millisecond,
 			Every: 2 * sim.Millisecond}},
 		{" warm @ 2ms , down = 1us ", RestartPlan{Mode: RestartWarm,
 			At: 2 * sim.Millisecond, Downtime: sim.Microsecond}},
@@ -100,7 +99,7 @@ func TestRestartPlanString(t *testing.T) {
 }
 
 func TestRestartVariantsRegistry(t *testing.T) {
-	want := []string{"cold", "corrupt", "stale", "warm"}
+	want := []string{"cold", "stale", "warm"}
 	if got := names(restartVariants); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restart variants = %v, want %v", got, want)
 	}
@@ -131,8 +130,8 @@ func TestAppliesTo(t *testing.T) {
 func TestScheduleWarm(t *testing.T) {
 	s := sim.New(1)
 	ft := &fakeTarget{s: s, snap: []byte("state"), flows: 1}
-	RestartPlan{Mode: RestartWarm, At: sim.Millisecond,
-		Downtime: 50 * sim.Microsecond}.Schedule(s, []RestartTarget{ft})
+	ScheduleRestarts(s, RestartPlan{Mode: RestartWarm, At: sim.Millisecond,
+		Downtime: 50 * sim.Microsecond}, []*fakeTarget{ft})
 	s.RunFor(10 * sim.Millisecond)
 
 	at := sim.Time(sim.Millisecond)
@@ -157,7 +156,7 @@ func TestScheduleWarm(t *testing.T) {
 func TestScheduleCold(t *testing.T) {
 	s := sim.New(1)
 	ft := &fakeTarget{s: s, snap: []byte("state"), flows: 1}
-	RestartPlan{Mode: RestartCold, At: sim.Millisecond}.Schedule(s, []RestartTarget{ft})
+	ScheduleRestarts(s, RestartPlan{Mode: RestartCold, At: sim.Millisecond}, []*fakeTarget{ft})
 	s.RunFor(10 * sim.Millisecond)
 	if len(ft.saves) != 0 {
 		t.Fatalf("cold restart checkpointed %d times", len(ft.saves))
@@ -172,8 +171,8 @@ func TestScheduleCold(t *testing.T) {
 func TestScheduleStale(t *testing.T) {
 	s := sim.New(1)
 	ft := &fakeTarget{s: s, snap: []byte("old"), flows: 1}
-	RestartPlan{Mode: RestartStale, At: sim.Millisecond,
-		StaleAge: 300 * sim.Microsecond}.Schedule(s, []RestartTarget{ft})
+	ScheduleRestarts(s, RestartPlan{Mode: RestartStale, At: sim.Millisecond,
+		StaleAge: 300 * sim.Microsecond}, []*fakeTarget{ft})
 	s.RunFor(10 * sim.Millisecond)
 	pre := sim.Time(sim.Millisecond - 300*sim.Microsecond)
 	if !reflect.DeepEqual(ft.saves, []sim.Time{pre}) {
@@ -184,27 +183,13 @@ func TestScheduleStale(t *testing.T) {
 	}
 }
 
-// TestScheduleCorrupt: the restored buffer differs from the checkpoint by
-// exactly the middle-byte flip.
-func TestScheduleCorrupt(t *testing.T) {
-	s := sim.New(1)
-	ft := &fakeTarget{s: s, snap: []byte("abcde"), flows: 1}
-	RestartPlan{Mode: RestartCorrupt, At: sim.Millisecond}.Schedule(s, []RestartTarget{ft})
-	s.RunFor(10 * sim.Millisecond)
-	want := []byte("abcde")
-	want[2] ^= 0xff
-	if !bytes.Equal(ft.restored[0], want) {
-		t.Fatalf("corrupt restore = %q, want %q", ft.restored[0], want)
-	}
-}
-
 // TestScheduleRecurring: the plan re-arms every period while FlowCount > 0
 // and goes quiet once the table drains.
 func TestScheduleRecurring(t *testing.T) {
 	s := sim.New(1)
 	ft := &fakeTarget{s: s, flows: 1}
-	RestartPlan{Mode: RestartCold, At: sim.Millisecond,
-		Every: sim.Millisecond}.Schedule(s, []RestartTarget{ft})
+	ScheduleRestarts(s, RestartPlan{Mode: RestartCold, At: sim.Millisecond,
+		Every: sim.Millisecond}, []*fakeTarget{ft})
 	// Drain the table between the 2nd revival (which arms the 3rd death at
 	// 3ms) and the 3rd revival, so the 3rd revival declines to re-arm.
 	s.Schedule(2500*sim.Microsecond, func() { ft.flows = 0 })
@@ -219,8 +204,7 @@ func TestScheduleMultipleTargets(t *testing.T) {
 	s := sim.New(1)
 	a := &fakeTarget{s: s, flows: 1}
 	b := &fakeTarget{s: s, flows: 1}
-	RestartPlan{Mode: RestartCold, At: sim.Millisecond}.Schedule(s,
-		[]RestartTarget{a, b})
+	ScheduleRestarts(s, RestartPlan{Mode: RestartCold, At: sim.Millisecond}, []*fakeTarget{a, b})
 	s.RunFor(10 * sim.Millisecond)
 	if len(a.restarts) != 1 || len(b.restarts) != 1 || a.restarts[0] != b.restarts[0] {
 		t.Fatalf("targets restarted at %v / %v, want one simultaneous restart",

@@ -368,7 +368,6 @@ var headlineCounters = []string{
 	"flows_adopted_midstream_total",
 	"vswitch_restarts_total",
 	"snapshot_restore_total",
-	"snapshot_corrupt_total",
 	"fail_open_total",
 	"feedback_timeouts_total",
 	"flows_evicted_total",

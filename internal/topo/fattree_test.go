@@ -334,12 +334,14 @@ func TestFatTreeStridePinsParentCommit(t *testing.T) {
 // send one message, close both ends and dial again for 60 ms; GCInterval 5 ms,
 // IdleTimeout 20 ms, and a MaxFlows the table reaches, so the lazy sweep and
 // pressure eviction both run) to the event count, the sum of every vSwitch's
-// counters and the bytes of host 0's checkpoint, all measured on the commit
+// counters and the records of host 0's checkpoint, all measured on the commit
 // before flow records were recycled: a record that comes back with state from
 // its previous flow, or a flow created, swept or evicted at a different
 // packet, changes at least one of them. The event count is the
 // one-event-per-hop link's; counters and checkpoint are the commit on which a
-// FIN in either direction closes both records and snapshots are version 2.
+// FIN in either direction closes both records. The checkpoint's sha256 is of
+// its records' %+v lines, measured by rendering the last wire-format
+// checkpoint's decoded records so.
 func TestACDCChurnPinsParentCommit(t *testing.T) {
 	const hosts, perHost, port, maxFlows = 17, 4, 5001, 1500
 	ac := core.DefaultConfig()
@@ -410,15 +412,18 @@ func TestACDCChurnPinsParentCommit(t *testing.T) {
 			sv.Field(i).SetInt(sv.Field(i).Int() + st.Field(i).Int())
 		}
 	}
-	snap := sha256.Sum256(net.ACDC[0].SaveSnapshot())
+	h := sha256.New()
+	for _, r := range net.ACDC[0].SaveSnapshot() {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
 	sum.SnapshotSaves = 0 // the save above, not the run
 
 	const wantProcessed = 3163147
 	wantStats := core.Stats{FlowsCreated: 142743, FlowsRemoved: 123830, PacksAttached: 327140,
 		PacksConsumed: 327015, RwndRewrites: 963037, UntrackedSegs: 8, EgressSegs: 1034831,
 		IngressSegs: 1034401, FlowsEvicted: 8041, PressureSweeps: 336}
-	const wantSnap = "812b8f9ffe55a4dfc2bc74b2149f0a3c7ee2d3e8afbd0224b56bfa817a2bfdab"
-	if got := hex.EncodeToString(snap[:]); net.Sim.Processed != wantProcessed || sum != wantStats || got != wantSnap {
+	const wantSnap = "f9a81529056e545e40d71f473911c6f946e9b1598a85516ab2932b1a96b253fe"
+	if got := hex.EncodeToString(h.Sum(nil)); net.Sim.Processed != wantProcessed || sum != wantStats || got != wantSnap {
 		t.Fatalf("AC/DC churn run: processed=%d\nstats=%+v\nsnapshot sha256=%s\nparent commit gave %d\n%+v\n%s",
 			net.Sim.Processed, sum, got, wantProcessed, wantStats, wantSnap)
 	}

@@ -305,13 +305,13 @@ func (n *Net) armEnv() {
 				panic(fmt.Sprintf("restart: %s names host %d, the topology has %d", p, h, len(n.Hosts)))
 			}
 		}
-		var targets []faults.RestartTarget
+		var targets []*core.VSwitch
 		for i, v := range n.ACDC {
 			if v != nil && p.AppliesTo(i) {
 				targets = append(targets, v)
 			}
 		}
-		p.Schedule(n.Sim, targets)
+		faults.ScheduleRestarts(n.Sim, *p, targets)
 	}
 	if len(n.Opts.Fabric) > 0 {
 		n.Domains = faults.NewDomains(n.Opts.Fabric, n.Opts.ChaosSeed)
