@@ -109,17 +109,14 @@ type VSwitch struct {
 	lastSweep  sim.Time
 	sweepTick  int
 	sweepTimer *sim.Timer // armed only when Cfg.SweepInterval > 0
-	sweepGroup int        // next shard-group for the sharded timer GC
 
 	// vtimeouts holds the flows' inactivity deadlines (Flow.vtimeout); the
 	// first flow to arm one makes it.
 	vtimeouts *sim.Deadlines[*Flow]
 
-	// evictCursor round-robins pressure eviction across shards so a table at
-	// MaxFlows never pays a full-table sweep per packet; evictRetryAt is the
-	// cooldown set after a barren full cycle (nothing evictable), during
-	// which flowFor fails open immediately instead of re-scanning.
-	evictCursor  int
+	// evictRetryAt is the cooldown set after a barren pressure pass (nothing
+	// evictable), during which flowFor fails open immediately instead of
+	// re-scanning.
 	evictRetryAt sim.Time
 
 	// parked holds the free lists of bare records and of senderFlows: retire
@@ -273,12 +270,11 @@ func (v *VSwitch) flowForRestore(k FlowKey, sender bool) *Flow {
 // immediately, idle ones after GCInterval (a much tighter deadline than the
 // ordinary IdleTimeout — under pressure, idleness is eviction).
 //
-// Eviction is incremental: shards are scanned round-robin from a cursor and
-// the scan stops at the first shard that frees anything, so a create under
-// pressure pays at most one full table pass — and only when nothing anywhere
-// is evictable. That barren case arms a cooldown (GCInterval/4) during which
-// further creates fail open immediately instead of re-scanning a table of
-// provably live flows on every arriving packet.
+// One pass over the table frees everything evictable, so the creates after it
+// find room without a scan until the table fills again. A pass that frees
+// nothing arms a cooldown (GCInterval/4) during which further creates fail
+// open immediately instead of re-scanning a table of provably live flows on
+// every arriving packet.
 func (v *VSwitch) evictForPressure() {
 	now := v.Sim.Now()
 	if v.evictRetryAt != 0 && now < v.evictRetryAt {
@@ -292,16 +288,7 @@ func (v *VSwitch) evictForPressure() {
 		}
 		return true
 	}
-	removed := 0
-	for scanned := 0; scanned < numShards; scanned++ {
-		idx := v.evictCursor
-		v.evictCursor = (v.evictCursor + 1) % numShards
-		removed += v.Table.SweepShard(idx, keep)
-		if removed > 0 {
-			break
-		}
-	}
-	if removed > 0 {
+	if removed := v.Table.Sweep(keep); removed > 0 {
 		v.Metrics.FlowsEvicted.Add(int64(removed))
 		v.Metrics.FlowsRemoved.Add(int64(removed))
 		v.Metrics.FlowTableSize.Add(-int64(removed))
@@ -397,17 +384,13 @@ func (v *VSwitch) maybeSweep() {
 	if v.sweepTick&0xfff != 0 {
 		return
 	}
-	now := v.Sim.Now()
-	if now-v.lastSweep < v.Cfg.GCInterval {
-		return
+	if now := v.Sim.Now(); now-v.lastSweep >= v.Cfg.GCInterval {
+		v.sweepNow(now)
 	}
-	v.lastSweep = now
-	v.sweepNow(now)
 }
 
-// gcKeep is the GC retention predicate shared by the lazy full-table sweep
-// and the sharded timer sweep: closed flows go after GCInterval, idle ones
-// after IdleTimeout.
+// gcKeep is the GC retention predicate: closed flows go after GCInterval,
+// idle ones after IdleTimeout.
 func (v *VSwitch) gcKeep(now sim.Time) func(*Flow) bool {
 	return func(f *Flow) bool {
 		if idle := now - f.lastActive; (f.finFwd && f.finRev && idle > v.Cfg.GCInterval) || idle > v.Cfg.IdleTimeout {
@@ -461,14 +444,17 @@ func (v *VSwitch) freeList(sender bool) *freeList {
 }
 
 // trimParked cuts each free list to as many records as were created of its
-// kind since the previous sweep, or to none: a vSwitch that stops sweeping
-// (timer GC on an empty table, restart) keeps none.
+// kind since the previous sweep, plus an eighth of that as slack, or to none: a
+// vSwitch that stops sweeping (timer GC on an empty table, restart) keeps
+// none. The slack absorbs the next period's swing in demand, which an exact
+// trim hands to the collector and then allocates again (ARCHITECTURE.md "The
+// trim").
 func (v *VSwitch) trimParked(toDemand bool) {
 	for i := range v.parked {
 		l := &v.parked[i]
 		keep := 0
 		if toDemand {
-			keep = min(len(l.recs), l.created)
+			keep = min(len(l.recs), l.created+l.created/8)
 		}
 		clear(l.recs[keep:])
 		l.recs, l.created, l.mark = l.recs[:keep], 0, min(l.mark, keep)
@@ -478,42 +464,24 @@ func (v *VSwitch) trimParked(toDemand bool) {
 // ParkedFlows is the length of the free lists.
 func (v *VSwitch) ParkedFlows() int { return len(v.parked[0].recs) + len(v.parked[1].recs) }
 
-// sweepNow removes closed and idle flows across the whole table (the lazy
-// packet-driven sweep, already rate-limited to once per GCInterval).
+// sweepNow removes closed and idle flows in one pass over the table: the lazy
+// packet-driven sweep, rate-limited to once per GCInterval, and the
+// SweepInterval timer's.
 func (v *VSwitch) sweepNow(now sim.Time) {
-	removed := v.Table.SweepRange(0, numShards, v.gcKeep(now))
+	v.lastSweep = now
+	removed := v.Table.Sweep(v.gcKeep(now))
 	v.Metrics.FlowsRemoved.Add(int64(removed))
 	v.Metrics.FlowTableSize.Add(-int64(removed))
 	v.trimParked(true)
 }
 
-// sweepGroups divides the timer GC: each tick sweeps numShards/sweepGroups
-// shards and the timer fires sweepGroups times per SweepInterval, so the
-// whole table is still covered once per interval but no single timer
-// callback ever write-locks all 64 shards at once.
-const sweepGroups = 8
-
-// onSweepTick is the SweepInterval timer body: sweep the next shard-group,
-// then stay armed only while there are flows left to watch (an empty table
-// lets the event queue drain and the simulation end).
+// onSweepTick is the SweepInterval timer body: sweep, then stay armed only
+// while there are flows left to watch (an empty table lets the event queue
+// drain and the simulation end).
 func (v *VSwitch) onSweepTick() {
-	now := v.Sim.Now()
-	v.lastSweep = now
-	g := v.sweepGroup
-	v.sweepGroup = (v.sweepGroup + 1) % sweepGroups
-	const per = numShards / sweepGroups
-	removed := v.Table.SweepRange(g*per, (g+1)*per, v.gcKeep(now))
-	v.Metrics.FlowsRemoved.Add(int64(removed))
-	v.Metrics.FlowTableSize.Add(-int64(removed))
-	if v.sweepGroup == 0 { // a whole pass over the table is one sweep
-		v.trimParked(true)
-	}
+	v.sweepNow(v.Sim.Now())
 	if v.Table.Len() > 0 {
-		tick := v.Cfg.SweepInterval / sweepGroups
-		if tick <= 0 {
-			tick = v.Cfg.SweepInterval
-		}
-		v.sweepTimer.Reset(tick)
+		v.sweepTimer.Reset(v.Cfg.SweepInterval)
 	} else {
 		v.trimParked(false)
 	}

@@ -451,7 +451,7 @@ func (blackhole) OnDequeue(*netsim.Link, *packet.Packet)      {}
 
 // --- unit-level tests ---
 
-func TestTableShardingAndSweep(t *testing.T) {
+func TestTableCreateAndSweep(t *testing.T) {
 	tb := NewTable()
 	mk := func(i int) FlowKey {
 		return FlowKey{Src: packet.Addr(i), Dst: packet.Addr(i + 1), SPort: uint16(i), DPort: 80}
@@ -474,7 +474,7 @@ func TestTableShardingAndSweep(t *testing.T) {
 	if n != 1000 {
 		t.Fatalf("Range visited %d", n)
 	}
-	removed := tb.SweepRange(0, numShards, func(f *Flow) bool { return f.Key.SPort%2 == 0 })
+	removed := tb.Sweep(func(f *Flow) bool { return f.Key.SPort%2 == 0 })
 	if removed != 500 || tb.Len() != 500 {
 		t.Fatalf("sweep removed %d, len %d", removed, tb.Len())
 	}
@@ -590,9 +590,9 @@ func TestFlowSizeClass(t *testing.T) {
 // through the hooks as vswitch-10k sets them up (a handshake each, half dialed
 // out and half in; no data, so no timer), then the live heap per record, its
 // share of the index included — one 192-byte senderFlow and one 64-byte bare
-// record per connection, and ≈ 26 bytes of slots.
+// record per connection, and ≈ 24 bytes of slots: 152 B a record.
 func TestFlowFootprint(t *testing.T) {
-	const conns, limit = 10_000, 170
+	const conns, limit = 10_000, 160
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	opts := packet.BuildSynOptions(1460, 7, true)
 	syn := packet.TCPFields{Seq: 1000, Flags: packet.FlagSYN, Window: 65535, Options: opts}

@@ -90,7 +90,7 @@ func (v *VSwitch) egressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) 
 
 // lookup resolves the flow for k on the datapath. When the caller already
 // holds other, the flow for k's reverse direction, the answer comes through
-// its link (Table.reverseOf) instead of a second probe of the sharded map;
+// its link (Table.reverseOf) instead of a second probe of the table;
 // otherwise the table is probed. Both give what Table.Get(k) would. Every
 // caller got other from a probe or create of this packet with no create
 // (which may evict) since, so other is in the table, as reverseOf requires.

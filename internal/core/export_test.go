@@ -7,15 +7,11 @@ func (f *Flow) Resyncing() bool { return f.resync != resyncNone }
 // "await-round") for tests and instrumentation.
 func (f *Flow) ResyncState() string { return f.resync.String() }
 
-// shardIndex hashes k down to a shard number.
-func shardIndex(k FlowKey) int { return int(hashWords(keyWords(k)) % numShards) }
-
 // Delete removes the flow for k.
 func (t *Table) Delete(k FlowKey) {
-	if _, s, i := t.find(k); i >= 0 {
-		unlink(s.At(i).f)
-		s.Delete(i, slotHash)
-		t.size--
+	if _, i := t.find(k); i >= 0 {
+		unlink(t.s.At(i).f)
+		t.s.Delete(i, slotHash)
 	}
 }
 

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"unsafe"
@@ -22,6 +23,13 @@ import (
 type FlowKey struct {
 	Src, Dst     packet.Addr
 	SPort, DPort uint16
+}
+
+// Compare orders keys by source, destination, source port, then destination
+// port: the order of a checkpoint and of the daemon's flow listing.
+func (k FlowKey) Compare(o FlowKey) int {
+	return cmp.Or(cmp.Compare(k.Src, o.Src), cmp.Compare(k.Dst, o.Dst),
+		cmp.Compare(k.SPort, o.SPort), cmp.Compare(k.DPort, o.DPort))
 }
 
 // Reverse returns the key of the opposite data direction.

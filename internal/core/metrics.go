@@ -135,32 +135,14 @@ func (m *DatapathMetrics) registerVCC(id vccID) {
 	}
 }
 
-// TableShape is one control-plane observation of the flow table's size and
-// shard balance, as published by UpdateTableGauges.
-type TableShape struct {
-	Flows             int   `json:"flows"`
-	ShardMax          int   `json:"shard_max"`
-	ImbalancePermille int64 `json:"shard_imbalance_permille"`
-}
-
-// UpdateTableGauges scans the flow table's shards once and publishes
-// occupancy, longest-shard and imbalance gauges, registered on the first
-// call so runs that never poll them keep telemetry byte-identical. The
-// imbalance is 1000·max/mean shard length: 1000 means perfectly balanced,
-// numShards·1000 means everything hashed into one shard. Control-plane use
-// (daemon /status and /metrics); the datapath never calls it.
-func (v *VSwitch) UpdateTableGauges() TableShape {
-	total, maxShard := v.Table.ShardStats()
-	var imb int64
-	if total > 0 {
-		mean := float64(total) / numShards
-		imb = int64(float64(maxShard)/mean*1000 + 0.5)
-	}
-	reg := v.Metrics.reg
-	reg.Gauge("flow_table_occupancy").Set(int64(total))
-	reg.Gauge("flow_table_shard_max").Set(int64(maxShard))
-	reg.Gauge("flow_table_shard_imbalance_permille").Set(imb)
-	return TableShape{Flows: total, ShardMax: maxShard, ImbalancePermille: imb}
+// UpdateTableGauges publishes the flow table's occupancy gauge, registered
+// on the first call so runs that never poll it keep telemetry byte-identical,
+// and returns it. Control-plane use (daemon /status and /metrics); the
+// datapath never calls it.
+func (v *VSwitch) UpdateTableGauges() int {
+	n := v.Table.Len()
+	v.Metrics.reg.Gauge("flow_table_occupancy").Set(int64(n))
+	return n
 }
 
 // Stats is a plain-value snapshot of the datapath event counters, kept for

@@ -425,3 +425,74 @@ func TestTimerGCDropsFreeListWhenIdle(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnFreshRecordsPer1000: 64 clients cycle short connections through one
+// vSwitch — a handshake, one to sixteen data segments each answered by an
+// ACK, a close both ways, then a new port — with a random gap before each
+// packet, so the packet-driven lazy sweep (every 4 096 packets once
+// GCInterval has passed) sees uneven periods and uneven demand. After a
+// warm-up it counts the creates that got a record never seen before, rather
+// than one back from a free list, per 1 000 creates. The eighth of slack
+// trimParked keeps beyond each period's demand holds the count at 6; trimmed
+// to the exact demand, the lists hand back records that the next, busier
+// period allocates again, and the count reads 29.
+func TestChurnFreshRecordsPer1000(t *testing.T) {
+	const clients, warmup, measured, want = 64, 4000, 20000, 6
+	b := newRecycleBench(t, DefaultConfig())
+	rng := rand.New(rand.NewSource(1))
+	seen := map[*Flow]bool{} // every record ever in the table, kept alive by the map
+	fresh, next := 0, uint16(1024)
+	created := func() int { return int(b.v.Stats().FlowsCreated) }
+	var run func(sp uint16, step, data int)
+	run = func(sp uint16, step, data int) {
+		const ack = packet.FlagACK
+		syn := packet.BuildSynOptions(1460, 7, true)
+		seq := uint32(1 + 1000*(step-3)/2)
+		switch last := 3 + 2*data; {
+		case step == 0:
+			b.out(sp, packet.TCPFields{Flags: packet.FlagSYN, Options: syn}, 0)
+		case step == 1:
+			b.in(sp, packet.NotECT, packet.TCPFields{Ack: 1, Flags: packet.FlagSYN | ack, Options: syn}, 0)
+		case step == 2:
+			b.out(sp, packet.TCPFields{Seq: 1, Ack: 1, Flags: ack}, 0)
+		case step < last && step%2 == 1:
+			b.out(sp, packet.TCPFields{Seq: seq, Ack: 1, Flags: ack | packet.FlagPSH}, 1000)
+		case step < last:
+			b.in(sp, packet.ECT0, packet.TCPFields{Seq: 1, Ack: seq + 1000, Flags: ack}, 0)
+		case step == last:
+			b.out(sp, packet.TCPFields{Seq: seq, Ack: 1, Flags: ack | packet.FlagFIN}, 0)
+		case step == last+1:
+			b.in(sp, packet.NotECT, packet.TCPFields{Seq: 1, Ack: seq + 1, Flags: ack | packet.FlagFIN}, 0)
+		default:
+			b.out(sp, packet.TCPFields{Seq: seq + 1, Ack: 2, Flags: ack}, 0)
+			if created() >= warmup+measured {
+				return
+			}
+			sp, next, step, data = next, next+1, -1, 1+rng.Intn(16)
+		}
+		for _, k := range []FlowKey{b.key(sp), b.key(sp).Reverse()} {
+			if f := b.v.Table.Get(k); f != nil && !seen[f] {
+				seen[f] = true
+				if created() > warmup {
+					fresh++
+				}
+			}
+		}
+		b.s.ScheduleFunc(1+sim.Duration(rng.Intn(3000)), func() { run(sp, step+1, data) })
+	}
+	for i := 0; i < clients; i++ {
+		sp := next
+		next++
+		b.s.ScheduleFunc(sim.Duration(rng.Intn(5000)), func() { run(sp, 0, 1+rng.Intn(16)) })
+	}
+	b.s.RunAll()
+	st := b.v.Stats()
+	if st.FlowsCreated < warmup+measured || st.FlowsRemoved < warmup {
+		t.Fatalf("%d creates and %d removals: the churn never reached the measured window", st.FlowsCreated, st.FlowsRemoved)
+	}
+	per := fresh * 1000 / int(st.FlowsCreated-warmup)
+	t.Logf("%d of %d creates after the warm-up got a fresh record: %d per 1000", fresh, st.FlowsCreated-warmup, per)
+	if per != want {
+		t.Fatalf("%d fresh records per 1000 creates, want %d", per, want)
+	}
+}

@@ -320,7 +320,7 @@ func TestReverseLinkCases(t *testing.T) {
 		if tb.reverseOf(a) != b {
 			t.Fatal("link not established")
 		}
-		if n := tb.SweepRange(0, numShards, func(f *Flow) bool { return f != b }); n != 1 {
+		if n := tb.Sweep(func(f *Flow) bool { return f != b }); n != 1 {
 			t.Fatalf("swept %d", n)
 		}
 		if got := tb.reverseOf(a); got != nil {
@@ -341,7 +341,7 @@ func TestReverseLinkCases(t *testing.T) {
 					t.Fatal("link not established both ways")
 				}
 				if sweep {
-					tb.SweepShard(shardIndex(end), func(f *Flow) bool { return f.Key != end })
+					tb.Sweep(func(f *Flow) bool { return f.Key != end })
 				} else {
 					tb.Delete(end)
 				}

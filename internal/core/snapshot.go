@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -188,11 +187,7 @@ func (v *VSwitch) SaveSnapshot() []flowRecord {
 			recs = append(recs, f.record())
 		}
 	})
-	slices.SortFunc(recs, func(a, b flowRecord) int {
-		ka, kb := a.Key, b.Key
-		return cmp.Or(cmp.Compare(ka.Src, kb.Src), cmp.Compare(ka.Dst, kb.Dst),
-			cmp.Compare(ka.SPort, kb.SPort), cmp.Compare(ka.DPort, kb.DPort))
-	})
+	slices.SortFunc(recs, func(a, b flowRecord) int { return a.Key.Compare(b.Key) })
 	v.Metrics.SnapshotSaves.Inc()
 	return recs
 }

@@ -17,18 +17,14 @@ func tbKey(i int) FlowKey {
 	}
 }
 
-// TestLenMatchesShardStats: the O(1) size counter must agree with a full
-// shard scan through inserts, deletes, sweeps, and clears.
-func TestLenMatchesShardStats(t *testing.T) {
+// TestLenMatchesRange: the O(1) entry count must agree with a full walk of
+// the table through inserts, deletes, sweeps, and clears.
+func TestLenMatchesRange(t *testing.T) {
 	tab := NewTable()
 	check := func(stage string) {
 		t.Helper()
-		total, maxShard := tab.ShardStats()
-		if tab.Len() != total {
-			t.Fatalf("%s: Len %d != ShardStats total %d", stage, tab.Len(), total)
-		}
-		if maxShard > total {
-			t.Fatalf("%s: max shard %d > total %d", stage, maxShard, total)
+		if n := len(tableFlows(tab)); tab.Len() != n {
+			t.Fatalf("%s: Len %d, Range visits %d", stage, tab.Len(), n)
 		}
 	}
 	for i := 0; i < 500; i++ {
@@ -42,10 +38,10 @@ func TestLenMatchesShardStats(t *testing.T) {
 	tab.Delete(tbKey(9999)) // absent: must not drift the counter
 	check("delete")
 	n := 0
-	tab.SweepRange(0, numShards, func(*Flow) bool { n++; return n%2 == 0 })
+	tab.Sweep(func(*Flow) bool { n++; return n%2 == 0 })
 	check("sweep")
-	tab.SweepRange(10, 30, func(*Flow) bool { return false })
-	check("sweep-range")
+	tab.Sweep(func(*Flow) bool { return true })
+	check("barren sweep")
 	tab.Clear()
 	check("clear")
 	if tab.Len() != 0 {
@@ -119,12 +115,12 @@ func TestPressureSweepRateLimited(t *testing.T) {
 	}
 }
 
-// TestPressureSweepCursorSpreads: consecutive pressure scans resume from the
-// round-robin cursor instead of rescanning shard 0, so eviction cost spreads
-// across the table. Observable effect: two scans with evictable entries in
-// different shards both stop early (each frees something), and together they
-// free entries from more than one shard.
-func TestPressureSweepCursorSpreads(t *testing.T) {
+// TestPressureSweepFreesEveryEvictable: one pressure pass frees every
+// evictable record at once, so the creates that follow find room without a
+// scan until the table fills again: at MaxFlows closed residents, MaxFlows
+// creates cost one pass, not one each. Every create succeeds — something
+// closed is always evictable — and the bound holds throughout.
+func TestPressureSweepFreesEveryEvictable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxFlows = 4
 	cfg.GCInterval = 100 * sim.Millisecond
@@ -132,127 +128,82 @@ func TestPressureSweepCursorSpreads(t *testing.T) {
 	cfg.IdleTimeout = 1000 * sim.Second
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	// Pick resident keys that provably span several shards, so a scan that
-	// stopped at its first shard could not have evicted them all.
-	var resident []FlowKey
-	seen := map[int]bool{}
-	for port := uint16(100); len(resident) < cfg.MaxFlows; port++ {
-		k := FlowKey{Src: host.Addr, Dst: peer, SPort: port, DPort: 200}
-		if s := shardIndex(k); !seen[s] {
-			seen[s] = true
-			resident = append(resident, k)
+	key := func(port int) FlowKey { return FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(port), DPort: 200} }
+	// Fill to capacity and close every record (closed = always evictable);
+	// each round's creates evict the previous round's residents.
+	var residents []FlowKey
+	for round := 0; round <= 3; round++ {
+		var made []FlowKey
+		for i := 0; i < cfg.MaxFlows; i++ {
+			k := key(1000*round + i)
+			f := v.flowFor(k, true)
+			if f == nil {
+				t.Fatalf("round %d: create %d failed open with closed flows evictable", round, i)
+			}
+			if v.Table.Len() > cfg.MaxFlows {
+				t.Fatalf("round %d: table len %d exceeds MaxFlows", round, v.Table.Len())
+			}
+			f.finFwd, f.finRev = true, true
+			made = append(made, k)
 		}
-	}
-	// Fill to capacity and close every resident (closed = always evictable).
-	for i, k := range resident {
-		f := v.flowFor(k, true)
-		if f == nil {
-			t.Fatalf("flow %d not created", i)
+		for _, k := range residents {
+			if v.Table.Get(k) != nil {
+				t.Fatalf("round %d: resident %v of the previous round survived the pass", round, k)
+			}
 		}
-		f.finFwd, f.finRev = true, true
-	}
-	// Each create under pressure scans from the cursor and stops at the first
-	// shard that frees anything; the cursor then resumes past it, so
-	// successive scans free entries from distinct shards (4 rounds cannot
-	// wrap 64 shards). Every create must succeed — something closed is always
-	// evictable — and the bound must hold throughout.
-	closed := append([]FlowKey(nil), resident...)
-	for i := 0; i < cfg.MaxFlows; i++ {
-		k := FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(9000 + i), DPort: 200}
-		f := v.flowFor(k, true)
-		if f == nil {
-			t.Fatalf("create %d failed open with closed flows evictable", i)
+		if st := v.Stats(); st.PressureSweeps != int64(round) || st.FlowsEvicted != int64(round*cfg.MaxFlows) {
+			t.Fatalf("round %d: %d pressure passes evicted %d records, want %d passes evicting %d",
+				round, st.PressureSweeps, st.FlowsEvicted, round, round*cfg.MaxFlows)
 		}
-		if v.Table.Len() > cfg.MaxFlows {
-			t.Fatalf("table len %d exceeds MaxFlows mid-storm", v.Table.Len())
-		}
-		f.finFwd, f.finRev = true, true
-		closed = append(closed, k)
-	}
-	evictedShards := map[int]bool{}
-	evicted := 0
-	for _, k := range closed {
-		if v.Table.Get(k) == nil {
-			evicted++
-			evictedShards[shardIndex(k)] = true
-		}
-	}
-	if evicted < cfg.MaxFlows {
-		t.Fatalf("%d entries evicted, want at least %d", evicted, cfg.MaxFlows)
-	}
-	if len(evictedShards) < 2 {
-		t.Fatalf("evictions all came from one shard; cursor is not advancing (shards: %v)", evictedShards)
-	}
-	if st := v.Stats(); st.PressureSweeps == 0 {
-		t.Fatal("no pressure sweeps recorded")
+		residents = made
 	}
 }
 
-// TestUpdateTableGauges: the control-plane shape snapshot must agree with the
-// table and register its gauges in the metrics registry.
+// TestUpdateTableGauges: the control-plane occupancy must agree with the
+// table and register its gauge in the metrics registry.
 func TestUpdateTableGauges(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	for i := 0; i < 10; i++ {
 		v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: 200}, true)
 	}
-	shape := v.UpdateTableGauges()
-	if shape.Flows != 10 || shape.Flows != v.Table.Len() {
-		t.Fatalf("shape.Flows %d, table len %d, want 10", shape.Flows, v.Table.Len())
+	if n := v.UpdateTableGauges(); n != 10 || n != v.Table.Len() {
+		t.Fatalf("UpdateTableGauges reports %d flows, table len %d, want 10", n, v.Table.Len())
 	}
-	if shape.ShardMax < 1 || shape.ShardMax > 10 {
-		t.Fatalf("shape.ShardMax %d out of range", shape.ShardMax)
-	}
-	if shape.ImbalancePermille < 1000 {
-		t.Fatalf("imbalance %d below the balanced floor of 1000", shape.ImbalancePermille)
-	}
-	snap := v.Metrics.Snapshot()
-	if got := snap.Gauge("flow_table_occupancy"); got != 10 {
+	if got := v.Metrics.Snapshot().Gauge("flow_table_occupancy"); got != 10 {
 		t.Fatalf("flow_table_occupancy gauge %d, want 10", got)
-	}
-	if got := snap.Gauge("flow_table_shard_max"); got != int64(shape.ShardMax) {
-		t.Fatalf("flow_table_shard_max gauge %d, want %d", got, shape.ShardMax)
-	}
-	if got := snap.Gauge("flow_table_shard_imbalance_permille"); got != shape.ImbalancePermille {
-		t.Fatalf("imbalance gauge %d, want %d", got, shape.ImbalancePermille)
 	}
 }
 
-// tableKeys is the key domain of the index scripts: 96 keys that share shard
-// 0, enough to grow its index from 8 slots to 128, and 32 in other shards.
+// tableKeys is the key domain of the index scripts: 128 keys, enough to grow
+// the index from 8 slots to 256.
 var tableKeys = func() []FlowKey {
-	var ks []FlowKey
-	for i := 0; len(ks) < 128; i++ {
-		k := tbKey(i)
-		if (shardIndex(k) == 0) == (len(ks) < 96) {
-			ks = append(ks, k)
-		}
+	ks := make([]FlowKey, 128)
+	for i := range ks {
+		ks[i] = tbKey(i)
 	}
 	return ks
 }()
 
-// checkIndex asserts what every probe relies on, shard by shard: the slot
-// array's shape (sim.Slots.Check), and every record sitting under its key's
-// hash and found from its key. It returns how many records sit past the
-// array's end from their home slot, at a lower index.
+// checkIndex asserts what every probe relies on: the slot array's shape
+// (sim.Slots.Check), and every record sitting under its key's hash and found
+// from its key. It returns how many records sit past the array's end from
+// their home slot, at a lower index.
 func checkIndex(t *testing.T, tb *Table, after string) (wrapped int) {
 	t.Helper()
-	for i, s := range tb.shards {
-		w, err := s.Check(slotHash)
-		if err != nil {
-			t.Fatalf("after %s: shard %d: %v", after, i, err)
-		}
-		wrapped += w
-		s.Range(func(sl slot) {
-			if sl.f == nil {
-				t.Fatalf("after %s: shard %d holds hash %x with no record", after, i, sl.h)
-			}
-			if h := hashWords(keyWords(sl.f.Key)); sl.h != h || tb.Get(sl.f.Key) != sl.f {
-				t.Fatalf("after %s: shard %d holds hash %x for %v, whose hash is %x, and Get finds %p for %p",
-					after, i, sl.h, sl.f.Key, h, tb.Get(sl.f.Key), sl.f)
-			}
-		})
+	wrapped, err := tb.s.Check(slotHash)
+	if err != nil {
+		t.Fatalf("after %s: %v", after, err)
 	}
+	tb.s.Range(func(sl slot) {
+		if sl.f == nil {
+			t.Fatalf("after %s: hash %x holds no record", after, sl.h)
+		}
+		if h := hashWords(keyWords(sl.f.Key)); sl.h != h || tb.Get(sl.f.Key) != sl.f {
+			t.Fatalf("after %s: hash %x held for %v, whose hash is %x, and Get finds %p for %p",
+				after, sl.h, sl.f.Key, h, tb.Get(sl.f.Key), sl.f)
+		}
+	})
 	return wrapped
 }
 
@@ -262,7 +213,7 @@ func checkIndex(t *testing.T, tb *Table, after string) (wrapped int) {
 func playTableScript(t *testing.T, keys []FlowKey, script []byte) (maxWrapped int) {
 	tb := NewTable()
 	model := map[FlowKey]*Flow{}
-	names := [...]string{"get", "get-or-create", "get-or-create", "delete", "sweep-shard", "clear", "range"}
+	names := [...]string{"get", "get-or-create", "get-or-create", "delete", "sweep", "clear", "range"}
 	for i := 0; i+1 < len(script); i += 2 {
 		op, arg := int(script[i])%len(names), script[i+1]
 		k := keys[int(arg)%len(keys)]
@@ -277,32 +228,29 @@ func playTableScript(t *testing.T, keys []FlowKey, script []byte) (maxWrapped in
 		case "delete":
 			tb.Delete(k)
 			delete(model, k)
-		case "sweep-shard":
+		case "sweep":
 			keep := func(f *Flow) bool { return (f.Key.SPort+uint16(arg))%3 != 0 }
-			n, inShard := 0, 0
+			n, held := 0, len(model)
 			for mk, f := range model {
-				if shardIndex(mk) == shardIndex(k) {
-					inShard++
-					if !keep(f) {
-						delete(model, mk)
-						n++
-					}
+				if !keep(f) {
+					delete(model, mk)
+					n++
 				}
 			}
 			kept := map[*Flow]int{}
-			got := tb.SweepShard(shardIndex(k), func(f *Flow) bool {
+			got := tb.Sweep(func(f *Flow) bool {
 				kept[f]++
 				return keep(f)
 			})
 			if got != n {
-				t.Fatalf("step %d: SweepShard removed %d, model %d", i/2, got, n)
+				t.Fatalf("step %d: Sweep removed %d, model %d", i/2, got, n)
 			}
-			if len(kept) != inShard {
-				t.Fatalf("step %d: SweepShard asked keep about %d records, the shard held %d", i/2, len(kept), inShard)
+			if len(kept) != held {
+				t.Fatalf("step %d: Sweep asked keep about %d records, the table held %d", i/2, len(kept), held)
 			}
 			for f, calls := range kept {
 				if calls != 1 {
-					t.Fatalf("step %d: SweepShard asked keep about %v %d times", i/2, f.Key, calls)
+					t.Fatalf("step %d: Sweep asked keep about %v %d times", i/2, f.Key, calls)
 				}
 			}
 		case "clear":
@@ -327,15 +275,15 @@ func playTableScript(t *testing.T, keys []FlowKey, script []byte) (maxWrapped in
 				t.Fatalf("step %d (%s): Get(%v) = %p, model %p", i/2, names[op], k, got, model[k])
 			}
 		}
-		if total, _ := tb.ShardStats(); tb.Len() != len(model) || total != len(model) {
-			t.Fatalf("step %d (%s): Len %d, ShardStats %d, model %d", i/2, names[op], tb.Len(), total, len(model))
+		if tb.Len() != len(model) {
+			t.Fatalf("step %d (%s): Len %d, model %d", i/2, names[op], tb.Len(), len(model))
 		}
 		maxWrapped = max(maxWrapped, checkIndex(t, tb, names[op]))
 	}
 	return maxWrapped
 }
 
-// tableScript draws a script that grows shard 0 through its doublings, then
+// tableScript draws a script that grows the table through its doublings, then
 // churns it with deletes and sweeps, each of which shifts records back.
 func tableScript(rng *rand.Rand, n int) []byte {
 	script := make([]byte, 0, 2*n)
@@ -352,7 +300,7 @@ func tableScript(rng *rand.Rand, n int) []byte {
 }
 
 // FuzzTableMatchesMap drives the index with a fuzzed script of Get,
-// GetOrCreate, Delete, SweepShard, Clear and Range against a map model.
+// GetOrCreate, Delete, Sweep, Clear and Range against a map model.
 func FuzzTableMatchesMap(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(tableScript(rand.New(rand.NewSource(seed)), 400))
@@ -365,7 +313,7 @@ func FuzzTableMatchesMap(f *testing.F) {
 	})
 }
 
-// TestTableScriptWrapsArrayEnd plays seeded scripts over keys of shard 0 whose
+// TestTableScriptWrapsArrayEnd plays seeded scripts over keys whose
 // home slots lie in the last quarter of any array, plus a few homed in the
 // first eighth: the records fill the array's last slots and wrap past its
 // end, in among records homed there, so removals shift records back across
@@ -375,9 +323,6 @@ func TestTableScriptWrapsArrayEnd(t *testing.T) {
 	tail, head := 0, 0
 	for i := 0; tail < 24 || head < 8; i++ {
 		k := tbKey(i)
-		if shardIndex(k) != 0 {
-			continue
-		}
 		switch top := hashWords(keyWords(k)) >> 61; {
 		case top >= 6 && tail < 24:
 			tail++
@@ -396,7 +341,7 @@ func TestTableScriptWrapsArrayEnd(t *testing.T) {
 
 // TestFlowPolicyMayProbeTable: flow set-up runs the operator's FlowPolicy
 // before the new flow is in the table; a callback may probe the table, the
-// new flow's shard included.
+// new flow's own key included.
 func TestFlowPolicyMayProbeTable(t *testing.T) {
 	cfg := DefaultConfig()
 	var v *VSwitch
@@ -417,7 +362,7 @@ func TestFlowPolicyMayProbeTable(t *testing.T) {
 }
 
 // TestTableConcurrentReaders: control-plane reads and writes — probes,
-// ranges, shard scans, clears and restores — land between the datapath's
+// ranges, clears and restores — land between the datapath's
 // packets, the way the daemon's command queue delivers them, while the
 // datapath creates flows, the sweep timer removes them and new flows take
 // their records back. The index must stay whole throughout.
@@ -446,7 +391,6 @@ func TestTableConcurrentReaders(t *testing.T) {
 			}
 			b.v.Table.Get(k.Reverse())
 			b.v.Table.Range(func(f *Flow) { _ = f.CwndBytes })
-			b.v.Table.ShardStats()
 			switch i % 50 {
 			case 10:
 				snap = b.v.SaveSnapshot()
@@ -462,9 +406,8 @@ func TestTableConcurrentReaders(t *testing.T) {
 	if b.v.ParkedFlows() == 0 && b.v.Stats().FlowsRemoved == 0 {
 		t.Fatal("the datapath never swept: nothing was recycled under the readers")
 	}
-	total, _ := b.v.Table.ShardStats()
-	if total != b.v.Table.Len() {
-		t.Fatalf("ShardStats %d, Len %d", total, b.v.Table.Len())
+	if n := len(tableFlows(b.v.Table)); n != b.v.Table.Len() {
+		t.Fatalf("Range visits %d, Len %d", n, b.v.Table.Len())
 	}
 	for _, f := range tableFlows(b.v.Table) {
 		if b.v.Table.Get(f.Key) != f {

@@ -29,6 +29,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -431,11 +432,11 @@ func (d *Daemon) SetFaultProfile(p faults.Profile) error {
 }
 
 // MetricsSnapshot merges every host's datapath registry into one view. Each
-// host's flow-table shape gauges (occupancy, shard max, imbalance) are
-// refreshed first so a Prometheus scrape sees the table as of this scrape,
-// not as of the last control-plane visit. When fabric fault domains are
-// armed, the fabric's link-lifecycle and ECMP counters ride along, so one
-// scrape correlates injected outages with the datapath reaction.
+// host's flow-table occupancy gauge is refreshed first so a Prometheus scrape
+// sees the table as of this scrape, not as of the last control-plane visit.
+// When fabric fault domains are armed, the fabric's link-lifecycle and ECMP
+// counters ride along, so one scrape correlates injected outages with the
+// datapath reaction.
 func (d *Daemon) MetricsSnapshot() (merged metrics.Snapshot, err error) {
 	err = d.onLoop(func() {
 		snaps := make([]metrics.Snapshot, 0, len(d.net.ACDC)+1)
@@ -467,8 +468,9 @@ type FlowInfo struct {
 	Resyncing bool    `json:"resyncing,omitempty"`
 }
 
-// Flows lists tracked flows; host < 0 lists every host. The list is never
-// nil, so an empty one encodes as [].
+// Flows lists tracked flows, sorted by host and then by flow key, so the
+// listing does not show the table's layout; host < 0 lists every host. The
+// list is never nil, so an empty one encodes as [].
 func (d *Daemon) Flows(host int) ([]FlowInfo, error) {
 	if host >= 0 {
 		if _, err := d.vswitch(host); err != nil {
@@ -477,11 +479,15 @@ func (d *Daemon) Flows(host int) ([]FlowInfo, error) {
 	}
 	out := []FlowInfo{}
 	err := d.onLoop(func() {
+		var fs []*core.Flow
 		for i, v := range d.net.ACDC {
 			if v == nil || (host >= 0 && i != host) {
 				continue
 			}
-			v.Table.Range(func(f *core.Flow) {
+			fs = fs[:0]
+			v.Table.Range(func(f *core.Flow) { fs = append(fs, f) })
+			slices.SortFunc(fs, func(a, b *core.Flow) int { return a.Key.Compare(b.Key) })
+			for _, f := range fs {
 				s := f.Snapshot()
 				out = append(out, FlowInfo{
 					Host: i,
@@ -491,7 +497,7 @@ func (d *Daemon) Flows(host int) ([]FlowInfo, error) {
 					SndUna: s.SndUna, SndNxt: s.SndNxt,
 					Resyncing: s.Resyncing,
 				})
-			})
+			}
 		}
 	})
 	if err != nil {
@@ -514,13 +520,7 @@ type Status struct {
 	EnqueueRetries int64   `json:"enqueue_retries"`
 	AuditTotal     int64   `json:"audit_violations"`
 	FailOpen       int64   `json:"fail_open"`
-	// Flow-table shape, worst case across hosts: the longest single shard and
-	// the highest imbalance (1000·max/mean shard length; 1000 = perfectly
-	// balanced). A climbing imbalance flags a degenerate key distribution
-	// before it shows up as tail latency.
-	TableShardMax          int   `json:"table_shard_max"`
-	TableImbalancePermille int64 `json:"table_shard_imbalance_permille"`
-	PressureSweeps         int64 `json:"pressure_sweeps"`
+	PressureSweeps int64   `json:"pressure_sweeps"`
 	// Fabric health, present only when fault domains are armed (omitempty
 	// keeps a fabric-free daemon's status JSON unchanged): cumulative link
 	// outage events, ECMP failovers/blackholes, and gray-loss drops.
@@ -533,7 +533,7 @@ type Status struct {
 }
 
 // StatusNow assembles the current status on the sim loop. As a side effect
-// it republishes each host's table-shape gauges, so a /status poll keeps the
+// it republishes each host's table-occupancy gauge, so a /status poll keeps the
 // Prometheus view fresh too.
 func (d *Daemon) StatusNow() (Status, error) {
 	st := Status{Hosts: d.cfg.Hosts, UptimeSeconds: time.Since(d.started).Seconds()}
@@ -543,10 +543,7 @@ func (d *Daemon) StatusNow() (Status, error) {
 		st.ForgivenNanos = int64(d.pacer.Forgiven())
 		for _, v := range d.net.ACDC {
 			if v != nil {
-				shape := v.UpdateTableGauges()
-				st.Flows += shape.Flows
-				st.TableShardMax = max(st.TableShardMax, shape.ShardMax)
-				st.TableImbalancePermille = max(st.TableImbalancePermille, shape.ImbalancePermille)
+				st.Flows += v.UpdateTableGauges()
 				st.FailOpen += v.Metrics.FailOpen.Value()
 				st.PressureSweeps += v.Metrics.PressureSweeps.Value()
 			}

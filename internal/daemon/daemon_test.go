@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -153,6 +154,55 @@ func TestPolicyStreamAllFailedIs400(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].OK {
 		t.Fatalf("results = %+v", results)
+	}
+}
+
+// TestPolicyStreamRejectsMistypedUpdates: a misspelt field, an install that
+// states no beta and an unknown clamp field each read as β = 0 or no clamp
+// when decoded leniently. Each gets its own error in the response stream and
+// installs nothing; a clear, which needs no beta, still goes through.
+func TestPolicyStreamRejectsMistypedUpdates(t *testing.T) {
+	n := newPolicyDaemon().Net()
+	flow := fmt.Sprintf(`"host":0,"src":%q,"dst":%q,"sport":1000,"dport":5001`, n.Addr(0), n.Addr(1))
+	cases := []struct{ body, wantErr string }{
+		{`{` + flow + `,"bta":0.5}`, `unknown field "bta"`},
+		{`{` + flow + `}`, "an install must state beta"},
+		{`{` + flow + `,"beta":0.5,"rwnd_clamp":1000}`, `unknown field "rwnd_clamp"`},
+		{`{` + flow + `,"clear":true}`, ""},
+	}
+	post := func(d *Daemon, body string) []PolicyResult {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/policy", strings.NewReader(body)))
+		var results []PolicyResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &results); err != nil {
+			t.Fatalf("%s: status %d, body %q: %v", body, rec.Code, rec.Body, err)
+		}
+		return results
+	}
+	var stream []string
+	for _, c := range cases {
+		stream = append(stream, c.body)
+		d := newPolicyDaemon()
+		r := post(d, c.body)
+		if len(r) != 1 || r[0].OK != (c.wantErr == "") || !strings.Contains(r[0].Error, c.wantErr) || r[0].Installed != nil {
+			t.Fatalf("%s: results %+v, want one with error %q", c.body, r, c.wantErr)
+		}
+		if o := d.Net().ACDC[0].PolicyOverrides(); len(o) != 0 {
+			t.Fatalf("%s: installed %v", c.body, o)
+		}
+	}
+	d := newPolicyDaemon()
+	r := post(d, strings.Join(stream, "\n"))
+	if len(r) != len(cases) {
+		t.Fatalf("%d results for a stream of %d updates: %+v", len(r), len(cases), r)
+	}
+	for i, c := range cases {
+		if r[i].Index != i || r[i].OK != (c.wantErr == "") || !strings.Contains(r[i].Error, c.wantErr) {
+			t.Fatalf("stream update %d: %+v, want error %q", i, r[i], c.wantErr)
+		}
+	}
+	if o := d.Net().ACDC[0].PolicyOverrides(); len(o) != 0 {
+		t.Fatalf("the stream installed %v", o)
 	}
 }
 

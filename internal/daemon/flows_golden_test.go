@@ -24,8 +24,8 @@ func TestFlowsGolden(t *testing.T) {
 	s.RunFor(30 * sim.Millisecond)
 	var key core.FlowKey
 	found := false
-	d.Net().ACDC[0].Table.Range(func(f *core.Flow) {
-		if !found && f.Key.Src == d.Net().Hosts[0].Addr {
+	d.Net().ACDC[0].Table.Range(func(f *core.Flow) { // the least key host 0 sends on
+		if f.Key.Src == d.Net().Hosts[0].Addr && (!found || f.Key.Compare(key) < 0) {
 			key, found = f.Key, true
 		}
 	})

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -32,7 +33,8 @@ import (
 // (ErrBusy after bounded retry+backoff) → 503, unknown host (ErrNoHost) →
 // 404, anything else (validation, a bad parameter) → 400.
 
-// PolicyUpdate is one streamed policy operation.
+// PolicyUpdate is one streamed policy operation. The handler rejects a field
+// it does not know, and an install (Clear false) must state beta.
 type PolicyUpdate struct {
 	Host  int    `json:"host"`
 	Src   string `json:"src"`
@@ -218,16 +220,17 @@ func (d *Daemon) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	var results []PolicyResult
 	var firstErr error
 	for i := 0; ; i++ {
-		var u PolicyUpdate
-		err := dec.Decode(&u)
+		var raw json.RawMessage
+		err := dec.Decode(&raw)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		undecodable := err != nil
 		res := PolicyResult{Index: i}
+		var u PolicyUpdate
 		if undecodable {
 			err = fmt.Errorf("decode: %w", err)
-		} else {
+		} else if u, err = decodeUpdate(raw); err == nil {
 			res, err = d.applyUpdate(i, u)
 		}
 		if err != nil {
@@ -252,6 +255,27 @@ func (d *Daemon) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(statusFor(firstErr))
 	}
 	writeJSON(w, results)
+}
+
+// decodeUpdate decodes one update of the stream strictly: a field it does not
+// know is an error, and so is an install that states no beta, which would
+// otherwise install β = 0, the strongest back-off. A clear needs none.
+func decodeUpdate(raw json.RawMessage) (PolicyUpdate, error) {
+	var u struct {
+		PolicyUpdate
+		Beta *float64 `json:"beta"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&u); err != nil {
+		return PolicyUpdate{}, fmt.Errorf("decode: %w", err)
+	}
+	if u.Beta != nil {
+		u.PolicyUpdate.Beta = *u.Beta
+	} else if !u.Clear {
+		return PolicyUpdate{}, errors.New("decode: an install must state beta")
+	}
+	return u.PolicyUpdate, nil
 }
 
 func (d *Daemon) applyUpdate(i int, u PolicyUpdate) (PolicyResult, error) {

@@ -16,6 +16,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"acdc/internal/metrics"
@@ -76,32 +77,49 @@ type FaultDomain struct {
 	Delay sim.Duration
 }
 
-// withDefaults fills unset fields per kind.
-func (d FaultDomain) withDefaults() FaultDomain {
+// withDefaults fills the unset fields of d's kind. given names the keys a
+// spec set (grammar.read): a value it states, zero included, is kept.
+func (d FaultDomain) withDefaults(given ...string) FaultDomain {
+	def := func(key string, f *sim.Duration, v sim.Duration) {
+		if *f == 0 && !slices.Contains(given, key) {
+			*f = v
+		}
+	}
 	if d.At == 0 {
 		d.At = sim.Millisecond
 	}
 	switch d.Kind {
 	case DomainLinkDown, DomainSwitchDown:
-		if d.For == 0 {
-			d.For = 100 * sim.Microsecond
-		}
+		def("for", &d.For, 100*sim.Microsecond)
 	case DomainFlap:
-		if d.Down == 0 {
-			d.Down = 100 * sim.Microsecond
-		}
-		if d.Up == 0 {
-			d.Up = sim.Millisecond
-		}
+		def("down", &d.Down, 100*sim.Microsecond)
+		def("up", &d.Up, sim.Millisecond)
 		if d.Count == 0 {
 			d.Count = 3
 		}
 	case DomainGray:
-		if d.Loss == 0 && d.Delay == 0 {
+		if d.Loss == 0 && d.Delay == 0 && !slices.Contains(given, "loss") {
 			d.Loss = 0.01
 		}
 	}
 	return d
+}
+
+// idle names the zero that leaves d's kind nothing to run, or "": an outage
+// of no length, a flap that is never down or never up (its outages would
+// merge into one), a gray link that neither drops nor delays.
+func (d FaultDomain) idle() string {
+	switch {
+	case (d.Kind == DomainLinkDown || d.Kind == DomainSwitchDown) && d.For == 0:
+		return "for"
+	case d.Kind == DomainFlap && d.Down == 0:
+		return "down"
+	case d.Kind == DomainFlap && d.Up == 0:
+		return "up"
+	case d.Kind == DomainGray && d.Loss == 0 && d.Delay == 0:
+		return "loss or delay"
+	}
+	return ""
 }
 
 // String renders the domain as ParseDomains reads it.
@@ -140,9 +158,13 @@ func ParseDomains(s string) ([]FaultDomain, error) {
 		if strings.TrimSpace(spec) == "" {
 			continue
 		}
-		d, _, err := domainGrammar.read(spec)
+		d, given, err := domainGrammar.read(spec)
 		if err != nil {
 			return nil, err
+		}
+		d = d.withDefaults(given...)
+		if key := d.idle(); key != "" {
+			return nil, fmt.Errorf("fabric: %s needs %s > 0", d.Kind, key)
 		}
 		target, need := d.Link, "link"
 		if d.Kind == DomainSwitchDown {
@@ -151,7 +173,7 @@ func ParseDomains(s string) ([]FaultDomain, error) {
 		if target == "" {
 			return nil, fmt.Errorf("fabric: %s needs %s=<name>", d.Kind, need)
 		}
-		out = append(out, d.withDefaults())
+		out = append(out, d)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("fabric: empty spec")

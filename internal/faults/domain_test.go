@@ -59,6 +59,40 @@ func TestParseDomainsErrors(t *testing.T) {
 	}
 }
 
+// TestParseDomainsExplicitZeros: a value a spec states is never replaced by
+// its kind's default, and a zero the kind cannot run with is rejected, as
+// ParseRestart rejects stale,age=0.
+func TestParseDomainsExplicitZeros(t *testing.T) {
+	kept := []struct {
+		in   string
+		want FaultDomain
+	}{
+		{"gray,link=x,loss=0,delay=10us", FaultDomain{Kind: DomainGray, Link: "x", At: sim.Millisecond,
+			Delay: 10 * sim.Microsecond}},
+		{"gray,link=x,delay=0", FaultDomain{Kind: DomainGray, Link: "x", At: sim.Millisecond, Loss: 0.01}},
+		{"gray,link=x,for=0", FaultDomain{Kind: DomainGray, Link: "x", At: sim.Millisecond, Loss: 0.01}},
+		{"link-down,link=x,down=0", FaultDomain{Kind: DomainLinkDown, Link: "x", At: sim.Millisecond,
+			For: 100 * sim.Microsecond}},
+	}
+	for _, tc := range kept {
+		if got, err := ParseDomains(tc.in); err != nil || len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%q: got %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+	for in, want := range map[string]string{
+		"gray,link=x,loss=0":           "gray needs loss or delay > 0",
+		"gray,link=x,loss=0,delay=0":   "gray needs loss or delay > 0",
+		"link-down,link=x,for=0":       "link-down needs for > 0",
+		"switch-down,switch=s,for=0ms": "switch-down needs for > 0",
+		"flap,link=x,down=0":           "flap needs down > 0",
+		"flap,link=x,up=0s":            "flap needs up > 0",
+	} {
+		if _, err := ParseDomains(in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want %q", in, err, want)
+		}
+	}
+}
+
 func TestDomainStringRoundTrip(t *testing.T) {
 	for _, in := range []string{
 		"link-down@2ms,link=a>b,for=500us",

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"acdc/internal/core"
@@ -47,15 +48,18 @@ func (w watchedTarget) Reattach() {
 	logTable(w.log, w.h.Name, w.VSwitch)
 }
 
-// logTable writes every flow v holds, in table order, with each field of it
-// that a restore sets and the core API shows.
+// logTable writes every flow v holds, in key order (not the table's layout),
+// with each field of it that a restore sets and the core API shows.
 func logTable(log io.Writer, host string, v *core.VSwitch) {
 	fmt.Fprintf(log, "table t=%d host=%s flows=%d\n", v.Sim.Now(), host, v.Table.Len())
-	v.Table.Range(func(f *core.Flow) {
+	var fs []*core.Flow
+	v.Table.Range(func(f *core.Flow) { fs = append(fs, f) })
+	slices.SortFunc(fs, func(a, b *core.Flow) int { return a.Key.Compare(b.Key) })
+	for _, f := range fs {
 		fmt.Fprintf(log, "%+v %+v %+v mss=%d wscale=%v/%d ssthresh=%v ecn=%v vto=%d loss=%d\n",
 			f.Key, f.Snapshot(), *f.Policy, f.MSS, f.WScaleKnown, f.PeerWScale,
 			f.SsthreshBytes, f.GuestECN, f.VTimeouts(), f.LossEvents())
-	})
+	}
 }
 
 // runRestartChaos is runChaos plus a restart plan, armed through the same
@@ -115,9 +119,9 @@ func TestRestartMidTransfer(t *testing.T) {
 		{name: "cold", mode: faults.RestartCold, wantAdopted: true,
 			digest: "cae202b6dd7d86656195cacc6178a97d737c0ce511ed971177c621e43c7926c6"},
 		{name: "warm", mode: faults.RestartWarm, wantRestore: true,
-			digest: "7104593f81308864750b724ce9b85f92a21b9ed4eecb52b70595aeed5e8c8f51"},
+			digest: "274deaf2465cade017d0f470618f647f3c75c5a7c1d99e6d2d0378c52440caaa"},
 		{name: "stale", mode: faults.RestartStale, wantRestore: true,
-			digest: "91c4bc9d40057a058513d45dec418ae67489a0206320dd672e0b292e2fd87b37"},
+			digest: "e37448b0dad3ed0e63d3c6258a3028fdddb3a904f43c0c44e12f4e34b8adb250"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -6,8 +6,8 @@ import (
 )
 
 // Slots is the open-addressed hash array every per-packet table of the
-// simulation runs on: an Index, a vSwitch's flow-table shards, a stack's
-// TIME_WAIT records. The caller chooses the slot type and its hash, and the
+// simulation runs on: an Index, a vSwitch's flow table, a stack's TIME_WAIT
+// records. The caller chooses the slot type and its hash, and the
 // zero S is the empty slot, so a slot may name a record instead of holding a
 // key. A hash's top log2(len) bits pick its home slot, and a probe walks on
 // linearly. At most three quarters of the array is in use, so every probe
