@@ -114,9 +114,11 @@ type VSwitch struct {
 	// first flow to arm one makes it.
 	vtimeouts *sim.Deadlines[*Flow]
 
-	// evictRetryAt is the cooldown set after a barren pressure pass (nothing
-	// evictable), during which flowFor fails open immediately instead of
-	// re-scanning.
+	// evictCursor is the eviction bucket the next pressure pass starts its
+	// search from; evictRetryAt is the cooldown set after a barren pass
+	// (nothing evictable), during which flowFor fails open immediately
+	// instead of re-scanning.
+	evictCursor  int
 	evictRetryAt sim.Time
 
 	// parked holds the free lists of bare records and of senderFlows: retire
@@ -270,11 +272,14 @@ func (v *VSwitch) flowForRestore(k FlowKey, sender bool) *Flow {
 // immediately, idle ones after GCInterval (a much tighter deadline than the
 // ordinary IdleTimeout — under pressure, idleness is eviction).
 //
-// One pass over the table frees everything evictable, so the creates after it
-// find room without a scan until the table fills again. A pass that frees
-// nothing arms a cooldown (GCInterval/4) during which further creates fail
-// open immediately instead of re-scanning a table of provably live flows on
-// every arriving packet.
+// A pass frees the evictable records of one eviction bucket (evictBucket):
+// the first, round-robin from a cursor, that holds any. Freeing every
+// evictable record at once would also free idle flows that are still live,
+// which then resume untracked, without their AC/DC state. A pass walks the
+// table to find the bucket and again to free it; one that frees nothing arms
+// a cooldown (GCInterval/4) during which further creates fail open
+// immediately instead of re-scanning a table of provably live flows on every
+// arriving packet.
 func (v *VSwitch) evictForPressure() {
 	now := v.Sim.Now()
 	if v.evictRetryAt != 0 && now < v.evictRetryAt {
@@ -282,13 +287,21 @@ func (v *VSwitch) evictForPressure() {
 	}
 	v.evictRetryAt = 0
 	v.Metrics.PressureSweeps.Inc()
-	keep := func(f *Flow) bool {
-		if (f.finFwd && f.finRev) || now-f.lastActive > v.Cfg.GCInterval {
-			return v.retire(f)
-		}
-		return true
+	evictable := func(f *Flow) bool {
+		return (f.finFwd && f.finRev) || now-f.lastActive > v.Cfg.GCInterval
 	}
-	if removed := v.Table.Sweep(keep); removed > 0 {
+	next := evictBuckets // buckets from the cursor to the first with an evictable record
+	v.Table.Range(func(f *Flow) {
+		if evictable(f) {
+			next = min(next, (evictBucket(f.Key)-v.evictCursor+evictBuckets)%evictBuckets)
+		}
+	})
+	if next < evictBuckets {
+		b := (v.evictCursor + next) % evictBuckets
+		v.evictCursor = (b + 1) % evictBuckets
+		removed := v.Table.Sweep(func(f *Flow) bool {
+			return !evictable(f) || evictBucket(f.Key) != b || v.retire(f)
+		})
 		v.Metrics.FlowsEvicted.Add(int64(removed))
 		v.Metrics.FlowsRemoved.Add(int64(removed))
 		v.Metrics.FlowTableSize.Add(-int64(removed))

@@ -45,6 +45,26 @@ func keyWords(k FlowKey) (w0, w1 uint64) {
 // connections between one host pair — spread as widely as any.
 func hashWords(w0, w1 uint64) uint64 { return sim.HashWord(sim.HashWord(w0) ^ w1) }
 
+// evictBuckets is how many buckets pressure eviction divides the flows into:
+// one pass frees the evictable records of one bucket (evictForPressure).
+const evictBuckets = 64
+
+// evictBucket is k's eviction bucket: FNV-1a over the key words, its high
+// half folded into the low bits a power-of-two count keeps, so keys that
+// differ only in a port spread over the buckets. Independent of the table's
+// hash, it fixes which records a pass frees whatever the table's layout.
+func evictBucket(k FlowKey) int {
+	const prime = 1099511628211
+	w0, w1 := keyWords(k)
+	h := uint64(14695981039346656037)
+	h = (h ^ w0>>32) * prime
+	h = (h ^ w0&0xffffffff) * prime
+	h = (h ^ w1) * prime
+	h ^= h >> 32
+	h ^= h >> 16
+	return int(h % evictBuckets)
+}
+
 // find returns k's hash and the position of its slot, or −1.
 func (t *Table) find(k FlowKey) (h uint64, i int) {
 	h = hashWords(keyWords(k))

@@ -115,12 +115,12 @@ func TestPressureSweepRateLimited(t *testing.T) {
 	}
 }
 
-// TestPressureSweepFreesEveryEvictable: one pressure pass frees every
-// evictable record at once, so the creates that follow find room without a
-// scan until the table fills again: at MaxFlows closed residents, MaxFlows
-// creates cost one pass, not one each. Every create succeeds — something
-// closed is always evictable — and the bound holds throughout.
-func TestPressureSweepFreesEveryEvictable(t *testing.T) {
+// TestPressureSweepCursorSpreads: consecutive pressure passes resume from the
+// round-robin cursor instead of restarting at bucket 0, and each frees only
+// the first eviction bucket that holds anything evictable. Observable effect:
+// with closed residents in distinct buckets, each create frees exactly one
+// of them, and together they free records from more than one bucket.
+func TestPressureSweepCursorSpreads(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxFlows = 4
 	cfg.GCInterval = 100 * sim.Millisecond
@@ -128,34 +128,62 @@ func TestPressureSweepFreesEveryEvictable(t *testing.T) {
 	cfg.IdleTimeout = 1000 * sim.Second
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	key := func(port int) FlowKey { return FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(port), DPort: 200} }
-	// Fill to capacity and close every record (closed = always evictable);
-	// each round's creates evict the previous round's residents.
-	var residents []FlowKey
-	for round := 0; round <= 3; round++ {
-		var made []FlowKey
-		for i := 0; i < cfg.MaxFlows; i++ {
-			k := key(1000*round + i)
-			f := v.flowFor(k, true)
-			if f == nil {
-				t.Fatalf("round %d: create %d failed open with closed flows evictable", round, i)
-			}
-			if v.Table.Len() > cfg.MaxFlows {
-				t.Fatalf("round %d: table len %d exceeds MaxFlows", round, v.Table.Len())
-			}
-			f.finFwd, f.finRev = true, true
-			made = append(made, k)
+	// Pick resident keys that provably span several buckets, so a pass that
+	// frees one bucket cannot evict them all.
+	var resident []FlowKey
+	seen := map[int]bool{}
+	for port := uint16(100); len(resident) < cfg.MaxFlows; port++ {
+		k := FlowKey{Src: host.Addr, Dst: peer, SPort: port, DPort: 200}
+		if s := evictBucket(k); !seen[s] {
+			seen[s] = true
+			resident = append(resident, k)
 		}
-		for _, k := range residents {
-			if v.Table.Get(k) != nil {
-				t.Fatalf("round %d: resident %v of the previous round survived the pass", round, k)
-			}
+	}
+	// Fill to capacity and close every resident (closed = always evictable).
+	for i, k := range resident {
+		f := v.flowFor(k, true)
+		if f == nil {
+			t.Fatalf("flow %d not created", i)
 		}
-		if st := v.Stats(); st.PressureSweeps != int64(round) || st.FlowsEvicted != int64(round*cfg.MaxFlows) {
-			t.Fatalf("round %d: %d pressure passes evicted %d records, want %d passes evicting %d",
-				round, st.PressureSweeps, st.FlowsEvicted, round, round*cfg.MaxFlows)
+		f.finFwd, f.finRev = true, true
+	}
+	// Each create under pressure frees the first bucket from the cursor that
+	// holds anything evictable; the cursor then resumes past it, so
+	// successive passes free entries from distinct buckets (4 rounds cannot
+	// wrap 64 buckets). Every create must succeed — something closed is
+	// always evictable — and the bound must hold throughout.
+	closed := append([]FlowKey(nil), resident...)
+	for i := 0; i < cfg.MaxFlows; i++ {
+		k := FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(9000 + i), DPort: 200}
+		f := v.flowFor(k, true)
+		if f == nil {
+			t.Fatalf("create %d failed open with closed flows evictable", i)
 		}
-		residents = made
+		if v.Table.Len() > cfg.MaxFlows {
+			t.Fatalf("table len %d exceeds MaxFlows mid-storm", v.Table.Len())
+		}
+		if st := v.Stats(); i == 0 && st.FlowsEvicted != 1 {
+			t.Fatalf("the first pass evicted %d records, want the one resident of its bucket", st.FlowsEvicted)
+		}
+		f.finFwd, f.finRev = true, true
+		closed = append(closed, k)
+	}
+	evictedBuckets := map[int]bool{}
+	evicted := 0
+	for _, k := range closed {
+		if v.Table.Get(k) == nil {
+			evicted++
+			evictedBuckets[evictBucket(k)] = true
+		}
+	}
+	if evicted < cfg.MaxFlows {
+		t.Fatalf("%d entries evicted, want at least %d", evicted, cfg.MaxFlows)
+	}
+	if len(evictedBuckets) < 2 {
+		t.Fatalf("evictions all came from one bucket; cursor is not advancing (buckets: %v)", evictedBuckets)
+	}
+	if st := v.Stats(); st.PressureSweeps == 0 {
+		t.Fatal("no pressure sweeps recorded")
 	}
 }
 

@@ -338,12 +338,8 @@ func TestFatTreeStridePinsParentCommit(t *testing.T) {
 // before flow records were recycled: a record that comes back with state from
 // its previous flow, or a flow created, swept or evicted at a different
 // packet, changes at least one of them. The event count is the
-// one-event-per-hop link's; counters and checkpoint are the commit on which
-// pressure eviction frees every evictable record in one pass over a flow
-// table of one array. It had freed only the first shard that held one; so the
-// run now makes 75 pressure passes instead of 336 scans, evicts 111 345 records
-// instead of 8 041, and sees 125 untracked segments instead of 8, from idle
-// flows a pass frees that then resume. The checkpoint's sha256 is of
+// one-event-per-hop link's; counters and checkpoint are the commit on which a
+// FIN in either direction closes both records. The checkpoint's sha256 is of
 // its records' %+v lines, measured by rendering the last wire-format
 // checkpoint's decoded records so.
 func TestACDCChurnPinsParentCommit(t *testing.T) {
@@ -423,10 +419,10 @@ func TestACDCChurnPinsParentCommit(t *testing.T) {
 	sum.SnapshotSaves = 0 // the save above, not the run
 
 	const wantProcessed = 3163147
-	wantStats := core.Stats{FlowsCreated: 142743, FlowsRemoved: 129390, PacksAttached: 327140,
-		PacksConsumed: 326951, RwndRewrites: 962920, UntrackedSegs: 125, EgressSegs: 1034831,
-		IngressSegs: 1034401, FlowsEvicted: 111345, PressureSweeps: 75}
-	const wantSnap = "a9061a3db074852f164b226d2b3e09983988db4653fb86184dcc3a223ad01cab"
+	wantStats := core.Stats{FlowsCreated: 142743, FlowsRemoved: 123830, PacksAttached: 327140,
+		PacksConsumed: 327015, RwndRewrites: 963037, UntrackedSegs: 8, EgressSegs: 1034831,
+		IngressSegs: 1034401, FlowsEvicted: 8041, PressureSweeps: 336}
+	const wantSnap = "f9a81529056e545e40d71f473911c6f946e9b1598a85516ab2932b1a96b253fe"
 	if got := hex.EncodeToString(h.Sum(nil)); net.Sim.Processed != wantProcessed || sum != wantStats || got != wantSnap {
 		t.Fatalf("AC/DC churn run: processed=%d\nstats=%+v\nsnapshot sha256=%s\nparent commit gave %d\n%+v\n%s",
 			net.Sim.Processed, sum, got, wantProcessed, wantStats, wantSnap)
