@@ -182,6 +182,36 @@ func TestPoolCloneReleaseZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestOptionEditsStayInline pins the two fault edits that shrink a header —
+// feedback-loss removing a PACK and strip-options removing every option — to
+// the packet's own header array: a pooled ACK carrying PACK and SACK-permitted
+// keeps its Buf where the pool put it, and the edit allocates nothing.
+func TestOptionEditsStayInline(t *testing.T) {
+	pool := packet.NewPool()
+	var pack [packet.PACKOptionLen]byte
+	packet.EncodePACK(pack[:], packet.PACKInfo{TotalBytes: 9000, MarkedBytes: 1500})
+	opts := append([]byte{packet.OptNOP, packet.OptNOP, packet.OptSACKPerm, 2}, pack[:]...)
+	for _, prof := range []faults.Profile{{DropFeedback: 1}, {StripOptions: 1}} {
+		in := faults.NewInjector(prof, 1)
+		var moved bool
+		round := func() {
+			p := packet.BuildIn(pool, packet.MakeAddr(10, 0, 0, 2), packet.MakeAddr(10, 0, 0, 1), packet.NotECT,
+				packet.TCPFields{SrcPort: 5001, DstPort: 40000, Flags: packet.FlagACK, Window: 100, Options: opts}, 0)
+			home, room, before := &p.Buf[0], cap(p.Buf), len(p.Buf)
+			in.Hook(nil, p, func(*packet.Packet, sim.Duration) {})
+			moved = moved || len(p.Buf) >= before || &p.Buf[0] != home || cap(p.Buf) != room
+			pool.Put(p)
+		}
+		round()
+		if moved {
+			t.Errorf("%v: the edit moved the header off the packet's own array", prof)
+		}
+		if n := testing.AllocsPerRun(500, round); n != 0 {
+			t.Errorf("%v: %v allocs per edited packet, want 0", prof, n)
+		}
+	}
+}
+
 // TestConnCycleZeroAlloc pins the guest stack's connection cycle: two stacks
 // back to back (no switch, no vSwitch), dial → one MSS → close both ends →
 // TIME_WAIT → teardown. Once each stack has a closed Conn parked, the next

@@ -74,7 +74,3 @@ func (d *DCTCP) SsthreshOnLoss(c *Ctx) float64 {
 	s := d.state(c)
 	return max(c.Cwnd*(1-s.alpha/2), 2)
 }
-
-// OnRTO implements Algorithm: Linux dctcp resets α to the max on timeout via
-// loss handling; keep α as-is (EWMA) matching tcp_dctcp.c which leaves α.
-func (d *DCTCP) OnRTO(c *Ctx) {}

@@ -263,7 +263,7 @@ func (f *Flow) VTimeouts() int64 { return f.readCold().vTimeouts }
 func (f *Flow) LossEvents() int64 { return f.readCold().lossEvents }
 
 // Snapshot is a consistent copy of the enforcement-relevant state, used by
-// instrumentation (Figures 9 and 10).
+// the daemon's flow listing.
 type Snapshot struct {
 	CwndBytes   float64
 	Alpha       float64

@@ -135,16 +135,6 @@ func (m *DatapathMetrics) registerVCC(id vccID) {
 	}
 }
 
-// UpdateTableGauges publishes the flow table's occupancy gauge, registered
-// on the first call so runs that never poll it keep telemetry byte-identical,
-// and returns it. Control-plane use (daemon /status and /metrics); the
-// datapath never calls it.
-func (v *VSwitch) UpdateTableGauges() int {
-	n := v.Table.Len()
-	v.Metrics.reg.Gauge("flow_table_occupancy").Set(int64(n))
-	return n
-}
-
 // Stats is a plain-value snapshot of the datapath event counters, kept for
 // ergonomic assertions and quick printing; the metrics registry is the
 // source of truth. Each field reads the DatapathMetrics series of its name.

@@ -41,8 +41,6 @@ func datapathRun(t *testing.T, degraded bool) []metrics.Snapshot {
 				SrcPort: 1, DstPort: 2, Seq: 100, Ack: 1, Flags: packet.FlagACK,
 				Window: 65535, Options: []byte{packet.OptMSS, 40, 0, 0}}, 100)
 			egress(v1, bad)
-			v0.UpdateTableGauges()
-			v1.UpdateTableGauges()
 		})
 	}
 	b.s.Run(20 * sim.Millisecond)

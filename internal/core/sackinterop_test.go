@@ -50,8 +50,10 @@ func TestPACKCoexistsWithSACKOptions(t *testing.T) {
 	}
 
 	// Simulate the peer's sender module stripping the PACK: SACK survives.
-	stripped := packet.RemoveTCPOption(out[0].Buf, packet.OptPACK)
-	st := packet.IPv4(stripped).TCP()
+	if !packet.RemoveTCPOptionInPlace(out[0], packet.OptPACK) {
+		t.Fatal("PACK not removed")
+	}
+	st := out[0].TCP()
 	blocks = packet.ParseSACK(packet.FindOption(st.Options(), packet.OptSACK))
 	if len(blocks) != 3 || blocks[2].End != 15_000 {
 		t.Fatalf("SACK lost after PACK strip: %+v", blocks)

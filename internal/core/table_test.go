@@ -187,22 +187,6 @@ func TestPressureSweepCursorSpreads(t *testing.T) {
 	}
 }
 
-// TestUpdateTableGauges: the control-plane occupancy must agree with the
-// table and register its gauge in the metrics registry.
-func TestUpdateTableGauges(t *testing.T) {
-	v, host, _ := loneVSwitch(t, DefaultConfig())
-	peer := packet.MakeAddr(10, 0, 0, 2)
-	for i := 0; i < 10; i++ {
-		v.flowFor(FlowKey{Src: host.Addr, Dst: peer, SPort: uint16(100 + i), DPort: 200}, true)
-	}
-	if n := v.UpdateTableGauges(); n != 10 || n != v.Table.Len() {
-		t.Fatalf("UpdateTableGauges reports %d flows, table len %d, want 10", n, v.Table.Len())
-	}
-	if got := v.Metrics.Snapshot().Gauge("flow_table_occupancy"); got != 10 {
-		t.Fatalf("flow_table_occupancy gauge %d, want 10", got)
-	}
-}
-
 // tableKeys is the key domain of the index scripts: 128 keys, enough to grow
 // the index from 8 slots to 256.
 var tableKeys = func() []FlowKey {

@@ -431,10 +431,8 @@ func (d *Daemon) SetFaultProfile(p faults.Profile) error {
 	return d.onLoop(func() { in.SetProfile(p) })
 }
 
-// MetricsSnapshot merges every host's datapath registry into one view. Each
-// host's flow-table occupancy gauge is refreshed first so a Prometheus scrape
-// sees the table as of this scrape, not as of the last control-plane visit.
-// When fabric fault domains are armed, the fabric's link-lifecycle and ECMP
+// MetricsSnapshot merges every host's datapath registry into one view. When
+// fabric fault domains are armed, the fabric's link-lifecycle and ECMP
 // counters ride along, so one scrape correlates injected outages with the
 // datapath reaction.
 func (d *Daemon) MetricsSnapshot() (merged metrics.Snapshot, err error) {
@@ -442,7 +440,6 @@ func (d *Daemon) MetricsSnapshot() (merged metrics.Snapshot, err error) {
 		snaps := make([]metrics.Snapshot, 0, len(d.net.ACDC)+1)
 		for _, v := range d.net.ACDC {
 			if v != nil {
-				v.UpdateTableGauges()
 				snaps = append(snaps, v.Metrics.Snapshot())
 			}
 		}
@@ -532,9 +529,7 @@ type Status struct {
 	Degraded         string `json:"degraded,omitempty"`
 }
 
-// StatusNow assembles the current status on the sim loop. As a side effect
-// it republishes each host's table-occupancy gauge, so a /status poll keeps the
-// Prometheus view fresh too.
+// StatusNow assembles the current status on the sim loop.
 func (d *Daemon) StatusNow() (Status, error) {
 	st := Status{Hosts: d.cfg.Hosts, UptimeSeconds: time.Since(d.started).Seconds()}
 	err := d.onLoop(func() {
@@ -543,7 +538,7 @@ func (d *Daemon) StatusNow() (Status, error) {
 		st.ForgivenNanos = int64(d.pacer.Forgiven())
 		for _, v := range d.net.ACDC {
 			if v != nil {
-				st.Flows += v.UpdateTableGauges()
+				st.Flows += v.Table.Len()
 				st.FailOpen += v.Metrics.FailOpen.Value()
 				st.PressureSweeps += v.Metrics.PressureSweeps.Value()
 			}

@@ -617,3 +617,23 @@ func TestAdminSurfaceConcurrent(t *testing.T) {
 		t.Fatalf("status counts %d flows, the listing has %d", st.Flows, len(flows))
 	}
 }
+
+// TestStatusFlowsSumFlowTableSize: /status counts the flows every host's
+// datapath publishes as its flow_table_size gauge.
+func TestStatusFlowsSumFlowTableSize(t *testing.T) {
+	d := New(Config{Hosts: 2, Scale: 1.0, Tick: time.Millisecond, Workload: true})
+	d.Net().Sim.RunFor(5 * sim.Millisecond)
+	st, err := d.StatusNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int
+	for _, v := range d.Net().ACDC {
+		if v != nil {
+			want += int(v.Metrics.Snapshot().Gauge("flow_table_size"))
+		}
+	}
+	if want == 0 || st.Flows != want {
+		t.Fatalf("status counts %d flows, the hosts' flow_table_size gauges sum to %d", st.Flows, want)
+	}
+}

@@ -139,13 +139,19 @@ var domainGrammar = grammar[FaultDomain]{
 	at: func(d *FaultDomain) *sim.Duration { return &d.At },
 	keys: []key[FaultDomain]{
 		{"link", func(d *FaultDomain) any { return &d.Link }, "links by name, or by a name prefix ending in '*'"},
-		{"switch", func(d *FaultDomain) any { return &d.Switch }, "the switch whose links fail (switch-down)"},
+		{"switch", func(d *FaultDomain) any { return &d.Switch }, "the switch whose links fail"},
 		{"for", func(d *FaultDomain) any { return &d.For }, "outage length (default 100us); gray: window (default to the end)"},
 		{"down", func(d *FaultDomain) any { return &d.Down }, "flap: time down (default 100us)"},
 		{"up", func(d *FaultDomain) any { return &d.Up }, "flap: time up (default 1ms)"},
 		{"count", func(d *FaultDomain) any { return &d.Count }, "flap: cycles (default 3)"},
 		{"loss", func(d *FaultDomain) any { return &d.Loss }, "gray: silent drop probability (default 0.01 without delay)"},
 		{"delay", func(d *FaultDomain) any { return &d.Delay }, "gray: extra delay of the packets it keeps"},
+	},
+	reads: map[string][]string{
+		"link-down":   {"link", "for"},
+		"switch-down": {"switch", "for"},
+		"flap":        {"link", "down", "up", "count"},
+		"gray":        {"link", "for", "loss", "delay"},
 	},
 }
 

@@ -71,8 +71,6 @@ func TestParseDomainsExplicitZeros(t *testing.T) {
 			Delay: 10 * sim.Microsecond}},
 		{"gray,link=x,delay=0", FaultDomain{Kind: DomainGray, Link: "x", At: sim.Millisecond, Loss: 0.01}},
 		{"gray,link=x,for=0", FaultDomain{Kind: DomainGray, Link: "x", At: sim.Millisecond, Loss: 0.01}},
-		{"link-down,link=x,down=0", FaultDomain{Kind: DomainLinkDown, Link: "x", At: sim.Millisecond,
-			For: 100 * sim.Microsecond}},
 	}
 	for _, tc := range kept {
 		if got, err := ParseDomains(tc.in); err != nil || len(got) != 1 || got[0] != tc.want {
@@ -83,6 +81,7 @@ func TestParseDomainsExplicitZeros(t *testing.T) {
 		"gray,link=x,loss=0":           "gray needs loss or delay > 0",
 		"gray,link=x,loss=0,delay=0":   "gray needs loss or delay > 0",
 		"link-down,link=x,for=0":       "link-down needs for > 0",
+		"link-down,link=x,down=0":      `link-down takes no key "down"`,
 		"switch-down,switch=s,for=0ms": "switch-down needs for > 0",
 		"flap,link=x,down=0":           "flap needs down > 0",
 		"flap,link=x,up=0s":            "flap needs up > 0",
@@ -262,6 +261,26 @@ func TestDomainHelpMentionsEveryKind(t *testing.T) {
 	for _, k := range names(domainKinds) {
 		if !strings.Contains(h, k) {
 			t.Errorf("DomainHelp missing kind %q", k)
+		}
+	}
+}
+
+// TestUnreadKeysRejected: a key its kind or variant never reads is refused,
+// and the error names who reads it.
+func TestUnreadKeysRejected(t *testing.T) {
+	for _, tc := range []struct {
+		in, want string
+		parse    func(string) error
+	}{
+		{"link-down,link=x,count=5,loss=0.5", `link-down takes no key "count" (read by flap)`,
+			func(s string) error { _, err := ParseDomains(s); return err }},
+		{"switch-down,switch=s,link=x", `switch-down takes no key "link" (read by flap, gray, link-down)`,
+			func(s string) error { _, err := ParseDomains(s); return err }},
+		{"warm,age=5us", `warm takes no key "age" (read by stale)`,
+			func(s string) error { _, err := ParseRestart(s); return err }},
+	} {
+		if err := tc.parse(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want %q", tc.in, err, tc.want)
 		}
 	}
 }

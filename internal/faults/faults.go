@@ -142,7 +142,7 @@ func Parse(s string) (Profile, error) {
 		return Profile{}, g.unknown(g.noun, s, names(profiles))
 	}
 	var p Profile
-	if _, err := g.terms(&p, s); err != nil {
+	if _, err := g.terms(&p, "", s); err != nil {
 		return Profile{}, err
 	}
 	return p.withDefaults(), nil

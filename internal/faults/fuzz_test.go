@@ -2,6 +2,7 @@ package faults
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,13 +149,32 @@ func isZeroRejection(err error) bool {
 	return strings.Contains(err.Error(), " needs ") && strings.HasSuffix(err.Error(), " > 0")
 }
 
+// namesUnreadKey reports whether s, one spec or several joined by ';', gives
+// a name a key that reads says the name does not read.
+func namesUnreadKey(s string, reads map[string][]string) bool {
+	for _, spec := range strings.Split(s, ";") {
+		terms := strings.Split(spec, ",")
+		head, _, _ := strings.Cut(terms[0], "@")
+		keys, ok := reads[strings.TrimSpace(head)]
+		for _, term := range terms[1:] {
+			k, _, _ := strings.Cut(term, "=")
+			if ok && !slices.Contains(keys, strings.TrimSpace(k)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FuzzSpecRoundTrip: for any text, Parse, ParseRestart and ParseDomains
 // accept what the parsers they replaced accepted, with the same value, and
 // reject the rest; and what they accept, String renders in a form they read
-// back to the same value. One exception: the reference replaced an explicit
+// back to the same value. Two exceptions. The reference replaced an explicit
 // zero with its kind's default, where ParseDomains keeps it or, when the kind
-// cannot run with it, rejects the spec. So a spec only the reference accepts
-// must be rejected for an explicit zero, and for nothing else. The seeds are
+// cannot run with it, rejects the spec. And the reference took every key for
+// every name, where ParseRestart and ParseDomains reject a key the name never
+// reads. So a spec only the reference accepts must name a key its name does
+// not read or be rejected for an explicit zero, and nothing else. The seeds are
 // every word of the three `list` texts, the forms the old String printed,
 // edge cases of each kind and the scenario catalog's fabric plans.
 func FuzzSpecRoundTrip(f *testing.F) {
@@ -179,8 +199,10 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		matchesReference(t, "Parse", s, Parse, refParse, Profile.String)
-		matchesReference(t, "ParseRestart", s, ParseRestart, refParseRestart, RestartPlan.String)
-		if _, err := ParseDomains(s); err != nil && isZeroRejection(err) && explicitZero(s) {
+		if _, err := ParseRestart(s); err == nil || !namesUnreadKey(s, restartGrammar.reads) {
+			matchesReference(t, "ParseRestart", s, ParseRestart, refParseRestart, RestartPlan.String)
+		}
+		if _, err := ParseDomains(s); err != nil && (isZeroRejection(err) && explicitZero(s) || namesUnreadKey(s, domainGrammar.reads)) {
 			return
 		}
 		matchesReference(t, "ParseDomains", s, ParseDomains, refParseDomains, joinDomains)
@@ -208,7 +230,11 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 	for _, name := range names(domainKinds) {
 		d := domainKinds[name]
-		d.Link, d.Switch = "p0-agg0>*", "p1-tor0"
+		if d.Kind == DomainSwitchDown {
+			d.Switch = "p1-tor0"
+		} else {
+			d.Link = "p0-agg0>*"
+		}
 		d = d.withDefaults()
 		if back, err := ParseDomains(d.String()); err != nil || len(back) != 1 || back[0] != d {
 			t.Errorf("domain %+v renders %q, which reads back as %+v, %v", d, d.String(), back, err)

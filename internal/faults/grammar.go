@@ -28,12 +28,15 @@ type key[T any] struct {
 }
 
 // grammar is one spec language: its error prefix, what a spec's name names,
-// the names with each one's starting value, the field @time sets, the keys.
+// the names with each one's starting value, the field @time sets, the keys,
+// and the keys each name reads (nil: every name reads every key). A key its
+// name does not read is rejected, as it would never act.
 type grammar[T any] struct {
 	what, noun string
 	heads      map[string]T
 	at         func(*T) *sim.Duration
 	keys       []key[T]
+	reads      map[string][]string
 }
 
 // read parses one spec, name[@time][,key=value…], and returns the keys it
@@ -41,9 +44,10 @@ type grammar[T any] struct {
 func (g *grammar[T]) read(spec string) (T, []string, error) {
 	head, rest, hasKeys := strings.Cut(strings.TrimSpace(spec), ",")
 	name, at, hasAt := strings.Cut(strings.TrimSpace(head), "@")
-	p, ok := g.heads[strings.TrimSpace(name)]
+	name = strings.TrimSpace(name)
+	p, ok := g.heads[name]
 	if !ok {
-		return p, nil, g.unknown(g.noun, strings.TrimSpace(name), names(g.heads))
+		return p, nil, g.unknown(g.noun, name, names(g.heads))
 	}
 	if hasAt {
 		d, err := time.ParseDuration(strings.TrimSpace(at))
@@ -55,13 +59,13 @@ func (g *grammar[T]) read(spec string) (T, []string, error) {
 	if !hasKeys {
 		return p, nil, nil
 	}
-	given, err := g.terms(&p, rest)
+	given, err := g.terms(&p, name, rest)
 	return p, given, err
 }
 
-// terms sets p's fields from a comma-separated key=value list and returns
-// the keys in the order given.
-func (g *grammar[T]) terms(p *T, list string) ([]string, error) {
+// terms sets p's fields from a comma-separated key=value list, each a key
+// head reads, and returns the keys in the order given.
+func (g *grammar[T]) terms(p *T, head, list string) ([]string, error) {
 	var given []string
 	for _, term := range strings.Split(list, ",") {
 		name, v, ok := strings.Cut(strings.TrimSpace(term), "=")
@@ -76,6 +80,9 @@ func (g *grammar[T]) terms(p *T, list string) ([]string, error) {
 				have = append(have, k.name)
 			}
 			return nil, g.unknown("key", name, have)
+		}
+		if g.reads != nil && !slices.Contains(g.reads[head], name) {
+			return nil, fmt.Errorf("%s: %s takes no key %q (read by %s)", g.what, head, name, strings.Join(g.readers(name), ", "))
 		}
 		if want, ok := g.keys[i].set(p, v); !ok {
 			return nil, fmt.Errorf("%s: bad value %s=%q (want %s)", g.what, name, v, want)
@@ -137,7 +144,8 @@ func (g *grammar[T]) render(head string, p T) string {
 }
 
 // help renders a `list` text: the title, each name with show's text for
-// it, each key with its value kind and help, then the examples.
+// it, each key with its value kind, its help and the names that read it
+// when not every name does, then the examples.
 func (g *grammar[T]) help(title string, show func(name string) string, examples ...string) string {
 	var b strings.Builder
 	b.WriteString(title + ":\n")
@@ -147,10 +155,25 @@ func (g *grammar[T]) help(title string, show func(name string) string, examples 
 	b.WriteString("keys:\n")
 	for _, k := range g.keys {
 		want, _ := k.set(new(T), "") // a fresh value only names the kind
-		fmt.Fprintf(&b, "  %-24s %s\n", k.name+"="+want, k.help)
+		text := k.help
+		if readers := g.readers(k.name); len(readers) < len(g.reads) {
+			text += " [" + strings.Join(readers, ", ") + "]"
+		}
+		fmt.Fprintf(&b, "  %-24s %s\n", k.name+"="+want, text)
 	}
 	b.WriteString("examples:\n  " + strings.Join(examples, "\n  ") + "\n")
 	return b.String()
+}
+
+// readers returns the names that read key, sorted.
+func (g *grammar[T]) readers(key string) []string {
+	var out []string
+	for _, h := range names(g.reads) {
+		if slices.Contains(g.reads[h], key) {
+			out = append(out, h)
+		}
+	}
+	return out
 }
 
 // unknown reports a name that is not among have, suggesting the nearest.

@@ -88,7 +88,7 @@ func (in *Injector) Hook(l *netsim.Link, p *packet.Packet, deliver func(q *packe
 		in.corrupt(p)
 	}
 	if prof.StripOptions > 0 && in.rng.Float64() < prof.StripOptions {
-		if stripAllOptions(p) {
+		if packet.RemoveAllTCPOptionsInPlace(p) {
 			in.strips.Inc()
 		}
 	}
@@ -148,13 +148,9 @@ func (in *Injector) dropFeedback(p *packet.Packet) bool {
 		}
 		return false
 	}
-	if packet.FindOption(opts, packet.OptPACK) != nil {
-		if in.rng.Float64() < in.prof.DropFeedback {
-			if buf := packet.RemoveTCPOption(p.Buf, packet.OptPACK); len(buf) > 0 {
-				p.Buf = buf
-				in.fbStrips.Inc()
-			}
-		}
+	if packet.FindOption(opts, packet.OptPACK) != nil && in.rng.Float64() < in.prof.DropFeedback {
+		packet.RemoveTCPOptionInPlace(p, packet.OptPACK)
+		in.fbStrips.Inc()
 	}
 	return false
 }
@@ -180,33 +176,4 @@ func (in *Injector) corrupt(p *packet.Packet) {
 	if opts := t.Options(); len(opts) > 0 {
 		in.rng.Read(opts)
 	}
-}
-
-// stripAllOptions removes the whole TCP option block, as option-intolerant
-// middleboxes do, shrinking the header to 20 bytes and fixing lengths and
-// checksums. Reports whether anything was removed.
-func stripAllOptions(p *packet.Packet) bool {
-	ip := p.IP()
-	if !ip.Valid() || ip.Protocol() != packet.ProtoTCP {
-		return false
-	}
-	t := ip.TCP()
-	// A total length short of the headers would wrap when shrunk: refuse it.
-	if !t.Valid() || t.HeaderLen() <= packet.TCPHeaderLen || int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
-		return false
-	}
-	ihl := ip.HeaderLen()
-	hdr := t.HeaderLen()
-	removed := hdr - packet.TCPHeaderLen
-	buf := make([]byte, len(p.Buf)-removed)
-	n := copy(buf, p.Buf[:ihl+packet.TCPHeaderLen])
-	copy(buf[n:], p.Buf[ihl+hdr:])
-	oip := packet.IPv4(buf)
-	oip.SetTotalLen(ip.TotalLen() - uint16(removed))
-	// Data offset: 5 words, preserving the reserved low nibble.
-	buf[ihl+12] = 5<<4 | buf[ihl+12]&0x0f
-	ot := oip.TCP()
-	ot.ComputeChecksum(oip.PseudoHeaderSum(oip.TotalLen() - uint16(oip.HeaderLen())))
-	p.Buf = buf
-	return true
 }

@@ -132,6 +132,11 @@ var restartGrammar = grammar[RestartPlan]{
 		{"every", func(p *RestartPlan) any { return &p.Every }, "repeat with this period while flows remain"},
 		{"host", func(p *RestartPlan) any { return &p.Hosts }, "restart only this host (repeatable; default every host)"},
 	},
+	reads: map[string][]string{
+		"cold":  {"down", "every", "host"},
+		"warm":  {"down", "every", "host"},
+		"stale": {"down", "age", "every", "host"},
+	},
 }
 
 // ParseRestart resolves a -restart flag value, "mode[@time][,key=value…]",

@@ -97,14 +97,6 @@ type Gauge struct {
 	v int64
 }
 
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
 // Add adds d (may be negative). No-op on a nil receiver.
 func (g *Gauge) Add(d int64) {
 	if g == nil {
@@ -271,9 +263,6 @@ func (r *Registry) Counter(name string) *Counter { return named[Counter](r, name
 
 // Lazy returns the lazy counter named name, creating it if needed.
 func (r *Registry) Lazy(name string) *LazyCounter { return named[LazyCounter](r, name) }
-
-// Gauge returns the gauge named name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge { return named[Gauge](r, name) }
 
 // Histogram returns the histogram named name, creating it with bounds if
 // needed. The histogram shares bounds, so the caller must not change them;

@@ -86,10 +86,10 @@ func FuzzPACKRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRemoveTCPOption feeds arbitrary buffers straight into the option
-// rewriter — the exact input shape a corrupted packet presents on the
-// datapath. Invalid headers must pass through untouched; valid ones must
-// stay valid with their virtual payload length intact.
+// FuzzRemoveTCPOption feeds arbitrary buffers straight into
+// RemoveTCPOptionInPlace — the exact input shape a corrupted packet presents
+// to the feedback-loss fault. Invalid headers must pass through untouched;
+// valid ones must stay valid with their virtual payload length intact.
 func FuzzRemoveTCPOption(f *testing.F) {
 	ack := Build(MakeAddr(1, 2, 3, 4), MakeAddr(5, 6, 7, 8), ECT0, TCPFields{
 		SrcPort: 1, DstPort: 2, Seq: 9, Ack: 8, Flags: FlagACK, Window: 512,
@@ -100,17 +100,10 @@ func FuzzRemoveTCPOption(f *testing.F) {
 	f.Add([]byte{}, byte(OptPACK))
 	f.Add(ack.Buf[:21], byte(OptMSS))
 	f.Fuzz(func(t *testing.T, pkt []byte, kind byte) {
-		in := append([]byte(nil), pkt...)
-		out := RemoveTCPOption(in, kind)
-		if out == nil && len(pkt) > 0 {
-			t.Fatal("RemoveTCPOption returned nil")
-		}
-		if !bytes.Equal(in, pkt) {
-			t.Fatal("input buffer was mutated")
-		}
+		out := removeInPlace(t, pkt, kind)
 		ip := IPv4(pkt)
 		if !ip.Valid() || ip.Protocol() != ProtoTCP || !ip.TCP().Valid() {
-			if !bytes.Equal(out, in) {
+			if !bytes.Equal(out, pkt) {
 				t.Fatal("invalid packet was rewritten")
 			}
 			return
@@ -123,6 +116,74 @@ func FuzzRemoveTCPOption(f *testing.F) {
 		outPay := int(oip.TotalLen()) - oip.HeaderLen() - oip.TCP().HeaderLen()
 		if inPay != outPay {
 			t.Fatalf("virtual payload changed: %d -> %d", inPay, outPay)
+		}
+	})
+}
+
+// FuzzOptionEditsMatchReference holds each option editor to the editor it
+// replaced (reference_test.go) on arbitrary headers: the same verdict and
+// the same bytes. An insert runs on a buffer with spare bytes of capacity,
+// so both of its branches are reached. The one difference allowed is the
+// contract's: the editors keep the reserved bits beside the data offset,
+// which the old insert and remove cleared. Such a result is compared with
+// those bits cleared and the TCP checksum recomputed, which is how the
+// reference finished it.
+func FuzzOptionEditsMatchReference(f *testing.F) {
+	var pack [PACKOptionLen]byte
+	EncodePACK(pack[:], PACKInfo{TotalBytes: 42, MarkedBytes: 7})
+	ack := Build(MakeAddr(1, 2, 3, 4), MakeAddr(5, 6, 7, 8), ECT0, TCPFields{
+		SrcPort: 1, DstPort: 2, Seq: 9, Ack: 8, Flags: FlagACK, Window: 512,
+		Options: append(BuildSynOptions(1460, 7, true), pack[:]...),
+	}, 1448)
+	reserved := append([]byte(nil), ack.Buf...)
+	reserved[IPv4HeaderLen+12] |= 0x0b
+	f.Add(ack.Buf, byte(OptPACK), pack[:], byte(0))
+	f.Add(ack.Buf, byte(OptWScale), []byte{OptMSS, 4, 5, 0xb4}, byte(60))
+	f.Add(reserved, byte(OptPACK), pack[:], byte(12))
+	f.Add(append(ack.Buf, 0xde, 0xad, 0xbe, 0xef), byte(OptMSS), []byte{OptSACKPerm, 2}, byte(3))
+	f.Add([]byte{}, byte(OptPACK), pack[:], byte(0))
+	f.Add(ack.Buf[:27], byte(OptMSS), pack[:], byte(8))
+	f.Fuzz(func(t *testing.T, pkt []byte, kind byte, opt []byte, spare byte) {
+		edits := []struct {
+			name     string
+			edit     func(*Packet) bool
+			ref      func(*Packet) bool
+			capacity int
+		}{
+			{"insert", func(p *Packet) bool { return InsertTCPOptionInPlace(p, opt) },
+				func(p *Packet) bool { return refInsertTCPOptionInPlace(p, opt) }, len(pkt) + int(spare)},
+			{"strip", func(p *Packet) bool { return StripTCPOptionInPlace(p, kind) },
+				func(p *Packet) bool { return refStripTCPOptionInPlace(p, kind) }, len(pkt)},
+			{"remove", func(p *Packet) bool { return RemoveTCPOptionInPlace(p, kind) },
+				func(p *Packet) bool {
+					out := refRemoveTCPOption(p.Buf, kind)
+					moved := len(out) > 0 && &out[0] != &p.Buf[0]
+					p.Buf = out
+					return moved
+				}, len(pkt)},
+			{"remove-all", RemoveAllTCPOptionsInPlace, refStripAllOptions, len(pkt)},
+		}
+		for _, e := range edits {
+			got := &Packet{Buf: append(make([]byte, 0, e.capacity), pkt...)}
+			want := &Packet{Buf: append(make([]byte, 0, e.capacity), pkt...)}
+			ok, refOK := e.edit(got), e.ref(want)
+			if ok != refOK {
+				t.Fatalf("%s: verdict %v, reference %v", e.name, ok, refOK)
+			}
+			if ok {
+				ihl := IPv4(pkt).HeaderLen()
+				if got.Buf[ihl+12]&0x0f != pkt[ihl+12]&0x0f {
+					t.Fatalf("%s: reserved bits %x, input %x", e.name, got.Buf[ihl+12]&0x0f, pkt[ihl+12]&0x0f)
+				}
+				if want.Buf[ihl+12]&0x0f == 0 && got.Buf[ihl+12]&0x0f != 0 {
+					got.Buf[ihl+12] &^= 0x0f
+					ip := IPv4(got.Buf)
+					ip.TCP().ComputeChecksum(ip.PseudoHeaderSum(tcpLenOf(ip)))
+				}
+			}
+			if !bytes.Equal(got.Buf, want.Buf) {
+				t.Fatalf("%s (verdict %v):\n got %x\nwant %x", e.name, ok, got.Buf, want.Buf)
+			}
 		}
 	})
 }

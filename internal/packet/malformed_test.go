@@ -97,7 +97,7 @@ func TestParsePACKTruncated(t *testing.T) {
 
 // buildWithRawOptions assembles a full IPv4+TCP packet whose option block is
 // opts verbatim (padded with NOPs to a 4-byte boundary), bypassing the
-// sanity checks Build applies — the input shape RemoveTCPOption sees when a
+// sanity checks Build applies — the input shape RemoveTCPOptionInPlace sees when a
 // corrupted packet reaches the datapath.
 func buildWithRawOptions(opts []byte) *Packet {
 	return Build(MakeAddr(10, 0, 0, 1), MakeAddr(10, 0, 0, 2), NotECT, TCPFields{
@@ -114,10 +114,7 @@ func TestRemoveTCPOptionMalformed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := buildWithRawOptions(tc.opts)
 			before := append([]byte(nil), p.Buf...)
-			out := RemoveTCPOption(p.Buf, OptPACK)
-			if out == nil {
-				t.Fatal("RemoveTCPOption returned nil")
-			}
+			out := removeInPlace(t, p.Buf, OptPACK)
 			if ip := IPv4(out); !ip.Valid() || !ip.TCP().Valid() {
 				t.Fatal("result invalid")
 			}
@@ -134,7 +131,7 @@ func TestRemoveTCPOptionTruncatedHeaders(t *testing.T) {
 	p := buildWithRawOptions(BuildSynOptions(1460, 7, true))
 	for n := 0; n <= len(p.Buf); n++ {
 		trunc := p.Buf[:n]
-		out := RemoveTCPOption(trunc, OptMSS) // must not panic at any cut
+		out := removeInPlace(t, trunc, OptMSS) // must not panic at any cut
 		if n < len(p.Buf) && !bytes.Equal(out, trunc) {
 			// Headers that fail Valid() must pass through untouched.
 			ip := IPv4(trunc)

@@ -223,149 +223,143 @@ func ParsePACK(data []byte) (PACKInfo, bool) {
 
 // InsertTCPOptionInPlace appends opt to p's TCP options, padded to a 4-byte
 // boundary, fixing the IP total length, the data offset and both checksums.
-// It mutates p.Buf directly, extending the slice within its existing capacity
-// when possible (pooled buffers carry spare capacity for exactly this) and
-// reallocating otherwise. It reports whether the insert happened; on false p
-// is untouched — invalid headers, a total length below them, an option block
-// an appended option would be unreachable behind, or a TCP header that would
-// exceed MaxTCPHeaderLen — and the caller should fall back to a dedicated
-// feedback packet.
+// It grows p.Buf within its capacity when it can (a pooled packet's header
+// array has room for exactly this) and reallocates otherwise. It reports
+// whether the insert happened; on false p is untouched — invalid headers, a
+// total length below them, an option block an appended option would be
+// unreachable behind, or a TCP header that would exceed MaxTCPHeaderLen —
+// and the caller should fall back to a dedicated feedback packet.
 func InsertTCPOptionInPlace(p *Packet, opt []byte) bool {
-	pkt := p.Buf
-	ip := IPv4(pkt)
-	if !ip.Valid() || ip.Protocol() != ProtoTCP {
+	t := editable(p)
+	if t == nil || !optionsAppendable(t.Options()) {
 		return false
 	}
-	t := ip.TCP()
-	if !t.Valid() {
-		return false
-	}
-	if !optionsAppendable(t.Options()) {
-		return false
-	}
-	// A total length smaller than the headers (or one the grown packet would
-	// overflow) cannot be rewritten consistently.
-	if int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
-		return false
-	}
-	padded := (len(opt) + 3) &^ 3
-	newTCPHdr := t.HeaderLen() + padded
-	if newTCPHdr > MaxTCPHeaderLen || int(ip.TotalLen())+padded > 65535 {
-		return false
-	}
-	ihl := ip.HeaderLen()
-	hdrEnd := ihl + t.HeaderLen()
-	var out []byte
-	if len(pkt)+padded <= cap(pkt) {
-		out = pkt[:len(pkt)+padded]
-		// Slide any trailing (materialized) payload bytes out of the way.
-		copy(out[hdrEnd+padded:], pkt[hdrEnd:])
-	} else {
-		out = make([]byte, len(pkt)+padded)
-		copy(out, pkt[:hdrEnd])
-		copy(out[hdrEnd+padded:], pkt[hdrEnd:])
-	}
-	n := hdrEnd + copy(out[hdrEnd:], opt)
-	for i := 0; i < padded-len(opt); i++ {
-		out[n] = OptNOP
-		n++
-	}
-	oip := IPv4(out)
-	oip.SetTotalLen(ip.TotalLen() + uint16(padded))
-	ot := oip.TCP()
-	ot.setHeaderLen(newTCPHdr)
-	ot.ComputeChecksum(oip.PseudoHeaderSum(tcpLenOf(oip)))
-	p.Buf = out
-	return true
+	return splice(p, t, len(t.Options()), 0, opt)
 }
 
 // StripTCPOptionInPlace overwrites the first option of the given kind with
-// NOPs directly in p.Buf and fixes the TCP checksum — the zero-allocation
-// sibling of RemoveTCPOption for post-wire use (the header does not shrink,
-// so wire timing is unaffected; this runs at ingress, after the packet has
-// left the fabric). It reports whether an option was stripped.
+// NOPs and fixes the TCP checksum. The header does not shrink, so wire timing
+// is unaffected; the datapath runs it at ingress, after the packet has left
+// the fabric. It reports whether an option was stripped.
 func StripTCPOptionInPlace(p *Packet, kind byte) bool {
-	ip := IPv4(p.Buf)
-	if !ip.Valid() || ip.Protocol() != ProtoTCP {
+	t := editable(p)
+	if t == nil {
 		return false
 	}
-	t := ip.TCP()
-	if !t.Valid() {
-		return false
-	}
-	if int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
-		return false
-	}
-	opts := t.Options()
-	start, length := locateOption(opts, kind)
+	start, length := locateOption(t.Options(), kind)
 	if start < 0 {
 		return false
 	}
-	for i := start; i < start+length; i++ {
-		opts[i] = OptNOP
-	}
-	t.ComputeChecksum(ip.PseudoHeaderSum(tcpLenOf(ip)))
+	nopOut(p, start, length)
 	return true
 }
 
-// RemoveTCPOption returns a new packet buffer with the first option of the
-// given kind removed from the TCP header (header shrinks; lengths and
-// checksums fixed). If the option is absent the original buffer is returned
-// unchanged.
-func RemoveTCPOption(pkt []byte, kind byte) []byte {
-	ip := IPv4(pkt)
-	if !ip.Valid() || ip.Protocol() != ProtoTCP {
-		return pkt
-	}
-	t := ip.TCP()
-	if !t.Valid() {
-		return pkt
-	}
-	// A total length smaller than the headers is a lying header; shrinking
-	// it would underflow, so the packet passes through untouched.
-	if int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
-		return pkt
+// RemoveTCPOptionInPlace removes the first option of the given kind from p's
+// TCP header, shrinking it. The cut extends over adjacent NOP padding until it
+// is a 4-byte multiple; an option that cannot be cut that way is overwritten
+// with NOPs instead, as StripTCPOptionInPlace does. It reports whether the
+// option was found and removed.
+func RemoveTCPOptionInPlace(p *Packet, kind byte) bool {
+	t := editable(p)
+	if t == nil {
+		return false
 	}
 	opts := t.Options()
-	start, length := locateOption(opts, kind)
-	if start < 0 {
-		return pkt
+	at, length := locateOption(opts, kind)
+	if at < 0 {
+		return false
 	}
-	// Extend the cut over adjacent NOP padding until the removed span is a
-	// 4-byte multiple, so the shrunken header stays aligned.
-	end := start + length
+	start, end := at, at+length
 	for (end-start)%4 != 0 && end < len(opts) && opts[end] == OptNOP {
 		end++
 	}
 	for (end-start)%4 != 0 && start > 0 && opts[start-1] == OptNOP {
 		start--
 	}
-	removed := end - start
-	if removed%4 != 0 {
-		// Not alignable: overwrite with NOPs in place (no resize).
-		out := make([]byte, len(pkt))
-		copy(out, pkt)
-		oip := IPv4(out)
-		ot := oip.TCP()
-		oo := ot.Options()
-		oStart, oLen := locateOption(oo, kind)
-		for i := oStart; i < oStart+oLen; i++ {
-			oo[i] = OptNOP
-		}
-		ot.ComputeChecksum(oip.PseudoHeaderSum(tcpLenOf(oip)))
-		return out
+	if (end-start)%4 != 0 {
+		nopOut(p, at, length)
+		return true
 	}
+	return splice(p, t, start, end-start, nil)
+}
+
+// RemoveAllTCPOptionsInPlace removes p's whole TCP option block, as
+// option-intolerant middleboxes do, shrinking the header to 20 bytes. It
+// reports whether there was anything to remove.
+func RemoveAllTCPOptionsInPlace(p *Packet) bool {
+	t := editable(p)
+	if t == nil || t.HeaderLen() == TCPHeaderLen {
+		return false
+	}
+	return splice(p, t, 0, t.HeaderLen()-TCPHeaderLen, nil)
+}
+
+// editable returns p's TCP view when p is a TCP packet whose headers are
+// whole and whose IP total length covers them, and nil otherwise. A shorter
+// total length is a lying header: resizing it would wrap, so no option edit
+// touches such a packet.
+func editable(p *Packet) TCP {
+	ip := IPv4(p.Buf)
+	if !ip.Valid() || ip.Protocol() != ProtoTCP {
+		return nil
+	}
+	t := ip.TCP()
+	if !t.Valid() || int(ip.TotalLen()) < ip.HeaderLen()+t.HeaderLen() {
+		return nil
+	}
+	return t
+}
+
+// splice is the one resizing option edit: it replaces the n option bytes at
+// off with repl followed by the NOPs that keep the block a 4-byte multiple,
+// and shifts what follows — the rest of the block and any materialized
+// payload. It fixes the IP total length, the data offset (keeping the
+// reserved bits beside it) and both checksums. A shrinking or fitting edit
+// stays in p.Buf's array, so a pooled packet keeps its inline header; only a
+// Buf with no room left is reallocated. It refuses, leaving p untouched, a
+// TCP header that would exceed MaxTCPHeaderLen or a total length past 65535.
+func splice(p *Packet, t TCP, off, n int, repl []byte) bool {
+	ip := IPv4(p.Buf)
 	ihl := ip.HeaderLen()
-	optAbs := ihl + TCPHeaderLen
-	out := make([]byte, 0, len(pkt)-removed)
-	out = append(out, pkt[:optAbs+start]...)
-	out = append(out, pkt[optAbs+end:]...)
+	old := t.HeaderLen()
+	pad := -(old - TCPHeaderLen - n + len(repl)) & 3
+	delta := len(repl) + pad - n
+	hdr := old + delta
+	total := int(ip.TotalLen()) + delta
+	if hdr > MaxTCPHeaderLen || total > 65535 {
+		return false
+	}
+	at := ihl + TCPHeaderLen + off
+	out := p.Buf
+	if size := len(out) + delta; size <= cap(out) {
+		out = out[:size]
+	} else {
+		out = make([]byte, size)
+		copy(out, p.Buf[:at])
+	}
+	copy(out[at+len(repl)+pad:], p.Buf[at+n:])
+	copy(out[at:], repl)
+	for i := at + len(repl); i < at+len(repl)+pad; i++ {
+		out[i] = OptNOP
+	}
 	oip := IPv4(out)
-	oip.SetTotalLen(ip.TotalLen() - uint16(removed))
-	ot := oip.TCP()
-	ot.setHeaderLen(t.HeaderLen() - removed)
-	ot.ComputeChecksum(oip.PseudoHeaderSum(tcpLenOf(oip)))
-	return out
+	oip.SetTotalLen(uint16(total))
+	out[ihl+12] = uint8(hdr/4)<<4 | out[ihl+12]&0x0f
+	TCP(out[ihl:]).ComputeChecksum(oip.PseudoHeaderSum(uint16(total - ihl)))
+	p.Buf = out
+	return true
+}
+
+// nopOut overwrites length option bytes at off with NOPs and recomputes the
+// TCP checksum.
+func nopOut(p *Packet, off, length int) {
+	ip := IPv4(p.Buf)
+	t := ip.TCP()
+	opts := t.Options()
+	for i := off; i < off+length; i++ {
+		opts[i] = OptNOP
+	}
+	t.ComputeChecksum(ip.PseudoHeaderSum(tcpLenOf(ip)))
 }
 
 // optionsAppendable reports whether an option appended after opts would be

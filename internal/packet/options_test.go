@@ -118,6 +118,17 @@ func insertInPlace(t testing.TB, pkt, opt []byte, spare int) []byte {
 	return p.Buf
 }
 
+// removeInPlace runs RemoveTCPOptionInPlace on a copy of pkt and returns
+// the result; a refusal must leave the packet untouched.
+func removeInPlace(t testing.TB, pkt []byte, kind byte) []byte {
+	t.Helper()
+	p := &Packet{Buf: append([]byte(nil), pkt...)}
+	if !RemoveTCPOptionInPlace(p, kind) && !bytes.Equal(p.Buf, pkt) {
+		t.Fatal("refused remove modified the packet")
+	}
+	return p.Buf
+}
+
 // insertBoth runs insertInPlace through both branches, growing within spare
 // capacity and reallocating, and requires the two to agree.
 func insertBoth(t testing.TB, pkt, opt []byte) []byte {
@@ -159,7 +170,7 @@ func TestInsertAndRemovePACK(t *testing.T) {
 		t.Fatal("insert disturbed TCP fields")
 	}
 
-	stripped := RemoveTCPOption(withPack, OptPACK)
+	stripped := removeInPlace(t, withPack, OptPACK)
 	verifyWhole(t, stripped, "after remove")
 	if !bytes.Equal(stripped, orig) {
 		t.Fatalf("remove(insert(p)) != p:\n got %x\nwant %x", stripped, orig)
@@ -186,7 +197,7 @@ func TestInsertPACKAlongsideExistingOptions(t *testing.T) {
 	}
 
 	// Removing PACK restores the original exactly.
-	back := RemoveTCPOption(out, OptPACK)
+	back := removeInPlace(t, out, OptPACK)
 	if !bytes.Equal(back, p.Buf) {
 		t.Fatal("remove did not restore original")
 	}
@@ -209,7 +220,7 @@ func TestInsertTCPOptionOverflow(t *testing.T) {
 
 func TestRemoveAbsentOption(t *testing.T) {
 	p := mustACK(t, nil)
-	out := RemoveTCPOption(p.Buf, OptPACK)
+	out := removeInPlace(t, p.Buf, OptPACK)
 	if !bytes.Equal(out, p.Buf) {
 		t.Fatal("removing absent option changed packet")
 	}
@@ -225,7 +236,7 @@ func TestRemoveUnalignableOptionNops(t *testing.T) {
 	}
 	p := mustACK(t, opts)
 	before := IPv4(p.Buf).TCP().HeaderLen()
-	out := RemoveTCPOption(p.Buf, OptWScale)
+	out := removeInPlace(t, p.Buf, OptWScale)
 	verifyWhole(t, out, "nop-fallback")
 	tc := IPv4(out).TCP()
 	if tc.HeaderLen() != before {
@@ -255,7 +266,7 @@ func TestInsertRemoveIdentityProperty(t *testing.T) {
 		if !ok || got.TotalBytes != total || got.MarkedBytes != marked {
 			return false
 		}
-		return bytes.Equal(RemoveTCPOption(ins, OptPACK), p.Buf)
+		return bytes.Equal(removeInPlace(t, ins, OptPACK), p.Buf)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
